@@ -52,9 +52,16 @@ fn record(point: String, system: &str, out: &RunOutcome) -> PointRecord {
     }
 }
 
+const USAGE: &str = "\
+Usage: ablations [shared flags]
+
+Runs the design-choice ablations of DESIGN.md section 5 (default
+--scale 16).
+";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = tt_bench::parse_cli(&args, 16);
+    let cli = tt_bench::parse_cli(&args, 16, USAGE);
     let (scale, nodes, jobs, repeat) = (cli.scale, cli.nodes, cli.jobs, cli.repeat);
     let app = AppId::Em3d;
     let set = DataSet::Small;

@@ -41,14 +41,23 @@ fn cost_fragment(nodes: usize, cycles: u64, s: &RunStats) -> Option<String> {
     ))
 }
 
+const USAGE: &str = "\
+Usage: figure3 [--apps a,b,...] [shared flags]
+
+Regenerates Figure 3: Typhoon/Stache execution time relative to DirNNB
+(default --scale 4).
+
+  --apps a,b,...           only these of appbt, barnes, mp3d, ocean, em3d
+";
+
 /// Parses a comma-separated `--apps` list against the app names.
-fn parse_apps(list: &str) -> Vec<AppId> {
+fn parse_apps(list: &str) -> Result<Vec<AppId>, String> {
     list.split(',')
         .map(|name| {
             AppId::ALL
                 .into_iter()
                 .find(|a| a.name().eq_ignore_ascii_case(name.trim()))
-                .unwrap_or_else(|| panic!("--apps: unknown application {name}"))
+                .ok_or_else(|| format!("--apps: unknown application {name:?}"))
         })
         .collect()
 }
@@ -56,15 +65,13 @@ fn parse_apps(list: &str) -> Vec<AppId> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut apps: Vec<AppId> = AppId::ALL.to_vec();
-    let cli = tt_bench::parse_cli_with(&args, 4, &mut |flag, args, i| match flag {
+    let cli = tt_bench::parse_cli_with(&args, 4, USAGE, &mut |flag, args, i| match flag {
         "--apps" => {
-            apps = parse_apps(tt_bench::cli::value(args, *i, "--apps"));
+            apps = parse_apps(tt_bench::cli::value(args, *i, "--apps")?)?;
             *i += 2;
+            Ok(true)
         }
-        other => panic!(
-            "unknown argument {other}; figure3 adds --apps a,b,... to the \
-             shared harness flags"
-        ),
+        _ => Ok(false),
     });
     let cfg = cli.config();
     tt_bench::assert_sim_threads_identity(&cfg);

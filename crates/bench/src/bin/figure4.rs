@@ -16,9 +16,16 @@ use tt_base::table::Table;
 use tt_bench::json::PointRecord;
 use tt_bench::{figure4_sweep_min, FIGURE4_SYSTEMS};
 
+const USAGE: &str = "\
+Usage: figure4 [shared flags]
+
+Regenerates Figure 4: EM3D cycles per edge against the fraction of
+non-local edges (default --scale 4).
+";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = tt_bench::parse_cli(&args, 4);
+    let cli = tt_bench::parse_cli(&args, 4, USAGE);
     let cfg = cli.config();
     tt_bench::assert_sim_threads_identity(&cfg);
     println!(

@@ -97,6 +97,19 @@ fn assert_kv_sim_threads_identity(cfg: &SystemConfig) {
     }
 }
 
+const USAGE: &str = "\
+Usage: kv_bench [kv flags] [shared flags]
+
+Runs tt-serve under open-loop Zipfian load: latency percentiles for the
+Stache-served and write-update-served caches (default --nodes 32).
+
+  --keys N                 keys in the cache (default 2048)
+  --requests N             requests per node (default 256)
+  --value-words N          words per value (default 4)
+  --interarrival CYCLES    mean open-loop interarrival (default 500)
+  --fault-rate PERMILLE    lossy network: drop/duplicate rate (default 0)
+";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut kv = KvCli {
@@ -106,32 +119,21 @@ fn main() {
         mean_interarrival: 500.0,
         fault_permille: 0,
     };
-    let shared = cli::parse_cli_with(&args, 1, &mut |flag, args, i| match flag {
-        "--keys" => {
-            kv.keys = cli::number(args, *i, "--keys") as u64;
-            *i += 2;
+    let shared = cli::parse_cli_with(&args, 1, USAGE, &mut |flag, args, i| {
+        match flag {
+            "--keys" => kv.keys = cli::number(args, *i, "--keys")? as u64,
+            "--requests" => kv.requests_per_node = cli::number(args, *i, "--requests")? as u64,
+            "--value-words" => kv.value_words = cli::number(args, *i, "--value-words")?.max(1),
+            "--interarrival" => {
+                kv.mean_interarrival = cli::number(args, *i, "--interarrival")?.max(1) as f64;
+            }
+            "--fault-rate" => {
+                kv.fault_permille = cli::number(args, *i, "--fault-rate")?.min(500) as u32;
+            }
+            _ => return Ok(false),
         }
-        "--requests" => {
-            kv.requests_per_node = cli::number(args, *i, "--requests") as u64;
-            *i += 2;
-        }
-        "--value-words" => {
-            kv.value_words = cli::number(args, *i, "--value-words").max(1);
-            *i += 2;
-        }
-        "--interarrival" => {
-            kv.mean_interarrival = cli::number(args, *i, "--interarrival").max(1) as f64;
-            *i += 2;
-        }
-        "--fault-rate" => {
-            kv.fault_permille = cli::number(args, *i, "--fault-rate").min(500) as u32;
-            *i += 2;
-        }
-        other => panic!(
-            "unknown argument {other}; kv_bench adds --keys N | --requests N \
-             | --value-words N | --interarrival CYCLES | --fault-rate PERMILLE \
-             to the shared flags"
-        ),
+        *i += 2;
+        Ok(true)
     });
     let mut cfg = shared.config();
     let faulty = kv.fault_permille > 0;

@@ -4,9 +4,17 @@
 use tt_bench::{bench_config, figure3_point, FIGURE3_POINTS};
 use tt_apps::AppId;
 
+const USAGE: &str = "\
+Usage: profile_apps [shared flags]
+
+Prints each Figure 3 point's relative time and wall cost (default
+--scale 16). Only --scale, --full and --nodes apply.
+";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (scale, nodes) = tt_bench::parse_args(&args, 16);
+    let cli = tt_bench::parse_cli(&args, 16, USAGE);
+    let (scale, nodes) = (cli.scale, cli.nodes);
     let cfg = bench_config(nodes);
     for app in AppId::ALL {
         for (set, cache) in FIGURE3_POINTS {

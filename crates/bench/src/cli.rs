@@ -85,30 +85,88 @@ impl Cli {
     }
 }
 
+/// Help text for the flags every harness binary shares, printed after
+/// the binary's own usage block.
+pub const SHARED_FLAGS: &str = "\
+Shared flags:
+  --scale N                data-set divisor (1 = the paper's sizes)
+  --full                   the paper's exact sizes (--scale 1)
+  --nodes N                simulated machine size (default 32)
+  --jobs N                 sweep worker threads (default: available cores)
+  --repeat N               runs per point; wall times are min-of-N (default 1)
+  --sim-threads N          OS threads inside each simulation (default 1)
+  --sim-shards N           shards per simulation (0 = one per sim thread)
+  --window-policy P        fixed | adaptive
+  --topology T             ideal | mesh[:W] | fat-tree[:A]
+  --json PATH              write a machine-readable run report
+  -h, --help               print this help and exit
+";
+
+/// Why parsing stopped without producing a [`Cli`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CliError {
+    /// `--help` or `-h`: print the usage and exit 0.
+    Help,
+    /// A bad or unknown argument, with a one-line reason.
+    Bad(String),
+}
+
+impl From<String> for CliError {
+    fn from(reason: String) -> Self {
+        CliError::Bad(reason)
+    }
+}
+
+impl CliError {
+    /// Ends the process the conventional way: `Help` prints `usage` and
+    /// the shared flags to stdout and exits 0; `Bad` prints the reason,
+    /// then the usage, to stderr and exits 2.
+    pub fn exit(self, usage: &str) -> ! {
+        match self {
+            CliError::Help => {
+                print!("{usage}\n{SHARED_FLAGS}");
+                std::process::exit(0)
+            }
+            CliError::Bad(reason) => {
+                eprint!("error: {reason}\n\n{usage}\n{SHARED_FLAGS}");
+                std::process::exit(2)
+            }
+        }
+    }
+}
+
+/// A binary's hook for its own flags; see [`parse_cli_with`].
+pub type ExtraFlags<'a> = dyn FnMut(&str, &[String], &mut usize) -> Result<bool, String> + 'a;
+
 /// Parses `--scale N`, `--nodes N`, `--full`, `--jobs N`, `--repeat N`,
 /// `--sim-threads N`, `--sim-shards N`, `--window-policy fixed|adaptive`,
 /// `--topology ideal|mesh[:W]|fat-tree[:A]`, and `--json PATH` arguments
-/// shared by the harness binaries.
-pub fn parse_cli(args: &[String], default_scale: usize) -> Cli {
-    parse_cli_with(args, default_scale, &mut |flag, _, _| {
-        panic!(
-            "unknown argument {flag}; use --scale N | --nodes N | --jobs N \
-             | --repeat N | --sim-threads N | --sim-shards N \
-             | --window-policy fixed|adaptive \
-             | --topology ideal|mesh[:W]|fat-tree[:A] | --json PATH | --full"
-        )
-    })
+/// shared by the harness binaries. On `--help` or a bad argument, prints
+/// `usage` (plus [`SHARED_FLAGS`]) and exits; see [`CliError::exit`].
+pub fn parse_cli(args: &[String], default_scale: usize, usage: &str) -> Cli {
+    parse_cli_with(args, default_scale, usage, &mut |_, _, _| Ok(false))
 }
 
 /// [`parse_cli`] with a hook for binary-specific flags: `extra` is
 /// called with `(flag, args, &mut i)` for any argument the shared
-/// parser does not recognize and must consume it (advancing `i` past
-/// the flag and its value) or panic with a usage message.
+/// parser does not recognize. It returns `Ok(true)` once it has
+/// consumed the flag (advancing `i` past the flag and its value),
+/// `Ok(false)` if the flag is not its own, or `Err` for a bad value.
 pub fn parse_cli_with(
     args: &[String],
     default_scale: usize,
-    extra: &mut dyn FnMut(&str, &[String], &mut usize),
+    usage: &str,
+    extra: &mut ExtraFlags,
 ) -> Cli {
+    try_parse_cli_with(args, default_scale, extra).unwrap_or_else(|e| e.exit(usage))
+}
+
+/// The parser behind [`parse_cli_with`], returning instead of exiting.
+pub fn try_parse_cli_with(
+    args: &[String],
+    default_scale: usize,
+    extra: &mut ExtraFlags,
+) -> Result<Cli, CliError> {
     let mut cli = Cli {
         scale: default_scale,
         nodes: 32,
@@ -123,78 +181,55 @@ pub fn parse_cli_with(
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--scale" => {
-                cli.scale = number(args, i, "--scale");
-                i += 2;
-            }
-            "--nodes" => {
-                cli.nodes = number(args, i, "--nodes");
-                i += 2;
-            }
-            "--jobs" => {
-                cli.jobs = number(args, i, "--jobs");
-                i += 2;
-            }
-            "--repeat" => {
-                cli.repeat = number(args, i, "--repeat").max(1);
-                i += 2;
-            }
-            "--sim-threads" => {
-                cli.sim_threads = number(args, i, "--sim-threads").max(1);
-                i += 2;
-            }
-            "--sim-shards" => {
-                cli.sim_shards = number(args, i, "--sim-shards");
-                i += 2;
-            }
+            "-h" | "--help" => return Err(CliError::Help),
+            "--scale" => cli.scale = number(args, i, "--scale")?,
+            "--nodes" => cli.nodes = number(args, i, "--nodes")?,
+            "--jobs" => cli.jobs = number(args, i, "--jobs")?,
+            "--repeat" => cli.repeat = number(args, i, "--repeat")?.max(1),
+            "--sim-threads" => cli.sim_threads = number(args, i, "--sim-threads")?.max(1),
+            "--sim-shards" => cli.sim_shards = number(args, i, "--sim-shards")?,
             "--window-policy" => {
-                cli.window_policy = value(args, i, "--window-policy")
+                cli.window_policy = value(args, i, "--window-policy")?
                     .parse()
-                    .unwrap_or_else(|e| panic!("--window-policy: {e}"));
-                i += 2;
+                    .map_err(|e| format!("--window-policy: {e}"))?;
             }
             "--topology" => {
-                cli.topology = value(args, i, "--topology")
+                cli.topology = value(args, i, "--topology")?
                     .parse()
-                    .unwrap_or_else(|e| panic!("--topology: {e}"));
-                i += 2;
+                    .map_err(|e| format!("--topology: {e}"))?;
             }
-            "--json" => {
-                cli.json = Some(std::path::PathBuf::from(value(args, i, "--json")));
-                i += 2;
-            }
+            "--json" => cli.json = Some(std::path::PathBuf::from(value(args, i, "--json")?)),
             "--full" => {
                 cli.scale = 1;
                 i += 1;
+                continue;
             }
             other => {
                 let before = i;
-                extra(other, args, &mut i);
+                if !extra(other, args, &mut i)? {
+                    return Err(CliError::Bad(format!("unknown argument {other}")));
+                }
                 assert!(i > before, "extra-flag hook must consume {other}");
+                continue;
             }
         }
+        // Every shared flag but `--full` takes one value.
+        i += 2;
     }
-    cli
+    Ok(cli)
 }
 
-/// The value following flag position `i`, or a usage panic.
-pub fn value<'a>(args: &'a [String], i: usize, flag: &str) -> &'a str {
+/// The value following flag position `i`.
+pub fn value<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a str, String> {
     args.get(i + 1)
-        .unwrap_or_else(|| panic!("{flag} requires a value"))
+        .map(String::as_str)
+        .ok_or_else(|| format!("{flag} requires a value"))
 }
 
-/// The numeric value following flag position `i`, or a usage panic.
-pub fn number(args: &[String], i: usize, flag: &str) -> usize {
-    value(args, i, flag)
-        .parse()
-        .unwrap_or_else(|e| panic!("{flag} N: {e}"))
-}
-
-/// Parses `--scale N`, `--nodes N`, `--full` style arguments shared by
-/// the harness binaries. Returns `(scale, nodes)`.
-pub fn parse_args(args: &[String], default_scale: usize) -> (usize, usize) {
-    let cli = parse_cli(args, default_scale);
-    (cli.scale, cli.nodes)
+/// The numeric value following flag position `i`.
+pub fn number(args: &[String], i: usize, flag: &str) -> Result<usize, String> {
+    let v = value(args, i, flag)?;
+    v.parse().map_err(|e| format!("{flag} N: {v:?}: {e}"))
 }
 
 #[cfg(test)]
@@ -205,16 +240,21 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parse(args: &[&str]) -> Result<Cli, CliError> {
+        try_parse_cli_with(&strs(args), 7, &mut |_, _, _| Ok(false))
+    }
+
     #[test]
     fn extra_flags_are_routed_to_the_hook() {
         let args = strs(&["--nodes", "8", "--keys", "512", "--jobs", "2"]);
         let mut keys = 0usize;
-        let cli = parse_cli_with(&args, 1, &mut |flag, args, i| match flag {
+        let cli = parse_cli_with(&args, 1, "usage", &mut |flag, args, i| match flag {
             "--keys" => {
-                keys = number(args, *i, "--keys");
+                keys = number(args, *i, "--keys")?;
                 *i += 2;
+                Ok(true)
             }
-            other => panic!("unknown argument {other}"),
+            _ => Ok(false),
         });
         assert_eq!(cli.nodes, 8);
         assert_eq!(cli.jobs, 2);
@@ -223,8 +263,7 @@ mod tests {
 
     #[test]
     fn sweep_meta_mirrors_the_cli() {
-        let args = strs(&["--sim-threads", "3", "--window-policy", "adaptive"]);
-        let cli = parse_cli(&args, 7);
+        let cli = parse(&["--sim-threads", "3", "--window-policy", "adaptive"]).unwrap();
         let meta = cli.sweep_meta("figX", 1.5);
         assert_eq!(meta.figure, "figX");
         assert_eq!(meta.scale, 7);
@@ -235,10 +274,37 @@ mod tests {
 
     #[test]
     fn topology_flag_parses_and_reaches_the_config() {
-        let args = strs(&["--topology", "mesh:4"]);
-        let cli = parse_cli(&args, 1);
+        let cli = parse(&["--topology", "mesh:4"]).unwrap();
         assert_eq!(cli.topology, Topology::Mesh2D { width: 4 });
         assert_eq!(cli.config().topology, Topology::Mesh2D { width: 4 });
-        assert_eq!(parse_cli(&[], 1).topology, Topology::Ideal);
+        assert_eq!(parse(&[]).unwrap().topology, Topology::Ideal);
+    }
+
+    #[test]
+    fn help_and_bad_arguments_are_errors_not_panics() {
+        assert_eq!(parse(&["--help"]).unwrap_err(), CliError::Help);
+        assert_eq!(parse(&["--nodes", "8", "-h"]).unwrap_err(), CliError::Help);
+        let bad = |args: &[&str]| match parse(args) {
+            Err(CliError::Bad(reason)) => reason,
+            other => panic!("{args:?} must be rejected, got {other:?}"),
+        };
+        assert_eq!(bad(&["--bogus"]), "unknown argument --bogus");
+        assert_eq!(bad(&["--jobs"]), "--jobs requires a value");
+        assert!(bad(&["--jobs", "abc"]).starts_with("--jobs N: \"abc\""));
+        assert!(bad(&["--window-policy", "eager"]).starts_with("--window-policy: "));
+        assert!(bad(&["--topology", "ring"]).starts_with("--topology: "));
+        let hook_err = try_parse_cli_with(&strs(&["--keys", "x"]), 1, &mut |_, args, i| {
+            number(args, *i, "--keys").map(|_| true)
+        });
+        assert_eq!(
+            hook_err.unwrap_err(),
+            CliError::Bad("--keys N: \"x\": invalid digit found in string".into())
+        );
+    }
+
+    #[test]
+    fn full_sets_scale_one_and_takes_no_value() {
+        let cli = parse(&["--full", "--nodes", "16"]).unwrap();
+        assert_eq!((cli.scale, cli.nodes), (1, 16));
     }
 }

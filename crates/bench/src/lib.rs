@@ -26,7 +26,7 @@ pub mod harness;
 pub mod json;
 pub mod par;
 
-pub use cli::{parse_args, parse_cli, parse_cli_with, Cli};
+pub use cli::{parse_cli, parse_cli_with, Cli};
 
 use std::time::Instant;
 
@@ -555,21 +555,21 @@ mod tests {
     #[test]
     fn repeat_flag_parses_and_defaults_to_one() {
         let args: Vec<String> = ["--repeat", "5"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_cli(&args, 1).repeat, 5);
-        assert_eq!(parse_cli(&[], 1).repeat, 1);
+        assert_eq!(parse_cli(&args, 1, "usage").repeat, 5);
+        assert_eq!(parse_cli(&[], 1, "usage").repeat, 1);
         let zero: Vec<String> = ["--repeat", "0"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_cli(&zero, 1).repeat, 1, "repeat 0 clamps to 1");
+        assert_eq!(parse_cli(&zero, 1, "usage").repeat, 1, "repeat 0 clamps to 1");
     }
 
     #[test]
     fn sim_threads_flag_parses_and_defaults_to_one() {
         let args: Vec<String> = ["--sim-threads", "4"].iter().map(|s| s.to_string()).collect();
-        let cli = parse_cli(&args, 1);
+        let cli = parse_cli(&args, 1, "usage");
         assert_eq!(cli.sim_threads, 4);
         assert_eq!(cli.config().sim_threads, 4);
-        assert_eq!(parse_cli(&[], 1).sim_threads, 1);
+        assert_eq!(parse_cli(&[], 1, "usage").sim_threads, 1);
         let zero: Vec<String> = ["--sim-threads", "0"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_cli(&zero, 1).sim_threads, 1, "sim-threads 0 clamps to 1");
+        assert_eq!(parse_cli(&zero, 1, "usage").sim_threads, 1, "sim-threads 0 clamps to 1");
     }
 
     #[test]
@@ -624,9 +624,13 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert_eq!(parse_args(&args, 1), (8, 16));
-        assert_eq!(parse_args(&[], 4), (4, 32));
+        let scale_nodes = |args: &[String], scale| {
+            let cli = parse_cli(args, scale, "usage");
+            (cli.scale, cli.nodes)
+        };
+        assert_eq!(scale_nodes(&args, 1), (8, 16));
+        assert_eq!(scale_nodes(&[], 4), (4, 32));
         let full: Vec<String> = vec!["--full".into()];
-        assert_eq!(parse_args(&full, 16), (1, 32));
+        assert_eq!(scale_nodes(&full, 16), (1, 32));
     }
 }

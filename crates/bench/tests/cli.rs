@@ -1,0 +1,90 @@
+//! Command-line behaviour of the harness binaries: `--help` prints the
+//! usage and exits 0; a bad or unknown argument prints a one-line error
+//! and the usage to stderr and exits 2 — never a panic backtrace.
+
+use std::process::{Command, Output};
+
+/// Every binary parsing its arguments through `tt_bench::cli`.
+const BINARIES: [(&str, &str); 4] = [
+    ("figure3", env!("CARGO_BIN_EXE_figure3")),
+    ("figure4", env!("CARGO_BIN_EXE_figure4")),
+    ("ablations", env!("CARGO_BIN_EXE_ablations")),
+    ("kv_bench", env!("CARGO_BIN_EXE_kv_bench")),
+];
+
+fn run(exe: &str, args: &[&str]) -> Output {
+    Command::new(exe)
+        .args(args)
+        .output()
+        .expect("spawn harness binary")
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    for (name, exe) in BINARIES {
+        for flag in ["--help", "-h"] {
+            let out = run(exe, &["--nodes", "8", flag]);
+            let stdout = text(&out.stdout);
+            assert_eq!(out.status.code(), Some(0), "{name} {flag}: {out:?}");
+            assert!(
+                stdout.starts_with(&format!("Usage: {name} ")),
+                "{name}: {stdout}"
+            );
+            assert!(
+                stdout.contains("--sim-threads N"),
+                "{name}: shared flags listed"
+            );
+            assert!(
+                out.stderr.is_empty(),
+                "{name} {flag}: {}",
+                text(&out.stderr)
+            );
+        }
+    }
+}
+
+#[test]
+fn bad_arguments_print_one_error_line_and_exit_two() {
+    let cases: [&[&str]; 5] = [
+        &["--bogus"],
+        &["--jobs", "abc"],
+        &["--nodes"],
+        &["--window-policy", "eager"],
+        &["--topology", "ring"],
+    ];
+    for (name, exe) in BINARIES {
+        for args in cases {
+            let out = run(exe, args);
+            let stderr = text(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{name} {args:?}: nothing on stdout");
+            let first = stderr.lines().next().unwrap_or_default();
+            assert!(
+                first.starts_with("error: ") && first.contains(args[0]),
+                "{name} {args:?}: first line {first:?}"
+            );
+            assert!(
+                stderr.contains(&format!("Usage: {name} ")),
+                "{name}: usage follows"
+            );
+            assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn binary_specific_flags_report_bad_values() {
+    let figure3 = BINARIES[0].1;
+    let out = run(figure3, &["--apps", "em3d,nope"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(text(&out.stderr).starts_with("error: --apps: unknown application \"nope\"\n"));
+
+    let kv_bench = BINARIES[3].1;
+    let out = run(kv_bench, &["--keys", "many"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(text(&out.stderr).starts_with("error: --keys N: \"many\""));
+}

@@ -113,10 +113,27 @@
 //! terminates identically. Cycle tables are bit-identical under either
 //! policy — pinned by the machine equivalence tests and the `tt-check`
 //! fuzzer's window-policy dimension.
+//!
+//! # Rendezvous
+//!
+//! Rounds are short — a few microseconds of event work per shard on
+//! the 256-node workloads — so the boundary itself must be cheap. Each
+//! round crosses one rendezvous: a worker acts its shards out,
+//! publishes their heads, and arrives; the *last* arrival runs the
+//! leader's decision for the next round (so it runs exactly once, after
+//! every publish) and bumps a generation counter that releases the
+//! others with the decision. Waiters spin on the counter for a bounded
+//! budget and only then park on a condition variable; the releaser
+//! notifies only if a sleeper registered, and the `SeqCst` pairing of
+//! "register, then recheck" against "bump, then read sleepers" makes
+//! that skip safe (see `Rendezvous`). A round in which nobody parks
+//! costs no lock beyond the decision read and no futex call — where a
+//! `std::sync::Barrier` crossed twice per round, with a futex sleep and
+//! wake at each crossing.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 
 use tt_base::stats::PdesTelemetry;
 use tt_base::{Cycles, WindowPolicy};
@@ -616,6 +633,107 @@ enum Decision {
     Window,
 }
 
+/// Spin iterations a rendezvous waiter makes before it parks. A round
+/// of the window driver carries a few microseconds of event work per
+/// shard, so a waiter usually waits out only its peers' imbalance,
+/// itself a few microseconds; a futex park plus the wake-up costs a
+/// parked crossing ~15 µs on a virtualised host. 4096 `spin_loop`
+/// hints last ~55 µs on a 2-vCPU Xeon VM at ~14 ns per hint (longer on
+/// cores with a slower pause): several times a park, so nearly every
+/// round ends inside the spin, yet short enough that a waiter behind a
+/// peer stuck in a long window or release stops burning its core
+/// within tens of microseconds.
+const SPIN_BUDGET: u32 = 1 << 12;
+
+/// A reusable single-crossing rendezvous for `parties` threads. The
+/// last thread to arrive runs the round's leader action and publishes
+/// its result; every other thread spins on the generation counter for
+/// [`SPIN_BUDGET`] hints, then parks on a condition variable.
+///
+/// Sleeper/notify ordering: a parking waiter, holding `value`'s lock,
+/// registers in `sleepers` and then rechecks `generation`; the releaser
+/// bumps `generation` and then reads `sleepers`, all four accesses
+/// `SeqCst`. In their single total order either the registration
+/// precedes the releaser's read — the releaser then sees the sleeper
+/// and takes the lock to notify, which it can only get once the waiter
+/// is inside `Condvar::wait` — or the read precedes the registration,
+/// and then the bump precedes the waiter's recheck, which sees the new
+/// generation and never sleeps. No wake-up is lost, and a round with no
+/// sleeper costs the releaser no notify and no syscall.
+struct Rendezvous<T> {
+    parties: usize,
+    /// Spin budget: [`SPIN_BUDGET`], or 0 when the parties outnumber
+    /// the host's cores and a spinning waiter would only delay the
+    /// peers it waits for.
+    spin: u32,
+    /// Threads that have arrived in the current generation.
+    arrived: AtomicUsize,
+    /// Completed rounds; a bump releases the waiters.
+    generation: AtomicU64,
+    /// Waiters parked (or about to park) on `wake`.
+    sleepers: AtomicUsize,
+    /// The leader action's result for the current generation; its lock
+    /// is also the one parked waiters sleep under.
+    value: Mutex<T>,
+    wake: Condvar,
+    /// Times any waiter parked (tests and tuning).
+    parks: AtomicU64,
+}
+
+impl<T: Copy> Rendezvous<T> {
+    fn new(parties: usize, initial: T) -> Self {
+        assert!(parties > 0, "a rendezvous needs a party");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Rendezvous {
+            parties,
+            spin: if parties <= cores { SPIN_BUDGET } else { 0 },
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            sleepers: AtomicUsize::new(0),
+            value: Mutex::new(initial),
+            wake: Condvar::new(),
+            parks: AtomicU64::new(0),
+        }
+    }
+
+    /// Arrives and waits for the other parties. The last to arrive runs
+    /// `lead` — exactly once per round, after every party has arrived
+    /// and before any leaves — and every party returns its result.
+    fn wait(&self, lead: impl FnOnce() -> T) -> T {
+        // Read before arriving: the generation cannot move until we do.
+        let gen = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            // No one re-arrives before the bump below releases them.
+            self.arrived.store(0, Ordering::Relaxed);
+            let v = lead();
+            *self.value.lock().expect("rendezvous lock") = v;
+            self.generation.store(gen + 1, Ordering::SeqCst);
+            if self.sleepers.load(Ordering::SeqCst) > 0 {
+                let _guard = self.value.lock().expect("rendezvous lock");
+                self.wake.notify_all();
+            }
+            return v;
+        }
+        let mut spins = 0;
+        while self.generation.load(Ordering::Acquire) == gen {
+            if spins < self.spin {
+                std::hint::spin_loop();
+                spins += 1;
+                continue;
+            }
+            let mut guard = self.value.lock().expect("rendezvous lock");
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
+            self.parks.fetch_add(1, Ordering::Relaxed);
+            while self.generation.load(Ordering::SeqCst) == gen {
+                guard = self.wake.wait(guard).expect("rendezvous lock");
+            }
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            return *guard;
+        }
+        *self.value.lock().expect("rendezvous lock")
+    }
+}
+
 /// Leader-maintained global state.
 #[derive(Debug)]
 struct DriverState {
@@ -628,6 +746,10 @@ struct DriverState {
     windows: u64,
     rendezvous: u64,
     elided: u64,
+    /// Per-shard heads and barrier occupancy gathered by [`decide`];
+    /// kept across rounds so the leader allocates nothing per round.
+    head: Vec<Option<Cycles>>,
+    waiting: Vec<usize>,
 }
 
 /// Per-shard state published at the end of each act.
@@ -643,7 +765,7 @@ struct ShardStatus {
 }
 
 struct Shared<E> {
-    rendezvous: Barrier,
+    rendezvous: Rendezvous<Decision>,
     /// Head + barrier occupancy per shard, published at the end of each act.
     status: Vec<Mutex<ShardStatus>>,
     /// Per-shard window ends for the current [`Decision::Window`] round.
@@ -655,7 +777,6 @@ struct Shared<E> {
     /// Owning shard of every node.
     node_shard: Vec<usize>,
     state: Mutex<DriverState>,
-    decision: Mutex<Decision>,
     /// Telemetry: events dispatched inside windows / cross-shard
     /// messages routed at boundaries.
     events: AtomicU64,
@@ -726,7 +847,7 @@ where
     );
 
     let shared = Shared {
-        rendezvous: Barrier::new(threads),
+        rendezvous: Rendezvous::new(threads, Decision::Stop),
         status: queues
             .iter()
             .map(|q| {
@@ -749,8 +870,9 @@ where
             windows: 0,
             rendezvous: 0,
             elided: 0,
+            head: Vec::with_capacity(n_shards),
+            waiting: Vec::with_capacity(n_shards),
         }),
-        decision: Mutex::new(Decision::Stop),
         events: AtomicU64::new(0),
         cross_messages: AtomicU64::new(0),
         panicked: AtomicBool::new(false),
@@ -815,26 +937,26 @@ fn decide<E>(shared: &Shared<E>, cfg: Windowing, quantum: Cycles) -> Decision {
     if shared.panicked.load(Ordering::SeqCst) {
         return Decision::Stop;
     }
-    let n = shared.status.len();
-    let mut head: Vec<Option<Cycles>> = Vec::with_capacity(n);
-    let mut waiting: Vec<usize> = Vec::with_capacity(n);
+    let mut guard = shared.state.lock().expect("state lock");
+    let st = &mut *guard;
+    st.head.clear();
+    st.waiting.clear();
     let mut max_buckets = 0u64;
     for status in &shared.status {
         let s = status.lock().expect("status lock");
-        head.push(s.head);
-        waiting.push(s.waiting);
+        st.head.push(s.head);
+        st.waiting.push(s.waiting);
         max_buckets = max_buckets.max(s.buckets);
     }
     // In-flight cross-shard messages bound their *target* shard exactly
     // like its pending local events.
-    for (owner, inbox) in shared.inboxes.iter().enumerate() {
+    for (head, inbox) in st.head.iter_mut().zip(&shared.inboxes) {
         for msg in inbox.lock().expect("inbox lock").iter() {
-            head[owner] = Some(head[owner].map_or(msg.time, |h| h.min(msg.time)));
+            *head = Some(head.map_or(msg.time, |h| h.min(msg.time)));
         }
     }
-    let global_min = head.iter().flatten().min().copied();
+    let global_min = st.head.iter().flatten().min().copied();
 
-    let mut st = shared.state.lock().expect("state lock");
     st.rendezvous += 1;
     // Elision estimate for the round just finished: a fixed driver
     // re-anchors each window at the then-current global minimum and
@@ -866,8 +988,13 @@ fn decide<E>(shared: &Shared<E>, cfg: Windowing, quantum: Cycles) -> Decision {
             match cfg.policy {
                 WindowPolicy::Fixed => ends.fill(fixed_end),
                 WindowPolicy::Adaptive => adaptive_ends(
-                    &cfg, &head, &waiting, &shared.shard_nodes, &st, global_min, pending,
-                    fixed_end, &mut ends,
+                    &cfg,
+                    &shared.shard_nodes,
+                    st,
+                    global_min,
+                    pending,
+                    fixed_end,
+                    &mut ends,
                 ),
             }
             Decision::Window
@@ -879,11 +1006,9 @@ fn decide<E>(shared: &Shared<E>, cfg: Windowing, quantum: Cycles) -> Decision {
 /// Computes the adaptive per-shard window ends (see the module docs for
 /// the soundness argument). Every end is at least `fixed_end`, so the
 /// adaptive policy never makes less progress than the fixed one.
-#[allow(clippy::too_many_arguments)] // leader-internal plumbing, one call site
+/// Reads the heads and barrier occupancy [`decide`] gathered into `st`.
 fn adaptive_ends(
     cfg: &Windowing,
-    head: &[Option<Cycles>],
-    waiting: &[usize],
     shard_nodes: &[usize],
     st: &DriverState,
     global_min: Cycles,
@@ -891,6 +1016,7 @@ fn adaptive_ends(
     fixed_end: Cycles,
     ends: &mut [Cycles],
 ) {
+    let (head, waiting) = (&st.head, &st.waiting);
     // Smallest and second-smallest heads, for min-excluding-self.
     let mut min1: Option<(Cycles, usize)> = None;
     let mut min2: Option<Cycles> = None;
@@ -948,11 +1074,11 @@ fn adaptive_ends(
     }
 }
 
-/// One worker thread's loop: rendezvous, (leader) decide, then act the
-/// round out on every shard in this worker's contiguous group
-/// (`first .. first + shards.len()`). With as many threads as shards
-/// each group is a single shard; with fewer, the worker multiplexes.
-/// Routing a finished shard's outbox before a groupmate later in the
+/// One worker thread's loop: rendezvous (the last thread to arrive
+/// decides), then act the round out on every shard in this worker's
+/// contiguous group (`first .. first + shards.len()`). With as many
+/// threads as shards each group is a single shard; with fewer, the
+/// worker multiplexes. Routing a finished shard's outbox before a groupmate later in the
 /// same round acts is harmless: cross-shard messages land at or after
 /// their target's window end, so the target cannot pop them this round.
 #[allow(clippy::too_many_arguments)]
@@ -974,12 +1100,16 @@ fn worker<E, S, H, R, T>(
     T: Fn(&E) -> Option<usize> + Sync,
 {
     loop {
-        if shared.rendezvous.wait().is_leader() {
-            let d = decide(shared, cfg, quantum);
-            *shared.decision.lock().expect("decision lock") = d;
-        }
-        shared.rendezvous.wait();
-        let decision = *shared.decision.lock().expect("decision lock");
+        let decision = shared.rendezvous.wait(|| {
+            // A panicking leader would strand its peers in the
+            // rendezvous: record the panic and stop everyone instead.
+            catch_unwind(AssertUnwindSafe(|| decide(shared, cfg, quantum))).unwrap_or_else(
+                |payload| {
+                    record_panic(shared, payload);
+                    Decision::Stop
+                },
+            )
+        });
         for (k, (shard, queue)) in shards.iter_mut().zip(queues.iter_mut()).enumerate() {
             let index = first + k;
             let act = AssertUnwindSafe(|| match decision {
@@ -1025,16 +1155,22 @@ fn worker<E, S, H, R, T>(
                 }
             });
             if let Err(payload) = catch_unwind(act) {
-                shared.panicked.store(true, Ordering::SeqCst);
-                let mut slot = shared.panic_payload.lock().expect("payload lock");
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
+                record_panic(shared, payload);
             }
         }
         if matches!(decision, Decision::Stop) {
             break;
         }
+    }
+}
+
+/// Records the first panic payload for [`run_windows`] to re-raise; the
+/// next [`decide`] then stops every worker.
+fn record_panic<E>(shared: &Shared<E>, payload: Box<dyn std::any::Any + Send>) {
+    shared.panicked.store(true, Ordering::SeqCst);
+    let mut slot = shared.panic_payload.lock().expect("payload lock");
+    if slot.is_none() {
+        *slot = Some(payload);
     }
 }
 
@@ -1240,6 +1376,10 @@ mod tests {
         assert_eq!(q.take_outbox().len(), 1);
     }
 
+    /// Far longer than [`SPIN_BUDGET`] spins on any host: a party that
+    /// sleeps this long before arriving forces its peers to park.
+    const PARK_DELAY: std::time::Duration = std::time::Duration::from_millis(20);
+
     #[test]
     fn worker_panic_propagates_to_the_caller() {
         let nodes = 4;
@@ -1263,13 +1403,96 @@ mod tests {
                     threads: 0,
                 },
                 |_s: &mut (), _now, ev: u32, _q: &mut ShardQueue<u32>| {
-                    assert!(ev != 3, "planted failure on node 3");
+                    if ev == 3 {
+                        // Shard 0's worker finishes at once and parks in
+                        // the rendezvous while this one dawdles.
+                        std::thread::sleep(PARK_DELAY);
+                        panic!("planted failure on node 3");
+                    }
                 },
                 |_s, _q, _at, _gen| {},
                 |e: &u32| Some(*e as usize),
             )
         }));
-        assert!(result.is_err(), "the planted panic must reach the caller");
+        let payload = result.expect_err("the planted panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"planted failure on node 3")
+        );
+    }
+
+    #[test]
+    fn rendezvous_leader_acts_once_per_round_and_everyone_sees_it() {
+        const ROUNDS: u64 = 2_000;
+        for parties in [2, 3, 4] {
+            let rv = Rendezvous::new(parties, 0u64);
+            let counter = AtomicU64::new(0);
+            let actions = AtomicU64::new(0);
+            // Mismatches are counted, not asserted in place: a party that
+            // panicked mid-run would strand its peers in the rendezvous.
+            let wrong = AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..parties {
+                    scope.spawn(|| {
+                        for round in 1..=ROUNDS {
+                            let v = rv.wait(|| {
+                                actions.fetch_add(1, Ordering::Relaxed);
+                                counter.fetch_add(1, Ordering::Relaxed) + 1
+                            });
+                            // The published value, and the leader's bump
+                            // itself, are visible once the crossing ends.
+                            if v != round || counter.load(Ordering::Relaxed) != round {
+                                wrong.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(wrong.into_inner(), 0, "{parties} parties saw a stale round");
+            assert_eq!(actions.into_inner(), ROUNDS, "one action per round");
+        }
+    }
+
+    #[test]
+    fn rendezvous_parks_behind_a_slow_party_and_wakes() {
+        let rv = Rendezvous::new(2, 0u32);
+        let seen: Vec<Vec<u32>> = std::thread::scope(|scope| {
+            let parties: Vec<_> = [false, true]
+                .into_iter()
+                .map(|slow| {
+                    let rv = &rv;
+                    scope.spawn(move || {
+                        (1..=3)
+                            .map(|round| {
+                                if slow {
+                                    std::thread::sleep(PARK_DELAY);
+                                }
+                                rv.wait(|| round)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            parties
+                .into_iter()
+                .map(|p| p.join().expect("party"))
+                .collect()
+        });
+        assert_eq!(seen, vec![vec![1, 2, 3]; 2], "both parties see every round");
+        assert!(
+            rv.parks.load(Ordering::Relaxed) >= 3,
+            "the fast party must park each round: {} parks",
+            rv.parks.load(Ordering::Relaxed)
+        );
+    }
+
+    #[test]
+    fn single_party_rendezvous_returns_immediately() {
+        let rv = Rendezvous::new(1, 0u32);
+        for round in 1..=100 {
+            assert_eq!(rv.wait(|| round), round);
+        }
+        assert_eq!(rv.parks.load(Ordering::Relaxed), 0);
     }
 
     /// A barrier-phase toy: node `n` performs `5 + 25 * n` unit-latency

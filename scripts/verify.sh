@@ -147,4 +147,21 @@ rm -f /tmp/fig3_mesh256.json /tmp/fig3_mesh256_a.txt /tmp/fig3_mesh256_b.txt
 echo "==> examples build"
 cargo build --release --examples
 
+# The benchmark (perfbench/, a package outside the workspace): its own
+# tests, then a 1-second traced pdes-256 run, the one workload driving
+# the parallel window driver. Every simulation must match its pinned
+# digest, so the result line must report "correct": true.
+echo "==> perfbench tests"
+cargo test --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench pdes-256 smoke (1 s, traced, digests checked)"
+result=$(python3 perfbench/run.py --workload pdes-256 --seconds 1 --trace 1 | tail -n 1)
+case "$result" in
+    *'"correct": true'*) echo "    correct" ;;
+    *)
+        echo "FAIL: perfbench pdes-256: $result"
+        exit 1
+        ;;
+esac
+
 echo "==> verify OK"
