@@ -433,7 +433,10 @@ pub struct SystemConfig {
     /// When true (the default), the machines use direct execution: a
     /// node's CPU keeps running guaranteed-local work inline past the
     /// scheduling quantum whenever the event queue proves nothing can
-    /// interact with it (see `EventQueue::safe_horizon`). Purely a
+    /// interact with it: no pending event at or before the CPU's clock
+    /// (`ShardQueue::peek_time`) and, under the parallel simulator, the
+    /// clock still below the current window end
+    /// (`ShardQueue::window_end`). Purely a
     /// simulator-speed knob — reported cycles and statistics are
     /// identical either way; equivalence tests pin that by toggling it.
     pub direct_execution: bool,
@@ -550,6 +553,17 @@ impl SystemConfig {
         let threads = self.sim_threads.clamp(1, shards);
         (shards, threads)
     }
+
+    /// Checks the settings no simulation can run with: `nodes` must lie
+    /// in `1..=65_535`, since node ids are 16-bit and the event-key
+    /// scheme reserves origin id 0 for machine-global events.
+    pub fn validate(&self) -> Result<(), String> {
+        let max = usize::from(u16::MAX);
+        if !(1..=max).contains(&self.nodes) {
+            return Err(format!("nodes must be between 1 and {max}, got {}", self.nodes));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -595,6 +609,16 @@ mod tests {
         assert_eq!(c.pdes_shape(), (32, 1), "explicit shards allow 1 thread");
         c.sim_shards = 0;
         assert_eq!(c.pdes_shape(), (1, 1));
+    }
+
+    #[test]
+    fn validate_bounds_the_node_count() {
+        let mut c = SystemConfig::default();
+        assert_eq!(c.validate(), Ok(()));
+        for (nodes, ok) in [(0, false), (1, true), (65_535, true), (65_536, false)] {
+            c.nodes = nodes;
+            assert_eq!(c.validate().is_ok(), ok, "{nodes} nodes");
+        }
     }
 
     #[test]

@@ -43,7 +43,8 @@ impl fmt::Display for Counter {
 }
 
 /// Host-side telemetry of one conservative-parallel simulation
-/// (`tt_sim::pdes::run_windows`). These describe the *simulator's* work,
+/// (the windowed path of `tt_sim::driver::run`, which fills
+/// `RunResult::pdes`). These describe the *simulator's* work,
 /// not the simulated machine: they are deliberately kept out of
 /// [`Report`] so sequential and parallel runs of the same workload
 /// produce identical reports. All ratios (events per window, messages

@@ -13,50 +13,48 @@ use tt_base::workload::{Layout, Op, Placement, Region, ScriptWorkload, SHARED_SE
 use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
 use tt_bench::harness::Runner;
 use tt_mem::{AccessKind, CacheModel, FifoTlb, NodeMemory, PageTable, Tag};
-use tt_sim::{EventHandler, EventQueue, RunLimit};
+use tt_sim::ShardQueue;
 use tt_stache::StacheProtocol;
 use tt_typhoon::cpu::{exec_access, AccessOutcome, CpuState};
 use tt_typhoon::np::NpState;
 use tt_typhoon::TyphoonMachine;
 
-struct Sink(u64);
-impl EventHandler for Sink {
-    type Event = u64;
-    fn handle(&mut self, _now: Cycles, ev: u64, q: &mut EventQueue<u64>) {
-        self.0 = self.0.wrapping_add(ev);
-        if ev > 0 {
-            q.schedule_after(Cycles::new(3), ev - 1);
-        }
-    }
-}
-
-/// A single self-rescheduling chain: the EventQueue front-slot fast
+/// A single self-rescheduling chain: the event queue's front-slot fast
 /// path should make this nearly heap-free.
 fn bench_event_queue_chain(r: &Runner) {
     r.bench("sim/event_queue_chain_10k", || {
-        let mut q = EventQueue::new();
-        q.schedule_at(Cycles::ZERO, 10_000u64);
-        let mut h = Sink(0);
-        tt_sim::run(&mut h, &mut q, RunLimit::none());
-        black_box(h.0)
+        let mut q = ShardQueue::new(0, 1);
+        q.set_origin(0);
+        q.schedule_for(Cycles::ZERO, 0, 10_000u64);
+        let mut acc = 0u64;
+        while let Some((now, ev)) = q.pop() {
+            acc = acc.wrapping_add(ev);
+            if ev > 0 {
+                q.schedule_for(now + Cycles::new(3), 0, ev - 1);
+            }
+        }
+        black_box(acc)
     });
 }
 
-/// Heap churn with many interleaved "nodes": schedule/pop with 32
-/// outstanding events at staggered times, the pattern a full-machine
-/// simulation produces. Exercises the slow (heap) path.
+/// Heap churn with many interleaved nodes: schedule/pop with 32
+/// outstanding events at staggered times, each rescheduled by the node
+/// it targets — the pattern a full-machine simulation produces.
+/// Exercises the slow (heap) path.
 fn bench_event_queue_churn(r: &Runner) {
     r.bench("sim/event_queue_schedule_pop_churn_32", || {
-        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut q = ShardQueue::new(0, 32);
         let mut rng = DetRng::new(11);
-        for i in 0..32u64 {
-            q.schedule_at(Cycles::new(i % 7), i);
+        for node in 0..32usize {
+            q.set_origin(node);
+            q.schedule_for(Cycles::new(node as u64 % 7), node, node);
         }
         let mut acc = 0u64;
         for _ in 0..20_000 {
-            let (now, ev) = q.pop().expect("queue never drains");
-            acc = acc.wrapping_add(ev);
-            q.schedule_at(now + Cycles::new(1 + rng.below(13)), ev);
+            let (now, node) = q.pop().expect("queue never drains");
+            acc = acc.wrapping_add(node as u64);
+            q.set_origin(node);
+            q.schedule_for(now + Cycles::new(1 + rng.below(13)), node, node);
         }
         while q.pop().is_some() {}
         black_box(acc)

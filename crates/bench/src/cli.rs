@@ -216,6 +216,7 @@ pub fn try_parse_cli_with(
         // Every shared flag but `--full` takes one value.
         i += 2;
     }
+    cli.config().validate().map_err(|e| format!("--nodes: {e}"))?;
     Ok(cli)
 }
 
@@ -293,6 +294,12 @@ mod tests {
         assert!(bad(&["--jobs", "abc"]).starts_with("--jobs N: \"abc\""));
         assert!(bad(&["--window-policy", "eager"]).starts_with("--window-policy: "));
         assert!(bad(&["--topology", "ring"]).starts_with("--topology: "));
+        assert_eq!(
+            bad(&["--nodes", "0"]),
+            "--nodes: nodes must be between 1 and 65535, got 0"
+        );
+        assert!(bad(&["--nodes", "65536"]).starts_with("--nodes: "));
+        assert!(parse(&["--nodes", "65535"]).is_ok());
         let hook_err = try_parse_cli_with(&strs(&["--keys", "x"]), 1, &mut |_, args, i| {
             number(args, *i, "--keys").map(|_| true)
         });

@@ -49,12 +49,16 @@ fn help_prints_usage_and_exits_zero() {
 
 #[test]
 fn bad_arguments_print_one_error_line_and_exit_two() {
-    let cases: [&[&str]; 5] = [
+    let cases: [&[&str]; 7] = [
         &["--bogus"],
         &["--jobs", "abc"],
         &["--nodes"],
         &["--window-policy", "eager"],
         &["--topology", "ring"],
+        // Node ids are 16-bit: zero nodes and more than 65,535 are
+        // impossible machines, rejected before anything is built.
+        &["--nodes", "0"],
+        &["--nodes", "70000"],
     ];
     for (name, exe) in BINARIES {
         for args in cases {

@@ -13,7 +13,7 @@
 //!    block, the request/response virtual-network send discipline
 //!    (deadlock-freedom of the waits-for order), and an event budget
 //!    that turns livelock into a reported failure;
-//! 2. a **schedule fuzzer** ([`fuzz`]) — seed-generated litmus workloads
+//! 2. a **schedule fuzzer** ([`fuzz`](mod@fuzz)) — seed-generated litmus workloads
 //!    ([`litmus`]) run under perturbations of the machine's *legal*
 //!    nondeterminism (same-cycle tie-breaking, network latency jitter,
 //!    compute coalescing, direct execution on/off, sequential vs.
@@ -22,7 +22,7 @@
 //!    reproduces a failure bit-exactly (`--sim-threads N` forces the
 //!    parallel leg's thread count), and a greedy shrinker reduces a
 //!    failing case to a minimal configuration;
-//! 3. a **differential checker** (also in [`fuzz`]) — the same workload
+//! 3. a **differential checker** (also in [`fuzz`](mod@fuzz)) — the same workload
 //!    runs on `tt-typhoon` (user-level Stache protocol) and `tt-dirnnb`
 //!    (the hardware `Dir_N NB` baseline); final shared-memory images
 //!    must match each other *and* the generator's own happens-before

@@ -7,7 +7,7 @@
 //! sized for 1024-node sweeps over millions of blocks:
 //!
 //! - **Pages.** Entries live in boxed arrays of [`ENTRIES_PER_PAGE`]
-//!   eight-byte [`Entry`] slots, keyed by directory page. A directory
+//!   eight-byte `Entry` slots, keyed by directory page. A directory
 //!   page covers exactly one 4 KiB virtual page (128 blocks of 32 bytes),
 //!   so pages are naturally disjoint across home nodes — the parallel
 //!   simulator's shard directories merge back with a plain map union.

@@ -5,7 +5,8 @@
 //!
 //! Like `TyphoonMachine`, the machine honors `SystemConfig::sim_threads`
 //! by splitting its nodes into contiguous shards under the conservative
-//! window scheme of [`tt_sim::pdes`]. Directory entries are touched only
+//! window scheme of [`tt_sim::pdes`], through the shared
+//! [`tt_sim::driver`]. Directory entries are touched only
 //! by events targeted at the block's home node, so each shard owns a
 //! private directory map covering its homes (merged back after the run
 //! for diagnostics). The one genuinely global structure is the coherent
@@ -18,13 +19,14 @@ use std::sync::Mutex;
 
 use tt_base::addr::{VAddr, Vpn, BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
 use tt_base::config::SystemConfig;
-use tt_base::stats::{Counter, PdesTelemetry, Report};
+use tt_base::stats::{Counter, Report};
 use tt_base::workload::{Op, Workload};
 use tt_base::{Cycles, DetRng, FxHashMap, NodeId};
 use tt_mem::cache::Probe;
 use tt_mem::{AccessKind, CacheModel, FifoTlb};
 use tt_net::{Network, VirtualNet, ARG_WORD_BYTES, HANDLER_WORD_BYTES};
-use tt_sim::{ShardQueue, Windowing};
+use tt_sim::driver::{self, carve, split_ranges, Machine};
+use tt_sim::ShardQueue;
 
 use crate::dir::{DirBusy, DirReq, DirView, Directory};
 
@@ -106,30 +108,10 @@ pub enum Event {
     BarrierRelease { generation: u64 },
 }
 
-/// Barrier bookkeeping a shard carries (see the Typhoon equivalent):
-/// arrival aggregation lives in the queue/driver, this only tracks the
-/// generation and release count, which every shard observes identically.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct BarrierTally {
-    generation: u64,
-    releases: u64,
-}
-
 /// One coherent page of the machine's single value image.
 type StorePage = Box<[u64; PAGE_BYTES / WORD_BYTES]>;
 
-/// The result of a completed simulation.
-#[derive(Clone, Debug)]
-pub struct RunResult {
-    /// Total execution time (when the last processor finished).
-    pub cycles: Cycles,
-    /// Aggregated statistics.
-    pub report: Report,
-    /// Host-side window-driver telemetry; `None` on the sequential path.
-    /// Kept out of `report` so sequential and parallel reports compare
-    /// equal.
-    pub pdes: Option<PdesTelemetry>,
-}
+pub use tt_sim::RunResult;
 
 /// The all-hardware DirNNB machine (see crate docs).
 pub struct DirnnbMachine {
@@ -144,7 +126,6 @@ pub struct DirnnbMachine {
     home_affinity: Option<Vec<u64>>,
     store: Mutex<FxHashMap<Vpn, StorePage>>,
     network: Network,
-    barrier: BarrierTally,
     workload: Mutex<Box<dyn Workload>>,
     done: Vec<Option<Cycles>>,
     dir_stats: DirStats,
@@ -180,7 +161,8 @@ fn home_of_in(home_map: &FxHashMap<Vpn, NodeId>, addr: u64) -> NodeId {
 
 /// A shard's view of the machine: the contiguous CPU range it owns, the
 /// directory entries of its home blocks, and the shared pieces.
-struct Shard<'m> {
+#[doc(hidden)]
+pub struct Shard<'m> {
     cfg: &'m SystemConfig,
     quantum: Cycles,
     /// First global node index this shard owns.
@@ -197,9 +179,18 @@ struct Shard<'m> {
     /// the run).
     network: &'m mut Network,
     workload: &'m Mutex<Box<dyn Workload>>,
-    barrier: &'m mut BarrierTally,
     dir_stats: &'m mut DirStats,
     verify_values: bool,
+}
+
+/// What one shard of a windowed run owns besides its CPU slice: a
+/// network clone (statistics only), the directory entries homed at its
+/// nodes, and its directory statistics. Folded back after the run.
+#[doc(hidden)]
+pub struct ShardLocal {
+    network: Network,
+    dirs: Directory,
+    stats: DirStats,
 }
 
 impl DirnnbMachine {
@@ -259,7 +250,6 @@ impl DirnnbMachine {
             home_affinity,
             store: Mutex::new(FxHashMap::default()),
             network,
-            barrier: BarrierTally::default(),
             workload: Mutex::new(workload),
             done,
             dir_stats: DirStats::default(),
@@ -269,8 +259,8 @@ impl DirnnbMachine {
     }
 
     /// Delivers same-cycle events in a seed-dependent permutation instead
-    /// of FIFO order (see `EventQueue::enable_tie_shuffle`). Call before
-    /// [`DirnnbMachine::run`].
+    /// of key order (the driver salts each queue's keys with `seed`).
+    /// Call before [`DirnnbMachine::run`].
     pub fn set_tie_shuffle(&mut self, seed: u64) {
         self.tie_shuffle = Some(seed);
     }
@@ -299,12 +289,7 @@ impl DirnnbMachine {
     /// Panics on deadlock or on a value-verification failure, like
     /// `TyphoonMachine::run`.
     pub fn run(&mut self) -> RunResult {
-        let (shard_count, threads) = self.cfg.pdes_shape();
-        if shard_count == 1 {
-            self.run_sequential()
-        } else {
-            self.run_parallel(shard_count, threads)
-        }
+        driver::run(self)
     }
 
     /// Topology-aware shard map: contiguous `(first, len)` ranges whose
@@ -376,176 +361,11 @@ impl DirnnbMachine {
             .collect()
     }
 
-    fn run_sequential(&mut self) -> RunResult {
-        let mut queue = ShardQueue::new(0, self.cfg.nodes);
-        if let Some(seed) = self.tie_shuffle {
-            queue.enable_tie_shuffle(seed);
-        }
-        queue.enable_inline_barrier(self.cfg.nodes, self.cfg.timing.barrier_latency);
-        {
-            let mut shard = Shard {
-                cfg: &self.cfg,
-                quantum: self.quantum,
-                first: 0,
-                cpus: &mut self.cpus,
-                done: &mut self.done,
-                dirs: &mut self.dirs,
-                home_map: &self.home_map,
-                store: &self.store,
-                network: &mut self.network,
-                workload: &self.workload,
-                barrier: &mut self.barrier,
-                dir_stats: &mut self.dir_stats,
-                verify_values: self.verify_values,
-            };
-            shard.init_nodes(&mut queue);
-            let home_map = shard.home_map;
-            while let Some((now, event)) = queue.pop(|e: &Event| target_in(home_map, e)) {
-                shard.handle(now, event, &mut queue);
-            }
-        }
-        self.finish()
-    }
-
-    fn run_parallel(&mut self, shard_count: usize, threads: usize) -> RunResult {
-        let nodes_total = self.cfg.nodes;
-        let lookahead = self.network.lookahead();
-        let release_delay = self.cfg.timing.barrier_latency;
-        let policy = self.cfg.window_policy;
-        let ranges = self.affinity_ranges(shard_count);
-        let telemetry;
-
-        let mut queues: Vec<ShardQueue<Event>> = ranges
-            .iter()
-            .map(|&(first, len)| {
-                let mut q = ShardQueue::new(first, len);
-                if let Some(seed) = self.tie_shuffle {
-                    q.enable_tie_shuffle(seed);
-                }
-                q
-            })
-            .collect();
-        let mut nets: Vec<Network> = (0..shard_count).map(|_| self.network.clone()).collect();
-        let mut tallies = vec![BarrierTally::default(); shard_count];
-        let mut shard_dirs: Vec<Directory> =
-            (0..shard_count).map(|_| Directory::new(nodes_total)).collect();
-        let mut shard_stats = vec![DirStats::default(); shard_count];
-
-        {
-            let DirnnbMachine {
-                cfg,
-                quantum,
-                cpus,
-                home_map,
-                store,
-                workload,
-                done,
-                verify_values,
-                ..
-            } = self;
-            let mut shards: Vec<Shard<'_>> = Vec::with_capacity(shard_count);
-            let mut cpus_rest = &mut cpus[..];
-            let mut done_rest = &mut done[..];
-            let mut nets_iter = nets.iter_mut();
-            let mut tally_iter = tallies.iter_mut();
-            let mut dirs_iter = shard_dirs.iter_mut();
-            let mut stats_iter = shard_stats.iter_mut();
-            for &(first, len) in &ranges {
-                let (shard_cpus, rest) = cpus_rest.split_at_mut(len);
-                cpus_rest = rest;
-                let (done_slice, rest) = done_rest.split_at_mut(len);
-                done_rest = rest;
-                shards.push(Shard {
-                    cfg,
-                    quantum: *quantum,
-                    first,
-                    cpus: shard_cpus,
-                    done: done_slice,
-                    dirs: dirs_iter.next().expect("one dir map per shard"),
-                    home_map,
-                    store,
-                    network: nets_iter.next().expect("one net per shard"),
-                    workload,
-                    barrier: tally_iter.next().expect("one tally per shard"),
-                    dir_stats: stats_iter.next().expect("one stats block per shard"),
-                    verify_values: *verify_values,
-                });
-            }
-            for (shard, queue) in shards.iter_mut().zip(queues.iter_mut()) {
-                shard.init_nodes(queue);
-            }
-            let home_map: &FxHashMap<Vpn, NodeId> = home_map;
-            telemetry = tt_sim::run_windows(
-                &mut shards,
-                &mut queues,
-                Windowing {
-                    lookahead,
-                    release_delay,
-                    barrier_expected: nodes_total,
-                    policy,
-                    threads,
-                },
-                |shard: &mut Shard<'_>, now, event, queue| shard.handle(now, event, queue),
-                |_shard, queue, at, generation| {
-                    queue.deliver_release(at, generation, Event::BarrierRelease { generation })
-                },
-                |e: &Event| target_in(home_map, e),
-            )
-            .1;
-        }
-
-        for net in &nets {
-            self.network.absorb_stats(net);
-        }
-        for stats in &shard_stats {
-            self.dir_stats.absorb(stats);
-        }
-        // Fold shard directories back for post-run diagnostics; they are
-        // disjoint by construction (keyed by home).
-        for dirs in shard_dirs {
-            self.dirs.absorb(dirs);
-        }
-        assert!(
-            tallies.windows(2).all(|w| w[0] == w[1]),
-            "shards disagree on barrier history: {tallies:?}"
-        );
-        self.barrier = tallies[0].clone();
-        let mut result = self.finish();
-        result.pdes = Some(telemetry);
-        result
-    }
-
-    /// Asserts the machine drained cleanly and builds the result.
-    fn finish(&mut self) -> RunResult {
-        let stuck: Vec<_> = self
-            .cpus
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.status != CpuStatus::Done)
-            .map(|(i, c)| (i, c.status))
-            .collect();
-        if !stuck.is_empty() {
-            let busy = self.dirs.stuck();
-            panic!("DirNNB machine deadlocked: {stuck:?}; stuck directory entries: {busy:?}");
-        }
-        let cycles = self
-            .done
-            .iter()
-            .map(|d| d.expect("all done"))
-            .max()
-            .unwrap_or(Cycles::ZERO);
-        RunResult {
-            cycles,
-            report: self.build_report(cycles),
-            pdes: None,
-        }
-    }
-
-    fn build_report(&self, cycles: Cycles) -> Report {
+    fn build_report(&self, cycles: Cycles, releases: u64) -> Report {
         let mut r = Report::new();
         r.push_count("machine.cycles", cycles.raw());
         r.push_count("machine.nodes", self.cfg.nodes as u64);
-        r.push_count("machine.barriers", self.barrier.releases);
+        r.push_count("machine.barriers", releases);
         let mut ops = 0u64;
         let mut reads = 0u64;
         let mut writes = 0u64;
@@ -599,16 +419,128 @@ impl DirnnbMachine {
     }
 }
 
-/// Contiguous `(first, len)` node ranges splitting `total` nodes into
-/// `parts` shards of near-equal size.
-fn split_ranges(total: usize, parts: usize) -> Vec<(usize, usize)> {
-    (0..parts)
-        .map(|i| {
-            let first = i * total / parts;
-            let end = (i + 1) * total / parts;
-            (first, end - first)
-        })
-        .collect()
+#[doc(hidden)]
+impl Machine for DirnnbMachine {
+    type Event = Event;
+    type Local = ShardLocal;
+    type Shard<'a> = Shard<'a>;
+
+    fn config(&self) -> &SystemConfig {
+        &self.cfg
+    }
+
+    fn tie_shuffle(&self) -> Option<u64> {
+        self.tie_shuffle
+    }
+
+    fn lookahead(&self) -> Cycles {
+        self.network.lookahead()
+    }
+
+    fn shard_map(&self, parts: usize) -> Vec<(usize, usize)> {
+        self.affinity_ranges(parts)
+    }
+
+    fn whole(&mut self) -> Shard<'_> {
+        Shard {
+            cfg: &self.cfg,
+            quantum: self.quantum,
+            first: 0,
+            cpus: &mut self.cpus,
+            done: &mut self.done,
+            dirs: &mut self.dirs,
+            home_map: &self.home_map,
+            store: &self.store,
+            network: &mut self.network,
+            workload: &self.workload,
+            dir_stats: &mut self.dir_stats,
+            verify_values: self.verify_values,
+        }
+    }
+
+    fn local(&self) -> ShardLocal {
+        ShardLocal {
+            network: self.network.clone(),
+            dirs: Directory::new(self.cfg.nodes),
+            stats: DirStats::default(),
+        }
+    }
+
+    fn split<'a>(
+        &'a mut self,
+        ranges: &[(usize, usize)],
+        locals: &'a mut [ShardLocal],
+    ) -> Vec<Shard<'a>> {
+        let mut cpus = carve(&mut self.cpus, ranges);
+        let mut done = carve(&mut self.done, ranges);
+        ranges
+            .iter()
+            .zip(locals)
+            .map(|(&(first, _), local)| Shard {
+                cfg: &self.cfg,
+                quantum: self.quantum,
+                first,
+                cpus: cpus.next().expect("one CPU slice per range"),
+                done: done.next().expect("one done slice per range"),
+                dirs: &mut local.dirs,
+                home_map: &self.home_map,
+                store: &self.store,
+                network: &mut local.network,
+                workload: &self.workload,
+                dir_stats: &mut local.stats,
+                verify_values: self.verify_values,
+            })
+            .collect()
+    }
+
+    fn absorb(&mut self, locals: Vec<ShardLocal>) {
+        // Shard directories are disjoint by construction (keyed by
+        // home); folding them back serves post-run diagnostics.
+        for local in locals {
+            self.network.absorb_stats(&local.network);
+            self.dir_stats.absorb(&local.stats);
+            self.dirs.absorb(local.dirs);
+        }
+    }
+
+    fn target(shard: &Shard<'_>, event: &Event) -> Option<usize> {
+        target_in(shard.home_map, event)
+    }
+
+    fn init(shard: &mut Shard<'_>, queue: &mut ShardQueue<Event>) {
+        shard.init_nodes(queue);
+    }
+
+    #[inline]
+    fn handle(shard: &mut Shard<'_>, now: Cycles, event: Event, queue: &mut ShardQueue<Event>) {
+        shard.handle(now, event, queue);
+    }
+
+    fn release_event(generation: u64) -> Event {
+        Event::BarrierRelease { generation }
+    }
+
+    /// Asserts the machine drained cleanly and builds the result.
+    fn finish(&mut self, releases: u64) -> (Cycles, Report) {
+        let stuck: Vec<_> = self
+            .cpus
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.status != CpuStatus::Done)
+            .map(|(i, c)| (i, c.status))
+            .collect();
+        if !stuck.is_empty() {
+            let busy = self.dirs.stuck();
+            panic!("DirNNB machine deadlocked: {stuck:?}; stuck directory entries: {busy:?}");
+        }
+        let cycles = self
+            .done
+            .iter()
+            .map(|d| d.expect("all done"))
+            .max()
+            .unwrap_or(Cycles::ZERO);
+        (cycles, self.build_report(cycles, releases))
+    }
 }
 
 fn read_store(store: &mut FxHashMap<Vpn, StorePage>, addr: VAddr) -> u64 {
@@ -626,13 +558,9 @@ fn write_store(store: &mut FxHashMap<Vpn, StorePage>, addr: VAddr, value: u64) {
 }
 
 impl<'m> Shard<'m> {
-    /// Dispatches one event, declaring the handling node as the origin
-    /// of everything the handler schedules.
+    /// Dispatches one event (the driver has declared its target as the
+    /// origin of everything the handler schedules).
     fn handle(&mut self, now: Cycles, event: Event, queue: &mut ShardQueue<Event>) {
-        match target_in(self.home_map, &event) {
-            Some(t) => queue.set_origin(t),
-            None => queue.set_origin_global(),
-        }
         match event {
             Event::CpuStep(n) => self.cpu_step(n, now, queue),
             Event::HomeRequest { addr, from, req } => {
@@ -707,7 +635,6 @@ impl<'m> Shard<'m> {
                     cfg,
                     quantum,
                     cpus,
-                    barrier,
                     workload,
                     done,
                     ..
@@ -753,18 +680,7 @@ impl<'m> Shard<'m> {
                             cpu.stats.ops.inc();
                             cpu.status = CpuStatus::AtBarrier;
                             cpu.suspended_at = cpu.clock;
-                            let arrival = cpu.clock;
-                            // Inline (single-shard) mode completes the
-                            // barrier here; windowed mode aggregates
-                            // arrivals at the window driver.
-                            if let Some(release_at) = queue.note_barrier_arrival(arrival) {
-                                queue.schedule_global(
-                                    release_at,
-                                    Event::BarrierRelease {
-                                        generation: barrier.generation,
-                                    },
-                                );
-                            }
+                            queue.note_barrier_arrival(cpu.clock);
                             return;
                         }
                         Op::Read { addr, expect } => {
@@ -1304,11 +1220,9 @@ impl<'m> Shard<'m> {
     }
 
     /// Releases this shard's own nodes from the barrier at `at` (see the
-    /// Typhoon equivalent for the two-mode story).
+    /// Typhoon equivalent).
     fn release_local(&mut self, at: Cycles, generation: u64, queue: &mut ShardQueue<Event>) {
-        assert_eq!(generation, self.barrier.generation, "stale barrier release");
-        self.barrier.generation += 1;
-        self.barrier.releases += 1;
+        assert_eq!(generation + 1, queue.releases(), "stale barrier release");
         for l in 0..self.cpus.len() {
             let n = self.first + l;
             let cpu = &mut self.cpus[l];

@@ -2,56 +2,31 @@
 //!
 //! The paper evaluated Typhoon on the Wisconsin Wind Tunnel, a parallel
 //! discrete-event simulator. This crate is our deterministic equivalent:
-//! a time-ordered event queue plus a driver loop, and — in [`pdes`] — a
-//! conservative parallel driver in the WWT style that runs one
-//! simulation across OS threads while producing bit-identical results.
+//! a time-ordered event queue, the one machine [`driver`] that runs
+//! every simulation, and — in [`pdes`] — a conservative parallel window
+//! scheme in the WWT style that runs one simulation across OS threads
+//! while producing bit-identical results.
 //!
-//! Events scheduled for the same cycle are delivered in scheduling order
-//! (FIFO), which makes every simulation bit-reproducible.
-//!
-//! # Example
-//!
-//! ```
-//! use tt_base::Cycles;
-//! use tt_sim::{run, EventHandler, EventQueue, RunLimit};
-//!
-//! struct Counter {
-//!     fired: Vec<u32>,
-//! }
-//!
-//! impl EventHandler for Counter {
-//!     type Event = u32;
-//!     fn handle(&mut self, _now: Cycles, ev: u32, q: &mut EventQueue<u32>) {
-//!         self.fired.push(ev);
-//!         if ev < 3 {
-//!             q.schedule_after(Cycles::new(10), ev + 1);
-//!         }
-//!     }
-//! }
-//!
-//! let mut q = EventQueue::new();
-//! q.schedule_at(Cycles::ZERO, 0);
-//! let mut h = Counter { fired: vec![] };
-//! let end = run(&mut h, &mut q, RunLimit::none());
-//! assert_eq!(h.fired, vec![0, 1, 2, 3]);
-//! assert_eq!(end, Cycles::new(30));
-//! ```
+//! Events scheduled for the same cycle are delivered in the order of
+//! their deterministic keys, which makes every simulation
+//! bit-reproducible.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use tt_base::{mix64, Cycles};
 
+pub mod driver;
 pub mod pdes;
 
-pub use pdes::{run_windows, OutMsg, ShardQueue, Windowing, GLOBAL_ORIGIN};
+pub use driver::{Machine, RunResult};
+pub use pdes::{ShardQueue, GLOBAL_ORIGIN};
 
-/// Bits of an entry key available to schedulers. Keys are either the
-/// queue's internal monotonic counter or, for the machines, a packed
-/// `(origin, per-origin counter)` pair (see [`pdes::ShardQueue`]); both
-/// fit comfortably in 48 bits. The top 16 bits are reserved for the
-/// tie-shuffle salt so the heap `Entry` never grows (an earlier draft
-/// that widened `Entry` by 16 bytes cost DirNNB ~25% wall time).
+/// Bits of an entry key available to schedulers: a packed `(origin,
+/// per-origin counter)` pair (see [`pdes::ShardQueue`]) fits comfortably
+/// in 48 bits. The top 16 bits are reserved for the tie-shuffle salt so
+/// the heap `Entry` never grows (an earlier draft that widened `Entry`
+/// by 16 bytes cost DirNNB ~25% wall time).
 const KEY_BITS: u32 = 48;
 
 /// A pending event: ordering key is `(time, key)`, so same-cycle events
@@ -84,16 +59,8 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// How keys have been assigned so far; mixing the two schemes in one
-/// queue would silently break the FIFO/total-order invariants.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum KeyMode {
-    Unset,
-    Internal,
-    Caller,
-}
-
-/// A time-ordered queue of simulation events.
+/// A time-ordered queue of simulation events, the storage behind
+/// [`ShardQueue`].
 ///
 /// The common pattern in the machines is *self-rescheduling*: a handler
 /// pops the earliest event and immediately schedules its successor,
@@ -105,90 +72,36 @@ enum KeyMode {
 /// in `heap` (entries are totally ordered by `(time, key)`, so delivery
 /// of same-cycle events follows the key order deterministically).
 ///
-/// # Keys
-///
-/// By default the queue assigns each entry a monotonically increasing
-/// key, which makes same-cycle delivery FIFO. Callers that need an
-/// ordering that is independent of *when* an entry was inserted — the
-/// parallel driver in [`pdes`] inserts cross-shard events at window
-/// boundaries, long after their logical scheduling point — supply their
-/// own keys via [`EventQueue::schedule_keyed_at_for`]. The two schemes
-/// must not be mixed in one queue.
-///
-/// # Per-node horizons
-///
-/// Schedulers that know which node an event affects can say so via
-/// [`EventQueue::schedule_at_for`]. With horizon tracking enabled
-/// ([`EventQueue::enable_horizon_tracking`]), the queue maintains the
-/// pending `(time, key)` minima per declared target incrementally — a
-/// small per-target heap pushed on schedule and popped on delivery,
-/// nothing else. The delivery side needs to know the popped entry's
-/// target, which the queue deliberately does not store (keeping a
-/// side-table keyed by entry cost a hash insert/remove per event and
-/// dominated the tracking overhead measured in PR 2); instead the
-/// caller, who can read the target off the event itself, passes it to
-/// [`EventQueue::pop_tracked`]. Two queries are then cheap:
-///
-/// - [`EventQueue::node_horizon`]: the earliest pending event that can
-///   touch a given node (its own events plus untargeted ones), and
-/// - [`EventQueue::safe_horizon`]: the earliest cycle at which *anything*
-///   still in the queue could influence the node, given a minimum
-///   cross-node interaction latency — the bound a WWT-style simulator
-///   may run a node ahead to without violating causality.
-///
-/// Tracking is **off by default** and free when off. The machines'
-/// direct-execution path needs only [`EventQueue::peek_time`]; the
-/// parallel driver leaves tracking on in its shard queues as a causality
-/// cross-check, which the incremental scheme makes affordable.
+/// Every entry carries a caller-supplied key, so the order is
+/// independent of *when* an entry was inserted — the parallel driver in
+/// [`pdes`] inserts cross-shard events at window boundaries, long after
+/// their logical scheduling point.
 #[derive(Clone, Debug)]
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     now: Cycles,
-    seq: u64,
-    scheduled: u64,
     front: Option<Entry<E>>,
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// Whether per-node horizon mirrors are maintained.
-    track_horizons: bool,
-    /// Pending `(time, key)` mirrors, one heap per declared target node
-    /// (grown on demand). Empty unless `track_horizons`.
-    tracks: Vec<BinaryHeap<Reverse<(Cycles, u64)>>>,
-    /// Mirror for untargeted (global-effect) events.
-    global_track: BinaryHeap<Reverse<(Cycles, u64)>>,
     /// When set, same-cycle tie-breaking is deterministically permuted by
     /// salting the high bits of each entry's key with a hash of the seed
     /// and the raw key (see [`EventQueue::enable_tie_shuffle`]). `None`
-    /// keeps the unsalted key order (FIFO for internal keys).
+    /// keeps the unsalted key order.
     shuffle: Option<u64>,
-    /// Which key scheme this queue is using (debug-checked).
-    key_mode: KeyMode,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             now: Cycles::ZERO,
-            seq: 0,
-            scheduled: 0,
             front: None,
             heap: BinaryHeap::new(),
-            track_horizons: false,
-            tracks: Vec::new(),
-            global_track: BinaryHeap::new(),
             shuffle: None,
-            key_mode: KeyMode::Unset,
         }
     }
 
     /// Turns on deterministic same-cycle tie-shuffling: events scheduled
     /// for the same cycle are delivered in a seed-dependent permutation
-    /// instead of FIFO order. Simulations must be correct under *any*
+    /// instead of key order. Simulations must be correct under *any*
     /// same-cycle ordering, so this is a legal-nondeterminism knob for
     /// the `tt-check` schedule fuzzer; the same seed always produces the
     /// same permutation.
@@ -204,7 +117,7 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if events are already pending (their keys are unsalted).
-    pub fn enable_tie_shuffle(&mut self, seed: u64) {
+    pub(crate) fn enable_tie_shuffle(&mut self, seed: u64) {
         assert!(
             self.is_empty(),
             "enable tie-shuffle on an empty queue, before scheduling"
@@ -212,63 +125,10 @@ impl<E> EventQueue<E> {
         self.shuffle = Some(seed);
     }
 
-    /// Turns on per-node horizon tracking (see the struct docs). Must be
-    /// called before any event is scheduled, or the mirrors would miss
-    /// what is already pending. Every pop must then go through
-    /// [`EventQueue::pop_tracked`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if events are already pending.
-    pub fn enable_horizon_tracking(&mut self) {
-        assert!(
-            self.is_empty(),
-            "enable horizon tracking on an empty queue, before scheduling"
-        );
-        self.track_horizons = true;
-    }
-
     /// The current simulated time (the timestamp of the last popped event).
     #[inline]
-    pub fn now(&self) -> Cycles {
+    pub(crate) fn now(&self) -> Cycles {
         self.now
-    }
-
-    /// Salts a raw key with the tie-shuffle hash, if shuffling is on.
-    #[inline]
-    fn salted(&self, key: u64) -> u64 {
-        match self.shuffle {
-            Some(seed) => {
-                debug_assert!(key < 1 << KEY_BITS);
-                (mix64(seed ^ key) << KEY_BITS) | key
-            }
-            None => key,
-        }
-    }
-
-    /// Schedules `event` at absolute time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past (`t < self.now()`): the simulation
-    /// would no longer be causal.
-    pub fn schedule_at(&mut self, t: Cycles, event: E) {
-        self.schedule_at_for(t, None, event);
-    }
-
-    /// Schedules `event` at absolute time `t`, declaring the node whose
-    /// state the event (directly) touches. `None` means the event has
-    /// global effect and counts against every node's horizon.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past (`t < self.now()`).
-    pub fn schedule_at_for(&mut self, t: Cycles, target: Option<usize>, event: E) {
-        debug_assert_ne!(self.key_mode, KeyMode::Caller, "queue is caller-keyed");
-        self.key_mode = KeyMode::Internal;
-        self.seq += 1;
-        let key = self.salted(self.seq);
-        self.insert(t, key, target, event);
     }
 
     /// Schedules `event` at absolute time `t` under a caller-supplied
@@ -280,29 +140,15 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `t` is in the past (`t < self.now()`).
-    pub fn schedule_keyed_at_for(&mut self, t: Cycles, key: u64, target: Option<usize>, event: E) {
-        debug_assert_ne!(self.key_mode, KeyMode::Internal, "queue is internally keyed");
-        debug_assert!(key < 1 << KEY_BITS, "event key overflows 48 bits");
-        self.key_mode = KeyMode::Caller;
-        let key = self.salted(key);
-        self.insert(t, key, target, event);
-    }
-
-    fn insert(&mut self, t: Cycles, key: u64, target: Option<usize>, event: E) {
+    /// Panics if `t` is in the past (`t < self.now()`): the simulation
+    /// would no longer be causal.
+    pub(crate) fn schedule(&mut self, t: Cycles, key: u64, event: E) {
         assert!(t >= self.now, "scheduling into the past: {t:?} < {:?}", self.now);
-        self.scheduled += 1;
-        if self.track_horizons {
-            match target {
-                Some(node) => {
-                    if node >= self.tracks.len() {
-                        self.tracks.resize_with(node + 1, BinaryHeap::new);
-                    }
-                    self.tracks[node].push(Reverse((t, key)));
-                }
-                None => self.global_track.push(Reverse((t, key))),
-            }
-        }
+        debug_assert!(key < 1 << KEY_BITS, "event key overflows 48 bits");
+        let key = match self.shuffle {
+            Some(seed) => (mix64(seed ^ key) << KEY_BITS) | key,
+            None => key,
+        };
         let entry = Entry {
             time: t,
             key,
@@ -321,266 +167,28 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` at `now + delay`.
-    pub fn schedule_after(&mut self, delay: Cycles, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
-    /// Schedules `event` at `now + delay` for a declared target node.
-    pub fn schedule_after_for(&mut self, delay: Cycles, target: Option<usize>, event: E) {
-        self.schedule_at_for(self.now + delay, target, event);
-    }
-
     /// Removes and returns the earliest event, advancing `now` to its time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if horizon tracking is enabled — the mirrors need the
-    /// popped entry's target; use [`EventQueue::pop_tracked`].
-    pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        assert!(
-            !self.track_horizons,
-            "horizon tracking is on: pop through pop_tracked"
-        );
-        self.pop_tracked(|_| None)
-    }
-
-    /// Removes and returns the earliest event, advancing `now` to its
-    /// time. When horizon tracking is enabled, `target_of` must report
-    /// the same target the entry was scheduled with (machines read it
-    /// off the event itself); it is not called otherwise.
-    pub fn pop_tracked(
-        &mut self,
-        target_of: impl FnOnce(&E) -> Option<usize>,
-    ) -> Option<(Cycles, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(Cycles, E)> {
         let e = match self.front.take() {
             Some(e) => e,
             None => self.heap.pop()?.0,
         };
         debug_assert!(e.time >= self.now);
-        if self.track_horizons {
-            // The popped entry is the global minimum, hence also the
-            // minimum of the track mirroring it.
-            let mirrored = match target_of(&e.event) {
-                Some(node) => self.tracks[node].pop(),
-                None => self.global_track.pop(),
-            };
-            debug_assert_eq!(
-                mirrored.map(|Reverse(k)| k),
-                Some((e.time, e.key)),
-                "track mirrors diverged from the queue"
-            );
-        }
         self.now = e.time;
         Some((e.time, e.event))
     }
 
-    /// The earliest pending event that can touch `node`: the minimum over
-    /// events targeted at `node` and untargeted (global) events.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`EventQueue::enable_horizon_tracking`] was called.
-    pub fn node_horizon(&self, node: usize) -> Option<Cycles> {
-        assert!(self.track_horizons, "horizon queries need tracking enabled");
-        let own = self
-            .tracks
-            .get(node)
-            .and_then(|t| t.peek())
-            .map(|Reverse((t, _))| *t);
-        let global = self.global_track.peek().map(|Reverse((t, _))| *t);
-        match (own, global) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// The earliest pending event targeted at any node other than `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`EventQueue::enable_horizon_tracking`] was called.
-    pub fn foreign_horizon(&self, node: usize) -> Option<Cycles> {
-        assert!(self.track_horizons, "horizon queries need tracking enabled");
-        let mut best: Option<Cycles> = None;
-        for (i, track) in self.tracks.iter().enumerate() {
-            if i == node {
-                continue;
-            }
-            if let Some(Reverse((t, _))) = track.peek() {
-                best = Some(best.map_or(*t, |b: Cycles| b.min(*t)));
-            }
-        }
-        best
-    }
-
-    /// The earliest cycle at which anything still pending (or any event
-    /// it later spawns) could influence `node`, assuming every cross-node
-    /// interaction costs at least `cross_latency` cycles from the event
-    /// that initiates it. Work by `node` at cycles strictly below this
-    /// bound cannot observe, and is not observed by, the rest of the
-    /// machine. `None` means nothing pending constrains the node at all.
-    ///
-    /// Soundness: an event already targeted at `node` (or global) acts at
-    /// its own timestamp — that is `node_horizon`. Any *future* event for
-    /// `node` must descend from some currently-pending foreign event, and
-    /// the cross-node step of that chain adds at least `cross_latency`
-    /// after an ancestor whose time is at least `foreign_horizon`.
-    pub fn safe_horizon(&self, node: usize, cross_latency: Cycles) -> Option<Cycles> {
-        let own = self.node_horizon(node);
-        let foreign = self
-            .foreign_horizon(node)
-            .map(|t| Cycles::new(t.raw().saturating_add(cross_latency.raw())));
-        match (own, foreign) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
     /// The timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<Cycles> {
+    pub(crate) fn peek_time(&self) -> Option<Cycles> {
         match &self.front {
             Some(e) => Some(e.time),
             None => self.heap.peek().map(|Reverse(e)| e.time),
         }
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len() + usize::from(self.front.is_some())
-    }
-
     /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.front.is_none() && self.heap.is_empty()
-    }
-
-    /// Total events scheduled over the queue's lifetime (for statistics).
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
-    }
-}
-
-/// A component that reacts to simulation events.
-pub trait EventHandler {
-    /// The machine's event type.
-    type Event;
-
-    /// Handles one event at time `now`, possibly scheduling more.
-    fn handle(&mut self, now: Cycles, event: Self::Event, queue: &mut EventQueue<Self::Event>);
-
-    /// The node `event` was scheduled for, mirroring what the scheduler
-    /// declared via [`EventQueue::schedule_at_for`]. Only consulted when
-    /// horizon tracking is on; the default suits untargeted schedulers.
-    fn target(event: &Self::Event) -> Option<usize> {
-        let _ = event;
-        None
-    }
-}
-
-/// Bounds on a [`run`] invocation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RunLimit {
-    /// Stop once the next event's time reaches this point (that event is
-    /// *not* delivered).
-    pub max_time: Option<Cycles>,
-    /// Stop after delivering this many events.
-    pub max_events: Option<u64>,
-}
-
-impl RunLimit {
-    /// No limits: run until the queue drains.
-    pub fn none() -> Self {
-        RunLimit::default()
-    }
-
-    /// Limit on simulated time only.
-    pub fn until(t: Cycles) -> Self {
-        RunLimit {
-            max_time: Some(t),
-            max_events: None,
-        }
-    }
-
-    /// Limit on delivered events only (a runaway-protocol backstop).
-    pub fn events(n: u64) -> Self {
-        RunLimit {
-            max_time: None,
-            max_events: Some(n),
-        }
-    }
-}
-
-/// Drains the queue through `handler` until it is empty or a limit is hit.
-/// Returns the final simulated time.
-pub fn run<H: EventHandler>(
-    handler: &mut H,
-    queue: &mut EventQueue<H::Event>,
-    limit: RunLimit,
-) -> Cycles {
-    let mut delivered = 0u64;
-    loop {
-        if let Some(max) = limit.max_events {
-            if delivered >= max {
-                return queue.now();
-            }
-        }
-        match queue.peek_time() {
-            None => return queue.now(),
-            Some(head) => {
-                if let Some(max_t) = limit.max_time {
-                    if head >= max_t {
-                        return queue.now();
-                    }
-                }
-            }
-        }
-        let (now, ev) = queue.pop_tracked(H::target).expect("peeked non-empty");
-        handler.handle(now, ev, queue);
-        delivered += 1;
-    }
-}
-
-/// Like [`run`], but invokes `observe` after every delivered event with
-/// the event just handled and the handler's post-event state. This is the
-/// hook the `tt-check` invariant engine attaches to: invariants are
-/// asserted at every event boundary, where handlers are atomic and the
-/// machine is in a consistent state.
-///
-/// The observer is a separate entry point rather than an `Option` inside
-/// [`run`] so the production loop stays branch-free — checking is exactly
-/// zero-cost when off.
-pub fn run_observed<H: EventHandler>(
-    handler: &mut H,
-    queue: &mut EventQueue<H::Event>,
-    limit: RunLimit,
-    observe: &mut dyn FnMut(Cycles, &H::Event, &H),
-) -> Cycles
-where
-    H::Event: Clone,
-{
-    let mut delivered = 0u64;
-    loop {
-        if let Some(max) = limit.max_events {
-            if delivered >= max {
-                return queue.now();
-            }
-        }
-        match queue.peek_time() {
-            None => return queue.now(),
-            Some(head) => {
-                if let Some(max_t) = limit.max_time {
-                    if head >= max_t {
-                        return queue.now();
-                    }
-                }
-            }
-        }
-        let (now, ev) = queue.pop_tracked(H::target).expect("peeked non-empty");
-        let observed = ev.clone();
-        handler.handle(now, ev, queue);
-        observe(now, &observed, handler);
-        delivered += 1;
     }
 }
 
@@ -588,182 +196,39 @@ where
 mod tests {
     use super::*;
 
-    #[derive(Default)]
-    struct Recorder {
-        seen: Vec<(u64, u32)>,
-    }
-
-    impl EventHandler for Recorder {
-        type Event = u32;
-        fn handle(&mut self, now: Cycles, ev: u32, _q: &mut EventQueue<u32>) {
-            self.seen.push((now.raw(), ev));
-        }
+    /// Pops everything, returning `(time, event)` pairs in delivery order.
+    fn drain(q: &mut EventQueue<u32>) -> Vec<(u64, u32)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| (t.raw(), e))
+            .collect()
     }
 
     #[test]
     fn events_fire_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule_at(Cycles::new(30), 3);
-        q.schedule_at(Cycles::new(10), 1);
-        q.schedule_at(Cycles::new(20), 2);
-        let mut h = Recorder::default();
-        run(&mut h, &mut q, RunLimit::none());
-        assert_eq!(h.seen, vec![(10, 1), (20, 2), (30, 3)]);
-    }
-
-    #[test]
-    fn same_cycle_events_are_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.schedule_at(Cycles::new(5), i);
-        }
-        let mut h = Recorder::default();
-        run(&mut h, &mut q, RunLimit::none());
-        let order: Vec<u32> = h.seen.iter().map(|&(_, e)| e).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        q.schedule(Cycles::new(30), 1, 3);
+        q.schedule(Cycles::new(10), 2, 1);
+        q.schedule(Cycles::new(20), 3, 2);
+        assert_eq!(drain(&mut q), vec![(10, 1), (20, 2), (30, 3)]);
     }
 
     #[test]
     fn caller_keys_order_same_cycle_events_regardless_of_insertion() {
         let mut q = EventQueue::new();
         // Inserted out of key order, delivered in key order.
-        q.schedule_keyed_at_for(Cycles::new(5), 30, Some(0), 2);
-        q.schedule_keyed_at_for(Cycles::new(5), 10, Some(1), 0);
-        q.schedule_keyed_at_for(Cycles::new(5), 20, Some(0), 1);
-        let mut seen = Vec::new();
-        while let Some((_, e)) = q.pop() {
-            seen.push(e);
-        }
-        assert_eq!(seen, vec![0, 1, 2]);
+        q.schedule(Cycles::new(5), 30, 2);
+        q.schedule(Cycles::new(5), 10, 0);
+        q.schedule(Cycles::new(5), 20, 1);
+        assert_eq!(drain(&mut q), vec![(5, 0), (5, 1), (5, 2)]);
     }
 
     #[test]
     #[should_panic(expected = "scheduling into the past")]
     fn scheduling_into_the_past_panics() {
         let mut q = EventQueue::new();
-        q.schedule_at(Cycles::new(10), 1);
+        q.schedule(Cycles::new(10), 1, 1);
         q.pop();
-        q.schedule_at(Cycles::new(5), 2);
-    }
-
-    #[test]
-    fn run_respects_time_limit() {
-        let mut q = EventQueue::new();
-        q.schedule_at(Cycles::new(10), 1);
-        q.schedule_at(Cycles::new(20), 2);
-        let mut h = Recorder::default();
-        run(&mut h, &mut q, RunLimit::until(Cycles::new(15)));
-        assert_eq!(h.seen, vec![(10, 1)]);
-        assert_eq!(q.len(), 1, "the event past the limit stays queued");
-    }
-
-    #[test]
-    fn run_respects_event_limit() {
-        let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.schedule_at(Cycles::new(i), i as u32);
-        }
-        let mut h = Recorder::default();
-        run(&mut h, &mut q, RunLimit::events(4));
-        assert_eq!(h.seen.len(), 4);
-    }
-
-    #[test]
-    fn schedule_after_uses_current_time() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule_at(Cycles::new(7), 0);
-        q.pop();
-        q.schedule_after(Cycles::new(3), 1);
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, Cycles::new(10));
-        assert_eq!(q.total_scheduled(), 2);
-    }
-
-    #[test]
-    fn targeted_and_untargeted_events_interleave_fifo() {
-        let mut q = EventQueue::new();
-        q.schedule_at_for(Cycles::new(5), Some(0), 0);
-        q.schedule_at(Cycles::new(5), 1);
-        q.schedule_at_for(Cycles::new(5), Some(1), 2);
-        let mut h = Recorder::default();
-        run(&mut h, &mut q, RunLimit::none());
-        assert_eq!(h.seen, vec![(5, 0), (5, 1), (5, 2)]);
-    }
-
-    /// The recorder tests that pop with tracking on: events 0..n are
-    /// targeted at node `e % 3`.
-    fn pop3(q: &mut EventQueue<u32>) -> Option<(Cycles, u32)> {
-        q.pop_tracked(|e| Some((*e % 3) as usize))
-    }
-
-    #[test]
-    fn node_horizon_sees_own_and_global_events() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.enable_horizon_tracking();
-        q.schedule_at_for(Cycles::new(30), Some(0), 0);
-        q.schedule_at_for(Cycles::new(10), Some(1), 1);
-        assert_eq!(q.node_horizon(0), Some(Cycles::new(30)));
-        assert_eq!(q.node_horizon(1), Some(Cycles::new(10)));
-        assert_eq!(q.node_horizon(7), None, "untouched node is unconstrained");
-        q.schedule_at(Cycles::new(20), 2); // global: constrains everyone
-        assert_eq!(q.node_horizon(0), Some(Cycles::new(20)));
-        assert_eq!(q.node_horizon(7), Some(Cycles::new(20)));
-    }
-
-    #[test]
-    fn foreign_horizon_excludes_own_and_global() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.enable_horizon_tracking();
-        q.schedule_at_for(Cycles::new(10), Some(0), 0);
-        q.schedule_at_for(Cycles::new(40), Some(2), 1);
-        q.schedule_at(Cycles::new(5), 2);
-        assert_eq!(q.foreign_horizon(0), Some(Cycles::new(40)));
-        assert_eq!(q.foreign_horizon(2), Some(Cycles::new(10)));
-        assert_eq!(q.foreign_horizon(1), Some(Cycles::new(10)));
-    }
-
-    #[test]
-    fn safe_horizon_pads_foreign_events_by_latency() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.enable_horizon_tracking();
-        // Event 0 targets node 1; event 1 targets node 0.
-        let target = |e: &u32| Some(if *e == 0 { 1 } else { 0 });
-        q.schedule_at_for(Cycles::new(10), Some(1), 0);
-        // Node 0: nothing own, foreign at 10 + latency 11 = 21.
-        assert_eq!(q.safe_horizon(0, Cycles::new(11)), Some(Cycles::new(21)));
-        // Node 1's own event is not padded.
-        assert_eq!(q.safe_horizon(1, Cycles::new(11)), Some(Cycles::new(10)));
-        q.schedule_at_for(Cycles::new(15), Some(0), 1);
-        assert_eq!(q.safe_horizon(0, Cycles::new(11)), Some(Cycles::new(15)));
-        // Popping restores the mirrors.
-        q.pop_tracked(target);
-        assert_eq!(q.safe_horizon(1, Cycles::new(11)), Some(Cycles::new(26)));
-        q.pop_tracked(target);
-        assert_eq!(q.safe_horizon(1, Cycles::new(11)), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "tracking enabled")]
-    fn horizon_queries_require_tracking() {
-        let q: EventQueue<u32> = EventQueue::new();
-        q.node_horizon(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "pop through pop_tracked")]
-    fn plain_pop_rejected_under_tracking() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.enable_horizon_tracking();
-        q.schedule_at_for(Cycles::new(1), Some(0), 0);
-        q.pop();
-    }
-
-    #[test]
-    #[should_panic(expected = "empty queue")]
-    fn tracking_must_be_enabled_before_scheduling() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule_at(Cycles::new(1), 0);
-        q.enable_horizon_tracking();
+        q.schedule(Cycles::new(5), 2, 2);
     }
 
     #[test]
@@ -774,23 +239,21 @@ mod tests {
                 q.enable_tie_shuffle(s);
             }
             for i in 0..50 {
-                q.schedule_at(Cycles::new(5), i);
+                q.schedule(Cycles::new(5), u64::from(i), i);
             }
-            let mut h = Recorder::default();
-            run(&mut h, &mut q, RunLimit::none());
-            h.seen.iter().map(|&(_, e)| e).collect::<Vec<_>>()
+            drain(&mut q).into_iter().map(|(_, e)| e).collect::<Vec<_>>()
         };
-        let fifo = order_with_seed(None);
-        assert_eq!(fifo, (0..50).collect::<Vec<_>>());
+        let unsalted = order_with_seed(None);
+        assert_eq!(unsalted, (0..50).collect::<Vec<_>>());
         let a = order_with_seed(Some(7));
         let b = order_with_seed(Some(7));
         assert_eq!(a, b, "same seed must reproduce the permutation");
-        assert_ne!(a, fifo, "seed 7 should permute 50 same-cycle events");
+        assert_ne!(a, unsalted, "seed 7 should permute 50 same-cycle events");
         let c = order_with_seed(Some(8));
         assert_ne!(a, c, "different seeds should usually differ");
         let mut sorted = a.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, fifo, "shuffling is a permutation, not a loss");
+        assert_eq!(sorted, unsalted, "shuffling is a permutation, not a loss");
     }
 
     #[test]
@@ -802,13 +265,9 @@ mod tests {
             let mut q = EventQueue::new();
             q.enable_tie_shuffle(99);
             for &k in keys {
-                q.schedule_keyed_at_for(Cycles::new(5), k, None, k as u32);
+                q.schedule(Cycles::new(5), k, k as u32);
             }
-            let mut out = Vec::new();
-            while let Some((_, e)) = q.pop() {
-                out.push(e);
-            }
-            out
+            drain(&mut q)
         };
         let forward = deliver(&[1, 2, 3, 4, 5, 6, 7, 8]);
         let backward = deliver(&[8, 7, 6, 5, 4, 3, 2, 1]);
@@ -819,55 +278,25 @@ mod tests {
     fn tie_shuffle_preserves_time_order() {
         let mut q = EventQueue::new();
         q.enable_tie_shuffle(3);
-        q.schedule_at(Cycles::new(30), 3);
-        q.schedule_at(Cycles::new(10), 1);
-        q.schedule_at(Cycles::new(20), 2);
-        let mut h = Recorder::default();
-        run(&mut h, &mut q, RunLimit::none());
-        assert_eq!(h.seen, vec![(10, 1), (20, 2), (30, 3)]);
-    }
-
-    #[test]
-    fn tie_shuffle_keeps_horizon_mirrors_consistent() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.enable_horizon_tracking();
-        q.enable_tie_shuffle(11);
-        for i in 0..20 {
-            q.schedule_at_for(Cycles::new(5), Some(i % 3), i as u32);
-        }
-        assert_eq!(q.node_horizon(0), Some(Cycles::new(5)));
-        // Popping everything exercises the mirror debug-asserts.
-        while pop3(&mut q).is_some() {}
-        assert_eq!(q.node_horizon(0), None);
+        q.schedule(Cycles::new(30), 1, 3);
+        q.schedule(Cycles::new(10), 2, 1);
+        q.schedule(Cycles::new(20), 3, 2);
+        assert_eq!(drain(&mut q), vec![(10, 1), (20, 2), (30, 3)]);
     }
 
     #[test]
     #[should_panic(expected = "empty queue")]
     fn tie_shuffle_must_be_enabled_before_scheduling() {
         let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule_at(Cycles::new(1), 0);
+        q.schedule(Cycles::new(1), 1, 0);
         q.enable_tie_shuffle(1);
-    }
-
-    #[test]
-    fn run_observed_sees_every_event_at_its_boundary() {
-        let mut q = EventQueue::new();
-        q.schedule_at(Cycles::new(10), 1);
-        q.schedule_at(Cycles::new(20), 2);
-        let mut h = Recorder::default();
-        let mut observed: Vec<(u64, u32, usize)> = Vec::new();
-        run_observed(&mut h, &mut q, RunLimit::none(), &mut |now, ev, h| {
-            observed.push((now.raw(), *ev, h.seen.len()));
-        });
-        // The observer runs after the handler: state reflects the event.
-        assert_eq!(observed, vec![(10, 1, 1), (20, 2, 2)]);
     }
 
     #[test]
     fn now_tracks_last_pop() {
         let mut q: EventQueue<u32> = EventQueue::new();
         assert_eq!(q.now(), Cycles::ZERO);
-        q.schedule_at(Cycles::new(42), 9);
+        q.schedule(Cycles::new(42), 1, 9);
         q.pop();
         assert_eq!(q.now(), Cycles::new(42));
         assert!(q.is_empty());

@@ -5,7 +5,7 @@
 //! results bit-identical to the sequential run:
 //!
 //! - The machine's nodes are partitioned into contiguous *shards*, each
-//!   owning a [`ShardQueue`] — a private [`EventQueue`] plus an outbox
+//!   owning a [`ShardQueue`] — a private event queue plus an outbox
 //!   for events targeting nodes another shard owns.
 //! - Every cross-node interaction costs at least the network's minimum
 //!   one-way latency, the *lookahead* `L`. Shards therefore advance in
@@ -55,12 +55,11 @@
 //! `T + Q`, and `t_r = max_arrival + release_delay ≥ T + Q`, so the
 //! release is never scheduled into a shard's past.
 //!
-//! In single-shard mode ([`ShardQueue::enable_inline_barrier`]) the one
-//! shard owns every node, so `note_barrier_arrival` completes the
-//! barrier inline and the machine schedules its own release event — no
-//! windows, no worker threads, no per-boundary overhead. That path *is*
-//! the sequential simulator, and the equivalence the whole scheme is
-//! tested against.
+//! In single-shard mode (the inline barrier) the one shard owns every
+//! node, so `note_barrier_arrival` completes the barrier inline and
+//! schedules the release event itself — no windows, no worker threads,
+//! no per-boundary overhead. That path *is* the sequential simulator,
+//! and the equivalence the whole scheme is tested against.
 //!
 //! # Adaptive windows
 //!
@@ -163,24 +162,26 @@ fn pack_key(origin_id: u64, counter: u64) -> u64 {
 /// A cross-shard event captured in a shard's outbox, to be merged into
 /// the owning shard's queue at the next window boundary.
 #[derive(Clone, Debug)]
-pub struct OutMsg<E> {
+pub(crate) struct OutMsg<E> {
     /// Absolute delivery time (≥ the window end, by the lookahead bound).
-    pub time: Cycles,
+    time: Cycles,
     /// The deterministic key assigned at scheduling time.
-    pub key: u64,
+    key: u64,
     /// Node the event targets; identifies the owning shard.
-    pub target: usize,
+    target: usize,
     /// The event itself.
-    pub event: E,
+    event: E,
 }
 
 /// Inline (single-shard) barrier bookkeeping.
 #[derive(Clone, Debug)]
-struct InlineBarrier {
+struct InlineBarrier<E> {
     expected: usize,
     delay: Cycles,
     arrived: usize,
     max_arrival: Cycles,
+    /// Builds the release event for a generation.
+    release: fn(u64) -> E,
 }
 
 /// Windowed-mode context the driver installs on each queue: the shard's
@@ -193,12 +194,12 @@ struct WinCtx {
     release_delay: Cycles,
 }
 
-/// One shard's event queue: a private [`EventQueue`] over the shard's
-/// contiguous node range, an outbox for foreign-node events, and the
-/// per-origin counters that make event keys deterministic. Machines
-/// schedule exclusively through [`ShardQueue::schedule_for`] /
-/// [`ShardQueue::schedule_global`]; the active origin is set by the
-/// event dispatch loop before each handler runs.
+/// One shard's event queue: a private time-ordered queue over the
+/// shard's contiguous node range, an outbox for foreign-node events, and
+/// the per-origin counters that make event keys deterministic. Machines
+/// schedule through [`ShardQueue::schedule_for`] and
+/// [`ShardQueue::schedule_wakeup`]; the driver sets the active origin
+/// before each handler runs.
 #[derive(Debug)]
 pub struct ShardQueue<E> {
     queue: EventQueue<E>,
@@ -207,6 +208,8 @@ pub struct ShardQueue<E> {
     node_count: usize,
     /// Per-origin scheduling counters for the local nodes.
     counters: Vec<u64>,
+    /// Global-origin keys issued; only barrier releases consume them, so
+    /// this is also the number of releases scheduled on this shard.
     global_counter: u64,
     /// Origin for keys of subsequently scheduled events. `None` = global.
     origin: Option<usize>,
@@ -226,7 +229,7 @@ pub struct ShardQueue<E> {
     window_last_bucket: u64,
     /// Windowed-mode context, installed by [`run_windows`].
     win: Option<WinCtx>,
-    inline_barrier: Option<InlineBarrier>,
+    inline_barrier: Option<InlineBarrier<E>>,
 }
 
 impl<E> ShardQueue<E> {
@@ -251,41 +254,37 @@ impl<E> ShardQueue<E> {
         }
     }
 
-    /// See [`EventQueue::enable_tie_shuffle`]. The salt is a pure hash
-    /// of the deterministic key, so the shuffled schedule is identical
-    /// at every thread count.
-    pub fn enable_tie_shuffle(&mut self, seed: u64) {
+    /// Delivers same-cycle events in a seed-dependent permutation
+    /// instead of key order. The salt is a pure hash of the
+    /// deterministic key, so the shuffled schedule is identical at every
+    /// thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if events are already pending.
+    pub(crate) fn enable_tie_shuffle(&mut self, seed: u64) {
         self.queue.enable_tie_shuffle(seed);
-    }
-
-    /// See [`EventQueue::enable_horizon_tracking`].
-    pub fn enable_horizon_tracking(&mut self) {
-        self.queue.enable_horizon_tracking();
     }
 
     /// Switches the barrier to inline mode: this shard owns every node,
     /// so the `expected`-th arrival completes the barrier locally and
-    /// [`ShardQueue::note_barrier_arrival`] returns the release time
-    /// (`max_arrival + delay`) for the machine to schedule its release
-    /// event. Single-shard (sequential) runs use this; window-driven
-    /// runs leave it off and let the driver aggregate.
-    pub fn enable_inline_barrier(&mut self, expected: usize, delay: Cycles) {
+    /// [`ShardQueue::note_barrier_arrival`] schedules `release(generation)`
+    /// at `max_arrival + delay`. Single-shard (sequential) runs use
+    /// this; window-driven runs leave it off and let the driver
+    /// aggregate.
+    pub(crate) fn enable_inline_barrier(
+        &mut self,
+        expected: usize,
+        delay: Cycles,
+        release: fn(u64) -> E,
+    ) {
         self.inline_barrier = Some(InlineBarrier {
             expected,
             delay,
             arrived: 0,
             max_arrival: Cycles::ZERO,
+            release,
         });
-    }
-
-    /// First node this shard owns.
-    pub fn first_node(&self) -> usize {
-        self.first_node
-    }
-
-    /// Number of nodes this shard owns.
-    pub fn node_count(&self) -> usize {
-        self.node_count
     }
 
     /// Whether `node` belongs to this shard.
@@ -311,32 +310,12 @@ impl<E> ShardQueue<E> {
         self.queue.is_empty()
     }
 
-    /// Pending local events.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Total events scheduled into the local queue over its lifetime.
-    pub fn total_scheduled(&self) -> u64 {
-        self.queue.total_scheduled()
-    }
-
     /// Exclusive end of the current window, if running windowed. The
     /// machines' direct-execution guard must keep a CPU's inline run
     /// strictly below this bound.
     #[inline]
     pub fn window_end(&self) -> Option<Cycles> {
         self.window_end
-    }
-
-    /// See [`EventQueue::node_horizon`].
-    pub fn node_horizon(&self, node: usize) -> Option<Cycles> {
-        self.queue.node_horizon(node)
-    }
-
-    /// See [`EventQueue::safe_horizon`].
-    pub fn safe_horizon(&self, node: usize, cross_latency: Cycles) -> Option<Cycles> {
-        self.queue.safe_horizon(node, cross_latency)
     }
 
     fn set_window_end(&mut self, end: Option<Cycles>) {
@@ -357,7 +336,7 @@ impl<E> ShardQueue<E> {
 
     /// Nodes of this shard currently parked at the barrier (windowed
     /// mode only; inline mode resets its own tally).
-    pub fn waiting(&self) -> usize {
+    fn waiting(&self) -> usize {
         self.waiting
     }
 
@@ -372,7 +351,7 @@ impl<E> ShardQueue<E> {
 
     /// Declares subsequent scheduling machine-global ([`GLOBAL_ORIGIN`]).
     #[inline]
-    pub fn set_origin_global(&mut self) {
+    pub(crate) fn set_origin_global(&mut self) {
         self.origin = None;
     }
 
@@ -407,7 +386,7 @@ impl<E> ShardQueue<E> {
     pub fn schedule_for(&mut self, t: Cycles, target: usize, event: E) {
         let key = self.next_key();
         if self.owns(target) {
-            self.queue.schedule_keyed_at_for(t, key, Some(target), event);
+            self.queue.schedule(t, key, event);
         } else {
             if let Some(win) = self.win {
                 let now = self.queue.now();
@@ -452,14 +431,20 @@ impl<E> ShardQueue<E> {
     /// single-shard mode, where "global" and "local" coincide; windowed
     /// runs mirror the same keys through
     /// [`ShardQueue::deliver_release`].
-    pub fn schedule_global(&mut self, t: Cycles, event: E) {
+    fn schedule_global(&mut self, t: Cycles, event: E) {
         debug_assert!(
             self.inline_barrier.is_some(),
             "global events are driver business in windowed mode"
         );
         self.global_counter += 1;
         let key = pack_key(GLOBAL_ORIGIN, self.global_counter);
-        self.queue.schedule_keyed_at_for(t, key, None, event);
+        self.queue.schedule(t, key, event);
+    }
+
+    /// Barrier releases scheduled on this shard so far. Every shard sees
+    /// every release, so after a run all shards agree on this count.
+    pub fn releases(&self) -> u64 {
+        self.global_counter
     }
 
     /// Schedules node `node`'s own wakeup under its *reserved* key
@@ -473,19 +458,18 @@ impl<E> ShardQueue<E> {
     pub fn schedule_wakeup(&mut self, t: Cycles, node: usize, event: E) {
         debug_assert!(self.owns(node), "wakeup for a foreign node");
         let key = pack_key(node as u64 + 1, 0);
-        self.queue.schedule_keyed_at_for(t, key, Some(node), event);
+        self.queue.schedule(t, key, event);
     }
 
     /// Pops the earliest local event strictly inside the current window
-    /// (or any pending event when not windowed). `target_of` feeds the
-    /// horizon mirrors, as in [`EventQueue::pop_tracked`].
-    pub fn pop(&mut self, target_of: impl FnOnce(&E) -> Option<usize>) -> Option<(Cycles, E)> {
+    /// (or any pending event when not windowed).
+    pub fn pop(&mut self) -> Option<(Cycles, E)> {
         if let (Some(t), Some(end)) = (self.queue.peek_time(), self.window_end) {
             if t >= end {
                 return None;
             }
         }
-        let popped = self.queue.pop_tracked(target_of);
+        let popped = self.queue.pop();
         // Telemetry: count the *occupied* fixed-quantum buckets this
         // window's pops land in. Empty buckets between pops don't count
         // — a fixed driver re-anchors each window at the current global
@@ -512,22 +496,22 @@ impl<E> ShardQueue<E> {
         popped
     }
 
-    /// Records a barrier arrival at `at`. In inline mode, returns the
-    /// release time once every participant has arrived (resetting for
-    /// the next generation); in windowed mode, always `None` — the
-    /// driver aggregates arrivals across shards at window boundaries.
-    pub fn note_barrier_arrival(&mut self, at: Cycles) -> Option<Cycles> {
+    /// Records a barrier arrival at `at`. In inline mode, the arrival
+    /// completing the barrier schedules the release event at
+    /// `max_arrival + delay` (and resets for the next generation); in
+    /// windowed mode the driver aggregates arrivals across shards at
+    /// window boundaries and delivers the release itself.
+    pub fn note_barrier_arrival(&mut self, at: Cycles) {
         match &mut self.inline_barrier {
             Some(b) => {
                 b.arrived += 1;
                 b.max_arrival = b.max_arrival.max(at);
                 if b.arrived == b.expected {
                     b.arrived = 0;
-                    let release = b.max_arrival + b.delay;
+                    let release_at = b.max_arrival + b.delay;
                     b.max_arrival = Cycles::ZERO;
-                    Some(release)
-                } else {
-                    None
+                    let event = (b.release)(self.global_counter);
+                    self.schedule_global(release_at, event);
                 }
             }
             None => {
@@ -546,7 +530,6 @@ impl<E> ShardQueue<E> {
                         self.window_end = Some(end.min(at + win.release_delay));
                     }
                 }
-                None
             }
         }
     }
@@ -554,10 +537,9 @@ impl<E> ShardQueue<E> {
     /// Inserts a cross-shard event under its original key. The insertion
     /// time is irrelevant to ordering: the key places it exactly where
     /// the sequential heap would have.
-    pub fn deliver(&mut self, msg: OutMsg<E>) {
+    fn deliver(&mut self, msg: OutMsg<E>) {
         debug_assert!(self.owns(msg.target), "delivery to a foreign shard");
-        self.queue
-            .schedule_keyed_at_for(msg.time, msg.key, Some(msg.target), msg.event);
+        self.queue.schedule(msg.time, msg.key, msg.event);
     }
 
     /// Inserts the windowed-mode barrier-release event under the exact
@@ -565,7 +547,7 @@ impl<E> ShardQueue<E> {
     /// would have assigned (`generation + 1`, since the global counter
     /// is consumed only by releases), so the salted (tie-shuffled) order
     /// at the release cycle is identical at every shard count.
-    pub fn deliver_release(&mut self, t: Cycles, generation: u64, event: E) {
+    pub(crate) fn deliver_release(&mut self, t: Cycles, generation: u64, event: E) {
         debug_assert!(
             self.inline_barrier.is_none(),
             "inline mode schedules its own release"
@@ -577,14 +559,12 @@ impl<E> ShardQueue<E> {
             "release keys must mirror the sequential global counter"
         );
         let key = pack_key(GLOBAL_ORIGIN, self.global_counter);
-        self.queue.schedule_keyed_at_for(t, key, None, event);
+        self.queue.schedule(t, key, event);
         self.waiting = 0;
     }
 
-    /// Drains the accumulated cross-shard events. The machines route
-    /// any scheduling their *setup* phase produced (before the window
-    /// driver takes over and routes boundaries itself).
-    pub fn take_outbox(&mut self) -> Vec<OutMsg<E>> {
+    /// Drains the accumulated cross-shard events.
+    fn take_outbox(&mut self) -> Vec<OutMsg<E>> {
         std::mem::take(&mut self.outbox)
     }
 
@@ -602,23 +582,23 @@ impl<E> ShardQueue<E> {
 
 /// Window-driver parameters.
 #[derive(Clone, Copy, Debug)]
-pub struct Windowing {
+pub(crate) struct Windowing {
     /// Minimum cross-node interaction latency (the WWT lookahead).
-    pub lookahead: Cycles,
+    pub(crate) lookahead: Cycles,
     /// Barrier release latency: release fires at `max_arrival + release_delay`.
-    pub release_delay: Cycles,
+    pub(crate) release_delay: Cycles,
     /// Number of barrier participants (arrivals per generation). The
     /// adaptive policy's owing-shard reasoning requires every node to
     /// participate in every generation, which both machines guarantee
     /// (their release asserts each node is at the barrier); `0` means
     /// "no barrier at all" and disables the release bounds entirely.
-    pub barrier_expected: usize,
+    pub(crate) barrier_expected: usize,
     /// Window-advance policy (see the module docs).
-    pub policy: WindowPolicy,
-    /// OS threads to spread the shards over; `0` means one per shard.
+    pub(crate) policy: WindowPolicy,
+    /// OS threads to spread the shards over (clamped to `1..=shards`).
     /// Fewer threads than shards makes each worker multiplex a
     /// contiguous group of shards per round.
-    pub threads: usize,
+    pub(crate) threads: usize,
 }
 
 /// What every worker does next, decided by the window leader.
@@ -786,47 +766,39 @@ struct Shared<E> {
 }
 
 /// Runs a sharded machine to completion under the conservative window
-/// scheme across `cfg.threads` OS threads (0 = one per shard; fewer
-/// threads multiplex contiguous shard groups). `handle` dispatches one
-/// event on a shard (setting the origin via [`ShardQueue::set_origin`]
-/// before the machine handler runs); `release` applies a barrier
-/// release at the given time and generation to the shard's own nodes,
-/// scheduling the wakeups with the global origin. `target_of` reports
-/// an event's target node (for horizon mirrors and inbox routing
-/// sanity).
+/// scheme across `cfg.threads` OS threads (fewer threads than shards
+/// multiplex contiguous shard groups). Cross-shard events the
+/// queues already hold (from the machine's init) are routed to their
+/// owners first. `handle` dispatches one event on a shard (setting the
+/// origin via [`ShardQueue::set_origin`] before the machine handler
+/// runs); `release` applies a barrier release at the given time and
+/// generation to the shard's own nodes.
 ///
-/// Returns the final simulated time (the maximum over shards) and the
-/// run's [`PdesTelemetry`].
+/// Returns the run's [`PdesTelemetry`].
 ///
 /// Panics raised by shard handlers are caught, the remaining workers
 /// wound down at the next boundary, and the panic re-raised on the
 /// calling thread — so a machine assertion behaves as it does
 /// sequentially.
-pub fn run_windows<E, S, H, R, T>(
+pub(crate) fn run_windows<E, S, H, R>(
     shards: &mut [S],
     queues: &mut [ShardQueue<E>],
     cfg: Windowing,
     handle: H,
     release: R,
-    target_of: T,
-) -> (Cycles, PdesTelemetry)
+) -> PdesTelemetry
 where
     E: Send,
     S: Send,
     H: Fn(&mut S, Cycles, E, &mut ShardQueue<E>) + Sync,
     R: Fn(&mut S, &mut ShardQueue<E>, Cycles, u64) + Sync,
-    T: Fn(&E) -> Option<usize> + Sync,
 {
     let n_shards = shards.len();
     assert_eq!(n_shards, queues.len());
     assert!(n_shards > 0, "at least one shard");
     assert!(cfg.lookahead > Cycles::ZERO, "lookahead must be positive");
     assert!(cfg.release_delay > Cycles::ZERO, "release delay must be positive");
-    let threads = if cfg.threads == 0 {
-        n_shards
-    } else {
-        cfg.threads.min(n_shards)
-    };
+    let threads = cfg.threads.clamp(1, n_shards);
     // A pending release may clamp any window; it must never land before
     // a window the shards have already executed.
     let quantum = cfg.lookahead.min(cfg.release_delay);
@@ -845,6 +817,14 @@ where
         node_shard.iter().all(|&s| s != usize::MAX),
         "shards must cover all nodes"
     );
+    // Set-up scheduling (protocol init) may have produced cross-shard
+    // events. All are at or past the lookahead, so none can land inside
+    // the first window.
+    for i in 0..n_shards {
+        for msg in queues[i].take_outbox() {
+            queues[node_shard[msg.target]].deliver(msg);
+        }
+    }
 
     let shared = Shared {
         rendezvous: Rendezvous::new(threads, Decision::Stop),
@@ -859,7 +839,7 @@ where
             })
             .collect(),
         ends: Mutex::new(vec![Cycles::ZERO; n_shards]),
-        shard_nodes: queues.iter().map(|q| q.node_count()).collect(),
+        shard_nodes: queues.iter().map(|q| q.node_count).collect(),
         inboxes: (0..n_shards).map(|_| Mutex::new(Vec::new())).collect(),
         node_shard,
         state: Mutex::new(DriverState {
@@ -896,10 +876,9 @@ where
             let shared = &shared;
             let handle = &handle;
             let release = &release;
-            let target_of = &target_of;
             let base = first;
             scope.spawn(move || {
-                worker(base, s_chunk, q_chunk, shared, cfg, quantum, handle, release, target_of)
+                worker(base, s_chunk, q_chunk, shared, cfg, quantum, handle, release)
             });
             first += size;
         }
@@ -915,19 +894,17 @@ where
         resume_unwind(payload);
     }
 
-    let end = queues.iter().map(|q| q.now()).max().expect("non-empty");
     let events = shared.events.load(Ordering::SeqCst);
     let cross_messages = shared.cross_messages.load(Ordering::SeqCst);
     let st = shared.state.into_inner().expect("state lock");
-    let telemetry = PdesTelemetry {
+    PdesTelemetry {
         windows: st.windows,
         rendezvous: st.rendezvous,
         rendezvous_elided: st.elided,
         events,
         cross_messages,
         releases: st.generation,
-    };
-    (end, telemetry)
+    }
 }
 
 /// Leader step: read the published heads, inboxes, and barrier arrivals
@@ -1082,7 +1059,7 @@ fn adaptive_ends(
 /// same round acts is harmless: cross-shard messages land at or after
 /// their target's window end, so the target cannot pop them this round.
 #[allow(clippy::too_many_arguments)]
-fn worker<E, S, H, R, T>(
+fn worker<E, S, H, R>(
     first: usize,
     shards: &mut [S],
     queues: &mut [ShardQueue<E>],
@@ -1091,13 +1068,11 @@ fn worker<E, S, H, R, T>(
     quantum: Cycles,
     handle: &H,
     release: &R,
-    target_of: &T,
 ) where
     E: Send,
     S: Send,
     H: Fn(&mut S, Cycles, E, &mut ShardQueue<E>) + Sync,
     R: Fn(&mut S, &mut ShardQueue<E>, Cycles, u64) + Sync,
-    T: Fn(&E) -> Option<usize> + Sync,
 {
     loop {
         let decision = shared.rendezvous.wait(|| {
@@ -1124,7 +1099,7 @@ fn worker<E, S, H, R, T>(
                     let end = shared.ends.lock().expect("ends lock")[index];
                     queue.set_window_end(Some(end));
                     let mut handled = 0u64;
-                    while let Some((now, ev)) = queue.pop(|e| target_of(e)) {
+                    while let Some((now, ev)) = queue.pop() {
                         handle(shard, now, ev, queue);
                         handled += 1;
                     }
@@ -1192,132 +1167,34 @@ fn publish<E>(index: usize, queue: &mut ShardQueue<E>, shared: &Shared<E>) {
 mod tests {
     use super::*;
 
-    /// A toy machine: each node repeatedly sends a token to the next
-    /// node with a fixed latency and bumps a per-node counter. Runs on
-    /// any shard count; the counters and final time must match.
-    #[derive(Clone, Debug, PartialEq)]
-    struct Token {
-        to: usize,
-        hops_left: u32,
-    }
-
-    struct ToyShard {
-        counts: Vec<u64>,
-        first: usize,
-    }
-
     const LATENCY: u64 = 11;
-
-    fn toy_handle(s: &mut ToyShard, now: Cycles, ev: Token, q: &mut ShardQueue<Token>) {
-        q.set_origin(ev.to);
-        s.counts[ev.to - s.first] += 1;
-        if ev.hops_left > 0 {
-            let nodes = 8;
-            let next = (ev.to + 1) % nodes;
-            q.schedule_for(
-                now + Cycles::new(LATENCY),
-                next,
-                Token {
-                    to: next,
-                    hops_left: ev.hops_left - 1,
-                },
-            );
-        }
-    }
-
-    fn run_toy(n_shards: usize, policy: WindowPolicy, threads: usize) -> (Vec<u64>, Cycles) {
-        let nodes = 8;
-        let per = nodes / n_shards;
-        let mut shards: Vec<ToyShard> = (0..n_shards)
-            .map(|i| ToyShard {
-                counts: vec![0; per],
-                first: i * per,
-            })
-            .collect();
-        let mut queues: Vec<ShardQueue<Token>> =
-            (0..n_shards).map(|i| ShardQueue::new(i * per, per)).collect();
-        // Every node starts a token at cycle 0.
-        for n in 0..nodes {
-            let q = &mut queues[n / per];
-            q.set_origin(n);
-            q.schedule_for(
-                Cycles::ZERO,
-                n,
-                Token {
-                    to: n,
-                    hops_left: 40,
-                },
-            );
-        }
-        let end = if n_shards == 1 {
-            let (shard, queue) = (&mut shards[0], &mut queues[0]);
-            while let Some((now, ev)) = queue.pop(|e| Some(e.to)) {
-                toy_handle(shard, now, ev, queue);
-            }
-            queue.now()
-        } else {
-            run_windows(
-                &mut shards,
-                &mut queues,
-                Windowing {
-                    lookahead: Cycles::new(LATENCY),
-                    release_delay: Cycles::new(LATENCY),
-                    barrier_expected: nodes,
-                    policy,
-                    threads,
-                },
-                toy_handle,
-                |_s, _q, _at, _gen| unreachable!("toy machine has no barrier"),
-                |e: &Token| Some(e.to),
-            )
-            .0
-        };
-        let mut counts = vec![0; nodes];
-        for s in &shards {
-            for (i, c) in s.counts.iter().enumerate() {
-                counts[s.first + i] = *c;
-            }
-        }
-        (counts, end)
-    }
-
-    #[test]
-    fn toy_machine_is_identical_across_shard_counts() {
-        let seq = run_toy(1, WindowPolicy::Fixed, 0);
-        for shards in [2, 4, 8] {
-            for policy in [WindowPolicy::Fixed, WindowPolicy::Adaptive] {
-                for threads in [0, 1, 2] {
-                    assert_eq!(
-                        run_toy(shards, policy, threads),
-                        seq,
-                        "diverged at {shards} shards, {policy:?}, {threads} threads"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn inline_barrier_completes_and_resets() {
-        let mut q: ShardQueue<u32> = ShardQueue::new(0, 4);
-        q.enable_inline_barrier(4, Cycles::new(11));
-        assert_eq!(q.note_barrier_arrival(Cycles::new(5)), None);
-        assert_eq!(q.note_barrier_arrival(Cycles::new(9)), None);
-        assert_eq!(q.note_barrier_arrival(Cycles::new(7)), None);
+        let mut q: ShardQueue<u64> = ShardQueue::new(0, 4);
+        q.enable_inline_barrier(4, Cycles::new(11), |generation| 100 + generation);
+        for at in [5, 9, 7] {
+            q.note_barrier_arrival(Cycles::new(at));
+            assert!(q.is_empty(), "no release before the last arrival");
+        }
+        q.note_barrier_arrival(Cycles::new(8));
         assert_eq!(
-            q.note_barrier_arrival(Cycles::new(8)),
-            Some(Cycles::new(20)),
-            "release at max arrival + delay"
+            q.pop(),
+            Some((Cycles::new(20), 100)),
+            "release at max arrival + delay, for generation 0"
         );
+        assert_eq!(q.releases(), 1);
         // Next generation starts clean.
-        assert_eq!(q.note_barrier_arrival(Cycles::new(30)), None);
+        q.note_barrier_arrival(Cycles::new(30));
+        assert!(q.is_empty());
     }
 
     #[test]
     fn windowed_arrivals_accumulate_for_the_driver() {
         let mut q: ShardQueue<u32> = ShardQueue::new(0, 4);
-        assert_eq!(q.note_barrier_arrival(Cycles::new(5)), None);
-        assert_eq!(q.note_barrier_arrival(Cycles::new(9)), None);
+        q.note_barrier_arrival(Cycles::new(5));
+        q.note_barrier_arrival(Cycles::new(9));
+        assert!(q.is_empty(), "windowed mode never schedules the release");
         assert_eq!(q.take_arrivals(), vec![Cycles::new(5), Cycles::new(9)]);
         assert!(q.take_arrivals().is_empty());
     }
@@ -1325,18 +1202,14 @@ mod tests {
     #[test]
     fn global_origin_sorts_before_node_origins() {
         let mut q: ShardQueue<u32> = ShardQueue::new(0, 2);
-        q.enable_inline_barrier(2, Cycles::new(1));
+        q.enable_inline_barrier(2, Cycles::new(1), |_| 999);
         q.set_origin(0);
         q.schedule_for(Cycles::new(5), 0, 100);
         q.set_origin_global();
         q.schedule_global(Cycles::new(5), 999);
         q.set_origin(1);
         q.schedule_for(Cycles::new(5), 1, 101);
-        let mut order = Vec::new();
-        let target = |e: &u32| if *e == 999 { None } else { Some((*e - 100) as usize) };
-        while let Some((_, e)) = q.pop(target) {
-            order.push(e);
-        }
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec![999, 100, 101]);
     }
 
@@ -1353,7 +1226,7 @@ mod tests {
         // Origin id = node 1 + 1 = 2, first counter value 1.
         assert_eq!(out[0].key, (2 << 32) | 1);
         b.deliver(out.into_iter().next().unwrap());
-        assert_eq!(b.pop(|_| Some(3)), Some((Cycles::new(20), 7)));
+        assert_eq!(b.pop(), Some((Cycles::new(20), 7)));
     }
 
     #[test]
@@ -1400,7 +1273,7 @@ mod tests {
                     release_delay: Cycles::new(11),
                     barrier_expected: nodes,
                     policy: WindowPolicy::Fixed,
-                    threads: 0,
+                    threads: 2,
                 },
                 |_s: &mut (), _now, ev: u32, _q: &mut ShardQueue<u32>| {
                     if ev == 3 {
@@ -1411,7 +1284,6 @@ mod tests {
                     }
                 },
                 |_s, _q, _at, _gen| {},
-                |e: &u32| Some(*e as usize),
             )
         }));
         let payload = result.expect_err("the planted panic must reach the caller");
@@ -1420,7 +1292,6 @@ mod tests {
             Some(&"planted failure on node 3")
         );
     }
-
     #[test]
     fn rendezvous_leader_acts_once_per_round_and_everyone_sees_it() {
         const ROUNDS: u64 = 2_000;
@@ -1495,179 +1366,6 @@ mod tests {
         assert_eq!(rv.parks.load(Ordering::Relaxed), 0);
     }
 
-    /// A barrier-phase toy: node `n` performs `5 + 25 * n` unit-latency
-    /// local steps, parks at the barrier, and resumes on the release —
-    /// for `ROUNDS` generations. The work skew makes fixed windows crawl
-    /// (every shard re-rendezvouses each quantum while one shard works),
-    /// which is exactly what adaptive windows elide.
-    #[derive(Clone, Debug)]
-    enum BEv {
-        Step { node: usize, left: u32 },
-        Release,
-    }
-
-    struct BShard {
-        first: usize,
-        count: usize,
-        rounds_left: u32,
-        steps: Vec<u64>,
-    }
-
-    const B_NODES: usize = 4;
-    const B_ROUNDS: u32 = 3;
-
-    fn b_work(node: usize) -> u32 {
-        5 + 25 * node as u32
-    }
-
-    fn b_target(e: &BEv) -> Option<usize> {
-        match e {
-            BEv::Step { node, .. } => Some(*node),
-            BEv::Release => None,
-        }
-    }
-
-    fn b_handle(s: &mut BShard, now: Cycles, ev: BEv, q: &mut ShardQueue<BEv>) {
-        match ev {
-            BEv::Step { node, left } => {
-                q.set_origin(node);
-                s.steps[node - s.first] += 1;
-                if left > 0 {
-                    q.schedule_for(
-                        now + Cycles::new(1),
-                        node,
-                        BEv::Step {
-                            node,
-                            left: left - 1,
-                        },
-                    );
-                } else if let Some(at) = q.note_barrier_arrival(now) {
-                    // Inline (single-shard) mode completes the barrier
-                    // locally; windowed mode returns None and the driver
-                    // releases through the hook instead.
-                    q.set_origin_global();
-                    q.schedule_global(at, BEv::Release);
-                }
-            }
-            BEv::Release => {
-                if s.rounds_left == 0 {
-                    return;
-                }
-                s.rounds_left -= 1;
-                for node in s.first..s.first + s.count {
-                    q.schedule_wakeup(
-                        now,
-                        node,
-                        BEv::Step {
-                            node,
-                            left: b_work(node),
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    fn run_barrier_toy(
-        n_shards: usize,
-        policy: WindowPolicy,
-        threads: usize,
-    ) -> (Vec<u64>, Cycles, PdesTelemetry) {
-        let per = B_NODES / n_shards;
-        let mut shards: Vec<BShard> = (0..n_shards)
-            .map(|i| BShard {
-                first: i * per,
-                count: per,
-                rounds_left: B_ROUNDS - 1,
-                steps: vec![0; per],
-            })
-            .collect();
-        let mut queues: Vec<ShardQueue<BEv>> =
-            (0..n_shards).map(|i| ShardQueue::new(i * per, per)).collect();
-        for n in 0..B_NODES {
-            let q = &mut queues[n / per];
-            if n_shards == 1 {
-                q.enable_inline_barrier(B_NODES, Cycles::new(LATENCY));
-            }
-            q.set_origin(n);
-            q.schedule_for(
-                Cycles::ZERO,
-                n,
-                BEv::Step {
-                    node: n,
-                    left: b_work(n),
-                },
-            );
-        }
-        let (end, telemetry) = if n_shards == 1 {
-            let (shard, queue) = (&mut shards[0], &mut queues[0]);
-            while let Some((now, ev)) = queue.pop(b_target) {
-                b_handle(shard, now, ev, queue);
-            }
-            (queue.now(), PdesTelemetry::default())
-        } else {
-            run_windows(
-                &mut shards,
-                &mut queues,
-                Windowing {
-                    lookahead: Cycles::new(LATENCY),
-                    release_delay: Cycles::new(LATENCY),
-                    barrier_expected: B_NODES,
-                    policy,
-                    threads,
-                },
-                b_handle,
-                |_s: &mut BShard, q: &mut ShardQueue<BEv>, at, generation| {
-                    q.deliver_release(at, generation, BEv::Release)
-                },
-                b_target,
-            )
-        };
-        let mut steps = vec![0; B_NODES];
-        for s in &shards {
-            for (i, c) in s.steps.iter().enumerate() {
-                steps[s.first + i] = *c;
-            }
-        }
-        (steps, end, telemetry)
-    }
-
-    #[test]
-    fn barrier_toy_is_identical_across_policies_and_threads() {
-        let (seq_steps, seq_end, _) = run_barrier_toy(1, WindowPolicy::Fixed, 0);
-        assert_eq!(seq_steps, vec![18, 93, 168, 243], "3 rounds of 5+25n+1 steps");
-        for n_shards in [2, 4] {
-            for policy in [WindowPolicy::Fixed, WindowPolicy::Adaptive] {
-                for threads in [0, 1, 2, 3] {
-                    let (steps, end, _) = run_barrier_toy(n_shards, policy, threads);
-                    assert_eq!(
-                        (steps, end),
-                        (seq_steps.clone(), seq_end),
-                        "diverged at {n_shards} shards, {policy:?}, {threads} threads"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_windows_elide_rendezvous_on_skewed_barrier_phases() {
-        let (_, _, fixed) = run_barrier_toy(4, WindowPolicy::Fixed, 0);
-        let (_, _, adaptive) = run_barrier_toy(4, WindowPolicy::Adaptive, 0);
-        assert!(
-            adaptive.windows < fixed.windows,
-            "adaptive must batch idle windows: {adaptive:?} vs {fixed:?}"
-        );
-        assert!(
-            adaptive.rendezvous < fixed.rendezvous,
-            "adaptive must rendezvous less: {adaptive:?} vs {fixed:?}"
-        );
-        assert!(adaptive.rendezvous_elided > 0, "elision telemetry: {adaptive:?}");
-        assert_eq!(fixed.rendezvous_elided, 0, "fixed policy elides nothing");
-        assert_eq!(adaptive.releases, u64::from(B_ROUNDS));
-        assert_eq!(adaptive.events, fixed.events, "same simulation, same events");
-    }
-
     /// Regression: a widened shard receives a message landing exactly at
     /// its granted (wider-than-fixed) window edge. Shard 0 holds the
     /// global minimum and local work straddling the edge; shard 1 pops
@@ -1684,13 +1382,6 @@ mod tests {
     #[derive(Default)]
     struct WShard {
         log: Vec<(u64, &'static str)>,
-    }
-
-    fn w_target(e: &WEv) -> Option<usize> {
-        match e {
-            WEv::Tick { .. } | WEv::Token => Some(0),
-            WEv::Fire => Some(1),
-        }
     }
 
     fn w_handle(s: &mut WShard, now: Cycles, ev: WEv, q: &mut ShardQueue<WEv>) {
@@ -1732,7 +1423,7 @@ mod tests {
             q.set_origin(1);
             q.schedule_for(Cycles::new(100), 1, WEv::Fire);
             let shard = &mut shards[0];
-            while let Some((now, ev)) = q.pop(w_target) {
+            while let Some((now, ev)) = q.pop() {
                 w_handle(shard, now, ev, &mut q);
             }
             log.append(&mut shard.log);
@@ -1751,11 +1442,10 @@ mod tests {
                     release_delay: Cycles::new(LATENCY),
                     barrier_expected: 0,
                     policy,
-                    threads: 0,
+                    threads: 2,
                 },
                 w_handle,
                 |_s, _q, _at, _gen| unreachable!("no barrier in this toy"),
-                w_target,
             );
             for s in &mut shards {
                 log.append(&mut s.log);

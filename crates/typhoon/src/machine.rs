@@ -9,25 +9,27 @@
 //!
 //! With `SystemConfig::sim_threads > 1` the machine partitions its nodes
 //! into contiguous shards and runs one shard per OS thread under the
-//! conservative window scheme of [`tt_sim::pdes`]. All mutable per-node
-//! state lives in [`NodeState`] and is handed to a shard as a slice; the
-//! network is cloned per shard (its send-side state is per-source-node),
-//! and the workload sits behind a mutex (chunk refills are the only
-//! shared pulls). Event keys are deterministic `(origin, counter)` pairs,
-//! so reported cycles and statistics are bit-identical at every thread
-//! count — the equivalence tests pin this.
+//! conservative window scheme of [`tt_sim::pdes`], through the shared
+//! [`tt_sim::driver`]. All mutable per-node state lives in `NodeState`
+//! and is handed to a shard as a slice; the network is cloned per shard
+//! (its send-side state is per-source-node), and the workload sits
+//! behind a mutex (chunk refills are the only shared pulls). Event keys
+//! are deterministic `(origin, counter)` pairs, so reported cycles and
+//! statistics are bit-identical at every thread count — the equivalence
+//! tests pin this.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 use tt_base::addr::{VAddr, WORD_BYTES};
 use tt_base::config::SystemConfig;
-use tt_base::stats::{PdesTelemetry, Report};
+use tt_base::stats::Report;
 use tt_base::workload::{Layout, Op, Workload};
 use tt_base::{Cycles, DetRng, NodeId};
 use tt_mem::{AccessKind, NodeMemory, PageTable, Tag};
 use tt_net::{Network, Packet, Payload, VirtualNet};
-use tt_sim::{OutMsg, ShardQueue, Windowing};
+use tt_sim::driver::{self, carve, Machine};
+use tt_sim::ShardQueue;
 use tt_tempest::{BlockDirSnapshot, BulkRequest, HandlerId, Message, Protocol, UserCall};
 
 use crate::cpu::{exec_access, AccessOutcome, CpuState, CpuStatus};
@@ -77,7 +79,7 @@ pub enum Event {
 impl Event {
     /// The node whose state handling this event touches, or `None` for
     /// events with machine-global effect. Routes events to their owning
-    /// shard and feeds the event queue's per-node horizon tracking.
+    /// shard and anchors the keys of what their handlers schedule.
     pub fn target(&self) -> Option<usize> {
         match self {
             Event::CpuStep(n) | Event::NpDispatch(n) => Some(*n),
@@ -88,15 +90,14 @@ impl Event {
     }
 }
 
-/// Schedules a machine event with its per-node target declared. Every
-/// schedule in the machine and its contexts funnels through here, so
-/// each event gets a deterministic `(origin, counter)` key and lands on
-/// the shard that owns its target.
+/// Schedules a node-targeted machine event. Every schedule in the
+/// machine and its contexts funnels through here, so each event gets a
+/// deterministic `(origin, counter)` key and lands on the shard that
+/// owns its target. (Barrier releases, the one global event, are
+/// scheduled by the driver.)
 pub(crate) fn schedule(queue: &mut ShardQueue<Event>, at: Cycles, event: Event) {
-    match event.target() {
-        Some(target) => queue.schedule_for(at, target, event),
-        None => queue.schedule_global(at, event),
-    }
+    let target = event.target().expect("machine events target a node");
+    queue.schedule_for(at, target, event);
 }
 
 /// An in-progress outgoing bulk transfer.
@@ -123,27 +124,7 @@ struct NodeState {
     bulk_seq: u64,
 }
 
-/// Barrier bookkeeping a shard carries: how many releases it has applied
-/// and the generation it expects next. Every shard observes every
-/// release, so after a run all shards' tallies agree.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct BarrierTally {
-    generation: u64,
-    releases: u64,
-}
-
-/// The result of a completed simulation.
-#[derive(Clone, Debug)]
-pub struct RunResult {
-    /// Total execution time (when the last processor finished).
-    pub cycles: Cycles,
-    /// Aggregated machine, network, and protocol statistics.
-    pub report: Report,
-    /// Host-side window-driver telemetry; `None` on the sequential path.
-    /// Kept out of `report` so sequential and parallel reports compare
-    /// equal.
-    pub pdes: Option<PdesTelemetry>,
-}
+pub use tt_sim::RunResult;
 
 /// The Typhoon machine (see crate docs).
 pub struct TyphoonMachine {
@@ -152,7 +133,6 @@ pub struct TyphoonMachine {
     nodes: Vec<NodeState>,
     protocols: Vec<Option<Box<dyn Protocol>>>,
     network: Network,
-    barrier: BarrierTally,
     workload: Mutex<Box<dyn Workload>>,
     layout: Layout,
     done: Vec<Option<Cycles>>,
@@ -166,7 +146,8 @@ pub struct TyphoonMachine {
 /// the shared pieces. In sequential mode one shard views everything; in
 /// parallel mode each worker thread owns one. All methods take node
 /// indices in *global* terms and translate via `first`.
-struct Shard<'m> {
+#[doc(hidden)]
+pub struct Shard<'m> {
     cfg: &'m SystemConfig,
     quantum: Cycles,
     /// First global node index this shard owns.
@@ -182,7 +163,6 @@ struct Shard<'m> {
     /// Present only in sequential mode: tracing needs the single total
     /// event order.
     tracer: Option<&'m mut Box<dyn Tracer>>,
-    barrier: &'m mut BarrierTally,
 }
 
 impl TyphoonMachine {
@@ -226,7 +206,6 @@ impl TyphoonMachine {
             nodes,
             protocols,
             network,
-            barrier: BarrierTally::default(),
             workload: Mutex::new(workload),
             layout,
             done,
@@ -236,8 +215,8 @@ impl TyphoonMachine {
     }
 
     /// Delivers same-cycle events in a seed-dependent permutation instead
-    /// of FIFO order (see `EventQueue::enable_tie_shuffle`). Call
-    /// before [`TyphoonMachine::run`].
+    /// of key order (the driver salts each queue's keys with `seed`).
+    /// Call before [`TyphoonMachine::run`].
     pub fn set_tie_shuffle(&mut self, seed: u64) {
         self.tie_shuffle = Some(seed);
     }
@@ -325,12 +304,7 @@ impl TyphoonMachine {
     /// is enabled and a load observes a value that a sequentially
     /// consistent execution could not produce.
     pub fn run(&mut self) -> RunResult {
-        let (shard_count, threads) = self.cfg.pdes_shape();
-        if shard_count == 1 {
-            self.run_sequential()
-        } else {
-            self.run_parallel(shard_count, threads)
-        }
+        driver::run(self)
     }
 
     /// Like [`TyphoonMachine::run`], but invokes `observe` after every
@@ -346,214 +320,16 @@ impl TyphoonMachine {
         &mut self,
         observe: &mut dyn FnMut(Cycles, &Event, &TyphoonMachine),
     ) -> RunResult {
-        let mut queue = self.sequential_queue();
-        {
-            let mut shard = self.whole_shard();
-            shard.init_nodes(&mut queue);
-        }
-        while let Some((now, event)) = queue.pop(|e: &Event| e.target()) {
-            let observed = event.clone();
-            {
-                let mut shard = self.whole_shard();
-                shard.handle(now, event, &mut queue);
-            }
-            observe(now, &observed, self);
-        }
-        self.finish()
-    }
-
-    /// The single-shard queue: inline barrier completion, no windows.
-    /// This path *is* the sequential simulator.
-    fn sequential_queue(&self) -> ShardQueue<Event> {
-        let mut queue = ShardQueue::new(0, self.cfg.nodes);
-        if let Some(seed) = self.tie_shuffle {
-            queue.enable_tie_shuffle(seed);
-        }
-        queue.enable_inline_barrier(self.cfg.nodes, self.cfg.timing.barrier_latency);
-        queue
-    }
-
-    /// A shard view spanning every node (sequential and observed runs).
-    fn whole_shard(&mut self) -> Shard<'_> {
-        Shard {
-            cfg: &self.cfg,
-            quantum: self.quantum,
-            first: 0,
-            nodes: &mut self.nodes,
-            protocols: &mut self.protocols,
-            done: &mut self.done,
-            network: &mut self.network,
-            workload: &self.workload,
-            tracer: self.tracer.as_mut(),
-            barrier: &mut self.barrier,
-        }
-    }
-
-    fn run_sequential(&mut self) -> RunResult {
-        let mut queue = self.sequential_queue();
-        {
-            let mut shard = self.whole_shard();
-            shard.init_nodes(&mut queue);
-            while let Some((now, event)) = queue.pop(|e: &Event| e.target()) {
-                shard.handle(now, event, &mut queue);
-            }
-        }
-        self.finish()
-    }
-
-    fn run_parallel(&mut self, shard_count: usize, threads: usize) -> RunResult {
-        assert!(
-            self.tracer.is_none(),
-            "tracing requires sim_threads = 1: a tracer observes one total event order"
-        );
-        let nodes_total = self.cfg.nodes;
-        let lookahead = self.network.lookahead();
-        let release_delay = self.cfg.timing.barrier_latency;
-        let policy = self.cfg.window_policy;
-        let ranges = split_ranges(nodes_total, shard_count);
-        let telemetry;
-
-        let mut queues: Vec<ShardQueue<Event>> = ranges
-            .iter()
-            .map(|&(first, len)| {
-                let mut q = ShardQueue::new(first, len);
-                if let Some(seed) = self.tie_shuffle {
-                    q.enable_tie_shuffle(seed);
-                }
-                q
-            })
-            .collect();
-        // Cloned before any traffic: stats start at zero and are folded
-        // back after the run; jitter/occupancy configuration rides along.
-        let mut nets: Vec<Network> = (0..shard_count).map(|_| self.network.clone()).collect();
-        let mut tallies = vec![BarrierTally::default(); shard_count];
-
-        {
-            let TyphoonMachine {
-                cfg,
-                quantum,
-                nodes,
-                protocols,
-                workload,
-                done,
-                ..
-            } = self;
-            let mut shards: Vec<Shard<'_>> = Vec::with_capacity(shard_count);
-            let mut nodes_rest = &mut nodes[..];
-            let mut protos_rest = &mut protocols[..];
-            let mut done_rest = &mut done[..];
-            let mut nets_iter = nets.iter_mut();
-            let mut tally_iter = tallies.iter_mut();
-            for &(first, len) in &ranges {
-                let (shard_nodes, rest) = nodes_rest.split_at_mut(len);
-                nodes_rest = rest;
-                let (shard_protos, rest) = protos_rest.split_at_mut(len);
-                protos_rest = rest;
-                let (shard_done, rest) = done_rest.split_at_mut(len);
-                done_rest = rest;
-                shards.push(Shard {
-                    cfg,
-                    quantum: *quantum,
-                    first,
-                    nodes: shard_nodes,
-                    protocols: shard_protos,
-                    done: shard_done,
-                    network: nets_iter.next().expect("one net per shard"),
-                    workload,
-                    tracer: None,
-                    barrier: tally_iter.next().expect("one tally per shard"),
-                });
-            }
-
-            for (shard, queue) in shards.iter_mut().zip(queues.iter_mut()) {
-                shard.init_nodes(queue);
-            }
-            // Protocol init may have scheduled cross-shard messages;
-            // route them before the window driver takes over (all are at
-            // ≥ the lookahead, so they cannot land inside the first
-            // window).
-            let pending: Vec<OutMsg<Event>> = queues
-                .iter_mut()
-                .flat_map(|q| q.take_outbox())
-                .collect();
-            for msg in pending {
-                let owner = ranges
-                    .iter()
-                    .position(|&(f, l)| (f..f + l).contains(&msg.target))
-                    .expect("target node within a shard");
-                queues[owner].deliver(msg);
-            }
-
-            telemetry = tt_sim::run_windows(
-                &mut shards,
-                &mut queues,
-                Windowing {
-                    lookahead,
-                    release_delay,
-                    barrier_expected: nodes_total,
-                    policy,
-                    threads,
-                },
-                |shard: &mut Shard<'_>, now, event, queue| shard.handle(now, event, queue),
-                |_shard, queue, at, generation| {
-                    queue.deliver_release(at, generation, Event::BarrierRelease { generation })
-                },
-                |e: &Event| e.target(),
-            )
-            .1;
-        }
-
-        for net in &nets {
-            self.network.absorb_stats(net);
-        }
-        assert!(
-            tallies.windows(2).all(|w| w[0] == w[1]),
-            "shards disagree on barrier history: {tallies:?}"
-        );
-        self.barrier = tallies[0].clone();
-        let mut result = self.finish();
-        result.pdes = Some(telemetry);
-        result
-    }
-
-    /// Asserts the machine drained cleanly and builds the result.
-    fn finish(&mut self) -> RunResult {
-        let stuck: Vec<_> = self
-            .nodes
-            .iter()
-            .filter(|n| n.cpu.status != CpuStatus::Done)
-            .map(|n| (n.cpu.id, n.cpu.status))
-            .collect();
-        assert!(
-            stuck.is_empty(),
-            "machine deadlocked with processors still blocked: {stuck:?} \
-             (np work pending={:?})",
-            self.nodes
-                .iter()
-                .map(|n| n.np.has_work())
-                .collect::<Vec<_>>()
-        );
-
-        let cycles = self
-            .done
-            .iter()
-            .map(|d| d.expect("all processors done"))
-            .max()
-            .unwrap_or(Cycles::ZERO);
-        RunResult {
-            cycles,
-            report: self.build_report(cycles),
-            pdes: None,
-        }
+        driver::run_observed(self, observe)
     }
 
     // --- Reporting -------------------------------------------------------
 
-    fn build_report(&mut self, cycles: Cycles) -> Report {
+    fn build_report(&mut self, cycles: Cycles, releases: u64) -> Report {
         let mut r = Report::new();
         r.push_count("machine.cycles", cycles.raw());
         r.push_count("machine.nodes", self.cfg.nodes as u64);
-        r.push_count("machine.barriers", self.barrier.releases);
+        r.push_count("machine.barriers", releases);
 
         let mut ops = 0u64;
         let mut reads = 0u64;
@@ -653,26 +429,129 @@ impl TyphoonMachine {
     }
 }
 
-/// Contiguous `(first, len)` node ranges splitting `total` nodes into
-/// `parts` shards of near-equal size.
-fn split_ranges(total: usize, parts: usize) -> Vec<(usize, usize)> {
-    (0..parts)
-        .map(|i| {
-            let first = i * total / parts;
-            let end = (i + 1) * total / parts;
-            (first, end - first)
-        })
-        .collect()
+#[doc(hidden)]
+impl Machine for TyphoonMachine {
+    type Event = Event;
+    /// Each shard's network clone, taken before any traffic: statistics
+    /// start at zero and are folded back after the run, while jitter and
+    /// occupancy configuration ride along.
+    type Local = Network;
+    type Shard<'a> = Shard<'a>;
+
+    fn config(&self) -> &SystemConfig {
+        &self.cfg
+    }
+
+    fn tie_shuffle(&self) -> Option<u64> {
+        self.tie_shuffle
+    }
+
+    fn lookahead(&self) -> Cycles {
+        self.network.lookahead()
+    }
+
+    fn whole(&mut self) -> Shard<'_> {
+        Shard {
+            cfg: &self.cfg,
+            quantum: self.quantum,
+            first: 0,
+            nodes: &mut self.nodes,
+            protocols: &mut self.protocols,
+            done: &mut self.done,
+            network: &mut self.network,
+            workload: &self.workload,
+            tracer: self.tracer.as_mut(),
+        }
+    }
+
+    fn local(&self) -> Network {
+        self.network.clone()
+    }
+
+    fn split<'a>(
+        &'a mut self,
+        ranges: &[(usize, usize)],
+        nets: &'a mut [Network],
+    ) -> Vec<Shard<'a>> {
+        assert!(
+            self.tracer.is_none(),
+            "tracing requires sim_threads = 1: a tracer observes one total event order"
+        );
+        let mut nodes = carve(&mut self.nodes, ranges);
+        let mut protocols = carve(&mut self.protocols, ranges);
+        let mut done = carve(&mut self.done, ranges);
+        ranges
+            .iter()
+            .zip(nets)
+            .map(|(&(first, _), network)| Shard {
+                cfg: &self.cfg,
+                quantum: self.quantum,
+                first,
+                nodes: nodes.next().expect("one node slice per range"),
+                protocols: protocols.next().expect("one protocol slice per range"),
+                done: done.next().expect("one done slice per range"),
+                network,
+                workload: &self.workload,
+                tracer: None,
+            })
+            .collect()
+    }
+
+    fn absorb(&mut self, nets: Vec<Network>) {
+        for net in &nets {
+            self.network.absorb_stats(net);
+        }
+    }
+
+    fn target(_: &Shard<'_>, event: &Event) -> Option<usize> {
+        event.target()
+    }
+
+    fn init(shard: &mut Shard<'_>, queue: &mut ShardQueue<Event>) {
+        shard.init_nodes(queue);
+    }
+
+    #[inline]
+    fn handle(shard: &mut Shard<'_>, now: Cycles, event: Event, queue: &mut ShardQueue<Event>) {
+        shard.handle(now, event, queue);
+    }
+
+    fn release_event(generation: u64) -> Event {
+        Event::BarrierRelease { generation }
+    }
+
+    /// Asserts the machine drained cleanly and builds the result.
+    fn finish(&mut self, releases: u64) -> (Cycles, Report) {
+        let stuck: Vec<_> = self
+            .nodes
+            .iter()
+            .filter(|n| n.cpu.status != CpuStatus::Done)
+            .map(|n| (n.cpu.id, n.cpu.status))
+            .collect();
+        assert!(
+            stuck.is_empty(),
+            "machine deadlocked with processors still blocked: {stuck:?} \
+             (np work pending={:?})",
+            self.nodes
+                .iter()
+                .map(|n| n.np.has_work())
+                .collect::<Vec<_>>()
+        );
+
+        let cycles = self
+            .done
+            .iter()
+            .map(|d| d.expect("all processors done"))
+            .max()
+            .unwrap_or(Cycles::ZERO);
+        (cycles, self.build_report(cycles, releases))
+    }
 }
 
 impl<'m> Shard<'m> {
-    /// Dispatches one event, declaring the handling node as the origin
-    /// of everything the handler schedules (the key scheme's anchor).
+    /// Dispatches one event (the driver has declared its target as the
+    /// origin of everything the handler schedules).
     fn handle(&mut self, now: Cycles, event: Event, queue: &mut ShardQueue<Event>) {
-        match event.target() {
-            Some(t) => queue.set_origin(t),
-            None => queue.set_origin_global(),
-        }
         match event {
             Event::CpuStep(n) => self.cpu_step(n, now, queue),
             Event::NpDispatch(n) => {
@@ -763,7 +642,6 @@ impl<'m> Shard<'m> {
             workload,
             done,
             tracer,
-            barrier,
             ..
         } = self;
         let l = n - *first;
@@ -851,20 +729,7 @@ impl<'m> Shard<'m> {
                     cpu.stats.ops.inc();
                     cpu.status = CpuStatus::AtBarrier;
                     cpu.suspended_at = cpu.clock;
-                    let arrival = cpu.clock;
-                    // Inline (single-shard) mode completes the barrier
-                    // here and schedules its own release; windowed mode
-                    // returns `None` and lets the driver aggregate
-                    // arrivals across shards at window boundaries.
-                    if let Some(release_at) = queue.note_barrier_arrival(arrival) {
-                        schedule(
-                            queue,
-                            release_at,
-                            Event::BarrierRelease {
-                                generation: barrier.generation,
-                            },
-                        );
-                    }
+                    queue.note_barrier_arrival(cpu.clock);
                     return;
                 }
                 Op::UserCall { op, arg } => {
@@ -1259,16 +1124,13 @@ impl<'m> Shard<'m> {
         }
     }
 
-    /// Releases this shard's own nodes from the barrier at `at`. Runs as
-    /// the `BarrierRelease` event handler in sequential mode and as the
-    /// window driver's release hook in parallel mode — each shard wakes
-    /// only the nodes it owns, and the wakeups are keyed under each
-    /// node's *own* origin counter (deterministic in both modes, since a
-    /// blocked node's counter cannot advance concurrently).
+    /// Releases this shard's own nodes from the barrier at `at`. Every
+    /// shard handles every release and wakes only the nodes it owns; the
+    /// wakeups are keyed under each node's *own* origin counter
+    /// (deterministic in both modes, since a blocked node's counter
+    /// cannot advance concurrently).
     fn release_local(&mut self, at: Cycles, generation: u64, queue: &mut ShardQueue<Event>) {
-        assert_eq!(generation, self.barrier.generation, "stale barrier release");
-        self.barrier.generation += 1;
-        self.barrier.releases += 1;
+        assert_eq!(generation + 1, queue.releases(), "stale barrier release");
         self.trace(at, TraceEvent::BarrierRelease);
         for l in 0..self.nodes.len() {
             let n = self.first + l;

@@ -15,6 +15,11 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc with warnings denied: intra-doc links to renamed or deleted
+# items fail here instead of rotting silently.
+echo "==> cargo doc --workspace --no-deps --lib (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 echo "==> figure3 smoke (--scale 64 --nodes 8 --jobs 2)"
 cargo run --release -p tt-bench --bin figure3 -- \
     --scale 64 --nodes 8 --jobs 2 >/dev/null
