@@ -214,6 +214,17 @@ impl Topology {
             Topology::FatTree { arity } => format!("fat-tree:{arity}"),
         }
     }
+
+    /// Checks the shape can be built: a fat tree needs arity 0
+    /// (derived) or at least 2.
+    pub fn validate(self) -> Result<(), String> {
+        match self {
+            Topology::FatTree { arity: 1 } => {
+                Err("fat-tree arity must be 0 (derived) or at least 2, got 1".to_string())
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 impl std::str::FromStr for Topology {
@@ -556,13 +567,14 @@ impl SystemConfig {
 
     /// Checks the settings no simulation can run with: `nodes` must lie
     /// in `1..=65_535`, since node ids are 16-bit and the event-key
-    /// scheme reserves origin id 0 for machine-global events.
+    /// scheme reserves origin id 0 for machine-global events, and the
+    /// topology must be buildable ([`Topology::validate`]).
     pub fn validate(&self) -> Result<(), String> {
         let max = usize::from(u16::MAX);
         if !(1..=max).contains(&self.nodes) {
             return Err(format!("nodes must be between 1 and {max}, got {}", self.nodes));
         }
-        Ok(())
+        self.topology.validate()
     }
 }
 
@@ -619,6 +631,22 @@ mod tests {
             c.nodes = nodes;
             assert_eq!(c.validate().is_ok(), ok, "{nodes} nodes");
         }
+    }
+
+    #[test]
+    fn validate_rejects_a_unary_fat_tree() {
+        let mut c = SystemConfig::default();
+        for (arity, ok) in [(0, true), (1, false), (2, true), (4, true)] {
+            c.topology = Topology::FatTree { arity };
+            assert_eq!(c.validate().is_ok(), ok, "fat-tree arity {arity}");
+        }
+        c.topology = Topology::FatTree { arity: 1 };
+        assert_eq!(
+            c.validate(),
+            Err("fat-tree arity must be 0 (derived) or at least 2, got 1".to_string())
+        );
+        c.topology = Topology::Mesh2D { width: 1 };
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

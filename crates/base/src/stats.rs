@@ -56,13 +56,6 @@ pub struct PdesTelemetry {
     /// Barrier rendezvous performed: one leader decision per round
     /// (windows, barrier releases, and the final stop round).
     pub rendezvous: u64,
-    /// Rendezvous the adaptive policy skipped, estimated per round as
-    /// the largest number of fixed-quantum buckets any one shard's
-    /// executed events spanned, minus one — the extra rounds a fixed
-    /// driver (which re-anchors each window at the current global
-    /// minimum) would have needed for the same work. 0 under the fixed
-    /// policy.
-    pub rendezvous_elided: u64,
     /// Events dispatched inside windows, across all shards.
     pub events: u64,
     /// Cross-shard messages exchanged at window boundaries.
@@ -259,6 +252,9 @@ impl LatHistogram {
     }
 }
 
+/// A named per-item count for [`Report::push_sums`].
+pub type SumRow<T> = (&'static str, fn(&T) -> u64);
+
 /// One named value in a statistics report.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReportRow {
@@ -291,6 +287,14 @@ impl Report {
     /// Appends an integer metric.
     pub fn push_count(&mut self, name: impl Into<String>, value: u64) {
         self.push(name, value as f64);
+    }
+
+    /// Appends one count row per `(name, count)` in `rows`: `count`
+    /// summed over `items`.
+    pub fn push_sums<T>(&mut self, items: &[T], rows: &[SumRow<T>]) {
+        for &(name, count) in rows {
+            self.push_count(name, items.iter().map(count).sum());
+        }
     }
 
     /// Looks up a metric by exact name.
@@ -445,5 +449,13 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("a.b"));
         assert!(text.contains("1.5"));
+    }
+
+    #[test]
+    fn push_sums_appends_one_summed_row_per_count_in_order() {
+        let mut r = Report::new();
+        r.push_sums(&[(1u64, 10u64), (2, 20)], &[("b", |x| x.1), ("a", |x| x.0)]);
+        let rows: Vec<_> = r.iter().map(|row| (row.name.as_str(), row.value)).collect();
+        assert_eq!(rows, vec![("b", 30.0), ("a", 3.0)]);
     }
 }

@@ -91,8 +91,9 @@ fn parse_topology(args: &[String], i: &mut usize) -> Topology {
     *i += 1;
     args.get(*i)
         .and_then(|v| v.parse().ok())
+        .filter(|t: &Topology| t.validate().is_ok())
         .unwrap_or_else(|| {
-            eprintln!("tt-check: --topology needs `ideal`, `mesh[:W]`, or `fat-tree[:A]`");
+            eprintln!("tt-check: --topology needs `ideal`, `mesh[:W]`, or `fat-tree[:A]` (A >= 2)");
             usage()
         })
 }

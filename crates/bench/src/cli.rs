@@ -194,9 +194,13 @@ pub fn try_parse_cli_with(
                     .map_err(|e| format!("--window-policy: {e}"))?;
             }
             "--topology" => {
-                cli.topology = value(args, i, "--topology")?
+                let topology: Topology = value(args, i, "--topology")?
                     .parse()
                     .map_err(|e| format!("--topology: {e}"))?;
+                topology
+                    .validate()
+                    .map_err(|e| format!("--topology: {e}"))?;
+                cli.topology = topology;
             }
             "--json" => cli.json = Some(std::path::PathBuf::from(value(args, i, "--json")?)),
             "--full" => {
@@ -294,6 +298,10 @@ mod tests {
         assert!(bad(&["--jobs", "abc"]).starts_with("--jobs N: \"abc\""));
         assert!(bad(&["--window-policy", "eager"]).starts_with("--window-policy: "));
         assert!(bad(&["--topology", "ring"]).starts_with("--topology: "));
+        assert_eq!(
+            bad(&["--topology", "fat-tree:1"]),
+            "--topology: fat-tree arity must be 0 (derived) or at least 2, got 1"
+        );
         assert_eq!(
             bad(&["--nodes", "0"]),
             "--nodes: nodes must be between 1 and 65535, got 0"

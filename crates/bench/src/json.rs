@@ -61,12 +61,11 @@ impl PointRecord {
         let pdes = match &self.pdes {
             None => "null".to_string(),
             Some(t) => format!(
-                "{{\"windows\": {}, \"rendezvous\": {}, \"rendezvous_elided\": {}, \
-                 \"events\": {}, \"cross_messages\": {}, \"releases\": {}, \
+                "{{\"windows\": {}, \"rendezvous\": {}, \"events\": {}, \
+                 \"cross_messages\": {}, \"releases\": {}, \
                  \"events_per_window\": {:.2}, \"cross_messages_per_window\": {:.2}}}",
                 t.windows,
                 t.rendezvous,
-                t.rendezvous_elided,
                 t.events,
                 t.cross_messages,
                 t.releases,
@@ -265,7 +264,6 @@ mod tests {
                 pdes: Some(PdesTelemetry {
                     windows: 10,
                     rendezvous: 12,
-                    rendezvous_elided: 30,
                     events: 500,
                     cross_messages: 40,
                     releases: 2,
@@ -298,7 +296,7 @@ mod tests {
         assert!(text.contains("\"pdes\": null"));
         assert!(text.contains("\"pdes\": null}"));
         assert!(text.contains(", \"kv\": {\"p99\": 123}}"));
-        assert!(text.contains("\"rendezvous_elided\": 30"));
+        assert!(text.contains("\"rendezvous\": 12, \"events\": 500"));
         assert!(text.contains("\"events_per_window\": 50.00"));
         assert!(text.contains("\"git_rev\": "));
         assert!(text.contains("\"host\": "));

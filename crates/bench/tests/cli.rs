@@ -49,12 +49,14 @@ fn help_prints_usage_and_exits_zero() {
 
 #[test]
 fn bad_arguments_print_one_error_line_and_exit_two() {
-    let cases: [&[&str]; 7] = [
+    let cases: [&[&str]; 8] = [
         &["--bogus"],
         &["--jobs", "abc"],
         &["--nodes"],
         &["--window-policy", "eager"],
         &["--topology", "ring"],
+        // A unary fat tree cannot be built (SystemConfig::validate).
+        &["--topology", "fat-tree:1"],
         // Node ids are 16-bit: zero nodes and more than 65,535 are
         // impossible machines, rejected before anything is built.
         &["--nodes", "0"],

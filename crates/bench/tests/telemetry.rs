@@ -45,8 +45,6 @@ fn adaptive_windows_cut_rendezvous_on_idle_heavy_ocean() {
     // Event counts may differ slightly between policies: direct-execution
     // wakeup elision depends on window shape. Cycle tables never do.
     assert_eq!(f.releases, a.releases, "same barrier generations either way");
-    assert_eq!(f.rendezvous_elided, 0, "fixed policy never elides");
-    assert!(a.rendezvous_elided > 0, "adaptive policy must report elisions");
     assert!(
         a.rendezvous * 5 <= f.rendezvous,
         "expected >= 5x rendezvous reduction, got {} -> {}",

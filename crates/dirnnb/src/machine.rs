@@ -1,5 +1,6 @@
 //! The DirNNB machine: CPUs + hardware directory, driven by the same
-//! event engine and workload op streams as Typhoon.
+//! event engine, CPU front end (`tt_sim::cpu`) and workload op streams
+//! as Typhoon.
 //!
 //! # Parallel simulation
 //!
@@ -15,61 +16,42 @@
 //! coherence — causally unordered accesses (the only ones that can race
 //! in wall-clock time inside a window) always touch different words.
 
+use std::ops::Range;
 use std::sync::Mutex;
 
 use tt_base::addr::{VAddr, Vpn, BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
 use tt_base::config::SystemConfig;
 use tt_base::stats::{Counter, Report};
-use tt_base::workload::{Op, Workload};
+use tt_base::workload::Workload;
 use tt_base::{Cycles, DetRng, FxHashMap, NodeId};
 use tt_mem::cache::Probe;
 use tt_mem::{AccessKind, CacheModel, FifoTlb};
 use tt_net::{Network, VirtualNet, ARG_WORD_BYTES, HANDLER_WORD_BYTES};
+use tt_sim::cpu::{self, Access, CpuHost, Flow, Stall, Status, Stream};
 use tt_sim::driver::{self, carve, split_ranges, Machine};
 use tt_sim::ShardQueue;
 
 use crate::dir::{DirBusy, DirReq, DirView, Directory};
 
-/// Execution status of a CPU.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CpuStatus {
-    Ready,
-    BlockedMiss,
-    AtBarrier,
-    Done,
-}
-
-/// Per-CPU statistics.
+/// DirNNB's per-CPU statistics; the counters every machine keeps live
+/// on the shared [`Stream`].
 #[derive(Clone, Debug, Default)]
 struct CpuStats {
-    ops: Counter,
     reads: Counter,
     writes: Counter,
-    compute_cycles: Counter,
     local_misses: Counter,
     remote_misses: Counter,
     upgrades: Counter,
-    miss_stall_cycles: Counter,
-    barrier_wait_cycles: Counter,
-    /// Cycles skipped by `Op::WaitUntil` (open-loop arrival idling).
-    idle_cycles: Counter,
 }
 
 struct Cpu {
     cache: CacheModel,
     tlb: FifoTlb<Vpn>,
-    chunk: Vec<Op>,
-    pc: usize,
-    clock: Cycles,
-    status: CpuStatus,
-    step_pending: bool,
-    suspended_at: Cycles,
+    stream: Stream,
     /// Block address of the outstanding miss, if any. Used to defer a
     /// recall that overtakes this CPU's grant (the protocol's
     /// "relinquish and retry" for a busy owner).
     pending_block: Option<u64>,
-    /// Values observed by `Op::ReadRecord` loads, in program order.
-    recorded: Vec<u64>,
     stats: CpuStats,
 }
 
@@ -116,7 +98,6 @@ pub use tt_sim::RunResult;
 /// The all-hardware DirNNB machine (see crate docs).
 pub struct DirnnbMachine {
     cfg: SystemConfig,
-    quantum: Cycles,
     cpus: Vec<Cpu>,
     dirs: Directory,
     home_map: FxHashMap<Vpn, NodeId>,
@@ -127,9 +108,7 @@ pub struct DirnnbMachine {
     store: Mutex<FxHashMap<Vpn, StorePage>>,
     network: Network,
     workload: Mutex<Box<dyn Workload>>,
-    done: Vec<Option<Cycles>>,
     dir_stats: DirStats,
-    verify_values: bool,
     /// Seed for same-cycle tie-shuffling, applied to the event queue at
     /// `run` time (a `tt-check` legal-nondeterminism knob).
     tie_shuffle: Option<u64>,
@@ -164,11 +143,9 @@ fn home_of_in(home_map: &FxHashMap<Vpn, NodeId>, addr: u64) -> NodeId {
 #[doc(hidden)]
 pub struct Shard<'m> {
     cfg: &'m SystemConfig,
-    quantum: Cycles,
     /// First global node index this shard owns.
     first: usize,
     cpus: &'m mut [Cpu],
-    done: &'m mut [Option<Cycles>],
     /// Directory state homed at this shard's nodes. Disjoint across
     /// shards because home-directed events are routed by home (and
     /// directory pages align with the page-granular home map).
@@ -180,7 +157,6 @@ pub struct Shard<'m> {
     network: &'m mut Network,
     workload: &'m Mutex<Box<dyn Workload>>,
     dir_stats: &'m mut DirStats,
-    verify_values: bool,
 }
 
 /// What one shard of a windowed run owns besides its CPU slice: a
@@ -224,36 +200,24 @@ impl DirnnbMachine {
                     rng.fork(i as u64),
                 ),
                 tlb: FifoTlb::new(cfg.cpu.tlb_entries),
-                chunk: Vec::new(),
-                pc: 0,
-                clock: Cycles::ZERO,
-                status: CpuStatus::Ready,
-                step_pending: false,
-                suspended_at: Cycles::ZERO,
+                stream: Stream::default(),
                 pending_block: None,
-                recorded: Vec::new(),
                 stats: CpuStats::default(),
             })
             .collect();
         let mut network = Network::new(cfg.nodes, cfg.timing.network_latency);
         network.set_occupancy(cfg.timing.network_occupancy);
         network.set_topology(cfg.topology);
-        let quantum = cfg.timing.network_latency;
-        let done = vec![None; cfg.nodes];
-        let verify_values = cfg.verify_values;
         DirnnbMachine {
             dirs: Directory::new(cfg.nodes),
             cfg,
-            quantum,
             cpus,
             home_map,
             home_affinity,
             store: Mutex::new(FxHashMap::default()),
             network,
             workload: Mutex::new(workload),
-            done,
             dir_stats: DirStats::default(),
-            verify_values,
             tie_shuffle: None,
         }
     }
@@ -277,7 +241,7 @@ impl DirnnbMachine {
     /// Values `node`'s CPU observed via `Op::ReadRecord` loads, in
     /// program order (litmus harnesses read these back after a run).
     pub fn recorded_reads(&self, node: usize) -> &[u64] {
-        &self.cpus[node].recorded
+        &self.cpus[node].stream.recorded
     }
 
     /// Runs the simulation to completion. `SystemConfig::sim_threads`
@@ -366,47 +330,28 @@ impl DirnnbMachine {
         r.push_count("machine.cycles", cycles.raw());
         r.push_count("machine.nodes", self.cfg.nodes as u64);
         r.push_count("machine.barriers", releases);
-        let mut ops = 0u64;
-        let mut reads = 0u64;
-        let mut writes = 0u64;
-        let mut compute = 0u64;
-        let mut local = 0u64;
-        let mut remote = 0u64;
-        let mut upgrades = 0u64;
-        let mut stall = 0u64;
-        let mut barrier_wait = 0u64;
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let mut tlb_misses = 0u64;
-        let mut idle = 0u64;
-        for cpu in &self.cpus {
-            ops += cpu.stats.ops.get();
-            idle += cpu.stats.idle_cycles.get();
-            reads += cpu.stats.reads.get();
-            writes += cpu.stats.writes.get();
-            compute += cpu.stats.compute_cycles.get();
-            local += cpu.stats.local_misses.get();
-            remote += cpu.stats.remote_misses.get();
-            upgrades += cpu.stats.upgrades.get();
-            stall += cpu.stats.miss_stall_cycles.get();
-            barrier_wait += cpu.stats.barrier_wait_cycles.get();
-            cache_hits += cpu.cache.stats().hits.get();
-            cache_misses += cpu.cache.stats().misses.get();
-            tlb_misses += cpu.tlb.stats().misses.get();
-        }
-        r.push_count("cpu.ops", ops);
-        r.push_count("cpu.reads", reads);
-        r.push_count("cpu.writes", writes);
-        r.push_count("cpu.compute_cycles", compute);
-        r.push_count("cpu.local_misses", local);
-        r.push_count("cpu.remote_misses", remote);
-        r.push_count("cpu.upgrades", upgrades);
-        r.push_count("cpu.miss_stall_cycles", stall);
-        r.push_count("cpu.barrier_wait_cycles", barrier_wait);
-        r.push_count("cpu.cache_hits", cache_hits);
-        r.push_count("cpu.cache_misses", cache_misses);
-        r.push_count("cpu.tlb_misses", tlb_misses);
-        r.push_count("cpu.idle_cycles", idle);
+        r.push_sums(
+            &self.cpus,
+            &[
+                ("cpu.ops", |c| c.stream.ops.get()),
+                ("cpu.reads", |c| c.stats.reads.get()),
+                ("cpu.writes", |c| c.stats.writes.get()),
+                ("cpu.compute_cycles", |c| c.stream.compute_cycles.get()),
+                ("cpu.local_misses", |c| c.stats.local_misses.get()),
+                ("cpu.remote_misses", |c| c.stats.remote_misses.get()),
+                ("cpu.upgrades", |c| c.stats.upgrades.get()),
+                ("cpu.miss_stall_cycles", |c| {
+                    c.stream.stall_cycles(Stall::Miss)
+                }),
+                ("cpu.barrier_wait_cycles", |c| {
+                    c.stream.barrier_wait_cycles.get()
+                }),
+                ("cpu.cache_hits", |c| c.cache.stats().hits.get()),
+                ("cpu.cache_misses", |c| c.cache.stats().misses.get()),
+                ("cpu.tlb_misses", |c| c.tlb.stats().misses.get()),
+                ("cpu.idle_cycles", |c| c.stream.idle_cycles.get()),
+            ],
+        );
         r.push_count("dir.ops", self.dir_stats.dir_ops.get());
         r.push_count("dir.invalidations", self.dir_stats.invalidations.get());
         r.push_count("dir.recalls", self.dir_stats.recalls.get());
@@ -444,17 +389,14 @@ impl Machine for DirnnbMachine {
     fn whole(&mut self) -> Shard<'_> {
         Shard {
             cfg: &self.cfg,
-            quantum: self.quantum,
             first: 0,
             cpus: &mut self.cpus,
-            done: &mut self.done,
             dirs: &mut self.dirs,
             home_map: &self.home_map,
             store: &self.store,
             network: &mut self.network,
             workload: &self.workload,
             dir_stats: &mut self.dir_stats,
-            verify_values: self.verify_values,
         }
     }
 
@@ -472,23 +414,19 @@ impl Machine for DirnnbMachine {
         locals: &'a mut [ShardLocal],
     ) -> Vec<Shard<'a>> {
         let mut cpus = carve(&mut self.cpus, ranges);
-        let mut done = carve(&mut self.done, ranges);
         ranges
             .iter()
             .zip(locals)
             .map(|(&(first, _), local)| Shard {
                 cfg: &self.cfg,
-                quantum: self.quantum,
                 first,
                 cpus: cpus.next().expect("one CPU slice per range"),
-                done: done.next().expect("one done slice per range"),
                 dirs: &mut local.dirs,
                 home_map: &self.home_map,
                 store: &self.store,
                 network: &mut local.network,
                 workload: &self.workload,
                 dir_stats: &mut local.stats,
-                verify_values: self.verify_values,
             })
             .collect()
     }
@@ -508,7 +446,7 @@ impl Machine for DirnnbMachine {
     }
 
     fn init(shard: &mut Shard<'_>, queue: &mut ShardQueue<Event>) {
-        shard.init_nodes(queue);
+        cpu::seed(shard, queue);
     }
 
     #[inline]
@@ -522,23 +460,11 @@ impl Machine for DirnnbMachine {
 
     /// Asserts the machine drained cleanly and builds the result.
     fn finish(&mut self, releases: u64) -> (Cycles, Report) {
-        let stuck: Vec<_> = self
-            .cpus
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.status != CpuStatus::Done)
-            .map(|(i, c)| (i, c.status))
-            .collect();
-        if !stuck.is_empty() {
-            let busy = self.dirs.stuck();
-            panic!("DirNNB machine deadlocked: {stuck:?}; stuck directory entries: {busy:?}");
-        }
-        let cycles = self
-            .done
-            .iter()
-            .map(|d| d.expect("all done"))
-            .max()
-            .unwrap_or(Cycles::ZERO);
+        let cycles =
+            cpu::finished_at(self.cpus.iter().map(|c| &c.stream)).unwrap_or_else(|stuck| {
+                let busy = self.dirs.stuck();
+                panic!("DirNNB machine deadlocked: {stuck:?}; stuck directory entries: {busy:?}");
+            });
         (cycles, self.build_report(cycles, releases))
     }
 }
@@ -562,7 +488,7 @@ impl<'m> Shard<'m> {
     /// origin of everything the handler schedules).
     fn handle(&mut self, now: Cycles, event: Event, queue: &mut ShardQueue<Event>) {
         match event {
-            Event::CpuStep(n) => self.cpu_step(n, now, queue),
+            Event::CpuStep(n) => cpu::step(self, n, now, queue),
             Event::HomeRequest { addr, from, req } => {
                 self.home_request(addr, NodeId::new(from), req, now, queue)
             }
@@ -578,17 +504,7 @@ impl<'m> Shard<'m> {
                 self.grant_arrived(addr, node as usize, req, now, queue)
             }
             Event::Writeback { addr, from } => self.writeback(addr, NodeId::new(from), now, queue),
-            Event::BarrierRelease { generation } => self.release_local(now, generation, queue),
-        }
-    }
-
-    /// Seeds the queue with each owned node's first CPU step.
-    fn init_nodes(&mut self, queue: &mut ShardQueue<Event>) {
-        for l in 0..self.cpus.len() {
-            let n = self.first + l;
-            queue.set_origin(n);
-            self.cpus[l].step_pending = true;
-            queue.schedule_for(Cycles::ZERO, n, Event::CpuStep(n));
+            Event::BarrierRelease { generation } => cpu::release(self, now, generation, queue),
         }
     }
 
@@ -609,161 +525,19 @@ impl<'m> Shard<'m> {
         self.network.deliver_at(inject, src, dst, VirtualNet::Request, wire)
     }
 
-    // --- CPU execution ----------------------------------------------------
+    // --- CPU memory system ------------------------------------------------
 
-    /// The per-op inner loop. Ops that touch only this CPU (compute,
-    /// calls, barriers, chunk refills) run under one split borrow of
-    /// `self` — no re-indexing per op, mirroring `TyphoonMachine`.
-    /// Memory ops break out to [`Self::access`], which needs the
-    /// directory and network.
-    fn cpu_step(&mut self, n: usize, now: Cycles, queue: &mut ShardQueue<Event>) {
-        let l = n - self.first;
-        {
-            let cpu = &mut self.cpus[l];
-            cpu.step_pending = false;
-            if cpu.status != CpuStatus::Ready {
-                return;
-            }
-            if cpu.clock < now {
-                cpu.clock = now;
-            }
-        }
-        let mut deadline = now + self.quantum;
-        loop {
-            let (addr, kind, value, expect, record) = {
-                let Shard {
-                    cfg,
-                    quantum,
-                    cpus,
-                    workload,
-                    done,
-                    ..
-                } = self;
-                let cpu = &mut cpus[l];
-                loop {
-                    // Refill the op chunk if exhausted, reusing its allocation.
-                    if cpu.pc >= cpu.chunk.len() {
-                        let mut chunk = std::mem::take(&mut cpu.chunk);
-                        let refilled = workload
-                            .lock()
-                            .expect("workload poisoned")
-                            .next_chunk_into(NodeId::new(n as u16), &mut chunk);
-                        if refilled {
-                            cpu.chunk = chunk;
-                            cpu.pc = 0;
-                            if cpu.chunk.is_empty() {
-                                continue;
-                            }
-                        } else {
-                            cpu.status = CpuStatus::Done;
-                            done[l] = Some(cpu.clock);
-                            return;
-                        }
-                    }
-                    let op = cpu.chunk[cpu.pc];
-                    match op {
-                        Op::Compute(k) => {
-                            cpu.clock += Cycles::new(k as u64);
-                            cpu.stats.compute_cycles.add(k as u64);
-                            cpu.stats.ops.inc();
-                            cpu.pc += 1;
-                        }
-                        Op::UserCall { .. } => {
-                            // A hardware shared-memory machine has no user-level
-                            // protocol; calls complete immediately.
-                            cpu.clock += Cycles::new(1);
-                            cpu.stats.ops.inc();
-                            cpu.pc += 1;
-                        }
-                        Op::Barrier => {
-                            cpu.pc += 1;
-                            cpu.stats.ops.inc();
-                            cpu.status = CpuStatus::AtBarrier;
-                            cpu.suspended_at = cpu.clock;
-                            queue.note_barrier_arrival(cpu.clock);
-                            return;
-                        }
-                        Op::Read { addr, expect } => {
-                            break (addr, AccessKind::Load, 0, expect, false)
-                        }
-                        Op::ReadRecord { addr } => {
-                            break (addr, AccessKind::Load, 0, None, true)
-                        }
-                        Op::Write { addr, value } => {
-                            break (addr, AccessKind::Store, value, None, false)
-                        }
-                        Op::WaitUntil { until } => {
-                            cpu.stats.ops.inc();
-                            cpu.pc += 1;
-                            let target = Cycles::new(until);
-                            if target > cpu.clock {
-                                cpu.stats.idle_cycles.add((target - cpu.clock).raw());
-                                cpu.clock = target;
-                            }
-                        }
-                    }
-                    if cpu.clock >= deadline {
-                        let at = cpu.clock;
-                        // Direct execution (WWT-style): if every pending
-                        // event lies strictly beyond this CPU's clock, the
-                        // wakeup we are about to schedule would be the very
-                        // next event popped — skip the queue round trip and
-                        // keep executing inline. Under the window scheme
-                        // the run must also stay below the window end. Only
-                        // the self-wakeup (a reserved key) is elided, so
-                        // reported cycles stay byte-identical.
-                        if cfg.direct_execution
-                            && queue.peek_time().is_none_or(|t| t > at)
-                            && queue.window_end().is_none_or(|end| at < end)
-                        {
-                            deadline = at + *quantum;
-                            continue;
-                        }
-                        cpu.step_pending = true;
-                        queue.schedule_wakeup(at, n, Event::CpuStep(n));
-                        return;
-                    }
-                }
-            };
-            if !self.access(n, queue, addr, kind, value, expect, record) {
-                return;
-            }
-            if self.cpus[l].clock >= deadline {
-                let at = self.cpus[l].clock;
-                // Same direct-execution bypass as the inner loop; see there.
-                if self.cfg.direct_execution
-                    && queue.peek_time().is_none_or(|t| t > at)
-                    && queue.window_end().is_none_or(|end| at < end)
-                {
-                    deadline = at + self.quantum;
-                    continue;
-                }
-                let cpu = &mut self.cpus[l];
-                cpu.step_pending = true;
-                queue.schedule_wakeup(at, n, Event::CpuStep(n));
-                return;
-            }
-        }
-    }
-
-    /// Executes one access; returns `false` if the CPU blocked on a miss.
-    #[allow(clippy::too_many_arguments)]
-    fn access(
-        &mut self,
-        n: usize,
-        queue: &mut ShardQueue<Event>,
-        addr: VAddr,
-        kind: AccessKind,
-        value: u64,
-        expect: Option<u64>,
-        record: bool,
-    ) -> bool {
+    /// Executes one access: a cache hit or a directory grant the home
+    /// can give on the spot completes it; anything else blocks the CPU
+    /// and sends the request to the home directory.
+    #[inline]
+    fn issue_access(&mut self, n: usize, access: Access, queue: &mut ShardQueue<Event>) -> Flow {
         let l = n - self.first;
         let me = NodeId::new(n as u16);
+        let (addr, kind) = (access.addr, access.kind);
         let block = addr.block_base().raw();
         let key = block / BLOCK_BYTES as u64;
         let mut cost = Cycles::new(1);
-        self.cpus[l].stats.ops.inc();
         if !self.cpus[l].tlb.access(addr.page()) {
             cost += self.cfg.timing.tlb_miss;
         }
@@ -777,10 +551,9 @@ impl<'m> Shard<'m> {
         let Some(req) = req else {
             // Cache hit: no directory involvement, so the home lookup is
             // not needed — this is the per-op fast path.
-            self.complete_access(n, addr, kind, value, expect, record);
-            self.cpus[l].clock += cost;
-            self.cpus[l].pc += 1;
-            return true;
+            self.complete_access(n, access);
+            self.cpus[l].stream.complete(cost);
+            return Flow::Completed;
         };
         let home = self.home_of(addr.raw());
 
@@ -813,10 +586,9 @@ impl<'m> Shard<'m> {
                 } else {
                     self.fill(n, key, owned, &mut cost, queue);
                 }
-                self.complete_access(n, addr, kind, value, expect, record);
-                self.cpus[l].clock += cost;
-                self.cpus[l].pc += 1;
-                return true;
+                self.complete_access(n, access);
+                self.cpus[l].stream.complete(cost);
+                return Flow::Completed;
             }
         }
 
@@ -832,11 +604,10 @@ impl<'m> Shard<'m> {
         }
         let inject = {
             let cpu = &mut self.cpus[l];
-            cpu.clock += cost;
-            cpu.status = CpuStatus::BlockedMiss;
-            cpu.suspended_at = cpu.clock;
+            cpu.stream.clock += cost;
+            cpu.stream.block(Stall::Miss);
             cpu.pending_block = Some(block);
-            cpu.clock
+            cpu.stream.clock
         };
         let at = self.deliver(inject, me, home, false);
         queue.schedule_for(
@@ -848,21 +619,20 @@ impl<'m> Shard<'m> {
                 req,
             },
         );
-        false
+        Flow::Blocked
     }
 
     /// Functional completion: reads check the global store, writes update
     /// it (hardware-coherent shared memory has a single value image).
-    fn complete_access(
-        &mut self,
-        n: usize,
-        addr: VAddr,
-        kind: AccessKind,
-        value: u64,
-        expect: Option<u64>,
-        record: bool,
-    ) {
+    fn complete_access(&mut self, n: usize, access: Access) {
         let l = n - self.first;
+        let Access {
+            addr,
+            kind,
+            value,
+            expect,
+            record,
+        } = access;
         match kind {
             AccessKind::Load => {
                 self.cpus[l].stats.reads.inc();
@@ -871,9 +641,9 @@ impl<'m> Shard<'m> {
                     read_store(&mut store, addr)
                 };
                 if record {
-                    self.cpus[l].recorded.push(got);
+                    self.cpus[l].stream.recorded.push(got);
                 }
-                if self.verify_values {
+                if self.cfg.verify_values {
                     if let Some(expect) = expect {
                         assert_eq!(
                             got, expect,
@@ -911,7 +681,7 @@ impl<'m> Shard<'m> {
                 let victim_addr = victim.block * BLOCK_BYTES as u64;
                 let home = self.home_of(victim_addr);
                 let me = NodeId::new(n as u16);
-                let clock = self.cpus[l].clock;
+                let clock = self.cpus[l].stream.clock;
                 let at = self.deliver(clock.max(queue.now()), me, home, true);
                 queue.schedule_for(
                     at,
@@ -1187,56 +957,53 @@ impl<'m> Shard<'m> {
         // grant delivers the data to the stalled load/store, so a recall
         // racing in behind it can never steal an incomplete access (that
         // would livelock two writers hammering one block).
-        {
-            let cpu = &mut self.cpus[l];
-            debug_assert_eq!(cpu.status, CpuStatus::BlockedMiss);
-            cpu.status = CpuStatus::Ready;
-            cpu.pending_block = None;
-        }
-        let op = self.cpus[l].chunk[self.cpus[l].pc];
-        match op {
-            Op::Read { addr, expect } => {
-                self.complete_access(node, addr, AccessKind::Load, 0, expect, false)
-            }
-            Op::ReadRecord { addr } => {
-                self.complete_access(node, addr, AccessKind::Load, 0, None, true)
-            }
-            Op::Write { addr, value } => {
-                self.complete_access(node, addr, AccessKind::Store, value, None, false)
-            }
-            other => unreachable!("blocked on a non-memory op {other:?}"),
-        }
         let cpu = &mut self.cpus[l];
-        cpu.pc += 1;
-        cpu.clock = now + cost;
-        cpu.stats
-            .miss_stall_cycles
-            .add((cpu.clock - cpu.suspended_at).raw());
-        if !cpu.step_pending {
-            cpu.step_pending = true;
-            let at = cpu.clock;
-            queue.schedule_for(at, node, Event::CpuStep(node));
-        }
+        debug_assert_eq!(cpu.stream.status, Status::Blocked(Stall::Miss));
+        cpu.pending_block = None;
+        let access = cpu.stream.pending_access();
+        self.complete_access(node, access);
+        let stream = &mut self.cpus[l].stream;
+        stream.pc += 1;
+        // The miss stall runs from the request to the fill's end (the
+        // blocked CPU's clock is the request time, before `now`).
+        stream.resume(now + cost);
+        stream.wake(node, queue, Event::CpuStep(node));
+    }
+}
+
+impl CpuHost for Shard<'_> {
+    type Event = Event;
+
+    fn config(&self) -> &SystemConfig {
+        self.cfg
     }
 
-    /// Releases this shard's own nodes from the barrier at `at` (see the
-    /// Typhoon equivalent).
-    fn release_local(&mut self, at: Cycles, generation: u64, queue: &mut ShardQueue<Event>) {
-        assert_eq!(generation + 1, queue.releases(), "stale barrier release");
-        for l in 0..self.cpus.len() {
-            let n = self.first + l;
-            let cpu = &mut self.cpus[l];
-            assert_eq!(cpu.status, CpuStatus::AtBarrier, "node {n} missed the barrier");
-            cpu.stats
-                .barrier_wait_cycles
-                .add((at - cpu.suspended_at).raw());
-            cpu.status = CpuStatus::Ready;
-            cpu.clock = at;
-            if !cpu.step_pending {
-                cpu.step_pending = true;
-                queue.set_origin(n);
-                queue.schedule_for(at, n, Event::CpuStep(n));
-            }
-        }
+    fn workload(&self) -> &Mutex<Box<dyn Workload>> {
+        self.workload
+    }
+
+    fn nodes(&self) -> Range<usize> {
+        self.first..self.first + self.cpus.len()
+    }
+
+    #[inline]
+    fn cpu(&mut self, n: usize) -> &mut Stream {
+        &mut self.cpus[n - self.first].stream
+    }
+
+    #[inline]
+    fn access(&mut self, n: usize, access: Access, queue: &mut ShardQueue<Event>) -> Flow {
+        self.issue_access(n, access, queue)
+    }
+
+    /// A hardware shared-memory machine has no user-level protocol:
+    /// calls complete in one cycle.
+    fn user_call(&mut self, n: usize, _: u32, _: u64, _: &mut ShardQueue<Event>) -> Flow {
+        self.cpus[n - self.first].stream.clock += Cycles::new(1);
+        Flow::Completed
+    }
+
+    fn wakeup(n: usize) -> Event {
+        Event::CpuStep(n)
     }
 }

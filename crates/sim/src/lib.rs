@@ -3,7 +3,8 @@
 //! The paper evaluated Typhoon on the Wisconsin Wind Tunnel, a parallel
 //! discrete-event simulator. This crate is our deterministic equivalent:
 //! a time-ordered event queue, the one machine [`driver`] that runs
-//! every simulation, and — in [`pdes`] — a conservative parallel window
+//! every simulation, the one op-stream [`cpu`] both machines execute
+//! workloads on, and — in [`pdes`] — a conservative parallel window
 //! scheme in the WWT style that runs one simulation across OS threads
 //! while producing bit-identical results.
 //!
@@ -16,6 +17,7 @@ use std::collections::BinaryHeap;
 
 use tt_base::{mix64, Cycles};
 
+pub mod cpu;
 pub mod driver;
 pub mod pdes;
 

@@ -220,13 +220,6 @@ pub struct ShardQueue<E> {
     /// Nodes of this shard currently parked at the barrier (windowed
     /// mode; cleared when the release is delivered).
     waiting: usize,
-    /// First pop of the current window (telemetry anchor).
-    window_anchor: Option<Cycles>,
-    /// Distinct fixed-quantum buckets this window's pops occupied
-    /// (telemetry; see [`decide`]'s elision estimate).
-    window_buckets: u64,
-    /// Bucket index of the most recent pop, relative to the anchor.
-    window_last_bucket: u64,
     /// Windowed-mode context, installed by [`run_windows`].
     win: Option<WinCtx>,
     inline_barrier: Option<InlineBarrier<E>>,
@@ -246,9 +239,6 @@ impl<E> ShardQueue<E> {
             window_end: None,
             arrivals: Vec::new(),
             waiting: 0,
-            window_anchor: None,
-            window_buckets: 0,
-            window_last_bucket: 0,
             win: None,
             inline_barrier: None,
         }
@@ -469,31 +459,7 @@ impl<E> ShardQueue<E> {
                 return None;
             }
         }
-        let popped = self.queue.pop();
-        // Telemetry: count the *occupied* fixed-quantum buckets this
-        // window's pops land in. Empty buckets between pops don't count
-        // — a fixed driver re-anchors each window at the current global
-        // minimum, so it skips fully-empty time in one round too. Pops
-        // arrive in time order, so a transition check suffices.
-        if let (Some((t, _)), Some(win)) = (&popped, self.win) {
-            let quantum = win.lookahead.min(win.release_delay);
-            match self.window_anchor {
-                None => {
-                    self.window_anchor = Some(*t);
-                    self.window_buckets = 1;
-                    self.window_last_bucket = 0;
-                }
-                Some(anchor) if quantum > Cycles::ZERO => {
-                    let b = t.saturating_sub(anchor).raw() / quantum.raw();
-                    if b != self.window_last_bucket {
-                        self.window_last_bucket = b;
-                        self.window_buckets += 1;
-                    }
-                }
-                Some(_) => {}
-            }
-        }
-        popped
+        self.queue.pop()
     }
 
     /// Records a barrier arrival at `at`. In inline mode, the arrival
@@ -570,13 +536,6 @@ impl<E> ShardQueue<E> {
 
     fn take_arrivals(&mut self) -> Vec<Cycles> {
         std::mem::take(&mut self.arrivals)
-    }
-
-    /// Returns and resets the bucket count of the window just run (0 in
-    /// rounds that ran no window, e.g. releases).
-    fn take_window_buckets(&mut self) -> u64 {
-        self.window_anchor = None;
-        std::mem::take(&mut self.window_buckets)
     }
 }
 
@@ -721,11 +680,9 @@ struct DriverState {
     generation: u64,
     arrived: usize,
     max_arrival: Cycles,
-    /// Telemetry: window rounds, leader decisions, estimated fixed-policy
-    /// rounds the adaptive bounds skipped.
+    /// Telemetry: window rounds and leader decisions.
     windows: u64,
     rendezvous: u64,
-    elided: u64,
     /// Per-shard heads and barrier occupancy gathered by [`decide`];
     /// kept across rounds so the leader allocates nothing per round.
     head: Vec<Option<Cycles>>,
@@ -739,9 +696,6 @@ struct ShardStatus {
     head: Option<Cycles>,
     /// Nodes currently parked at the barrier.
     waiting: usize,
-    /// Fixed-quantum buckets the previous window's pops spanned
-    /// (telemetry for the leader's elision estimate).
-    buckets: u64,
 }
 
 struct Shared<E> {
@@ -834,7 +788,6 @@ where
                 Mutex::new(ShardStatus {
                     head: q.peek_time(),
                     waiting: q.waiting(),
-                    buckets: 0,
                 })
             })
             .collect(),
@@ -849,7 +802,6 @@ where
             max_arrival: Cycles::ZERO,
             windows: 0,
             rendezvous: 0,
-            elided: 0,
             head: Vec::with_capacity(n_shards),
             waiting: Vec::with_capacity(n_shards),
         }),
@@ -900,7 +852,6 @@ where
     PdesTelemetry {
         windows: st.windows,
         rendezvous: st.rendezvous,
-        rendezvous_elided: st.elided,
         events,
         cross_messages,
         releases: st.generation,
@@ -918,12 +869,10 @@ fn decide<E>(shared: &Shared<E>, cfg: Windowing, quantum: Cycles) -> Decision {
     let st = &mut *guard;
     st.head.clear();
     st.waiting.clear();
-    let mut max_buckets = 0u64;
     for status in &shared.status {
         let s = status.lock().expect("status lock");
         st.head.push(s.head);
         st.waiting.push(s.waiting);
-        max_buckets = max_buckets.max(s.buckets);
     }
     // In-flight cross-shard messages bound their *target* shard exactly
     // like its pending local events.
@@ -935,15 +884,6 @@ fn decide<E>(shared: &Shared<E>, cfg: Windowing, quantum: Cycles) -> Decision {
     let global_min = st.head.iter().flatten().min().copied();
 
     st.rendezvous += 1;
-    // Elision estimate for the round just finished: a fixed driver
-    // re-anchors each window at the then-current global minimum and
-    // pops at least one event per round, so the fixed rounds this work
-    // would have taken is (approximately) the largest number of
-    // quantum-sized buckets any one shard's pops spanned — every bucket
-    // beyond the first is a rendezvous the widened bounds skipped.
-    if cfg.policy == WindowPolicy::Adaptive {
-        st.elided += max_buckets.saturating_sub(1);
-    }
     if st.pending_release.is_none() && st.arrived > 0 && st.arrived == cfg.barrier_expected {
         st.pending_release = Some(st.max_arrival + cfg.release_delay);
         st.arrived = 0;
@@ -1160,7 +1100,6 @@ fn publish<E>(index: usize, queue: &mut ShardQueue<E>, shared: &Shared<E>) {
     let mut st = shared.status[index].lock().expect("status lock");
     st.head = queue.peek_time();
     st.waiting = queue.waiting();
-    st.buckets = queue.take_window_buckets();
 }
 
 #[cfg(test)]

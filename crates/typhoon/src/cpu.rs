@@ -12,41 +12,23 @@
 use tt_base::addr::{PAddr, VAddr};
 use tt_base::config::SystemConfig;
 use tt_base::stats::Counter;
-use tt_base::workload::Op;
 use tt_base::{Cycles, NodeId};
 use tt_mem::cache::Probe;
 use tt_mem::{AccessKind, CacheModel, FifoTlb, NodeMemory, PageTable, Tag};
+use tt_sim::cpu::Stream;
 use tt_tempest::{BlockFault, PageFault, ThreadId};
 
 use crate::np::NpState;
 
-/// Execution status of a node's computation thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CpuStatus {
-    /// Executing ops.
-    Ready,
-    /// Suspended on a page or block access fault; retries the faulting op
-    /// when resumed.
-    BlockedFault,
-    /// Suspended inside an explicit protocol call.
-    BlockedCall,
-    /// Waiting at a barrier.
-    AtBarrier,
-    /// Program finished.
-    Done,
-}
-
-/// Per-CPU statistics.
+/// Typhoon's per-CPU statistics; the counters every machine keeps
+/// (ops, compute, idle, barrier wait, stalls) live on the shared
+/// [`Stream`].
 #[derive(Clone, Debug, Default)]
 pub struct CpuStats {
-    /// Ops executed (each charged one base cycle).
-    pub ops: Counter,
     /// Tag-checked loads executed to completion.
     pub reads: Counter,
     /// Tag-checked stores executed to completion.
     pub writes: Counter,
-    /// Cycles spent in `Compute` ops.
-    pub compute_cycles: Counter,
     /// Cache misses satisfied locally without protocol involvement.
     pub local_misses: Counter,
     /// Write-upgrades on locally writable blocks.
@@ -55,19 +37,12 @@ pub struct CpuStats {
     pub block_faults: Counter,
     /// Page faults taken.
     pub page_faults: Counter,
-    /// Cycles suspended on faults (fault to resume).
-    pub fault_stall_cycles: Counter,
-    /// Cycles waiting at barriers.
-    pub barrier_wait_cycles: Counter,
-    /// Cycles suspended in protocol calls.
-    pub call_stall_cycles: Counter,
     /// RTLB misses observed on this CPU's bus transactions.
     pub rtlb_misses: Counter,
-    /// Cycles skipped by `Op::WaitUntil` (open-loop arrival idling).
-    pub idle_cycles: Counter,
 }
 
-/// The state of one node's computation thread.
+/// One node's primary processor: the shared op-stream state plus the
+/// cache, TLB and statistics of Typhoon's bus model.
 #[derive(Debug)]
 pub struct CpuState {
     /// This node's id.
@@ -76,21 +51,8 @@ pub struct CpuState {
     pub cache: CacheModel,
     /// The CPU TLB (Table 2: 64-entry fully associative FIFO).
     pub tlb: FifoTlb<tt_base::addr::Vpn>,
-    /// Current op chunk.
-    pub chunk: Vec<Op>,
-    /// Index of the next op in `chunk`.
-    pub pc: usize,
-    /// Local time through which this CPU has executed.
-    pub clock: Cycles,
-    /// Execution status.
-    pub status: CpuStatus,
-    /// Whether a `CpuStep` event is already scheduled (de-duplication).
-    pub step_pending: bool,
-    /// Time at which the current suspension began (for stall accounting).
-    pub suspended_at: Cycles,
-    /// Values observed by `Op::ReadRecord` loads, in program order
-    /// (litmus harnesses read these back after the run).
-    pub recorded: Vec<u64>,
+    /// The op stream this CPU executes (see [`tt_sim::cpu`]).
+    pub stream: Stream,
     /// Statistics.
     pub stats: CpuStats,
 }
@@ -107,13 +69,7 @@ impl CpuState {
                 rng,
             ),
             tlb: FifoTlb::new(cfg.cpu.tlb_entries),
-            chunk: Vec::new(),
-            pc: 0,
-            clock: Cycles::ZERO,
-            status: CpuStatus::Ready,
-            step_pending: false,
-            suspended_at: Cycles::ZERO,
-            recorded: Vec::new(),
+            stream: Stream::default(),
             stats: CpuStats::default(),
         }
     }
@@ -159,7 +115,6 @@ pub fn exec_access(
     store_value: u64,
 ) -> AccessOutcome {
     let mut cost = Cycles::new(1);
-    cpu.stats.ops.inc();
 
     // Virtual address translation.
     if !cpu.tlb.access(addr.page()) {

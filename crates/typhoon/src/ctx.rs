@@ -13,14 +13,14 @@ use tt_base::addr::{Ppn, VAddr, Vpn, BLOCK_BYTES};
 use tt_base::config::SystemConfig;
 use tt_base::{Cycles, NodeId};
 use tt_mem::cache::Probe;
-use tt_mem::{NodeMemory, PageMeta, PageTable, Tag};
+use tt_mem::{PageMeta, Tag};
 use tt_net::{Network, Packet, Payload, VirtualNet};
 use tt_tempest::{BulkRequest, HandlerId, TempestCtx, TempestError, ThreadId};
+use tt_sim::cpu::Stall;
 use tt_sim::ShardQueue;
 
-use crate::cpu::{CpuState, CpuStatus};
-use crate::machine::{BulkState, Event};
-use crate::np::NpState;
+use crate::machine::{issue_access, BulkState, Event, NodeState};
+use crate::trace::Tracer;
 
 /// The per-handler Tempest context (see module docs).
 pub struct NodeCtx<'a> {
@@ -31,14 +31,13 @@ pub struct NodeCtx<'a> {
     pub(crate) start: Cycles,
     /// Cost accumulated so far by this handler.
     pub(crate) cost: Cycles,
-    pub(crate) cpu: &'a mut CpuState,
-    pub(crate) np: &'a mut NpState,
-    pub(crate) mem: &'a mut NodeMemory,
-    pub(crate) ptable: &'a mut PageTable,
+    /// The node the handler runs on: its CPU, NP, memory, page table
+    /// and bulk transfers.
+    pub(crate) node: &'a mut NodeState,
     pub(crate) network: &'a mut Network,
     pub(crate) queue: &'a mut ShardQueue<Event>,
-    pub(crate) bulk_out: &'a mut Vec<BulkState>,
-    pub(crate) bulk_seq: &'a mut u64,
+    /// Present only in sequential runs (see `TyphoonMachine::set_tracer`).
+    pub(crate) tracer: Option<&'a mut Box<dyn Tracer>>,
 }
 
 impl NodeCtx<'_> {
@@ -48,74 +47,8 @@ impl NodeCtx<'_> {
         self.cost
     }
 
-    /// Attempts the faulted access the CPU was suspended on (see
-    /// [`TempestCtx::resume`]): completes it if the tags now permit,
-    /// or re-faults (the Stache page-fault handler resumes expecting a
-    /// block fault, so a refault here is normal, not an error).
-    fn retry_pending_access(&mut self) {
-        use tt_base::workload::Op;
-        let op = match self.cpu.chunk.get(self.cpu.pc) {
-            Some(op) => *op,
-            None => return,
-        };
-        let (addr, kind, value, expect, record) = match op {
-            Op::Read { addr, expect } => (addr, tt_mem::AccessKind::Load, 0, expect, false),
-            Op::ReadRecord { addr } => (addr, tt_mem::AccessKind::Load, 0, None, true),
-            Op::Write { addr, value } => (addr, tt_mem::AccessKind::Store, value, None, false),
-            _ => return,
-        };
-        match crate::cpu::exec_access(
-            self.cfg, self.cpu, self.np, self.mem, self.ptable, addr, kind, value,
-        ) {
-            crate::cpu::AccessOutcome::Done { cost, value: loaded } => {
-                if self.cfg.verify_values {
-                    if let (Some(expect), Some(got)) = (expect, loaded) {
-                        assert_eq!(
-                            got, expect,
-                            "coherence violation: node {} read {addr} on retry",
-                            self.id
-                        );
-                    }
-                }
-                if record {
-                    self.cpu
-                        .recorded
-                        .push(loaded.expect("a load always produces a value"));
-                }
-                self.cpu.clock += cost;
-                self.cpu.pc += 1;
-            }
-            crate::cpu::AccessOutcome::PageFault(fault, cost) => {
-                self.cpu.clock += cost + self.cfg.typhoon.effective_fault_detect();
-                self.cpu.status = CpuStatus::BlockedFault;
-                self.cpu.suspended_at = self.cpu.clock;
-                let at = self.cpu.clock;
-                crate::machine::schedule(self.queue, 
-                    at,
-                    Event::NpWork {
-                        node: self.id.index(),
-                        work: crate::np::NpWork::PageFault(fault),
-                    },
-                );
-            }
-            crate::cpu::AccessOutcome::BlockFault(fault, cost) => {
-                self.cpu.clock += cost;
-                self.cpu.status = CpuStatus::BlockedFault;
-                self.cpu.suspended_at = self.cpu.clock;
-                let at = self.cpu.clock;
-                crate::machine::schedule(self.queue, 
-                    at,
-                    Event::NpWork {
-                        node: self.id.index(),
-                        work: crate::np::NpWork::BlockFault(fault),
-                    },
-                );
-            }
-        }
-    }
-
     fn translate_or_die(&self, addr: VAddr) -> tt_base::addr::PAddr {
-        self.ptable.translate_addr(addr).unwrap_or_else(|| {
+        self.node.ptable.translate_addr(addr).unwrap_or_else(|| {
             panic!(
                 "node {}: NP access to unmapped address {addr} — an NP page \
                  fault is a user programming error (paper Section 5.1)",
@@ -126,7 +59,7 @@ impl NodeCtx<'_> {
 
     /// Charges an NP forward-TLB access for a handler memory operation.
     fn charge_np_tlb(&mut self, vpn: Vpn) {
-        if self.np.tlb.access(vpn) {
+        if self.node.np.tlb.access(vpn) {
             self.cost += Cycles::new(1);
         } else {
             self.cost += self.cfg.typhoon.np_tlb_miss;
@@ -135,7 +68,7 @@ impl NodeCtx<'_> {
 
     /// Charges an RTLB access for a tag operation.
     fn charge_rtlb(&mut self, ppn: Ppn) {
-        if self.np.rtlb.access(ppn) {
+        if self.node.np.rtlb.access(ppn) {
             self.cost += Cycles::new(1);
         } else {
             self.cost += self.cfg.typhoon.np_tlb_miss;
@@ -151,12 +84,12 @@ impl NodeCtx<'_> {
         match tag {
             Tag::ReadWrite => {}
             Tag::ReadOnly => {
-                if self.cpu.cache.peek(key) == Probe::HitOwned {
-                    self.cpu.cache.set_owned(key, false);
+                if self.node.cpu.cache.peek(key) == Probe::HitOwned {
+                    self.node.cpu.cache.set_owned(key, false);
                 }
             }
             Tag::Invalid | Tag::Busy => {
-                self.cpu.cache.invalidate(key);
+                self.node.cpu.cache.invalidate(key);
             }
         }
     }
@@ -178,14 +111,14 @@ impl TempestCtx for NodeCtx<'_> {
     fn charge(&mut self, instructions: u64) {
         let scaled = self.cfg.scaled_handler_instr(instructions);
         self.cost += Cycles::new(scaled);
-        self.np.stats.instructions.add(scaled);
+        self.node.np.stats.instructions.add(scaled);
     }
 
     fn protocol_data_access(&mut self, key: u64) {
-        match self.np.dcache.probe(key) {
+        match self.node.np.dcache.probe(key) {
             Probe::Miss => {
                 self.cost += self.cfg.timing.local_miss;
-                self.np.dcache.fill(key, true);
+                self.node.np.dcache.fill(key, true);
             }
             _ => self.cost += Cycles::new(1),
         }
@@ -224,9 +157,9 @@ impl TempestCtx for NodeCtx<'_> {
 
     fn bulk_transfer(&mut self, request: BulkRequest) {
         assert_eq!(request.bytes % 8, 0, "bulk transfers must be word-aligned");
-        *self.bulk_seq += 1;
-        let id = *self.bulk_seq;
-        self.bulk_out.push(BulkState {
+        self.node.bulk_seq += 1;
+        let id = self.node.bulk_seq;
+        self.node.bulk.push(BulkState {
             id,
             request,
             offset: 0,
@@ -241,76 +174,82 @@ impl TempestCtx for NodeCtx<'_> {
     }
 
     fn alloc_page(&mut self) -> Ppn {
-        self.mem.alloc()
+        self.node.mem.alloc()
     }
 
     fn free_page(&mut self, ppn: Ppn) {
-        self.mem.free(ppn);
+        self.node.mem.free(ppn);
     }
 
     fn map_page(&mut self, vpn: Vpn, ppn: Ppn) -> Result<(), TempestError> {
-        self.ptable.map(vpn, ppn)?;
-        self.mem.frame_mut(ppn).meta.vpn = Some(vpn);
+        self.node.ptable.map(vpn, ppn)?;
+        self.node.mem.frame_mut(ppn).meta.vpn = Some(vpn);
         Ok(())
     }
 
     fn unmap_page(&mut self, vpn: Vpn) -> Result<Ppn, TempestError> {
-        let ppn = self.ptable.unmap(vpn)?;
+        let ppn = self.node.ptable.unmap(vpn)?;
         // Stale translations and tag residency must be flushed, and any
         // CPU-cached blocks of the frame purged (the frame is about to be
         // re-purposed).
-        self.cpu.tlb.flush(vpn);
-        self.np.tlb.flush(vpn);
-        self.np.rtlb.flush(ppn);
+        self.node.cpu.tlb.flush(vpn);
+        self.node.np.tlb.flush(vpn);
+        self.node.np.rtlb.flush(ppn);
         let first_block = ppn.base().raw() / BLOCK_BYTES as u64;
-        self.cpu
+        self.node
+            .cpu
             .cache
             .invalidate_range(first_block..first_block + tt_base::addr::BLOCKS_PER_PAGE as u64);
-        self.mem.frame_mut(ppn).meta.vpn = None;
+        self.node.mem.frame_mut(ppn).meta.vpn = None;
         Ok(ppn)
     }
 
     fn translate(&self, vpn: Vpn) -> Option<Ppn> {
-        self.ptable.translate(vpn)
+        self.node.ptable.translate(vpn)
     }
 
     fn page_meta(&self, vpn: Vpn) -> Option<PageMeta> {
-        self.ptable.translate(vpn).map(|p| self.mem.frame(p).meta)
+        self.node
+            .ptable
+            .translate(vpn)
+            .map(|p| self.node.mem.frame(p).meta)
     }
 
     fn set_page_meta(&mut self, vpn: Vpn, meta: PageMeta) {
         let ppn = self
+            .node
             .ptable
             .translate(vpn)
             .unwrap_or_else(|| panic!("set_page_meta on unmapped page {vpn:?}"));
         let mut meta = meta;
         meta.vpn = Some(vpn);
-        self.mem.frame_mut(ppn).meta = meta;
+        self.node.mem.frame_mut(ppn).meta = meta;
     }
 
     fn allocated_bytes(&self) -> usize {
-        self.mem.allocated_bytes()
+        self.node.mem.allocated_bytes()
     }
 
     fn read_tag(&self, addr: VAddr) -> Tag {
         let paddr = self.translate_or_die(addr);
-        self.mem.tag(paddr)
+        self.node.mem.tag(paddr)
     }
 
     fn set_tag(&mut self, addr: VAddr, tag: Tag) {
         let paddr = self.translate_or_die(addr);
         self.charge_rtlb(paddr.page());
-        self.mem.set_tag(paddr, tag);
+        self.node.mem.set_tag(paddr, tag);
         self.enforce_cache_consistency(paddr, tag);
     }
 
     fn set_page_tags(&mut self, vpn: Vpn, tag: Tag) {
         let ppn = self
+            .node
             .ptable
             .translate(vpn)
             .unwrap_or_else(|| panic!("set_page_tags on unmapped page {vpn:?}"));
         self.charge_rtlb(ppn);
-        self.mem.frame_mut(ppn).set_all_tags(tag);
+        self.node.mem.frame_mut(ppn).set_all_tags(tag);
         if tag != Tag::ReadWrite {
             let first = ppn.base();
             for b in 0..tt_base::addr::BLOCKS_PER_PAGE {
@@ -323,32 +262,38 @@ impl TempestCtx for NodeCtx<'_> {
         self.charge_np_tlb(addr.page());
         self.cost += Cycles::new(1);
         let paddr = self.translate_or_die(addr);
-        self.mem.read_word(paddr)
+        self.node.mem.read_word(paddr)
     }
 
     fn force_write_word(&mut self, addr: VAddr, value: u64) {
         self.charge_np_tlb(addr.page());
         self.cost += Cycles::new(1);
         let paddr = self.translate_or_die(addr);
-        self.mem.write_word(paddr, value);
+        self.node.mem.write_word(paddr, value);
         // The block-transfer path is coherent with the CPU cache: purge
         // any (now stale) CPU copy.
-        self.cpu.cache.invalidate(paddr.raw() / BLOCK_BYTES as u64);
+        self.node
+            .cpu
+            .cache
+            .invalidate(paddr.raw() / BLOCK_BYTES as u64);
     }
 
     fn force_read_block(&mut self, addr: VAddr) -> [u8; BLOCK_BYTES] {
         self.charge_np_tlb(addr.page());
         self.cost += self.cfg.typhoon.np_block_xfer;
         let paddr = self.translate_or_die(addr);
-        self.mem.read_block(paddr)
+        self.node.mem.read_block(paddr)
     }
 
     fn force_write_block(&mut self, addr: VAddr, block: &[u8; BLOCK_BYTES]) {
         self.charge_np_tlb(addr.page());
         self.cost += self.cfg.typhoon.np_block_xfer;
         let paddr = self.translate_or_die(addr);
-        self.mem.write_block(paddr, block);
-        self.cpu.cache.invalidate(paddr.raw() / BLOCK_BYTES as u64);
+        self.node.mem.write_block(paddr, block);
+        self.node
+            .cpu
+            .cache
+            .invalidate(paddr.raw() / BLOCK_BYTES as u64);
     }
 
     fn resume(&mut self, thread: ThreadId) {
@@ -357,43 +302,29 @@ impl TempestCtx for NodeCtx<'_> {
             self.id,
             "resume of a non-local thread: handlers can only resume their own node's computation"
         );
-        assert!(
-            matches!(
-                self.cpu.status,
-                CpuStatus::BlockedFault | CpuStatus::BlockedCall
-            ),
-            "resume of a thread that is not suspended (status {:?})",
-            self.cpu.status
-        );
-        let resume_at = self.now() + Cycles::new(1);
-        let stalled = resume_at - self.cpu.suspended_at;
-        let was_fault = self.cpu.status == CpuStatus::BlockedFault;
-        match self.cpu.status {
-            CpuStatus::BlockedFault => self.cpu.stats.fault_stall_cycles.add(stalled.raw()),
-            CpuStatus::BlockedCall => self.cpu.stats.call_stall_cycles.add(stalled.raw()),
-            _ => unreachable!(),
-        }
-        self.cpu.status = CpuStatus::Ready;
-        self.cpu.clock = if self.cpu.clock > resume_at {
-            self.cpu.clock
-        } else {
-            resume_at
-        };
-
+        let reason = self.node.cpu.stream.resume(self.now() + Cycles::new(1));
         // Resuming unmasks the CPU's nacked bus transaction, which
         // completes *before* the NP dispatches another handler — so the
-        // retried access is attempted right here. Without this, a recall
-        // or invalidation queued behind the current handler would
-        // systematically steal the block before the retry, and two
-        // writers hammering one block could livelock (real Typhoon gives
-        // the pending transaction the same priority).
-        if was_fault {
-            self.retry_pending_access();
+        // retried access is attempted right here (and counts as an op
+        // again; it may re-fault, e.g. a page-fault handler resuming
+        // into a block fault). Without this, a recall or invalidation
+        // queued behind the current handler would systematically steal
+        // the block before the retry, and two writers hammering one
+        // block could livelock (real Typhoon gives the pending
+        // transaction the same priority).
+        if reason == Stall::Fault {
+            let stream = &mut self.node.cpu.stream;
+            stream.ops.inc();
+            let access = stream.pending_access();
+            issue_access(
+                self.cfg,
+                self.node,
+                self.tracer.as_deref_mut(),
+                self.queue,
+                access,
+            );
         }
-        if self.cpu.status == CpuStatus::Ready && !self.cpu.step_pending {
-            self.cpu.step_pending = true;
-            let at = self.cpu.clock;
-            crate::machine::schedule(self.queue, at, Event::CpuStep(self.id.index()));
-        }
+        let n = self.id.index();
+        self.node.cpu.stream.wake(n, self.queue, Event::CpuStep(n));
     }
 }

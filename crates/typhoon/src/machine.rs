@@ -1,9 +1,10 @@
 //! The Typhoon machine: nodes, events, and the simulation driver.
 //!
 //! The machine executes a [`Workload`]'s op streams on `nodes` simulated
-//! processors, each paired with a network interface processor running one
-//! instance of a user-level [`Protocol`]. See the crate docs for the
-//! modeling approach.
+//! processors (the shared `tt_sim::cpu` front end, with Typhoon's
+//! tag-checked bus model behind its memory ops), each paired with a
+//! network interface processor running one instance of a user-level
+//! [`Protocol`]. See the crate docs for the modeling approach.
 //!
 //! # Parallel simulation
 //!
@@ -19,20 +20,22 @@
 //! tests pin this.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Mutex;
 
 use tt_base::addr::{VAddr, WORD_BYTES};
 use tt_base::config::SystemConfig;
 use tt_base::stats::Report;
-use tt_base::workload::{Layout, Op, Workload};
+use tt_base::workload::{Layout, Workload};
 use tt_base::{Cycles, DetRng, NodeId};
-use tt_mem::{AccessKind, NodeMemory, PageTable, Tag};
+use tt_mem::{NodeMemory, PageTable, Tag};
 use tt_net::{Network, Packet, Payload, VirtualNet};
+use tt_sim::cpu::{self, Access, CpuHost, Flow, Stall, Status, Stream};
 use tt_sim::driver::{self, carve, Machine};
 use tt_sim::ShardQueue;
 use tt_tempest::{BlockDirSnapshot, BulkRequest, HandlerId, Message, Protocol, UserCall};
 
-use crate::cpu::{exec_access, AccessOutcome, CpuState, CpuStatus};
+use crate::cpu::{exec_access, AccessOutcome, CpuState};
 use crate::ctx::NodeCtx;
 use crate::np::{NpState, NpWork};
 use crate::trace::{HandlerKind, TraceEvent, TraceRecord, Tracer};
@@ -113,15 +116,15 @@ pub struct BulkState {
 
 /// One node: CPU + NP + memory + page table + active bulk transfers.
 /// Everything a shard thread mutates for this node lives here.
-struct NodeState {
-    cpu: CpuState,
-    np: NpState,
-    mem: NodeMemory,
-    ptable: PageTable,
-    bulk: Vec<BulkState>,
+pub(crate) struct NodeState {
+    pub(crate) cpu: CpuState,
+    pub(crate) np: NpState,
+    pub(crate) mem: NodeMemory,
+    pub(crate) ptable: PageTable,
+    pub(crate) bulk: Vec<BulkState>,
     /// Ids for this node's bulk transfers (bulk ids are matched only
     /// against the owning node's `bulk` list).
-    bulk_seq: u64,
+    pub(crate) bulk_seq: u64,
 }
 
 pub use tt_sim::RunResult;
@@ -129,13 +132,11 @@ pub use tt_sim::RunResult;
 /// The Typhoon machine (see crate docs).
 pub struct TyphoonMachine {
     cfg: SystemConfig,
-    quantum: Cycles,
     nodes: Vec<NodeState>,
     protocols: Vec<Option<Box<dyn Protocol>>>,
     network: Network,
     workload: Mutex<Box<dyn Workload>>,
     layout: Layout,
-    done: Vec<Option<Cycles>>,
     tracer: Option<Box<dyn Tracer>>,
     /// Seed for same-cycle tie-shuffling, applied to the event queue at
     /// `run` time (a `tt-check` legal-nondeterminism knob).
@@ -149,12 +150,10 @@ pub struct TyphoonMachine {
 #[doc(hidden)]
 pub struct Shard<'m> {
     cfg: &'m SystemConfig,
-    quantum: Cycles,
     /// First global node index this shard owns.
     first: usize,
     nodes: &'m mut [NodeState],
     protocols: &'m mut [Option<Box<dyn Protocol>>],
-    done: &'m mut [Option<Cycles>],
     /// This shard's network instance. Send-side state (occupancy ports,
     /// jitter pair counters) is per-source-node and handlers only send
     /// from their own node, so shards never alias it.
@@ -198,17 +197,13 @@ impl TyphoonMachine {
         if let Some(spec) = cfg.fault {
             network.set_fault_plan(spec);
         }
-        let quantum = cfg.timing.network_latency;
-        let done = vec![None; cfg.nodes];
         TyphoonMachine {
             cfg,
-            quantum,
             nodes,
             protocols,
             network,
             workload: Mutex::new(workload),
             layout,
-            done,
             tracer: None,
             tie_shuffle: None,
         }
@@ -269,7 +264,7 @@ impl TyphoonMachine {
     /// Values `node`'s CPU observed via `Op::ReadRecord` loads, in
     /// program order (litmus harnesses read these back after a run).
     pub fn recorded_reads(&self, node: usize) -> &[u64] {
-        &self.nodes[node].cpu.recorded
+        &self.nodes[node].cpu.stream.recorded
     }
 
     /// Snapshots of every home-block directory entry across all nodes
@@ -331,76 +326,38 @@ impl TyphoonMachine {
         r.push_count("machine.nodes", self.cfg.nodes as u64);
         r.push_count("machine.barriers", releases);
 
-        let mut ops = 0u64;
-        let mut reads = 0u64;
-        let mut writes = 0u64;
-        let mut compute = 0u64;
-        let mut local_misses = 0u64;
-        let mut upgrades = 0u64;
-        let mut block_faults = 0u64;
-        let mut page_faults = 0u64;
-        let mut fault_stall = 0u64;
-        let mut barrier_wait = 0u64;
-        let mut call_stall = 0u64;
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let mut tlb_misses = 0u64;
-        let mut rtlb_misses = 0u64;
-        let mut idle = 0u64;
-        for node in &self.nodes {
-            let s = &node.cpu.stats;
-            ops += s.ops.get();
-            reads += s.reads.get();
-            writes += s.writes.get();
-            compute += s.compute_cycles.get();
-            local_misses += s.local_misses.get();
-            upgrades += s.upgrades.get();
-            block_faults += s.block_faults.get();
-            page_faults += s.page_faults.get();
-            fault_stall += s.fault_stall_cycles.get();
-            barrier_wait += s.barrier_wait_cycles.get();
-            call_stall += s.call_stall_cycles.get();
-            cache_hits += node.cpu.cache.stats().hits.get();
-            cache_misses += node.cpu.cache.stats().misses.get();
-            tlb_misses += node.cpu.tlb.stats().misses.get();
-            rtlb_misses += s.rtlb_misses.get();
-            idle += s.idle_cycles.get();
-        }
-        r.push_count("cpu.ops", ops);
-        r.push_count("cpu.reads", reads);
-        r.push_count("cpu.writes", writes);
-        r.push_count("cpu.compute_cycles", compute);
-        r.push_count("cpu.local_misses", local_misses);
-        r.push_count("cpu.upgrades", upgrades);
-        r.push_count("cpu.block_faults", block_faults);
-        r.push_count("cpu.page_faults", page_faults);
-        r.push_count("cpu.fault_stall_cycles", fault_stall);
-        r.push_count("cpu.barrier_wait_cycles", barrier_wait);
-        r.push_count("cpu.call_stall_cycles", call_stall);
-        r.push_count("cpu.cache_hits", cache_hits);
-        r.push_count("cpu.cache_misses", cache_misses);
-        r.push_count("cpu.tlb_misses", tlb_misses);
-        r.push_count("cpu.rtlb_misses", rtlb_misses);
-        r.push_count("cpu.idle_cycles", idle);
-
-        let mut handlers = 0u64;
-        let mut instr = 0u64;
-        let mut messages = 0u64;
-        let mut busy = 0u64;
-        let mut bulk_packets = 0u64;
-        for node in &self.nodes {
-            let s = &node.np.stats;
-            handlers += s.handlers.get();
-            instr += s.instructions.get();
-            messages += s.messages.get();
-            busy += s.busy_cycles.get();
-            bulk_packets += s.bulk_packets.get();
-        }
-        r.push_count("np.handlers", handlers);
-        r.push_count("np.instructions", instr);
-        r.push_count("np.messages", messages);
-        r.push_count("np.busy_cycles", busy);
-        r.push_count("np.bulk_packets", bulk_packets);
+        r.push_sums(
+            &self.nodes,
+            &[
+                ("cpu.ops", |n| n.cpu.stream.ops.get()),
+                ("cpu.reads", |n| n.cpu.stats.reads.get()),
+                ("cpu.writes", |n| n.cpu.stats.writes.get()),
+                ("cpu.compute_cycles", |n| n.cpu.stream.compute_cycles.get()),
+                ("cpu.local_misses", |n| n.cpu.stats.local_misses.get()),
+                ("cpu.upgrades", |n| n.cpu.stats.upgrades.get()),
+                ("cpu.block_faults", |n| n.cpu.stats.block_faults.get()),
+                ("cpu.page_faults", |n| n.cpu.stats.page_faults.get()),
+                ("cpu.fault_stall_cycles", |n| {
+                    n.cpu.stream.stall_cycles(Stall::Fault)
+                }),
+                ("cpu.barrier_wait_cycles", |n| {
+                    n.cpu.stream.barrier_wait_cycles.get()
+                }),
+                ("cpu.call_stall_cycles", |n| {
+                    n.cpu.stream.stall_cycles(Stall::Call)
+                }),
+                ("cpu.cache_hits", |n| n.cpu.cache.stats().hits.get()),
+                ("cpu.cache_misses", |n| n.cpu.cache.stats().misses.get()),
+                ("cpu.tlb_misses", |n| n.cpu.tlb.stats().misses.get()),
+                ("cpu.rtlb_misses", |n| n.cpu.stats.rtlb_misses.get()),
+                ("cpu.idle_cycles", |n| n.cpu.stream.idle_cycles.get()),
+                ("np.handlers", |n| n.np.stats.handlers.get()),
+                ("np.instructions", |n| n.np.stats.instructions.get()),
+                ("np.messages", |n| n.np.stats.messages.get()),
+                ("np.busy_cycles", |n| n.np.stats.busy_cycles.get()),
+                ("np.bulk_packets", |n| n.np.stats.bulk_packets.get()),
+            ],
+        );
 
         let net = self.network.stats();
         r.push_count("net.packets", net.total_packets());
@@ -453,11 +410,9 @@ impl Machine for TyphoonMachine {
     fn whole(&mut self) -> Shard<'_> {
         Shard {
             cfg: &self.cfg,
-            quantum: self.quantum,
             first: 0,
             nodes: &mut self.nodes,
             protocols: &mut self.protocols,
-            done: &mut self.done,
             network: &mut self.network,
             workload: &self.workload,
             tracer: self.tracer.as_mut(),
@@ -479,17 +434,14 @@ impl Machine for TyphoonMachine {
         );
         let mut nodes = carve(&mut self.nodes, ranges);
         let mut protocols = carve(&mut self.protocols, ranges);
-        let mut done = carve(&mut self.done, ranges);
         ranges
             .iter()
             .zip(nets)
             .map(|(&(first, _), network)| Shard {
                 cfg: &self.cfg,
-                quantum: self.quantum,
                 first,
                 nodes: nodes.next().expect("one node slice per range"),
                 protocols: protocols.next().expect("one protocol slice per range"),
-                done: done.next().expect("one done slice per range"),
                 network,
                 workload: &self.workload,
                 tracer: None,
@@ -522,28 +474,17 @@ impl Machine for TyphoonMachine {
 
     /// Asserts the machine drained cleanly and builds the result.
     fn finish(&mut self, releases: u64) -> (Cycles, Report) {
-        let stuck: Vec<_> = self
-            .nodes
-            .iter()
-            .filter(|n| n.cpu.status != CpuStatus::Done)
-            .map(|n| (n.cpu.id, n.cpu.status))
-            .collect();
-        assert!(
-            stuck.is_empty(),
-            "machine deadlocked with processors still blocked: {stuck:?} \
-             (np work pending={:?})",
-            self.nodes
-                .iter()
-                .map(|n| n.np.has_work())
-                .collect::<Vec<_>>()
-        );
-
-        let cycles = self
-            .done
-            .iter()
-            .map(|d| d.expect("all processors done"))
-            .max()
-            .unwrap_or(Cycles::ZERO);
+        let cycles =
+            cpu::finished_at(self.nodes.iter().map(|n| &n.cpu.stream)).unwrap_or_else(|stuck| {
+                panic!(
+                    "machine deadlocked with processors still blocked: {stuck:?} \
+                     (np work pending={:?})",
+                    self.nodes
+                        .iter()
+                        .map(|n| n.np.has_work())
+                        .collect::<Vec<_>>()
+                )
+            });
         (cycles, self.build_report(cycles, releases))
     }
 }
@@ -553,7 +494,7 @@ impl<'m> Shard<'m> {
     /// origin of everything the handler schedules).
     fn handle(&mut self, now: Cycles, event: Event, queue: &mut ShardQueue<Event>) {
         match event {
-            Event::CpuStep(n) => self.cpu_step(n, now, queue),
+            Event::CpuStep(n) => cpu::step(self, n, now, queue),
             Event::NpDispatch(n) => {
                 let np = &mut self.nodes[n - self.first].np;
                 np.dispatch_pending = false;
@@ -570,7 +511,10 @@ impl<'m> Shard<'m> {
                 self.try_dispatch(node, now, queue);
             }
             Event::Deliver(packet) => self.deliver(packet, now, queue),
-            Event::BarrierRelease { generation } => self.release_local(now, generation, queue),
+            Event::BarrierRelease { generation } => {
+                self.trace(now, TraceEvent::BarrierRelease);
+                cpu::release(self, now, generation, queue);
+            }
             Event::BulkInject { node, id } => self.bulk_inject(node, id, now, queue),
         }
     }
@@ -588,12 +532,7 @@ impl<'m> Shard<'m> {
             proto.init(&mut ctx);
             self.protocols[l] = Some(proto);
         }
-        for l in 0..self.nodes.len() {
-            let n = self.first + l;
-            queue.set_origin(n);
-            self.nodes[l].cpu.step_pending = true;
-            schedule(queue, Cycles::ZERO, Event::CpuStep(n));
-        }
+        cpu::seed(self, queue);
     }
 
     #[inline]
@@ -610,282 +549,16 @@ impl<'m> Shard<'m> {
         start: Cycles,
         queue: &'a mut ShardQueue<Event>,
     ) -> NodeCtx<'a> {
-        let node = &mut self.nodes[n - self.first];
         NodeCtx {
             id: NodeId::new(n as u16),
             nodes: self.cfg.nodes,
             cfg: self.cfg,
             start,
             cost: Cycles::ZERO,
-            cpu: &mut node.cpu,
-            np: &mut node.np,
-            mem: &mut node.mem,
-            ptable: &mut node.ptable,
+            node: &mut self.nodes[n - self.first],
             network: self.network,
             queue,
-            bulk_out: &mut node.bulk,
-            bulk_seq: &mut node.bulk_seq,
-        }
-    }
-
-    // --- CPU execution -------------------------------------------------
-
-    /// The per-op inner loop. `self` is destructured once so the op loop
-    /// works on a single `&mut NodeState` instead of re-indexing per op —
-    /// this is the simulation's hottest code.
-    fn cpu_step(&mut self, n: usize, now: Cycles, queue: &mut ShardQueue<Event>) {
-        let Shard {
-            cfg,
-            quantum,
-            first,
-            nodes,
-            workload,
-            done,
-            tracer,
-            ..
-        } = self;
-        let l = n - *first;
-        let node = &mut nodes[l];
-        node.cpu.step_pending = false;
-        if node.cpu.status != CpuStatus::Ready {
-            return;
-        }
-        if node.cpu.clock < now {
-            node.cpu.clock = now;
-        }
-        let mut deadline = now + *quantum;
-        loop {
-            // Refill the op chunk if exhausted, reusing its allocation.
-            if node.cpu.pc >= node.cpu.chunk.len() {
-                let mut chunk = std::mem::take(&mut node.cpu.chunk);
-                let refilled = workload
-                    .lock()
-                    .expect("workload poisoned")
-                    .next_chunk_into(NodeId::new(n as u16), &mut chunk);
-                if refilled {
-                    node.cpu.chunk = chunk;
-                    node.cpu.pc = 0;
-                    if node.cpu.chunk.is_empty() {
-                        continue;
-                    }
-                } else {
-                    node.cpu.status = CpuStatus::Done;
-                    done[l] = Some(node.cpu.clock);
-                    return;
-                }
-            }
-
-            let op = node.cpu.chunk[node.cpu.pc];
-            match op {
-                Op::Compute(k) => {
-                    let cpu = &mut node.cpu;
-                    cpu.clock += Cycles::new(k as u64);
-                    cpu.stats.compute_cycles.add(k as u64);
-                    cpu.stats.ops.inc();
-                    cpu.pc += 1;
-                }
-                Op::Read { addr, expect } => {
-                    if !Self::access(
-                        cfg,
-                        tracer,
-                        node,
-                        n,
-                        queue,
-                        addr,
-                        AccessKind::Load,
-                        0,
-                        expect,
-                        false,
-                    ) {
-                        return;
-                    }
-                }
-                Op::ReadRecord { addr } => {
-                    if !Self::access(
-                        cfg, tracer, node, n, queue, addr, AccessKind::Load, 0, None, true,
-                    ) {
-                        return;
-                    }
-                }
-                Op::Write { addr, value } => {
-                    if !Self::access(
-                        cfg,
-                        tracer,
-                        node,
-                        n,
-                        queue,
-                        addr,
-                        AccessKind::Store,
-                        value,
-                        None,
-                        false,
-                    ) {
-                        return;
-                    }
-                }
-                Op::Barrier => {
-                    let cpu = &mut node.cpu;
-                    cpu.pc += 1;
-                    cpu.stats.ops.inc();
-                    cpu.status = CpuStatus::AtBarrier;
-                    cpu.suspended_at = cpu.clock;
-                    queue.note_barrier_arrival(cpu.clock);
-                    return;
-                }
-                Op::UserCall { op, arg } => {
-                    let cpu = &mut node.cpu;
-                    cpu.pc += 1;
-                    cpu.stats.ops.inc();
-                    cpu.status = CpuStatus::BlockedCall;
-                    cpu.suspended_at = cpu.clock;
-                    let at = cpu.clock + Cycles::new(1);
-                    let thread = cpu.thread();
-                    schedule(
-                        queue,
-                        at,
-                        Event::NpWork {
-                            node: n,
-                            work: NpWork::UserCall(thread, UserCall { op, arg }),
-                        },
-                    );
-                    return;
-                }
-                Op::WaitUntil { until } => {
-                    let cpu = &mut node.cpu;
-                    cpu.pc += 1;
-                    cpu.stats.ops.inc();
-                    let target = Cycles::new(until);
-                    if target > cpu.clock {
-                        cpu.stats.idle_cycles.add((target - cpu.clock).raw());
-                        cpu.clock = target;
-                    }
-                }
-            }
-
-            if node.cpu.clock >= deadline {
-                let at = node.cpu.clock;
-                // Direct execution (WWT-style): if every pending event
-                // lies strictly beyond this CPU's clock, the wakeup we
-                // are about to schedule would be the very next event
-                // popped — so skip the queue round trip and keep
-                // executing inline. Under the window scheme the run must
-                // additionally stay below the window end: past it, a
-                // cross-shard delivery not yet merged could be pending.
-                // The machine state and the order of all remaining events
-                // are exactly what the scheduled path would produce; only
-                // the self-wakeup is elided (and it carries a reserved
-                // key, so eliding it perturbs no other event's key),
-                // which is why reported cycles are byte-identical.
-                if cfg.direct_execution
-                    && queue.peek_time().is_none_or(|t| t > at)
-                    && queue.window_end().is_none_or(|end| at < end)
-                {
-                    deadline = at + *quantum;
-                    continue;
-                }
-                let cpu = &mut node.cpu;
-                cpu.step_pending = true;
-                queue.schedule_wakeup(at, n, Event::CpuStep(n));
-                return;
-            }
-        }
-    }
-
-    /// Executes one tag-checked access; returns `false` if the CPU
-    /// suspended (fault taken). An associated function over the split
-    /// borrows so [`Shard::cpu_step`] can call it while holding `node`.
-    #[allow(clippy::too_many_arguments)]
-    fn access(
-        cfg: &SystemConfig,
-        tracer: &mut Option<&'m mut Box<dyn Tracer>>,
-        node: &mut NodeState,
-        n: usize,
-        queue: &mut ShardQueue<Event>,
-        addr: VAddr,
-        kind: AccessKind,
-        value: u64,
-        expect: Option<u64>,
-        record: bool,
-    ) -> bool {
-        let outcome = exec_access(
-            cfg,
-            &mut node.cpu,
-            &mut node.np,
-            &mut node.mem,
-            &node.ptable,
-            addr,
-            kind,
-            value,
-        );
-        match outcome {
-            AccessOutcome::Done { cost, value: loaded } => {
-                if cfg.verify_values {
-                    if let (Some(expect), Some(got)) = (expect, loaded) {
-                        assert_eq!(
-                            got,
-                            expect,
-                            "coherence violation: node {n} read {addr} at cycle {} and \
-                             observed {got:#x}, expected {expect:#x}",
-                            node.cpu.clock
-                        );
-                    }
-                }
-                if record {
-                    node.cpu
-                        .recorded
-                        .push(loaded.expect("a load always produces a value"));
-                }
-                node.cpu.clock += cost;
-                node.cpu.pc += 1;
-                true
-            }
-            AccessOutcome::PageFault(fault, cost) => {
-                node.cpu.clock += cost + cfg.typhoon.effective_fault_detect();
-                node.cpu.status = CpuStatus::BlockedFault;
-                node.cpu.suspended_at = node.cpu.clock;
-                let at = node.cpu.clock;
-                trace_into(
-                    tracer,
-                    at,
-                    TraceEvent::PageFault {
-                        node: NodeId::new(n as u16),
-                        addr,
-                    },
-                );
-                schedule(
-                    queue,
-                    at,
-                    Event::NpWork {
-                        node: n,
-                        work: NpWork::PageFault(fault),
-                    },
-                );
-                false
-            }
-            AccessOutcome::BlockFault(fault, cost) => {
-                node.cpu.clock += cost;
-                node.cpu.status = CpuStatus::BlockedFault;
-                node.cpu.suspended_at = node.cpu.clock;
-                let at = node.cpu.clock;
-                trace_into(
-                    tracer,
-                    at,
-                    TraceEvent::BlockFault {
-                        node: NodeId::new(n as u16),
-                        addr,
-                        kind,
-                    },
-                );
-                schedule(
-                    queue,
-                    at,
-                    Event::NpWork {
-                        node: n,
-                        work: NpWork::BlockFault(fault),
-                    },
-                );
-                false
-            }
+            tracer: self.tracer.as_deref_mut(),
         }
     }
 
@@ -963,10 +636,10 @@ impl<'m> Shard<'m> {
         // Software Tempest: the handler ran on the primary CPU, stealing
         // its cycles if it was computing.
         if self.cfg.typhoon.np_mode == tt_base::config::NpMode::OnCpu
-            && node.cpu.status == crate::cpu::CpuStatus::Ready
-            && node.cpu.clock < np.busy_until
+            && node.cpu.stream.status == Status::Ready
+            && node.cpu.stream.clock < np.busy_until
         {
-            node.cpu.clock = np.busy_until;
+            node.cpu.stream.clock = np.busy_until;
         }
         if np.has_work() && !np.dispatch_pending {
             np.dispatch_pending = true;
@@ -1123,40 +796,119 @@ impl<'m> Shard<'m> {
             schedule(queue, at, Event::BulkInject { node: n, id });
         }
     }
+}
 
-    /// Releases this shard's own nodes from the barrier at `at`. Every
-    /// shard handles every release and wakes only the nodes it owns; the
-    /// wakeups are keyed under each node's *own* origin counter
-    /// (deterministic in both modes, since a blocked node's counter
-    /// cannot advance concurrently).
-    fn release_local(&mut self, at: Cycles, generation: u64, queue: &mut ShardQueue<Event>) {
-        assert_eq!(generation + 1, queue.releases(), "stale barrier release");
-        self.trace(at, TraceEvent::BarrierRelease);
-        for l in 0..self.nodes.len() {
-            let n = self.first + l;
-            let cpu = &mut self.nodes[l].cpu;
-            assert_eq!(cpu.status, CpuStatus::AtBarrier, "node {n} missed the barrier");
-            cpu.stats
-                .barrier_wait_cycles
-                .add((at - cpu.suspended_at).raw());
-            cpu.status = CpuStatus::Ready;
-            cpu.clock = at;
-            if !cpu.step_pending {
-                cpu.step_pending = true;
-                queue.set_origin(n);
-                schedule(queue, at, Event::CpuStep(n));
-            }
-        }
+impl CpuHost for Shard<'_> {
+    type Event = Event;
+
+    fn config(&self) -> &SystemConfig {
+        self.cfg
+    }
+
+    fn workload(&self) -> &Mutex<Box<dyn Workload>> {
+        self.workload
+    }
+
+    fn nodes(&self) -> Range<usize> {
+        self.first..self.first + self.nodes.len()
+    }
+
+    #[inline]
+    fn cpu(&mut self, n: usize) -> &mut Stream {
+        &mut self.nodes[n - self.first].cpu.stream
+    }
+
+    #[inline]
+    fn access(&mut self, n: usize, access: Access, queue: &mut ShardQueue<Event>) -> Flow {
+        let node = &mut self.nodes[n - self.first];
+        issue_access(self.cfg, node, self.tracer.as_deref_mut(), queue, access)
+    }
+
+    /// A protocol call suspends the thread and queues the call as NP
+    /// work one cycle later; the handler resumes it.
+    fn user_call(&mut self, n: usize, op: u32, arg: u64, queue: &mut ShardQueue<Event>) -> Flow {
+        let cpu = &mut self.nodes[n - self.first].cpu;
+        cpu.stream.block(Stall::Call);
+        let work = NpWork::UserCall(cpu.thread(), UserCall { op, arg });
+        let at = cpu.stream.clock + Cycles::new(1);
+        schedule(queue, at, Event::NpWork { node: n, work });
+        Flow::Blocked
+    }
+
+    fn wakeup(n: usize) -> Event {
+        Event::CpuStep(n)
     }
 }
 
-/// Records a trace event through an optional tracer; the out-of-line
-/// equivalent of [`Shard::trace`] for code holding split borrows.
-#[inline]
-fn trace_into(tracer: &mut Option<&mut Box<dyn Tracer>>, at: Cycles, event: TraceEvent) {
+/// Executes one tag-checked access for the node's CPU: on success it
+/// completes the op; on a page or block fault it suspends the CPU and
+/// hands the fault to the node's NP. The op loop issues accesses
+/// through here, and so does a fault handler's resume, which retries
+/// the faulted access before the NP dispatches again.
+pub(crate) fn issue_access(
+    cfg: &SystemConfig,
+    node: &mut NodeState,
+    tracer: Option<&mut Box<dyn Tracer>>,
+    queue: &mut ShardQueue<Event>,
+    access: Access,
+) -> Flow {
+    let Access {
+        addr,
+        kind,
+        value,
+        expect,
+        record,
+    } = access;
+    let cpu = &mut node.cpu;
+    let (np, mem, ptable) = (&mut node.np, &mut node.mem, &node.ptable);
+    let (work, trace, cost) = match exec_access(cfg, cpu, np, mem, ptable, addr, kind, value) {
+        AccessOutcome::Done {
+            cost,
+            value: loaded,
+        } => {
+            if cfg.verify_values {
+                if let (Some(expect), Some(got)) = (expect, loaded) {
+                    assert_eq!(
+                        got,
+                        expect,
+                        "coherence violation: node {} read {addr} at cycle {} and \
+                         observed {got:#x}, expected {expect:#x}",
+                        cpu.id.index(),
+                        cpu.stream.clock
+                    );
+                }
+            }
+            if record {
+                let loaded = loaded.expect("a load always produces a value");
+                cpu.stream.recorded.push(loaded);
+            }
+            cpu.stream.complete(cost);
+            return Flow::Completed;
+        }
+        AccessOutcome::PageFault(fault, cost) => (
+            NpWork::PageFault(fault),
+            TraceEvent::PageFault { node: cpu.id, addr },
+            cost + cfg.typhoon.effective_fault_detect(),
+        ),
+        AccessOutcome::BlockFault(fault, cost) => (
+            NpWork::BlockFault(fault),
+            TraceEvent::BlockFault {
+                node: cpu.id,
+                addr,
+                kind,
+            },
+            cost,
+        ),
+    };
+    cpu.stream.clock += cost;
+    cpu.stream.block(Stall::Fault);
+    let at = cpu.stream.clock;
     if let Some(t) = tracer {
-        t.record(TraceRecord { at, event });
+        t.record(TraceRecord { at, event: trace });
     }
+    let node = cpu.id.index();
+    schedule(queue, at, Event::NpWork { node, work });
+    Flow::Blocked
 }
 
 /// Reads `len` bytes starting at virtual `addr` (word-aligned) through the
