@@ -41,10 +41,6 @@ pub struct TimingConfig {
     pub tlb_miss: Cycles,
     /// One-way network latency between any two nodes.
     pub network_latency: Cycles,
-    /// Cycles each packet occupies its sender's injection port. The
-    /// paper models no contention (0); nonzero values serialize senders
-    /// for the contention-sensitivity ablation.
-    pub network_occupancy: Cycles,
     /// Latency of the hardware barrier once the last processor arrives.
     pub barrier_latency: Cycles,
 }
@@ -56,7 +52,6 @@ impl Default for TimingConfig {
             local_writeback: Cycles::ZERO,
             tlb_miss: Cycles::new(25),
             network_latency: Cycles::new(11),
-            network_occupancy: Cycles::ZERO,
             barrier_latency: Cycles::new(11),
         }
     }

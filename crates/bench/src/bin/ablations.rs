@@ -21,8 +21,9 @@
 //!    boundary pushes vs. transparent Stache: Section 4's idea applied
 //!    to a second application.
 //! 7. **Network contention** — the paper explicitly does not model
-//!    contention; a per-packet injection-port occupancy shows which way
-//!    the comparison moves when senders serialize.
+//!    contention; the same EM3D points on a routed mesh (per-hop latency
+//!    and per-link queuing, charged to both systems) show which way the
+//!    comparison moves when messages contend.
 //!
 //! Usage: `ablations [--scale N] [--nodes N] [--jobs N] [--repeat N]
 //! [--json PATH] [--full]` (default scale 16). Each ablation's
@@ -33,9 +34,10 @@
 use std::time::Instant;
 
 use tt_base::table::Table;
+use tt_base::Topology;
 use tt_bench::json::PointRecord;
 use tt_bench::{
-    build_app, min_of_runs, par, run_system_min, sync_for, RunOutcome, System,
+    build_app, min_of_runs, par, run_system, sync_for, RunOutcome, System,
 };
 use tt_apps::{AppId, DataSet};
 
@@ -80,13 +82,13 @@ fn main() {
     // Task 0 is the shared DirNNB comparator; tasks 1.. sweep the factor.
     let outs = par::run_indexed(jobs, factors.len() + 1, |i| {
         if i == 0 {
-            run_system_min(System::Dirnnb, &base_cfg, repeat, || {
+            run_system(System::Dirnnb, &base_cfg, repeat, || {
                 build_app(app, set, scale, nodes, sync_for(app, System::Dirnnb))
             })
         } else {
             let mut cfg = base_cfg.clone();
             cfg.typhoon.handler_cost_scale = factors[i - 1];
-            run_system_min(System::TyphoonStache, &cfg, repeat, || {
+            run_system(System::TyphoonStache, &cfg, repeat, || {
                 build_app(app, set, scale, nodes, sync_for(app, System::TyphoonStache))
             })
         }
@@ -118,7 +120,7 @@ fn main() {
         } else {
             System::Dirnnb
         };
-        run_system_min(system, &cfg, repeat, || {
+        run_system(system, &cfg, repeat, || {
             build_app(app, set, scale, nodes, sync_for(app, system))
         })
     });
@@ -151,7 +153,7 @@ fn main() {
         } else {
             budgets[i] * 4096
         };
-        run_system_min(System::TyphoonStache, &cfg, repeat, || {
+        run_system(System::TyphoonStache, &cfg, repeat, || {
             build_app(app, set, scale, nodes, sync_for(app, System::TyphoonStache))
         })
     });
@@ -177,7 +179,7 @@ fn main() {
     let outs = par::run_indexed(jobs, modes.len(), |i| {
         let mut cfg = base_cfg.clone();
         cfg.typhoon.np_mode = modes[i];
-        run_system_min(System::TyphoonStache, &cfg, repeat, || {
+        run_system(System::TyphoonStache, &cfg, repeat, || {
             build_app(app, set, scale, nodes, sync_for(app, System::TyphoonStache))
         })
     });
@@ -210,13 +212,13 @@ fn main() {
     // Task 0 is the shared Typhoon/Stache run; tasks 1.. sweep placement.
     let outs = par::run_indexed(jobs, placements.len() + 1, |i| {
         if i == 0 {
-            run_system_min(System::TyphoonStache, &base_cfg, repeat, || {
+            run_system(System::TyphoonStache, &base_cfg, repeat, || {
                 build_app(oapp, oset, scale, nodes, sync_for(oapp, System::TyphoonStache))
             })
         } else {
             let mut cfg = base_cfg.clone();
             cfg.dirnnb.placement = placements[i - 1];
-            run_system_min(System::Dirnnb, &cfg, repeat, || {
+            run_system(System::Dirnnb, &cfg, repeat, || {
                 build_app(oapp, oset, scale, nodes, sync_for(oapp, System::Dirnnb))
             })
         }
@@ -290,38 +292,38 @@ fn main() {
     println!("{t}");
     println!("(boundary rows are pushed once per sweep instead of the\ninvalidate/ack/request/response round trips)\n");
 
-    // Occupancy affects Typhoon's real message machinery; the DirNNB
-    // cost model (like the paper's) abstracts injection entirely, so its
-    // column is constant — the row spread shows how sensitive the
-    // user-level system is to a serializing network port.
-    println!("ABLATION 7. Network injection-port occupancy (EM3D small, 4K caches).\n");
-    let mut t = Table::new(vec!["occupancy (cycles/packet)", "Typhoon/Stache", "DirNNB", "relative"]);
-    let occupancies = [0u64, 4, 16];
-    let outs = par::run_indexed(jobs, occupancies.len() * 2, |i| {
+    // Contention both systems pay for: the same points on the paper's
+    // constant-latency pipe and on a routed mesh, where every message
+    // pays per-hop latency and per-link queuing (Typhoon's real packets
+    // and DirNNB's modeled ones alike).
+    println!("ABLATION 7. Network contention: ideal pipe vs mesh (EM3D small, 4K caches).\n");
+    let mut t = Table::new(vec!["network", "Typhoon/Stache", "DirNNB", "relative"]);
+    let topologies = [Topology::Ideal, Topology::Mesh2D { width: 0 }];
+    let outs = par::run_indexed(jobs, topologies.len() * 2, |i| {
         let mut cfg = base_cfg.clone();
-        cfg.timing.network_occupancy = tt_base::Cycles::new(occupancies[i / 2]);
+        cfg.topology = topologies[i / 2];
         let system = if i % 2 == 0 {
             System::TyphoonStache
         } else {
             System::Dirnnb
         };
-        run_system_min(system, &cfg, repeat, || {
+        run_system(system, &cfg, repeat, || {
             build_app(app, set, scale, nodes, sync_for(app, system))
         })
     });
-    for (r, occ) in occupancies.into_iter().enumerate() {
+    for (r, topology) in topologies.into_iter().enumerate() {
         let (ty, d) = (&outs[r * 2], &outs[r * 2 + 1]);
         t.row(vec![
-            occ.to_string(),
+            topology.to_string(),
             ty.cycles.to_string(),
             d.cycles.to_string(),
             format!("{:.3}", ty.cycles.as_f64() / d.cycles.as_f64()),
         ]);
-        records.push(record(format!("ablation7 occupancy {occ}"), "Typhoon/Stache", ty));
-        records.push(record(format!("ablation7 occupancy {occ}"), "DirNNB", d));
+        records.push(record(format!("ablation7 topology {topology}"), "Typhoon/Stache", ty));
+        records.push(record(format!("ablation7 topology {topology}"), "DirNNB", d));
     }
     println!("{t}");
-    println!("(the paper's zero-contention network is the occupancy-0 row; the\nDirNNB cost model abstracts injection, so only Typhoon moves)");
+    println!("(the paper's zero-contention network is the ideal row; on the mesh\nboth systems pay hop latency and link queuing)");
 
     let total_wall_secs = sweep_start.elapsed().as_secs_f64();
     eprintln!(

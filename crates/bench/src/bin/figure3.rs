@@ -82,7 +82,7 @@ fn main() {
         scale = cli.scale,
     );
     let start = Instant::now();
-    let points = tt_bench::figure3_sweep_apps(&apps, cli.scale, &cfg, cli.jobs, cli.repeat);
+    let points = tt_bench::figure3_sweep(&apps, cli.scale, &cfg, cli.jobs, cli.repeat);
     let total_wall_secs = start.elapsed().as_secs_f64();
 
     let mut table = Table::new(vec![

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use tt_base::table::Table;
 use tt_bench::json::PointRecord;
-use tt_bench::{figure4_sweep_min, FIGURE4_SYSTEMS};
+use tt_bench::{figure4_sweep, FIGURE4_SYSTEMS};
 
 const USAGE: &str = "\
 Usage: figure4 [shared flags]
@@ -35,7 +35,7 @@ fn main() {
         scale = cli.scale,
     );
     let start = Instant::now();
-    let points = figure4_sweep_min(cli.scale, &cfg, cli.jobs, cli.repeat);
+    let points = figure4_sweep(cli.scale, &cfg, cli.jobs, cli.repeat);
     let total_wall_secs = start.elapsed().as_secs_f64();
 
     let mut table = Table::new(vec![

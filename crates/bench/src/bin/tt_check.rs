@@ -40,90 +40,117 @@
 //! differential (Stache-served Typhoon, write-update-served Typhoon,
 //! DirNNB) whose final images must agree word-for-word with each other
 //! and the generator's prediction. `--seed S` replays one seed.
+//!
+//! The command line follows the bench binaries' conventions: `--help`
+//! prints the usage to stdout and exits 0; a bad or unknown argument
+//! prints `error: <flag>: …` and the usage to stderr and exits 2 before
+//! anything runs — an unwritable `--out` path included, since the report
+//! file is opened before the sweep.
 
+use std::fs::File;
 use std::io::Write as _;
 use std::time::Instant;
 
-use tt_base::{NodeId, Topology, WindowPolicy};
-use tt_bench::json::{git_rev, hostname};
+use tt_base::{FaultSpec, NodeId, Topology};
+use tt_bench::cli::{number, value, CliError};
+use tt_bench::json::{escape, git_rev, hostname};
 use tt_check::scenarios::SkipInvalidate;
-use tt_check::{
-    fuzz_kv_with_options, fuzz_with_options, run_kv_seed_with_options, run_seed_with_options,
-    shrink_with_transport, stache_factory, Failure, FuzzOptions,
-};
+use tt_check::{fuzz, fuzz_kv, run_kv_seed, run_seed, shrink, stache_factory, Failure, FuzzOptions};
 use tt_stache::ReliableConfig;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: tt-check run [--seeds N] [--base B] [--sim-threads N] \
-         [--window-policy fixed|adaptive] [--topology ideal|mesh[:W]|fat-tree[:A]] \
-         [--faults] [--fault-seed F] \
-         [--planted-bug] [--out PATH]\n\
-         \x20      tt-check replay --seed S [--sim-threads N] \
-         [--window-policy fixed|adaptive] [--topology T] [--faults] [--fault-seed F]\n\
-         \x20      tt-check kv [--seeds N] [--base B] [--seed S] [--sim-threads N] \
-         [--window-policy fixed|adaptive] [--topology T] [--faults] [--fault-seed F]\n\
-         \n\
-         --faults draws a seed-derived lossy-network schedule per case \
-         (drops, duplicates,\n\
-         detected corruption, transient partitions) and runs the protocol \
-         behind the\n\
-         reliable transport; --fault-seed F forces one fault schedule \
-         (implies --faults).\n\
-         With --faults, --planted-bug plants the transport bug \
-         (retransmission without\n\
-         duplicate suppression) instead of the Stache one."
-    );
-    std::process::exit(2);
+const USAGE: &str = "\
+Usage: tt-check run [--seeds N] [--base B] [--planted-bug] [--out PATH] [checker flags]
+       tt-check replay --seed S [checker flags]
+       tt-check kv [--seeds N] [--base B] [--seed S] [checker flags]
+
+Checker flags (every command):
+  --sim-threads N          force the parallel-differential leg to N threads
+  --window-policy P        fixed | adaptive
+  --topology T             ideal | mesh[:W] | fat-tree[:A] (the Typhoon legs)
+  --faults                 a seed-derived lossy-network schedule per case
+  --fault-seed F           force one fault schedule (implies --faults)
+  -h, --help               print this help and exit
+
+--faults draws drops, duplicates, detected corruption and transient
+partitions, and runs the protocol behind the reliable transport. With
+--faults, --planted-bug plants the transport bug (retransmission without
+duplicate suppression) instead of the Stache one.
+";
+
+/// Every flag of every command, parsed by one loop.
+#[derive(Default)]
+struct Flags {
+    seeds: Option<u64>,
+    base: u64,
+    seed: Option<u64>,
+    planted: bool,
+    /// `--out`: the path and the report file, opened before any sweep
+    /// so an unwritable path is a usage error.
+    out: Option<(String, File)>,
+    options: FuzzOptions,
 }
 
-fn parse_policy(args: &[String], i: &mut usize) -> WindowPolicy {
-    *i += 1;
-    args.get(*i)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("tt-check: --window-policy needs `fixed` or `adaptive`");
-            usage()
-        })
+/// Parses the checker flags every command takes plus the command's
+/// `own` flags; any other argument is an error.
+fn parse(args: &[String], own: &[&str]) -> Result<Flags, CliError> {
+    let mut f = Flags::default();
+    let mut i = 0;
+    while i < args.len() {
+        let flag = args[i].as_str();
+        let is_own = own.contains(&flag);
+        match flag {
+            "-h" | "--help" => return Err(CliError::Help),
+            "--sim-threads" => f.options.sim_threads = Some(number(args, i, flag)?),
+            "--window-policy" => {
+                let policy = value(args, i, flag)?.parse().map_err(|e| format!("{flag}: {e}"))?;
+                f.options.window_policy = Some(policy);
+            }
+            "--topology" => {
+                let topology: Topology =
+                    value(args, i, flag)?.parse().map_err(|e| format!("{flag}: {e}"))?;
+                topology.validate().map_err(|e| format!("{flag}: {e}"))?;
+                f.options.topology = Some(topology);
+            }
+            "--fault-seed" => {
+                f.options.fault_seed = Some(number(args, i, flag)? as u64);
+                f.options.faults = true;
+            }
+            "--seeds" if is_own => f.seeds = Some(number(args, i, flag)? as u64),
+            "--base" if is_own => f.base = number(args, i, flag)? as u64,
+            "--seed" if is_own => f.seed = Some(number(args, i, flag)? as u64),
+            "--out" if is_own => {
+                let path = value(args, i, flag)?;
+                f.out = Some((path.to_string(), create_report(path)?));
+            }
+            "--faults" => {
+                f.options.faults = true;
+                i += 1;
+                continue;
+            }
+            "--planted-bug" if is_own => {
+                f.planted = true;
+                i += 1;
+                continue;
+            }
+            _ => return Err(CliError::Bad(format!("unknown argument {flag}"))),
+        }
+        // Every other flag takes one value.
+        i += 2;
+    }
+    Ok(f)
 }
 
-fn parse_topology(args: &[String], i: &mut usize) -> Topology {
-    *i += 1;
-    args.get(*i)
-        .and_then(|v| v.parse().ok())
-        .filter(|t: &Topology| t.validate().is_ok())
-        .unwrap_or_else(|| {
-            eprintln!("tt-check: --topology needs `ideal`, `mesh[:W]`, or `fat-tree[:A]` (A >= 2)");
-            usage()
-        })
-}
-
-fn parse_u64(args: &[String], i: &mut usize, flag: &str) -> u64 {
-    *i += 1;
-    args.get(*i)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("tt-check: {flag} needs an integer argument");
-            usage()
-        })
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Creates the `--out` report file (and its directory).
+fn create_report(path: &str) -> Result<File, String> {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        if !dir.as_os_str().is_empty() {
+            let _ = std::fs::create_dir_all(dir);
         }
     }
-    out
+    File::create(path).map_err(|e| format!("--out: {path}: {e}"))
 }
 
-fn fault_json(fault: &Option<tt_base::FaultSpec>) -> String {
+fn fault_json(fault: &Option<FaultSpec>) -> String {
     match fault {
         Some(fs) => format!(
             "{{\"seed\": {}, \"drop_permille\": {}, \"dup_permille\": {}, \
@@ -149,7 +176,7 @@ fn failure_json(f: &Failure) -> String {
     format!(
         "{{\n    \"seed\": {},\n    \"stage\": \"{}\",\n    \"nodes\": {},\n    \
          \"pages\": {},\n    \"blocks\": {},\n    \"phases\": {},\n    \
-         \"fault\": {},\n    \"message\": \"{}\",\n    \"shrunk\": {},\n    \
+         \"fault\": {},\n    \"message\": {},\n    \"shrunk\": {},\n    \
          \"shrunk_fault\": {}\n  }}",
         f.seed,
         f.stage,
@@ -158,124 +185,81 @@ fn failure_json(f: &Failure) -> String {
         f.cfg.blocks,
         f.cfg.phases,
         fault_json(&f.perturb.fault),
-        json_escape(&f.message),
+        escape(&f.message),
         shrunk,
         shrunk_fault
     )
 }
 
-#[allow(clippy::too_many_arguments)] // report plumbing, one call site per command
+/// Writes the `run` report to the file `--out` opened.
 fn write_fuzz_report(
-    path: &str,
-    base: u64,
+    out: &mut File,
+    flags: &Flags,
     requested: u64,
     seeds_run: u64,
-    planted: bool,
-    options: &FuzzOptions,
     wall: f64,
     failure: Option<&Failure>,
-) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"tool\": \"tt-check\",\n");
-    out.push_str(&format!("  \"git_rev\": \"{}\",\n", json_escape(&git_rev())));
-    out.push_str(&format!("  \"hostname\": \"{}\",\n", json_escape(&hostname())));
-    out.push_str(&format!("  \"base_seed\": {base},\n"));
-    out.push_str(&format!("  \"seeds_requested\": {requested},\n"));
-    out.push_str(&format!("  \"seeds_run\": {seeds_run},\n"));
-    out.push_str(&format!("  \"planted_bug\": {planted},\n"));
-    out.push_str(&format!("  \"faults\": {},\n", options.faults || options.fault_seed.is_some()));
-    out.push_str(&format!(
+) -> std::io::Result<()> {
+    let options = &flags.options;
+    let mut s = String::new();
+    s.push_str("{\n");
+    s.push_str("  \"tool\": \"tt-check\",\n");
+    s.push_str(&format!("  \"git_rev\": {},\n", escape(&git_rev())));
+    s.push_str(&format!("  \"hostname\": {},\n", escape(&hostname())));
+    s.push_str(&format!("  \"base_seed\": {},\n", flags.base));
+    s.push_str(&format!("  \"seeds_requested\": {requested},\n"));
+    s.push_str(&format!("  \"seeds_run\": {seeds_run},\n"));
+    s.push_str(&format!("  \"planted_bug\": {},\n", flags.planted));
+    s.push_str(&format!("  \"faults\": {},\n", options.faults || options.fault_seed.is_some()));
+    s.push_str(&format!(
         "  \"fault_seed\": {},\n",
         options.fault_seed.map_or("null".to_string(), |f| f.to_string())
     ));
-    out.push_str(&format!("  \"wall_secs\": {wall:.3},\n"));
-    out.push_str(&format!("  \"clean\": {},\n", failure.is_none()));
+    s.push_str(&format!("  \"wall_secs\": {wall:.3},\n"));
+    s.push_str(&format!("  \"clean\": {},\n", failure.is_none()));
     match failure {
-        Some(f) => out.push_str(&format!("  \"failure\": {}\n", failure_json(f))),
-        None => out.push_str("  \"failure\": null\n"),
+        Some(f) => s.push_str(&format!("  \"failure\": {}\n", failure_json(f))),
+        None => s.push_str("  \"failure\": null\n"),
     }
-    out.push_str("}\n");
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    let mut file = std::fs::File::create(path).expect("create report file");
-    file.write_all(out.as_bytes()).expect("write report");
-    eprintln!("tt-check: report written to {path}");
+    s.push_str("}\n");
+    out.write_all(s.as_bytes())
 }
 
-fn cmd_run(args: &[String]) -> i32 {
-    let mut seeds: u64 = 500;
-    let mut base: u64 = 0;
-    let mut options = FuzzOptions::default();
-    let mut planted = false;
-    let mut out_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => seeds = parse_u64(args, &mut i, "--seeds"),
-            "--base" => base = parse_u64(args, &mut i, "--base"),
-            "--sim-threads" => {
-                options.sim_threads = Some(parse_u64(args, &mut i, "--sim-threads") as usize)
-            }
-            "--window-policy" => options.window_policy = Some(parse_policy(args, &mut i)),
-            "--topology" => options.topology = Some(parse_topology(args, &mut i)),
-            "--faults" => options.faults = true,
-            "--fault-seed" => {
-                options.fault_seed = Some(parse_u64(args, &mut i, "--fault-seed"));
-                options.faults = true;
-            }
-            "--planted-bug" => planted = true,
-            "--out" => {
-                i += 1;
-                out_path = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
+fn cmd_run(mut flags: Flags) -> i32 {
+    let seeds = flags.seeds.unwrap_or(500);
+    let base = flags.base;
+    let planted = flags.planted;
 
     // With faults, the planted bug is the transport-level one — the
     // retry path ships without duplicate suppression, so a retransmit
     // whose original arrived replays into the protocol. Without faults
     // it stays the classic Stache skip-invalidate.
-    let plant_transport = planted && options.faults;
+    let plant_transport = planted && flags.options.faults;
     if plant_transport {
-        options.transport = Some(ReliableConfig { dedupe: false, ..ReliableConfig::default() });
+        flags.options.transport =
+            Some(ReliableConfig { dedupe: false, ..ReliableConfig::default() });
     }
     let planted_factory = |id: NodeId, layout: &_, cfg: &_| {
         Box::new(SkipInvalidate::new(id, layout, cfg)) as Box<dyn tt_tempest::Protocol>
     };
+    let factory: tt_check::fuzz::ProtocolFactory =
+        if planted && !plant_transport { &planted_factory } else { &stache_factory };
     let start = Instant::now();
-    let report = if planted && !plant_transport {
-        fuzz_with_options(base, seeds, &options, &planted_factory)
-    } else {
-        fuzz_with_options(base, seeds, &options, &stache_factory)
-    };
-    let transport = options.transport_config();
+    let report = fuzz(base, seeds, &flags.options, factory);
     let failure = report.failure.map(|f| {
         eprintln!("tt-check: shrinking failing seed {}...", f.seed);
-        if planted && !plant_transport {
-            shrink_with_transport(&f, &planted_factory, &transport)
-        } else {
-            shrink_with_transport(&f, &stache_factory, &transport)
-        }
+        shrink(&f, factory, &flags.options.transport_config())
     });
     let wall = start.elapsed().as_secs_f64();
 
-    if let Some(path) = &out_path {
-        write_fuzz_report(
-            path,
-            base,
-            seeds,
-            report.seeds_run,
-            planted,
-            &options,
-            wall,
-            failure.as_ref(),
-        );
+    if let Some((path, mut file)) = flags.out.take() {
+        if let Err(e) =
+            write_fuzz_report(&mut file, &flags, seeds, report.seeds_run, wall, failure.as_ref())
+        {
+            eprintln!("error: --out: {path}: {e}");
+            return 2;
+        }
+        eprintln!("tt-check: report written to {path}");
     }
     match (planted, failure) {
         (false, None) => {
@@ -309,29 +293,8 @@ fn cmd_run(args: &[String]) -> i32 {
     }
 }
 
-fn cmd_replay(args: &[String]) -> i32 {
-    let mut seed: Option<u64> = None;
-    let mut options = FuzzOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => seed = Some(parse_u64(args, &mut i, "--seed")),
-            "--sim-threads" => {
-                options.sim_threads = Some(parse_u64(args, &mut i, "--sim-threads") as usize)
-            }
-            "--window-policy" => options.window_policy = Some(parse_policy(args, &mut i)),
-            "--topology" => options.topology = Some(parse_topology(args, &mut i)),
-            "--faults" => options.faults = true,
-            "--fault-seed" => {
-                options.fault_seed = Some(parse_u64(args, &mut i, "--fault-seed"));
-                options.faults = true;
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let seed = seed.unwrap_or_else(|| usage());
-    match run_seed_with_options(seed, &options) {
+fn cmd_replay(seed: u64, options: &FuzzOptions) -> i32 {
+    match run_seed(seed, options) {
         Ok(r) => {
             println!(
                 "tt-check: seed {seed} clean — typhoon {} cycles, dirnnb {} cycles, \
@@ -352,34 +315,10 @@ fn cmd_replay(args: &[String]) -> i32 {
 /// consecutive seeds through the three-machine differential
 /// (Stache-served, write-update-served, DirNNB) plus the parallel
 /// reruns; `--seed S` replays one seed instead.
-fn cmd_kv(args: &[String]) -> i32 {
-    let mut seeds: u64 = 200;
-    let mut base: u64 = 0;
-    let mut replay: Option<u64> = None;
-    let mut options = FuzzOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => seeds = parse_u64(args, &mut i, "--seeds"),
-            "--base" => base = parse_u64(args, &mut i, "--base"),
-            "--seed" => replay = Some(parse_u64(args, &mut i, "--seed")),
-            "--sim-threads" => {
-                options.sim_threads = Some(parse_u64(args, &mut i, "--sim-threads") as usize)
-            }
-            "--window-policy" => options.window_policy = Some(parse_policy(args, &mut i)),
-            "--topology" => options.topology = Some(parse_topology(args, &mut i)),
-            "--faults" => options.faults = true,
-            "--fault-seed" => {
-                options.fault_seed = Some(parse_u64(args, &mut i, "--fault-seed"));
-                options.faults = true;
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-
-    if let Some(seed) = replay {
-        return match run_kv_seed_with_options(seed, &options) {
+fn cmd_kv(flags: &Flags) -> i32 {
+    let options = &flags.options;
+    if let Some(seed) = flags.seed {
+        return match run_kv_seed(seed, options) {
             Ok(r) => {
                 println!(
                     "tt-check: kv seed {seed} clean — stache {} cycles, update {} cycles, \
@@ -396,8 +335,9 @@ fn cmd_kv(args: &[String]) -> i32 {
         };
     }
 
+    let base = flags.base;
     let start = Instant::now();
-    let report = fuzz_kv_with_options(base, seeds, &options);
+    let report = fuzz_kv(base, flags.seeds.unwrap_or(200), options);
     let wall = start.elapsed().as_secs_f64();
     match report.failure {
         None => {
@@ -416,13 +356,28 @@ fn cmd_kv(args: &[String]) -> i32 {
     }
 }
 
+/// Parses the command line and runs the command, returning its exit
+/// code.
+fn run(args: &[String]) -> Result<i32, CliError> {
+    let Some((command, rest)) = args.split_first() else {
+        return Err(CliError::Bad("missing command (run, replay or kv)".into()));
+    };
+    match command.as_str() {
+        "-h" | "--help" => Err(CliError::Help),
+        "run" => Ok(cmd_run(parse(rest, &["--seeds", "--base", "--planted-bug", "--out"])?)),
+        "replay" => {
+            let flags = parse(rest, &["--seed"])?;
+            let seed =
+                flags.seed.ok_or_else(|| CliError::Bad("--seed: replay needs a seed".into()))?;
+            Ok(cmd_replay(seed, &flags.options))
+        }
+        "kv" => Ok(cmd_kv(&parse(rest, &["--seeds", "--base", "--seed"])?)),
+        other => Err(CliError::Bad(format!("unknown command {other}"))),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("kv") => cmd_kv(&args[1..]),
-        _ => usage(),
-    };
+    let code = run(&args).unwrap_or_else(|e| e.exit_with_help(USAGE));
     std::process::exit(code);
 }

@@ -122,13 +122,19 @@ impl CliError {
     /// the shared flags to stdout and exits 0; `Bad` prints the reason,
     /// then the usage, to stderr and exits 2.
     pub fn exit(self, usage: &str) -> ! {
+        self.exit_with_help(&format!("{usage}\n{SHARED_FLAGS}"))
+    }
+
+    /// [`CliError::exit`] for a binary whose help text is all its own
+    /// (`tt-check` takes none of the shared flags).
+    pub fn exit_with_help(self, help: &str) -> ! {
         match self {
             CliError::Help => {
-                print!("{usage}\n{SHARED_FLAGS}");
+                print!("{help}");
                 std::process::exit(0)
             }
             CliError::Bad(reason) => {
-                eprint!("error: {reason}\n\n{usage}\n{SHARED_FLAGS}");
+                eprint!("error: {reason}\n\n{help}");
                 std::process::exit(2)
             }
         }

@@ -123,8 +123,8 @@ pub fn hostname() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// JSON string literal with the required escapes.
-fn escape(s: &str) -> String {
+/// JSON string literal, quotes included, with the required escapes.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

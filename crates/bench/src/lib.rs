@@ -169,8 +169,20 @@ pub fn build_app(
     }
 }
 
-/// Runs a workload on the chosen system, measuring host wall time.
-pub fn run_system(system: System, cfg: &SystemConfig, workload: Box<dyn Workload>) -> RunOutcome {
+/// Runs a workload on the chosen system `repeat` times (min-of-N wall
+/// time, cycles asserted identical; see [`min_of_runs`]); `build`
+/// constructs a fresh workload for each run.
+pub fn run_system(
+    system: System,
+    cfg: &SystemConfig,
+    repeat: usize,
+    build: impl Fn() -> Box<dyn Workload>,
+) -> RunOutcome {
+    min_of_runs(repeat, || run_once(system, cfg, build()))
+}
+
+/// One run of [`run_system`], measuring host wall time and heap traffic.
+fn run_once(system: System, cfg: &SystemConfig, workload: Box<dyn Workload>) -> RunOutcome {
     tt_base::alloc_stats::reset_peak();
     let allocs_before = tt_base::alloc_stats::alloc_count();
     let start = Instant::now();
@@ -229,8 +241,8 @@ pub fn assert_sim_threads_identity(cfg: &SystemConfig) {
                 sync_for(AppId::Em3d, system),
             )
         };
-        let par = run_system(system, cfg, build());
-        let seq = run_system(system, &seq_cfg, build());
+        let par = run_system(system, cfg, 1, build);
+        let seq = run_system(system, &seq_cfg, 1, build);
         assert_eq!(
             seq.cycles,
             par.cycles,
@@ -269,17 +281,6 @@ pub fn min_of_runs(repeat: usize, run: impl Fn() -> RunOutcome) -> RunOutcome {
         }
     }
     best
-}
-
-/// [`run_system`] repeated `repeat` times (min-of-N wall time); `build`
-/// constructs a fresh workload for each repeat.
-pub fn run_system_min(
-    system: System,
-    cfg: &SystemConfig,
-    repeat: usize,
-    build: impl Fn() -> Box<dyn Workload>,
-) -> RunOutcome {
-    min_of_runs(repeat, || run_system(system, cfg, build()))
 }
 
 /// The sync mode an app must use on a system (only EM3D on
@@ -328,20 +329,9 @@ pub const FIGURE3_POINTS: [(DataSet, usize); 5] = [
     (DataSet::Large, 256 * 1024),
 ];
 
-/// Measures one Figure 3 bar.
+/// Measures one Figure 3 bar, with min-of-`repeat` wall timings
+/// (cycles are asserted identical across repeats).
 pub fn figure3_point(
-    app: AppId,
-    set: DataSet,
-    cache_bytes: usize,
-    scale: usize,
-    cfg_base: &SystemConfig,
-) -> Figure3Point {
-    figure3_point_min(app, set, cache_bytes, scale, cfg_base, 1)
-}
-
-/// [`figure3_point`] with min-of-`repeat` wall timings (cycles are
-/// asserted identical across repeats).
-pub fn figure3_point_min(
     app: AppId,
     set: DataSet,
     cache_bytes: usize,
@@ -351,10 +341,10 @@ pub fn figure3_point_min(
 ) -> Figure3Point {
     let mut cfg = cfg_base.clone();
     cfg.cpu.cache_bytes = cache_bytes;
-    let typhoon = run_system_min(System::TyphoonStache, &cfg, repeat, || {
+    let typhoon = run_system(System::TyphoonStache, &cfg, repeat, || {
         build_app(app, set, scale, cfg.nodes, sync_for(app, System::TyphoonStache))
     });
-    let dirnnb = run_system_min(System::Dirnnb, &cfg, repeat, || {
+    let dirnnb = run_system(System::Dirnnb, &cfg, repeat, || {
         build_app(app, set, scale, cfg.nodes, sync_for(app, System::Dirnnb))
     });
     Figure3Point {
@@ -368,30 +358,13 @@ pub fn figure3_point_min(
     }
 }
 
-/// Runs the whole Figure 3 grid — every application at every data-set /
-/// cache-size point — fanning independent points across `jobs` threads
-/// (see [`par::run_indexed`]; any `jobs` yields identical results).
-/// Points are returned app-major in `AppId::ALL` × [`FIGURE3_POINTS`]
-/// order.
-pub fn figure3_sweep(scale: usize, cfg: &SystemConfig, jobs: usize) -> Vec<Figure3Point> {
-    figure3_sweep_min(scale, cfg, jobs, 1)
-}
-
-/// [`figure3_sweep`] with min-of-`repeat` wall timings per point.
-pub fn figure3_sweep_min(
-    scale: usize,
-    cfg: &SystemConfig,
-    jobs: usize,
-    repeat: usize,
-) -> Vec<Figure3Point> {
-    figure3_sweep_apps(&AppId::ALL, scale, cfg, jobs, repeat)
-}
-
-/// [`figure3_sweep_min`] over a subset of the applications — the
-/// big-machine sweeps (`--nodes 256|1024`) run a single app to stay
-/// within the container's single-CPU budget. Points come back app-major
-/// in the order given.
-pub fn figure3_sweep_apps(
+/// Runs the Figure 3 grid for `apps` — every application at every
+/// data-set / cache-size point, min-of-`repeat` wall timings per point —
+/// fanning independent points across `jobs` threads (see
+/// [`par::run_indexed`]; any `jobs` yields identical results). Points
+/// come back app-major in the order given × [`FIGURE3_POINTS`]; the
+/// big-machine sweeps (`--nodes 256|1024`) pass a single app.
+pub fn figure3_sweep(
     apps: &[AppId],
     scale: usize,
     cfg: &SystemConfig,
@@ -405,7 +378,7 @@ pub fn figure3_sweep_apps(
         .collect();
     par::run_indexed(jobs, grid.len(), |i| {
         let (app, set, cache) = grid[i];
-        figure3_point_min(app, set, cache, scale, cfg, repeat)
+        figure3_point(app, set, cache, scale, cfg, repeat)
     })
 }
 
@@ -428,14 +401,10 @@ pub struct Figure4Point {
 pub const FIGURE4_SYSTEMS: [System; 3] =
     [System::Dirnnb, System::TyphoonStache, System::TyphoonUpdate];
 
-/// Measures one Figure 4 x-axis point (all three curves).
-pub fn figure4_point(pct_remote: f64, scale: usize, cfg: &SystemConfig) -> Figure4Point {
-    figure4_point_min(pct_remote, scale, cfg, 1)
-}
-
-/// [`figure4_point`] with min-of-`repeat` wall timings (cycles are
-/// asserted identical across repeats).
-pub fn figure4_point_min(
+/// Measures one Figure 4 x-axis point (all three curves), with
+/// min-of-`repeat` wall timings (cycles are asserted identical across
+/// repeats).
+pub fn figure4_point(
     pct_remote: f64,
     scale: usize,
     cfg: &SystemConfig,
@@ -471,7 +440,7 @@ pub fn figure4_point_min(
         cfg.dirnnb.placement = tt_base::config::DirPlacement::Owner;
         cfg.cpu.cache_bytes = 256 * 1024;
         let (_, denom) = mk(sync);
-        let out = min_of_runs(repeat, || run_system(system, &cfg, mk(sync).0));
+        let out = run_system(system, &cfg, repeat, || mk(sync).0);
         cpe[i] = out.cycles.as_f64() / denom;
         cycles[i] = out.cycles;
         stats[i] = RunStats::of(&out);
@@ -487,21 +456,17 @@ pub fn figure4_point_min(
 /// The remote-edge fractions of the Figure 4 x-axis.
 pub const FIGURE4_PCTS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
 
-/// Runs the whole Figure 4 sweep across `jobs` threads (results are
-/// identical for any `jobs`; see [`par::run_indexed`]).
-pub fn figure4_sweep(scale: usize, cfg: &SystemConfig, jobs: usize) -> Vec<Figure4Point> {
-    figure4_sweep_min(scale, cfg, jobs, 1)
-}
-
-/// [`figure4_sweep`] with min-of-`repeat` wall timings per point.
-pub fn figure4_sweep_min(
+/// Runs the whole Figure 4 sweep across `jobs` threads, min-of-`repeat`
+/// wall timings per point (results are identical for any `jobs`; see
+/// [`par::run_indexed`]).
+pub fn figure4_sweep(
     scale: usize,
     cfg: &SystemConfig,
     jobs: usize,
     repeat: usize,
 ) -> Vec<Figure4Point> {
     par::run_indexed(jobs, FIGURE4_PCTS.len(), |i| {
-        figure4_point_min(FIGURE4_PCTS[i], scale, cfg, repeat)
+        figure4_point(FIGURE4_PCTS[i], scale, cfg, repeat)
     })
 }
 
@@ -530,7 +495,7 @@ mod tests {
     #[test]
     fn figure3_smoke_point_is_sane() {
         let cfg = bench_config(smoke::NODES);
-        let p = figure3_point(AppId::Em3d, DataSet::Small, 4 * 1024, smoke::SCALE, &cfg);
+        let p = figure3_point(AppId::Em3d, DataSet::Small, 4 * 1024, smoke::SCALE, &cfg, 1);
         let rel = p.relative();
         assert!(rel > 0.2 && rel < 3.0, "relative time {rel}");
     }
@@ -538,7 +503,7 @@ mod tests {
     #[test]
     fn figure4_smoke_point_orders_systems_at_high_remote() {
         let cfg = bench_config(smoke::NODES);
-        let p = figure4_point(0.5, smoke::SCALE, &cfg);
+        let p = figure4_point(0.5, smoke::SCALE, &cfg, 1);
         let [dirnnb, stache, update] = p.cycles_per_edge;
         assert!(update < dirnnb, "update {update} should beat DirNNB {dirnnb}");
         assert!(update < stache, "update {update} should beat Stache {stache}");

@@ -1,6 +1,7 @@
-//! Command-line behaviour of the harness binaries: `--help` prints the
-//! usage and exits 0; a bad or unknown argument prints a one-line error
-//! and the usage to stderr and exits 2 — never a panic backtrace.
+//! Command-line behaviour of the harness binaries and `tt-check`:
+//! `--help` prints the usage and exits 0; a bad or unknown argument
+//! prints a one-line error and the usage to stderr and exits 2 — never
+//! a panic backtrace.
 
 use std::process::{Command, Output};
 
@@ -93,4 +94,54 @@ fn binary_specific_flags_report_bad_values() {
     let out = run(kv_bench, &["--keys", "many"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(text(&out.stderr).starts_with("error: --keys N: \"many\""));
+}
+
+/// `tt-check` takes subcommands and its own checker flags, but follows
+/// the same conventions.
+const TT_CHECK: &str = env!("CARGO_BIN_EXE_tt-check");
+
+#[test]
+fn tt_check_help_prints_usage_and_exits_zero() {
+    let cases: [&[&str]; 4] =
+        [&["--help"], &["-h"], &["run", "--help"], &["kv", "--seeds", "3", "-h"]];
+    for args in cases {
+        let out = run(TT_CHECK, args);
+        let stdout = text(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "tt-check {args:?}: {out:?}");
+        assert!(stdout.starts_with("Usage: tt-check "), "tt-check {args:?}: {stdout}");
+        assert!(stdout.contains("--fault-seed F"), "tt-check {args:?}: checker flags listed");
+        assert!(out.stderr.is_empty(), "tt-check {args:?}: {}", text(&out.stderr));
+    }
+}
+
+#[test]
+fn tt_check_bad_arguments_print_one_error_line_and_exit_two() {
+    let cases: [(&[&str], &str); 10] = [
+        (&[], "missing command"),
+        (&["bogus"], "bogus"),
+        (&["run", "--bogus"], "--bogus"),
+        (&["run", "--seeds", "abc"], "--seeds"),
+        (&["kv", "--window-policy", "eager"], "--window-policy"),
+        (&["run", "--topology", "fat-tree:1"], "--topology"),
+        (&["replay"], "--seed"),
+        (&["replay", "--seed"], "--seed"),
+        // `--out` belongs to `run` alone.
+        (&["replay", "--seed", "1", "--out", "report.json"], "--out"),
+        // The report file is opened before the sweep: an unwritable
+        // path is a usage error, not a panic after fuzzing.
+        (&["run", "--seeds", "2", "--out", "/proc/nope/x.json"], "--out"),
+    ];
+    for (args, culprit) in cases {
+        let out = run(TT_CHECK, args);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "tt-check {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "tt-check {args:?}: nothing runs");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error: ") && first.contains(culprit),
+            "tt-check {args:?}: first line {first:?}"
+        );
+        assert!(stderr.contains("Usage: tt-check "), "tt-check {args:?}: usage follows");
+        assert!(!stderr.contains("panicked"), "tt-check {args:?}: {stderr}");
+    }
 }

@@ -12,6 +12,7 @@
 //! ordering hazard sharding introduces — two nodes in different shards
 //! whose messages reach the same home at the same cycle.
 
+use tt_apps::AppId;
 use tt_bench::{bench_config, figure3_sweep, figure4_sweep, smoke};
 
 #[test]
@@ -20,8 +21,8 @@ fn figure3_sweep_is_identical_with_direct_execution_off() {
     let mut off = bench_config(smoke::NODES);
     off.direct_execution = false;
     assert!(on.direct_execution, "direct execution defaults on");
-    let fast = figure3_sweep(smoke::SCALE, &on, 4);
-    let slow = figure3_sweep(smoke::SCALE, &off, 4);
+    let fast = figure3_sweep(&AppId::ALL, smoke::SCALE, &on, 4, 1);
+    let slow = figure3_sweep(&AppId::ALL, smoke::SCALE, &off, 4, 1);
     assert_eq!(fast.len(), slow.len());
     for (f, s) in fast.iter().zip(&slow) {
         assert_eq!(
@@ -42,8 +43,8 @@ fn figure4_sweep_is_identical_with_direct_execution_off() {
     let on = bench_config(smoke::NODES);
     let mut off = bench_config(smoke::NODES);
     off.direct_execution = false;
-    let fast = figure4_sweep(smoke::SCALE, &on, 4);
-    let slow = figure4_sweep(smoke::SCALE, &off, 4);
+    let fast = figure4_sweep(smoke::SCALE, &on, 4, 1);
+    let slow = figure4_sweep(smoke::SCALE, &off, 4, 1);
     assert_eq!(fast.len(), slow.len());
     for (f, s) in fast.iter().zip(&slow) {
         assert_eq!(
@@ -59,8 +60,8 @@ fn figure3_sweep_is_identical_under_parallel_simulation() {
     let seq = bench_config(smoke::NODES);
     let mut par = bench_config(smoke::NODES);
     par.sim_threads = 2;
-    let sequential = figure3_sweep(smoke::SCALE, &seq, 4);
-    let parallel = figure3_sweep(smoke::SCALE, &par, 4);
+    let sequential = figure3_sweep(&AppId::ALL, smoke::SCALE, &seq, 4, 1);
+    let parallel = figure3_sweep(&AppId::ALL, smoke::SCALE, &par, 4, 1);
     assert_eq!(sequential.len(), parallel.len());
     for (s, p) in sequential.iter().zip(&parallel) {
         assert_eq!(
@@ -81,8 +82,8 @@ fn figure4_sweep_is_identical_under_parallel_simulation() {
     let seq = bench_config(smoke::NODES);
     let mut par = bench_config(smoke::NODES);
     par.sim_threads = 3;
-    let sequential = figure4_sweep(smoke::SCALE, &seq, 4);
-    let parallel = figure4_sweep(smoke::SCALE, &par, 4);
+    let sequential = figure4_sweep(smoke::SCALE, &seq, 4, 1);
+    let parallel = figure4_sweep(smoke::SCALE, &par, 4, 1);
     assert_eq!(sequential.len(), parallel.len());
     for (s, p) in sequential.iter().zip(&parallel) {
         assert_eq!(
@@ -101,12 +102,12 @@ fn figure4_sweep_is_identical_under_parallel_simulation() {
 #[test]
 fn figure3_sweep_is_identical_under_adaptive_windows() {
     let seq = bench_config(smoke::NODES);
-    let sequential = figure3_sweep(smoke::SCALE, &seq, 4);
+    let sequential = figure3_sweep(&AppId::ALL, smoke::SCALE, &seq, 4, 1);
     for threads in [2, 3] {
         let mut par = bench_config(smoke::NODES);
         par.sim_threads = threads;
         par.window_policy = tt_base::WindowPolicy::Adaptive;
-        let parallel = figure3_sweep(smoke::SCALE, &par, 4);
+        let parallel = figure3_sweep(&AppId::ALL, smoke::SCALE, &par, 4, 1);
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
             assert_eq!(
@@ -130,8 +131,8 @@ fn figure4_sweep_is_identical_under_adaptive_windows() {
     let mut par = bench_config(smoke::NODES);
     par.sim_threads = 2;
     par.window_policy = tt_base::WindowPolicy::Adaptive;
-    let sequential = figure4_sweep(smoke::SCALE, &seq, 4);
-    let parallel = figure4_sweep(smoke::SCALE, &par, 4);
+    let sequential = figure4_sweep(smoke::SCALE, &seq, 4, 1);
+    let parallel = figure4_sweep(smoke::SCALE, &par, 4, 1);
     assert_eq!(sequential.len(), parallel.len());
     for (s, p) in sequential.iter().zip(&parallel) {
         assert_eq!(

@@ -3,13 +3,14 @@
 //! simulation built from its own seed, so the worker count can only
 //! affect wall-clock time — these tests pin that guarantee.
 
+use tt_apps::AppId;
 use tt_bench::{bench_config, figure3_sweep, figure4_sweep, smoke};
 
 #[test]
 fn figure3_sweep_is_identical_for_any_job_count() {
     let cfg = bench_config(smoke::NODES);
-    let seq = figure3_sweep(smoke::SCALE, &cfg, 1);
-    let par = figure3_sweep(smoke::SCALE, &cfg, 4);
+    let seq = figure3_sweep(&AppId::ALL, smoke::SCALE, &cfg, 1, 1);
+    let par = figure3_sweep(&AppId::ALL, smoke::SCALE, &cfg, 4, 1);
     assert_eq!(seq.len(), par.len());
     for (a, b) in seq.iter().zip(&par) {
         assert_eq!(a.app, b.app, "point order must not depend on jobs");
@@ -35,8 +36,8 @@ fn figure3_sweep_is_identical_for_any_job_count() {
 #[test]
 fn figure4_sweep_is_identical_for_any_job_count() {
     let cfg = bench_config(smoke::NODES);
-    let seq = figure4_sweep(smoke::SCALE, &cfg, 1);
-    let par = figure4_sweep(smoke::SCALE, &cfg, 4);
+    let seq = figure4_sweep(smoke::SCALE, &cfg, 1, 1);
+    let par = figure4_sweep(smoke::SCALE, &cfg, 4, 1);
     assert_eq!(seq.len(), par.len());
     for (a, b) in seq.iter().zip(&par) {
         assert_eq!(a.pct_remote, b.pct_remote);
@@ -55,8 +56,8 @@ fn repeated_sweeps_are_bit_reproducible() {
     // randomized hasher is iterated on a semantics-bearing path; see
     // tt_base::fxhash and StacheProtocol::init.)
     let cfg = bench_config(smoke::NODES);
-    let first = figure3_sweep(smoke::SCALE, &cfg, 2);
-    let second = figure3_sweep(smoke::SCALE, &cfg, 2);
+    let first = figure3_sweep(&AppId::ALL, smoke::SCALE, &cfg, 2, 1);
+    let second = figure3_sweep(&AppId::ALL, smoke::SCALE, &cfg, 2, 1);
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.typhoon, b.typhoon);
         assert_eq!(a.dirnnb, b.dirnnb);

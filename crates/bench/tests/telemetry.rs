@@ -20,17 +20,15 @@ fn adaptive_windows_cut_rendezvous_on_idle_heavy_ocean() {
         let mut cfg = bench_config(nodes);
         cfg.sim_threads = 2;
         cfg.window_policy = policy;
-        run_system(
-            System::TyphoonStache,
-            &cfg,
+        run_system(System::TyphoonStache, &cfg, 1, || {
             build_app(
                 AppId::Ocean,
                 DataSet::Small,
                 scale,
                 nodes,
                 sync_for(AppId::Ocean, System::TyphoonStache),
-            ),
-        )
+            )
+        })
     };
     let fixed = run(WindowPolicy::Fixed);
     let adaptive = run(WindowPolicy::Adaptive);

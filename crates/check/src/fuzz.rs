@@ -27,7 +27,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use tt_base::workload::Layout;
+use tt_base::workload::{Layout, ScriptWorkload};
 use tt_base::{Cycles, DetRng, FaultSpec, NodeId, SystemConfig, Topology, VAddr, WindowPolicy};
 use tt_dirnnb::DirnnbMachine;
 use tt_mem::Tag;
@@ -117,30 +117,6 @@ impl PerturbConfig {
                 2 => Topology::Mesh2D { width: 0 },
                 _ => Topology::FatTree { arity: 0 },
             },
-        }
-    }
-
-    /// [`PerturbConfig::from_seed`] plus a seed-derived fault schedule:
-    /// the fault-plan seed comes from its own fork so fault decisions
-    /// are independent of every other drawn dimension.
-    pub fn from_seed_with_faults(seed: u64) -> Self {
-        let mut p = PerturbConfig::from_seed(seed);
-        p.fault = Some(FaultSpec::from_seed(DetRng::new(seed).fork(12).next_u64()));
-        p
-    }
-
-    /// No perturbation at all (production schedule).
-    pub fn none() -> Self {
-        PerturbConfig {
-            tie_shuffle: None,
-            jitter_max: 0,
-            jitter_seed: 0,
-            coalesce: false,
-            direct_execution: false,
-            sim_threads: 1,
-            window_policy: WindowPolicy::Fixed,
-            fault: None,
-            topology: Topology::Ideal,
         }
     }
 }
@@ -285,29 +261,128 @@ pub(crate) fn typhoon_word(m: &TyphoonMachine, addr: VAddr) -> u64 {
     m.node_word(home, addr).expect("home page mapped")
 }
 
-/// Runs one case with the stock Stache protocol.
-pub fn run_case(cfg: &LitmusConfig, perturb: &PerturbConfig) -> Result<CaseResult, Box<Failure>> {
-    run_case_with(cfg, perturb, &stache_factory)
-}
-
-/// Runs one case with an injected protocol factory (used to prove the
-/// harness catches planted bugs). Under a fault schedule the protocol
-/// is wrapped in the stock [`Reliable`] transport.
-pub fn run_case_with(
-    cfg: &LitmusConfig,
+/// Runs one Typhoon leg of a case: the machine built from `cfg` with
+/// the perturbation's direct-execution mode, fault plan, topology,
+/// tie-shuffle and jitter applied. Under a fault plan `factory` runs
+/// behind the [`Reliable`] transport configured by `transport`. With
+/// `watch` set the run is observed by the invariant engine over those
+/// blocks (accepting the transport's ack handler and a 4× event budget
+/// under faults); otherwise it runs plain. `read` takes the result off
+/// the finished machine. A panic anywhere becomes its message.
+///
+/// Returns the completion time, `read`'s value and the events the
+/// invariant engine observed (0 for a plain run).
+pub(crate) fn typhoon_leg<T>(
+    cfg: &SystemConfig,
     perturb: &PerturbConfig,
+    workload: ScriptWorkload,
     factory: ProtocolFactory,
-) -> Result<CaseResult, Box<Failure>> {
-    run_case_full(cfg, perturb, factory, &ReliableConfig::default())
+    transport: &ReliableConfig,
+    watch: Option<&[VAddr]>,
+    read: impl FnOnce(&TyphoonMachine) -> T,
+) -> Result<(Cycles, T, u64), String> {
+    let mut cfg = cfg.clone();
+    cfg.direct_execution = perturb.direct_execution;
+    cfg.fault = perturb.fault;
+    cfg.topology = perturb.topology;
+    let reliable = |id: NodeId, layout: &Layout, scfg: &SystemConfig| -> Box<dyn Protocol> {
+        Box::new(Reliable::with_config(factory(id, layout, scfg), *transport))
+    };
+    let factory: ProtocolFactory = if perturb.fault.is_some() { &reliable } else { factory };
+    catch(move || {
+        let mut m = TyphoonMachine::new(cfg, Box::new(workload), factory);
+        if let Some(seed) = perturb.tie_shuffle {
+            m.set_tie_shuffle(seed);
+        }
+        if perturb.jitter_max > 0 {
+            m.set_net_jitter(perturb.jitter_seed, Cycles::new(perturb.jitter_max));
+        }
+        let (cycles, events) = match watch {
+            Some(blocks) => {
+                let mut checker = InvariantChecker::new(blocks.to_vec());
+                if perturb.fault.is_some() {
+                    // Every retry and ack is an extra event.
+                    checker = checker
+                        .with_policy(reliable_vn_policy(tt_stache::vn_policy()))
+                        .with_budget(DEFAULT_EVENT_BUDGET * 4);
+                }
+                let r = m.run_observed(&mut |now, ev, mach| checker.check(now, ev, mach));
+                (r.cycles, checker.events())
+            }
+            None => (m.run().cycles, 0),
+        };
+        (cycles, read(&m), events)
+    })
 }
 
-/// [`run_case_with`] with the reliable transport's configuration also
-/// injectable. `transport` matters only when `perturb.fault` is set —
-/// a perfect network never wraps the protocol — and exists so the
-/// harness can plant the transport-level bug (`dedupe: false`:
-/// retransmission without duplicate suppression) and prove the fuzzer
-/// catches it.
-pub fn run_case_full(
+/// Runs the DirNNB leg of a case: the pristine reference every family
+/// holds its Typhoon legs against. It always runs fault-free on the
+/// ideal network, under the perturbation's direct-execution mode and
+/// tie-shuffle seed; jitter is a Typhoon network knob (DirNNB latencies
+/// come from its cost tables). A panic becomes its message.
+pub(crate) fn dirnnb_leg<T>(
+    cfg: &SystemConfig,
+    perturb: &PerturbConfig,
+    workload: ScriptWorkload,
+    read: impl FnOnce(&mut DirnnbMachine) -> T,
+) -> Result<(Cycles, T), String> {
+    let mut cfg = cfg.clone();
+    cfg.direct_execution = perturb.direct_execution;
+    cfg.fault = None;
+    cfg.topology = Topology::Ideal;
+    catch(move || {
+        let mut m = DirnnbMachine::new(cfg, Box::new(workload));
+        if let Some(seed) = perturb.tie_shuffle {
+            m.set_tie_shuffle(seed);
+        }
+        let cycles = m.run().cycles;
+        (cycles, read(&mut m))
+    })
+}
+
+/// `cfg` with the perturbation's parallel-simulator shape: the
+/// configuration of a sequential-versus-parallel rerun.
+pub(crate) fn parallel_config(cfg: &SystemConfig, perturb: &PerturbConfig) -> SystemConfig {
+    let mut cfg = cfg.clone();
+    cfg.sim_threads = perturb.sim_threads;
+    cfg.window_policy = perturb.window_policy;
+    cfg
+}
+
+/// The sequential-versus-parallel verdict: every leg's `(name,
+/// sequential, parallel)` cycles must agree, in order, and then the
+/// final images (`images_agree`); `image_leg` names the image in the
+/// message when only one leg's is compared.
+pub(crate) fn parallel_verdict(
+    perturb: &PerturbConfig,
+    cycles: &[(&str, Cycles, Cycles)],
+    image_leg: Option<&str>,
+    images_agree: bool,
+) -> Result<(), String> {
+    let under = format!("sim_threads={} policy={}", perturb.sim_threads, perturb.window_policy);
+    for &(leg, seq, par) in cycles {
+        if seq != par {
+            return Err(format!(
+                "{leg} cycles diverged under {under}: sequential {seq}, parallel {par}"
+            ));
+        }
+    }
+    if !images_agree {
+        return Err(match image_leg {
+            Some(leg) => format!("{leg} final image diverged under {under}"),
+            None => format!("final image diverged under {under}"),
+        });
+    }
+    Ok(())
+}
+
+/// Runs one case with `factory`'s protocol on Typhoon (the stock
+/// [`stache_factory`], or an injected broken one to prove the harness
+/// catches planted bugs). Under a fault schedule the protocol runs
+/// behind the [`Reliable`] transport configured by `transport`, so the
+/// harness can also plant the transport-level bug (`dedupe: false`:
+/// retransmission without duplicate suppression).
+pub fn run_case(
     cfg: &LitmusConfig,
     perturb: &PerturbConfig,
     factory: ProtocolFactory,
@@ -323,98 +398,32 @@ pub fn run_case_full(
         shrunk: None,
         shrunk_perturb: None,
     });
-
     let mut syscfg = SystemConfig::test_config(cfg.nodes);
     syscfg.seed = cfg.seed;
-    syscfg.direct_execution = perturb.direct_execution;
-    syscfg.fault = perturb.fault;
-    syscfg.topology = perturb.topology;
-
-    // Under faults the protocol runs behind the reliable transport,
-    // the invariant engine accepts the transport's ack handler, and the
-    // livelock watchdog widens (every retry/ack is an extra event).
-    type BoxedFactory<'a> = Box<dyn Fn(NodeId, &Layout, &SystemConfig) -> Box<dyn Protocol> + 'a>;
-    let wrapped: Option<BoxedFactory<'_>> = perturb.fault.map(|_| {
-        let rel = *transport;
-        Box::new(move |id: NodeId, layout: &Layout, scfg: &SystemConfig| {
-            Box::new(Reliable::with_config(factory(id, layout, scfg), rel))
-                as Box<dyn Protocol>
-        }) as BoxedFactory<'_>
-    });
-    let tfactory: ProtocolFactory = match &wrapped {
-        Some(w) => &**w,
-        None => factory,
+    let typhoon_image = |m: &TyphoonMachine| -> Vec<u64> {
+        litmus.finals.iter().map(|&(a, _)| typhoon_word(m, a)).collect()
     };
-    let make_checker = |blocks: Vec<VAddr>| {
-        let checker = InvariantChecker::new(blocks);
-        if perturb.fault.is_some() {
-            checker
-                .with_policy(reliable_vn_policy(tt_stache::vn_policy()))
-                .with_budget(DEFAULT_EVENT_BUDGET * 4)
-        } else {
-            checker
-        }
+    let dirnnb_image = |m: &mut DirnnbMachine| -> Vec<u64> {
+        litmus.finals.iter().map(|&(a, _)| m.shared_word(a)).collect()
+    };
+    let typhoon = |cfg: &SystemConfig, watch: Option<&[VAddr]>| {
+        let workload = litmus.workload(perturb.coalesce);
+        typhoon_leg(cfg, perturb, workload, factory, transport, watch, typhoon_image)
+    };
+    let dirnnb = |cfg: &SystemConfig| {
+        dirnnb_leg(cfg, perturb, litmus.workload(perturb.coalesce), dirnnb_image)
     };
 
-    // Typhoon under the invariant engine and the full perturbation set.
-    let (typhoon_cycles, typhoon_image, events) = {
-        let syscfg = syscfg.clone();
-        let litmus = &litmus;
-        catch(move || {
-            let mut m = TyphoonMachine::new(
-                syscfg,
-                Box::new(litmus.workload(perturb.coalesce)),
-                tfactory,
-            );
-            if let Some(seed) = perturb.tie_shuffle {
-                m.set_tie_shuffle(seed);
-            }
-            if perturb.jitter_max > 0 {
-                m.set_net_jitter(perturb.jitter_seed, Cycles::new(perturb.jitter_max));
-            }
-            let mut checker = make_checker(litmus.blocks.clone());
-            let r = m.run_observed(&mut |now, ev, mach| checker.check(now, ev, mach));
-            let image: Vec<(VAddr, u64)> = litmus
-                .finals
-                .iter()
-                .map(|&(a, _)| (a, typhoon_word(&m, a)))
-                .collect();
-            (r.cycles, image, checker.events())
-        })
-        .map_err(|msg| fail("typhoon", msg))?
-    };
-
-    // DirNNB: same workload and tie-break seed; jitter is a Typhoon
-    // network knob (DirNNB latencies come from its cost tables), and
-    // faults and routed topologies never apply — DirNNB is the pristine
-    // ideal-network reference a lossy or mesh-routed Typhoon run's
-    // final image is held against.
-    let (dirnnb_cycles, dirnnb_image) = {
-        let mut syscfg = syscfg.clone();
-        syscfg.fault = None;
-        syscfg.topology = Topology::Ideal;
-        let litmus = &litmus;
-        catch(move || {
-            let mut m = DirnnbMachine::new(syscfg, Box::new(litmus.workload(perturb.coalesce)));
-            if let Some(seed) = perturb.tie_shuffle {
-                m.set_tie_shuffle(seed);
-            }
-            let r = m.run();
-            let image: Vec<(VAddr, u64)> = litmus
-                .finals
-                .iter()
-                .map(|&(a, _)| (a, m.shared_word(a)))
-                .collect();
-            (r.cycles, image)
-        })
-        .map_err(|msg| fail("dirnnb", msg))?
-    };
+    // Typhoon under the invariant engine and the full perturbation set,
+    // then DirNNB under the same tie-break seed.
+    let (typhoon_cycles, typhoon_words, events) =
+        typhoon(&syscfg, Some(&litmus.blocks)).map_err(|msg| fail("typhoon", msg))?;
+    let (dirnnb_cycles, dirnnb_words) = dirnnb(&syscfg).map_err(|msg| fail("dirnnb", msg))?;
 
     // Differential: both machines, and the generator's own prediction,
     // must agree on every written word.
     for (i, &(addr, expect)) in litmus.finals.iter().enumerate() {
-        let t = typhoon_image[i].1;
-        let d = dirnnb_image[i].1;
+        let (t, d) = (typhoon_words[i], dirnnb_words[i]);
         if t != expect || d != expect {
             return Err(fail(
                 "differential",
@@ -431,121 +440,24 @@ pub fn run_case_full(
     // bit — cycles and final images. (The invariant engine needs the
     // single total event order, so the parallel Typhoon leg runs plain.)
     if perturb.sim_threads > 1 {
-        let mut parcfg = syscfg.clone();
-        parcfg.sim_threads = perturb.sim_threads;
-        parcfg.window_policy = perturb.window_policy;
-
-        let (par_typhoon_cycles, par_typhoon_image) = {
-            let parcfg = parcfg.clone();
-            let litmus = &litmus;
-            catch(move || {
-                let mut m = TyphoonMachine::new(
-                    parcfg,
-                    Box::new(litmus.workload(perturb.coalesce)),
-                    tfactory,
-                );
-                if let Some(seed) = perturb.tie_shuffle {
-                    m.set_tie_shuffle(seed);
-                }
-                if perturb.jitter_max > 0 {
-                    m.set_net_jitter(perturb.jitter_seed, Cycles::new(perturb.jitter_max));
-                }
-                let r = m.run();
-                let image: Vec<(VAddr, u64)> = litmus
-                    .finals
-                    .iter()
-                    .map(|&(a, _)| (a, typhoon_word(&m, a)))
-                    .collect();
-                (r.cycles, image)
-            })
-            .map_err(|msg| fail("parallel", msg))?
-        };
-        let (par_dirnnb_cycles, par_dirnnb_image) = {
-            let mut parcfg = parcfg.clone();
-            parcfg.fault = None;
-            parcfg.topology = Topology::Ideal;
-            let litmus = &litmus;
-            catch(move || {
-                let mut m = DirnnbMachine::new(parcfg, Box::new(litmus.workload(perturb.coalesce)));
-                if let Some(seed) = perturb.tie_shuffle {
-                    m.set_tie_shuffle(seed);
-                }
-                let r = m.run();
-                let image: Vec<(VAddr, u64)> = litmus
-                    .finals
-                    .iter()
-                    .map(|&(a, _)| (a, m.shared_word(a)))
-                    .collect();
-                (r.cycles, image)
-            })
-            .map_err(|msg| fail("parallel", msg))?
-        };
-        if par_typhoon_cycles != typhoon_cycles {
-            return Err(fail(
-                "parallel",
-                format!(
-                    "typhoon cycles diverged under sim_threads={} policy={}: \
-                     sequential {}, parallel {}",
-                    perturb.sim_threads, perturb.window_policy, typhoon_cycles, par_typhoon_cycles
-                ),
-            ));
-        }
-        if par_dirnnb_cycles != dirnnb_cycles {
-            return Err(fail(
-                "parallel",
-                format!(
-                    "dirnnb cycles diverged under sim_threads={} policy={}: \
-                     sequential {}, parallel {}",
-                    perturb.sim_threads, perturb.window_policy, dirnnb_cycles, par_dirnnb_cycles
-                ),
-            ));
-        }
-        if par_typhoon_image != typhoon_image || par_dirnnb_image != dirnnb_image {
-            return Err(fail(
-                "parallel",
-                format!(
-                    "final image diverged under sim_threads={} policy={}",
-                    perturb.sim_threads, perturb.window_policy
-                ),
-            ));
-        }
+        let parcfg = parallel_config(&syscfg, perturb);
+        let (par_typhoon_cycles, par_typhoon_words, _) =
+            typhoon(&parcfg, None).map_err(|msg| fail("parallel", msg))?;
+        let (par_dirnnb_cycles, par_dirnnb_words) =
+            dirnnb(&parcfg).map_err(|msg| fail("parallel", msg))?;
+        parallel_verdict(
+            perturb,
+            &[
+                ("typhoon", typhoon_cycles, par_typhoon_cycles),
+                ("dirnnb", dirnnb_cycles, par_dirnnb_cycles),
+            ],
+            None,
+            par_typhoon_words == typhoon_words && par_dirnnb_words == dirnnb_words,
+        )
+        .map_err(|msg| fail("parallel", msg))?;
     }
 
     Ok(CaseResult { typhoon_cycles, dirnnb_cycles, events })
-}
-
-/// Derives the case and perturbation from `seed` and runs it. This is
-/// also `replay`: the same seed always reruns the identical case.
-pub fn run_seed(seed: u64) -> Result<CaseResult, Box<Failure>> {
-    run_seed_with_threads(seed, None)
-}
-
-/// [`run_seed`] with the parallel-differential thread count forced
-/// (`tt-check replay --sim-threads N`): the seed's case and all other
-/// perturbations are reproduced bit-exactly, but the parallel legs run
-/// at `N` threads (1 = sequential only). `None` keeps the seed's own
-/// derived thread count.
-pub fn run_seed_with_threads(
-    seed: u64,
-    sim_threads: Option<usize>,
-) -> Result<CaseResult, Box<Failure>> {
-    run_seed_with_overrides(seed, sim_threads, None)
-}
-
-/// [`run_seed_with_threads`] with the window policy of the parallel leg
-/// also forceable (`tt-check replay --window-policy adaptive`). `None`
-/// keeps the seed's own drawn policy.
-pub fn run_seed_with_overrides(
-    seed: u64,
-    sim_threads: Option<usize>,
-    window_policy: Option<WindowPolicy>,
-) -> Result<CaseResult, Box<Failure>> {
-    let options = FuzzOptions {
-        sim_threads,
-        window_policy,
-        ..FuzzOptions::default()
-    };
-    run_seed_with_options(seed, &options)
 }
 
 /// Cross-cutting knobs for a fuzzing run or replay — everything the
@@ -575,7 +487,9 @@ pub struct FuzzOptions {
 }
 
 impl FuzzOptions {
-    /// The perturbation this options set produces for one seed.
+    /// The perturbation this options set produces for one seed. The
+    /// fault-plan seed comes from its own fork, so fault decisions are
+    /// independent of every other drawn dimension.
     pub fn perturb_for(&self, seed: u64) -> PerturbConfig {
         let mut p = PerturbConfig::from_seed(seed);
         if let Some(n) = self.sim_threads {
@@ -602,13 +516,11 @@ impl FuzzOptions {
     }
 }
 
-/// Derives the case from `seed` under `options` and runs it — the
-/// engine behind `tt-check replay` in all its variants.
-pub fn run_seed_with_options(
-    seed: u64,
-    options: &FuzzOptions,
-) -> Result<CaseResult, Box<Failure>> {
-    run_case_full(
+/// Derives the case from `seed` under `options` and runs it with the
+/// stock protocol. This is also `replay`: the same seed and options
+/// always rerun the identical case.
+pub fn run_seed(seed: u64, options: &FuzzOptions) -> Result<CaseResult, Box<Failure>> {
+    run_case(
         &LitmusConfig::from_seed(seed),
         &options.perturb_for(seed),
         &stache_factory,
@@ -625,52 +537,10 @@ pub struct FuzzReport {
     pub failure: Option<Failure>,
 }
 
-/// Fuzzes `count` consecutive seeds starting at `base_seed` with the
-/// stock protocol; stops at the first failure.
-pub fn fuzz(base_seed: u64, count: u64) -> FuzzReport {
-    fuzz_with(base_seed, count, &stache_factory)
-}
-
-/// Fuzzes with an injected protocol factory.
-pub fn fuzz_with(base_seed: u64, count: u64, factory: ProtocolFactory) -> FuzzReport {
-    fuzz_with_threads(base_seed, count, None, factory)
-}
-
-/// [`fuzz_with`] with the parallel-differential thread count forced on
-/// every seed (`tt-check run --sim-threads N`): each case keeps its
-/// seed-derived shape and perturbations but runs the
-/// sequential-vs-parallel differential at exactly `N` threads.
-pub fn fuzz_with_threads(
-    base_seed: u64,
-    count: u64,
-    sim_threads: Option<usize>,
-    factory: ProtocolFactory,
-) -> FuzzReport {
-    fuzz_with_overrides(base_seed, count, sim_threads, None, factory)
-}
-
-/// [`fuzz_with_threads`] with the window policy of every parallel leg
-/// also forceable (`tt-check run --window-policy adaptive`). `None`
-/// keeps each seed's own drawn policy.
-pub fn fuzz_with_overrides(
-    base_seed: u64,
-    count: u64,
-    sim_threads: Option<usize>,
-    window_policy: Option<WindowPolicy>,
-    factory: ProtocolFactory,
-) -> FuzzReport {
-    let options = FuzzOptions {
-        sim_threads,
-        window_policy,
-        ..FuzzOptions::default()
-    };
-    fuzz_with_options(base_seed, count, &options, factory)
-}
-
-/// Fuzzes `count` consecutive seeds under the full options set —
-/// including the fault-schedule dimension — stopping at the first
-/// failure. The engine behind `tt-check run` in all its variants.
-pub fn fuzz_with_options(
+/// Fuzzes `count` consecutive seeds starting at `base_seed` under
+/// `options` with `factory`'s protocol, stopping at the first failure.
+/// The engine behind `tt-check run` in all its variants.
+pub fn fuzz(
     base_seed: u64,
     count: u64,
     options: &FuzzOptions,
@@ -681,39 +551,28 @@ pub fn fuzz_with_options(
         let seed = base_seed + i;
         let cfg = LitmusConfig::from_seed(seed);
         let perturb = options.perturb_for(seed);
-        if let Err(f) = run_case_full(&cfg, &perturb, factory, &transport) {
+        if let Err(f) = run_case(&cfg, &perturb, factory, &transport) {
             return FuzzReport { seeds_run: i + 1, failure: Some(*f) };
         }
     }
     FuzzReport { seeds_run: count, failure: None }
 }
 
-/// Greedily shrinks a failing case. Two interleaved dimensions:
+/// Greedily shrinks a failing case under the protocol and transport
+/// that caught it. Two interleaved dimensions:
 ///
 /// - **shape** — repeatedly tries dropping a phase, a block, a page, or
 ///   a node (in that order), keeping any reduction that still fails;
 /// - **schedule** — delta-debugs the perturbation and fault dimensions
 ///   one at a time toward the production schedule (tie-shuffle off,
 ///   jitter 0, no coalescing, direct execution off, sequential,
-///   fixed windows, each fault rate 0, finally no faults at all),
-///   keeping any simplification that still fails.
+///   fixed windows, ideal network, each fault rate 0, finally no
+///   faults at all), keeping any simplification that still fails.
 ///
 /// Returns the failure with `shrunk` and `shrunk_perturb` filled in.
-pub fn shrink(failure: &Failure, factory: ProtocolFactory) -> Failure {
-    shrink_with_transport(failure, factory, &ReliableConfig::default())
-}
-
-/// [`shrink`] under an injected transport configuration, so
-/// transport-level planted bugs shrink under the same broken transport
-/// that caught them.
-pub fn shrink_with_transport(
-    failure: &Failure,
-    factory: ProtocolFactory,
-    transport: &ReliableConfig,
-) -> Failure {
-    let still_fails = |c: &LitmusConfig, p: &PerturbConfig| {
-        run_case_full(c, p, factory, transport).is_err()
-    };
+pub fn shrink(failure: &Failure, factory: ProtocolFactory, transport: &ReliableConfig) -> Failure {
+    let still_fails =
+        |c: &LitmusConfig, p: &PerturbConfig| run_case(c, p, factory, transport).is_err();
     let mut cur = failure.cfg.clone();
     let mut per = failure.perturb.clone();
     loop {
@@ -848,17 +707,23 @@ mod tests {
 
     #[test]
     fn replay_can_force_the_window_policy() {
-        let adaptive = run_seed_with_overrides(7, Some(3), Some(WindowPolicy::Adaptive))
+        let forced = |window_policy| FuzzOptions {
+            sim_threads: Some(3),
+            window_policy: Some(window_policy),
+            ..FuzzOptions::default()
+        };
+        let adaptive = run_seed(7, &forced(WindowPolicy::Adaptive))
             .expect("seed 7 clean at 3 threads adaptive");
-        let fixed = run_seed_with_overrides(7, Some(3), Some(WindowPolicy::Fixed))
-            .expect("seed 7 clean at 3 threads fixed");
+        let fixed =
+            run_seed(7, &forced(WindowPolicy::Fixed)).expect("seed 7 clean at 3 threads fixed");
         assert_eq!(adaptive, fixed, "window policy leaked into the case result");
     }
 
     #[test]
     fn replay_can_force_the_parallel_leg() {
-        let forced = run_seed_with_threads(7, Some(3)).expect("seed 7 clean at 3 threads");
-        let seq = run_seed_with_threads(7, Some(1)).expect("seed 7 clean sequentially");
+        let threads = |n| FuzzOptions { sim_threads: Some(n), ..FuzzOptions::default() };
+        let forced = run_seed(7, &threads(3)).expect("seed 7 clean at 3 threads");
+        let seq = run_seed(7, &threads(1)).expect("seed 7 clean sequentially");
         assert_eq!(forced, seq, "thread count leaked into the case result");
     }
 
@@ -871,17 +736,18 @@ mod tests {
 
     #[test]
     fn a_single_seed_runs_clean_and_replays_identically() {
-        let a = run_seed(7).expect("seed 7 clean");
-        let b = run_seed(7).expect("seed 7 clean on replay");
+        let a = run_seed(7, &FuzzOptions::default()).expect("seed 7 clean");
+        let b = run_seed(7, &FuzzOptions::default()).expect("seed 7 clean on replay");
         assert_eq!(a, b);
         assert!(a.events > 0);
     }
 
     #[test]
     fn fault_dimension_is_deterministic_and_varied() {
+        let faulty = FuzzOptions { faults: true, ..FuzzOptions::default() };
         for seed in 0..50 {
-            let a = PerturbConfig::from_seed_with_faults(seed);
-            assert_eq!(a, PerturbConfig::from_seed_with_faults(seed));
+            let a = faulty.perturb_for(seed);
+            assert_eq!(a, faulty.perturb_for(seed));
             let fs = a.fault.expect("faults drawn");
             // Everything else matches the fault-free draw: the fault
             // dimension must not disturb historical seed shapes.
@@ -890,7 +756,7 @@ mod tests {
         }
         assert!(
             (0..50).any(|s| {
-                let f = PerturbConfig::from_seed_with_faults(s).fault.unwrap();
+                let f = faulty.perturb_for(s).fault.unwrap();
                 f.drop_permille > 0 && f.dup_permille > 0
             }),
             "some schedules must both drop and duplicate"
@@ -901,9 +767,9 @@ mod tests {
     fn faulty_seeds_run_clean_and_replay_identically() {
         let options = FuzzOptions { faults: true, ..FuzzOptions::default() };
         for seed in 0..4 {
-            let a = run_seed_with_options(seed, &options)
+            let a = run_seed(seed, &options)
                 .unwrap_or_else(|f| panic!("faulty seed {seed} failed: {f}"));
-            let b = run_seed_with_options(seed, &options).expect("replay clean");
+            let b = run_seed(seed, &options).expect("replay clean");
             assert_eq!(a, b, "faulty seed {seed} did not replay bit-exactly");
         }
     }
@@ -919,8 +785,8 @@ mod tests {
             ..FuzzOptions::default()
         };
         let three = FuzzOptions { sim_threads: Some(3), ..one.clone() };
-        let a = run_seed_with_options(11, &one).expect("sequential faulty run clean");
-        let b = run_seed_with_options(11, &three).expect("3-thread faulty run clean");
+        let a = run_seed(11, &one).expect("sequential faulty run clean");
+        let b = run_seed(11, &three).expect("3-thread faulty run clean");
         assert_eq!(a, b, "fault schedule not bit-exact across sim-thread counts");
     }
 
@@ -935,9 +801,9 @@ mod tests {
             transport: Some(broken),
             ..FuzzOptions::default()
         };
-        let report = fuzz_with_options(0, 30, &options, &stache_factory);
+        let report = fuzz(0, 30, &options, &stache_factory);
         let failure = report.failure.expect("dedupe-off transport must be caught");
-        let shrunk = shrink_with_transport(&failure, &stache_factory, &broken);
+        let shrunk = shrink(&failure, &stache_factory, &broken);
         let per = shrunk.shrunk_perturb.expect("schedule shrink ran");
         assert!(
             per.fault.is_some(),

@@ -39,22 +39,21 @@
 //! (updates arriving for pages the sharer has dropped).
 
 use tt_base::addr::{BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
-use tt_base::workload::{coalesce_computes, Op, ScriptWorkload};
-use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr, WindowPolicy};
+use tt_base::workload::{coalesce_computes, Layout, Op, ScriptWorkload};
+use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
 use tt_apps::kv_update::KvUpdateProtocol;
-use tt_dirnnb::DirnnbMachine;
 use tt_serve::{header_word, value_word, KvLayout, SharedKvLatency, KV_PUT_OP};
-use tt_stache::{reliable_vn_policy, Reliable, ReliableConfig};
+use tt_stache::ReliableConfig;
+use tt_tempest::Protocol;
 use tt_typhoon::TyphoonMachine;
 
-use crate::fuzz::{catch, fault_summary, stache_factory, typhoon_word, FuzzOptions, PerturbConfig};
-use crate::invariants::{InvariantChecker, DEFAULT_EVENT_BUDGET};
+use crate::fuzz::{
+    dirnnb_leg, fault_summary, parallel_config, parallel_verdict, stache_factory, typhoon_leg,
+    typhoon_word, FuzzOptions, PerturbConfig, ProtocolFactory,
+};
 
 /// Words written by one put: `(addr, value)` pairs over the slot.
 type SlotWords = Vec<(VAddr, u64)>;
-/// A boxed machine-shaped protocol factory.
-type BoxedFactory =
-    Box<dyn Fn(NodeId, &tt_base::workload::Layout, &SystemConfig) -> Box<dyn tt_tempest::Protocol>>;
 
 /// The shape of a KV litmus case.
 #[derive(Clone, Debug, PartialEq)]
@@ -333,118 +332,64 @@ pub fn run_kv_case(
 
     let mut syscfg = SystemConfig::test_config(cfg.nodes);
     syscfg.seed = cfg.seed;
-    syscfg.direct_execution = perturb.direct_execution;
-    syscfg.fault = perturb.fault;
-    syscfg.topology = perturb.topology;
     if cfg.tight_stache {
         syscfg.stache_capacity_bytes = 2 * PAGE_BYTES;
     }
 
-    let run_typhoon = |parallel: bool,
-                       update_variant: bool,
-                       observe: bool|
-     -> Result<(Cycles, SlotWords, u64), String> {
-        let mut runcfg = syscfg.clone();
-        if parallel {
-            runcfg.sim_threads = perturb.sim_threads;
-            runcfg.window_policy = perturb.window_policy;
-        }
-        let litmus = &litmus;
-        catch(move || {
-            let workload = Box::new(litmus.workload(update_variant, perturb.coalesce));
-            let collector = SharedKvLatency::default();
-            let inner: BoxedFactory = if update_variant {
-                let kv = litmus.kv.clone();
-                Box::new(move |id, layout, cfg| {
-                    Box::new(KvUpdateProtocol::new(id, layout, cfg, kv.clone(), collector.clone()))
-                })
-            } else {
-                Box::new(stache_factory)
-            };
-            // Under a fault schedule both protocols — Stache *and* the
-            // custom kv_update protocol — run behind the reliable
-            // transport; the fault plan replays identically on the
-            // parallel reruns via the deterministic merge keys.
-            let factory: BoxedFactory = if perturb.fault.is_some() {
-                Box::new(move |id, layout, cfg| {
-                    Box::new(Reliable::with_config(
-                        inner(id, layout, cfg),
-                        ReliableConfig::default(),
-                    ))
-                })
-            } else {
-                inner
-            };
-            let mut m = TyphoonMachine::new(runcfg, workload, &*factory);
-            if let Some(seed) = perturb.tie_shuffle {
-                m.set_tie_shuffle(seed);
-            }
-            if perturb.jitter_max > 0 {
-                m.set_net_jitter(perturb.jitter_seed, Cycles::new(perturb.jitter_max));
-            }
-            let (cycles, events) = if observe {
-                let mut checker = InvariantChecker::new(litmus.blocks.clone());
-                if perturb.fault.is_some() {
-                    checker = checker
-                        .with_policy(reliable_vn_policy(tt_stache::vn_policy()))
-                        .with_budget(DEFAULT_EVENT_BUDGET * 4);
-                }
-                let r = m.run_observed(&mut |now, ev, mach| checker.check(now, ev, mach));
-                (r.cycles, checker.events())
-            } else {
-                (m.run().cycles, 0)
-            };
-            let image: Vec<(VAddr, u64)> = litmus
-                .finals
-                .iter()
-                .map(|&(a, _)| (a, typhoon_word(&m, a)))
-                .collect();
-            (cycles, image, events)
-        })
+    let update_factory = |id: NodeId, layout: &Layout, cfg: &SystemConfig| -> Box<dyn Protocol> {
+        Box::new(KvUpdateProtocol::new(
+            id,
+            layout,
+            cfg,
+            litmus.kv.clone(),
+            SharedKvLatency::default(),
+        ))
+    };
+    let typhoon_image = |m: &TyphoonMachine| -> Vec<u64> {
+        litmus.finals.iter().map(|&(a, _)| typhoon_word(m, a)).collect()
+    };
+    // Under a fault schedule both protocols — Stache *and* the custom
+    // kv_update protocol — run behind the stock reliable transport; the
+    // fault plan replays identically on the parallel reruns via the
+    // deterministic merge keys.
+    let typhoon = |cfg: &SystemConfig, update_variant: bool, watch: Option<&[VAddr]>| {
+        let factory: ProtocolFactory =
+            if update_variant { &update_factory } else { &stache_factory };
+        typhoon_leg(
+            cfg,
+            perturb,
+            litmus.workload(update_variant, perturb.coalesce),
+            factory,
+            &ReliableConfig::default(),
+            watch,
+            typhoon_image,
+        )
     };
 
     // Leg 1: Typhoon + Stache on raw stores, invariant engine on (the
     // engine needs the sequential single total order, so observation
     // happens on the sequential run).
     let (stache_cycles, stache_image, events) =
-        run_typhoon(false, false, true).map_err(|m| fail("kv-stache", m))?;
+        typhoon(&syscfg, false, Some(&litmus.blocks)).map_err(|m| fail("kv-stache", m))?;
 
     // Leg 2: Typhoon + the write-update protocol on staged puts. No
     // invariant engine: home-ReadWrite + sharer-ReadOnly is this
     // protocol's intended tag state and violates SWMR by design.
     let (update_cycles, update_image, _) =
-        run_typhoon(false, true, false).map_err(|m| fail("kv-update", m))?;
+        typhoon(&syscfg, true, None).map_err(|m| fail("kv-update", m))?;
 
-    // Leg 3: DirNNB on raw stores — always fault-free and on the ideal
-    // network; it is the pristine reference the lossy or mesh-routed
-    // legs' final images are held against.
-    let (dirnnb_cycles, dirnnb_image) = {
-        let mut syscfg = syscfg.clone();
-        syscfg.fault = None;
-        syscfg.topology = tt_base::Topology::Ideal;
-        let litmus = &litmus;
-        catch(move || {
-            let mut m = DirnnbMachine::new(syscfg, Box::new(litmus.workload(false, perturb.coalesce)));
-            if let Some(seed) = perturb.tie_shuffle {
-                m.set_tie_shuffle(seed);
-            }
-            let r = m.run();
-            let image: Vec<(VAddr, u64)> = litmus
-                .finals
-                .iter()
-                .map(|&(a, _)| (a, m.shared_word(a)))
-                .collect();
-            (r.cycles, image)
+    // Leg 3: DirNNB on raw stores — the pristine reference the lossy or
+    // mesh-routed legs' final images are held against.
+    let (dirnnb_cycles, dirnnb_image) =
+        dirnnb_leg(&syscfg, perturb, litmus.workload(false, perturb.coalesce), |m| {
+            litmus.finals.iter().map(|&(a, _)| m.shared_word(a)).collect::<Vec<u64>>()
         })
-        .map_err(|m| fail("kv-dirnnb", m))?
-    };
+        .map_err(|m| fail("kv-dirnnb", m))?;
 
     // Differential: all three legs and the generator's prediction must
     // agree on every written slot word.
     for (i, &(addr, expect)) in litmus.finals.iter().enumerate() {
-        let s = stache_image[i].1;
-        let u = update_image[i].1;
-        let d = dirnnb_image[i].1;
+        let (s, u, d) = (stache_image[i], update_image[i], dirnnb_image[i]);
         if s != expect || u != expect || d != expect {
             return Err(fail(
                 "kv-differential",
@@ -459,55 +404,31 @@ pub fn run_kv_case(
     // Parallel differential: both Typhoon legs bit-identical under the
     // conservative parallel simulator.
     if perturb.sim_threads > 1 {
+        let parcfg = parallel_config(&syscfg, perturb);
         for (leg, update_variant, seq_cycles, seq_image) in [
             ("kv-stache", false, stache_cycles, &stache_image),
             ("kv-update", true, update_cycles, &update_image),
         ] {
             let (par_cycles, par_image, _) =
-                run_typhoon(true, update_variant, false).map_err(|m| fail("kv-parallel", m))?;
-            if par_cycles != seq_cycles {
-                return Err(fail(
-                    "kv-parallel",
-                    format!(
-                        "{leg} cycles diverged under sim_threads={} policy={}: \
-                         sequential {}, parallel {}",
-                        perturb.sim_threads, perturb.window_policy, seq_cycles, par_cycles
-                    ),
-                ));
-            }
-            if &par_image != seq_image {
-                return Err(fail(
-                    "kv-parallel",
-                    format!(
-                        "{leg} final image diverged under sim_threads={} policy={}",
-                        perturb.sim_threads, perturb.window_policy
-                    ),
-                ));
-            }
+                typhoon(&parcfg, update_variant, None).map_err(|m| fail("kv-parallel", m))?;
+            parallel_verdict(
+                perturb,
+                &[(leg, seq_cycles, par_cycles)],
+                Some(leg),
+                &par_image == seq_image,
+            )
+            .map_err(|m| fail("kv-parallel", m))?;
         }
     }
 
     Ok(KvCaseResult { stache_cycles, update_cycles, dirnnb_cycles, events })
 }
 
-/// Derives the KV case and perturbation from `seed` and runs it, with
-/// the parallel leg's thread count and window policy optionally forced.
-pub fn run_kv_seed(
-    seed: u64,
-    sim_threads: Option<usize>,
-    window_policy: Option<WindowPolicy>,
-) -> Result<KvCaseResult, Box<KvFailure>> {
-    let options = FuzzOptions { sim_threads, window_policy, ..FuzzOptions::default() };
-    run_kv_seed_with_options(seed, &options)
-}
-
-/// [`run_kv_seed`] under the full options set, including the
-/// fault-schedule dimension — `kv_update` under retransmission is the
-/// scariest corner the harness covers.
-pub fn run_kv_seed_with_options(
-    seed: u64,
-    options: &FuzzOptions,
-) -> Result<KvCaseResult, Box<KvFailure>> {
+/// Derives the KV case and perturbation from `seed` under `options`
+/// and runs it — the engine behind `tt-check kv --seed S`. The fault
+/// dimension covers `kv_update` under retransmission, the scariest
+/// corner the harness covers.
+pub fn run_kv_seed(seed: u64, options: &FuzzOptions) -> Result<KvCaseResult, Box<KvFailure>> {
     run_kv_case(&KvLitmusConfig::from_seed(seed), &options.perturb_for(seed))
 }
 
@@ -520,24 +441,12 @@ pub struct KvFuzzReport {
     pub failure: Option<KvFailure>,
 }
 
-/// Fuzzes `count` consecutive KV seeds starting at `base_seed`; stops
-/// at the first failure. Overrides force the parallel legs' shape on
-/// every seed (`None` keeps each seed's own draw).
-pub fn fuzz_kv(
-    base_seed: u64,
-    count: u64,
-    sim_threads: Option<usize>,
-    window_policy: Option<WindowPolicy>,
-) -> KvFuzzReport {
-    let options = FuzzOptions { sim_threads, window_policy, ..FuzzOptions::default() };
-    fuzz_kv_with_options(base_seed, count, &options)
-}
-
-/// [`fuzz_kv`] under the full options set, including fault schedules.
-pub fn fuzz_kv_with_options(base_seed: u64, count: u64, options: &FuzzOptions) -> KvFuzzReport {
+/// Fuzzes `count` consecutive KV seeds starting at `base_seed` under
+/// `options`; stops at the first failure.
+pub fn fuzz_kv(base_seed: u64, count: u64, options: &FuzzOptions) -> KvFuzzReport {
     for i in 0..count {
         let seed = base_seed + i;
-        if let Err(f) = run_kv_seed_with_options(seed, options) {
+        if let Err(f) = run_kv_seed(seed, options) {
             return KvFuzzReport { seeds_run: i + 1, failure: Some(*f) };
         }
     }
@@ -547,6 +456,7 @@ pub fn fuzz_kv_with_options(base_seed: u64, count: u64, options: &FuzzOptions) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tt_base::WindowPolicy;
 
     #[test]
     fn config_derivation_is_deterministic_and_in_range() {
@@ -581,7 +491,7 @@ mod tests {
 
     #[test]
     fn first_seeds_pass_the_differential() {
-        let report = fuzz_kv(0, 25, None, None);
+        let report = fuzz_kv(0, 25, &FuzzOptions::default());
         assert!(
             report.failure.is_none(),
             "seed failed: {}",
@@ -592,7 +502,12 @@ mod tests {
 
     #[test]
     fn forced_parallel_seeds_pass() {
-        let report = fuzz_kv(0, 10, Some(2), Some(WindowPolicy::Adaptive));
+        let options = FuzzOptions {
+            sim_threads: Some(2),
+            window_policy: Some(WindowPolicy::Adaptive),
+            ..FuzzOptions::default()
+        };
+        let report = fuzz_kv(0, 10, &options);
         assert!(
             report.failure.is_none(),
             "seed failed: {}",
@@ -603,7 +518,7 @@ mod tests {
     #[test]
     fn faulty_kv_seeds_pass_the_differential() {
         let options = FuzzOptions { faults: true, ..FuzzOptions::default() };
-        let report = fuzz_kv_with_options(0, 8, &options);
+        let report = fuzz_kv(0, 8, &options);
         assert!(
             report.failure.is_none(),
             "faulty kv seed failed: {}",
@@ -625,8 +540,8 @@ mod tests {
             ..FuzzOptions::default()
         };
         let three = FuzzOptions { sim_threads: Some(3), ..base.clone() };
-        let a = run_kv_seed_with_options(5, &base).expect("sequential faulty kv run clean");
-        let b = run_kv_seed_with_options(5, &three).expect("3-thread faulty kv run clean");
+        let a = run_kv_seed(5, &base).expect("sequential faulty kv run clean");
+        let b = run_kv_seed(5, &three).expect("3-thread faulty kv run clean");
         assert_eq!(a, b, "kv fault schedule not bit-exact across sim-thread counts");
     }
 }

@@ -17,16 +17,23 @@
 //!    ([`litmus`]) run under perturbations of the machine's *legal*
 //!    nondeterminism (same-cycle tie-breaking, network latency jitter,
 //!    compute coalescing, direct execution on/off, sequential vs.
-//!    parallel simulation). Everything derives from one `u64` seed
-//!    through [`tt_base::DetRng`], so `tt-check replay --seed S`
-//!    reproduces a failure bit-exactly (`--sim-threads N` forces the
-//!    parallel leg's thread count), and a greedy shrinker reduces a
-//!    failing case to a minimal configuration;
+//!    parallel simulation, lossy networks, routed topologies).
+//!    Everything derives from one `u64` seed through
+//!    [`tt_base::DetRng`], so `tt-check replay --seed S` reproduces a
+//!    failure bit-exactly, and a greedy shrinker reduces a failing case
+//!    to a minimal configuration;
 //! 3. a **differential checker** (also in [`fuzz`](mod@fuzz)) — the same workload
 //!    runs on `tt-typhoon` (user-level Stache protocol) and `tt-dirnnb`
 //!    (the hardware `Dir_N NB` baseline); final shared-memory images
 //!    must match each other *and* the generator's own happens-before
 //!    prediction, word for word.
+//!
+//! Three litmus families share one Typhoon leg and one DirNNB leg
+//! (private to [`fuzz`](mod@fuzz)): the random family ([`run_case`],
+//! [`run_seed`], [`fuzz()`], [`shrink`]), the KV-serving family
+//! ([`run_kv_case`], [`run_kv_seed`], [`fuzz_kv`]) and the classic
+//! SB/MP/LB/IRIW shapes ([`run_classic`]). [`FuzzOptions`] carries
+//! everything the CLI can force on top of a seed's own draw.
 //!
 //! [`scenarios`] carries known-broken protocols (promoted from the old
 //! `tt-typhoon` failure-injection tests) that the harness must catch:
@@ -47,14 +54,12 @@ pub mod litmus;
 pub mod scenarios;
 
 pub use fuzz::{
-    fuzz, fuzz_with, fuzz_with_options, fuzz_with_overrides, fuzz_with_threads, run_case,
-    run_case_full, run_case_with, run_seed, run_seed_with_options, run_seed_with_overrides,
-    run_seed_with_threads, shrink, shrink_with_transport, stache_factory, CaseResult, Failure,
-    FuzzOptions, FuzzReport, PerturbConfig,
+    fuzz, run_case, run_seed, shrink, stache_factory, CaseResult, Failure, FuzzOptions, FuzzReport,
+    PerturbConfig,
 };
 pub use invariants::InvariantChecker;
 pub use kvlitmus::{
-    fuzz_kv, fuzz_kv_with_options, run_kv_case, run_kv_seed, run_kv_seed_with_options,
-    KvCaseResult, KvFailure, KvFuzzReport, KvLitmus, KvLitmusConfig,
+    fuzz_kv, run_kv_case, run_kv_seed, KvCaseResult, KvFailure, KvFuzzReport, KvLitmus,
+    KvLitmusConfig,
 };
 pub use litmus::{classic_suite, run_classic, ClassicLitmus, Litmus, LitmusConfig};

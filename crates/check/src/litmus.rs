@@ -17,12 +17,9 @@ use tt_base::workload::{
     coalesce_computes, Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE,
 };
 use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
-use tt_dirnnb::DirnnbMachine;
-use tt_stache::{Reliable, ReliableConfig};
-use tt_tempest::Protocol;
-use tt_typhoon::TyphoonMachine;
+use tt_stache::ReliableConfig;
 
-use crate::fuzz::{stache_factory, PerturbConfig};
+use crate::fuzz::{dirnnb_leg, stache_factory, typhoon_leg, PerturbConfig};
 
 /// The words in a coherence block.
 pub const WORDS_PER_BLOCK: usize = BLOCK_BYTES / WORD_BYTES;
@@ -305,20 +302,20 @@ pub fn classic_suite() -> Vec<ClassicLitmus> {
 
 /// Runs one classic shape on both machines under `perturb` (`seed`
 /// feeds the machines' internal RNG streams) and checks the forbidden
-/// outcome never appears. A fault schedule applies to the Typhoon leg
-/// only (behind the reliable transport); DirNNB has no lossy mode.
+/// outcome never appears. The Typhoon leg runs under the invariant
+/// engine watching the x and y blocks, on the perturbation's topology
+/// and, under a fault schedule, behind the reliable transport; DirNNB
+/// is the fault-free ideal-network reference.
 ///
-/// Returns the observed per-node recorded reads of the Typhoon leg, or
-/// an error naming the machine and outcome.
+/// Returns the Typhoon leg's cycles and per-node recorded reads, or an
+/// error naming the machine and the outcome (or panic).
 pub fn run_classic(
     case: &ClassicLitmus,
     seed: u64,
     perturb: &PerturbConfig,
-) -> Result<Vec<Vec<u64>>, String> {
+) -> Result<(Cycles, Vec<Vec<u64>>), String> {
     let mut syscfg = SystemConfig::test_config(case.nodes);
     syscfg.seed = seed;
-    syscfg.direct_execution = perturb.direct_execution;
-    syscfg.fault = perturb.fault;
 
     let check = |machine: &str, recs: &[Vec<u64>]| -> Result<(), String> {
         for (n, (got, want)) in recs.iter().zip(case.reads_per_node()).enumerate() {
@@ -344,52 +341,33 @@ pub fn run_classic(
         }
         Ok(())
     };
+    let panicked = |machine: &str, msg: String| format!("{}: {machine} panicked: {msg}", case.name);
 
-    let wrapped = |id: NodeId, layout: &Layout, cfg: &SystemConfig| -> Box<dyn Protocol> {
-        Box::new(Reliable::with_config(
-            stache_factory(id, layout, cfg),
-            ReliableConfig::default(),
-        ))
-    };
-    let typhoon_recs = {
-        let mut m = if perturb.fault.is_some() {
-            TyphoonMachine::new(syscfg.clone(), Box::new(case.workload()), &wrapped)
-        } else {
-            TyphoonMachine::new(syscfg.clone(), Box::new(case.workload()), &stache_factory)
-        };
-        if let Some(s) = perturb.tie_shuffle {
-            m.set_tie_shuffle(s);
-        }
-        if perturb.jitter_max > 0 {
-            m.set_net_jitter(perturb.jitter_seed, Cycles::new(perturb.jitter_max));
-        }
-        m.run();
-        let recs: Vec<Vec<u64>> =
-            (0..case.nodes).map(|n| m.recorded_reads(n).to_vec()).collect();
-        check("typhoon+stache", &recs)?;
-        recs
-    };
+    let (cycles, typhoon_recs, _) = typhoon_leg(
+        &syscfg,
+        perturb,
+        case.workload(),
+        &stache_factory,
+        &ReliableConfig::default(),
+        Some(&[var_x(), var_y()]),
+        |m| (0..case.nodes).map(|n| m.recorded_reads(n).to_vec()).collect::<Vec<_>>(),
+    )
+    .map_err(|msg| panicked("typhoon+stache", msg))?;
+    check("typhoon+stache", &typhoon_recs)?;
 
-    {
-        let mut dircfg = syscfg;
-        dircfg.fault = None;
-        let mut m = DirnnbMachine::new(dircfg, Box::new(case.workload()));
-        if let Some(s) = perturb.tie_shuffle {
-            m.set_tie_shuffle(s);
-        }
-        m.run();
-        let recs: Vec<Vec<u64>> =
-            (0..case.nodes).map(|n| m.recorded_reads(n).to_vec()).collect();
-        check("dirnnb", &recs)?;
-    }
+    let (_, dirnnb_recs) = dirnnb_leg(&syscfg, perturb, case.workload(), |m| {
+        (0..case.nodes).map(|n| m.recorded_reads(n).to_vec()).collect::<Vec<_>>()
+    })
+    .map_err(|msg| panicked("dirnnb", msg))?;
+    check("dirnnb", &dirnnb_recs)?;
 
-    Ok(typhoon_recs)
+    Ok((cycles, typhoon_recs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tt_base::FaultSpec;
+    use tt_base::{FaultSpec, Topology};
 
     #[test]
     fn config_derivation_is_deterministic_and_in_range() {
@@ -457,13 +435,19 @@ mod tests {
         assert_eq!(suite[3].nodes, 4);
     }
 
+    /// The interconnects the classic suite must hold on.
+    const TOPOLOGIES: [Topology; 3] =
+        [Topology::Ideal, Topology::Mesh2D { width: 0 }, Topology::FatTree { arity: 0 }];
+
     #[test]
     fn classic_suite_holds_on_both_machines() {
         for case in &classic_suite() {
-            for seed in 0..6 {
-                let perturb = PerturbConfig::from_seed(seed);
-                run_classic(case, seed, &perturb)
-                    .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            for topology in TOPOLOGIES {
+                for seed in 0..6 {
+                    let perturb = PerturbConfig { topology, ..PerturbConfig::from_seed(seed) };
+                    run_classic(case, seed, &perturb)
+                        .unwrap_or_else(|e| panic!("seed {seed} on {topology}: {e}"));
+                }
             }
         }
     }
@@ -471,13 +455,34 @@ mod tests {
     #[test]
     fn classic_suite_holds_under_faults() {
         for case in &classic_suite() {
-            for seed in 0..4 {
-                let mut perturb = PerturbConfig::from_seed(seed);
-                perturb.fault = Some(FaultSpec::from_seed(seed.wrapping_mul(0x9E37)));
-                run_classic(case, seed, &perturb)
-                    .unwrap_or_else(|e| panic!("faulty seed {seed}: {e}"));
+            for topology in TOPOLOGIES {
+                for seed in 0..4u64 {
+                    let perturb = PerturbConfig {
+                        topology,
+                        fault: Some(FaultSpec::from_seed(seed.wrapping_mul(0x9E37))),
+                        ..PerturbConfig::from_seed(seed)
+                    };
+                    run_classic(case, seed, &perturb)
+                        .unwrap_or_else(|e| panic!("faulty seed {seed} on {topology}: {e}"));
+                }
             }
         }
+    }
+
+    #[test]
+    fn classic_typhoon_leg_runs_on_the_drawn_topology() {
+        // A routed network changes Typhoon's latencies, so the cycles
+        // move with the topology (the reads stay SC either way).
+        let suite = classic_suite();
+        let sb = &suite[0];
+        let cycles: Vec<u64> = TOPOLOGIES
+            .iter()
+            .map(|&topology| {
+                let perturb = PerturbConfig { topology, ..PerturbConfig::from_seed(0) };
+                run_classic(sb, 0, &perturb).expect("SB clean").0.raw()
+            })
+            .collect();
+        assert_eq!(cycles, [608, 592, 598]);
     }
 
     #[test]

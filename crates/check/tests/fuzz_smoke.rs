@@ -6,14 +6,15 @@
 
 use tt_base::NodeId;
 use tt_check::scenarios::SkipInvalidate;
-use tt_check::{fuzz, fuzz_with, fuzz_with_options, run_seed, shrink, stache_factory, FuzzOptions};
+use tt_check::{fuzz, run_seed, shrink, stache_factory, FuzzOptions};
+use tt_stache::ReliableConfig;
 
 /// Debug-mode smoke budget; the release binary sweeps 500.
 const SMOKE_SEEDS: u64 = 60;
 
 #[test]
 fn clean_fuzz_sweep_finds_nothing() {
-    let report = fuzz(0, SMOKE_SEEDS);
+    let report = fuzz(0, SMOKE_SEEDS, &FuzzOptions::default(), &stache_factory);
     assert_eq!(report.seeds_run, SMOKE_SEEDS);
     assert!(
         report.failure.is_none(),
@@ -27,7 +28,8 @@ fn planted_skip_invalidate_bug_is_caught_and_shrinks() {
     let factory = |id: NodeId, layout: &_, cfg: &_| {
         Box::new(SkipInvalidate::new(id, layout, cfg)) as Box<dyn tt_tempest::Protocol>
     };
-    let report = fuzz_with(0, 500, &factory);
+    let options = FuzzOptions::default();
+    let report = fuzz(0, 500, &options, &factory);
     let failure = report
         .failure
         .expect("a protocol that skips invalidations must be caught within 500 seeds");
@@ -35,13 +37,13 @@ fn planted_skip_invalidate_bug_is_caught_and_shrinks() {
 
     // The failing seed replays to the identical failure.
     let seed = failure.seed;
-    let again = fuzz_with(seed, 1, &factory).failure.expect("failure replays");
+    let again = fuzz(seed, 1, &options, &factory).failure.expect("failure replays");
     assert_eq!(again.seed, failure.seed);
     assert_eq!(again.stage, failure.stage);
     assert_eq!(again.message, failure.message);
 
     // And shrinking yields a (weakly) smaller shape that still fails.
-    let shrunk = shrink(&failure, &factory);
+    let shrunk = shrink(&failure, &factory, &ReliableConfig::default());
     let s = shrunk.shrunk.expect("shrink fills in a shape");
     assert!(s.nodes <= failure.cfg.nodes);
     assert!(s.blocks <= failure.cfg.blocks);
@@ -56,7 +58,7 @@ fn clean_fault_fuzz_sweep_finds_nothing() {
     // The wide ≥200-seed sweep runs in release via `tt-check run
     // --faults` (scripts/verify.sh).
     let options = FuzzOptions { faults: true, ..FuzzOptions::default() };
-    let report = fuzz_with_options(0, 30, &options, &stache_factory);
+    let report = fuzz(0, 30, &options, &stache_factory);
     assert_eq!(report.seeds_run, 30);
     assert!(
         report.failure.is_none(),
@@ -68,8 +70,8 @@ fn clean_fault_fuzz_sweep_finds_nothing() {
 #[test]
 fn replay_is_bit_exact_across_runs() {
     for seed in [3u64, 11, 29] {
-        let a = run_seed(seed).expect("clean");
-        let b = run_seed(seed).expect("clean");
+        let a = run_seed(seed, &FuzzOptions::default()).expect("clean");
+        let b = run_seed(seed, &FuzzOptions::default()).expect("clean");
         assert_eq!(a, b, "seed {seed} diverged between replays");
     }
 }

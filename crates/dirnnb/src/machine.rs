@@ -206,7 +206,6 @@ impl DirnnbMachine {
             })
             .collect();
         let mut network = Network::new(cfg.nodes, cfg.timing.network_latency);
-        network.set_occupancy(cfg.timing.network_occupancy);
         network.set_topology(cfg.topology);
         DirnnbMachine {
             dirs: Directory::new(cfg.nodes),

@@ -70,11 +70,6 @@ impl PageFrame {
         self.tags.set_all(tag);
     }
 
-    /// The tag every block on the page carries, or `None` if mixed.
-    pub fn uniform_tag(&self) -> Option<Tag> {
-        self.tags.uniform()
-    }
-
     /// Iterates over `(block_index, tag)` pairs.
     pub fn tags(&self) -> impl Iterator<Item = (usize, Tag)> + '_ {
         self.tags.iter()
@@ -173,14 +168,6 @@ impl NodeMemory {
             .get_mut(ppn.0 as usize)
             .and_then(Option::as_mut)
             .expect("access to unallocated frame")
-    }
-
-    /// Whether `ppn` is currently allocated.
-    pub fn is_allocated(&self, ppn: Ppn) -> bool {
-        self.frames
-            .get(ppn.0 as usize)
-            .map(Option::is_some)
-            .unwrap_or(false)
     }
 
     /// Reads the 64-bit word at a word-aligned physical address.

@@ -376,13 +376,8 @@ fn for_each_hop(route: Route, src: usize, dst: usize, mut f: impl FnMut(u64, u64
 #[derive(Clone, Debug)]
 pub struct Network {
     latency: Cycles,
-    /// Extra cycles a packet occupies its source injection port; 0 in the
-    /// paper's model (no contention), configurable for ablations. Only
-    /// consulted by the ideal (unrouted) topology.
-    occupancy: Cycles,
-    /// Earliest time each node's injection port is free (used only when
-    /// `occupancy > 0`).
-    port_free: Vec<Cycles>,
+    /// Machine size (sizes the per-pair jitter and fault state).
+    nodes: usize,
     /// Routed topology (`None` = the ideal constant-latency pipe).
     route: Option<Route>,
     /// Earliest free cycle of each `(source node, link)` this instance
@@ -557,19 +552,13 @@ impl Network {
     pub fn new(nodes: usize, latency: Cycles) -> Self {
         Network {
             latency,
-            occupancy: Cycles::ZERO,
-            port_free: vec![Cycles::ZERO; nodes],
+            nodes,
             route: None,
             link_free: FxHashMap::default(),
             stats: NetStats::default(),
             jitter: None,
             faults: None,
         }
-    }
-
-    /// Sets per-packet injection-port occupancy (0 = paper's model).
-    pub fn set_occupancy(&mut self, occupancy: Cycles) {
-        self.occupancy = occupancy;
     }
 
     /// Installs a routed topology (DESIGN.md §11). [`Topology::Ideal`]
@@ -579,7 +568,7 @@ impl Network {
     /// node count: a mesh defaults to `ceil(sqrt(nodes))` columns, a fat
     /// tree to arity 4.
     pub fn set_topology(&mut self, topology: Topology) {
-        let nodes = self.port_free.len();
+        let nodes = self.nodes;
         self.route = match topology {
             Topology::Ideal => None,
             Topology::Mesh2D { width } => {
@@ -606,7 +595,7 @@ impl Network {
     /// only latencies change, never per-link message order. Self-sends
     /// never leave the node and are not jittered.
     pub fn set_jitter(&mut self, seed: u64, max_extra: Cycles) {
-        let nodes = self.port_free.len();
+        let nodes = self.nodes;
         self.jitter = Some(Jitter {
             seed,
             max_extra,
@@ -622,13 +611,7 @@ impl Network {
     /// bulk data and barriers ride the CM-5's dedicated networks, which
     /// this model keeps reliable) is unaffected.
     pub fn set_fault_plan(&mut self, spec: FaultSpec) {
-        let nodes = self.port_free.len();
-        self.faults = Some(FaultPlan::new(spec, nodes));
-    }
-
-    /// The installed fault schedule, if any.
-    pub fn fault_spec(&self) -> Option<&FaultSpec> {
-        self.faults.as_ref().map(|f| &f.spec)
+        self.faults = Some(FaultPlan::new(spec, self.nodes));
     }
 
     /// The configured one-way latency (the ideal pipe's constant).
@@ -639,7 +622,7 @@ impl Network {
     /// The minimum number of cycles between a cross-node send and its
     /// earliest possible effect at the destination — the conservative
     /// lookahead bound for WWT-style parallel simulation. For the ideal
-    /// pipe this is the constant latency (occupancy and jitter only ever
+    /// pipe this is the constant latency (jitter only ever
     /// *add* delay); for a routed topology it is one hop, the latency of
     /// an unqueued single-link route.
     pub fn lookahead(&self) -> Cycles {
@@ -695,13 +678,8 @@ impl Network {
         self.stats.bytes[vn].add(packet.wire_bytes() as u64);
         let base = if self.route.is_some() {
             self.route_deliver(now, packet.src, packet.dst, packet.wire_bytes())
-        } else if self.occupancy == Cycles::ZERO {
-            now + self.latency
         } else {
-            let port = &mut self.port_free[packet.src.index()];
-            let start = if *port > now { *port } else { now };
-            *port = start + self.occupancy;
-            start + self.occupancy + self.latency
+            now + self.latency
         };
         match &mut self.jitter {
             None => base,
@@ -803,27 +781,10 @@ impl Network {
         out
     }
 
-    /// Records traffic statistics for a packet the caller does not build.
-    ///
-    /// The DirNNB machine charges protocol latencies from its own cost
-    /// tables and uses the network for traffic accounting only; this is
-    /// the accounting half of [`Network::send`] (same packet/byte/local
-    /// counters) without constructing a [`Payload`] per message or
-    /// advancing injection-port state.
-    pub fn count(&mut self, src: NodeId, dst: NodeId, vn: VirtualNet, wire_bytes: usize) {
-        if src == dst {
-            self.stats.local_packets.inc();
-            return;
-        }
-        let vn = vn.index();
-        self.stats.packets[vn].inc();
-        self.stats.bytes[vn].add(wire_bytes as u64);
-    }
-
     /// Accounts for a packet the caller does not build and returns its
-    /// arrival time for an injection at `inject`: the accounting of
-    /// [`Network::count`] combined with the latency model of
-    /// [`Network::send`]. A self-send arrives at `inject` (the caller's
+    /// arrival time for an injection at `inject`: the packet, byte and
+    /// local counters and the latency model of [`Network::send`], without
+    /// constructing a [`Payload`] per message. A self-send arrives at `inject` (the caller's
     /// cost model already covers local hand-off); the ideal pipe charges
     /// the constant latency; routed topologies charge the route. Used by
     /// the DirNNB machine, whose protocol messages carry no payload the
@@ -965,19 +926,6 @@ mod tests {
         // Equality ignores inactive tail bytes by construction.
         assert_eq!(Payload::args(&[5]), Payload::with_data(&[5], &[]));
         assert_ne!(Payload::args(&[5]), Payload::args(&[5, 0]));
-    }
-
-    #[test]
-    fn occupancy_serializes_injection() {
-        let mut net = Network::new(2, Cycles::new(10));
-        net.set_occupancy(Cycles::new(4));
-        let p = packet(0, 1, VirtualNet::Request, Payload::new());
-        assert_eq!(net.send(Cycles::new(0), &p), Cycles::new(14));
-        // Second packet at the same instant waits for the port.
-        assert_eq!(net.send(Cycles::new(0), &p), Cycles::new(18));
-        // A later packet from the other node is unaffected.
-        let q = packet(1, 0, VirtualNet::Request, Payload::new());
-        assert_eq!(net.send(Cycles::new(0), &q), Cycles::new(14));
     }
 
     #[test]

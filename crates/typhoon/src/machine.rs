@@ -192,7 +192,6 @@ impl TyphoonMachine {
             .map(|i| Some(protocol(NodeId::new(i as u16), &layout, &cfg)))
             .collect();
         let mut network = Network::new(cfg.nodes, cfg.timing.network_latency);
-        network.set_occupancy(cfg.timing.network_occupancy);
         network.set_topology(cfg.topology);
         if let Some(spec) = cfg.fault {
             network.set_fault_plan(spec);
