@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use tt_base::workload::{coalesce_computes, Layout, Op, Workload};
+use tt_base::workload::{Layout, Op, Workload};
 use tt_base::NodeId;
 
 /// A barrier-phase SPMD application.
@@ -40,33 +40,17 @@ pub struct PhasedWorkload<A> {
     app: A,
     buffered: Vec<VecDeque<Vec<Op>>>,
     done: bool,
-    coalesce: bool,
 }
 
 impl<A: PhasedApp> PhasedWorkload<A> {
-    /// Wraps `app`. Compute coalescing is off by default so that reported
-    /// cycle counts are bit-identical to a run of the unmerged op stream.
+    /// Wraps `app`.
     pub fn new(app: A) -> Self {
         let procs = app.procs();
         PhasedWorkload {
             app,
             buffered: vec![VecDeque::new(); procs],
             done: false,
-            coalesce: false,
         }
-    }
-
-    /// Enables or disables merging of consecutive `Compute` ops at phase
-    /// emission. Coalescing never changes a processor's clock trajectory
-    /// between synchronization ops, but it does change *where* a quantum
-    /// boundary falls inside a compute span, which shifts the wall order
-    /// in which same-cycle yield events are scheduled — and with it the
-    /// event queue's FIFO tie-breaking. That can perturb reported cycle
-    /// counts by a fraction of a percent (observed ~0.2% on barnes), so
-    /// it is opt-in for throughput-oriented runs rather than the default.
-    pub fn with_coalescing(mut self, on: bool) -> Self {
-        self.coalesce = on;
-        self
     }
 
     /// The wrapped application.
@@ -85,11 +69,8 @@ impl<A: PhasedApp> PhasedWorkload<A> {
         match self.app.next_phase() {
             Some(chunks) => {
                 assert_eq!(chunks.len(), self.buffered.len(), "one chunk per processor");
-                for (i, mut c) in chunks.into_iter().enumerate() {
-                    if self.coalesce {
-                        coalesce_computes(&mut c);
-                    }
-                    self.buffered[i].push_back(c);
+                for (q, c) in self.buffered.iter_mut().zip(chunks) {
+                    q.push_back(c);
                 }
                 self.buffered[cpu.index()].pop_front()
             }
@@ -170,49 +151,6 @@ mod tests {
         // Next pulls get phase 2.
         assert_eq!(w.next_chunk(NodeId::new(1)).unwrap()[0], Op::Compute(20));
         assert_eq!(w.next_chunk(NodeId::new(0)).unwrap()[0], Op::Compute(2));
-    }
-
-    /// One phase with a run of small computes per cpu.
-    struct Chatty {
-        emitted: bool,
-    }
-
-    impl PhasedApp for Chatty {
-        fn name(&self) -> &'static str {
-            "chatty"
-        }
-        fn layout(&self) -> Layout {
-            Layout::new()
-        }
-        fn procs(&self) -> usize {
-            1
-        }
-        fn next_phase(&mut self) -> Option<Vec<Vec<Op>>> {
-            if self.emitted {
-                return None;
-            }
-            self.emitted = true;
-            Some(vec![vec![
-                Op::Compute(1),
-                Op::Compute(2),
-                Op::Compute(3),
-                Op::Barrier,
-            ]])
-        }
-    }
-
-    #[test]
-    fn coalescing_merges_compute_runs_when_enabled() {
-        let mut w = PhasedWorkload::new(Chatty { emitted: false }).with_coalescing(true);
-        let c = w.next_chunk(NodeId::new(0)).unwrap();
-        assert_eq!(c, vec![Op::Compute(6), Op::Barrier]);
-    }
-
-    #[test]
-    fn coalescing_is_off_by_default() {
-        let mut w = PhasedWorkload::new(Chatty { emitted: false });
-        let c = w.next_chunk(NodeId::new(0)).unwrap();
-        assert_eq!(c.len(), 4);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Compute-coalescing equivalence: merging consecutive `Compute` ops at
-//! phase emission must preserve, for every processor, (a) the sequence
-//! of non-compute ops — so barriers and accesses stay aligned — and
-//! (b) the total compute cycles between consecutive non-compute ops.
+//! Compute-coalescing equivalence: merging consecutive `Compute` ops
+//! (`coalesce_computes`, the tt-check coalescing perturbation) in a real
+//! application's op streams must preserve, for every processor, (a) the
+//! sequence of non-compute ops — so barriers and accesses stay aligned —
+//! and (b) the total compute cycles between consecutive non-compute ops.
 //! Simulated clock trajectories are built from exactly those two
 //! quantities, so this pins the invariant coalescing relies on.
 
@@ -9,7 +10,7 @@ use tt_apps::barnes::{Barnes, BarnesParams};
 use tt_apps::em3d::{Em3d, Em3dParams};
 use tt_apps::ocean::{Ocean, OceanParams};
 use tt_apps::{DataSet, PhasedApp, PhasedWorkload};
-use tt_base::workload::{Op, Workload};
+use tt_base::workload::{coalesce_computes, Op, Workload};
 use tt_base::NodeId;
 
 const PROCS: usize = 4;
@@ -41,12 +42,18 @@ fn skeleton(ops: &[Op]) -> (Vec<Op>, Vec<u64>) {
     (syncs, sums)
 }
 
-fn assert_equivalent<A: PhasedApp, F: Fn() -> A>(mk: F) {
-    let mut plain = PhasedWorkload::new(mk());
-    let mut merged = PhasedWorkload::new(mk()).with_coalescing(true);
+/// `ops` with consecutive `Compute` ops merged.
+fn coalesced(ops: &[Op]) -> Vec<Op> {
+    let mut merged = ops.to_vec();
+    coalesce_computes(&mut merged);
+    merged
+}
+
+fn assert_equivalent<A: PhasedApp>(app: A) {
+    let mut w = PhasedWorkload::new(app);
     for cpu in 0..PROCS {
-        let p = drain(&mut plain, cpu);
-        let m = drain(&mut merged, cpu);
+        let p = drain(&mut w, cpu);
+        let m = coalesced(&p);
         assert!(
             m.len() <= p.len(),
             "cpu {cpu}: coalescing must never grow the op stream"
@@ -84,17 +91,17 @@ fn barnes() -> Barnes {
 
 #[test]
 fn coalescing_preserves_em3d_timing_skeleton() {
-    assert_equivalent(em3d);
+    assert_equivalent(em3d());
 }
 
 #[test]
 fn coalescing_preserves_ocean_timing_skeleton() {
-    assert_equivalent(ocean);
+    assert_equivalent(ocean());
 }
 
 #[test]
 fn coalescing_preserves_barnes_timing_skeleton() {
-    assert_equivalent(barnes);
+    assert_equivalent(barnes());
 }
 
 #[test]
@@ -102,12 +109,10 @@ fn coalescing_shrinks_compute_runs() {
     // The optimization must actually do something: barnes emits runs of
     // per-body Compute ops, so the merged stream must be strictly
     // shorter while the timing skeleton (checked above) is unchanged.
-    let plain: usize = (0..PROCS)
-        .map(|c| drain(&mut PhasedWorkload::new(barnes()), c).len())
-        .sum();
-    let merged: usize = (0..PROCS)
-        .map(|c| drain(&mut PhasedWorkload::new(barnes()).with_coalescing(true), c).len())
-        .sum();
+    let mut w = PhasedWorkload::new(barnes());
+    let streams: Vec<Vec<Op>> = (0..PROCS).map(|c| drain(&mut w, c)).collect();
+    let plain: usize = streams.iter().map(Vec::len).sum();
+    let merged: usize = streams.iter().map(|s| coalesced(s).len()).sum();
     assert!(
         merged < plain,
         "expected coalescing to drop ops ({merged} vs {plain})"

@@ -1,58 +1,151 @@
 //! Simulation parameters — a direct transcription of Table 2 of the paper.
 //!
-//! Every latency the machines charge comes from this module, so a single
-//! [`SystemConfig`] value fully determines a simulation (together with the
-//! workload). The `Default` impl reproduces Table 2; the bench harness
-//! prints the live defaults so "Table 2" is regenerated from code rather
-//! than copied prose.
+//! Every latency the machines charge comes from this module. The values
+//! the paper fixes are `pub const`s, listed below in Table 2 order; a
+//! [`SystemConfig`] holds only the settings a run varies (machine size,
+//! cache size, network latency and topology, handler cost and placement,
+//! DirNNB page placement, plus simulator and fault-injection knobs), so
+//! one `SystemConfig` value fully determines a simulation together with
+//! the workload. The `Default` impl reproduces Table 2; the bench harness
+//! prints these values so "Table 2" is regenerated from code rather than
+//! copied prose.
 
 use crate::cycles::Cycles;
 use crate::rng::DetRng;
 
-/// Configuration of the primary CPU's cache and TLB (Table 2, "Common").
+// --- Table 2, "Common" ------------------------------------------------------
+
+/// CPU data cache associativity (Table 2: 4-way, random replacement; the
+/// capacity is [`CpuConfig::cache_bytes`], which Figure 3 sweeps).
+pub const CACHE_ASSOC: usize = 4;
+
+/// CPU TLB entries (Table 2: 64-entry, fully associative, FIFO
+/// replacement).
+pub const TLB_ENTRIES: usize = 64;
+
+/// Cycles to satisfy a cache miss from local memory (Table 2: 29). The
+/// paper's local writeback costs 0 (perfect write buffer), so no charge
+/// exists for it.
+pub const LOCAL_MISS: Cycles = Cycles::new(29);
+
+/// Cycles to service a TLB miss (Table 2: 25).
+pub const TLB_MISS: Cycles = Cycles::new(25);
+
+/// Cycles from the last processor's arrival to the barrier's release
+/// (Table 2: 11). The network latency next to it in Table 2 is
+/// [`SystemConfig::network_latency`], which ablation 2 varies.
+pub const BARRIER_LATENCY: Cycles = Cycles::new(11);
+
+// --- Table 2, "DirNNB Only" -------------------------------------------------
+//
+// A remote miss costs `REMOTE_MISS_REQUEST + replacement? +
+// network/directory + REMOTE_MISS_FINISH`; a directory operation costs
+// `DIR_OP_BASE + DIR_OP_BLOCK_RECV? + DIR_OP_PER_MSG * msgs +
+// DIR_OP_BLOCK_SEND?`.
+
+/// Request-side cycles of a DirNNB remote miss before the network
+/// (Table 2: 23).
+pub const REMOTE_MISS_REQUEST: Cycles = Cycles::new(23);
+
+/// Extra cycles when a DirNNB miss or invalidation replaces a shared
+/// block (Table 2: the 5 of "5-16 if replacement").
+pub const REPLACE_SHARED: Cycles = Cycles::new(5);
+
+/// Extra cycles when a DirNNB miss or invalidation replaces an exclusive
+/// block (Table 2: the 16 of "5-16 if replacement").
+pub const REPLACE_EXCLUSIVE: Cycles = Cycles::new(16);
+
+/// Completion-side cycles of a DirNNB remote miss after the response
+/// arrives (Table 2: 34).
+pub const REMOTE_MISS_FINISH: Cycles = Cycles::new(34);
+
+/// Cycles for a DirNNB cache to process an invalidation, before the
+/// replacement charge (Table 2: 8).
+pub const REMOTE_INVALIDATE: Cycles = Cycles::new(8);
+
+/// Base cycles of every DirNNB directory operation (Table 2: 16).
+pub const DIR_OP_BASE: Cycles = Cycles::new(16);
+
+/// Extra directory cycles when the operation received a data block
+/// (Table 2: 11).
+pub const DIR_OP_BLOCK_RECV: Cycles = Cycles::new(11);
+
+/// Extra directory cycles per message the operation sends (Table 2: 5).
+pub const DIR_OP_PER_MSG: Cycles = Cycles::new(5);
+
+/// Extra directory cycles when the operation sends a data block
+/// (Table 2: 11).
+pub const DIR_OP_BLOCK_SEND: Cycles = Cycles::new(11);
+
+// --- Table 2, "Typhoon Only", and Sections 5-6 ------------------------------
+
+/// NP TLB entries (Table 2: 64-entry, fully associative, FIFO).
+pub const NP_TLB_ENTRIES: usize = 64;
+
+/// Reverse-TLB entries (Table 2: 64-entry, fully associative, FIFO).
+pub const RTLB_ENTRIES: usize = 64;
+
+/// Cycles to service an NP TLB or RTLB miss (Table 2: 25).
+pub const NP_TLB_MISS: Cycles = Cycles::new(25);
+
+/// NP data cache capacity in bytes (Table 2: 16 KB).
+pub const NP_DCACHE_BYTES: usize = 16 * 1024;
+
+/// NP data cache associativity (Table 2: 2-way).
+pub const NP_DCACHE_ASSOC: usize = 2;
+
+/// Cycles for the NP's hardware-assisted dispatch to start a handler
+/// (Section 5.1's dispatch loop).
+pub const NP_DISPATCH: Cycles = Cycles::new(4);
+
+/// Cycles for the bus monitor to detect a block access fault, nack the
+/// transaction and deposit a BAF-buffer entry (Section 5.1).
+pub const NP_FAULT_DETECT: Cycles = Cycles::new(5);
+
+/// Cycles a handler's 32-byte block transfer occupies the NP; the block
+/// transfer buffer overlaps the MBus transfer with execution (Section 5.1).
+pub const NP_BLOCK_XFER: Cycles = Cycles::new(12);
+
+/// Cycles the NP spends injecting or absorbing one bulk-transfer packet
+/// (Section 5.2's data-transfer thread).
+pub const BULK_PACKET_CYCLES: Cycles = Cycles::new(8);
+
+/// Instructions of the Stache miss handler that sends a block request
+/// (Section 6: 14 in the best case).
+pub const STACHE_REQUEST_INSTR: u64 = 14;
+
+/// Instructions of the Stache home-node handler that services a request
+/// and responds with data (Section 6: 30).
+pub const STACHE_HOME_INSTR: u64 = 30;
+
+/// Instructions of the Stache reply handler that installs arriving data
+/// and resumes the faulting thread (Section 6: 20).
+pub const STACHE_REPLY_INSTR: u64 = 20;
+
+/// Instructions of the user-level page fault handler that allocates and
+/// maps a new stache page (Section 4; not on the critical miss path).
+pub const STACHE_PAGE_FAULT_INSTR: u64 = 250;
+
+/// In [`NpMode::OnCpu`], cycles to enter and exit the handler interrupt
+/// (Section 2's software Tempest has no hardware-assisted dispatch).
+pub const SOFTWARE_DISPATCH: Cycles = Cycles::new(100);
+
+/// In [`NpMode::OnCpu`], cycles to detect a block access fault in
+/// software (synthesized from ECC tricks or page protection, as a CM-5
+/// port would; far costlier than the bus monitor).
+pub const SOFTWARE_FAULT_DETECT: Cycles = Cycles::new(250);
+
+/// The primary CPU's cache capacity: the one cache setting a run varies.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CpuConfig {
     /// Data cache capacity in bytes (Figure 3 sweeps 4 KB – 256 KB).
     pub cache_bytes: usize,
-    /// Data cache associativity (paper: 4-way, random replacement).
-    pub cache_assoc: usize,
-    /// TLB entries (paper: 64-entry, fully associative, FIFO replacement).
-    pub tlb_entries: usize,
 }
 
 impl Default for CpuConfig {
     fn default() -> Self {
         CpuConfig {
             cache_bytes: 64 * 1024,
-            cache_assoc: 4,
-            tlb_entries: 64,
-        }
-    }
-}
-
-/// Latencies shared by both target machines (Table 2, "Common").
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TimingConfig {
-    /// Cycles to satisfy a cache miss from local memory.
-    pub local_miss: Cycles,
-    /// Cycles charged for a writeback (paper assumes a perfect write buffer).
-    pub local_writeback: Cycles,
-    /// Cycles to service a TLB miss.
-    pub tlb_miss: Cycles,
-    /// One-way network latency between any two nodes.
-    pub network_latency: Cycles,
-    /// Latency of the hardware barrier once the last processor arrives.
-    pub barrier_latency: Cycles,
-}
-
-impl Default for TimingConfig {
-    fn default() -> Self {
-        TimingConfig {
-            local_miss: Cycles::new(29),
-            local_writeback: Cycles::ZERO,
-            tlb_miss: Cycles::new(25),
-            network_latency: Cycles::new(11),
-            barrier_latency: Cycles::new(11),
         }
     }
 }
@@ -74,55 +167,6 @@ pub enum DirPlacement {
     RoundRobin,
     /// Pages homed on the workload's owning node (ideal placement).
     Owner,
-}
-
-/// Cost model for the all-hardware DirNNB machine (Table 2, "DirNNB Only").
-///
-/// A remote cache miss costs
-/// `remote_miss_request + replacement? + network/directory + remote_miss_finish`;
-/// a directory operation costs
-/// `dir_op_base + dir_op_block_recv? + dir_op_per_msg * msgs + dir_op_block_send?`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DirnnbCosts {
-    /// Page-to-home assignment policy.
-    pub placement: DirPlacement,
-    /// Request-side cycles of a remote miss before the network (paper: 23).
-    pub remote_miss_request: Cycles,
-    /// Completion-side cycles of a remote miss after the response arrives
-    /// (paper: 34).
-    pub remote_miss_finish: Cycles,
-    /// Extra cycles when the miss must replace a shared block (paper: 5).
-    pub replace_shared: Cycles,
-    /// Extra cycles when the miss must replace an exclusive block (paper: 16).
-    pub replace_exclusive: Cycles,
-    /// Cycles for a remote cache to process an invalidation (paper: 8,
-    /// plus a replacement charge).
-    pub remote_invalidate: Cycles,
-    /// Base cycles of every directory operation (paper: 16).
-    pub dir_op_base: Cycles,
-    /// Extra cycles if the directory operation received a data block (paper: 11).
-    pub dir_op_block_recv: Cycles,
-    /// Extra cycles per message the directory sends (paper: 5).
-    pub dir_op_per_msg: Cycles,
-    /// Extra cycles if the directory operation sends a data block (paper: 11).
-    pub dir_op_block_send: Cycles,
-}
-
-impl Default for DirnnbCosts {
-    fn default() -> Self {
-        DirnnbCosts {
-            placement: DirPlacement::RoundRobin,
-            remote_miss_request: Cycles::new(23),
-            remote_miss_finish: Cycles::new(34),
-            replace_shared: Cycles::new(5),
-            replace_exclusive: Cycles::new(16),
-            remote_invalidate: Cycles::new(8),
-            dir_op_base: Cycles::new(16),
-            dir_op_block_recv: Cycles::new(11),
-            dir_op_per_msg: Cycles::new(5),
-            dir_op_block_send: Cycles::new(11),
-        }
-    }
 }
 
 /// Window-advance policy of the conservative parallel simulator
@@ -179,7 +223,7 @@ impl std::fmt::Display for WindowPolicy {
 /// `sim_threads`/`sim_shards`/`jobs`/`window_policy` setting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Topology {
-    /// Constant-latency pipe (`timing.network_latency` between any pair) —
+    /// Constant-latency pipe (`network_latency` between any pair) —
     /// the paper's model and the byte-identical default.
     #[default]
     Ideal,
@@ -271,77 +315,20 @@ pub enum NpMode {
     OnCpu,
 }
 
-/// Configuration of Typhoon's network interface processor
-/// (Table 2, "Typhoon Only", plus Section 6's measured handler path lengths).
-#[derive(Clone, Debug, PartialEq)]
-pub struct TyphoonConfig {
-    /// NP TLB entries (64-entry, fully associative, FIFO).
-    pub np_tlb_entries: usize,
-    /// Reverse-TLB entries (64-entry, fully associative, FIFO).
-    pub rtlb_entries: usize,
-    /// Cycles to service an NP TLB or RTLB miss (paper: 25).
-    pub np_tlb_miss: Cycles,
-    /// NP data cache capacity in bytes (paper: 16 KB, 2-way).
-    pub np_dcache_bytes: usize,
-    /// NP data cache associativity.
-    pub np_dcache_assoc: usize,
-    /// Cycles for the hardware-assisted dispatch to start a handler.
-    pub dispatch: Cycles,
-    /// Cycles for the bus monitor to detect a block access fault, nack the
-    /// transaction, and deposit a BAF-buffer entry.
-    pub fault_detect: Cycles,
-    /// Cycles a handler's 32-byte block transfer occupies the NP (the
-    /// block transfer buffer overlaps the MBus transfer with execution).
-    pub np_block_xfer: Cycles,
-    /// Cycles the NP spends injecting or absorbing one bulk-transfer
-    /// packet (Section 5.2's data-transfer thread).
-    pub bulk_packet_cycles: Cycles,
-    /// Instructions executed by the Stache miss handler that sends a block
-    /// request (paper Section 6: 14 in the best case).
-    pub stache_request_instr: u64,
-    /// Instructions executed by the home-node handler that services a
-    /// request and responds with data (paper: 30).
-    pub stache_home_instr: u64,
-    /// Instructions executed by the reply handler that installs arriving
-    /// data and resumes the faulting thread (paper: 20).
-    pub stache_reply_instr: u64,
-    /// Instructions for the user-level page fault handler that allocates
-    /// and maps a new stache page (not on the critical miss path).
-    pub stache_page_fault_instr: u64,
-    /// Multiplier applied to all Stache handler path lengths; used by the
-    /// handler-cost ablation (DESIGN.md §5.2). 1.0 reproduces the paper.
-    pub handler_cost_scale: f64,
-    /// Where handlers execute (dedicated NP vs. the primary CPU).
-    pub np_mode: NpMode,
-    /// In [`NpMode::OnCpu`], cycles to enter/exit the handler interrupt
-    /// (no hardware-assisted dispatch).
-    pub software_dispatch: Cycles,
-    /// In [`NpMode::OnCpu`], cycles to detect a block access fault in
-    /// software (synthesized from ECC tricks or page protection, as the
-    /// CM-5 port would; far costlier than the bus monitor).
-    pub software_fault_detect: Cycles,
-}
+impl NpMode {
+    /// Cycles to start a handler under this placement.
+    pub fn dispatch(self) -> Cycles {
+        match self {
+            NpMode::Dedicated => NP_DISPATCH,
+            NpMode::OnCpu => SOFTWARE_DISPATCH,
+        }
+    }
 
-impl Default for TyphoonConfig {
-    fn default() -> Self {
-        TyphoonConfig {
-            np_tlb_entries: 64,
-            rtlb_entries: 64,
-            np_tlb_miss: Cycles::new(25),
-            np_dcache_bytes: 16 * 1024,
-            np_dcache_assoc: 2,
-            dispatch: Cycles::new(4),
-            fault_detect: Cycles::new(5),
-            np_block_xfer: Cycles::new(12),
-            bulk_packet_cycles: Cycles::new(8),
-            stache_request_instr: 14,
-            stache_home_instr: 30,
-            stache_reply_instr: 20,
-            stache_page_fault_instr: 250,
-            handler_cost_scale: 1.0,
-            np_mode: NpMode::Dedicated,
-            software_dispatch: Cycles::new(100),
-            software_fault_detect: Cycles::new(250),
+    /// Cycles to detect a block access fault under this placement.
+    pub fn fault_detect(self) -> Cycles {
+        match self {
+            NpMode::Dedicated => NP_FAULT_DETECT,
+            NpMode::OnCpu => SOFTWARE_FAULT_DETECT,
         }
     }
 }
@@ -425,7 +412,7 @@ impl FaultSpec {
 /// use tt_base::SystemConfig;
 /// let mut cfg = SystemConfig::default();
 /// cfg.cpu.cache_bytes = 4 * 1024; // the paper's smallest cache point
-/// assert_eq!(cfg.timing.local_miss.raw(), 29);
+/// assert_eq!(cfg.network_latency.raw(), 11);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct SystemConfig {
@@ -478,14 +465,20 @@ pub struct SystemConfig {
     /// `usize::MAX` (the default) means "as much as needed"; benchmarks of
     /// page replacement set a finite budget.
     pub stache_capacity_bytes: usize,
-    /// Primary CPU cache/TLB configuration.
+    /// Primary CPU cache capacity (Figure 3 sweeps it).
     pub cpu: CpuConfig,
-    /// Common latencies.
-    pub timing: TimingConfig,
-    /// DirNNB-only cost model.
-    pub dirnnb: DirnnbCosts,
-    /// Typhoon-only configuration.
-    pub typhoon: TyphoonConfig,
+    /// One-way network latency between any two nodes (Table 2: 11;
+    /// ablation 2 sweeps it). Also the CPU scheduling quantum.
+    pub network_latency: Cycles,
+    /// DirNNB page-to-home assignment (Figure 4 and ablation 5 use
+    /// [`DirPlacement::Owner`]).
+    pub placement: DirPlacement,
+    /// Multiplier applied to every Stache handler path length; 1.0
+    /// reproduces the paper (ablation 1 sweeps it, DESIGN.md §5.2).
+    pub handler_cost_scale: f64,
+    /// Where Typhoon's handlers execute: the dedicated NP or the primary
+    /// CPU (ablation 4).
+    pub np_mode: NpMode,
 }
 
 impl Default for SystemConfig {
@@ -502,27 +495,10 @@ impl Default for SystemConfig {
             fault: None,
             stache_capacity_bytes: usize::MAX,
             cpu: CpuConfig::default(),
-            timing: TimingConfig::default(),
-            dirnnb: DirnnbCosts::default(),
-            typhoon: TyphoonConfig::default(),
-        }
-    }
-}
-
-impl TyphoonConfig {
-    /// Dispatch cost for the configured handler placement.
-    pub fn effective_dispatch(&self) -> Cycles {
-        match self.np_mode {
-            NpMode::Dedicated => self.dispatch,
-            NpMode::OnCpu => self.software_dispatch,
-        }
-    }
-
-    /// Fault-detection cost for the configured handler placement.
-    pub fn effective_fault_detect(&self) -> Cycles {
-        match self.np_mode {
-            NpMode::Dedicated => self.fault_detect,
-            NpMode::OnCpu => self.software_fault_detect,
+            network_latency: Cycles::new(11),
+            placement: DirPlacement::RoundRobin,
+            handler_cost_scale: 1.0,
+            np_mode: NpMode::Dedicated,
         }
     }
 }
@@ -542,7 +518,7 @@ impl SystemConfig {
     /// Effective instruction count for a Stache handler after applying the
     /// ablation scale factor, as whole cycles.
     pub fn scaled_handler_instr(&self, base: u64) -> u64 {
-        ((base as f64) * self.typhoon.handler_cost_scale).round() as u64
+        ((base as f64) * self.handler_cost_scale).round() as u64
     }
 
     /// `(shards, threads)` the parallel simulator should use: shard
@@ -581,24 +557,41 @@ mod tests {
     fn defaults_match_table_2() {
         let c = SystemConfig::default();
         assert_eq!(c.nodes, 32);
-        assert_eq!(c.cpu.cache_assoc, 4);
-        assert_eq!(c.cpu.tlb_entries, 64);
-        assert_eq!(c.timing.local_miss.raw(), 29);
-        assert_eq!(c.timing.local_writeback.raw(), 0);
-        assert_eq!(c.timing.tlb_miss.raw(), 25);
-        assert_eq!(c.timing.network_latency.raw(), 11);
-        assert_eq!(c.timing.barrier_latency.raw(), 11);
-        assert_eq!(c.dirnnb.remote_miss_request.raw(), 23);
-        assert_eq!(c.dirnnb.remote_miss_finish.raw(), 34);
-        assert_eq!(c.dirnnb.replace_shared.raw(), 5);
-        assert_eq!(c.dirnnb.replace_exclusive.raw(), 16);
-        assert_eq!(c.dirnnb.remote_invalidate.raw(), 8);
-        assert_eq!(c.dirnnb.dir_op_base.raw(), 16);
-        assert_eq!(c.typhoon.np_dcache_bytes, 16 * 1024);
-        assert_eq!(c.typhoon.np_dcache_assoc, 2);
-        assert_eq!(c.typhoon.stache_request_instr, 14);
-        assert_eq!(c.typhoon.stache_home_instr, 30);
-        assert_eq!(c.typhoon.stache_reply_instr, 20);
+        assert_eq!(c.cpu.cache_bytes, 64 * 1024);
+        assert_eq!(c.network_latency.raw(), 11);
+        assert_eq!(c.placement, DirPlacement::RoundRobin);
+        assert_eq!(c.handler_cost_scale, 1.0);
+        assert_eq!(c.np_mode, NpMode::Dedicated);
+        assert_eq!(CACHE_ASSOC, 4);
+        assert_eq!(TLB_ENTRIES, 64);
+        assert_eq!(LOCAL_MISS.raw(), 29);
+        assert_eq!(TLB_MISS.raw(), 25);
+        assert_eq!(BARRIER_LATENCY.raw(), 11);
+        assert_eq!(REMOTE_MISS_REQUEST.raw(), 23);
+        assert_eq!(REPLACE_SHARED.raw(), 5);
+        assert_eq!(REPLACE_EXCLUSIVE.raw(), 16);
+        assert_eq!(REMOTE_MISS_FINISH.raw(), 34);
+        assert_eq!(REMOTE_INVALIDATE.raw(), 8);
+        assert_eq!(DIR_OP_BASE.raw(), 16);
+        assert_eq!(DIR_OP_BLOCK_RECV.raw(), 11);
+        assert_eq!(DIR_OP_PER_MSG.raw(), 5);
+        assert_eq!(DIR_OP_BLOCK_SEND.raw(), 11);
+        assert_eq!(NP_TLB_ENTRIES, 64);
+        assert_eq!(RTLB_ENTRIES, 64);
+        assert_eq!(NP_TLB_MISS.raw(), 25);
+        assert_eq!(NP_DCACHE_BYTES, 16 * 1024);
+        assert_eq!(NP_DCACHE_ASSOC, 2);
+        assert_eq!(STACHE_REQUEST_INSTR, 14);
+        assert_eq!(STACHE_HOME_INSTR, 30);
+        assert_eq!(STACHE_REPLY_INSTR, 20);
+    }
+
+    #[test]
+    fn np_mode_picks_dispatch_and_fault_detect_costs() {
+        assert_eq!(NpMode::Dedicated.dispatch(), NP_DISPATCH);
+        assert_eq!(NpMode::Dedicated.fault_detect(), NP_FAULT_DETECT);
+        assert_eq!(NpMode::OnCpu.dispatch(), SOFTWARE_DISPATCH);
+        assert_eq!(NpMode::OnCpu.fault_detect(), SOFTWARE_FAULT_DETECT);
     }
 
     #[test]
@@ -697,9 +690,9 @@ mod tests {
     #[allow(clippy::field_reassign_with_default)]
     fn handler_scale() {
         let mut c = SystemConfig::default();
-        c.typhoon.handler_cost_scale = 2.0;
+        c.handler_cost_scale = 2.0;
         assert_eq!(c.scaled_handler_instr(14), 28);
-        c.typhoon.handler_cost_scale = 0.5;
+        c.handler_cost_scale = 0.5;
         assert_eq!(c.scaled_handler_instr(30), 15);
     }
 }

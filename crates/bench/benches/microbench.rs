@@ -94,7 +94,7 @@ fn bench_exec_access_hit(r: &Runner) {
     r.bench("typhoon/exec_access_cache_hit", || {
         let cfg = SystemConfig::test_config(2);
         let mut cpu = CpuState::new(NodeId::new(0), &cfg, DetRng::new(1));
-        let mut np = NpState::new(&cfg, DetRng::new(2));
+        let mut np = NpState::new(DetRng::new(2));
         let mut mem = NodeMemory::new();
         let mut pt = PageTable::new();
         let ppn = mem.alloc();

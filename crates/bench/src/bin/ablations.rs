@@ -87,7 +87,7 @@ fn main() {
             })
         } else {
             let mut cfg = base_cfg.clone();
-            cfg.typhoon.handler_cost_scale = factors[i - 1];
+            cfg.handler_cost_scale = factors[i - 1];
             run_system(System::TyphoonStache, &cfg, repeat, || {
                 build_app(app, set, scale, nodes, sync_for(app, System::TyphoonStache))
             })
@@ -114,7 +114,7 @@ fn main() {
     // Two tasks per row: even index Typhoon/Stache, odd index DirNNB.
     let outs = par::run_indexed(jobs, latencies.len() * 2, |i| {
         let mut cfg = base_cfg.clone();
-        cfg.timing.network_latency = tt_base::Cycles::new(latencies[i / 2]);
+        cfg.network_latency = tt_base::Cycles::new(latencies[i / 2]);
         let system = if i % 2 == 0 {
             System::TyphoonStache
         } else {
@@ -178,7 +178,7 @@ fn main() {
     let modes = [tt_base::config::NpMode::Dedicated, tt_base::config::NpMode::OnCpu];
     let outs = par::run_indexed(jobs, modes.len(), |i| {
         let mut cfg = base_cfg.clone();
-        cfg.typhoon.np_mode = modes[i];
+        cfg.np_mode = modes[i];
         run_system(System::TyphoonStache, &cfg, repeat, || {
             build_app(app, set, scale, nodes, sync_for(app, System::TyphoonStache))
         })
@@ -217,7 +217,7 @@ fn main() {
             })
         } else {
             let mut cfg = base_cfg.clone();
-            cfg.dirnnb.placement = placements[i - 1];
+            cfg.placement = placements[i - 1];
             run_system(System::Dirnnb, &cfg, repeat, || {
                 build_app(oapp, oset, scale, nodes, sync_for(oapp, System::Dirnnb))
             })

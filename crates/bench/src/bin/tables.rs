@@ -2,9 +2,14 @@
 //! tag operations, the simulation parameters actually used by the
 //! machines, and the application data sets.
 
-use tt_base::table::Table;
-use tt_base::SystemConfig;
 use tt_apps::{AppId, DataSet};
+use tt_base::config::{
+    SystemConfig, BARRIER_LATENCY, CACHE_ASSOC, DIR_OP_BASE, DIR_OP_BLOCK_RECV, DIR_OP_BLOCK_SEND,
+    DIR_OP_PER_MSG, LOCAL_MISS, NP_DCACHE_ASSOC, NP_DCACHE_BYTES, NP_TLB_MISS, REMOTE_INVALIDATE,
+    REMOTE_MISS_FINISH, REMOTE_MISS_REQUEST, REPLACE_EXCLUSIVE, REPLACE_SHARED, RTLB_ENTRIES,
+    STACHE_HOME_INSTR, STACHE_REPLY_INSTR, STACHE_REQUEST_INSTR, TLB_ENTRIES, TLB_MISS,
+};
+use tt_base::table::Table;
 use tt_tempest::TagOp;
 
 fn main() {
@@ -23,82 +28,55 @@ fn main() {
         (
             "CPU cache",
             format!(
-                "{}-way assoc., random repl. ({} KB default; Figure 3 sweeps 4-256 KB)",
-                cfg.cpu.cache_assoc,
+                "{CACHE_ASSOC}-way assoc., random repl. ({} KB default; Figure 3 sweeps 4-256 KB)",
                 cfg.cpu.cache_bytes / 1024
             ),
         ),
         ("Block size", "32 bytes".into()),
         (
             "CPU TLB",
-            format!("{} ent., fully assoc., FIFO repl.", cfg.cpu.tlb_entries),
+            format!("{TLB_ENTRIES} ent., fully assoc., FIFO repl."),
         ),
         ("Page size", "4 Kbytes".into()),
-        ("Local cache miss", format!("{} cycles", cfg.timing.local_miss)),
-        (
-            "Local writeback",
-            format!("{} (perfect write buffer)", cfg.timing.local_writeback),
-        ),
-        ("TLB miss", format!("{} cycles", cfg.timing.tlb_miss)),
-        (
-            "Network latency",
-            format!("{} cycles", cfg.timing.network_latency),
-        ),
-        (
-            "Barrier latency",
-            format!("{} cycles", cfg.timing.barrier_latency),
-        ),
+        ("Local cache miss", format!("{LOCAL_MISS} cycles")),
+        ("Local writeback", "0 (perfect write buffer)".into()),
+        ("TLB miss", format!("{TLB_MISS} cycles")),
+        ("Network latency", format!("{} cycles", cfg.network_latency)),
+        ("Barrier latency", format!("{BARRIER_LATENCY} cycles")),
         (
             "DirNNB remote miss",
             format!(
-                "{} + {}-{} if replacement + network/directory + {}",
-                cfg.dirnnb.remote_miss_request,
-                cfg.dirnnb.replace_shared,
-                cfg.dirnnb.replace_exclusive,
-                cfg.dirnnb.remote_miss_finish
+                "{REMOTE_MISS_REQUEST} + {REPLACE_SHARED}-{REPLACE_EXCLUSIVE} if replacement \
+                 + network/directory + {REMOTE_MISS_FINISH}"
             ),
         ),
         (
             "DirNNB remote invalidate",
-            format!(
-                "{} + {}-{} if replacement",
-                cfg.dirnnb.remote_invalidate,
-                cfg.dirnnb.replace_shared,
-                cfg.dirnnb.replace_exclusive
-            ),
+            format!("{REMOTE_INVALIDATE} + {REPLACE_SHARED}-{REPLACE_EXCLUSIVE} if replacement"),
         ),
         (
             "DirNNB directory op",
             format!(
-                "{} + {} if block rcvd + {} per msg sent + {} if block sent",
-                cfg.dirnnb.dir_op_base,
-                cfg.dirnnb.dir_op_block_recv,
-                cfg.dirnnb.dir_op_per_msg,
-                cfg.dirnnb.dir_op_block_send
+                "{DIR_OP_BASE} + {DIR_OP_BLOCK_RECV} if block rcvd + {DIR_OP_PER_MSG} per msg \
+                 sent + {DIR_OP_BLOCK_SEND} if block sent"
             ),
         ),
         (
             "Typhoon NP TLB / RTLB",
-            format!(
-                "{} ent., fully assoc., FIFO repl.; miss {} cycles",
-                cfg.typhoon.rtlb_entries, cfg.typhoon.np_tlb_miss
-            ),
+            format!("{RTLB_ENTRIES} ent., fully assoc., FIFO repl.; miss {NP_TLB_MISS} cycles"),
         ),
         (
             "Typhoon NP D-cache",
             format!(
-                "{} KB, {}-way assoc.",
-                cfg.typhoon.np_dcache_bytes / 1024,
-                cfg.typhoon.np_dcache_assoc
+                "{} KB, {NP_DCACHE_ASSOC}-way assoc.",
+                NP_DCACHE_BYTES / 1024
             ),
         ),
         (
             "Stache handler path lengths",
             format!(
-                "{} request / {} home / {} reply instructions",
-                cfg.typhoon.stache_request_instr,
-                cfg.typhoon.stache_home_instr,
-                cfg.typhoon.stache_reply_instr
+                "{STACHE_REQUEST_INSTR} request / {STACHE_HOME_INSTR} home / \
+                 {STACHE_REPLY_INSTR} reply instructions"
             ),
         ),
     ];

@@ -188,9 +188,9 @@ pub fn try_parse_cli_with(
     while i < args.len() {
         match args[i].as_str() {
             "-h" | "--help" => return Err(CliError::Help),
-            "--scale" => cli.scale = number(args, i, "--scale")?,
+            "--scale" => cli.scale = at_least_one(args, i, "--scale")?,
             "--nodes" => cli.nodes = number(args, i, "--nodes")?,
-            "--jobs" => cli.jobs = number(args, i, "--jobs")?,
+            "--jobs" => cli.jobs = at_least_one(args, i, "--jobs")?,
             "--repeat" => cli.repeat = number(args, i, "--repeat")?.max(1),
             "--sim-threads" => cli.sim_threads = number(args, i, "--sim-threads")?.max(1),
             "--sim-shards" => cli.sim_shards = number(args, i, "--sim-shards")?,
@@ -241,6 +241,15 @@ pub fn value<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a str, St
 pub fn number(args: &[String], i: usize, flag: &str) -> Result<usize, String> {
     let v = value(args, i, flag)?;
     v.parse().map_err(|e| format!("{flag} N: {v:?}: {e}"))
+}
+
+/// [`number`] for a flag whose 0 means nothing: a data-set divisor or
+/// a worker count.
+fn at_least_one(args: &[String], i: usize, flag: &str) -> Result<usize, String> {
+    match number(args, i, flag)? {
+        0 => Err(format!("{flag}: must be at least 1")),
+        n => Ok(n),
+    }
 }
 
 #[cfg(test)]
@@ -302,6 +311,8 @@ mod tests {
         assert_eq!(bad(&["--bogus"]), "unknown argument --bogus");
         assert_eq!(bad(&["--jobs"]), "--jobs requires a value");
         assert!(bad(&["--jobs", "abc"]).starts_with("--jobs N: \"abc\""));
+        assert_eq!(bad(&["--jobs", "0"]), "--jobs: must be at least 1");
+        assert_eq!(bad(&["--scale", "0"]), "--scale: must be at least 1");
         assert!(bad(&["--window-policy", "eager"]).starts_with("--window-policy: "));
         assert!(bad(&["--topology", "ring"]).starts_with("--topology: "));
         assert_eq!(

@@ -437,7 +437,7 @@ pub fn figure4_point(
         // 0% non-local edges, and the CPU cache is large enough (256 KB)
         // that capacity misses do not drown the coherence traffic.
         let mut cfg = cfg.clone();
-        cfg.dirnnb.placement = tt_base::config::DirPlacement::Owner;
+        cfg.placement = tt_base::config::DirPlacement::Owner;
         cfg.cpu.cache_bytes = 256 * 1024;
         let (_, denom) = mk(sync);
         let out = run_system(system, &cfg, repeat, || mk(sync).0);

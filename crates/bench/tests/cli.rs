@@ -50,9 +50,13 @@ fn help_prints_usage_and_exits_zero() {
 
 #[test]
 fn bad_arguments_print_one_error_line_and_exit_two() {
-    let cases: [&[&str]; 8] = [
+    let cases: [&[&str]; 10] = [
         &["--bogus"],
         &["--jobs", "abc"],
+        // A zero divisor or worker count cannot run (it used to be
+        // clamped or reported as given).
+        &["--scale", "0"],
+        &["--jobs", "0"],
         &["--nodes"],
         &["--window-policy", "eager"],
         &["--topology", "ring"],

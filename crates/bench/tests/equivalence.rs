@@ -188,7 +188,7 @@ fn same_cycle_cross_shard_requests_merge_in_sequential_order() {
             w.set(n, ops);
         }
         let mut cfg = SystemConfig::test_config(nodes);
-        cfg.dirnnb.placement = tt_base::config::DirPlacement::Owner;
+        cfg.placement = tt_base::config::DirPlacement::Owner;
         cfg.verify_values = false; // nodes race on the same word by design
         cfg.sim_threads = sim_threads;
         cfg.sim_shards = sim_shards;

@@ -20,7 +20,11 @@ use std::ops::Range;
 use std::sync::Mutex;
 
 use tt_base::addr::{VAddr, Vpn, BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
-use tt_base::config::SystemConfig;
+use tt_base::config::{
+    DirPlacement, SystemConfig, CACHE_ASSOC, DIR_OP_BASE, DIR_OP_BLOCK_RECV, DIR_OP_BLOCK_SEND,
+    DIR_OP_PER_MSG, LOCAL_MISS, REMOTE_INVALIDATE, REMOTE_MISS_FINISH, REMOTE_MISS_REQUEST,
+    REPLACE_EXCLUSIVE, REPLACE_SHARED, TLB_ENTRIES, TLB_MISS,
+};
 use tt_base::stats::{Counter, Report};
 use tt_base::workload::Workload;
 use tt_base::{Cycles, DetRng, FxHashMap, NodeId};
@@ -179,11 +183,9 @@ impl DirnnbMachine {
         let n = cfg.nodes;
         let mut home_affinity = (2..=256).contains(&n).then(|| vec![0u64; n * n]);
         for (vpn, owner, _mode) in layout.pages(cfg.nodes) {
-            let home = match cfg.dirnnb.placement {
-                tt_base::config::DirPlacement::RoundRobin => {
-                    NodeId::new((vpn.0 % cfg.nodes as u64) as u16)
-                }
-                tt_base::config::DirPlacement::Owner => owner,
+            let home = match cfg.placement {
+                DirPlacement::RoundRobin => NodeId::new((vpn.0 % cfg.nodes as u64) as u16),
+                DirPlacement::Owner => owner,
             };
             if let Some(w) = home_affinity.as_mut() {
                 w[owner.index() * n + home.index()] += 1;
@@ -195,17 +197,17 @@ impl DirnnbMachine {
             .map(|i| Cpu {
                 cache: CacheModel::new(
                     cfg.cpu.cache_bytes,
-                    cfg.cpu.cache_assoc,
+                    CACHE_ASSOC,
                     BLOCK_BYTES,
                     rng.fork(i as u64),
                 ),
-                tlb: FifoTlb::new(cfg.cpu.tlb_entries),
+                tlb: FifoTlb::new(TLB_ENTRIES),
                 stream: Stream::default(),
                 pending_block: None,
                 stats: CpuStats::default(),
             })
             .collect();
-        let mut network = Network::new(cfg.nodes, cfg.timing.network_latency);
+        let mut network = Network::new(cfg.nodes, cfg.network_latency);
         network.set_topology(cfg.topology);
         DirnnbMachine {
             dirs: Directory::new(cfg.nodes),
@@ -538,7 +540,7 @@ impl<'m> Shard<'m> {
         let key = block / BLOCK_BYTES as u64;
         let mut cost = Cycles::new(1);
         if !self.cpus[l].tlb.access(addr.page()) {
-            cost += self.cfg.timing.tlb_miss;
+            cost += TLB_MISS;
         }
         let probe = self.cpus[l].cache.probe(key);
         let req = match (probe, kind) {
@@ -577,7 +579,7 @@ impl<'m> Shard<'m> {
                 _ => None,
             };
             if let Some(owned) = fast {
-                cost += self.cfg.timing.local_miss;
+                cost += LOCAL_MISS;
                 self.cpus[l].stats.local_misses.inc();
                 if req == DirReq::Upgrade {
                     // The line is already resident shared.
@@ -596,7 +598,7 @@ impl<'m> Shard<'m> {
             self.cpus[l].stats.local_misses.inc();
         } else {
             self.cpus[l].stats.remote_misses.inc();
-            cost += self.cfg.dirnnb.remote_miss_request;
+            cost += REMOTE_MISS_REQUEST;
         }
         if req == DirReq::Upgrade {
             self.cpus[l].stats.upgrades.inc();
@@ -672,9 +674,9 @@ impl<'m> Shard<'m> {
         let l = n - self.first;
         if let Some(victim) = self.cpus[l].cache.fill(key, owned) {
             *cost += if victim.owned {
-                self.cfg.dirnnb.replace_exclusive
+                REPLACE_EXCLUSIVE
             } else {
-                self.cfg.dirnnb.replace_shared
+                REPLACE_SHARED
             };
             if victim.owned {
                 let victim_addr = victim.block * BLOCK_BYTES as u64;
@@ -711,7 +713,7 @@ impl<'m> Shard<'m> {
         }
         self.dir_stats.dir_ops.inc();
         let home = self.home_of(addr);
-        let base = self.cfg.dirnnb.dir_op_base;
+        let base = DIR_OP_BASE;
         match (self.dirs.view(addr), req) {
             (DirView::Uncached | DirView::Shared, DirReq::Read) => {
                 self.dirs.add_sharer(addr, from);
@@ -728,8 +730,7 @@ impl<'m> Shard<'m> {
                     self.grant(addr, from, req, now + base, queue);
                     return;
                 }
-                let cost = base
-                    + Cycles::new(self.cfg.dirnnb.dir_op_per_msg.raw() * targets.len() as u64);
+                let cost = base + Cycles::new(DIR_OP_PER_MSG.raw() * targets.len() as u64);
                 self.dir_stats.invalidations.add(targets.len() as u64);
                 for t in &targets {
                     let at = self.deliver(now + cost, home, *t, false);
@@ -753,7 +754,7 @@ impl<'m> Shard<'m> {
             }
             (DirView::Exclusive(owner), _) => {
                 self.dir_stats.recalls.inc();
-                let cost = base + self.cfg.dirnnb.dir_op_per_msg;
+                let cost = base + DIR_OP_PER_MSG;
                 let at = self.deliver(now + cost, home, owner, false);
                 queue.schedule_for(
                     at,
@@ -780,9 +781,9 @@ impl<'m> Shard<'m> {
         queue: &mut ShardQueue<Event>,
     ) {
         let home = self.home_of(addr);
-        let mut cost = self.cfg.dirnnb.dir_op_per_msg;
+        let mut cost = DIR_OP_PER_MSG;
         if req.needs_data() {
-            cost += self.cfg.dirnnb.dir_op_block_send;
+            cost += DIR_OP_BLOCK_SEND;
         }
         let deliver = self.deliver(at + cost, home, to, req.needs_data());
         queue.schedule_for(
@@ -814,7 +815,7 @@ impl<'m> Shard<'m> {
         self.dirs.clear_busy(addr);
         self.dirs.set_exclusive(addr, to);
         self.dir_stats.dir_ops.inc();
-        self.grant(addr, to, req, now + self.cfg.dirnnb.dir_op_base, queue);
+        self.grant(addr, to, req, now + DIR_OP_BASE, queue);
         self.drain_queue(addr, now, queue);
     }
 
@@ -829,7 +830,7 @@ impl<'m> Shard<'m> {
             DirReq::Write | DirReq::Upgrade => self.dirs.set_exclusive(addr, to),
         }
         self.dir_stats.dir_ops.inc();
-        let cost = self.cfg.dirnnb.dir_op_base + self.cfg.dirnnb.dir_op_block_recv;
+        let cost = DIR_OP_BASE + DIR_OP_BLOCK_RECV;
         self.grant(addr, to, req, now + cost, queue);
         self.drain_queue(addr, now, queue);
     }
@@ -851,7 +852,7 @@ impl<'m> Shard<'m> {
         // CPU: 8 cycles plus the shared-replacement charge (Table 2).
         let key = addr / BLOCK_BYTES as u64;
         self.cpus[node - self.first].cache.invalidate(key);
-        let cost = self.cfg.dirnnb.remote_invalidate + self.cfg.dirnnb.replace_shared;
+        let cost = REMOTE_INVALIDATE + REPLACE_SHARED;
         let home = self.home_of(addr);
         let me = NodeId::new(node as u16);
         let at = self.deliver(now + cost, me, home, false);
@@ -880,7 +881,7 @@ impl<'m> Shard<'m> {
                 // networks). Nack-and-retry, as a busy hardware owner
                 // would: try again after the grant has landed.
                 queue.schedule_for(
-                    now + self.cfg.timing.network_latency,
+                    now + self.cfg.network_latency,
                     node,
                     Event::Recall {
                         addr,
@@ -894,7 +895,7 @@ impl<'m> Shard<'m> {
             // flight; the home completes from the writeback.
             return;
         }
-        let cost = self.cfg.dirnnb.remote_invalidate + self.cfg.dirnnb.replace_exclusive;
+        let cost = REMOTE_INVALIDATE + REPLACE_EXCLUSIVE;
         let home = self.home_of(addr);
         let me = NodeId::new(node as u16);
         let at = self.deliver(now + cost, me, home, true);
@@ -937,9 +938,9 @@ impl<'m> Shard<'m> {
         let me = NodeId::new(node as u16);
         let home = self.home_of(addr);
         let mut cost = if home == me {
-            self.cfg.timing.local_miss
+            LOCAL_MISS
         } else {
-            self.cfg.dirnnb.remote_miss_finish
+            REMOTE_MISS_FINISH
         };
         match req {
             DirReq::Upgrade => {

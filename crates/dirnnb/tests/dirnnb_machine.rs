@@ -25,7 +25,7 @@ fn run(w: ScriptWorkload, nodes: usize) -> tt_dirnnb::RunResult {
     // These tests assert specific home-node behavior, so pin the machine
     // to the layout's owner placement.
     let mut cfg = SystemConfig::test_config(nodes);
-    cfg.dirnnb.placement = tt_base::config::DirPlacement::Owner;
+    cfg.placement = tt_base::config::DirPlacement::Owner;
     DirnnbMachine::new(cfg, Box::new(w)).run()
 }
 
@@ -197,7 +197,7 @@ fn racing_writers_serialize_through_the_directory() {
         w.set(n, ops);
     }
     let mut cfg = SystemConfig::test_config(nodes);
-    cfg.dirnnb.placement = tt_base::config::DirPlacement::Owner;
+    cfg.placement = tt_base::config::DirPlacement::Owner;
     cfg.verify_values = false; // racy by construction
     let r = DirnnbMachine::new(cfg, Box::new(w)).run();
     assert!(r.report.get("dir.deferred").unwrap() > 0.0);
@@ -238,7 +238,7 @@ fn parallel_simulation_is_bit_identical_to_sequential() {
             w.set(n as usize, ops);
         }
         let mut cfg = SystemConfig::test_config(nodes);
-        cfg.dirnnb.placement = tt_base::config::DirPlacement::Owner;
+        cfg.placement = tt_base::config::DirPlacement::Owner;
         cfg.verify_values = false; // nodes race on shared words by design
         cfg.sim_threads = sim_threads;
         let mut m = DirnnbMachine::new(cfg, Box::new(w));

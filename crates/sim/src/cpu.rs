@@ -268,7 +268,7 @@ pub trait CpuHost {
 #[inline]
 pub fn step<H: CpuHost>(host: &mut H, n: usize, now: Cycles, queue: &mut ShardQueue<H::Event>) {
     let cfg = host.config();
-    let (quantum, direct) = (cfg.timing.network_latency, cfg.direct_execution);
+    let (quantum, direct) = (cfg.network_latency, cfg.direct_execution);
     let mut cpu = host.cpu(n);
     cpu.step_pending = false;
     if cpu.status != Status::Ready {
@@ -418,6 +418,7 @@ pub fn finished_at<'a>(
 mod tests {
     use super::*;
     use crate::driver::{carve, run, Machine};
+    use tt_base::config::BARRIER_LATENCY;
     use tt_base::stats::Report;
     use tt_base::workload::Layout;
     use tt_base::WindowPolicy;
@@ -430,7 +431,7 @@ mod tests {
     /// Addresses at or above this miss.
     const MISS_BASE: u64 = 0x1000;
     /// The default network latency: quantum, lookahead and barrier delay.
-    const LATENCY: u64 = 11;
+    const LATENCY: u64 = BARRIER_LATENCY.raw();
 
     fn hit(i: u64) -> VAddr {
         VAddr::new(8 * i)
@@ -658,17 +659,15 @@ mod tests {
     }
 
     fn config(nodes: usize, shards: usize, direct: bool) -> SystemConfig {
-        let mut cfg = SystemConfig {
+        SystemConfig {
             nodes,
             sim_shards: shards,
             sim_threads: shards.min(2),
             window_policy: WindowPolicy::Adaptive,
             direct_execution: direct,
+            network_latency: Cycles::new(LATENCY),
             ..SystemConfig::default()
-        };
-        cfg.timing.network_latency = Cycles::new(LATENCY);
-        cfg.timing.barrier_latency = Cycles::new(LATENCY);
-        cfg
+        }
     }
 
     /// Six barrier phases per node mixing every op kind, with

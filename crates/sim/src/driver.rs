@@ -23,6 +23,7 @@
 //! associated functions on the concrete machine type, called through
 //! no `dyn` and no per-event allocation.
 
+use tt_base::config::BARRIER_LATENCY;
 use tt_base::stats::{PdesTelemetry, Report};
 use tt_base::{Cycles, SystemConfig};
 
@@ -215,7 +216,7 @@ fn new_queue<M: Machine>(machine: &M, first: usize, len: usize) -> ShardQueue<M:
 fn sequential_queue<M: Machine>(machine: &M) -> ShardQueue<M::Event> {
     let cfg = machine.config();
     let mut queue = new_queue(machine, 0, cfg.nodes);
-    queue.enable_inline_barrier(cfg.nodes, cfg.timing.barrier_latency, M::release_event);
+    queue.enable_inline_barrier(cfg.nodes, BARRIER_LATENCY, M::release_event);
     queue
 }
 
@@ -239,7 +240,7 @@ fn run_windowed<M: Machine>(machine: &mut M, shards: usize, threads: usize) -> R
     let cfg = machine.config();
     let windowing = Windowing {
         lookahead: machine.lookahead(),
-        release_delay: cfg.timing.barrier_latency,
+        release_delay: BARRIER_LATENCY,
         barrier_expected: cfg.nodes,
         policy: cfg.window_policy,
         threads,
@@ -292,7 +293,7 @@ mod tests {
 
     /// The lookahead and barrier latency of both toys (the default
     /// `SystemConfig` timing).
-    const LATENCY: u64 = 11;
+    const LATENCY: u64 = BARRIER_LATENCY.raw();
 
     fn toy_config(
         nodes: usize,
@@ -300,15 +301,13 @@ mod tests {
         threads: usize,
         policy: WindowPolicy,
     ) -> SystemConfig {
-        let mut cfg = SystemConfig {
+        SystemConfig {
             nodes,
             sim_shards: shards,
             sim_threads: threads,
             window_policy: policy,
             ..SystemConfig::default()
-        };
-        cfg.timing.barrier_latency = Cycles::new(LATENCY);
-        cfg
+        }
     }
 
     /// A token ring: each node repeatedly passes a token to the next

@@ -15,10 +15,14 @@
 //! protocol, except that it is implemented entirely in software". The
 //! paper's handler path lengths (14 instructions to request, 30 to
 //! respond at the home, 20 to install the reply) are charged through the
-//! Tempest context and come from `SystemConfig::typhoon`.
+//! Tempest context and are the `STACHE_*_INSTR` constants of
+//! `tt_base::config`.
 
 use tt_base::addr::{VAddr, Vpn, BLOCK_BYTES, PAGE_BYTES};
-use tt_base::config::SystemConfig;
+use tt_base::config::{
+    SystemConfig, STACHE_HOME_INSTR, STACHE_PAGE_FAULT_INSTR, STACHE_REPLY_INSTR,
+    STACHE_REQUEST_INSTR,
+};
 use tt_base::stats::{Counter, Report};
 use tt_base::workload::Layout;
 use tt_base::{FxHashMap, NodeId};
@@ -137,11 +141,6 @@ pub struct StacheProtocol {
     stache_fifo: Vec<Vpn>,
     /// Maximum stache pages before replacement kicks in.
     capacity_pages: usize,
-    /// Handler path lengths (base instruction counts, Table 2 / Section 6).
-    req_instr: u64,
-    home_instr: u64,
-    reply_instr: u64,
-    page_fault_instr: u64,
     stats: StacheStats,
 }
 
@@ -164,10 +163,6 @@ impl StacheProtocol {
             pending: None,
             stache_fifo: Vec::new(),
             capacity_pages,
-            req_instr: cfg.typhoon.stache_request_instr,
-            home_instr: cfg.typhoon.stache_home_instr,
-            reply_instr: cfg.typhoon.stache_reply_instr,
-            page_fault_instr: cfg.typhoon.stache_page_fault_instr,
             stats: StacheStats::default(),
         }
     }
@@ -224,7 +219,7 @@ impl StacheProtocol {
         let vpn = addr.page();
         let block = addr.block_in_page();
         ctx.protocol_data_access(Self::dir_key(vpn, block));
-        ctx.charge(self.home_instr);
+        ctx.charge(STACHE_HOME_INSTR);
         self.stats.home_requests.inc();
 
         let entry = self
@@ -405,7 +400,7 @@ impl StacheProtocol {
 
     fn on_put(&mut self, ctx: &mut dyn TempestCtx, msg: &Message, tag: Tag) {
         let addr = VAddr::new(msg.arg(0));
-        ctx.charge(self.reply_instr);
+        ctx.charge(STACHE_REPLY_INSTR);
         let data = msg.payload.block();
         ctx.force_write_block(addr, &data);
         ctx.set_tag(addr, tag);
@@ -453,7 +448,7 @@ impl StacheProtocol {
         }
         // Final acknowledgment: this handler sends the data (paper §3).
         e.busy = None;
-        ctx.charge(self.home_instr);
+        ctx.charge(STACHE_HOME_INSTR);
         self.grant_exclusive(ctx, addr, to);
         self.finish_transaction(ctx, addr);
     }
@@ -497,7 +492,7 @@ impl StacheProtocol {
     ) {
         let vpn = addr.page();
         let block = addr.block_in_page();
-        ctx.charge(self.home_instr);
+        ctx.charge(STACHE_HOME_INSTR);
         ctx.protocol_data_access(Self::dir_key(vpn, block));
         ctx.force_write_block(addr, data);
         let e = self.entry_mut(vpn, block);
@@ -626,7 +621,7 @@ impl Protocol for StacheProtocol {
         let (home, mode) = self.home_of(vpn);
         assert_ne!(home, self.node, "home pages are mapped at init");
         self.stats.page_faults.inc();
-        ctx.charge(self.page_fault_instr);
+        ctx.charge(STACHE_PAGE_FAULT_INSTR);
         if self.stache_fifo.len() + 1 > self.capacity_pages {
             self.replace_page(ctx);
         }
@@ -672,7 +667,7 @@ impl Protocol for StacheProtocol {
             self.process_request(ctx, addr, Requester::Local(fault.thread), kind);
             return;
         }
-        ctx.charge(self.req_instr);
+        ctx.charge(STACHE_REQUEST_INSTR);
         match kind {
             ReqKind::Ro => self.stats.ro_requests.inc(),
             ReqKind::Rw => self.stats.rw_requests.inc(),

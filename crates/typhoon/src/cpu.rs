@@ -10,7 +10,7 @@
 //! the NP purges it, which the `TempestCtx::set_tag` implementation does.
 
 use tt_base::addr::{PAddr, VAddr};
-use tt_base::config::SystemConfig;
+use tt_base::config::{SystemConfig, CACHE_ASSOC, LOCAL_MISS, NP_TLB_MISS, TLB_ENTRIES, TLB_MISS};
 use tt_base::stats::Counter;
 use tt_base::{Cycles, NodeId};
 use tt_mem::cache::Probe;
@@ -64,11 +64,11 @@ impl CpuState {
             id,
             cache: CacheModel::new(
                 cfg.cpu.cache_bytes,
-                cfg.cpu.cache_assoc,
+                CACHE_ASSOC,
                 tt_base::addr::BLOCK_BYTES,
                 rng,
             ),
-            tlb: FifoTlb::new(cfg.cpu.tlb_entries),
+            tlb: FifoTlb::new(TLB_ENTRIES),
             stream: Stream::default(),
             stats: CpuStats::default(),
         }
@@ -118,7 +118,7 @@ pub fn exec_access(
 
     // Virtual address translation.
     if !cpu.tlb.access(addr.page()) {
-        cost += cfg.timing.tlb_miss;
+        cost += TLB_MISS;
     }
     let Some(ppn) = ptable.translate(addr.page()) else {
         cpu.stats.page_faults.inc();
@@ -142,7 +142,7 @@ pub fn exec_access(
         // The NP snoops the transaction; its RTLB must hold the page. A
         // miss nacks the transaction while the entry is fetched (25 cy).
         if !np.rtlb.access(ppn) {
-            cost += cfg.typhoon.np_tlb_miss;
+            cost += NP_TLB_MISS;
             cpu.stats.rtlb_misses.inc();
         }
         let tag = mem.tag(paddr);
@@ -157,25 +157,24 @@ pub fn exec_access(
                 tag,
                 meta: frame.meta,
             };
-            return AccessOutcome::BlockFault(fault, cost + cfg.typhoon.effective_fault_detect());
+            return AccessOutcome::BlockFault(fault, cost + cfg.np_mode.fault_detect());
         }
         match probe {
             Probe::HitShared => {
                 // Write-upgrade on a ReadWrite-tagged block: invalidate
                 // transaction on the bus, memory grants ownership.
                 debug_assert_eq!(tag, Tag::ReadWrite);
-                cost += cfg.timing.local_miss;
+                cost += LOCAL_MISS;
                 cpu.cache.set_owned(block_key, true);
                 cpu.stats.upgrades.inc();
             }
             Probe::Miss => {
-                cost += cfg.timing.local_miss;
+                cost += LOCAL_MISS;
                 // ReadOnly blocks fill shared (the NP asserts the
                 // "shared" line so the CPU never owns them); ReadWrite
                 // blocks fill owned. Writebacks are free (Table 2).
                 let owned = tag == Tag::ReadWrite;
                 cpu.cache.fill(block_key, owned);
-                cost += cfg.timing.local_writeback;
                 cpu.stats.local_misses.inc();
             }
             Probe::HitOwned => unreachable!("owned hits do not reach the bus"),
@@ -208,7 +207,7 @@ mod tests {
     fn setup() -> (SystemConfig, CpuState, NpState, NodeMemory, PageTable) {
         let cfg = SystemConfig::test_config(2);
         let cpu = CpuState::new(NodeId::new(0), &cfg, DetRng::new(1));
-        let np = NpState::new(&cfg, DetRng::new(2));
+        let np = NpState::new(DetRng::new(2));
         let mut mem = NodeMemory::new();
         let mut pt = PageTable::new();
         let ppn = mem.alloc();

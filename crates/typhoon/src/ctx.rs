@@ -10,7 +10,7 @@
 //! `send` does not delay the message.
 
 use tt_base::addr::{Ppn, VAddr, Vpn, BLOCK_BYTES};
-use tt_base::config::SystemConfig;
+use tt_base::config::{SystemConfig, LOCAL_MISS, NP_BLOCK_XFER, NP_TLB_MISS};
 use tt_base::{Cycles, NodeId};
 use tt_mem::cache::Probe;
 use tt_mem::{PageMeta, Tag};
@@ -20,7 +20,6 @@ use tt_sim::cpu::Stall;
 use tt_sim::ShardQueue;
 
 use crate::machine::{issue_access, BulkState, Event, NodeState};
-use crate::trace::Tracer;
 
 /// The per-handler Tempest context (see module docs).
 pub struct NodeCtx<'a> {
@@ -36,8 +35,6 @@ pub struct NodeCtx<'a> {
     pub(crate) node: &'a mut NodeState,
     pub(crate) network: &'a mut Network,
     pub(crate) queue: &'a mut ShardQueue<Event>,
-    /// Present only in sequential runs (see `TyphoonMachine::set_tracer`).
-    pub(crate) tracer: Option<&'a mut Box<dyn Tracer>>,
 }
 
 impl NodeCtx<'_> {
@@ -62,7 +59,7 @@ impl NodeCtx<'_> {
         if self.node.np.tlb.access(vpn) {
             self.cost += Cycles::new(1);
         } else {
-            self.cost += self.cfg.typhoon.np_tlb_miss;
+            self.cost += NP_TLB_MISS;
         }
     }
 
@@ -71,7 +68,7 @@ impl NodeCtx<'_> {
         if self.node.np.rtlb.access(ppn) {
             self.cost += Cycles::new(1);
         } else {
-            self.cost += self.cfg.typhoon.np_tlb_miss;
+            self.cost += NP_TLB_MISS;
         }
     }
 
@@ -117,7 +114,7 @@ impl TempestCtx for NodeCtx<'_> {
     fn protocol_data_access(&mut self, key: u64) {
         match self.node.np.dcache.probe(key) {
             Probe::Miss => {
-                self.cost += self.cfg.timing.local_miss;
+                self.cost += LOCAL_MISS;
                 self.node.np.dcache.fill(key, true);
             }
             _ => self.cost += Cycles::new(1),
@@ -280,14 +277,14 @@ impl TempestCtx for NodeCtx<'_> {
 
     fn force_read_block(&mut self, addr: VAddr) -> [u8; BLOCK_BYTES] {
         self.charge_np_tlb(addr.page());
-        self.cost += self.cfg.typhoon.np_block_xfer;
+        self.cost += NP_BLOCK_XFER;
         let paddr = self.translate_or_die(addr);
         self.node.mem.read_block(paddr)
     }
 
     fn force_write_block(&mut self, addr: VAddr, block: &[u8; BLOCK_BYTES]) {
         self.charge_np_tlb(addr.page());
-        self.cost += self.cfg.typhoon.np_block_xfer;
+        self.cost += NP_BLOCK_XFER;
         let paddr = self.translate_or_die(addr);
         self.node.mem.write_block(paddr, block);
         self.node
@@ -316,13 +313,7 @@ impl TempestCtx for NodeCtx<'_> {
             let stream = &mut self.node.cpu.stream;
             stream.ops.inc();
             let access = stream.pending_access();
-            issue_access(
-                self.cfg,
-                self.node,
-                self.tracer.as_deref_mut(),
-                self.queue,
-                access,
-            );
+            issue_access(self.cfg, self.node, self.queue, access);
         }
         let n = self.id.index();
         self.node.cpu.stream.wake(n, self.queue, Event::CpuStep(n));

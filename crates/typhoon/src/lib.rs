@@ -33,7 +33,5 @@ pub mod cpu;
 pub mod ctx;
 pub mod machine;
 pub mod np;
-pub mod trace;
 
 pub use machine::{Event, RunResult, TyphoonMachine};
-pub use trace::{TraceEvent, TraceRecord, Tracer, VecTracer};

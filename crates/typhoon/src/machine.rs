@@ -24,7 +24,7 @@ use std::ops::Range;
 use std::sync::Mutex;
 
 use tt_base::addr::{VAddr, WORD_BYTES};
-use tt_base::config::SystemConfig;
+use tt_base::config::{NpMode, SystemConfig, BULK_PACKET_CYCLES};
 use tt_base::stats::Report;
 use tt_base::workload::{Layout, Workload};
 use tt_base::{Cycles, DetRng, NodeId};
@@ -38,7 +38,6 @@ use tt_tempest::{BlockDirSnapshot, BulkRequest, HandlerId, Message, Protocol, Us
 use crate::cpu::{exec_access, AccessOutcome, CpuState};
 use crate::ctx::NodeCtx;
 use crate::np::{NpState, NpWork};
-use crate::trace::{HandlerKind, TraceEvent, TraceRecord, Tracer};
 
 /// Handler-id space reserved for machine-internal packets (bulk data);
 /// protocol handler ids must stay below this.
@@ -137,7 +136,6 @@ pub struct TyphoonMachine {
     network: Network,
     workload: Mutex<Box<dyn Workload>>,
     layout: Layout,
-    tracer: Option<Box<dyn Tracer>>,
     /// Seed for same-cycle tie-shuffling, applied to the event queue at
     /// `run` time (a `tt-check` legal-nondeterminism knob).
     tie_shuffle: Option<u64>,
@@ -159,9 +157,6 @@ pub struct Shard<'m> {
     /// from their own node, so shards never alias it.
     network: &'m mut Network,
     workload: &'m Mutex<Box<dyn Workload>>,
-    /// Present only in sequential mode: tracing needs the single total
-    /// event order.
-    tracer: Option<&'m mut Box<dyn Tracer>>,
 }
 
 impl TyphoonMachine {
@@ -181,7 +176,7 @@ impl TyphoonMachine {
         let nodes = (0..cfg.nodes)
             .map(|i| NodeState {
                 cpu: CpuState::new(NodeId::new(i as u16), &cfg, rng.fork(i as u64 * 2)),
-                np: NpState::new(&cfg, rng.fork(i as u64 * 2 + 1)),
+                np: NpState::new(rng.fork(i as u64 * 2 + 1)),
                 mem: NodeMemory::new(),
                 ptable: PageTable::new(),
                 bulk: Vec::new(),
@@ -191,7 +186,7 @@ impl TyphoonMachine {
         let protocols = (0..cfg.nodes)
             .map(|i| Some(protocol(NodeId::new(i as u16), &layout, &cfg)))
             .collect();
-        let mut network = Network::new(cfg.nodes, cfg.timing.network_latency);
+        let mut network = Network::new(cfg.nodes, cfg.network_latency);
         network.set_topology(cfg.topology);
         if let Some(spec) = cfg.fault {
             network.set_fault_plan(spec);
@@ -203,7 +198,6 @@ impl TyphoonMachine {
             network,
             workload: Mutex::new(workload),
             layout,
-            tracer: None,
             tie_shuffle: None,
         }
     }
@@ -221,14 +215,6 @@ impl TyphoonMachine {
     /// [`TyphoonMachine::run`].
     pub fn set_net_jitter(&mut self, seed: u64, max_extra: Cycles) {
         self.network.set_jitter(seed, max_extra);
-    }
-
-    /// Installs a [`Tracer`] that receives every machine-level event
-    /// (faults, handler dispatches, deliveries, barrier releases) with
-    /// its simulated timestamp. See [`crate::trace`]. Requires
-    /// `sim_threads = 1`.
-    pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
-        self.tracer = Some(tracer);
     }
 
     /// The workload's shared-segment layout.
@@ -414,7 +400,6 @@ impl Machine for TyphoonMachine {
             protocols: &mut self.protocols,
             network: &mut self.network,
             workload: &self.workload,
-            tracer: self.tracer.as_mut(),
         }
     }
 
@@ -427,10 +412,6 @@ impl Machine for TyphoonMachine {
         ranges: &[(usize, usize)],
         nets: &'a mut [Network],
     ) -> Vec<Shard<'a>> {
-        assert!(
-            self.tracer.is_none(),
-            "tracing requires sim_threads = 1: a tracer observes one total event order"
-        );
         let mut nodes = carve(&mut self.nodes, ranges);
         let mut protocols = carve(&mut self.protocols, ranges);
         ranges
@@ -443,7 +424,6 @@ impl Machine for TyphoonMachine {
                 protocols: protocols.next().expect("one protocol slice per range"),
                 network,
                 workload: &self.workload,
-                tracer: None,
             })
             .collect()
     }
@@ -510,10 +490,7 @@ impl<'m> Shard<'m> {
                 self.try_dispatch(node, now, queue);
             }
             Event::Deliver(packet) => self.deliver(packet, now, queue),
-            Event::BarrierRelease { generation } => {
-                self.trace(now, TraceEvent::BarrierRelease);
-                cpu::release(self, now, generation, queue);
-            }
+            Event::BarrierRelease { generation } => cpu::release(self, now, generation, queue),
             Event::BulkInject { node, id } => self.bulk_inject(node, id, now, queue),
         }
     }
@@ -534,13 +511,6 @@ impl<'m> Shard<'m> {
         cpu::seed(self, queue);
     }
 
-    #[inline]
-    fn trace(&mut self, at: Cycles, event: TraceEvent) {
-        if let Some(t) = &mut self.tracer {
-            t.record(TraceRecord { at, event });
-        }
-    }
-
     /// Builds a per-handler context for (globally indexed) node `n`.
     fn ctx<'a>(
         &'a mut self,
@@ -557,7 +527,6 @@ impl<'m> Shard<'m> {
             node: &mut self.nodes[n - self.first],
             network: self.network,
             queue,
-            tracer: self.tracer.as_deref_mut(),
         }
     }
 
@@ -583,7 +552,7 @@ impl<'m> Shard<'m> {
         let Some(work) = self.nodes[l].np.next_work() else {
             return;
         };
-        let start = now + self.cfg.typhoon.effective_dispatch();
+        let start = now + self.cfg.np_mode.dispatch();
         {
             let stats = &mut self.nodes[l].np.stats;
             stats.handlers.inc();
@@ -594,20 +563,6 @@ impl<'m> Shard<'m> {
                 NpWork::UserCall(..) => stats.user_calls.inc(),
             }
         }
-        let kind = match &work {
-            NpWork::Message(m) => HandlerKind::Message(m.handler.raw()),
-            NpWork::BlockFault(_) => HandlerKind::BlockFault,
-            NpWork::PageFault(_) => HandlerKind::PageFault,
-            NpWork::UserCall(..) => HandlerKind::UserCall,
-            NpWork::Timer(_) => HandlerKind::Timer,
-        };
-        self.trace(
-            start,
-            TraceEvent::HandlerStart {
-                node: NodeId::new(n as u16),
-                what: kind,
-            },
-        );
         let mut proto = self.protocols[l].take().expect("protocol present");
         let cost = {
             let mut ctx = self.ctx(n, start, queue);
@@ -631,10 +586,10 @@ impl<'m> Shard<'m> {
         np.busy_until = start + cost;
         np.stats
             .busy_cycles
-            .add((self.cfg.typhoon.effective_dispatch() + cost).raw());
+            .add((self.cfg.np_mode.dispatch() + cost).raw());
         // Software Tempest: the handler ran on the primary CPU, stealing
         // its cycles if it was computing.
-        if self.cfg.typhoon.np_mode == tt_base::config::NpMode::OnCpu
+        if self.cfg.np_mode == NpMode::OnCpu
             && node.cpu.stream.status == Status::Ready
             && node.cpu.stream.clock < np.busy_until
         {
@@ -651,13 +606,6 @@ impl<'m> Shard<'m> {
 
     fn deliver(&mut self, packet: Packet, now: Cycles, queue: &mut ShardQueue<Event>) {
         let n = packet.dst.index();
-        self.trace(
-            now,
-            TraceEvent::Deliver {
-                node: packet.dst,
-                handler: packet.handler,
-            },
-        );
         if packet.handler >= MACHINE_HANDLER_BASE {
             self.deliver_machine_packet(packet, now, queue);
             return;
@@ -683,7 +631,7 @@ impl<'m> Shard<'m> {
                 write_virtual_bytes(&mut node.mem, &node.ptable, dst_addr, packet.payload.data());
                 let np = &mut node.np;
                 let busy = if np.busy_until > now { np.busy_until } else { now };
-                np.busy_until = busy + self.cfg.typhoon.bulk_packet_cycles;
+                np.busy_until = busy + BULK_PACKET_CYCLES;
             }
             BULK_DONE => {
                 let words = packet.payload.words();
@@ -785,7 +733,7 @@ impl<'m> Shard<'m> {
         let at = self.network.send(now, &packet);
         schedule(queue, at, Event::Deliver(packet));
         let np = &mut self.nodes[l].np;
-        np.busy_until = now + self.cfg.typhoon.bulk_packet_cycles;
+        np.busy_until = now + BULK_PACKET_CYCLES;
         if let Some(done) = done_packet {
             let at = self.network.send(np.busy_until, &done);
             schedule(queue, at, Event::Deliver(done));
@@ -820,7 +768,7 @@ impl CpuHost for Shard<'_> {
     #[inline]
     fn access(&mut self, n: usize, access: Access, queue: &mut ShardQueue<Event>) -> Flow {
         let node = &mut self.nodes[n - self.first];
-        issue_access(self.cfg, node, self.tracer.as_deref_mut(), queue, access)
+        issue_access(self.cfg, node, queue, access)
     }
 
     /// A protocol call suspends the thread and queues the call as NP
@@ -847,7 +795,6 @@ impl CpuHost for Shard<'_> {
 pub(crate) fn issue_access(
     cfg: &SystemConfig,
     node: &mut NodeState,
-    tracer: Option<&mut Box<dyn Tracer>>,
     queue: &mut ShardQueue<Event>,
     access: Access,
 ) -> Flow {
@@ -860,7 +807,7 @@ pub(crate) fn issue_access(
     } = access;
     let cpu = &mut node.cpu;
     let (np, mem, ptable) = (&mut node.np, &mut node.mem, &node.ptable);
-    let (work, trace, cost) = match exec_access(cfg, cpu, np, mem, ptable, addr, kind, value) {
+    let (work, cost) = match exec_access(cfg, cpu, np, mem, ptable, addr, kind, value) {
         AccessOutcome::Done {
             cost,
             value: loaded,
@@ -884,27 +831,14 @@ pub(crate) fn issue_access(
             cpu.stream.complete(cost);
             return Flow::Completed;
         }
-        AccessOutcome::PageFault(fault, cost) => (
-            NpWork::PageFault(fault),
-            TraceEvent::PageFault { node: cpu.id, addr },
-            cost + cfg.typhoon.effective_fault_detect(),
-        ),
-        AccessOutcome::BlockFault(fault, cost) => (
-            NpWork::BlockFault(fault),
-            TraceEvent::BlockFault {
-                node: cpu.id,
-                addr,
-                kind,
-            },
-            cost,
-        ),
+        AccessOutcome::PageFault(fault, cost) => {
+            (NpWork::PageFault(fault), cost + cfg.np_mode.fault_detect())
+        }
+        AccessOutcome::BlockFault(fault, cost) => (NpWork::BlockFault(fault), cost),
     };
     cpu.stream.clock += cost;
     cpu.stream.block(Stall::Fault);
     let at = cpu.stream.clock;
-    if let Some(t) = tracer {
-        t.record(TraceRecord { at, event: trace });
-    }
     let node = cpu.id.index();
     schedule(queue, at, Event::NpWork { node, work });
     Flow::Blocked

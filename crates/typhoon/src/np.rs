@@ -15,7 +15,7 @@
 use std::collections::VecDeque;
 
 use tt_base::addr::{Ppn, Vpn};
-use tt_base::config::SystemConfig;
+use tt_base::config::{NP_DCACHE_ASSOC, NP_DCACHE_BYTES, NP_TLB_ENTRIES, RTLB_ENTRIES};
 use tt_base::stats::Counter;
 use tt_base::{Cycles, DetRng};
 use tt_mem::{CacheModel, FifoTlb};
@@ -90,17 +90,17 @@ pub struct NpState {
 }
 
 impl NpState {
-    /// Creates an NP with the configured caches and TLBs.
-    pub fn new(cfg: &SystemConfig, rng: DetRng) -> Self {
+    /// Creates an NP with Table 2's caches and TLBs.
+    pub fn new(rng: DetRng) -> Self {
         NpState {
             dcache: CacheModel::new(
-                cfg.typhoon.np_dcache_bytes,
-                cfg.typhoon.np_dcache_assoc,
+                NP_DCACHE_BYTES,
+                NP_DCACHE_ASSOC,
                 tt_base::addr::BLOCK_BYTES,
                 rng,
             ),
-            tlb: FifoTlb::new(cfg.typhoon.np_tlb_entries),
-            rtlb: FifoTlb::new(cfg.typhoon.rtlb_entries),
+            tlb: FifoTlb::new(NP_TLB_ENTRIES),
+            rtlb: FifoTlb::new(RTLB_ENTRIES),
             response_q: VecDeque::new(),
             fault_q: VecDeque::new(),
             timer_q: VecDeque::new(),
@@ -161,13 +161,13 @@ impl NpState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tt_base::{NodeId, SystemConfig, VAddr};
+    use tt_base::{NodeId, VAddr};
     use tt_mem::AccessKind;
     use tt_net::Payload;
     use tt_tempest::HandlerId;
 
     fn np() -> NpState {
-        NpState::new(&SystemConfig::default(), DetRng::new(0))
+        NpState::new(DetRng::new(0))
     }
 
     fn msg(vn: VirtualNet) -> Message {

@@ -4,6 +4,7 @@
 
 use tt_base::addr::PAGE_BYTES;
 use tt_base::workload::{Layout, Op, Placement, Region, Workload, SHARED_SEGMENT_BASE};
+use tt_base::config::NpMode;
 use tt_base::{Cycles, NodeId, SystemConfig, VAddr};
 use tt_mem::Tag;
 use tt_net::{Payload, VirtualNet};
@@ -472,14 +473,14 @@ fn software_tempest_is_correct_but_slower() {
         script.set(0, ops);
         script.set(1, vec![Op::Compute(1), Op::Barrier]);
         let mut cfg = cfg(2);
-        cfg.typhoon.np_mode = mode;
+        cfg.np_mode = mode;
         let mut m = TyphoonMachine::new(cfg, Box::new(script), &|_, _, _| {
             Box::new(LocalAlloc)
         });
         m.run()
     };
-    let dedicated = build(tt_base::config::NpMode::Dedicated);
-    let software = build(tt_base::config::NpMode::OnCpu);
+    let dedicated = build(NpMode::Dedicated);
+    let software = build(NpMode::OnCpu);
     // Same work performed...
     assert_eq!(
         dedicated.report.get("cpu.writes"),
@@ -495,12 +496,9 @@ fn software_tempest_is_correct_but_slower() {
 }
 
 #[test]
-fn tracer_records_the_fault_handler_sequence() {
-    use std::sync::{Arc, Mutex};
-    use tt_typhoon::trace::{HandlerKind, TraceEvent, TraceRecord};
-
-    let events: Arc<Mutex<Vec<TraceRecord>>> = Arc::default();
-    let sink = events.clone();
+fn page_fault_reaches_the_np_and_its_handler_runs() {
+    use tt_typhoon::np::NpWork;
+    use tt_typhoon::Event;
 
     let mut script = Script::new(1, empty_layout());
     script.set(
@@ -513,20 +511,22 @@ fn tracer_records_the_fault_handler_sequence() {
     let mut m = TyphoonMachine::new(cfg(1), Box::new(script), &|_, _, _| {
         Box::new(LocalAlloc)
     });
-    m.set_tracer(Box::new(move |r: TraceRecord| {
-        sink.lock().unwrap().push(r)
-    }));
-    let _ = m.run();
-
-    let events = events.lock().unwrap();
-    // A page fault, then its handler dispatch, in time order.
-    assert!(matches!(events[0].event, TraceEvent::PageFault { .. }));
-    assert!(matches!(
-        events[1].event,
-        TraceEvent::HandlerStart {
-            what: HandlerKind::PageFault,
+    let (mut fault_at, mut mapped_at) = (None, None);
+    m.run_observed(&mut |at, event, m| {
+        if let Event::NpWork {
+            work: NpWork::PageFault(f),
             ..
+        } = event
+        {
+            assert_eq!(f.addr, shared(0));
+            fault_at.get_or_insert(at);
         }
-    ));
-    assert!(events[0].at <= events[1].at);
+        if mapped_at.is_none() && m.node_tag(0, shared(0)).is_some() {
+            mapped_at = Some(at);
+        }
+    });
+    // The page fault reaches the NP, then its handler maps the page.
+    let fault_at = fault_at.expect("the page fault reaches the NP");
+    let mapped_at = mapped_at.expect("the page-fault handler maps the page");
+    assert!(fault_at <= mapped_at);
 }

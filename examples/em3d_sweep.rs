@@ -39,7 +39,7 @@ fn main() {
     let mut cfg = SystemConfig::default();
     cfg.nodes = procs;
     cfg.cpu.cache_bytes = 16 * 1024;
-    cfg.dirnnb.placement = DirPlacement::Owner;
+    cfg.placement = DirPlacement::Owner;
 
     let mut table = Table::new(vec![
         "% non-local",
