@@ -473,19 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn update_serving_is_sim_thread_invariant() {
-        let mut params = KvParams::small(KvVariant::Update);
-        params.write_pct = 50;
-        let seq = run_kv_update(&SystemConfig::test_config(params.nodes), &params);
-        let mut cfg = SystemConfig::test_config(params.nodes);
-        cfg.sim_threads = 2;
-        let par = run_kv_update(&cfg, &params);
-        assert_eq!(seq.cycles, par.cycles);
-        assert_eq!(seq.report, par.report);
-        assert_eq!(seq.lat, par.lat);
-    }
-
-    #[test]
     fn variants_agree_on_request_counts() {
         // Same seed, same mix: the two variants serve the identical
         // request stream (the litmus family proves value agreement; this

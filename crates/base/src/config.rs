@@ -106,7 +106,7 @@ pub const NP_FAULT_DETECT: Cycles = Cycles::new(5);
 /// transfer buffer overlaps the MBus transfer with execution (Section 5.1).
 pub const NP_BLOCK_XFER: Cycles = Cycles::new(12);
 
-/// Cycles the NP spends injecting or absorbing one bulk-transfer packet
+/// Cycles the NP spends injecting or receiving one bulk-transfer packet
 /// (Section 5.2's data-transfer thread).
 pub const BULK_PACKET_CYCLES: Cycles = Cycles::new(8);
 
@@ -169,48 +169,13 @@ pub enum DirPlacement {
     Owner,
 }
 
-/// Window-advance policy of the conservative parallel simulator
-/// (`tt_sim::pdes`). Purely a simulator-speed knob: cycle tables are
-/// bit-identical under either policy, which the equivalence tests and
-/// the `tt-check` fuzzer pin.
+/// Compatibility shim: the benchmark in `perfbench/` still sets
+/// [`SystemConfig::window_policy`]; no simulator code reads it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WindowPolicy {
-    /// Every shard advances in lockstep `min(lookahead, release_delay)`
-    /// quanta from the global minimum head (the WWT baseline).
+    /// The only value.
     #[default]
-    Fixed,
-    /// Per-shard window ends: each shard runs to the earliest time a
-    /// foreign event or barrier release could still reach it, skipping
-    /// the rendezvous the fixed quantum would have spent in between.
     Adaptive,
-}
-
-impl WindowPolicy {
-    /// CLI / provenance spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            WindowPolicy::Fixed => "fixed",
-            WindowPolicy::Adaptive => "adaptive",
-        }
-    }
-}
-
-impl std::str::FromStr for WindowPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fixed" => Ok(WindowPolicy::Fixed),
-            "adaptive" => Ok(WindowPolicy::Adaptive),
-            other => Err(format!("unknown window policy {other:?} (fixed|adaptive)")),
-        }
-    }
-}
-
-impl std::fmt::Display for WindowPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// Interconnect topology of the simulated machine (DESIGN.md §11).
@@ -219,8 +184,7 @@ impl std::fmt::Display for WindowPolicy {
 /// replaces it with routed topologies whose links have occupancy queues,
 /// so hot-home saturation is priced per link. Routes and queuing are pure
 /// functions of `(topology, src, dst, per-source send history, inject
-/// time)`, so latencies are bit-identical at every
-/// `sim_threads`/`sim_shards`/`jobs`/`window_policy` setting.
+/// time)`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Topology {
     /// Constant-latency pipe (`network_latency` between any pair) —
@@ -340,8 +304,8 @@ impl NpMode {
 /// protocols' retry/idempotence machinery can be exercised. Every fault
 /// decision is a pure hash of `(seed, ordered link, per-link packet
 /// index)` — or, for partitions, of `(seed, link, epoch run)` — so a
-/// fault schedule replays bit-exactly at any `sim_threads`/`sim_shards`
-/// setting, exactly like network jitter.
+/// fault schedule replays bit-exactly from its seed, exactly like
+/// network jitter.
 ///
 /// Partitions are bounded by construction: time is cut into
 /// `partition_epoch`-cycle epochs grouped into runs of `partition_run`
@@ -427,33 +391,21 @@ pub struct SystemConfig {
     /// node's CPU keeps running guaranteed-local work inline past the
     /// scheduling quantum whenever the event queue proves nothing can
     /// interact with it: no pending event at or before the CPU's clock
-    /// (`ShardQueue::peek_time`) and, under the parallel simulator, the
-    /// clock still below the current window end
-    /// (`ShardQueue::window_end`). Purely a
-    /// simulator-speed knob — reported cycles and statistics are
-    /// identical either way; equivalence tests pin that by toggling it.
+    /// (`EventQueue::peek_time`). Purely a simulator-speed knob —
+    /// reported cycles and statistics are identical either way;
+    /// equivalence tests pin that by toggling it.
     pub direct_execution: bool,
-    /// OS threads the simulator may spread one run across (conservative
-    /// parallel discrete-event simulation, `tt_sim::pdes`). Purely a
-    /// simulator-speed knob: reported cycles and statistics are
-    /// bit-identical at every value, which the equivalence tests pin.
-    /// `1` (the default) is the plain sequential event loop.
+    /// Compatibility shim for the benchmark in `perfbench/`, which still
+    /// sets it: every simulation runs sequentially, and no simulator code
+    /// reads this field.
     pub sim_threads: usize,
-    /// Event-queue shards for the parallel simulator. `0` (the default)
-    /// derives the count from `sim_threads`; an explicit value may
-    /// exceed `sim_threads` — workers then multiplex several shards per
-    /// OS thread, which keeps windows shard-local on topology-aware
-    /// shard maps even with few cores. Clamped to `nodes`. Purely a
-    /// simulator-speed knob; cycle tables are bit-identical at every
-    /// value.
-    pub sim_shards: usize,
-    /// How the parallel simulator advances its windows (fixed quanta vs
-    /// adaptive per-shard bounds). Ignored by the sequential path.
+    /// Compatibility shim for the benchmark in `perfbench/` (see
+    /// [`WindowPolicy`]); no simulator code reads this field.
     pub window_policy: WindowPolicy,
     /// Interconnect topology. [`Topology::Ideal`] (the default) is the
     /// paper's constant-latency pipe; mesh / fat-tree route packets over
     /// per-link occupancy queues (DESIGN.md §11). Unlike the simulator
-    /// knobs above this changes reported cycles — by design.
+    /// knob above this changes reported cycles — by design.
     pub topology: Topology,
     /// Deterministic lossy-network fault schedule; `None` (the default)
     /// is the paper's reliable interconnect. Machines that model the
@@ -489,8 +441,7 @@ impl Default for SystemConfig {
             verify_values: false,
             direct_execution: true,
             sim_threads: 1,
-            sim_shards: 0,
-            window_policy: WindowPolicy::Fixed,
+            window_policy: WindowPolicy::Adaptive,
             topology: Topology::Ideal,
             fault: None,
             stache_capacity_bytes: usize::MAX,
@@ -519,21 +470,6 @@ impl SystemConfig {
     /// ablation scale factor, as whole cycles.
     pub fn scaled_handler_instr(&self, base: u64) -> u64 {
         ((base as f64) * self.handler_cost_scale).round() as u64
-    }
-
-    /// `(shards, threads)` the parallel simulator should use: shard
-    /// count from `sim_shards` (or `sim_threads` when 0), clamped to
-    /// `nodes`; thread count never exceeding the shard count. `(1, 1)`
-    /// means the plain sequential event loop.
-    pub fn pdes_shape(&self) -> (usize, usize) {
-        let shards = if self.sim_shards > 0 {
-            self.sim_shards
-        } else {
-            self.sim_threads
-        }
-        .clamp(1, self.nodes.max(1));
-        let threads = self.sim_threads.clamp(1, shards);
-        (shards, threads)
     }
 
     /// Checks the settings no simulation can run with: `nodes` must lie
@@ -595,23 +531,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::field_reassign_with_default)]
-    fn pdes_shape_derives_shards_and_threads() {
-        let mut c = SystemConfig::default();
-        assert_eq!(c.pdes_shape(), (1, 1), "defaults are sequential");
-        c.sim_threads = 3;
-        assert_eq!(c.pdes_shape(), (3, 3));
-        c.sim_shards = 8;
-        assert_eq!(c.pdes_shape(), (8, 3), "threads multiplex extra shards");
-        c.sim_shards = 64;
-        assert_eq!(c.pdes_shape(), (32, 3), "shards clamp to nodes");
-        c.sim_threads = 1;
-        assert_eq!(c.pdes_shape(), (32, 1), "explicit shards allow 1 thread");
-        c.sim_shards = 0;
-        assert_eq!(c.pdes_shape(), (1, 1));
-    }
-
-    #[test]
     fn validate_bounds_the_node_count() {
         let mut c = SystemConfig::default();
         assert_eq!(c.validate(), Ok(()));
@@ -635,15 +554,6 @@ mod tests {
         );
         c.topology = Topology::Mesh2D { width: 1 };
         assert_eq!(c.validate(), Ok(()));
-    }
-
-    #[test]
-    fn window_policy_parses_round_trip() {
-        for p in [WindowPolicy::Fixed, WindowPolicy::Adaptive] {
-            assert_eq!(p.as_str().parse::<WindowPolicy>(), Ok(p));
-        }
-        assert!("eager".parse::<WindowPolicy>().is_err());
-        assert_eq!(WindowPolicy::default(), WindowPolicy::Fixed);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 /// Mixes 64 bits into 64 uniformly scrambled bits (the splitmix64
 /// finalizer). Unlike a [`DetRng`] *stream*, a pure mix of a stable
 /// identifier is order-independent: callers that need per-item
-/// randomness but cannot rely on draw order (the tie-shuffle salt and
-/// network jitter under parallel simulation) hash the item's key
-/// instead of consuming a stream.
+/// randomness independent of draw order (the tie-shuffle salt, network
+/// jitter and fault decisions) hash the item's key instead of consuming
+/// a stream.
 #[inline]
 pub fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -42,38 +42,19 @@ impl fmt::Display for Counter {
     }
 }
 
-/// Host-side telemetry of one conservative-parallel simulation
-/// (the windowed path of `tt_sim::driver::run`, which fills
-/// `RunResult::pdes`). These describe the *simulator's* work,
-/// not the simulated machine: they are deliberately kept out of
-/// [`Report`] so sequential and parallel runs of the same workload
-/// produce identical reports. All ratios (events per window, messages
-/// per window) are derived, not stored.
+/// Compatibility shim: the benchmark in `perfbench/` reads these four
+/// fields from `RunResult::pdes`, which is always `None` now that every
+/// simulation runs sequentially.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PdesTelemetry {
-    /// Window rounds executed (each bounded by its window end).
+    /// Window rounds.
     pub windows: u64,
-    /// Barrier rendezvous performed: one leader decision per round
-    /// (windows, barrier releases, and the final stop round).
+    /// Synchronization rounds between simulator threads.
     pub rendezvous: u64,
-    /// Events dispatched inside windows, across all shards.
+    /// Events dispatched inside windows.
     pub events: u64,
-    /// Cross-shard messages exchanged at window boundaries.
+    /// Messages exchanged between simulator threads.
     pub cross_messages: u64,
-    /// Barrier generations released by the window driver.
-    pub releases: u64,
-}
-
-impl PdesTelemetry {
-    /// Mean events dispatched per window.
-    pub fn events_per_window(&self) -> f64 {
-        self.events as f64 / (self.windows.max(1)) as f64
-    }
-
-    /// Mean cross-shard messages per window.
-    pub fn cross_messages_per_window(&self) -> f64 {
-        self.cross_messages as f64 / (self.windows.max(1)) as f64
-    }
 }
 
 /// A fixed-bucket histogram of small integer samples (e.g. sharer counts).

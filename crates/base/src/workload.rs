@@ -74,7 +74,7 @@ pub enum Op {
     /// a free no-op. Serving workloads use this to realize scheduled
     /// request arrival times independently of how long earlier requests
     /// took — the open-loop client model, where queueing delay shows up
-    /// in latency instead of being absorbed by a slowed-down generator.
+    /// in latency instead of being hidden by a slowed-down generator.
     /// The processor never suspends and no event is consumed, so the op
     /// is exactly as cheap and as deterministic as a `Compute` span.
     WaitUntil {
@@ -178,8 +178,8 @@ impl Layout {
 /// Streams are pulled in bounded *chunks* so that workloads with hundreds
 /// of millions of ops never materialize them all at once.
 ///
-/// `Send` because the parallel simulator pulls chunks from worker
-/// threads (behind a mutex — one puller at a time, so no `Sync` bound).
+/// `Send` so a workload can be built on one thread and simulated on
+/// another; the machine is its only puller, so no `Sync` bound.
 pub trait Workload: Send {
     /// A short name ("em3d", "ocean", ...).
     fn name(&self) -> &'static str;

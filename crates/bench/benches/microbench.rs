@@ -13,7 +13,7 @@ use tt_base::workload::{Layout, Op, Placement, Region, ScriptWorkload, SHARED_SE
 use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
 use tt_bench::harness::Runner;
 use tt_mem::{AccessKind, CacheModel, FifoTlb, NodeMemory, PageTable, Tag};
-use tt_sim::ShardQueue;
+use tt_sim::EventQueue;
 use tt_stache::StacheProtocol;
 use tt_typhoon::cpu::{exec_access, AccessOutcome, CpuState};
 use tt_typhoon::np::NpState;
@@ -23,14 +23,14 @@ use tt_typhoon::TyphoonMachine;
 /// path should make this nearly heap-free.
 fn bench_event_queue_chain(r: &Runner) {
     r.bench("sim/event_queue_chain_10k", || {
-        let mut q = ShardQueue::new(0, 1);
+        let mut q = EventQueue::new(1, Cycles::new(11), |_| 0u64);
         q.set_origin(0);
-        q.schedule_for(Cycles::ZERO, 0, 10_000u64);
+        q.schedule(Cycles::ZERO, 10_000u64);
         let mut acc = 0u64;
         while let Some((now, ev)) = q.pop() {
             acc = acc.wrapping_add(ev);
             if ev > 0 {
-                q.schedule_for(now + Cycles::new(3), 0, ev - 1);
+                q.schedule(now + Cycles::new(3), ev - 1);
             }
         }
         black_box(acc)
@@ -43,18 +43,18 @@ fn bench_event_queue_chain(r: &Runner) {
 /// Exercises the slow (heap) path.
 fn bench_event_queue_churn(r: &Runner) {
     r.bench("sim/event_queue_schedule_pop_churn_32", || {
-        let mut q = ShardQueue::new(0, 32);
+        let mut q = EventQueue::new(32, Cycles::new(11), |_| 0usize);
         let mut rng = DetRng::new(11);
         for node in 0..32usize {
             q.set_origin(node);
-            q.schedule_for(Cycles::new(node as u64 % 7), node, node);
+            q.schedule(Cycles::new(node as u64 % 7), node);
         }
         let mut acc = 0u64;
         for _ in 0..20_000 {
             let (now, node) = q.pop().expect("queue never drains");
             acc = acc.wrapping_add(node as u64);
             q.set_origin(node);
-            q.schedule_for(now + Cycles::new(1 + rng.below(13)), node, node);
+            q.schedule(now + Cycles::new(1 + rng.below(13)), node);
         }
         while q.pop().is_some() {}
         black_box(acc)

@@ -49,7 +49,6 @@ fn record(point: String, system: &str, out: &RunOutcome) -> PointRecord {
         cycles: out.cycles.raw(),
         wall_secs: out.wall_secs,
         ops: out.ops,
-        pdes: out.pdes,
         extra: None,
     }
 }
@@ -77,7 +76,6 @@ fn main() {
         c.cpu.cache_bytes = 4 * 1024;
         c
     };
-    tt_bench::assert_sim_threads_identity(&base_cfg);
     let factors = [0.5, 1.0, 2.0, 4.0];
     // Task 0 is the shared DirNNB comparator; tasks 1.. sweep the factor.
     let outs = par::run_indexed(jobs, factors.len() + 1, |i| {
@@ -274,7 +272,6 @@ fn main() {
                     report: r.report,
                     wall_secs,
                     ops,
-                    pdes: r.pdes,
                     peak_bytes: 0,
                     allocs: 0,
                 }

@@ -74,7 +74,6 @@ fn main() {
         _ => Ok(false),
     });
     let cfg = cli.config();
-    tt_bench::assert_sim_threads_identity(&cfg);
     println!(
         "FIGURE 3. Typhoon/Stache execution time relative to DirNNB \
          ({nodes} nodes, scale 1/{scale}).\n",
@@ -115,7 +114,6 @@ fn main() {
                 cycles: point.typhoon.raw(),
                 wall_secs: point.typhoon_stats.wall_secs,
                 ops: point.typhoon_stats.ops,
-                pdes: point.typhoon_stats.pdes,
                 extra: cost_fragment(cli.nodes, point.typhoon.raw(), &point.typhoon_stats),
             });
             records.push(PointRecord {
@@ -124,7 +122,6 @@ fn main() {
                 cycles: point.dirnnb.raw(),
                 wall_secs: point.dirnnb_stats.wall_secs,
                 ops: point.dirnnb_stats.ops,
-                pdes: point.dirnnb_stats.pdes,
                 extra: cost_fragment(cli.nodes, point.dirnnb.raw(), &point.dirnnb_stats),
             });
         }

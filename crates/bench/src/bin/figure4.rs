@@ -27,7 +27,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = tt_bench::parse_cli(&args, 4, USAGE);
     let cfg = cli.config();
-    tt_bench::assert_sim_threads_identity(&cfg);
     println!(
         "FIGURE 4. EM3D update-protocol performance, large data set \
          ({nodes} nodes, scale 1/{scale}).\n",
@@ -63,7 +62,6 @@ fn main() {
                 cycles: p.cycles[i].raw(),
                 wall_secs: p.stats[i].wall_secs,
                 ops: p.stats[i].ops,
-                pdes: p.stats[i].pdes,
                 extra: None,
             });
         }

@@ -7,14 +7,12 @@
 //! variants. Latencies are *simulated cycles* from each request's
 //! open-loop arrival time to its completion stamp, so queueing delay is
 //! included and every number on stdout is bit-reproducible — the table
-//! is byte-identical for any `--jobs`, `--sim-threads`, `--sim-shards`,
-//! or `--window-policy` value (wall-clock rates go to stderr and the
-//! `--json` report only).
+//! is byte-identical for any `--jobs` value (wall-clock rates go to
+//! stderr and the `--json` report only).
 //!
 //! Usage: `kv_bench [--nodes N] [--keys N] [--requests N]
 //! [--value-words N] [--interarrival CYCLES] [--fault-rate PERMILLE]
-//! [--jobs N] [--repeat N] [--sim-threads N]
-//! [--window-policy fixed|adaptive] [--json PATH]`
+//! [--jobs N] [--repeat N] [--json PATH]`
 //!
 //! `--fault-rate R` runs the sweep over a lossy network: every packet
 //! is dropped and duplicated with probability R‰ (corrupted at R/2‰),
@@ -75,28 +73,6 @@ struct Point {
     wall_secs: f64,
 }
 
-/// The per-run equivalent of `assert_sim_threads_identity`: before a
-/// parallel-simulator sweep, prove on a small point that the requested
-/// thread count reproduces the sequential cycles, report, and latency
-/// histograms bit-for-bit.
-fn assert_kv_sim_threads_identity(cfg: &SystemConfig) {
-    if cfg.sim_threads <= 1 {
-        return;
-    }
-    let mut seq_cfg = cfg.clone();
-    seq_cfg.sim_threads = 1;
-    for variant in VARIANTS {
-        let mut p = KvParams::small(variant);
-        p.nodes = cfg.nodes;
-        p.write_pct = 50;
-        let seq = run_variant(&seq_cfg, &p);
-        let par = run_variant(cfg, &p);
-        assert_eq!(seq.cycles, par.cycles, "{}: parallel cycles diverged", variant.name());
-        assert_eq!(seq.report, par.report, "{}: parallel report diverged", variant.name());
-        assert_eq!(seq.lat, par.lat, "{}: parallel latencies diverged", variant.name());
-    }
-}
-
 const USAGE: &str = "\
 Usage: kv_bench [kv flags] [shared flags]
 
@@ -140,7 +116,6 @@ fn main() {
     if faulty {
         cfg.fault = Some(FaultSpec::uniform(cfg.seed, kv.fault_permille));
     }
-    assert_kv_sim_threads_identity(&cfg);
     println!(
         "KV SERVING. {nodes}-node tt-serve under open-loop Zipfian load \
          ({keys} keys, {req} requests/node, {vw}-word values, mean \
@@ -262,7 +237,6 @@ fn main() {
             cycles: p.out.cycles.raw(),
             wall_secs: p.wall_secs,
             ops: p.out.report.get("cpu.ops").unwrap_or(0.0) as u64,
-            pdes: p.out.pdes,
             extra: Some(extra),
         });
     }

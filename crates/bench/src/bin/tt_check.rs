@@ -2,24 +2,16 @@
 //! line.
 //!
 //! ```text
-//! tt-check run [--seeds N] [--base B] [--sim-threads N] [--window-policy P]
-//!              [--topology T] [--faults] [--fault-seed F] [--planted-bug] [--out PATH]
-//! tt-check replay --seed S [--sim-threads N] [--window-policy P]
-//!                 [--topology T] [--faults] [--fault-seed F]
-//! tt-check kv [--seeds N] [--base B] [--seed S] [--sim-threads N] [--window-policy P]
-//!             [--topology T] [--faults] [--fault-seed F]
+//! tt-check run [--seeds N] [--base B] [--topology T] [--faults] [--fault-seed F]
+//!              [--planted-bug] [--out PATH]
+//! tt-check replay --seed S [--topology T] [--faults] [--fault-seed F]
+//! tt-check kv [--seeds N] [--base B] [--seed S] [--topology T] [--faults] [--fault-seed F]
 //! ```
 //!
 //! `run` fuzzes `N` consecutive seeds (litmus workloads × schedule
-//! perturbations including sequential-vs-parallel simulation,
-//! differential across both machines) and exits non-zero on the first
-//! failure, printing the seed so `tt-check replay --seed S` reproduces
-//! it bit-exactly. `--sim-threads N` (on either command) forces the
-//! parallel-differential leg to `N` simulator threads on every case —
-//! the case shapes and every other perturbation stay seed-derived —
-//! instead of letting each seed draw its own thread count.
-//! `--window-policy fixed|adaptive` likewise forces the parallel leg's
-//! window-advance policy instead of each seed's coin flip.
+//! perturbations, differential across both machines) and exits
+//! non-zero on the first failure, printing the seed so `tt-check replay
+//! --seed S` reproduces it bit-exactly.
 //! `--topology ideal|mesh[:W]|fat-tree[:A]` forces the interconnect of
 //! the Typhoon legs instead of each seed's draw; the DirNNB reference
 //! leg always runs the ideal pipe, so mesh cases are checked against a
@@ -64,8 +56,6 @@ Usage: tt-check run [--seeds N] [--base B] [--planted-bug] [--out PATH] [checker
        tt-check kv [--seeds N] [--base B] [--seed S] [checker flags]
 
 Checker flags (every command):
-  --sim-threads N          force the parallel-differential leg to N threads
-  --window-policy P        fixed | adaptive
   --topology T             ideal | mesh[:W] | fat-tree[:A] (the Typhoon legs)
   --faults                 a seed-derived lossy-network schedule per case
   --fault-seed F           force one fault schedule (implies --faults)
@@ -100,11 +90,6 @@ fn parse(args: &[String], own: &[&str]) -> Result<Flags, CliError> {
         let is_own = own.contains(&flag);
         match flag {
             "-h" | "--help" => return Err(CliError::Help),
-            "--sim-threads" => f.options.sim_threads = Some(number(args, i, flag)?),
-            "--window-policy" => {
-                let policy = value(args, i, flag)?.parse().map_err(|e| format!("{flag}: {e}"))?;
-                f.options.window_policy = Some(policy);
-            }
             "--topology" => {
                 let topology: Topology =
                     value(args, i, flag)?.parse().map_err(|e| format!("{flag}: {e}"))?;
@@ -313,8 +298,8 @@ fn cmd_replay(seed: u64, options: &FuzzOptions) -> i32 {
 
 /// `tt-check kv`: the KV-serving litmus family. Fuzzes `--seeds`
 /// consecutive seeds through the three-machine differential
-/// (Stache-served, write-update-served, DirNNB) plus the parallel
-/// reruns; `--seed S` replays one seed instead.
+/// (Stache-served, write-update-served, DirNNB); `--seed S` replays one
+/// seed instead.
 fn cmd_kv(flags: &Flags) -> i32 {
     let options = &flags.options;
     if let Some(seed) = flags.seed {

@@ -1,14 +1,14 @@
 //! Command-line parsing shared by every harness binary.
 //!
 //! `figure3`, `figure4`, `ablations`, and `kv_bench` all take the same
-//! simulator knobs (`--jobs`, `--repeat`, `--sim-threads`,
-//! `--sim-shards`, `--window-policy`, `--json`, ...); this module parses
+//! simulator knobs (`--jobs`, `--repeat`, `--topology`, `--json`, ...);
+//! this module parses
 //! them once into a [`Cli`] and owns the equally repetitive tail — the
 //! [`SweepMeta`] header and `--json` report write. Binaries with extra
 //! flags hook them in through [`parse_cli_with`] instead of forking the
 //! parser.
 
-use tt_base::{SystemConfig, Topology, WindowPolicy};
+use tt_base::{SystemConfig, Topology};
 
 use crate::json::{write_report, PointRecord, SweepMeta};
 use crate::{bench_config, par};
@@ -26,17 +26,6 @@ pub struct Cli {
     /// Runs per point; wall timings are min-of-N (default 1). Cycle
     /// counts are asserted identical across repeats.
     pub repeat: usize,
-    /// OS threads *inside* each simulation (conservative PDES; default 1
-    /// = sequential). Orthogonal to `jobs`, which parallelizes across
-    /// sweep points. Any value produces identical tables.
-    pub sim_threads: usize,
-    /// Shards per simulation (0 = one per sim thread). More shards than
-    /// threads makes each worker multiplex, which narrows windows less
-    /// under the adaptive policy. Any value produces identical tables.
-    pub sim_shards: usize,
-    /// Window-advance policy for parallel simulations (fixed quantum or
-    /// adaptive per-shard widening). Identical tables either way.
-    pub window_policy: WindowPolicy,
     /// Interconnect model (`ideal` keeps the paper's constant-latency
     /// pipe and its byte-identical tables; `mesh[:width]` /
     /// `fat-tree[:arity]` add per-link occupancy).
@@ -46,14 +35,10 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// The [`bench_config`] for this invocation, with the
-    /// `--sim-threads`, `--sim-shards`, and `--window-policy` settings
-    /// applied.
+    /// The [`bench_config`] for this invocation, with the `--topology`
+    /// setting applied.
     pub fn config(&self) -> SystemConfig {
         let mut cfg = bench_config(self.nodes);
-        cfg.sim_threads = self.sim_threads;
-        cfg.sim_shards = self.sim_shards;
-        cfg.window_policy = self.window_policy;
         cfg.topology = self.topology;
         cfg
     }
@@ -66,9 +51,6 @@ impl Cli {
             scale: self.scale,
             jobs: self.jobs,
             repeat: self.repeat,
-            sim_threads: self.sim_threads,
-            sim_shards: self.sim_shards,
-            window_policy: self.window_policy,
             topology: self.topology,
             total_wall_secs,
         }
@@ -94,9 +76,6 @@ Shared flags:
   --nodes N                simulated machine size (default 32)
   --jobs N                 sweep worker threads (default: available cores)
   --repeat N               runs per point; wall times are min-of-N (default 1)
-  --sim-threads N          OS threads inside each simulation (default 1)
-  --sim-shards N           shards per simulation (0 = one per sim thread)
-  --window-policy P        fixed | adaptive
   --topology T             ideal | mesh[:W] | fat-tree[:A]
   --json PATH              write a machine-readable run report
   -h, --help               print this help and exit
@@ -145,7 +124,6 @@ impl CliError {
 pub type ExtraFlags<'a> = dyn FnMut(&str, &[String], &mut usize) -> Result<bool, String> + 'a;
 
 /// Parses `--scale N`, `--nodes N`, `--full`, `--jobs N`, `--repeat N`,
-/// `--sim-threads N`, `--sim-shards N`, `--window-policy fixed|adaptive`,
 /// `--topology ideal|mesh[:W]|fat-tree[:A]`, and `--json PATH` arguments
 /// shared by the harness binaries. On `--help` or a bad argument, prints
 /// `usage` (plus [`SHARED_FLAGS`]) and exits; see [`CliError::exit`].
@@ -178,9 +156,6 @@ pub fn try_parse_cli_with(
         nodes: 32,
         jobs: par::default_jobs(),
         repeat: 1,
-        sim_threads: 1,
-        sim_shards: 0,
-        window_policy: WindowPolicy::Fixed,
         topology: Topology::Ideal,
         json: None,
     };
@@ -192,13 +167,6 @@ pub fn try_parse_cli_with(
             "--nodes" => cli.nodes = number(args, i, "--nodes")?,
             "--jobs" => cli.jobs = at_least_one(args, i, "--jobs")?,
             "--repeat" => cli.repeat = number(args, i, "--repeat")?.max(1),
-            "--sim-threads" => cli.sim_threads = number(args, i, "--sim-threads")?.max(1),
-            "--sim-shards" => cli.sim_shards = number(args, i, "--sim-shards")?,
-            "--window-policy" => {
-                cli.window_policy = value(args, i, "--window-policy")?
-                    .parse()
-                    .map_err(|e| format!("--window-policy: {e}"))?;
-            }
             "--topology" => {
                 let topology: Topology = value(args, i, "--topology")?
                     .parse()
@@ -283,12 +251,11 @@ mod tests {
 
     #[test]
     fn sweep_meta_mirrors_the_cli() {
-        let cli = parse(&["--sim-threads", "3", "--window-policy", "adaptive"]).unwrap();
+        let cli = parse(&["--repeat", "3", "--jobs", "2"]).unwrap();
         let meta = cli.sweep_meta("figX", 1.5);
         assert_eq!(meta.figure, "figX");
         assert_eq!(meta.scale, 7);
-        assert_eq!(meta.sim_threads, 3);
-        assert_eq!(meta.window_policy, WindowPolicy::Adaptive);
+        assert_eq!((meta.repeat, meta.jobs), (3, 2));
         assert_eq!(meta.topology, Topology::Ideal);
     }
 
@@ -313,7 +280,10 @@ mod tests {
         assert!(bad(&["--jobs", "abc"]).starts_with("--jobs N: \"abc\""));
         assert_eq!(bad(&["--jobs", "0"]), "--jobs: must be at least 1");
         assert_eq!(bad(&["--scale", "0"]), "--scale: must be at least 1");
-        assert!(bad(&["--window-policy", "eager"]).starts_with("--window-policy: "));
+        assert_eq!(
+            bad(&["--sim-threads", "2"]),
+            "unknown argument --sim-threads"
+        );
         assert!(bad(&["--topology", "ring"]).starts_with("--topology: "));
         assert_eq!(
             bad(&["--topology", "fat-tree:1"]),

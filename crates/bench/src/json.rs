@@ -13,8 +13,7 @@
 use std::io::Write;
 use std::path::Path;
 
-use tt_base::stats::PdesTelemetry;
-use tt_base::{Topology, WindowPolicy};
+use tt_base::Topology;
 
 /// One simulation run inside a sweep.
 #[derive(Clone, Debug)]
@@ -29,9 +28,6 @@ pub struct PointRecord {
     pub wall_secs: f64,
     /// Workload ops the simulated CPUs executed (`cpu.ops`).
     pub ops: u64,
-    /// Window-driver telemetry of the run (`None` for sequential runs,
-    /// emitted as JSON `null`).
-    pub pdes: Option<PdesTelemetry>,
     /// Binary-specific additions, as a raw `"key": value` JSON fragment
     /// appended to the record object (e.g. `kv_bench` latency
     /// percentiles). `None` adds nothing.
@@ -58,21 +54,6 @@ impl PointRecord {
     }
 
     fn to_json(&self) -> String {
-        let pdes = match &self.pdes {
-            None => "null".to_string(),
-            Some(t) => format!(
-                "{{\"windows\": {}, \"rendezvous\": {}, \"events\": {}, \
-                 \"cross_messages\": {}, \"releases\": {}, \
-                 \"events_per_window\": {:.2}, \"cross_messages_per_window\": {:.2}}}",
-                t.windows,
-                t.rendezvous,
-                t.events,
-                t.cross_messages,
-                t.releases,
-                t.events_per_window(),
-                t.cross_messages_per_window(),
-            ),
-        };
         let extra = match &self.extra {
             None => String::new(),
             Some(frag) => format!(", {frag}"),
@@ -80,8 +61,7 @@ impl PointRecord {
         format!(
             "    {{\"point\": {}, \"system\": {}, \"cycles\": {}, \
              \"wall_secs\": {:.6}, \"ops\": {}, \
-             \"sim_cycles_per_sec\": {:.1}, \"ops_per_sec\": {:.1}, \
-             \"pdes\": {pdes}{extra}}}",
+             \"sim_cycles_per_sec\": {:.1}, \"ops_per_sec\": {:.1}{extra}}}",
             escape(&self.point),
             escape(&self.system),
             self.cycles,
@@ -152,12 +132,6 @@ pub struct SweepMeta {
     pub jobs: usize,
     /// Wall-timing repeats per point (min-of-N).
     pub repeat: usize,
-    /// OS threads inside each simulation.
-    pub sim_threads: usize,
-    /// Shards per simulation (0 = one per sim thread).
-    pub sim_shards: usize,
-    /// Window-advance policy of the parallel simulator.
-    pub window_policy: WindowPolicy,
     /// Interconnect model the sweep ran under.
     pub topology: Topology,
     /// Wall seconds for the whole sweep.
@@ -167,10 +141,7 @@ pub struct SweepMeta {
 /// Writes a sweep report to `path`, creating parent directories. The
 /// header records the sweep shape plus provenance (`git_rev`, `host`,
 /// and every [`SweepMeta`] field) so snapshots are attributable and
-/// wall-clock rates can be compared like-for-like across PRs —
-/// `sim_threads`, `sim_shards`, and `window_policy` in particular, since
-/// a parallel-simulator run reports the same cycles but very different
-/// `sim_cycles_per_sec`.
+/// wall-clock rates can be compared like-for-like across PRs.
 pub fn write_report(path: &Path, meta: &SweepMeta, points: &[PointRecord]) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
@@ -186,9 +157,6 @@ pub fn write_report(path: &Path, meta: &SweepMeta, points: &[PointRecord]) -> st
     writeln!(f, "  \"scale\": {},", meta.scale)?;
     writeln!(f, "  \"jobs\": {},", meta.jobs)?;
     writeln!(f, "  \"repeat\": {},", meta.repeat)?;
-    writeln!(f, "  \"sim_threads\": {},", meta.sim_threads)?;
-    writeln!(f, "  \"sim_shards\": {},", meta.sim_shards)?;
-    writeln!(f, "  \"window_policy\": {},", escape(meta.window_policy.as_str()))?;
     writeln!(f, "  \"topology\": {},", escape(&meta.topology.as_string()))?;
     writeln!(f, "  \"total_wall_secs\": {:.6},", meta.total_wall_secs)?;
     writeln!(f, "  \"points\": [")?;
@@ -213,7 +181,6 @@ mod tests {
             cycles: 1000,
             wall_secs: 0.5,
             ops: 200,
-            pdes: None,
             extra: None,
         };
         assert_eq!(p.sim_cycles_per_sec(), 2000.0);
@@ -228,7 +195,6 @@ mod tests {
             cycles: 1000,
             wall_secs: 0.0,
             ops: 200,
-            pdes: None,
             extra: None,
         };
         assert_eq!(p.sim_cycles_per_sec(), 0.0);
@@ -252,7 +218,6 @@ mod tests {
                 cycles: 42,
                 wall_secs: 0.001,
                 ops: 7,
-                pdes: None,
                 extra: None,
             },
             PointRecord {
@@ -261,13 +226,6 @@ mod tests {
                 cycles: 42,
                 wall_secs: 0.001,
                 ops: 7,
-                pdes: Some(PdesTelemetry {
-                    windows: 10,
-                    rendezvous: 12,
-                    events: 500,
-                    cross_messages: 40,
-                    releases: 2,
-                }),
                 extra: Some("\"kv\": {\"p99\": 123}".into()),
             },
         ];
@@ -277,9 +235,6 @@ mod tests {
             scale: 64,
             jobs: 2,
             repeat: 3,
-            sim_threads: 4,
-            sim_shards: 8,
-            window_policy: WindowPolicy::Adaptive,
             topology: Topology::Mesh2D { width: 0 },
             total_wall_secs: 0.123,
         };
@@ -290,14 +245,8 @@ mod tests {
         assert!(text.contains("\"cycles\": 42"));
         assert!(text.contains("\"jobs\": 2"));
         assert!(text.contains("\"repeat\": 3"));
-        assert!(text.contains("\"sim_threads\": 4"));
-        assert!(text.contains("\"sim_shards\": 8"));
-        assert!(text.contains("\"window_policy\": \"adaptive\""));
-        assert!(text.contains("\"pdes\": null"));
-        assert!(text.contains("\"pdes\": null}"));
+        assert!(text.contains("\"ops_per_sec\": 7000.0}"));
         assert!(text.contains(", \"kv\": {\"p99\": 123}}"));
-        assert!(text.contains("\"rendezvous\": 12, \"events\": 500"));
-        assert!(text.contains("\"events_per_window\": 50.00"));
         assert!(text.contains("\"git_rev\": "));
         assert!(text.contains("\"host\": "));
         std::fs::remove_dir_all(&dir).ok();

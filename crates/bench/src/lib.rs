@@ -36,7 +36,7 @@ use std::time::Instant;
 #[global_allocator]
 static ALLOC: tt_base::alloc_stats::CountingAlloc = tt_base::alloc_stats::CountingAlloc;
 
-use tt_base::stats::{PdesTelemetry, Report};
+use tt_base::stats::Report;
 use tt_base::workload::Workload;
 use tt_base::{Cycles, SystemConfig};
 use tt_apps::appbt::{Appbt, AppbtParams};
@@ -83,8 +83,6 @@ pub struct RunOutcome {
     pub wall_secs: f64,
     /// Workload ops the simulated CPUs executed (`cpu.ops`).
     pub ops: u64,
-    /// Window-driver telemetry (`None` for sequential runs).
-    pub pdes: Option<PdesTelemetry>,
     /// Heap high-water mark over the run (process-global; attributable
     /// to this run only at `--jobs 1`).
     pub peak_bytes: u64,
@@ -100,8 +98,6 @@ pub struct RunStats {
     pub wall_secs: f64,
     /// Workload ops executed by the simulated CPUs.
     pub ops: u64,
-    /// Window-driver telemetry (`None` for sequential runs).
-    pub pdes: Option<PdesTelemetry>,
     /// Heap high-water mark over the run (see [`RunOutcome::peak_bytes`]).
     pub peak_bytes: u64,
     /// Heap allocation events during the run.
@@ -114,7 +110,6 @@ impl RunStats {
         RunStats {
             wall_secs: out.wall_secs,
             ops: out.ops,
-            pdes: out.pdes,
             peak_bytes: out.peak_bytes,
             allocs: out.allocs,
         }
@@ -186,26 +181,22 @@ fn run_once(system: System, cfg: &SystemConfig, workload: Box<dyn Workload>) -> 
     tt_base::alloc_stats::reset_peak();
     let allocs_before = tt_base::alloc_stats::alloc_count();
     let start = Instant::now();
-    let (cycles, report, pdes) = match system {
-        System::Dirnnb => {
-            let r = DirnnbMachine::new(cfg.clone(), workload).run();
-            (r.cycles, r.report, r.pdes)
-        }
+    let r = match system {
+        System::Dirnnb => DirnnbMachine::new(cfg.clone(), workload).run(),
         System::TyphoonStache => {
-            let r = TyphoonMachine::new(cfg.clone(), workload, &|id, layout, cfg| {
+            TyphoonMachine::new(cfg.clone(), workload, &|id, layout, cfg| {
                 Box::new(StacheProtocol::new(id, layout, cfg))
             })
-            .run();
-            (r.cycles, r.report, r.pdes)
+            .run()
         }
         System::TyphoonUpdate => {
-            let r = TyphoonMachine::new(cfg.clone(), workload, &|id, layout, cfg| {
+            TyphoonMachine::new(cfg.clone(), workload, &|id, layout, cfg| {
                 Box::new(Em3dUpdateProtocol::new(id, layout, cfg))
             })
-            .run();
-            (r.cycles, r.report, r.pdes)
+            .run()
         }
     };
+    let (cycles, report) = (r.cycles, r.report);
     let wall_secs = start.elapsed().as_secs_f64();
     let ops = report.get("cpu.ops").unwrap_or(0.0) as u64;
     RunOutcome {
@@ -213,53 +204,8 @@ fn run_once(system: System, cfg: &SystemConfig, workload: Box<dyn Workload>) -> 
         report,
         wall_secs,
         ops,
-        pdes,
         peak_bytes: tt_base::alloc_stats::peak_bytes(),
         allocs: tt_base::alloc_stats::alloc_count() - allocs_before,
-    }
-}
-
-/// Asserts the parallel simulator reproduces the sequential cycle table
-/// before a sweep trusts it — the sequential-vs-parallel analogue of the
-/// cross-repeat determinism check in [`min_of_runs`]. A no-op at
-/// `sim_threads <= 1`; otherwise runs a small canary workload (EM3D,
-/// small set) on every system both ways and asserts cycles and full
-/// reports are identical.
-pub fn assert_sim_threads_identity(cfg: &SystemConfig) {
-    if cfg.sim_threads <= 1 {
-        return;
-    }
-    let mut seq_cfg = cfg.clone();
-    seq_cfg.sim_threads = 1;
-    for system in [System::TyphoonStache, System::TyphoonUpdate, System::Dirnnb] {
-        let build = || {
-            build_app(
-                AppId::Em3d,
-                DataSet::Small,
-                smoke::SCALE,
-                cfg.nodes,
-                sync_for(AppId::Em3d, system),
-            )
-        };
-        let par = run_system(system, cfg, 1, build);
-        let seq = run_system(system, &seq_cfg, 1, build);
-        assert_eq!(
-            seq.cycles,
-            par.cycles,
-            "{}: sim_threads={} diverged from the sequential simulator",
-            system.name(),
-            cfg.sim_threads
-        );
-        let rows = |r: &Report| -> Vec<(String, f64)> {
-            r.iter().map(|row| (row.name.clone(), row.value)).collect()
-        };
-        assert_eq!(
-            rows(&seq.report),
-            rows(&par.report),
-            "{}: sim_threads={} statistics diverged",
-            system.name(),
-            cfg.sim_threads
-        );
     }
 }
 
@@ -527,24 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_flag_parses_and_defaults_to_one() {
-        let args: Vec<String> = ["--sim-threads", "4"].iter().map(|s| s.to_string()).collect();
-        let cli = parse_cli(&args, 1, "usage");
-        assert_eq!(cli.sim_threads, 4);
-        assert_eq!(cli.config().sim_threads, 4);
-        assert_eq!(parse_cli(&[], 1, "usage").sim_threads, 1);
-        let zero: Vec<String> = ["--sim-threads", "0"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_cli(&zero, 1, "usage").sim_threads, 1, "sim-threads 0 clamps to 1");
-    }
-
-    #[test]
-    fn sim_threads_identity_canary_passes() {
-        let mut cfg = bench_config(4);
-        cfg.sim_threads = 2;
-        assert_sim_threads_identity(&cfg);
-    }
-
-    #[test]
     fn min_of_runs_keeps_fastest_wall_time() {
         let walls = std::cell::Cell::new(0usize);
         let out = min_of_runs(3, || {
@@ -555,7 +483,6 @@ mod tests {
                 report: Report::default(),
                 wall_secs: wall,
                 ops: 7,
-                pdes: None,
                 peak_bytes: 0,
                 allocs: 0,
             }
@@ -576,7 +503,6 @@ mod tests {
                 report: Report::default(),
                 wall_secs: 1.0,
                 ops: 0,
-                pdes: None,
                 peak_bytes: 0,
                 allocs: 0,
             }

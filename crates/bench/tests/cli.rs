@@ -36,7 +36,7 @@ fn help_prints_usage_and_exits_zero() {
                 "{name}: {stdout}"
             );
             assert!(
-                stdout.contains("--sim-threads N"),
+                stdout.contains("--topology T"),
                 "{name}: shared flags listed"
             );
             assert!(
@@ -58,7 +58,8 @@ fn bad_arguments_print_one_error_line_and_exit_two() {
         &["--scale", "0"],
         &["--jobs", "0"],
         &["--nodes"],
-        &["--window-policy", "eager"],
+        // The parallel simulator's flags are gone.
+        &["--sim-threads", "2"],
         &["--topology", "ring"],
         // A unary fat tree cannot be built (SystemConfig::validate).
         &["--topology", "fat-tree:1"],
@@ -125,7 +126,7 @@ fn tt_check_bad_arguments_print_one_error_line_and_exit_two() {
         (&["bogus"], "bogus"),
         (&["run", "--bogus"], "--bogus"),
         (&["run", "--seeds", "abc"], "--seeds"),
-        (&["kv", "--window-policy", "eager"], "--window-policy"),
+        (&["kv", "--sim-threads", "2"], "--sim-threads"),
         (&["run", "--topology", "fat-tree:1"], "--topology"),
         (&["replay"], "--seed"),
         (&["replay", "--seed"], "--seed"),

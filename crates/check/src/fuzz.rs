@@ -17,18 +17,14 @@
 //! against each other and against the generator's happens-before
 //! prediction. Perturbations only touch *legal* nondeterminism
 //! (same-cycle ordering, latency within the network band, compute
-//! coalescing, direct execution, sequential vs. parallel simulation),
-//! so any divergence — a panic, an invariant trip, or an image
-//! mismatch — is a bug. When the seed draws `sim_threads > 1`, both
-//! machines additionally rerun under the conservative parallel
-//! simulator and must reproduce the sequential cycles and final images
-//! bit for bit.
+//! coalescing, direct execution), so any divergence — a panic, an
+//! invariant trip, or an image mismatch — is a bug.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use tt_base::workload::{Layout, ScriptWorkload};
-use tt_base::{Cycles, DetRng, FaultSpec, NodeId, SystemConfig, Topology, VAddr, WindowPolicy};
+use tt_base::{Cycles, DetRng, FaultSpec, NodeId, SystemConfig, Topology, VAddr};
 use tt_dirnnb::DirnnbMachine;
 use tt_mem::Tag;
 use tt_stache::{reliable_vn_policy, Reliable, ReliableConfig, StacheProtocol};
@@ -64,27 +60,16 @@ pub struct PerturbConfig {
     pub coalesce: bool,
     /// Run CPUs in direct-execution (event-frontier) mode.
     pub direct_execution: bool,
-    /// Simulator threads for the parallel differential leg (1 = skip
-    /// it). When > 1, both machines rerun under the conservative
-    /// parallel simulator and their cycles and final images must match
-    /// the sequential legs bit for bit.
-    pub sim_threads: usize,
-    /// Window-advance policy for the parallel differential leg.
-    /// Adaptive widening must never change cycles or images, so both
-    /// policies are drawn with equal probability.
-    pub window_policy: WindowPolicy,
     /// Lossy-network fault schedule for the Typhoon legs (`None` =
     /// perfect network). When set, the Stache legs run wrapped in the
     /// [`Reliable`] transport, the invariant budget widens (retries
     /// inflate the event count), and the DirNNB leg stays fault-free as
     /// the reference: faults may cost cycles but must never change the
-    /// final memory image. The fault schedule is keyed off deterministic
-    /// merge keys, so the parallel leg replays it bit-exactly.
+    /// final memory image.
     pub fault: Option<FaultSpec>,
     /// Interconnect model for the Typhoon legs. Routed topologies
     /// (mesh/fat-tree) change latencies — and therefore cycles — but
-    /// must never change the final memory image, and the parallel leg
-    /// must still reproduce the sequential cycles bit for bit. The
+    /// must never change the final memory image. The
     /// DirNNB reference leg always runs `Ideal`, mirroring the
     /// fault-free pristine-reference rule.
     pub topology: Topology,
@@ -96,18 +81,22 @@ impl PerturbConfig {
     /// shapes.
     pub fn from_seed(seed: u64) -> Self {
         let mut rng = DetRng::new(seed).fork(3);
+        let tie_shuffle = if rng.chance(0.75) { Some(rng.next_u64()) } else { None };
+        let jitter_max = rng.below(4);
+        let jitter_seed = rng.next_u64();
+        let coalesce = rng.chance(0.5);
+        let direct_execution = rng.chance(0.5);
+        // Two retired dimensions (the parallel simulator's thread count
+        // and window policy): still drawn and discarded, so every later
+        // dimension keeps its historical value.
+        rng.next_u64();
+        rng.next_u64();
         PerturbConfig {
-            tie_shuffle: if rng.chance(0.75) { Some(rng.next_u64()) } else { None },
-            jitter_max: rng.below(4),
-            jitter_seed: rng.next_u64(),
-            coalesce: rng.chance(0.5),
-            direct_execution: rng.chance(0.5),
-            sim_threads: 1 + rng.below(3) as usize,
-            window_policy: if rng.chance(0.5) {
-                WindowPolicy::Adaptive
-            } else {
-                WindowPolicy::Fixed
-            },
+            tie_shuffle,
+            jitter_max,
+            jitter_seed,
+            coalesce,
+            direct_execution,
             fault: None,
             // Drawn last (newest dimension): half the seeds keep the
             // ideal pipe, the rest split between the routed topologies
@@ -156,8 +145,7 @@ pub struct Failure {
     pub cfg: LitmusConfig,
     /// The schedule perturbation in force.
     pub perturb: PerturbConfig,
-    /// Which stage failed: `"typhoon"`, `"dirnnb"`, `"differential"`,
-    /// or `"parallel"` (sequential-vs-parallel simulator divergence).
+    /// Which stage failed: `"typhoon"`, `"dirnnb"` or `"differential"`.
     pub stage: &'static str,
     /// The panic message or mismatch description.
     pub message: String,
@@ -193,13 +181,11 @@ impl std::fmt::Display for Failure {
         if let Some(p) = &self.shrunk_perturb {
             write!(
                 f,
-                " (schedule shrunk to tie={} jitter={} coalesce={} direct={} threads={} \
-                 topology={} {})",
+                " (schedule shrunk to tie={} jitter={} coalesce={} direct={} topology={} {})",
                 p.tie_shuffle.is_some(),
                 p.jitter_max,
                 p.coalesce,
                 p.direct_execution,
-                p.sim_threads,
                 p.topology,
                 match &p.fault {
                     Some(fs) => fault_summary(fs),
@@ -324,7 +310,7 @@ pub(crate) fn dirnnb_leg<T>(
     cfg: &SystemConfig,
     perturb: &PerturbConfig,
     workload: ScriptWorkload,
-    read: impl FnOnce(&mut DirnnbMachine) -> T,
+    read: impl FnOnce(&DirnnbMachine) -> T,
 ) -> Result<(Cycles, T), String> {
     let mut cfg = cfg.clone();
     cfg.direct_execution = perturb.direct_execution;
@@ -336,44 +322,8 @@ pub(crate) fn dirnnb_leg<T>(
             m.set_tie_shuffle(seed);
         }
         let cycles = m.run().cycles;
-        (cycles, read(&mut m))
+        (cycles, read(&m))
     })
-}
-
-/// `cfg` with the perturbation's parallel-simulator shape: the
-/// configuration of a sequential-versus-parallel rerun.
-pub(crate) fn parallel_config(cfg: &SystemConfig, perturb: &PerturbConfig) -> SystemConfig {
-    let mut cfg = cfg.clone();
-    cfg.sim_threads = perturb.sim_threads;
-    cfg.window_policy = perturb.window_policy;
-    cfg
-}
-
-/// The sequential-versus-parallel verdict: every leg's `(name,
-/// sequential, parallel)` cycles must agree, in order, and then the
-/// final images (`images_agree`); `image_leg` names the image in the
-/// message when only one leg's is compared.
-pub(crate) fn parallel_verdict(
-    perturb: &PerturbConfig,
-    cycles: &[(&str, Cycles, Cycles)],
-    image_leg: Option<&str>,
-    images_agree: bool,
-) -> Result<(), String> {
-    let under = format!("sim_threads={} policy={}", perturb.sim_threads, perturb.window_policy);
-    for &(leg, seq, par) in cycles {
-        if seq != par {
-            return Err(format!(
-                "{leg} cycles diverged under {under}: sequential {seq}, parallel {par}"
-            ));
-        }
-    }
-    if !images_agree {
-        return Err(match image_leg {
-            Some(leg) => format!("{leg} final image diverged under {under}"),
-            None => format!("final image diverged under {under}"),
-        });
-    }
-    Ok(())
 }
 
 /// Runs one case with `factory`'s protocol on Typhoon (the stock
@@ -403,22 +353,20 @@ pub fn run_case(
     let typhoon_image = |m: &TyphoonMachine| -> Vec<u64> {
         litmus.finals.iter().map(|&(a, _)| typhoon_word(m, a)).collect()
     };
-    let dirnnb_image = |m: &mut DirnnbMachine| -> Vec<u64> {
+    let dirnnb_image = |m: &DirnnbMachine| -> Vec<u64> {
         litmus.finals.iter().map(|&(a, _)| m.shared_word(a)).collect()
-    };
-    let typhoon = |cfg: &SystemConfig, watch: Option<&[VAddr]>| {
-        let workload = litmus.workload(perturb.coalesce);
-        typhoon_leg(cfg, perturb, workload, factory, transport, watch, typhoon_image)
-    };
-    let dirnnb = |cfg: &SystemConfig| {
-        dirnnb_leg(cfg, perturb, litmus.workload(perturb.coalesce), dirnnb_image)
     };
 
     // Typhoon under the invariant engine and the full perturbation set,
     // then DirNNB under the same tie-break seed.
+    let workload = litmus.workload(perturb.coalesce);
+    let watch = Some(&litmus.blocks[..]);
     let (typhoon_cycles, typhoon_words, events) =
-        typhoon(&syscfg, Some(&litmus.blocks)).map_err(|msg| fail("typhoon", msg))?;
-    let (dirnnb_cycles, dirnnb_words) = dirnnb(&syscfg).map_err(|msg| fail("dirnnb", msg))?;
+        typhoon_leg(&syscfg, perturb, workload, factory, transport, watch, typhoon_image)
+            .map_err(|msg| fail("typhoon", msg))?;
+    let (dirnnb_cycles, dirnnb_words) =
+        dirnnb_leg(&syscfg, perturb, litmus.workload(perturb.coalesce), dirnnb_image)
+            .map_err(|msg| fail("dirnnb", msg))?;
 
     // Differential: both machines, and the generator's own prediction,
     // must agree on every written word.
@@ -435,28 +383,6 @@ pub fn run_case(
         }
     }
 
-    // Parallel differential: the same case under the conservative
-    // parallel simulator must reproduce the sequential legs bit for
-    // bit — cycles and final images. (The invariant engine needs the
-    // single total event order, so the parallel Typhoon leg runs plain.)
-    if perturb.sim_threads > 1 {
-        let parcfg = parallel_config(&syscfg, perturb);
-        let (par_typhoon_cycles, par_typhoon_words, _) =
-            typhoon(&parcfg, None).map_err(|msg| fail("parallel", msg))?;
-        let (par_dirnnb_cycles, par_dirnnb_words) =
-            dirnnb(&parcfg).map_err(|msg| fail("parallel", msg))?;
-        parallel_verdict(
-            perturb,
-            &[
-                ("typhoon", typhoon_cycles, par_typhoon_cycles),
-                ("dirnnb", dirnnb_cycles, par_dirnnb_cycles),
-            ],
-            None,
-            par_typhoon_words == typhoon_words && par_dirnnb_words == dirnnb_words,
-        )
-        .map_err(|msg| fail("parallel", msg))?;
-    }
-
     Ok(CaseResult { typhoon_cycles, dirnnb_cycles, events })
 }
 
@@ -464,12 +390,6 @@ pub fn run_case(
 /// `tt-check` CLI can force on top of the seed-derived shapes.
 #[derive(Clone, Debug, Default)]
 pub struct FuzzOptions {
-    /// Force the parallel-differential thread count (`None` = each
-    /// seed's own draw).
-    pub sim_threads: Option<usize>,
-    /// Force the parallel leg's window policy (`None` = each seed's
-    /// own draw).
-    pub window_policy: Option<WindowPolicy>,
     /// Enable the lossy-network dimension: every case gets a
     /// seed-derived fault schedule and the protocol runs behind the
     /// reliable transport.
@@ -492,12 +412,6 @@ impl FuzzOptions {
     /// independent of every other drawn dimension.
     pub fn perturb_for(&self, seed: u64) -> PerturbConfig {
         let mut p = PerturbConfig::from_seed(seed);
-        if let Some(n) = self.sim_threads {
-            p.sim_threads = n.max(1);
-        }
-        if let Some(w) = self.window_policy {
-            p.window_policy = w;
-        }
         if self.faults || self.fault_seed.is_some() {
             let fs = self
                 .fault_seed
@@ -565,9 +479,9 @@ pub fn fuzz(
 ///   a node (in that order), keeping any reduction that still fails;
 /// - **schedule** — delta-debugs the perturbation and fault dimensions
 ///   one at a time toward the production schedule (tie-shuffle off,
-///   jitter 0, no coalescing, direct execution off, sequential,
-///   fixed windows, ideal network, each fault rate 0, finally no
-///   faults at all), keeping any simplification that still fails.
+///   jitter 0, no coalescing, direct execution off, ideal network,
+///   each fault rate 0, finally no faults at all), keeping any
+///   simplification that still fails.
 ///
 /// Returns the failure with `shrunk` and `shrunk_perturb` filled in.
 pub fn shrink(failure: &Failure, factory: ProtocolFactory, transport: &ReliableConfig) -> Failure {
@@ -619,12 +533,6 @@ pub fn shrink(failure: &Failure, factory: ProtocolFactory, transport: &ReliableC
             if per.direct_execution {
                 candidates.push(PerturbConfig { direct_execution: false, ..per.clone() });
             }
-            if per.sim_threads > 1 {
-                candidates.push(PerturbConfig { sim_threads: 1, ..per.clone() });
-            }
-            if per.window_policy != WindowPolicy::Fixed {
-                candidates.push(PerturbConfig { window_policy: WindowPolicy::Fixed, ..per.clone() });
-            }
             if per.topology != Topology::Ideal {
                 candidates.push(PerturbConfig { topology: Topology::Ideal, ..per.clone() });
             }
@@ -666,26 +574,7 @@ mod tests {
         for seed in 0..100 {
             assert_eq!(PerturbConfig::from_seed(seed), PerturbConfig::from_seed(seed));
             assert!(PerturbConfig::from_seed(seed).jitter_max <= 3);
-            assert!((1..=3).contains(&PerturbConfig::from_seed(seed).sim_threads));
         }
-        assert!(
-            (0..100).any(|s| PerturbConfig::from_seed(s).sim_threads > 1),
-            "some seeds must exercise the parallel differential"
-        );
-        assert!(
-            (0..100).any(|s| {
-                let p = PerturbConfig::from_seed(s);
-                p.sim_threads > 1 && p.window_policy == WindowPolicy::Adaptive
-            }),
-            "some seeds must exercise adaptive windows in the parallel leg"
-        );
-        assert!(
-            (0..100).any(|s| {
-                let p = PerturbConfig::from_seed(s);
-                p.sim_threads > 1 && p.window_policy == WindowPolicy::Fixed
-            }),
-            "some seeds must keep the fixed policy in the parallel leg"
-        );
         for shape in [
             Topology::Ideal,
             Topology::Mesh2D { width: 0 },
@@ -696,35 +585,34 @@ mod tests {
                 "some seeds must draw topology {shape}"
             );
         }
-        assert!(
-            (0..100).any(|s| {
-                let p = PerturbConfig::from_seed(s);
-                p.sim_threads > 1 && p.topology != Topology::Ideal
-            }),
-            "some seeds must run routed topologies through the parallel differential"
+    }
+
+    #[test]
+    fn seeds_keep_their_historical_shapes() {
+        // Values drawn before the parallel simulator's two dimensions
+        // were retired: the discarded draws must keep every later one.
+        let topologies: String = (0..32)
+            .map(|s| match PerturbConfig::from_seed(s).topology {
+                Topology::Ideal => 'i',
+                Topology::Mesh2D { .. } => 'm',
+                Topology::FatTree { .. } => 'f',
+            })
+            .collect();
+        assert_eq!(topologies, "mfiifmmimimiiiiiiifiiiifiiifiifm");
+        let faulty = FuzzOptions { faults: true, ..FuzzOptions::default() }.perturb_for(11);
+        assert_eq!(
+            faulty.fault,
+            Some(FaultSpec {
+                seed: 17_405_080_204_587_936_925,
+                drop_permille: 143,
+                dup_permille: 11,
+                corrupt_permille: 73,
+                partition_permille: 133,
+                partition_epoch: 1061,
+                partition_run: 4,
+            })
         );
-    }
-
-    #[test]
-    fn replay_can_force_the_window_policy() {
-        let forced = |window_policy| FuzzOptions {
-            sim_threads: Some(3),
-            window_policy: Some(window_policy),
-            ..FuzzOptions::default()
-        };
-        let adaptive = run_seed(7, &forced(WindowPolicy::Adaptive))
-            .expect("seed 7 clean at 3 threads adaptive");
-        let fixed =
-            run_seed(7, &forced(WindowPolicy::Fixed)).expect("seed 7 clean at 3 threads fixed");
-        assert_eq!(adaptive, fixed, "window policy leaked into the case result");
-    }
-
-    #[test]
-    fn replay_can_force_the_parallel_leg() {
-        let threads = |n| FuzzOptions { sim_threads: Some(n), ..FuzzOptions::default() };
-        let forced = run_seed(7, &threads(3)).expect("seed 7 clean at 3 threads");
-        let seq = run_seed(7, &threads(1)).expect("seed 7 clean sequentially");
-        assert_eq!(forced, seq, "thread count leaked into the case result");
+        assert_eq!(faulty.topology, Topology::Ideal);
     }
 
     #[test]
@@ -772,22 +660,6 @@ mod tests {
             let b = run_seed(seed, &options).expect("replay clean");
             assert_eq!(a, b, "faulty seed {seed} did not replay bit-exactly");
         }
-    }
-
-    #[test]
-    fn forced_fault_seed_is_bit_exact_across_sim_threads() {
-        // Same fault schedule, 1 vs 3 simulator threads: identical
-        // cycles (the images are checked inside the case itself).
-        let one = FuzzOptions {
-            faults: true,
-            fault_seed: Some(0xFA17),
-            sim_threads: Some(1),
-            ..FuzzOptions::default()
-        };
-        let three = FuzzOptions { sim_threads: Some(3), ..one.clone() };
-        let a = run_seed(11, &one).expect("sequential faulty run clean");
-        let b = run_seed(11, &three).expect("3-thread faulty run clean");
-        assert_eq!(a, b, "fault schedule not bit-exact across sim-thread counts");
     }
 
     #[test]

@@ -31,10 +31,7 @@
 //!   sharer ReadOnly copies, so SWMR does not apply);
 //! - **DirNNB** (all-hardware baseline) on the raw-store variant.
 //!
-//! When the seed draws `sim_threads > 1`, both Typhoon legs rerun under
-//! the conservative parallel simulator and must reproduce their
-//! sequential cycles and images bit for bit. Seeds may also draw a
-//! *tight* stache frame budget, which forces page replacement under
+//! Seeds may also draw a *tight* stache frame budget, which forces page replacement under
 //! both protocols and exercises the update protocol's stale-copy path
 //! (updates arriving for pages the sharer has dropped).
 
@@ -48,8 +45,8 @@ use tt_tempest::Protocol;
 use tt_typhoon::TyphoonMachine;
 
 use crate::fuzz::{
-    dirnnb_leg, fault_summary, parallel_config, parallel_verdict, stache_factory, typhoon_leg,
-    typhoon_word, FuzzOptions, PerturbConfig, ProtocolFactory,
+    dirnnb_leg, fault_summary, stache_factory, typhoon_leg, typhoon_word, FuzzOptions,
+    PerturbConfig, ProtocolFactory,
 };
 
 /// Words written by one put: `(addr, value)` pairs over the slot.
@@ -271,8 +268,8 @@ pub struct KvFailure {
     pub cfg: KvLitmusConfig,
     /// The schedule perturbation in force.
     pub perturb: PerturbConfig,
-    /// Which leg failed: `"kv-stache"`, `"kv-update"`, `"kv-dirnnb"`,
-    /// `"kv-differential"`, or `"kv-parallel"`.
+    /// Which leg failed: `"kv-stache"`, `"kv-update"`, `"kv-dirnnb"`
+    /// or `"kv-differential"`.
     pub stage: &'static str,
     /// The panic message or mismatch description.
     pub message: String,
@@ -312,9 +309,7 @@ pub struct KvCaseResult {
     pub events: u64,
 }
 
-/// Runs one KV case: three legs, a four-way image differential, and —
-/// when the perturbation draws threads — parallel-simulator reruns of
-/// both Typhoon legs.
+/// Runs one KV case: three legs and a four-way image differential.
 pub fn run_kv_case(
     cfg: &KvLitmusConfig,
     perturb: &PerturbConfig,
@@ -349,14 +344,12 @@ pub fn run_kv_case(
         litmus.finals.iter().map(|&(a, _)| typhoon_word(m, a)).collect()
     };
     // Under a fault schedule both protocols — Stache *and* the custom
-    // kv_update protocol — run behind the stock reliable transport; the
-    // fault plan replays identically on the parallel reruns via the
-    // deterministic merge keys.
-    let typhoon = |cfg: &SystemConfig, update_variant: bool, watch: Option<&[VAddr]>| {
+    // kv_update protocol — run behind the stock reliable transport.
+    let typhoon = |update_variant: bool, watch: Option<&[VAddr]>| {
         let factory: ProtocolFactory =
             if update_variant { &update_factory } else { &stache_factory };
         typhoon_leg(
-            cfg,
+            &syscfg,
             perturb,
             litmus.workload(update_variant, perturb.coalesce),
             factory,
@@ -366,17 +359,15 @@ pub fn run_kv_case(
         )
     };
 
-    // Leg 1: Typhoon + Stache on raw stores, invariant engine on (the
-    // engine needs the sequential single total order, so observation
-    // happens on the sequential run).
+    // Leg 1: Typhoon + Stache on raw stores, invariant engine on.
     let (stache_cycles, stache_image, events) =
-        typhoon(&syscfg, false, Some(&litmus.blocks)).map_err(|m| fail("kv-stache", m))?;
+        typhoon(false, Some(&litmus.blocks)).map_err(|m| fail("kv-stache", m))?;
 
     // Leg 2: Typhoon + the write-update protocol on staged puts. No
     // invariant engine: home-ReadWrite + sharer-ReadOnly is this
     // protocol's intended tag state and violates SWMR by design.
     let (update_cycles, update_image, _) =
-        typhoon(&syscfg, true, None).map_err(|m| fail("kv-update", m))?;
+        typhoon(true, None).map_err(|m| fail("kv-update", m))?;
 
     // Leg 3: DirNNB on raw stores — the pristine reference the lossy or
     // mesh-routed legs' final images are held against.
@@ -398,26 +389,6 @@ pub fn run_kv_case(
                      dirnnb {d:#x}, expected {expect:#x}"
                 ),
             ));
-        }
-    }
-
-    // Parallel differential: both Typhoon legs bit-identical under the
-    // conservative parallel simulator.
-    if perturb.sim_threads > 1 {
-        let parcfg = parallel_config(&syscfg, perturb);
-        for (leg, update_variant, seq_cycles, seq_image) in [
-            ("kv-stache", false, stache_cycles, &stache_image),
-            ("kv-update", true, update_cycles, &update_image),
-        ] {
-            let (par_cycles, par_image, _) =
-                typhoon(&parcfg, update_variant, None).map_err(|m| fail("kv-parallel", m))?;
-            parallel_verdict(
-                perturb,
-                &[(leg, seq_cycles, par_cycles)],
-                Some(leg),
-                &par_image == seq_image,
-            )
-            .map_err(|m| fail("kv-parallel", m))?;
         }
     }
 
@@ -456,7 +427,6 @@ pub fn fuzz_kv(base_seed: u64, count: u64, options: &FuzzOptions) -> KvFuzzRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tt_base::WindowPolicy;
 
     #[test]
     fn config_derivation_is_deterministic_and_in_range() {
@@ -501,21 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_parallel_seeds_pass() {
-        let options = FuzzOptions {
-            sim_threads: Some(2),
-            window_policy: Some(WindowPolicy::Adaptive),
-            ..FuzzOptions::default()
-        };
-        let report = fuzz_kv(0, 10, &options);
-        assert!(
-            report.failure.is_none(),
-            "seed failed: {}",
-            report.failure.unwrap()
-        );
-    }
-
-    #[test]
     fn faulty_kv_seeds_pass_the_differential() {
         let options = FuzzOptions { faults: true, ..FuzzOptions::default() };
         let report = fuzz_kv(0, 8, &options);
@@ -528,20 +483,16 @@ mod tests {
     }
 
     #[test]
-    fn same_fault_seed_is_bit_exact_across_sim_threads() {
-        // The acceptance bar for determinism: one fault schedule, run
-        // at 1 and at 3 simulator threads, must produce identical
-        // cycles on every leg (the parallel reruns inside the 3-thread
-        // case additionally pin the final images).
-        let base = FuzzOptions {
+    fn same_fault_seed_replays_bit_exactly() {
+        // One forced fault schedule, run twice: identical cycles on
+        // every leg.
+        let options = FuzzOptions {
             faults: true,
             fault_seed: Some(0xFA17_5EED),
-            sim_threads: Some(1),
             ..FuzzOptions::default()
         };
-        let three = FuzzOptions { sim_threads: Some(3), ..base.clone() };
-        let a = run_kv_seed(5, &base).expect("sequential faulty kv run clean");
-        let b = run_kv_seed(5, &three).expect("3-thread faulty kv run clean");
-        assert_eq!(a, b, "kv fault schedule not bit-exact across sim-thread counts");
+        let a = run_kv_seed(5, &options).expect("faulty kv run clean");
+        let b = run_kv_seed(5, &options).expect("faulty kv replay clean");
+        assert_eq!(a, b, "kv fault schedule did not replay bit-exactly");
     }
 }

@@ -16,8 +16,8 @@
 //! 2. a **schedule fuzzer** ([`fuzz`](mod@fuzz)) — seed-generated litmus workloads
 //!    ([`litmus`]) run under perturbations of the machine's *legal*
 //!    nondeterminism (same-cycle tie-breaking, network latency jitter,
-//!    compute coalescing, direct execution on/off, sequential vs.
-//!    parallel simulation, lossy networks, routed topologies).
+//!    compute coalescing, direct execution on/off, lossy networks,
+//!    routed topologies).
 //!    Everything derives from one `u64` seed through
 //!    [`tt_base::DetRng`], so `tt-check replay --seed S` reproduces a
 //!    failure bit-exactly, and a greedy shrinker reduces a failing case

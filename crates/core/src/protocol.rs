@@ -35,9 +35,9 @@ pub struct UserCall {
 
 /// User-level shared-memory policy code for one node.
 ///
-/// `Send` because the parallel simulator moves each node's protocol to
-/// the OS thread running that node's shard; a protocol still only ever
-/// executes on one thread at a time (handlers stay atomic).
+/// `Send` so a machine, protocols included, can be handed to another
+/// thread; a protocol only ever executes on one thread at a time
+/// (handlers stay atomic).
 pub trait Protocol: Send {
     /// Called once before the simulation starts, after all nodes'
     /// protocols are constructed; typically maps home pages and

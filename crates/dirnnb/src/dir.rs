@@ -9,8 +9,7 @@
 //! - **Pages.** Entries live in boxed arrays of [`ENTRIES_PER_PAGE`]
 //!   eight-byte `Entry` slots, keyed by directory page. A directory
 //!   page covers exactly one 4 KiB virtual page (128 blocks of 32 bytes),
-//!   so pages are naturally disjoint across home nodes — the parallel
-//!   simulator's shard directories merge back with a plain map union.
+//!   so pages are naturally disjoint across home nodes.
 //! - **Inline sharers.** An entry inlines up to [`INLINE_SHARERS`]
 //!   sharers as sorted `u16` node ids. Wider sets overflow to a
 //!   LimitLESS-style bit-vector in a side map — rare in practice, so the
@@ -103,8 +102,8 @@ struct Entry {
     s: [u16; INLINE_SHARERS],
 }
 
-/// The compact block directory of one DirNNB home (or one simulator
-/// shard's set of homes). Addresses passed in are block-aligned.
+/// The compact block directory of the DirNNB homes. Addresses passed in
+/// are block-aligned.
 #[derive(Debug, Default)]
 pub struct Directory {
     /// Arena pages, keyed by VPN (`block address >> 12`).
@@ -368,19 +367,6 @@ impl Directory {
         head
     }
 
-    /// Merges another (page-disjoint) directory into this one — how the
-    /// parallel simulator folds shard directories back for diagnostics.
-    pub fn absorb(&mut self, other: Directory) {
-        debug_assert_eq!(self.nodes, other.nodes);
-        for (page, entries) in other.pages {
-            let prev = self.pages.insert(page, entries);
-            debug_assert!(prev.is_none(), "shard directories overlap on page {page:#x}");
-        }
-        self.wide.extend(other.wide);
-        self.busy.extend(other.busy);
-        self.deferred.extend(other.deferred);
-    }
-
     /// Blocks still busy or with queued requesters — the deadlock
     /// diagnostic, sorted by address for a stable panic message.
     pub fn stuck(&self) -> Vec<(u64, DirView, Option<DirBusy>, usize)> {
@@ -547,21 +533,6 @@ mod tests {
         assert_eq!(d.pop_deferred(a), Some((n(4), DirReq::Upgrade)));
         assert_eq!(d.pop_deferred(a), None);
         assert!(d.stuck().is_empty());
-    }
-
-    #[test]
-    fn absorb_merges_disjoint_pages() {
-        let mut a = Directory::new(16);
-        let mut b = Directory::new(16);
-        a.add_sharer(0x0, n(1));
-        b.set_exclusive(0x1000, n(2)); // different VPN -> different page
-        for i in 0..8u16 {
-            b.add_sharer(0x1020, n(i));
-        }
-        a.absorb(b);
-        assert_eq!(a.sharers_except(0x0, n(9)), vec![n(1)]);
-        assert_eq!(a.view(0x1000), DirView::Exclusive(n(2)));
-        assert_eq!(a.sharer_count(0x1020), 8);
     }
 
     #[test]

@@ -206,65 +206,6 @@ fn racing_writers_serialize_through_the_directory() {
     assert_eq!(r.report.get("cpu.writes"), Some(80.0));
 }
 
-/// Parallel-simulation acceptance at DirNNB level: a sharing-heavy
-/// workload (cyclic page placement, so homes land on every node, with
-/// recalls, invalidation rounds, and barriers crossing shard boundaries)
-/// must produce byte-identical cycles and statistics at every
-/// `sim_threads` value.
-#[test]
-fn parallel_simulation_is_bit_identical_to_sequential() {
-    let run_threads = |sim_threads: usize, tie_shuffle: Option<u64>| {
-        let nodes = 5;
-        let layout = layout_pages(4, Placement::Cyclic);
-        let mut w = ScriptWorkload::new(nodes).with_layout(layout);
-        for n in 0..nodes as u64 {
-            let mut ops = Vec::new();
-            for i in 0..48 {
-                let page = (n + i) % 4;
-                ops.push(Op::Write {
-                    addr: va(page * PAGE_BYTES as u64 + ((n * 48 + i) % 64) * 8),
-                    value: n * 1000 + i,
-                });
-                ops.push(Op::Read {
-                    addr: va(page * PAGE_BYTES as u64 + ((n * 48 + i) % 64) * 8),
-                    expect: None,
-                });
-                ops.push(Op::Compute(1 + (n as u32) * 2));
-                if i % 16 == 15 {
-                    ops.push(Op::Barrier);
-                }
-            }
-            ops.push(Op::Barrier);
-            w.set(n as usize, ops);
-        }
-        let mut cfg = SystemConfig::test_config(nodes);
-        cfg.placement = tt_base::config::DirPlacement::Owner;
-        cfg.verify_values = false; // nodes race on shared words by design
-        cfg.sim_threads = sim_threads;
-        let mut m = DirnnbMachine::new(cfg, Box::new(w));
-        if let Some(seed) = tie_shuffle {
-            m.set_tie_shuffle(seed);
-        }
-        let r = m.run();
-        let rows: Vec<(String, f64)> = r
-            .report
-            .iter()
-            .map(|row| (row.name.clone(), row.value))
-            .collect();
-        (r.cycles, rows)
-    };
-    for tie_shuffle in [None, Some(0xFEED_F00D)] {
-        let sequential = run_threads(1, tie_shuffle);
-        for threads in [2, 3, 5, 8] {
-            assert_eq!(
-                sequential,
-                run_threads(threads, tie_shuffle),
-                "sim_threads={threads} diverged (tie_shuffle={tie_shuffle:?})"
-            );
-        }
-    }
-}
-
 #[test]
 fn dirnnb_is_deterministic() {
     let build = || {

@@ -14,9 +14,8 @@
 //! dimension-order (mesh) or up-down (fat tree) route, and every link
 //! keeps a `next_free` occupancy cycle that serializes packets by wire
 //! size — so hot-home saturation shows up as queuing delay. Routes and
-//! queuing depend only on per-source state owned by the sending node's
-//! simulator shard, which keeps routed runs bit-identical at every
-//! `sim_threads`/`sim_shards`/`jobs`/`window_policy` setting.
+//! queuing depend only on the sending node's own traffic (see
+//! `Network::link_free`).
 //!
 //! The network is a *passive* component: [`Network::send`] validates the
 //! packet, records statistics, and returns the delivery time; the owning
@@ -260,22 +259,6 @@ impl NetStats {
         self.bytes[0].get() + self.bytes[1].get()
     }
 
-    /// Adds another accounting's counters into this one. The parallel
-    /// simulator gives each shard its own [`Network`] instance (send-side
-    /// state is per-source-node, so shards never share it) and folds the
-    /// statistics back together at the end of the run.
-    pub fn absorb(&mut self, other: &NetStats) {
-        for vn in 0..2 {
-            self.packets[vn].add(other.packets[vn].get());
-            self.bytes[vn].add(other.bytes[vn].get());
-        }
-        self.local_packets.add(other.local_packets.get());
-        self.dropped.add(other.dropped.get());
-        self.duplicated.add(other.duplicated.get());
-        self.corrupt_dropped.add(other.corrupt_dropped.get());
-        self.partition_lost.add(other.partition_lost.get());
-    }
-
     /// Total wire copies the fault plan prevented from arriving.
     pub fn total_lost(&self) -> u64 {
         self.dropped.get() + self.corrupt_dropped.get() + self.partition_lost.get()
@@ -283,8 +266,7 @@ impl NetStats {
 }
 
 /// Cycles one hop takes through a routed topology: a switch traversal
-/// plus the wire. The minimum cross-node delivery is one hop, so this is
-/// also the conservative PDES lookahead for routed topologies.
+/// plus the wire. The minimum cross-node delivery is one hop.
 pub const HOP_LATENCY: u64 = 3;
 
 /// Normalized routing parameters (derived defaults resolved).
@@ -381,10 +363,9 @@ pub struct Network {
     /// Routed topology (`None` = the ideal constant-latency pipe).
     route: Option<Route>,
     /// Earliest free cycle of each `(source node, link)` this instance
-    /// has routed over, keyed `src << 42 | link id`. Keeping the queue
-    /// state per *source* makes routed latencies independent of how
-    /// sources are sharded: a source's packets queue behind its own
-    /// earlier traffic on every link of their route, never behind another
+    /// has routed over, keyed `src << 42 | link id`. The queue state is
+    /// per *source*: a source's packets queue behind its own earlier
+    /// traffic on every link of their route, never behind another
     /// source's (cross-source contention is approximated away —
     /// DESIGN.md §11 discusses the trade).
     link_free: FxHashMap<u64, Cycles>,
@@ -400,12 +381,9 @@ pub struct Network {
 /// State for seeded latency jitter (see [`Network::set_jitter`]).
 ///
 /// The extra delay for a packet is a pure hash of `(seed, src, dst,
-/// per-pair packet index)` rather than a draw from an RNG *stream*: a
-/// stream's draw order is global, which under the parallel simulator
-/// would depend on how sends from different shards interleave. The hash
-/// depends only on per-pair state that the sending node's shard owns
-/// exclusively, so a jittered run is bit-identical at every thread
-/// count.
+/// per-pair packet index)` rather than a draw from an RNG *stream*, so a
+/// packet's jitter depends only on its own pair's traffic, never on how
+/// sends from other nodes interleave with it.
 #[derive(Clone, Debug)]
 struct Jitter {
     seed: u64,
@@ -488,9 +466,9 @@ impl Deliveries {
 /// Deterministic per-link fault schedule (see [`FaultSpec`]).
 ///
 /// Like [`Jitter`], every decision is a pure hash of per-ordered-pair
-/// state owned exclusively by the sending node's shard — never a draw
-/// from a shared RNG stream — so a fault schedule is bit-identical at
-/// any simulator thread count and replays exactly from its seed.
+/// state — never a draw from a shared RNG stream — so a link's fault
+/// schedule depends only on its own traffic and replays exactly from
+/// its seed.
 #[derive(Clone, Debug)]
 struct FaultPlan {
     spec: FaultSpec,
@@ -617,19 +595,6 @@ impl Network {
     /// The configured one-way latency (the ideal pipe's constant).
     pub fn latency(&self) -> Cycles {
         self.latency
-    }
-
-    /// The minimum number of cycles between a cross-node send and its
-    /// earliest possible effect at the destination — the conservative
-    /// lookahead bound for WWT-style parallel simulation. For the ideal
-    /// pipe this is the constant latency (jitter only ever
-    /// *add* delay); for a routed topology it is one hop, the latency of
-    /// an unqueued single-link route.
-    pub fn lookahead(&self) -> Cycles {
-        match self.route {
-            None => self.latency,
-            Some(_) => Cycles::new(HOP_LATENCY),
-        }
     }
 
     /// Routes one wire packet and returns its arrival time: each link of
@@ -815,12 +780,6 @@ impl Network {
     pub fn stats(&self) -> &NetStats {
         &self.stats
     }
-
-    /// Folds another instance's traffic accounting into this one (see
-    /// [`NetStats::absorb`]).
-    pub fn absorb_stats(&mut self, other: &Network) {
-        self.stats.absorb(&other.stats);
-    }
 }
 
 #[cfg(test)]
@@ -932,14 +891,13 @@ mod tests {
     fn mesh_routes_charge_hop_counts() {
         let mut net = Network::new(16, Cycles::new(11));
         net.set_topology(Topology::Mesh2D { width: 4 });
-        assert_eq!(net.lookahead(), Cycles::new(HOP_LATENCY));
         // Node 0 = (0,0), node 5 = (1,1): 2 hops.
         let p = packet(0, 5, VirtualNet::Request, Payload::new());
         assert_eq!(net.send(Cycles::new(100), &p), Cycles::new(100 + 2 * HOP_LATENCY));
         // Node 0 -> node 15 = (3,3): 6 hops.
         let q = packet(0, 15, VirtualNet::Request, Payload::new());
         assert_eq!(net.send(Cycles::new(500), &q), Cycles::new(500 + 6 * HOP_LATENCY));
-        // Neighbors: one hop, the lookahead bound.
+        // Neighbors: one hop.
         let r = packet(0, 1, VirtualNet::Request, Payload::new());
         assert_eq!(net.send(Cycles::new(900), &r), Cycles::new(900 + HOP_LATENCY));
     }
@@ -1008,7 +966,6 @@ mod tests {
         // Across groups (0 and 15): via the root, 4 hops.
         let far = packet(0, 15, VirtualNet::Request, Payload::new());
         assert_eq!(net.send(Cycles::new(100), &far), Cycles::new(100 + 4 * HOP_LATENCY));
-        assert_eq!(net.lookahead(), Cycles::new(HOP_LATENCY));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! update protocol), so this module only hardwires the stache variant
 //! and takes a factory for anything else.
 
-use tt_base::stats::{PdesTelemetry, Report};
+use tt_base::stats::Report;
 use tt_base::workload::{Layout, Workload};
 use tt_base::{Cycles, NodeId, SystemConfig};
 use tt_stache::Reliable;
@@ -43,8 +43,6 @@ pub struct KvOutcome {
     pub report: Report,
     /// Merged request-latency histograms (all nodes).
     pub lat: KvLatency,
-    /// Host-side window-driver telemetry; `None` on the sequential path.
-    pub pdes: Option<PdesTelemetry>,
 }
 
 impl KvOutcome {
@@ -81,7 +79,7 @@ pub fn run_kv(cfg: &SystemConfig, params: &KvParams, factory: KvProtocolFactory)
     let result = machine.run();
     drop(machine); // every node's LatSink folds into `shared` here
     let lat = std::mem::take(&mut *shared.lock().expect("latency collector poisoned"));
-    KvOutcome { cycles: result.cycles, report: result.report, lat, pdes: result.pdes }
+    KvOutcome { cycles: result.cycles, report: result.report, lat }
 }
 
 /// [`run_kv`] with the baseline stache-variant protocol.
@@ -116,37 +114,19 @@ mod tests {
     }
 
     #[test]
-    fn stache_serving_is_sim_thread_invariant() {
-        let params = KvParams::small(KvVariant::Stache);
-        let seq = run_kv_stache(&SystemConfig::test_config(params.nodes), &params);
-        let mut cfg = SystemConfig::test_config(params.nodes);
-        cfg.sim_threads = 2;
-        let par = run_kv_stache(&cfg, &params);
-        assert_eq!(seq.cycles, par.cycles);
-        assert_eq!(seq.report, par.report);
-        assert_eq!(seq.lat, par.lat, "histograms must merge order-independently");
-    }
-
-    #[test]
-    fn lossy_serving_completes_and_is_sim_thread_invariant() {
+    fn lossy_serving_completes() {
         let params = KvParams::small(KvVariant::Stache);
         let mut cfg = SystemConfig::test_config(params.nodes);
         cfg.fault = Some(tt_base::FaultSpec::uniform(7, 30));
-        let seq = run_kv_stache(&cfg, &params);
+        let out = run_kv_stache(&cfg, &params);
         assert_eq!(
-            seq.lat.requests(),
+            out.lat.requests(),
             params.requests_per_node * params.nodes as u64,
             "every request must complete despite the lossy network"
         );
         assert!(
-            seq.report.get("rel.sent").unwrap_or(0.0) > 0.0,
+            out.report.get("rel.sent").unwrap_or(0.0) > 0.0,
             "the reliable transport must be in the path"
         );
-        let mut parcfg = cfg.clone();
-        parcfg.sim_threads = 2;
-        let par = run_kv_stache(&parcfg, &params);
-        assert_eq!(seq.cycles, par.cycles, "fault schedule must replay across threads");
-        assert_eq!(seq.report, par.report);
-        assert_eq!(seq.lat, par.lat);
     }
 }

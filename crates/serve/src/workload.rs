@@ -11,9 +11,8 @@
 //!
 //! Keys are drawn from a Zipf(`skew`) distribution over `0..keys`; a
 //! coin with probability `write_pct`/100 picks put vs get. Every stream
-//! is generated from a per-node fork of the run seed, so chunk pull
-//! order — which differs between the sequential and parallel simulators
-//! — cannot perturb the programs.
+//! is generated from a per-node fork of the run seed, so the order in
+//! which nodes pull their chunks cannot perturb the programs.
 //!
 //! Each request compiles to ops:
 //!

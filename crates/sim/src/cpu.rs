@@ -21,28 +21,26 @@
 //! - seeding each node's first step ([`seed`]) and the end-of-run
 //!   queries ([`finished_at`]): a `Done` CPU's clock is its finish time.
 //!
-//! A machine supplies the rest through [`CpuHost`], implemented on its
-//! shard view. The per-op path is monomorphised: no `dyn`, no per-op
-//! allocation, and the workload lock is taken only on chunk refills.
+//! A machine supplies the rest through [`CpuHost`]. The per-op path is
+//! monomorphised: no `dyn` beyond the workload's chunk refills, and no
+//! per-op allocation.
 //!
 //! # Scheduling keys
 //!
 //! Each wake uses a fixed key, which the tie-shuffled order depends on:
 //! the quantum yield uses the node's reserved wakeup key
-//! ([`ShardQueue::schedule_wakeup`]), the one event direct execution may
+//! ([`EventQueue::schedule_wakeup`]), the one event direct execution may
 //! elide; release and resume use the node's own origin counter
-//! ([`ShardQueue::schedule_for`]).
-
-use std::ops::Range;
-use std::sync::Mutex;
+//! ([`EventQueue::schedule`]).
 
 use tt_base::addr::VAddr;
 use tt_base::stats::Counter;
 use tt_base::workload::{Op, Workload};
-use tt_base::{Cycles, NodeId, SystemConfig};
+use tt_base::{Cycles, NodeId};
 use tt_mem::AccessKind;
 
-use crate::ShardQueue;
+use crate::driver::Machine;
+use crate::EventQueue;
 
 /// Why a blocked CPU waits; stall cycles are charged per reason.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -212,31 +210,23 @@ impl Stream {
         reason
     }
 
-    /// Schedules node `n`'s `wakeup` at the CPU's clock unless the CPU
-    /// is not ready or a step is already pending. Keyed under the
-    /// current origin, which must be `n` itself.
-    pub fn wake<E>(&mut self, n: usize, queue: &mut ShardQueue<E>, wakeup: E) {
+    /// Schedules `wakeup` at the CPU's clock unless the CPU is not ready
+    /// or a step is already pending. Keyed under the current origin,
+    /// which must be the CPU's own node.
+    pub fn wake<E>(&mut self, queue: &mut EventQueue<E>, wakeup: E) {
         if self.status == Status::Ready && !self.step_pending {
             self.step_pending = true;
-            queue.schedule_for(self.clock, n, wakeup);
+            queue.schedule(self.clock, wakeup);
         }
     }
 }
 
-/// What a machine supplies to the shared CPU, through its shard view.
-/// Node indices are global.
-pub trait CpuHost {
-    /// The machine's event type.
-    type Event;
-
-    /// The machine configuration (quantum, direct execution).
-    fn config(&self) -> &SystemConfig;
-
+/// What a machine supplies to the shared CPU besides the [`Machine`]
+/// driver interface (which provides the configuration: node count,
+/// quantum, direct execution).
+pub trait CpuHost: Machine {
     /// The workload feeding every node's op stream.
-    fn workload(&self) -> &Mutex<Box<dyn Workload>>;
-
-    /// The nodes this view owns.
-    fn nodes(&self) -> Range<usize>;
+    fn workload(&mut self) -> &mut dyn Workload;
 
     /// Node `n`'s stream state.
     fn cpu(&mut self, n: usize) -> &mut Stream;
@@ -246,7 +236,7 @@ pub trait CpuHost {
     /// stream past it ([`Stream::complete`]); on [`Flow::Blocked`] it has
     /// blocked the stream ([`Stream::block`]) with the pc left on the op,
     /// and owes it a [`Stream::resume`].
-    fn access(&mut self, n: usize, access: Access, queue: &mut ShardQueue<Self::Event>) -> Flow;
+    fn access(&mut self, n: usize, access: Access, queue: &mut EventQueue<Self::Event>) -> Flow;
 
     /// Executes `Op::UserCall { op, arg }` (the pc is already past it and
     /// the op counted), with the same contract as [`CpuHost::access`].
@@ -255,7 +245,7 @@ pub trait CpuHost {
         n: usize,
         op: u32,
         arg: u64,
-        queue: &mut ShardQueue<Self::Event>,
+        queue: &mut EventQueue<Self::Event>,
     ) -> Flow;
 
     /// Node `n`'s `CpuStep` event.
@@ -266,7 +256,7 @@ pub trait CpuHost {
 /// network latency) of simulated time, until it blocks, parks at a
 /// barrier or finishes.
 #[inline]
-pub fn step<H: CpuHost>(host: &mut H, n: usize, now: Cycles, queue: &mut ShardQueue<H::Event>) {
+pub fn step<H: CpuHost>(host: &mut H, n: usize, now: Cycles, queue: &mut EventQueue<H::Event>) {
     let cfg = host.config();
     let (quantum, direct) = (cfg.network_latency, cfg.direct_execution);
     let mut cpu = host.cpu(n);
@@ -284,8 +274,6 @@ pub fn step<H: CpuHost>(host: &mut H, n: usize, now: Cycles, queue: &mut ShardQu
             let mut chunk = std::mem::take(&mut cpu.chunk);
             let refilled = host
                 .workload()
-                .lock()
-                .expect("workload poisoned")
                 .next_chunk_into(NodeId::new(n as u16), &mut chunk);
             cpu = host.cpu(n);
             if !refilled {
@@ -338,16 +326,11 @@ pub fn step<H: CpuHost>(host: &mut H, n: usize, now: Cycles, queue: &mut ShardQu
             // Direct execution (WWT-style): if every pending event lies
             // strictly beyond this CPU's clock, the wakeup we are about
             // to schedule would be the very next event popped — so skip
-            // the queue round trip and keep executing inline. Under the
-            // window scheme the run must also stay below the window end:
-            // past it, a cross-shard delivery not yet merged could be
-            // pending. Only the self-wakeup is elided, and it carries a
-            // reserved key, so no other event's key (and no tie-shuffled
-            // order) changes: reported cycles are byte-identical.
-            if direct
-                && queue.peek_time().is_none_or(|t| t > at)
-                && queue.window_end().is_none_or(|end| at < end)
-            {
+            // the queue round trip and keep executing inline. Only the
+            // self-wakeup is elided, and it carries a reserved key, so no
+            // other event's key (and no tie-shuffled order) changes:
+            // reported cycles are byte-identical.
+            if direct && queue.peek_time().is_none_or(|t| t > at) {
                 deadline = at + quantum;
                 continue;
             }
@@ -358,20 +341,18 @@ pub fn step<H: CpuHost>(host: &mut H, n: usize, now: Cycles, queue: &mut ShardQu
     }
 }
 
-/// Schedules every owned node's first step at time zero, each under its
-/// own origin.
-pub fn seed<H: CpuHost>(host: &mut H, queue: &mut ShardQueue<H::Event>) {
-    for n in host.nodes() {
+/// Schedules every node's first step at time zero, each under its own
+/// origin.
+pub fn seed<H: CpuHost>(host: &mut H, queue: &mut EventQueue<H::Event>) {
+    for n in 0..host.config().nodes {
         queue.set_origin(n);
         host.cpu(n).step_pending = true;
-        queue.schedule_for(Cycles::ZERO, n, H::wakeup(n));
+        queue.schedule(Cycles::ZERO, H::wakeup(n));
     }
 }
 
-/// Releases the view's own nodes from barrier `generation` at `at`.
-/// Every shard handles every release and wakes only the nodes it owns,
-/// each under its own origin counter (deterministic at any shard count:
-/// a parked node's counter cannot advance concurrently).
+/// Releases every node from barrier `generation` at `at`, waking each
+/// under its own origin counter.
 ///
 /// # Panics
 ///
@@ -380,17 +361,17 @@ pub fn release<H: CpuHost>(
     host: &mut H,
     at: Cycles,
     generation: u64,
-    queue: &mut ShardQueue<H::Event>,
+    queue: &mut EventQueue<H::Event>,
 ) {
     assert_eq!(generation + 1, queue.releases(), "stale barrier release");
-    for n in host.nodes() {
+    for n in 0..host.config().nodes {
         let cpu = host.cpu(n);
         assert_eq!(cpu.status, Status::AtBarrier, "node {n} missed the barrier");
         cpu.barrier_wait_cycles.add((at - cpu.suspended_at).raw());
         cpu.status = Status::Ready;
         cpu.clock = at;
         queue.set_origin(n);
-        cpu.wake(n, queue, H::wakeup(n));
+        cpu.wake(queue, H::wakeup(n));
     }
 }
 
@@ -417,11 +398,11 @@ pub fn finished_at<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{carve, run, Machine};
+    use crate::driver::run;
     use tt_base::config::BARRIER_LATENCY;
     use tt_base::stats::Report;
     use tt_base::workload::Layout;
-    use tt_base::WindowPolicy;
+    use tt_base::SystemConfig;
 
     /// Cycles a toy hit costs, and how long a toy miss or protocol call
     /// stays blocked.
@@ -430,7 +411,7 @@ mod tests {
     const CALL: u64 = 20;
     /// Addresses at or above this miss.
     const MISS_BASE: u64 = 0x1000;
-    /// The default network latency: quantum, lookahead and barrier delay.
+    /// The default network latency: quantum and barrier delay.
     const LATENCY: u64 = BARRIER_LATENCY.raw();
 
     fn hit(i: u64) -> VAddr {
@@ -463,8 +444,8 @@ mod tests {
         Fill(usize),
         /// The protocol finishes a user call.
         CallDone(usize),
-        /// A neighbour's miss notice: cross-node (and cross-shard)
-        /// traffic that lands on the same cycles as local wakes.
+        /// A neighbour's miss notice: cross-node traffic that lands on
+        /// the same cycles as local wakes.
         Poke(usize),
         Release(u64),
     }
@@ -479,66 +460,7 @@ mod tests {
         shuffle: Option<u64>,
         streams: Vec<Stream>,
         logs: Vec<Vec<(u64, &'static str)>>,
-        workload: Mutex<Box<dyn Workload>>,
-    }
-
-    struct ToyShard<'a> {
-        cfg: &'a SystemConfig,
-        first: usize,
-        streams: &'a mut [Stream],
-        logs: &'a mut [Vec<(u64, &'static str)>],
-        workload: &'a Mutex<Box<dyn Workload>>,
-    }
-
-    impl ToyShard<'_> {
-        fn log(&mut self, n: usize, now: Cycles, what: &'static str) {
-            self.logs[n - self.first].push((now.raw(), what));
-        }
-    }
-
-    impl CpuHost for ToyShard<'_> {
-        type Event = Ev;
-
-        fn config(&self) -> &SystemConfig {
-            self.cfg
-        }
-        fn workload(&self) -> &Mutex<Box<dyn Workload>> {
-            self.workload
-        }
-        fn nodes(&self) -> Range<usize> {
-            self.first..self.first + self.streams.len()
-        }
-        fn cpu(&mut self, n: usize) -> &mut Stream {
-            &mut self.streams[n - self.first]
-        }
-        fn access(&mut self, n: usize, access: Access, queue: &mut ShardQueue<Ev>) -> Flow {
-            let nodes = self.cfg.nodes;
-            let cpu = self.cpu(n);
-            if access.addr.raw() < MISS_BASE {
-                cpu.complete(Cycles::new(HIT));
-                return Flow::Completed;
-            }
-            cpu.clock += Cycles::new(1);
-            cpu.block(Stall::Miss);
-            let at = cpu.clock;
-            queue.schedule_for(at + Cycles::new(MISS), n, Ev::Fill(n));
-            let next = (n + 1) % nodes;
-            queue.schedule_for(at + Cycles::new(LATENCY), next, Ev::Poke(next));
-            Flow::Blocked
-        }
-        fn user_call(&mut self, n: usize, _: u32, poke: u64, queue: &mut ShardQueue<Ev>) -> Flow {
-            let cpu = self.cpu(n);
-            cpu.block(Stall::Call);
-            let at = cpu.clock;
-            queue.schedule_for(at + Cycles::new(CALL), n, Ev::CallDone(n));
-            if poke > 0 {
-                queue.schedule_for(at + Cycles::new(poke), n, Ev::Poke(n));
-            }
-            Flow::Blocked
-        }
-        fn wakeup(n: usize) -> Ev {
-            Ev::Step(n)
-        }
+        workload: Box<dyn Workload>,
     }
 
     impl Toy {
@@ -549,15 +471,54 @@ mod tests {
                 shuffle: None,
                 streams: (0..n).map(|_| Stream::default()).collect(),
                 logs: vec![Vec::new(); n],
-                workload: Mutex::new(Box::new(Script(programs.into_iter().map(Some).collect()))),
+                workload: Box::new(Script(programs.into_iter().map(Some).collect())),
             }
+        }
+
+        fn log(&mut self, n: usize, now: Cycles, what: &'static str) {
+            self.logs[n].push((now.raw(), what));
+        }
+    }
+
+    impl CpuHost for Toy {
+        fn workload(&mut self) -> &mut dyn Workload {
+            &mut *self.workload
+        }
+        fn cpu(&mut self, n: usize) -> &mut Stream {
+            &mut self.streams[n]
+        }
+        fn access(&mut self, n: usize, access: Access, queue: &mut EventQueue<Ev>) -> Flow {
+            let nodes = self.cfg.nodes;
+            let cpu = self.cpu(n);
+            if access.addr.raw() < MISS_BASE {
+                cpu.complete(Cycles::new(HIT));
+                return Flow::Completed;
+            }
+            cpu.clock += Cycles::new(1);
+            cpu.block(Stall::Miss);
+            let at = cpu.clock;
+            queue.schedule(at + Cycles::new(MISS), Ev::Fill(n));
+            let next = (n + 1) % nodes;
+            queue.schedule(at + Cycles::new(LATENCY), Ev::Poke(next));
+            Flow::Blocked
+        }
+        fn user_call(&mut self, n: usize, _: u32, poke: u64, queue: &mut EventQueue<Ev>) -> Flow {
+            let cpu = self.cpu(n);
+            cpu.block(Stall::Call);
+            let at = cpu.clock;
+            queue.schedule(at + Cycles::new(CALL), Ev::CallDone(n));
+            if poke > 0 {
+                queue.schedule(at + Cycles::new(poke), Ev::Poke(n));
+            }
+            Flow::Blocked
+        }
+        fn wakeup(n: usize) -> Ev {
+            Ev::Step(n)
         }
     }
 
     impl Machine for Toy {
         type Event = Ev;
-        type Local = ();
-        type Shard<'a> = ToyShard<'a>;
 
         fn config(&self) -> &SystemConfig {
             &self.cfg
@@ -565,69 +526,36 @@ mod tests {
         fn tie_shuffle(&self) -> Option<u64> {
             self.shuffle
         }
-        fn lookahead(&self) -> Cycles {
-            Cycles::new(LATENCY)
-        }
-        fn whole(&mut self) -> ToyShard<'_> {
-            ToyShard {
-                cfg: &self.cfg,
-                first: 0,
-                streams: &mut self.streams,
-                logs: &mut self.logs,
-                workload: &self.workload,
-            }
-        }
-        fn local(&self) {}
-        fn split<'a>(
-            &'a mut self,
-            ranges: &[(usize, usize)],
-            _: &'a mut [()],
-        ) -> Vec<ToyShard<'a>> {
-            let streams = carve(&mut self.streams, ranges);
-            let logs = carve(&mut self.logs, ranges);
-            ranges
-                .iter()
-                .zip(streams.zip(logs))
-                .map(|(&(first, _), (streams, logs))| ToyShard {
-                    cfg: &self.cfg,
-                    first,
-                    streams,
-                    logs,
-                    workload: &self.workload,
-                })
-                .collect()
-        }
-        fn absorb(&mut self, _: Vec<()>) {}
-        fn target(_: &ToyShard<'_>, ev: &Ev) -> Option<usize> {
+        fn target(&self, ev: &Ev) -> Option<usize> {
             match *ev {
                 Ev::Step(n) | Ev::Fill(n) | Ev::CallDone(n) | Ev::Poke(n) => Some(n),
                 Ev::Release(_) => None,
             }
         }
-        fn init(s: &mut ToyShard<'_>, q: &mut ShardQueue<Ev>) {
-            seed(s, q);
+        fn init(&mut self, q: &mut EventQueue<Ev>) {
+            seed(self, q);
         }
-        fn handle(s: &mut ToyShard<'_>, now: Cycles, ev: Ev, q: &mut ShardQueue<Ev>) {
+        fn handle(&mut self, now: Cycles, ev: Ev, q: &mut EventQueue<Ev>) {
             match ev {
                 Ev::Step(n) => {
-                    s.log(n, now, "step");
-                    step(s, n, now, q);
+                    self.log(n, now, "step");
+                    step(self, n, now, q);
                 }
                 Ev::Fill(n) => {
-                    s.log(n, now, "fill");
-                    let cpu = s.cpu(n);
+                    self.log(n, now, "fill");
+                    let cpu = self.cpu(n);
                     cpu.pc += 1;
                     cpu.resume(now);
-                    cpu.wake(n, q, Ev::Step(n));
+                    cpu.wake(q, Ev::Step(n));
                 }
                 Ev::CallDone(n) => {
-                    s.log(n, now, "call");
-                    let cpu = s.cpu(n);
+                    self.log(n, now, "call");
+                    let cpu = self.cpu(n);
                     cpu.resume(now);
-                    cpu.wake(n, q, Ev::Step(n));
+                    cpu.wake(q, Ev::Step(n));
                 }
-                Ev::Poke(n) => s.log(n, now, "poke"),
-                Ev::Release(generation) => release(s, now, generation, q),
+                Ev::Poke(n) => self.log(n, now, "poke"),
+                Ev::Release(generation) => release(self, now, generation, q),
             }
         }
         fn release_event(generation: u64) -> Ev {
@@ -658,12 +586,9 @@ mod tests {
             .collect()
     }
 
-    fn config(nodes: usize, shards: usize, direct: bool) -> SystemConfig {
+    fn config(nodes: usize, direct: bool) -> SystemConfig {
         SystemConfig {
             nodes,
-            sim_shards: shards,
-            sim_threads: shards.min(2),
-            window_policy: WindowPolicy::Adaptive,
             direct_execution: direct,
             network_latency: Cycles::new(LATENCY),
             ..SystemConfig::default()
@@ -735,16 +660,14 @@ mod tests {
                 .filter(|(_, w)| *w == "step")
                 .count()
         };
-        for shards in [1, 2] {
-            for shuffle in [None, Some(1), Some(2)] {
-                let (on, on_toy) = run_toy(config(4, shards, true), shuffle, busy_programs(4));
-                let (off, off_toy) = run_toy(config(4, shards, false), shuffle, busy_programs(4));
-                let case = format!("{shards} shards, shuffle {shuffle:?}");
-                assert_eq!(on, off, "{case}");
-                assert_eq!(counts(&on_toy), counts(&off_toy), "{case}");
-                assert_eq!(others(&on_toy), others(&off_toy), "{case}");
-                assert!(steps(&on_toy) < steps(&off_toy), "nothing elided: {case}");
-            }
+        for shuffle in [None, Some(1), Some(2)] {
+            let (on, on_toy) = run_toy(config(4, true), shuffle, busy_programs(4));
+            let (off, off_toy) = run_toy(config(4, false), shuffle, busy_programs(4));
+            let case = format!("shuffle {shuffle:?}");
+            assert_eq!(on, off, "{case}");
+            assert_eq!(counts(&on_toy), counts(&off_toy), "{case}");
+            assert_eq!(others(&on_toy), others(&off_toy), "{case}");
+            assert!(steps(&on_toy) < steps(&off_toy), "nothing elided: {case}");
         }
     }
 
@@ -754,18 +677,16 @@ mod tests {
             vec![Op::Compute(10), Op::Barrier, Op::Compute(1)],
             vec![Op::Compute(50), Op::Barrier, Op::Compute(1)],
         ];
-        for shards in [1, 2] {
-            let (cycles, toy) = run_toy(config(2, shards, true), None, programs.clone());
-            // Release at the last arrival (50) plus the barrier latency.
-            let release = 50 + LATENCY;
-            let waits: Vec<u64> = toy
-                .streams
-                .iter()
-                .map(|s| s.barrier_wait_cycles.get())
-                .collect();
-            assert_eq!(waits, vec![release - 10, release - 50], "{shards} shards");
-            assert_eq!(cycles, Cycles::new(release + 1), "{shards} shards");
-        }
+        let (cycles, toy) = run_toy(config(2, true), None, programs);
+        // Release at the last arrival (50) plus the barrier latency.
+        let release = 50 + LATENCY;
+        let waits: Vec<u64> = toy
+            .streams
+            .iter()
+            .map(|s| s.barrier_wait_cycles.get())
+            .collect();
+        assert_eq!(waits, vec![release - 10, release - 50]);
+        assert_eq!(cycles, Cycles::new(release + 1));
     }
 
     #[test]
@@ -780,7 +701,7 @@ mod tests {
             },
             Op::Compute(1),
         ];
-        let (cycles, toy) = run_toy(config(1, 1, true), None, vec![program]);
+        let (cycles, toy) = run_toy(config(1, true), None, vec![program]);
         let s = &toy.streams[0];
         assert_eq!(
             s.stall_cycles(Stall::Call),
@@ -813,7 +734,7 @@ mod tests {
             Op::Barrier,
             Op::Compute(1),
         ];
-        let (_, toy) = run_toy(config(1, 1, true), None, vec![program]);
+        let (_, toy) = run_toy(config(1, true), None, vec![program]);
         let call_at = 4 + CALL;
         let release_at = call_at + CALL + LATENCY;
         assert_eq!(
@@ -832,24 +753,23 @@ mod tests {
     }
 
     #[test]
-    fn shuffled_wake_order_is_identical_at_one_and_two_shards() {
+    fn shuffled_wake_order_is_reproducible() {
         // Without elision every wake is an event, so each node's log is
-        // its full event order; a wake keyed off a counter that differs
-        // between shardings would permute same-cycle events differently.
-        let logs = |shards: usize, seed: Option<u64>| {
-            let (cycles, toy) = run_toy(config(4, shards, false), seed, busy_programs(4));
+        // its full event order.
+        let logs = |seed: Option<u64>| {
+            let (cycles, toy) = run_toy(config(4, false), seed, busy_programs(4));
             (cycles, counts(&toy), toy.logs)
         };
-        let unshuffled = logs(1, None);
+        let unshuffled = logs(None);
         let mut permuted = false;
         for seed in 1..=4 {
-            let seq = logs(1, Some(seed));
-            assert_eq!(logs(2, Some(seed)), seq, "seed {seed}");
+            let shuffled = logs(Some(seed));
+            assert_eq!(logs(Some(seed)), shuffled, "seed {seed}");
             assert_eq!(
-                seq.0, unshuffled.0,
+                shuffled.0, unshuffled.0,
                 "tie order never changes the finish time here"
             );
-            permuted |= seq.2 != unshuffled.2;
+            permuted |= shuffled.2 != unshuffled.2;
         }
         assert!(permuted, "some seed must reorder same-cycle events");
     }

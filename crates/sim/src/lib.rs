@@ -2,15 +2,36 @@
 //!
 //! The paper evaluated Typhoon on the Wisconsin Wind Tunnel, a parallel
 //! discrete-event simulator. This crate is our deterministic equivalent:
-//! a time-ordered event queue, the one machine [`driver`] that runs
-//! every simulation, the one op-stream [`cpu`] both machines execute
-//! workloads on, and — in [`pdes`] — a conservative parallel window
-//! scheme in the WWT style that runs one simulation across OS threads
-//! while producing bit-identical results.
+//! a time-ordered [`EventQueue`], the one machine [`driver`] that runs
+//! every simulation, and the one op-stream [`cpu`] both machines execute
+//! workloads on. Each simulation runs sequentially on one thread; host
+//! parallelism comes from running independent simulations side by side.
+//!
+//! # Deterministic keys
 //!
 //! Events scheduled for the same cycle are delivered in the order of
-//! their deterministic keys, which makes every simulation
-//! bit-reproducible.
+//! their keys, which makes every simulation bit-reproducible. A key is
+//! packed from the event's *origin* — the node whose handler scheduled
+//! it, or [`GLOBAL_ORIGIN`] for machine-global bookkeeping such as
+//! barrier releases — and a per-origin counter:
+//!
+//! ```text
+//! key = origin_id << 32 | counter      (origin_id = node + 1, 0 = global)
+//! ```
+//!
+//! Same-cycle events from different origins are ordered by origin id,
+//! and global events sort ahead of every node's, which puts barrier
+//! releases before same-cycle node work. The committed cycle tables
+//! depend on this same-cycle order, and `tt-check`'s tie-shuffle salts
+//! it (see [`EventQueue::enable_tie_shuffle`]).
+//!
+//! # Barriers
+//!
+//! The machines' global barrier is the one interaction that is not
+//! node-to-node. The queue counts arrivals
+//! ([`EventQueue::note_barrier_arrival`]); the arrival completing a
+//! generation schedules the machine's release event at `max_arrival +
+//! release_delay` under the next global key.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -19,17 +40,30 @@ use tt_base::{mix64, Cycles};
 
 pub mod cpu;
 pub mod driver;
-pub mod pdes;
 
 pub use driver::{Machine, RunResult};
-pub use pdes::{ShardQueue, GLOBAL_ORIGIN};
+
+/// Origin id of machine-global scheduling (barrier bookkeeping). Sorts
+/// ahead of every node origin at the same cycle.
+pub const GLOBAL_ORIGIN: u64 = 0;
+
+/// Bits of the key holding the per-origin counter.
+const COUNTER_BITS: u32 = 32;
 
 /// Bits of an entry key available to schedulers: a packed `(origin,
-/// per-origin counter)` pair (see [`pdes::ShardQueue`]) fits comfortably
-/// in 48 bits. The top 16 bits are reserved for the tie-shuffle salt so
-/// the heap `Entry` never grows (an earlier draft that widened `Entry`
-/// by 16 bytes cost DirNNB ~25% wall time).
+/// per-origin counter)` pair fits comfortably in 48 bits. The top 16
+/// bits are reserved for the tie-shuffle salt so the heap `Entry` never
+/// grows (an earlier draft that widened `Entry` by 16 bytes cost DirNNB
+/// ~25% wall time).
 const KEY_BITS: u32 = 48;
+
+/// Packs an origin id and counter into an event key.
+#[inline]
+fn pack_key(origin_id: u64, counter: u64) -> u64 {
+    debug_assert!(origin_id < 1 << 16, "origin id overflows 16 bits");
+    debug_assert!(counter < 1 << COUNTER_BITS, "origin counter overflows");
+    (origin_id << COUNTER_BITS) | counter
+}
 
 /// A pending event: ordering key is `(time, key)`, so same-cycle events
 /// fire in a deterministic scheduler-chosen order. The ordering impls
@@ -61,8 +95,23 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// A time-ordered queue of simulation events, the storage behind
-/// [`ShardQueue`].
+/// Barrier bookkeeping for the current generation.
+#[derive(Debug)]
+struct Barrier<E> {
+    expected: usize,
+    delay: Cycles,
+    arrived: usize,
+    max_arrival: Cycles,
+    /// Builds the release event for a generation.
+    release: fn(u64) -> E,
+}
+
+/// The simulation's time-ordered event queue, with the per-origin
+/// counters that make event keys deterministic (see the crate docs).
+///
+/// Machines schedule through [`EventQueue::schedule`] and
+/// [`EventQueue::schedule_wakeup`]; the driver declares the origin
+/// before each handler runs.
 ///
 /// The common pattern in the machines is *self-rescheduling*: a handler
 /// pops the earliest event and immediately schedules its successor,
@@ -71,15 +120,9 @@ impl<E> Ord for Entry<E> {
 /// two comparisons instead of two `O(log n)` heap operations.
 ///
 /// Invariant: whenever `front` is occupied it orders before every entry
-/// in `heap` (entries are totally ordered by `(time, key)`, so delivery
-/// of same-cycle events follows the key order deterministically).
-///
-/// Every entry carries a caller-supplied key, so the order is
-/// independent of *when* an entry was inserted — the parallel driver in
-/// [`pdes`] inserts cross-shard events at window boundaries, long after
-/// their logical scheduling point.
-#[derive(Clone, Debug)]
-pub(crate) struct EventQueue<E> {
+/// in `heap` (entries are totally ordered by `(time, key)`).
+#[derive(Debug)]
+pub struct EventQueue<E> {
     now: Cycles,
     front: Option<Entry<E>>,
     heap: BinaryHeap<Reverse<Entry<E>>>,
@@ -88,16 +131,36 @@ pub(crate) struct EventQueue<E> {
     /// and the raw key (see [`EventQueue::enable_tie_shuffle`]). `None`
     /// keeps the unsalted key order.
     shuffle: Option<u64>,
+    /// Per-origin scheduling counters, one per node.
+    counters: Vec<u64>,
+    /// Global-origin keys issued; only barrier releases consume them, so
+    /// this is also the number of releases scheduled so far.
+    global_counter: u64,
+    /// Origin for keys of subsequently scheduled events. `None` = global.
+    origin: Option<usize>,
+    barrier: Barrier<E>,
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero.
-    pub(crate) fn new() -> Self {
+    /// An empty queue at time zero for `nodes` nodes. Every node takes
+    /// part in every barrier: the `nodes`-th arrival of a generation
+    /// schedules `release(generation)` at `max_arrival + release_delay`.
+    pub fn new(nodes: usize, release_delay: Cycles, release: fn(u64) -> E) -> Self {
         EventQueue {
             now: Cycles::ZERO,
             front: None,
             heap: BinaryHeap::new(),
             shuffle: None,
+            counters: vec![0; nodes],
+            global_counter: 0,
+            origin: None,
+            barrier: Barrier {
+                expected: nodes,
+                delay: release_delay,
+                arrived: 0,
+                max_arrival: Cycles::ZERO,
+                release,
+            },
         }
     }
 
@@ -109,17 +172,12 @@ impl<E> EventQueue<E> {
     /// same permutation.
     ///
     /// The salt for an entry is a pure hash of `(seed, key)`, not a draw
-    /// from an RNG stream: a stream's draw order would depend on
-    /// insertion order, which under the parallel driver differs from the
-    /// sequential run (cross-shard entries are inserted at window
-    /// boundaries). Hashing the key gives every entry the same salt in
-    /// both modes, so the shuffled schedule is identical at any thread
-    /// count.
+    /// from an RNG stream, so it does not depend on insertion order.
     ///
     /// # Panics
     ///
     /// Panics if events are already pending (their keys are unsalted).
-    pub(crate) fn enable_tie_shuffle(&mut self, seed: u64) {
+    pub fn enable_tie_shuffle(&mut self, seed: u64) {
         assert!(
             self.is_empty(),
             "enable tie-shuffle on an empty queue, before scheduling"
@@ -129,23 +187,92 @@ impl<E> EventQueue<E> {
 
     /// The current simulated time (the timestamp of the last popped event).
     #[inline]
-    pub(crate) fn now(&self) -> Cycles {
+    pub fn now(&self) -> Cycles {
         self.now
     }
 
-    /// Schedules `event` at absolute time `t` under a caller-supplied
-    /// key. Same-cycle entries are delivered in key order (after
-    /// tie-shuffle salting, if enabled), regardless of insertion order —
-    /// the property the parallel driver needs to merge cross-shard
-    /// events deterministically. Keys must be unique among pending
-    /// entries and fit in 48 bits.
+    /// The timestamp of the earliest pending event, if any.
+    #[inline]
+    pub fn peek_time(&self) -> Option<Cycles> {
+        match &self.front {
+            Some(e) => Some(e.time),
+            None => self.heap.peek().map(|Reverse(e)| e.time),
+        }
+    }
+
+    /// Whether no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.front.is_none() && self.heap.is_empty()
+    }
+
+    /// Declares `node` the origin of subsequently scheduled events. The
+    /// driver calls this with the handling node before each event;
+    /// handlers themselves never need to.
+    #[inline]
+    pub fn set_origin(&mut self, node: usize) {
+        debug_assert!(node < self.counters.len(), "origin {node} out of range");
+        self.origin = Some(node);
+    }
+
+    /// Declares subsequent scheduling machine-global ([`GLOBAL_ORIGIN`]).
+    #[inline]
+    pub(crate) fn set_origin_global(&mut self) {
+        self.origin = None;
+    }
+
+    fn next_key(&mut self) -> u64 {
+        match self.origin {
+            Some(node) => {
+                // Counters start at 1: counter 0 is the reserved wakeup
+                // key (`schedule_wakeup`).
+                let c = &mut self.counters[node];
+                *c += 1;
+                pack_key(node as u64 + 1, *c)
+            }
+            None => {
+                self.global_counter += 1;
+                pack_key(GLOBAL_ORIGIN, self.global_counter)
+            }
+        }
+    }
+
+    /// Schedules `event` at `t` under the next key of the current origin.
     ///
     /// # Panics
     ///
     /// Panics if `t` is in the past (`t < self.now()`): the simulation
     /// would no longer be causal.
-    pub(crate) fn schedule(&mut self, t: Cycles, key: u64, event: E) {
-        assert!(t >= self.now, "scheduling into the past: {t:?} < {:?}", self.now);
+    #[inline]
+    pub fn schedule(&mut self, t: Cycles, event: E) {
+        let key = self.next_key();
+        self.insert(t, key, event);
+    }
+
+    /// Schedules node `node`'s own wakeup under its *reserved* key
+    /// (origin `node`, counter 0). The machines' CPU self-rescheduling
+    /// is the one event the direct-execution optimization may elide;
+    /// giving it a key outside the counter stream keeps every other
+    /// event's key — and therefore the tie-shuffled order — independent
+    /// of whether the wakeup was scheduled or elided. Sound because at
+    /// most one such wakeup per node is ever pending (the machines'
+    /// `step_pending` flag).
+    pub fn schedule_wakeup(&mut self, t: Cycles, node: usize, event: E) {
+        debug_assert!(
+            node < self.counters.len(),
+            "wakeup for node {node} out of range"
+        );
+        self.insert(t, pack_key(node as u64 + 1, 0), event);
+    }
+
+    /// Inserts `event` at `t` under `key`. Same-cycle entries are
+    /// delivered in key order (after tie-shuffle salting, if enabled),
+    /// regardless of insertion order.
+    fn insert(&mut self, t: Cycles, key: u64, event: E) {
+        assert!(
+            t >= self.now,
+            "scheduling into the past: {t:?} < {:?}",
+            self.now
+        );
         debug_assert!(key < 1 << KEY_BITS, "event key overflows 48 bits");
         let key = match self.shuffle {
             Some(seed) => (mix64(seed ^ key) << KEY_BITS) | key,
@@ -170,7 +297,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event, advancing `now` to its time.
-    pub(crate) fn pop(&mut self) -> Option<(Cycles, E)> {
+    pub fn pop(&mut self) -> Option<(Cycles, E)> {
         let e = match self.front.take() {
             Some(e) => e,
             None => self.heap.pop()?.0,
@@ -180,23 +307,41 @@ impl<E> EventQueue<E> {
         Some((e.time, e.event))
     }
 
-    /// The timestamp of the earliest pending event, if any.
-    pub(crate) fn peek_time(&self) -> Option<Cycles> {
-        match &self.front {
-            Some(e) => Some(e.time),
-            None => self.heap.peek().map(|Reverse(e)| e.time),
+    /// Records a barrier arrival at `at`. The arrival completing the
+    /// generation schedules the release event at `max_arrival + delay`
+    /// under the next global key, and resets for the next generation.
+    pub fn note_barrier_arrival(&mut self, at: Cycles) {
+        let b = &mut self.barrier;
+        b.arrived += 1;
+        b.max_arrival = b.max_arrival.max(at);
+        if b.arrived == b.expected {
+            b.arrived = 0;
+            let release_at = b.max_arrival + b.delay;
+            b.max_arrival = Cycles::ZERO;
+            let event = (b.release)(self.global_counter);
+            self.global_counter += 1;
+            self.insert(
+                release_at,
+                pack_key(GLOBAL_ORIGIN, self.global_counter),
+                event,
+            );
         }
     }
 
-    /// Whether no events are pending.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.front.is_none() && self.heap.is_empty()
+    /// Barrier releases scheduled so far.
+    pub fn releases(&self) -> u64 {
+        self.global_counter
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A queue whose barrier releases carry `100 + generation`.
+    fn queue(nodes: usize) -> EventQueue<u32> {
+        EventQueue::new(nodes, Cycles::new(11), |generation| 100 + generation as u32)
+    }
 
     /// Pops everything, returning `(time, event)` pairs in delivery order.
     fn drain(q: &mut EventQueue<u32>) -> Vec<(u64, u32)> {
@@ -207,43 +352,92 @@ mod tests {
 
     #[test]
     fn events_fire_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycles::new(30), 1, 3);
-        q.schedule(Cycles::new(10), 2, 1);
-        q.schedule(Cycles::new(20), 3, 2);
+        let mut q = queue(1);
+        q.set_origin(0);
+        q.schedule(Cycles::new(30), 3);
+        q.schedule(Cycles::new(10), 1);
+        q.schedule(Cycles::new(20), 2);
         assert_eq!(drain(&mut q), vec![(10, 1), (20, 2), (30, 3)]);
     }
 
     #[test]
-    fn caller_keys_order_same_cycle_events_regardless_of_insertion() {
-        let mut q = EventQueue::new();
-        // Inserted out of key order, delivered in key order.
-        q.schedule(Cycles::new(5), 30, 2);
-        q.schedule(Cycles::new(5), 10, 0);
-        q.schedule(Cycles::new(5), 20, 1);
+    fn keys_order_same_cycle_events_regardless_of_insertion() {
+        let mut q = queue(3);
+        // Inserted out of origin order, delivered in origin order.
+        for (node, ev) in [(2, 2), (0, 0), (1, 1)] {
+            q.set_origin(node);
+            q.schedule(Cycles::new(5), ev);
+        }
         assert_eq!(drain(&mut q), vec![(5, 0), (5, 1), (5, 2)]);
+        // Within one origin, scheduling order.
+        q.set_origin(0);
+        for ev in [7, 8, 9] {
+            q.schedule(Cycles::new(9), ev);
+        }
+        assert_eq!(drain(&mut q), vec![(9, 7), (9, 8), (9, 9)]);
+    }
+
+    #[test]
+    fn the_wakeup_key_sorts_first_within_its_origin() {
+        let mut q = queue(2);
+        q.set_origin(1);
+        q.schedule(Cycles::new(5), 1);
+        q.set_origin(0);
+        q.schedule(Cycles::new(5), 0);
+        q.schedule_wakeup(Cycles::new(5), 1, 10);
+        assert_eq!(drain(&mut q), vec![(5, 0), (5, 10), (5, 1)]);
     }
 
     #[test]
     #[should_panic(expected = "scheduling into the past")]
     fn scheduling_into_the_past_panics() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycles::new(10), 1, 1);
+        let mut q = queue(1);
+        q.set_origin(0);
+        q.schedule(Cycles::new(10), 1);
         q.pop();
-        q.schedule(Cycles::new(5), 2, 2);
+        q.schedule(Cycles::new(5), 2);
+    }
+
+    #[test]
+    fn barrier_completes_resets_and_sorts_before_node_work() {
+        let mut q = queue(4);
+        for at in [5, 9, 7] {
+            q.note_barrier_arrival(Cycles::new(at));
+            assert!(q.is_empty(), "no release before the last arrival");
+        }
+        q.set_origin(0);
+        q.schedule(Cycles::new(20), 1);
+        q.note_barrier_arrival(Cycles::new(8));
+        assert_eq!(q.releases(), 1);
+        assert_eq!(
+            drain(&mut q),
+            vec![(20, 100), (20, 1)],
+            "release at max arrival + delay, for generation 0, ahead of node work"
+        );
+        // Next generation starts clean.
+        for at in [30, 31, 32] {
+            q.note_barrier_arrival(Cycles::new(at));
+        }
+        assert!(q.is_empty());
+        q.note_barrier_arrival(Cycles::new(33));
+        assert_eq!(drain(&mut q), vec![(44, 101)]);
     }
 
     #[test]
     fn tie_shuffle_permutes_same_cycle_events_deterministically() {
         let order_with_seed = |seed: Option<u64>| {
-            let mut q = EventQueue::new();
+            let mut q = queue(50);
             if let Some(s) = seed {
                 q.enable_tie_shuffle(s);
             }
             for i in 0..50 {
-                q.schedule(Cycles::new(5), u64::from(i), i);
+                q.set_origin(i as usize);
+                q.schedule(Cycles::new(5), i);
             }
-            drain(&mut q).into_iter().map(|(_, e)| e).collect::<Vec<_>>()
+            drain(&mut q)
+                .into_iter()
+                .map(|(_, e)| e)
+                .collect::<Vec<_>>()
         };
         let unsalted = order_with_seed(None);
         assert_eq!(unsalted, (0..50).collect::<Vec<_>>());
@@ -260,45 +454,46 @@ mod tests {
 
     #[test]
     fn tie_shuffle_salt_depends_on_key_not_insertion_order() {
-        // The same (time, key) entries inserted in different orders must
-        // come out identically — the property the parallel driver's
-        // cross-shard merge relies on.
-        let deliver = |keys: &[u64]| {
-            let mut q = EventQueue::new();
+        let deliver = |nodes: &[usize]| {
+            let mut q = queue(8);
             q.enable_tie_shuffle(99);
-            for &k in keys {
-                q.schedule(Cycles::new(5), k, k as u32);
+            for &n in nodes {
+                q.set_origin(n);
+                q.schedule(Cycles::new(5), n as u32);
             }
             drain(&mut q)
         };
-        let forward = deliver(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        let backward = deliver(&[8, 7, 6, 5, 4, 3, 2, 1]);
+        let forward = deliver(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        let backward = deliver(&[7, 6, 5, 4, 3, 2, 1, 0]);
         assert_eq!(forward, backward);
     }
 
     #[test]
     fn tie_shuffle_preserves_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = queue(1);
         q.enable_tie_shuffle(3);
-        q.schedule(Cycles::new(30), 1, 3);
-        q.schedule(Cycles::new(10), 2, 1);
-        q.schedule(Cycles::new(20), 3, 2);
+        q.set_origin(0);
+        q.schedule(Cycles::new(30), 3);
+        q.schedule(Cycles::new(10), 1);
+        q.schedule(Cycles::new(20), 2);
         assert_eq!(drain(&mut q), vec![(10, 1), (20, 2), (30, 3)]);
     }
 
     #[test]
     #[should_panic(expected = "empty queue")]
     fn tie_shuffle_must_be_enabled_before_scheduling() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule(Cycles::new(1), 1, 0);
+        let mut q = queue(1);
+        q.set_origin(0);
+        q.schedule(Cycles::new(1), 0);
         q.enable_tie_shuffle(1);
     }
 
     #[test]
     fn now_tracks_last_pop() {
-        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut q = queue(1);
         assert_eq!(q.now(), Cycles::ZERO);
-        q.schedule(Cycles::new(42), 1, 9);
+        q.set_origin(0);
+        q.schedule(Cycles::new(42), 9);
         q.pop();
         assert_eq!(q.now(), Cycles::new(42));
         assert!(q.is_empty());

@@ -25,8 +25,8 @@
 //!
 //! Determinism: all transport state advances only on handler execution
 //! (sends, deliveries, timer firings), which the simulator orders by the
-//! same deterministic merge keys as every other event, so a faulty run
-//! replays bit-exactly at any `--sim-threads` count.
+//! same deterministic event keys as every other event, so a faulty run
+//! replays bit-exactly.
 //!
 //! Self-sends never traverse the wire (the network delivers them
 //! fault-free), so they bypass sequencing entirely.

@@ -17,7 +17,7 @@ use tt_mem::{PageMeta, Tag};
 use tt_net::{Network, Packet, Payload, VirtualNet};
 use tt_tempest::{BulkRequest, HandlerId, TempestCtx, TempestError, ThreadId};
 use tt_sim::cpu::Stall;
-use tt_sim::ShardQueue;
+use tt_sim::EventQueue;
 
 use crate::machine::{issue_access, BulkState, Event, NodeState};
 
@@ -34,7 +34,7 @@ pub struct NodeCtx<'a> {
     /// and bulk transfers.
     pub(crate) node: &'a mut NodeState,
     pub(crate) network: &'a mut Network,
-    pub(crate) queue: &'a mut ShardQueue<Event>,
+    pub(crate) queue: &'a mut EventQueue<Event>,
 }
 
 impl NodeCtx<'_> {
@@ -134,16 +134,16 @@ impl TempestCtx for NodeCtx<'_> {
         // is exactly `Network::send`.
         let deliveries = self.network.transmit(self.now(), &packet);
         for deliver_at in deliveries.iter() {
-            crate::machine::schedule(self.queue, deliver_at, Event::Deliver(packet.clone()));
+            self.queue
+                .schedule(deliver_at, Event::Deliver(packet.clone()));
         }
     }
 
     fn set_timer(&mut self, at: Cycles, token: u64) {
-        // The firing is ordinary NP work on this node: same-shard, so it
-        // needs no lookahead, and it participates in the deterministic
-        // event order like every message delivery.
+        // The firing is ordinary NP work on this node: it participates
+        // in the deterministic event order like every message delivery.
         let at = at.max(self.now());
-        crate::machine::schedule(self.queue,
+        self.queue.schedule(
             at,
             Event::NpWork {
                 node: self.id.index(),
@@ -161,7 +161,7 @@ impl TempestCtx for NodeCtx<'_> {
             request,
             offset: 0,
         });
-        crate::machine::schedule(self.queue, 
+        self.queue.schedule(
             self.now(),
             Event::BulkInject {
                 node: self.id.index(),
@@ -316,6 +316,6 @@ impl TempestCtx for NodeCtx<'_> {
             issue_access(self.cfg, self.node, self.queue, access);
         }
         let n = self.id.index();
-        self.node.cpu.stream.wake(n, self.queue, Event::CpuStep(n));
+        self.node.cpu.stream.wake(self.queue, Event::CpuStep(n));
     }
 }

@@ -4,24 +4,10 @@
 //! processors (the shared `tt_sim::cpu` front end, with Typhoon's
 //! tag-checked bus model behind its memory ops), each paired with a
 //! network interface processor running one instance of a user-level
-//! [`Protocol`]. See the crate docs for the modeling approach.
-//!
-//! # Parallel simulation
-//!
-//! With `SystemConfig::sim_threads > 1` the machine partitions its nodes
-//! into contiguous shards and runs one shard per OS thread under the
-//! conservative window scheme of [`tt_sim::pdes`], through the shared
-//! [`tt_sim::driver`]. All mutable per-node state lives in `NodeState`
-//! and is handed to a shard as a slice; the network is cloned per shard
-//! (its send-side state is per-source-node), and the workload sits
-//! behind a mutex (chunk refills are the only shared pulls). Event keys
-//! are deterministic `(origin, counter)` pairs, so reported cycles and
-//! statistics are bit-identical at every thread count — the equivalence
-//! tests pin this.
+//! [`Protocol`]. See the crate docs for the modeling approach. The
+//! shared [`tt_sim::driver`] runs it.
 
 use std::collections::HashMap;
-use std::ops::Range;
-use std::sync::Mutex;
 
 use tt_base::addr::{VAddr, WORD_BYTES};
 use tt_base::config::{NpMode, SystemConfig, BULK_PACKET_CYCLES};
@@ -31,8 +17,8 @@ use tt_base::{Cycles, DetRng, NodeId};
 use tt_mem::{NodeMemory, PageTable, Tag};
 use tt_net::{Network, Packet, Payload, VirtualNet};
 use tt_sim::cpu::{self, Access, CpuHost, Flow, Stall, Status, Stream};
-use tt_sim::driver::{self, carve, Machine};
-use tt_sim::ShardQueue;
+use tt_sim::driver::{self, Machine};
+use tt_sim::EventQueue;
 use tt_tempest::{BlockDirSnapshot, BulkRequest, HandlerId, Message, Protocol, UserCall};
 
 use crate::cpu::{exec_access, AccessOutcome, CpuState};
@@ -80,8 +66,8 @@ pub enum Event {
 
 impl Event {
     /// The node whose state handling this event touches, or `None` for
-    /// events with machine-global effect. Routes events to their owning
-    /// shard and anchors the keys of what their handlers schedule.
+    /// events with machine-global effect. Anchors the keys of what their
+    /// handlers schedule.
     pub fn target(&self) -> Option<usize> {
         match self {
             Event::CpuStep(n) | Event::NpDispatch(n) => Some(*n),
@@ -90,16 +76,6 @@ impl Event {
             Event::BarrierRelease { .. } => None,
         }
     }
-}
-
-/// Schedules a node-targeted machine event. Every schedule in the
-/// machine and its contexts funnels through here, so each event gets a
-/// deterministic `(origin, counter)` key and lands on the shard that
-/// owns its target. (Barrier releases, the one global event, are
-/// scheduled by the driver.)
-pub(crate) fn schedule(queue: &mut ShardQueue<Event>, at: Cycles, event: Event) {
-    let target = event.target().expect("machine events target a node");
-    queue.schedule_for(at, target, event);
 }
 
 /// An in-progress outgoing bulk transfer.
@@ -114,7 +90,6 @@ pub struct BulkState {
 }
 
 /// One node: CPU + NP + memory + page table + active bulk transfers.
-/// Everything a shard thread mutates for this node lives here.
 pub(crate) struct NodeState {
     pub(crate) cpu: CpuState,
     pub(crate) np: NpState,
@@ -134,29 +109,11 @@ pub struct TyphoonMachine {
     nodes: Vec<NodeState>,
     protocols: Vec<Option<Box<dyn Protocol>>>,
     network: Network,
-    workload: Mutex<Box<dyn Workload>>,
+    workload: Box<dyn Workload>,
     layout: Layout,
     /// Seed for same-cycle tie-shuffling, applied to the event queue at
     /// `run` time (a `tt-check` legal-nondeterminism knob).
     tie_shuffle: Option<u64>,
-}
-
-/// A shard's view of the machine: the contiguous node range it owns plus
-/// the shared pieces. In sequential mode one shard views everything; in
-/// parallel mode each worker thread owns one. All methods take node
-/// indices in *global* terms and translate via `first`.
-#[doc(hidden)]
-pub struct Shard<'m> {
-    cfg: &'m SystemConfig,
-    /// First global node index this shard owns.
-    first: usize,
-    nodes: &'m mut [NodeState],
-    protocols: &'m mut [Option<Box<dyn Protocol>>],
-    /// This shard's network instance. Send-side state (occupancy ports,
-    /// jitter pair counters) is per-source-node and handlers only send
-    /// from their own node, so shards never alias it.
-    network: &'m mut Network,
-    workload: &'m Mutex<Box<dyn Workload>>,
 }
 
 impl TyphoonMachine {
@@ -196,14 +153,14 @@ impl TyphoonMachine {
             nodes,
             protocols,
             network,
-            workload: Mutex::new(workload),
+            workload,
             layout,
             tie_shuffle: None,
         }
     }
 
     /// Delivers same-cycle events in a seed-dependent permutation instead
-    /// of key order (the driver salts each queue's keys with `seed`).
+    /// of key order (the driver salts the queue's keys with `seed`).
     /// Call before [`TyphoonMachine::run`].
     pub fn set_tie_shuffle(&mut self, seed: u64) {
         self.tie_shuffle = Some(seed);
@@ -273,8 +230,6 @@ impl TyphoonMachine {
     }
 
     /// Runs the simulation to completion and returns timing + statistics.
-    /// `SystemConfig::sim_threads` selects the sequential event loop or
-    /// the windowed parallel one; results are bit-identical either way.
     ///
     /// # Panics
     ///
@@ -291,11 +246,8 @@ impl TyphoonMachine {
     /// event with the event just handled and the machine's post-event
     /// state — the attachment point for the `tt-check` invariant engine.
     /// Handlers are atomic, so at each callback the machine is in a
-    /// consistent state (protocols restored, tags settled).
-    ///
-    /// Always runs on the sequential path regardless of `sim_threads`
-    /// (the observer wants the single total event order); cycle counts
-    /// are identical either way, which the equivalence tests pin.
+    /// consistent state (protocols restored, tags settled). Cycle counts
+    /// are identical to [`TyphoonMachine::run`]'s.
     pub fn run_observed(
         &mut self,
         observe: &mut dyn FnMut(Cycles, &Event, &TyphoonMachine),
@@ -374,11 +326,6 @@ impl TyphoonMachine {
 #[doc(hidden)]
 impl Machine for TyphoonMachine {
     type Event = Event;
-    /// Each shard's network clone, taken before any traffic: statistics
-    /// start at zero and are folded back after the run, while jitter and
-    /// occupancy configuration ride along.
-    type Local = Network;
-    type Shard<'a> = Shard<'a>;
 
     fn config(&self) -> &SystemConfig {
         &self.cfg
@@ -388,63 +335,48 @@ impl Machine for TyphoonMachine {
         self.tie_shuffle
     }
 
-    fn lookahead(&self) -> Cycles {
-        self.network.lookahead()
-    }
-
-    fn whole(&mut self) -> Shard<'_> {
-        Shard {
-            cfg: &self.cfg,
-            first: 0,
-            nodes: &mut self.nodes,
-            protocols: &mut self.protocols,
-            network: &mut self.network,
-            workload: &self.workload,
-        }
-    }
-
-    fn local(&self) -> Network {
-        self.network.clone()
-    }
-
-    fn split<'a>(
-        &'a mut self,
-        ranges: &[(usize, usize)],
-        nets: &'a mut [Network],
-    ) -> Vec<Shard<'a>> {
-        let mut nodes = carve(&mut self.nodes, ranges);
-        let mut protocols = carve(&mut self.protocols, ranges);
-        ranges
-            .iter()
-            .zip(nets)
-            .map(|(&(first, _), network)| Shard {
-                cfg: &self.cfg,
-                first,
-                nodes: nodes.next().expect("one node slice per range"),
-                protocols: protocols.next().expect("one protocol slice per range"),
-                network,
-                workload: &self.workload,
-            })
-            .collect()
-    }
-
-    fn absorb(&mut self, nets: Vec<Network>) {
-        for net in &nets {
-            self.network.absorb_stats(net);
-        }
-    }
-
-    fn target(_: &Shard<'_>, event: &Event) -> Option<usize> {
+    fn target(&self, event: &Event) -> Option<usize> {
         event.target()
     }
 
-    fn init(shard: &mut Shard<'_>, queue: &mut ShardQueue<Event>) {
-        shard.init_nodes(queue);
+    /// Initializes every node's protocol at time zero and seeds the
+    /// queue with each node's first CPU step.
+    fn init(&mut self, queue: &mut EventQueue<Event>) {
+        for n in 0..self.cfg.nodes {
+            queue.set_origin(n);
+            let mut proto = self.protocols[n].take().expect("protocol present");
+            let mut ctx = self.ctx(n, Cycles::ZERO, queue);
+            proto.init(&mut ctx);
+            self.protocols[n] = Some(proto);
+        }
+        cpu::seed(self, queue);
     }
 
+    /// Dispatches one event (the driver has declared its target as the
+    /// origin of everything the handler schedules).
     #[inline]
-    fn handle(shard: &mut Shard<'_>, now: Cycles, event: Event, queue: &mut ShardQueue<Event>) {
-        shard.handle(now, event, queue);
+    fn handle(&mut self, now: Cycles, event: Event, queue: &mut EventQueue<Event>) {
+        match event {
+            Event::CpuStep(n) => cpu::step(self, n, now, queue),
+            Event::NpDispatch(n) => {
+                let np = &mut self.nodes[n].np;
+                np.dispatch_pending = false;
+                if np.busy_until > now {
+                    np.dispatch_pending = true;
+                    let at = np.busy_until;
+                    queue.schedule(at, Event::NpDispatch(n));
+                } else if np.has_work() {
+                    self.run_one_handler(n, now, queue);
+                }
+            }
+            Event::NpWork { node, work } => {
+                self.nodes[node].np.enqueue(work);
+                self.try_dispatch(node, now, queue);
+            }
+            Event::Deliver(packet) => self.deliver(packet, now, queue),
+            Event::BarrierRelease { generation } => cpu::release(self, now, generation, queue),
+            Event::BulkInject { node, id } => self.bulk_inject(node, id, now, queue),
+        }
     }
 
     fn release_event(generation: u64) -> Event {
@@ -468,93 +400,50 @@ impl Machine for TyphoonMachine {
     }
 }
 
-impl<'m> Shard<'m> {
-    /// Dispatches one event (the driver has declared its target as the
-    /// origin of everything the handler schedules).
-    fn handle(&mut self, now: Cycles, event: Event, queue: &mut ShardQueue<Event>) {
-        match event {
-            Event::CpuStep(n) => cpu::step(self, n, now, queue),
-            Event::NpDispatch(n) => {
-                let np = &mut self.nodes[n - self.first].np;
-                np.dispatch_pending = false;
-                if np.busy_until > now {
-                    np.dispatch_pending = true;
-                    let at = np.busy_until;
-                    schedule(queue, at, Event::NpDispatch(n));
-                } else if np.has_work() {
-                    self.run_one_handler(n, now, queue);
-                }
-            }
-            Event::NpWork { node, work } => {
-                self.nodes[node - self.first].np.enqueue(work);
-                self.try_dispatch(node, now, queue);
-            }
-            Event::Deliver(packet) => self.deliver(packet, now, queue),
-            Event::BarrierRelease { generation } => cpu::release(self, now, generation, queue),
-            Event::BulkInject { node, id } => self.bulk_inject(node, id, now, queue),
-        }
-    }
-
-    /// Initializes this shard's protocols at time zero and seeds the
-    /// queue with each owned node's first CPU step. Per-origin key
-    /// counters make the result independent of how shards interleave
-    /// their init loops.
-    fn init_nodes(&mut self, queue: &mut ShardQueue<Event>) {
-        for l in 0..self.nodes.len() {
-            let n = self.first + l;
-            queue.set_origin(n);
-            let mut proto = self.protocols[l].take().expect("protocol present");
-            let mut ctx = self.ctx(n, Cycles::ZERO, queue);
-            proto.init(&mut ctx);
-            self.protocols[l] = Some(proto);
-        }
-        cpu::seed(self, queue);
-    }
-
-    /// Builds a per-handler context for (globally indexed) node `n`.
+impl TyphoonMachine {
+    /// Builds a per-handler context for node `n`.
     fn ctx<'a>(
         &'a mut self,
         n: usize,
         start: Cycles,
-        queue: &'a mut ShardQueue<Event>,
+        queue: &'a mut EventQueue<Event>,
     ) -> NodeCtx<'a> {
         NodeCtx {
             id: NodeId::new(n as u16),
             nodes: self.cfg.nodes,
-            cfg: self.cfg,
+            cfg: &self.cfg,
             start,
             cost: Cycles::ZERO,
-            node: &mut self.nodes[n - self.first],
-            network: self.network,
+            node: &mut self.nodes[n],
+            network: &mut self.network,
             queue,
         }
     }
 
     // --- NP execution ---------------------------------------------------
 
-    fn try_dispatch(&mut self, n: usize, now: Cycles, queue: &mut ShardQueue<Event>) {
-        let np = &mut self.nodes[n - self.first].np;
+    fn try_dispatch(&mut self, n: usize, now: Cycles, queue: &mut EventQueue<Event>) {
+        let np = &mut self.nodes[n].np;
         if !np.has_work() {
             return;
         }
         if np.busy_until > now {
             if !np.dispatch_pending {
                 np.dispatch_pending = true;
-                schedule(queue, np.busy_until, Event::NpDispatch(n));
+                queue.schedule(np.busy_until, Event::NpDispatch(n));
             }
             return;
         }
         self.run_one_handler(n, now, queue);
     }
 
-    fn run_one_handler(&mut self, n: usize, now: Cycles, queue: &mut ShardQueue<Event>) {
-        let l = n - self.first;
-        let Some(work) = self.nodes[l].np.next_work() else {
+    fn run_one_handler(&mut self, n: usize, now: Cycles, queue: &mut EventQueue<Event>) {
+        let Some(work) = self.nodes[n].np.next_work() else {
             return;
         };
         let start = now + self.cfg.np_mode.dispatch();
         {
-            let stats = &mut self.nodes[l].np.stats;
+            let stats = &mut self.nodes[n].np.stats;
             stats.handlers.inc();
             match &work {
                 NpWork::Message(_) | NpWork::Timer(_) => {}
@@ -563,7 +452,7 @@ impl<'m> Shard<'m> {
                 NpWork::UserCall(..) => stats.user_calls.inc(),
             }
         }
-        let mut proto = self.protocols[l].take().expect("protocol present");
+        let mut proto = self.protocols[n].take().expect("protocol present");
         let cost = {
             let mut ctx = self.ctx(n, start, queue);
             match work {
@@ -580,8 +469,8 @@ impl<'m> Shard<'m> {
                 c
             }
         };
-        self.protocols[l] = Some(proto);
-        let node = &mut self.nodes[l];
+        self.protocols[n] = Some(proto);
+        let node = &mut self.nodes[n];
         let np = &mut node.np;
         np.busy_until = start + cost;
         np.stats
@@ -598,19 +487,19 @@ impl<'m> Shard<'m> {
         if np.has_work() && !np.dispatch_pending {
             np.dispatch_pending = true;
             let at = np.busy_until;
-            schedule(queue, at, Event::NpDispatch(n));
+            queue.schedule(at, Event::NpDispatch(n));
         }
     }
 
     // --- Packets ---------------------------------------------------------
 
-    fn deliver(&mut self, packet: Packet, now: Cycles, queue: &mut ShardQueue<Event>) {
+    fn deliver(&mut self, packet: Packet, now: Cycles, queue: &mut EventQueue<Event>) {
         let n = packet.dst.index();
         if packet.handler >= MACHINE_HANDLER_BASE {
             self.deliver_machine_packet(packet, now, queue);
             return;
         }
-        self.nodes[n - self.first]
+        self.nodes[n]
             .np
             .enqueue(NpWork::Message(Message::from_packet(packet)));
         self.try_dispatch(n, now, queue);
@@ -620,14 +509,13 @@ impl<'m> Shard<'m> {
         &mut self,
         packet: Packet,
         now: Cycles,
-        queue: &mut ShardQueue<Event>,
+        queue: &mut EventQueue<Event>,
     ) {
         let n = packet.dst.index();
-        let l = n - self.first;
         match packet.handler {
             BULK_DATA => {
                 let dst_addr = VAddr::new(packet.payload.words()[0]);
-                let node = &mut self.nodes[l];
+                let node = &mut self.nodes[n];
                 write_virtual_bytes(&mut node.mem, &node.ptable, dst_addr, packet.payload.data());
                 let np = &mut node.np;
                 let busy = if np.busy_until > now { np.busy_until } else { now };
@@ -638,7 +526,7 @@ impl<'m> Shard<'m> {
                 let (src_base, dst_base, bytes) = (words[0], words[1], words[2]);
                 let (notify_src, notify_dst) = (words[3], words[4]);
                 if notify_dst != NO_HANDLER {
-                    self.nodes[l].np.enqueue(NpWork::Message(Message {
+                    self.nodes[n].np.enqueue(NpWork::Message(Message {
                         src: packet.src,
                         vn: VirtualNet::Response,
                         handler: HandlerId(notify_dst as u32),
@@ -655,12 +543,12 @@ impl<'m> Shard<'m> {
                         payload: Payload::args(&[src_base, dst_base, bytes, notify_src]),
                     };
                     let at = self.network.send(now, &ack);
-                    schedule(queue, at, Event::Deliver(ack));
+                    queue.schedule(at, Event::Deliver(ack));
                 }
             }
             BULK_ACK => {
                 let words = packet.payload.words();
-                self.nodes[l].np.enqueue(NpWork::Message(Message {
+                self.nodes[n].np.enqueue(NpWork::Message(Message {
                     src: packet.src,
                     vn: VirtualNet::Response,
                     handler: HandlerId(words[3] as u32),
@@ -672,18 +560,17 @@ impl<'m> Shard<'m> {
         }
     }
 
-    fn bulk_inject(&mut self, n: usize, id: u64, now: Cycles, queue: &mut ShardQueue<Event>) {
-        let l = n - self.first;
-        let Some(pos) = self.nodes[l].bulk.iter().position(|b| b.id == id) else {
+    fn bulk_inject(&mut self, n: usize, id: u64, now: Cycles, queue: &mut EventQueue<Event>) {
+        let Some(pos) = self.nodes[n].bulk.iter().position(|b| b.id == id) else {
             return;
         };
-        let busy_until = self.nodes[l].np.busy_until;
+        let busy_until = self.nodes[n].np.busy_until;
         if busy_until > now {
-            schedule(queue, busy_until, Event::BulkInject { node: n, id });
+            queue.schedule(busy_until, Event::BulkInject { node: n, id });
             return;
         }
         let (packet, done_packet) = {
-            let node = &mut self.nodes[l];
+            let node = &mut self.nodes[n];
             let b = &mut node.bulk[pos];
             let req = b.request;
             let remaining = req.bytes - b.offset;
@@ -731,54 +618,43 @@ impl<'m> Shard<'m> {
             (packet, done)
         };
         let at = self.network.send(now, &packet);
-        schedule(queue, at, Event::Deliver(packet));
-        let np = &mut self.nodes[l].np;
+        queue.schedule(at, Event::Deliver(packet));
+        let np = &mut self.nodes[n].np;
         np.busy_until = now + BULK_PACKET_CYCLES;
         if let Some(done) = done_packet {
             let at = self.network.send(np.busy_until, &done);
-            schedule(queue, at, Event::Deliver(done));
-            self.nodes[l].bulk.remove(pos);
+            queue.schedule(at, Event::Deliver(done));
+            self.nodes[n].bulk.remove(pos);
         } else {
             let at = np.busy_until;
-            schedule(queue, at, Event::BulkInject { node: n, id });
+            queue.schedule(at, Event::BulkInject { node: n, id });
         }
     }
 }
 
-impl CpuHost for Shard<'_> {
-    type Event = Event;
-
-    fn config(&self) -> &SystemConfig {
-        self.cfg
-    }
-
-    fn workload(&self) -> &Mutex<Box<dyn Workload>> {
-        self.workload
-    }
-
-    fn nodes(&self) -> Range<usize> {
-        self.first..self.first + self.nodes.len()
+impl CpuHost for TyphoonMachine {
+    fn workload(&mut self) -> &mut dyn Workload {
+        &mut *self.workload
     }
 
     #[inline]
     fn cpu(&mut self, n: usize) -> &mut Stream {
-        &mut self.nodes[n - self.first].cpu.stream
+        &mut self.nodes[n].cpu.stream
     }
 
     #[inline]
-    fn access(&mut self, n: usize, access: Access, queue: &mut ShardQueue<Event>) -> Flow {
-        let node = &mut self.nodes[n - self.first];
-        issue_access(self.cfg, node, queue, access)
+    fn access(&mut self, n: usize, access: Access, queue: &mut EventQueue<Event>) -> Flow {
+        issue_access(&self.cfg, &mut self.nodes[n], queue, access)
     }
 
     /// A protocol call suspends the thread and queues the call as NP
     /// work one cycle later; the handler resumes it.
-    fn user_call(&mut self, n: usize, op: u32, arg: u64, queue: &mut ShardQueue<Event>) -> Flow {
-        let cpu = &mut self.nodes[n - self.first].cpu;
+    fn user_call(&mut self, n: usize, op: u32, arg: u64, queue: &mut EventQueue<Event>) -> Flow {
+        let cpu = &mut self.nodes[n].cpu;
         cpu.stream.block(Stall::Call);
         let work = NpWork::UserCall(cpu.thread(), UserCall { op, arg });
         let at = cpu.stream.clock + Cycles::new(1);
-        schedule(queue, at, Event::NpWork { node: n, work });
+        queue.schedule(at, Event::NpWork { node: n, work });
         Flow::Blocked
     }
 
@@ -795,7 +671,7 @@ impl CpuHost for Shard<'_> {
 pub(crate) fn issue_access(
     cfg: &SystemConfig,
     node: &mut NodeState,
-    queue: &mut ShardQueue<Event>,
+    queue: &mut EventQueue<Event>,
     access: Access,
 ) -> Flow {
     let Access {
@@ -840,7 +716,7 @@ pub(crate) fn issue_access(
     cpu.stream.block(Stall::Fault);
     let at = cpu.stream.clock;
     let node = cpu.id.index();
-    schedule(queue, at, Event::NpWork { node, work });
+    queue.schedule(at, Event::NpWork { node, work });
     Flow::Blocked
 }
 

@@ -298,112 +298,6 @@ fn bulk_transfer_moves_data_and_notifies() {
     assert_eq!(result.report.get("np.bulk_packets"), Some(4.0));
 }
 
-/// Every node pings its ring successor on a user call; the handler
-/// replies and the reply resumes the caller. Unlike [`Ping`], this keeps
-/// cross-node request/response traffic flowing between *all* node pairs,
-/// so any shard split sees messages crossing its boundary.
-#[derive(Default)]
-struct RingPing {
-    node: u16,
-    nodes: u16,
-    waiting: Option<ThreadId>,
-}
-
-impl Protocol for RingPing {
-    fn on_page_fault(&mut self, ctx: &mut dyn TempestCtx, fault: PageFault) {
-        ctx.charge(30);
-        let ppn = ctx.alloc_page();
-        ctx.map_page(fault.addr.page(), ppn).unwrap();
-        ctx.set_page_tags(fault.addr.page(), Tag::ReadWrite);
-        ctx.resume(fault.thread);
-    }
-    fn on_block_fault(&mut self, _ctx: &mut dyn TempestCtx, _fault: BlockFault) {
-        unreachable!()
-    }
-    fn on_message(&mut self, ctx: &mut dyn TempestCtx, msg: Message) {
-        match msg.handler {
-            PING => {
-                ctx.charge(10);
-                ctx.send(msg.src, VirtualNet::Response, PONG, Payload::args(&[]));
-            }
-            PONG => {
-                ctx.charge(5);
-                let t = self.waiting.take().expect("a thread is waiting");
-                ctx.resume(t);
-            }
-            other => panic!("unexpected handler {other:?}"),
-        }
-    }
-    fn on_user_call(&mut self, ctx: &mut dyn TempestCtx, thread: ThreadId, call: UserCall) {
-        self.waiting = Some(thread);
-        ctx.charge(8);
-        ctx.send(
-            NodeId::new((self.node + 1) % self.nodes),
-            VirtualNet::Request,
-            PING,
-            Payload::args(&[call.arg]),
-        );
-    }
-}
-
-/// The tentpole acceptance check at machine level: one workload mixing
-/// page faults, barriers, and all-pairs-adjacent cross-node messaging
-/// must produce byte-identical cycles and statistics at every
-/// `sim_threads` value, including counts that do not divide the node
-/// count evenly.
-#[test]
-fn parallel_simulation_is_bit_identical_to_sequential() {
-    let run = |sim_threads: usize, tie_shuffle: Option<u64>| {
-        let nodes = 6;
-        let mut script = Script::new(nodes, empty_layout());
-        for n in 0..nodes {
-            let mut ops = Vec::new();
-            for i in 0..40u64 {
-                ops.push(Op::Compute(1 + (n as u32) * 3));
-                ops.push(Op::Write {
-                    addr: shared((n as u64) * 65536 + 8 * i),
-                    value: i,
-                });
-                ops.push(Op::UserCall { op: 1, arg: i });
-                if i % 8 == 7 {
-                    ops.push(Op::Barrier);
-                }
-            }
-            ops.push(Op::Barrier);
-            script.set(n, ops);
-        }
-        let mut cfg = cfg(nodes);
-        cfg.sim_threads = sim_threads;
-        let mut m = TyphoonMachine::new(cfg, Box::new(script), &|id, _, cfg| {
-            Box::new(RingPing {
-                node: id.raw(),
-                nodes: cfg.nodes as u16,
-                waiting: None,
-            })
-        });
-        if let Some(seed) = tie_shuffle {
-            m.set_tie_shuffle(seed);
-        }
-        let result = m.run();
-        let rows: Vec<(String, f64)> = result
-            .report
-            .iter()
-            .map(|r| (r.name.clone(), r.value))
-            .collect();
-        (result.cycles, rows)
-    };
-    for tie_shuffle in [None, Some(0xDEAD_BEEF)] {
-        let sequential = run(1, tie_shuffle);
-        for threads in [2, 3, 4, 6, 8] {
-            let parallel = run(threads, tie_shuffle);
-            assert_eq!(
-                sequential, parallel,
-                "sim_threads={threads} diverged (tie_shuffle={tie_shuffle:?})"
-            );
-        }
-    }
-}
-
 #[test]
 fn same_seed_is_bit_deterministic() {
     let run = || {
