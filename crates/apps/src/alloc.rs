@@ -122,11 +122,6 @@ impl OwnedArray {
     pub fn count(&self, owner: usize) -> usize {
         self.counts[owner]
     }
-
-    /// Total bytes of backing pages (the array's memory footprint).
-    pub fn footprint_bytes(&self) -> usize {
-        self.owner_pages.iter().sum::<usize>() * PAGE_BYTES
-    }
 }
 
 /// A flat shared array whose pages are homed round-robin across nodes.
@@ -230,7 +225,7 @@ mod tests {
         }
         // First element of owner 1 starts exactly at its first page.
         assert_eq!(a.addr(1, 0, 0).raw() % PAGE_BYTES as u64, 0);
-        assert_eq!(a.footprint_bytes(), 6 * PAGE_BYTES);
+        assert_eq!(r.bytes, 6 * PAGE_BYTES);
     }
 
     #[test]

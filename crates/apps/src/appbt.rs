@@ -81,8 +81,7 @@ pub struct Appbt {
     /// Native state, indexed `[cell][word]` with `cell = (z*n + y)*n + x`.
     u_native: Vec<[f64; VEC]>,
     rhs_native: Vec<[f64; VEC]>,
-    /// Processor grid (bands in y, bands in z).
-    py: usize,
+    /// Bands in z of the processor grid (owner = `by * pz + bz`).
     pz: usize,
     /// First row / rows per y-band.
     first_y: Vec<usize>,
@@ -141,7 +140,6 @@ impl Appbt {
             rhs,
             u_native,
             rhs_native,
-            py,
             pz,
             first_y,
             rows_y,
@@ -155,11 +153,6 @@ impl Appbt {
     /// The parameters this instance was built with.
     pub fn params(&self) -> &AppbtParams {
         &self.params
-    }
-
-    /// The processor grid dimensions `(py, pz)`.
-    pub fn grid(&self) -> (usize, usize) {
-        (self.py, self.pz)
     }
 
     fn band_of(firsts: &[usize], sizes: &[usize], coord: usize) -> usize {

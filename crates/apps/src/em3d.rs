@@ -25,6 +25,7 @@ use tt_base::DetRng;
 
 use crate::alloc::{even_split, ArenaPlanner, OwnedArray};
 use crate::phased::PhasedApp;
+use crate::SyncMode;
 
 /// Page modes matching `tt_stache::custom::{EM3D_E_MODE, EM3D_H_MODE}`.
 /// Redeclared here so the apps crate does not depend on the protocol
@@ -36,15 +37,6 @@ pub const H_MODE: u8 = 3;
 /// The protocol-call op code for the phase flush (must equal
 /// `tt_stache::custom::FLUSH_OP`).
 pub const FLUSH_OP: u32 = 1;
-
-/// How phases synchronize.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SyncMode {
-    /// Hardware barrier between phases (transparent shared memory).
-    Barrier,
-    /// Custom-protocol flush calls; barriers only around iteration 0.
-    Flush,
-}
 
 /// EM3D parameters.
 #[derive(Clone, Debug)]
@@ -61,7 +53,8 @@ pub struct Em3dParams {
     pub procs: usize,
     /// Graph-generation seed.
     pub seed: u64,
-    /// Synchronization mode.
+    /// Synchronization mode: under [`SyncMode::Flush`], hardware
+    /// barriers only around iteration 0.
     pub sync: SyncMode,
 }
 

@@ -473,6 +473,22 @@ mod tests {
     }
 
     #[test]
+    fn update_serving_handles_slots_wider_than_a_page_fraction() {
+        // 8-word values make 72-byte slots; none may straddle a page,
+        // because a put ships all of a key's blocks to one home.
+        let mut params = KvParams::small(KvVariant::Update);
+        params.value_words = 8;
+        params.write_pct = 50;
+        params.requests_per_node = 32;
+        let cfg = SystemConfig::test_config(params.nodes);
+        let out = run_kv_update(&cfg, &params);
+        assert_eq!(
+            out.lat.requests(),
+            params.requests_per_node * params.nodes as u64
+        );
+    }
+
+    #[test]
     fn variants_agree_on_request_counts() {
         // Same seed, same mix: the two variants serve the identical
         // request stream (the litmus family proves value agreement; this

@@ -42,3 +42,14 @@ pub mod phased;
 pub use datasets::{AppId, DataSet};
 pub use kv_update::{run_kv_update, KvUpdateProtocol};
 pub use phased::{PhasedApp, PhasedWorkload};
+
+/// How the delayed-update apps ([`em3d`], [`ocean`]) synchronize phases.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SyncMode {
+    /// Hardware barrier between phases (transparent shared memory).
+    Barrier,
+    /// Custom-mode pages and a phase-end flush call to the delayed-update
+    /// protocol (`tt_stache::Em3dUpdateProtocol`), which pushes the
+    /// freshly written values to the nodes holding copies.
+    Flush,
+}

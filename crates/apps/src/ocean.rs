@@ -17,36 +17,25 @@
 //!
 //! # Boundary-push mode
 //!
-//! [`OceanSync::Push`] demonstrates that the paper's delayed-update idea
+//! [`SyncMode::Flush`] demonstrates that the paper's delayed-update idea
 //! (Section 4) is not EM3D-specific: each band's *boundary rows* are
 //! allocated on custom-mode pages, and a per-sweep flush pushes the
 //! freshly written boundary values to the neighbors holding copies —
 //! one update message per boundary block per sweep instead of the
 //! invalidate/ack/request/response round trips of transparent shared
-//! memory. Run it with `tt_stache::DelayedUpdateProtocol`.
+//! memory. Run it with `tt_stache::Em3dUpdateProtocol`.
 
 use tt_base::workload::{Layout, Op};
 
 use crate::alloc::{ArenaPlanner, OwnedArray};
 use crate::phased::PhasedApp;
+use crate::SyncMode;
 
 /// Mode of grid 0's boundary pages (= the delayed-update protocol's
 /// first custom mode).
 pub const BOUNDARY_MODE_G0: u8 = crate::em3d::E_MODE;
 /// Mode of grid 1's boundary pages.
 pub const BOUNDARY_MODE_G1: u8 = crate::em3d::H_MODE;
-
-/// How sweeps synchronize boundary data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OceanSync {
-    /// Plain barriers; boundary rows are ordinary shared pages
-    /// (transparent shared memory / hardware coherence).
-    Barrier,
-    /// Boundary rows live on custom update pages; each sweep ends with a
-    /// protocol flush that pushes the new boundary values (run under
-    /// `tt_stache::DelayedUpdateProtocol`).
-    Push,
-}
 
 /// Ocean parameters.
 #[derive(Clone, Debug)]
@@ -57,8 +46,10 @@ pub struct OceanParams {
     pub iterations: usize,
     /// Processors.
     pub procs: usize,
-    /// Boundary synchronization mode.
-    pub sync: OceanSync,
+    /// Boundary synchronization mode: under [`SyncMode::Flush`] the
+    /// boundary rows live on custom update pages and each sweep ends with
+    /// a flush that pushes the new boundary values.
+    pub sync: SyncMode,
 }
 
 impl OceanParams {
@@ -72,7 +63,7 @@ impl OceanParams {
             n,
             iterations: 4,
             procs,
-            sync: OceanSync::Barrier,
+            sync: SyncMode::Barrier,
         }
     }
 }
@@ -96,7 +87,7 @@ pub struct Ocean {
     params: OceanParams,
     /// Interior rows of the two grids, owner-placed, mode 0.
     grids: [OwnedArray; 2],
-    /// Boundary rows of the two grids. In `Push` mode these carry the
+    /// Boundary rows of the two grids. In `Flush` mode these carry the
     /// delayed-update page modes; in `Barrier` mode they are ordinary
     /// pages (mode 0) and behave exactly like the interior.
     bounds: [OwnedArray; 2],
@@ -145,8 +136,8 @@ impl Ocean {
         let interior_elems: Vec<usize> = interior_counts.iter().map(|&r| r * n).collect();
         let boundary_elems: Vec<usize> = boundary_counts.iter().map(|&r| r * n).collect();
         let (mode0, mode1) = match params.sync {
-            OceanSync::Barrier => (0, 0),
-            OceanSync::Push => (BOUNDARY_MODE_G0, BOUNDARY_MODE_G1),
+            SyncMode::Barrier => (0, 0),
+            SyncMode::Flush => (BOUNDARY_MODE_G0, BOUNDARY_MODE_G1),
         };
         let mut planner = ArenaPlanner::new();
         let grids = [
@@ -187,16 +178,6 @@ impl Ocean {
     /// The parameters this instance was built with.
     pub fn params(&self) -> &OceanParams {
         &self.params
-    }
-
-    /// Total interior grid points relaxed per sweep.
-    pub fn points_per_sweep(&self) -> usize {
-        (self.params.n - 2) * (self.params.n - 2)
-    }
-
-    /// The processor that owns grid row `row`.
-    pub fn owner_of_row(&self, row: usize) -> usize {
-        self.rows[row].owner
     }
 
     fn addr(&self, g: usize, row: usize, col: usize) -> tt_base::VAddr {
@@ -287,7 +268,7 @@ impl Ocean {
                 addr: self.partials.addr(p, 0, 0),
                 value: partial.to_bits(),
             });
-            if self.params.sync == OceanSync::Push {
+            if self.params.sync == SyncMode::Flush {
                 // Push the dst grid's freshly written boundary rows to
                 // whoever holds copies, and wait for the updates of the
                 // boundary blocks we hold.
@@ -360,17 +341,17 @@ mod tests {
             n: 16,
             iterations: 2,
             procs: 4,
-            sync: OceanSync::Barrier,
+            sync: SyncMode::Barrier,
         }
     }
 
     #[test]
     fn rows_are_block_partitioned() {
         let o = Ocean::new(small());
-        assert_eq!(o.owner_of_row(0), 0);
-        assert_eq!(o.owner_of_row(3), 0);
-        assert_eq!(o.owner_of_row(4), 1);
-        assert_eq!(o.owner_of_row(15), 3);
+        assert_eq!(o.rows[0].owner, 0);
+        assert_eq!(o.rows[3].owner, 0);
+        assert_eq!(o.rows[4].owner, 1);
+        assert_eq!(o.rows[15].owner, 3);
     }
 
     #[test]
@@ -410,7 +391,7 @@ mod tests {
     #[test]
     fn push_mode_marks_boundary_pages_and_emits_flushes() {
         let mut p = small();
-        p.sync = OceanSync::Push;
+        p.sync = SyncMode::Flush;
         let mut o = Ocean::new(p);
         let modes: Vec<u8> = o.layout().regions.iter().map(|r| r.mode).collect();
         assert_eq!(modes, vec![0, 0, BOUNDARY_MODE_G0, BOUNDARY_MODE_G1, 0]);
@@ -452,8 +433,16 @@ mod tests {
     }
 
     #[test]
-    fn points_per_sweep_counts_interior() {
-        let o = Ocean::new(small());
-        assert_eq!(o.points_per_sweep(), 14 * 14);
+    fn sweep_writes_every_interior_point_once() {
+        let mut o = Ocean::new(small());
+        let _ = o.next_phase();
+        let sweep = o.next_phase().unwrap();
+        let partial_base = o.partials.addr(0, 0, 0).raw();
+        let writes = sweep
+            .iter()
+            .flatten()
+            .filter(|op| matches!(op, Op::Write { addr, .. } if addr.raw() < partial_base))
+            .count();
+        assert_eq!(writes, 14 * 14);
     }
 }

@@ -94,19 +94,6 @@ impl<A: PhasedApp> Workload for PhasedWorkload<A> {
     fn next_chunk(&mut self, cpu: NodeId) -> Option<Vec<Op>> {
         self.pull(cpu)
     }
-
-    fn next_chunk_into(&mut self, cpu: NodeId, buf: &mut Vec<Op>) -> bool {
-        match self.pull(cpu) {
-            Some(chunk) => {
-                *buf = chunk;
-                true
-            }
-            None => {
-                buf.clear();
-                false
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -71,33 +71,10 @@ macro_rules! addr_impl {
                 (self.page_offset() as usize) / BLOCK_BYTES
             }
 
-            /// Byte offset within the coherence block.
-            #[inline]
-            pub const fn block_offset(self) -> u64 {
-                self.0 % BLOCK_BYTES as u64
-            }
-
             /// The address rounded down to its block base.
             #[inline]
             pub const fn block_base(self) -> Self {
                 Self(self.0 - self.0 % BLOCK_BYTES as u64)
-            }
-
-            /// The address rounded down to its page base.
-            #[inline]
-            pub const fn page_base(self) -> Self {
-                Self(self.0 - self.0 % PAGE_BYTES as u64)
-            }
-
-            /// Index of the word within the block (0..[`WORDS_PER_BLOCK`]).
-            ///
-            /// # Panics
-            ///
-            /// Panics in debug builds if the address is not word-aligned.
-            #[inline]
-            pub fn word_in_block(self) -> usize {
-                debug_assert_eq!(self.0 % WORD_BYTES as u64, 0, "unaligned word access");
-                (self.block_offset() as usize) / WORD_BYTES
             }
 
             /// Adds a byte offset.
@@ -169,10 +146,7 @@ mod tests {
         assert_eq!(a.page(), Vpn(0x10001));
         assert_eq!(a.page_offset(), 0x230);
         assert_eq!(a.block_in_page(), 0x230 / 32);
-        assert_eq!(a.block_offset(), 0x230 % 32);
-        assert_eq!(a.word_in_block(), (0x230 % 32) / 8);
         assert_eq!(a.block_base().raw(), 0x1000_1220);
-        assert_eq!(a.page_base().raw(), 0x1000_1000);
     }
 
     #[test]

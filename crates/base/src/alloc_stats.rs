@@ -80,10 +80,3 @@ pub fn alloc_count() -> u64 {
 pub fn reset_peak() {
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
 }
-
-/// Whether a [`CountingAlloc`] is actually installed in this process
-/// (detected by the counters moving at all — the bench binaries install
-/// it, unit-test binaries generally do not).
-pub fn installed() -> bool {
-    COUNT.load(Ordering::Relaxed) > 0
-}

@@ -29,11 +29,6 @@ impl NodeId {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Iterates over all node ids of an `n`-node machine.
-    pub fn all(n: usize) -> impl Iterator<Item = NodeId> {
-        (0..n as u16).map(NodeId)
-    }
 }
 
 impl From<u16> for NodeId {
@@ -59,10 +54,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_enumerates_in_order() {
-        let ids: Vec<_> = NodeId::all(4).collect();
-        assert_eq!(ids, vec![NodeId::new(0), NodeId::new(1), NodeId::new(2), NodeId::new(3)]);
-        assert_eq!(ids[3].index(), 3);
+    fn index_is_the_raw_id() {
+        assert_eq!(NodeId::new(3).index(), 3);
+        assert_eq!(NodeId::new(3).raw(), 3);
     }
 
     #[test]

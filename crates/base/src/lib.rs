@@ -16,11 +16,11 @@
 //! # Example
 //!
 //! ```
-//! use tt_base::addr::{VAddr, BLOCK_BYTES};
+//! use tt_base::addr::VAddr;
 //! use tt_base::config::SystemConfig;
 //!
-//! let a = VAddr::new(0x1000_0040);
-//! assert_eq!(a.block_offset(), 0x40 % BLOCK_BYTES as u64);
+//! let a = VAddr::new(0x1000_0048);
+//! assert_eq!(a.block_base(), VAddr::new(0x1000_0040));
 //! let cfg = SystemConfig::default();
 //! assert_eq!(cfg.nodes, 32);
 //! ```

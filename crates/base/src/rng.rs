@@ -143,11 +143,6 @@ impl Zipf {
         Zipf { n, s, h_n, h_x1, cut }
     }
 
-    /// Number of ranks.
-    pub fn ranks(&self) -> u64 {
-        self.n
-    }
-
     /// The configured skew.
     pub fn skew(&self) -> f64 {
         self.s

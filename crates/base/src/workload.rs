@@ -166,11 +166,6 @@ impl Layout {
             })
         })
     }
-
-    /// Total pages across all regions.
-    pub fn total_pages(&self) -> usize {
-        self.regions.iter().map(Region::pages).sum()
-    }
 }
 
 /// A parallel program: one op stream per processor, plus a layout.
@@ -191,26 +186,6 @@ pub trait Workload: Send {
     /// processor's program has ended. Chunks may be any nonzero length;
     /// the machine consumes them in order.
     fn next_chunk(&mut self, cpu: NodeId) -> Option<Vec<Op>>;
-
-    /// Refills `buf` with the next chunk for `cpu`, returning `false`
-    /// when the program has ended (in which case `buf` is left empty).
-    ///
-    /// The machines call this on each refill so a workload can reuse the
-    /// processor's chunk buffer instead of allocating a fresh `Vec` per
-    /// chunk. The default delegates to [`Workload::next_chunk`];
-    /// implementations that own their chunks should override it.
-    fn next_chunk_into(&mut self, cpu: NodeId, buf: &mut Vec<Op>) -> bool {
-        match self.next_chunk(cpu) {
-            Some(chunk) => {
-                *buf = chunk;
-                true
-            }
-            None => {
-                buf.clear();
-                false
-            }
-        }
-    }
 }
 
 /// Merges runs of consecutive [`Op::Compute`] ops in place, saturating
@@ -296,19 +271,6 @@ impl Workload for ScriptWorkload {
     fn next_chunk(&mut self, cpu: NodeId) -> Option<Vec<Op>> {
         self.per_cpu[cpu.index()].take()
     }
-
-    fn next_chunk_into(&mut self, cpu: NodeId, buf: &mut Vec<Op>) -> bool {
-        match self.per_cpu[cpu.index()].take() {
-            Some(ops) => {
-                *buf = ops;
-                true
-            }
-            None => {
-                buf.clear();
-                false
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -351,7 +313,6 @@ mod tests {
         l.add(region(0x20000, 2, Placement::Cyclic));
         let pages: Vec<_> = l.pages(2).collect();
         assert_eq!(pages.len(), 5);
-        assert_eq!(l.total_pages(), 5);
         assert_eq!(pages[0], (Vpn(0x10000), NodeId::new(0), 0));
         assert_eq!(pages[1], (Vpn(0x10001), NodeId::new(1), 0));
     }
@@ -426,17 +387,6 @@ mod tests {
         let mut one = vec![Op::Barrier];
         coalesce_computes(&mut one);
         assert_eq!(one, vec![Op::Barrier]);
-    }
-
-    #[test]
-    fn next_chunk_into_default_and_override_agree() {
-        let mut w = ScriptWorkload::new(1);
-        w.set(0, vec![Op::Compute(7), Op::Barrier]);
-        let mut buf = Vec::new();
-        assert!(w.next_chunk_into(NodeId::new(0), &mut buf));
-        assert_eq!(buf, vec![Op::Compute(7), Op::Barrier]);
-        assert!(!w.next_chunk_into(NodeId::new(0), &mut buf));
-        assert!(buf.is_empty());
     }
 
     #[test]

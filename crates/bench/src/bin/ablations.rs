@@ -36,10 +36,9 @@ use std::time::Instant;
 use tt_base::table::Table;
 use tt_base::Topology;
 use tt_bench::json::PointRecord;
-use tt_bench::{
-    build_app, min_of_runs, par, run_system, sync_for, RunOutcome, System,
-};
-use tt_apps::{AppId, DataSet};
+use tt_bench::{build_app, par, run_system, sync_for, RunOutcome, System};
+use tt_apps::ocean::{Ocean, OceanParams};
+use tt_apps::{AppId, DataSet, PhasedWorkload, SyncMode};
 
 /// A throughput record for one completed run.
 fn record(point: String, system: &str, out: &RunOutcome) -> PointRecord {
@@ -236,55 +235,31 @@ fn main() {
 
     println!("ABLATION 6. Ocean with a custom boundary-push protocol.\n");
     let mut t = Table::new(vec!["protocol", "cycles", "net packets"]);
-    {
-        use tt_apps::ocean::{Ocean, OceanParams, OceanSync};
-        use tt_apps::PhasedWorkload;
-        use tt_stache::{DelayedUpdateProtocol, StacheProtocol};
-        use tt_typhoon::TyphoonMachine;
-        let mut p = OceanParams::table3(DataSet::Small, nodes);
-        p.n = (p.n / (scale.min(4))).max(16);
-        p.iterations = 6;
-        // Task 0: transparent Stache; task 1: the custom push protocol.
-        let outs = par::run_indexed(jobs, 2, |i| {
-            min_of_runs(repeat, || {
-                let start = Instant::now();
-                let r = if i == 0 {
-                    TyphoonMachine::new(
-                        base_cfg.clone(),
-                        Box::new(PhasedWorkload::new(Ocean::new(p.clone()))),
-                        &|id, layout, cfg| Box::new(StacheProtocol::new(id, layout, cfg)),
-                    )
-                    .run()
-                } else {
-                    let mut p = p.clone();
-                    p.sync = OceanSync::Push;
-                    TyphoonMachine::new(
-                        base_cfg.clone(),
-                        Box::new(PhasedWorkload::new(Ocean::new(p))),
-                        &|id, layout, cfg| Box::new(DelayedUpdateProtocol::new(id, layout, cfg)),
-                    )
-                    .run()
-                };
-                let wall_secs = start.elapsed().as_secs_f64();
-                let ops = r.report.get("cpu.ops").unwrap_or(0.0) as u64;
-                RunOutcome {
-                    cycles: r.cycles,
-                    report: r.report,
-                    wall_secs,
-                    ops,
-                    peak_bytes: 0,
-                    allocs: 0,
-                }
-            })
-        });
-        for (name, r) in [("Typhoon/Stache", &outs[0]), ("Typhoon/Push", &outs[1])] {
-            t.row(vec![
-                name.to_string(),
-                r.cycles.to_string(),
-                format!("{}", r.report.get("net.packets").unwrap_or(0.0)),
-            ]);
-            records.push(record("ablation6 ocean push".into(), name, r));
-        }
+    let mut p = OceanParams::table3(DataSet::Small, nodes);
+    p.n = (p.n / (scale.min(4))).max(16);
+    p.iterations = 6;
+    // Task 0: transparent Stache; task 1: the delayed-update protocol
+    // pushing boundary rows.
+    let legs = [
+        ("Typhoon/Stache", System::TyphoonStache, SyncMode::Barrier),
+        ("Typhoon/Push", System::TyphoonUpdate, SyncMode::Flush),
+    ];
+    let outs = par::run_indexed(jobs, legs.len(), |i| {
+        let (_, system, sync) = legs[i];
+        run_system(system, &base_cfg, repeat, || {
+            Box::new(PhasedWorkload::new(Ocean::new(OceanParams {
+                sync,
+                ..p.clone()
+            })))
+        })
+    });
+    for ((name, _, _), r) in legs.into_iter().zip(&outs) {
+        t.row(vec![
+            name.to_string(),
+            r.cycles.to_string(),
+            format!("{}", r.report.get("net.packets").unwrap_or(0.0)),
+        ]);
+        records.push(record("ablation6 ocean push".into(), name, r));
     }
     println!("{t}");
     println!("(boundary rows are pushed once per sweep instead of the\ninvalidate/ack/request/response round trips)\n");

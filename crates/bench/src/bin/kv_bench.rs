@@ -27,7 +27,7 @@ use tt_base::table::Table;
 use tt_base::{FaultSpec, SystemConfig};
 use tt_bench::json::PointRecord;
 use tt_bench::{cli, par};
-use tt_serve::{run_kv_stache, KvOutcome, KvParams, KvVariant};
+use tt_serve::{run_kv_stache, KvOutcome, KvParams, KvVariant, MAX_VALUE_WORDS};
 
 /// Request mixes swept: percent of requests that are puts.
 const MIXES: [u32; 2] = [5, 50];
@@ -81,10 +81,18 @@ Stache-served and write-update-served caches (default --nodes 32).
 
   --keys N                 keys in the cache (default 2048)
   --requests N             requests per node (default 256)
-  --value-words N          words per value (default 4)
+  --value-words N          words per value, 1 to 255 (default 4)
   --interarrival CYCLES    mean open-loop interarrival (default 500)
   --fault-rate PERMILLE    lossy network: drop/duplicate rate (default 0)
 ";
+
+/// [`cli::number`] for a flag that must lie in `1..=max`.
+fn bounded(args: &[String], i: usize, flag: &str, max: usize) -> Result<usize, String> {
+    match cli::number(args, i, flag)? {
+        n if (1..=max).contains(&n) => Ok(n),
+        _ => Err(format!("{flag}: must be 1 to {max}")),
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -97,9 +105,11 @@ fn main() {
     };
     let shared = cli::parse_cli_with(&args, 1, USAGE, &mut |flag, args, i| {
         match flag {
-            "--keys" => kv.keys = cli::number(args, *i, "--keys")? as u64,
+            "--keys" => kv.keys = bounded(args, *i, "--keys", u32::MAX as usize)? as u64,
             "--requests" => kv.requests_per_node = cli::number(args, *i, "--requests")? as u64,
-            "--value-words" => kv.value_words = cli::number(args, *i, "--value-words")?.max(1),
+            "--value-words" => {
+                kv.value_words = bounded(args, *i, "--value-words", MAX_VALUE_WORDS)?;
+            }
             "--interarrival" => {
                 kv.mean_interarrival = cli::number(args, *i, "--interarrival")?.max(1) as f64;
             }

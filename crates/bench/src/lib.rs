@@ -41,10 +41,10 @@ use tt_base::workload::Workload;
 use tt_base::{Cycles, SystemConfig};
 use tt_apps::appbt::{Appbt, AppbtParams};
 use tt_apps::barnes::{Barnes, BarnesParams};
-use tt_apps::em3d::{Em3d, Em3dParams, SyncMode};
+use tt_apps::em3d::{Em3d, Em3dParams};
 use tt_apps::mp3d::{Mp3d, Mp3dParams};
 use tt_apps::ocean::{Ocean, OceanParams};
-use tt_apps::{AppId, DataSet, PhasedWorkload};
+use tt_apps::{AppId, DataSet, PhasedWorkload, SyncMode};
 use tt_dirnnb::DirnnbMachine;
 use tt_stache::{Em3dUpdateProtocol, StacheProtocol};
 use tt_typhoon::TyphoonMachine;
@@ -165,7 +165,7 @@ pub fn build_app(
 }
 
 /// Runs a workload on the chosen system `repeat` times (min-of-N wall
-/// time, cycles asserted identical; see [`min_of_runs`]); `build`
+/// time, cycles asserted identical across repeats); `build`
 /// constructs a fresh workload for each run.
 pub fn run_system(
     system: System,
@@ -214,7 +214,7 @@ fn run_once(system: System, cfg: &SystemConfig, workload: Box<dyn Workload>) -> 
 /// deterministic, so any divergence is a bug — and keeping the outcome
 /// with the smallest wall time. Min-of-N is the standard way to take a
 /// wall-clock measurement on a machine with background noise.
-pub fn min_of_runs(repeat: usize, run: impl Fn() -> RunOutcome) -> RunOutcome {
+fn min_of_runs(repeat: usize, run: impl Fn() -> RunOutcome) -> RunOutcome {
     let mut best = run();
     for _ in 1..repeat.max(1) {
         let out = run();

@@ -68,23 +68,42 @@ fn bad_arguments_print_one_error_line_and_exit_two() {
         &["--nodes", "0"],
         &["--nodes", "70000"],
     ];
+    let check = |name: &str, exe: &str, args: &[&str]| {
+        let out = run(exe, args);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name} {args:?}: nothing on stdout");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error: ") && first.contains(args[0]),
+            "{name} {args:?}: first line {first:?}"
+        );
+        assert_eq!(
+            stderr.lines().filter(|l| l.starts_with("error:")).count(),
+            1,
+            "{name} {args:?}: one error line"
+        );
+        assert!(
+            stderr.contains(&format!("Usage: {name} ")),
+            "{name}: usage follows"
+        );
+        assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
+    };
     for (name, exe) in BINARIES {
         for args in cases {
-            let out = run(exe, args);
-            let stderr = text(&out.stderr);
-            assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
-            assert!(out.stdout.is_empty(), "{name} {args:?}: nothing on stdout");
-            let first = stderr.lines().next().unwrap_or_default();
-            assert!(
-                first.starts_with("error: ") && first.contains(args[0]),
-                "{name} {args:?}: first line {first:?}"
-            );
-            assert!(
-                stderr.contains(&format!("Usage: {name} ")),
-                "{name}: usage follows"
-            );
-            assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
+            check(name, exe, args);
         }
+    }
+    // kv_bench's own flags: an empty key space and a value length the
+    // slot header cannot record (it packs the length into 8 bits) are
+    // usage errors, not a panic or a silent clamp.
+    let (name, kv_bench) = BINARIES[3];
+    for args in [
+        &["--keys", "0"][..],
+        &["--value-words", "0"],
+        &["--value-words", "256"],
+    ] {
+        check(name, kv_bench, args);
     }
 }
 

@@ -15,8 +15,7 @@
 //! | `invalidate`  | protocol handlers        | [`TempestCtx::invalidate_block`] (also purges CPU-cached copies) |
 //! | `resume`      | protocol handlers        | [`TempestCtx::resume`] |
 //!
-//! [`TagOp`] names the operations so tests, statistics, and documentation
-//! can refer to them uniformly.
+//! [`TagOp`] names the operations; `tables` prints Table 1 from it.
 //!
 //! [`TempestCtx::force_read_block`]: crate::TempestCtx::force_read_block
 //! [`TempestCtx::force_write_block`]: crate::TempestCtx::force_write_block
@@ -26,8 +25,6 @@
 //! [`TempestCtx::resume`]: crate::TempestCtx::resume
 //! [`Tag::ReadWrite`]: tt_mem::Tag::ReadWrite
 //! [`Tag::ReadOnly`]: tt_mem::Tag::ReadOnly
-
-use tt_mem::{AccessKind, Tag};
 
 /// The nine Tempest operations on tagged memory blocks (Table 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -95,35 +92,6 @@ impl TagOp {
             TagOp::Resume => "Resume suspended thread(s)",
         }
     }
-
-    /// For the tag-setting operations, the tag value written.
-    pub fn tag_written(self) -> Option<Tag> {
-        match self {
-            TagOp::SetRw => Some(Tag::ReadWrite),
-            TagOp::SetRo => Some(Tag::ReadOnly),
-            TagOp::Invalidate => Some(Tag::Invalid),
-            _ => None,
-        }
-    }
-
-    /// For the tag-checked accesses, the access kind checked.
-    pub fn checked_access(self) -> Option<AccessKind> {
-        match self {
-            TagOp::Read => Some(AccessKind::Load),
-            TagOp::Write => Some(AccessKind::Store),
-            _ => None,
-        }
-    }
-}
-
-/// Whether a tag-checked access of kind `kind` on a block tagged `tag`
-/// completes normally (`true`) or raises a block access fault (`false`).
-///
-/// This is the single permission predicate every machine in the workspace
-/// uses; Section 2.4's rules reduce to it.
-#[inline]
-pub fn access_permitted(tag: Tag, kind: AccessKind) -> bool {
-    tag.permits(kind)
 }
 
 #[cfg(test)]
@@ -148,31 +116,6 @@ mod tests {
                 "resume"
             ]
         );
-    }
-
-    #[test]
-    fn tag_written_matches_table_1() {
-        assert_eq!(TagOp::SetRw.tag_written(), Some(Tag::ReadWrite));
-        assert_eq!(TagOp::SetRo.tag_written(), Some(Tag::ReadOnly));
-        assert_eq!(TagOp::Invalidate.tag_written(), Some(Tag::Invalid));
-        assert_eq!(TagOp::Read.tag_written(), None);
-        assert_eq!(TagOp::Resume.tag_written(), None);
-    }
-
-    #[test]
-    fn checked_access_only_for_read_write() {
-        assert_eq!(TagOp::Read.checked_access(), Some(AccessKind::Load));
-        assert_eq!(TagOp::Write.checked_access(), Some(AccessKind::Store));
-        for op in [TagOp::ForceRead, TagOp::ForceWrite, TagOp::ReadTag] {
-            assert_eq!(op.checked_access(), None);
-        }
-    }
-
-    #[test]
-    fn permission_predicate() {
-        assert!(access_permitted(Tag::ReadOnly, AccessKind::Load));
-        assert!(!access_permitted(Tag::ReadOnly, AccessKind::Store));
-        assert!(!access_permitted(Tag::Busy, AccessKind::Load));
     }
 
     #[test]

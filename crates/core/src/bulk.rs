@@ -34,50 +34,3 @@ pub struct BulkRequest {
     /// been written, with args `[src_addr, dst_addr, bytes]`.
     pub notify_dst: Option<HandlerId>,
 }
-
-/// Splits a transfer length into per-packet chunk sizes.
-///
-/// # Example
-///
-/// ```
-/// use tt_tempest::bulk::chunk_sizes;
-/// assert_eq!(chunk_sizes(150).collect::<Vec<_>>(), vec![64, 64, 22]);
-/// assert_eq!(chunk_sizes(0).count(), 0);
-/// ```
-pub fn chunk_sizes(bytes: usize) -> impl Iterator<Item = usize> {
-    let full = bytes / BULK_PACKET_DATA_BYTES;
-    let tail = bytes % BULK_PACKET_DATA_BYTES;
-    std::iter::repeat_n(BULK_PACKET_DATA_BYTES, full)
-        .chain(std::iter::once(tail).filter(|&t| t > 0))
-}
-
-/// Number of packets a transfer of `bytes` bytes needs.
-pub fn packet_count(bytes: usize) -> usize {
-    bytes.div_ceil(BULK_PACKET_DATA_BYTES)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chunks_cover_exactly() {
-        for bytes in [0usize, 1, 63, 64, 65, 128, 150, 4096] {
-            let total: usize = chunk_sizes(bytes).sum();
-            assert_eq!(total, bytes, "bytes={bytes}");
-            assert_eq!(chunk_sizes(bytes).count(), packet_count(bytes));
-        }
-    }
-
-    #[test]
-    fn every_chunk_fits_a_packet() {
-        for c in chunk_sizes(1000) {
-            assert!(c > 0 && c <= BULK_PACKET_DATA_BYTES);
-        }
-    }
-
-    #[test]
-    fn exact_multiple_has_no_tail() {
-        assert_eq!(chunk_sizes(128).collect::<Vec<_>>(), vec![64, 64]);
-    }
-}

@@ -124,7 +124,7 @@ mod tests {
             },
         };
         assert_eq!(f.meta.user[0], 9);
-        assert!(f.kind.is_store());
+        assert_eq!(f.kind, AccessKind::Store);
         assert_eq!(f.tag, Tag::ReadOnly);
     }
 

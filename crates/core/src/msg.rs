@@ -53,17 +53,6 @@ pub struct Message {
 }
 
 impl Message {
-    /// Constructs the wire packet for this message toward `dst`.
-    pub fn into_packet(self, dst: NodeId) -> Packet {
-        Packet {
-            src: self.src,
-            dst,
-            vn: self.vn,
-            handler: self.handler.raw(),
-            payload: self.payload,
-        }
-    }
-
     /// Reconstructs a message from a delivered packet.
     pub fn from_packet(packet: Packet) -> Self {
         Message {
@@ -90,17 +79,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn packet_round_trip() {
-        let m = Message {
+    fn from_packet_keeps_sender_net_handler_and_payload() {
+        let p = Packet {
             src: NodeId::new(3),
+            dst: NodeId::new(5),
             vn: VirtualNet::Response,
-            handler: HandlerId(7),
+            handler: 7,
             payload: Payload::args(&[10, 20]),
         };
-        let p = m.clone().into_packet(NodeId::new(5));
-        assert_eq!(p.dst, NodeId::new(5));
-        let back = Message::from_packet(p);
-        assert_eq!(back, m);
+        let m = Message::from_packet(p);
+        assert_eq!(
+            m,
+            Message {
+                src: NodeId::new(3),
+                vn: VirtualNet::Response,
+                handler: HandlerId(7),
+                payload: Payload::args(&[10, 20]),
+            }
+        );
     }
 
     #[test]

@@ -18,6 +18,14 @@
 //!   transient (bounded by outstanding misses), so they live in side maps
 //!   keyed by block address instead of fattening every entry.
 //!
+//! A sharer set only grows: [`Directory::add_sharer`] inserts one node
+//! (overflowing to the bit-vector past [`INLINE_SHARERS`]), and
+//! [`Directory::set_exclusive`], [`Directory::set_uncached`] and
+//! [`Directory::set_shared_pair`] replace the whole set, releasing any
+//! bit-vector. No single sharer is ever removed: a shared victim is
+//! dropped silently (Table 2's `REPLACE_SHARED`, no message), so the
+//! home's set is a superset of the real copies until the next write.
+//!
 //! Sharer enumeration is in ascending node order in every representation,
 //! matching the old bitmap's bit-scan order exactly — invalidations fan
 //! out in the same order, so reported cycles are unchanged.
@@ -235,44 +243,6 @@ impl Directory {
         }
     }
 
-    /// Removes a sharer (silently ignores an absent one). A bit-vector
-    /// set that shrinks back to [`INLINE_SHARERS`] members returns to the
-    /// inline form, reclaiming its side allocation.
-    pub fn remove_sharer(&mut self, addr: u64, node: NodeId) {
-        let e = self.entry_mut(addr);
-        match e.kind {
-            KIND_INLINE => {
-                let n = e.n as usize;
-                let id = node.raw();
-                if let Some(pos) = e.s[..n].iter().position(|&x| x == id) {
-                    e.s.copy_within(pos + 1..n, pos);
-                    e.n -= 1;
-                    e.s[e.n as usize] = 0;
-                    if e.n == 0 {
-                        e.kind = KIND_UNCACHED;
-                    }
-                }
-            }
-            KIND_WIDE => {
-                let bits = self.wide.get_mut(&addr).expect("wide entry has a bit-vector");
-                bits[node.index() / 64] &= !(1 << (node.index() % 64));
-                let count: u32 = bits.iter().map(|w| w.count_ones()).sum();
-                if count as usize <= INLINE_SHARERS {
-                    let members: Vec<u16> = iter_bits(bits).map(|m| m.raw()).collect();
-                    self.wide.remove(&addr);
-                    let e = self.entry_mut(addr);
-                    *e = Entry::default();
-                    if !members.is_empty() {
-                        e.kind = KIND_INLINE;
-                        e.n = members.len() as u8;
-                        e.s[..members.len()].copy_from_slice(&members);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
     /// The sharers other than `except`, in ascending node order (the
     /// order the old bitmap's bit scan produced — invalidation fan-out
     /// order, so cycle-identical by construction).
@@ -312,24 +282,6 @@ impl Directory {
             }
             _ => false,
         }
-    }
-
-    /// Number of sharers (diagnostics and tests).
-    pub fn sharer_count(&self, addr: u64) -> usize {
-        let e = self.entry(addr);
-        match e.kind {
-            KIND_INLINE => e.n as usize,
-            KIND_WIDE => {
-                let bits = self.wide.get(&addr).expect("wide entry has a bit-vector");
-                bits.iter().map(|w| w.count_ones() as usize).sum()
-            }
-            _ => 0,
-        }
-    }
-
-    /// Whether the sharer set is in the overflowed bit-vector form.
-    pub fn is_overflowed(&self, addr: u64) -> bool {
-        self.entry(addr).kind == KIND_WIDE
     }
 
     /// Whether a request is in flight for the block.
@@ -407,6 +359,11 @@ mod tests {
         NodeId::new(i)
     }
 
+    /// The entry's representation tag, read from the private arena.
+    fn kind(d: &Directory, a: u64) -> u8 {
+        d.entry(a).kind
+    }
+
     #[test]
     fn inline_sharers_stay_inline_and_sorted() {
         let mut d = Directory::new(16);
@@ -416,8 +373,8 @@ mod tests {
         d.add_sharer(a, n(5));
         d.add_sharer(a, n(5)); // duplicate is idempotent
         assert_eq!(d.view(a), DirView::Shared);
-        assert!(!d.is_overflowed(a));
-        assert_eq!(d.sharer_count(a), 3);
+        assert_eq!(kind(&d, a), KIND_INLINE);
+        assert!(d.wide.is_empty());
         let all = d.sharers_except(a, n(15));
         assert_eq!(all, vec![n(2), n(5), n(9)], "ascending node order");
     }
@@ -429,8 +386,9 @@ mod tests {
         for i in [70u16, 3, 120, 64] {
             d.add_sharer(a, n(i));
         }
-        assert!(d.is_overflowed(a));
-        assert_eq!(d.sharer_count(a), 4);
+        assert_eq!(kind(&d, a), KIND_WIDE);
+        assert!(d.wide.contains_key(&a));
+        assert_eq!(d.sharers_except(a, n(99)), vec![n(3), n(64), n(70), n(120)]);
         assert_eq!(
             d.sharers_except(a, n(70)),
             vec![n(3), n(64), n(120)],
@@ -439,31 +397,44 @@ mod tests {
         assert!(d.has_other_sharers(a, n(3)));
     }
 
-    #[test]
-    fn removal_shrinks_bits_back_to_inline() {
+    /// An overflowed block with sharers `0..5` and its bit-vector.
+    fn overflowed(a: u64) -> Directory {
         let mut d = Directory::new(256);
-        let a = 0u64;
         for i in 0..5u16 {
             d.add_sharer(a, n(i));
         }
-        assert!(d.is_overflowed(a));
-        d.remove_sharer(a, n(1));
-        d.remove_sharer(a, n(3));
-        assert!(!d.is_overflowed(a), "3 members fit inline again");
-        assert_eq!(d.sharers_except(a, n(99)), vec![n(0), n(2), n(4)]);
-        d.remove_sharer(a, n(0));
-        d.remove_sharer(a, n(2));
-        d.remove_sharer(a, n(4));
-        assert_eq!(d.view(a), DirView::Uncached);
+        assert!(d.wide.contains_key(&a));
+        d
     }
 
     #[test]
-    fn removing_absent_sharer_is_silent() {
-        let mut d = Directory::new(16);
-        let a = 0x20u64;
-        d.add_sharer(a, n(1));
-        d.remove_sharer(a, n(7));
-        assert_eq!(d.sharer_count(a), 1);
+    fn set_exclusive_releases_the_bit_vector() {
+        let a = 0x100u64;
+        let mut d = overflowed(a);
+        d.set_exclusive(a, n(3));
+        assert!(d.wide.is_empty());
+        assert_eq!(d.view(a), DirView::Exclusive(n(3)));
+        assert!(d.sharers_except(a, n(99)).is_empty());
+    }
+
+    #[test]
+    fn set_uncached_releases_the_bit_vector() {
+        let a = 0x100u64;
+        let mut d = overflowed(a);
+        d.set_uncached(a);
+        assert!(d.wide.is_empty());
+        assert_eq!(d.view(a), DirView::Uncached);
+        assert!(!d.has_other_sharers(a, n(99)));
+    }
+
+    #[test]
+    fn set_shared_pair_releases_the_bit_vector() {
+        let a = 0x100u64;
+        let mut d = overflowed(a);
+        d.set_shared_pair(a, n(200), n(1));
+        assert!(d.wide.is_empty());
+        assert_eq!(kind(&d, a), KIND_INLINE);
+        assert_eq!(d.sharers_except(a, n(99)), vec![n(1), n(200)]);
     }
 
     #[test]
@@ -486,8 +457,8 @@ mod tests {
         for i in 0..nodes as u16 {
             d.add_sharer(a, n(i));
         }
-        assert!(d.is_overflowed(a));
-        assert_eq!(d.sharer_count(a), nodes);
+        assert_eq!(kind(&d, a), KIND_WIDE);
+        assert_eq!(d.sharers_except(a, n(u16::MAX)).len(), nodes);
         let except = n(513);
         let rest = d.sharers_except(a, except);
         assert_eq!(rest.len(), nodes - 1);
@@ -505,7 +476,12 @@ mod tests {
         d.set_shared_pair(a, n(9), n(4));
         assert_eq!(d.sharers_except(a, n(63)), vec![n(4), n(9)]);
         d.set_shared_pair(a, n(5), n(5));
-        assert_eq!(d.sharer_count(a), 1, "coinciding pair dedupes");
+        assert_eq!(
+            d.sharers_except(a, n(63)),
+            vec![n(5)],
+            "coinciding pair dedupes"
+        );
+        assert_eq!(d.entry(a).n, 1);
         d.set_uncached(a);
         assert_eq!(d.view(a), DirView::Uncached);
     }

@@ -30,7 +30,7 @@ fn run(w: ScriptWorkload, nodes: usize) -> tt_dirnnb::RunResult {
 }
 
 #[test]
-fn local_miss_costs_table_2() {
+fn local_miss_charges_table_2() {
     // A single local read on the home node: 1 (op) + 25 (TLB) + 29 (local
     // miss) = 55 cycles.
     let layout = layout_pages(1, Placement::PerPage(vec![NodeId::new(0)]));

@@ -15,7 +15,6 @@
 //! generalize to two 64-bit words so protocol state needn't be packed).
 
 use tt_base::addr::{PAddr, Ppn, Vpn, BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
-use tt_base::Cycles;
 
 use crate::tags::{PackedTags, Tag};
 
@@ -221,16 +220,6 @@ impl NodeMemory {
     }
 }
 
-/// Charges for a memory access path; a convenience used by machines when
-/// composing Table 2 latencies.
-pub fn miss_cost(tlb_hit: bool, tlb_miss: Cycles, local_miss: Cycles) -> Cycles {
-    if tlb_hit {
-        local_miss
-    } else {
-        tlb_miss + local_miss
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,17 +313,5 @@ mod tests {
         };
         assert_eq!(m.frame(p).meta.vpn, Some(Vpn(5)));
         assert_eq!(m.frame(p).meta.user[1], 22);
-    }
-
-    #[test]
-    fn miss_cost_composition() {
-        assert_eq!(
-            miss_cost(false, Cycles::new(25), Cycles::new(29)),
-            Cycles::new(54)
-        );
-        assert_eq!(
-            miss_cost(true, Cycles::new(25), Cycles::new(29)),
-            Cycles::new(29)
-        );
     }
 }

@@ -62,12 +62,6 @@ impl Tag {
             (Tag::ReadWrite, _) | (Tag::ReadOnly, AccessKind::Load)
         )
     }
-
-    /// Whether this tag faults like `Invalid` (i.e. is `Invalid` or `Busy`).
-    #[inline]
-    pub fn is_invalid_like(self) -> bool {
-        matches!(self, Tag::Invalid | Tag::Busy)
-    }
 }
 
 impl fmt::Display for Tag {
@@ -193,14 +187,6 @@ pub enum AccessKind {
     Store,
 }
 
-impl AccessKind {
-    /// Whether the access is a store.
-    #[inline]
-    pub fn is_store(self) -> bool {
-        matches!(self, AccessKind::Store)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,9 +206,9 @@ mod tests {
 
     #[test]
     fn busy_faults_like_invalid_but_is_distinguishable() {
-        assert!(Tag::Busy.is_invalid_like());
-        assert!(Tag::Invalid.is_invalid_like());
-        assert!(!Tag::ReadOnly.is_invalid_like());
+        for kind in [AccessKind::Load, AccessKind::Store] {
+            assert_eq!(Tag::Busy.permits(kind), Tag::Invalid.permits(kind));
+        }
         assert_ne!(Tag::Busy, Tag::Invalid);
     }
 

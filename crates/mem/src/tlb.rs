@@ -118,13 +118,6 @@ impl<K: Eq + Hash + Copy> FifoTlb<K> {
         }
     }
 
-    /// Removes every entry.
-    pub fn flush_all(&mut self) {
-        self.entries.clear();
-        self.resident.clear();
-        self.last = None;
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &TlbStats {
         &self.stats
@@ -177,16 +170,6 @@ mod tests {
         assert!(t.flush(Vpn(9)));
         assert!(!t.flush(Vpn(9)));
         assert!(!t.contains(Vpn(9)));
-    }
-
-    #[test]
-    fn flush_all_empties() {
-        let mut t = FifoTlb::new(2);
-        t.access(Vpn(1));
-        t.access(Vpn(2));
-        t.flush_all();
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
     }
 
     #[test]

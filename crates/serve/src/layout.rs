@@ -8,9 +8,11 @@
 //! comparison serves the identical placement.
 //!
 //! A slot is one header word followed by `value_words` data words,
-//! rounded up to whole coherence blocks so two keys never share a block
-//! (no false sharing between unrelated keys; a put invalidates or
-//! updates exactly its own key's blocks).
+//! rounded up to a power-of-two number of bytes, at least one coherence
+//! block. So two keys never share a block (no false sharing between
+//! unrelated keys; a put invalidates or updates exactly its own key's
+//! blocks), and slots tile pages: no slot straddles a page boundary, so
+//! every key has exactly one home.
 //!
 //! After the slot region, one page per node serves as that node's
 //! *staging buffer*: the write-update variant's puts compose the new
@@ -37,6 +39,9 @@ pub const KV_PUT_OP: u32 = 0x20;
 /// histogram.
 pub const KV_STAMP_OP: u32 = 0x21;
 
+/// Largest value length: [`header_word`] packs it into 8 bits.
+pub const MAX_VALUE_WORDS: usize = 255;
+
 /// Salt for the slot permutation; fixed so layouts are run-independent.
 const SLOT_SALT: u64 = 0x7455_4b56_u64;
 
@@ -49,7 +54,8 @@ pub struct KvLayout {
     pub value_words: usize,
     /// Machine size (fixes the cyclic home mapping).
     pub nodes: usize,
-    /// Bytes per slot (header + value, rounded up to whole blocks).
+    /// Bytes per slot (header + value, rounded up to a power of two of
+    /// at least one block).
     slot_bytes: u64,
     /// `slot_of[key]` = slot index after the scatter permutation.
     slot_of: Vec<u32>,
@@ -60,11 +66,21 @@ pub struct KvLayout {
 impl KvLayout {
     /// Builds the layout for `keys` keys of `value_words`-word values on
     /// a `nodes`-node machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= keys <= u32::MAX` and
+    /// `1 <= value_words <= MAX_VALUE_WORDS`.
     pub fn new(keys: u64, value_words: usize, nodes: usize) -> Self {
         assert!(keys > 0 && keys <= u32::MAX as u64, "key count out of range");
-        assert!(value_words >= 1, "a value has at least one word");
+        assert!(
+            (1..=MAX_VALUE_WORDS).contains(&value_words),
+            "a value has 1 to {MAX_VALUE_WORDS} words"
+        );
         let slot_words = 1 + value_words;
-        let slot_bytes = (slot_words * WORD_BYTES).next_multiple_of(BLOCK_BYTES) as u64;
+        let slot_bytes = (slot_words * WORD_BYTES)
+            .max(BLOCK_BYTES)
+            .next_power_of_two() as u64;
         // Scatter: order keys by a seed-independent hash of the key.
         // Sorting on (hash, key) keeps the permutation total even if two
         // hashes collide.
@@ -168,7 +184,7 @@ mod tests {
         bases.dedup();
         assert_eq!(bases.len(), 100, "each key has a distinct slot");
         for k in 0..100 {
-            assert_eq!(kv.slot_addr(k).block_offset(), 0);
+            assert_eq!(kv.slot_addr(k).block_base(), kv.slot_addr(k));
         }
     }
 
@@ -177,6 +193,27 @@ mod tests {
         let kv = KvLayout::new(10, 7, 2); // 8 words = 64 bytes = 2 blocks
         assert_eq!(kv.slot_blocks(), 2);
         assert_eq!(kv.word_addr(3, 7).raw() - kv.slot_addr(3).raw(), 56);
+    }
+
+    #[test]
+    fn slots_tile_pages() {
+        // 8-word values make 72-byte slots: rounded to whole blocks (96
+        // bytes) slot 42 would straddle pages 0 and 1; 128 bytes tile.
+        for value_words in [8, 12, 16, MAX_VALUE_WORDS] {
+            let kv = KvLayout::new(512, value_words, 4);
+            assert!(PAGE_BYTES.is_multiple_of(kv.slot_blocks() * BLOCK_BYTES));
+            for k in 0..512 {
+                let last = kv.word_addr(k, kv.slot_words() - 1);
+                assert_eq!(kv.slot_addr(k).page(), last.page(), "key {k}");
+            }
+        }
+        assert_eq!(KvLayout::new(1, 8, 4).slot_blocks(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 255 words")]
+    fn value_length_must_fit_the_header() {
+        KvLayout::new(1, MAX_VALUE_WORDS + 1, 4);
     }
 
     #[test]

@@ -36,7 +36,9 @@ pub mod run;
 pub mod workload;
 
 pub use lat::{KvLatency, LatSink, SharedKvLatency};
-pub use layout::{header_word, value_word, KvLayout, KV_MODE, KV_PUT_OP, KV_STAMP_OP};
+pub use layout::{
+    header_word, value_word, KvLayout, KV_MODE, KV_PUT_OP, KV_STAMP_OP, MAX_VALUE_WORDS,
+};
 pub use protocol::KvStacheProtocol;
 pub use run::{run_kv, run_kv_stache, KvOutcome, KvProtocolFactory};
 pub use workload::{KvParams, KvVariant, KvWorkload};

@@ -269,17 +269,15 @@ pub fn step<H: CpuHost>(host: &mut H, n: usize, now: Cycles, queue: &mut EventQu
     // `cpu` stays borrowed across ops and is re-borrowed only after the
     // host has run (a memory op or a call): compute runs never re-index.
     loop {
-        // Refill the op chunk if exhausted, reusing its allocation.
+        // Refill the op chunk if exhausted; a finished program frees it.
         if cpu.pc >= cpu.chunk.len() {
-            let mut chunk = std::mem::take(&mut cpu.chunk);
-            let refilled = host
-                .workload()
-                .next_chunk_into(NodeId::new(n as u16), &mut chunk);
+            let next = host.workload().next_chunk(NodeId::new(n as u16));
             cpu = host.cpu(n);
-            if !refilled {
+            let Some(chunk) = next else {
+                cpu.chunk = Vec::new();
                 cpu.status = Status::Done;
                 return;
-            }
+            };
             cpu.chunk = chunk;
             cpu.pc = 0;
             continue;

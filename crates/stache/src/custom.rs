@@ -19,6 +19,11 @@
 //!   many remote blocks it has stached of each kind and simply waits
 //!   until that many updates (tagged with the phase index) have arrived.
 //!
+//! The protocol is not EM3D-specific: any producer-consumer application
+//! whose consumers' read sets are (eventually) static can mark its
+//! produced data with the custom page modes and call the flush at phase
+//! boundaries — `tt_apps::ocean` uses it for boundary rows.
+//!
 //! Ordinary pages (edge weights, neighbor lists) fall through to the
 //! embedded default [`StacheProtocol`], exactly as the paper's customized
 //! handlers coexist with the Stache library.
@@ -81,7 +86,7 @@ pub struct Em3dStats {
     pub updates_received: Counter,
     /// Flush calls serviced.
     pub flushes: Counter,
-    /// Cycles... count of flush waits that were already satisfied on entry.
+    /// Flush waits that were already satisfied on entry.
     pub instant_flushes: Counter,
 }
 
@@ -90,13 +95,6 @@ pub struct Em3dStats {
 struct PendingCustom {
     thread: ThreadId,
 }
-
-/// The delayed-update protocol is not EM3D-specific: any producer-
-/// consumer application whose consumers' read sets are (eventually)
-/// static can mark its produced data with the custom page modes and call
-/// the flush at phase boundaries — `tt_apps::ocean` uses it for boundary
-/// rows. This alias names that general use.
-pub type DelayedUpdateProtocol = Em3dUpdateProtocol;
 
 /// The EM3D delayed-update protocol for one node (see module docs).
 pub struct Em3dUpdateProtocol {

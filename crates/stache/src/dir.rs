@@ -41,7 +41,7 @@ pub const SHRINK_SLOTS: usize = 3;
 ///     assert!(!sharers.insert(NodeId::new(i)), "pointers suffice");
 /// }
 /// assert!(sharers.insert(NodeId::new(999)), "seventh sharer overflows");
-/// assert!(sharers.is_overflowed());
+/// assert!(matches!(sharers, SharerSet::Bits(_)));
 /// assert_eq!(sharers.len(), 7);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -188,11 +188,6 @@ impl SharerSet {
     pub fn clear(&mut self) {
         *self = SharerSet::new();
     }
-
-    /// Whether the set has overflowed to the bit-vector form.
-    pub fn is_overflowed(&self) -> bool {
-        matches!(self, SharerSet::Bits(_))
-    }
 }
 
 /// Stable directory state of one home block.
@@ -309,13 +304,18 @@ mod tests {
         NodeId::new(i)
     }
 
+    /// Whether the set has overflowed to the bit-vector form.
+    fn is_wide(s: &SharerSet) -> bool {
+        matches!(s, SharerSet::Bits(_))
+    }
+
     #[test]
     fn pointer_form_holds_six() {
         let mut s = SharerSet::new();
         for i in 0..6 {
             assert!(!s.insert(n(i)));
         }
-        assert!(!s.is_overflowed());
+        assert!(!is_wide(&s));
         assert_eq!(s.len(), 6);
     }
 
@@ -326,7 +326,7 @@ mod tests {
             s.insert(n(i));
         }
         assert!(s.insert(n(10)), "seventh insert reports overflow");
-        assert!(s.is_overflowed());
+        assert!(is_wide(&s));
         assert_eq!(s.len(), 7);
         for i in 0..6 {
             assert!(s.contains(n(i)));
@@ -383,7 +383,7 @@ mod tests {
         }
         s.clear();
         assert!(s.is_empty());
-        assert!(!s.is_overflowed());
+        assert!(!is_wide(&s));
     }
 
     #[test]
@@ -392,7 +392,7 @@ mod tests {
         for i in 0..7 {
             s.insert(n(i));
         }
-        assert!(s.is_overflowed());
+        assert!(is_wide(&s));
         // Node 1000 lands beyond the current one-word vector.
         s.insert(n(1000));
         assert!(s.contains(n(1000)));
@@ -406,17 +406,17 @@ mod tests {
         for i in [9u16, 1, 5, 30, 2, 70, 44] {
             s.insert(n(i));
         }
-        assert!(s.is_overflowed());
+        assert!(is_wide(&s));
         for i in [9u16, 30, 70, 44] {
             assert!(s.remove(n(i)));
         }
-        assert!(!s.is_overflowed(), "three sharers fit the pointers again");
+        assert!(!is_wide(&s), "three sharers fit the pointers again");
         assert_eq!(s.iter(), vec![n(1), n(2), n(5)], "refilled ascending");
         // And it can overflow again afterwards.
         for i in 10..14 {
             s.insert(n(i));
         }
-        assert!(s.is_overflowed());
+        assert!(is_wide(&s));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod stache;
 pub mod sync;
 pub mod transport;
 
-pub use custom::{DelayedUpdateProtocol, Em3dUpdateProtocol};
+pub use custom::Em3dUpdateProtocol;
 pub use stache::{vn_policy, StacheProtocol};
 pub use sync::LockLayer;
 pub use transport::{reliable_vn_policy, Reliable, ReliableConfig, RelStats, REL_ACK};

@@ -290,7 +290,7 @@ mod tests {
         match out {
             AccessOutcome::BlockFault(f, _) => {
                 assert_eq!(f.tag, Tag::ReadOnly);
-                assert!(f.kind.is_store());
+                assert_eq!(f.kind, AccessKind::Store);
             }
             other => panic!("expected block fault, got {other:?}"),
         }

@@ -64,20 +64,6 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// The node whose state handling this event touches, or `None` for
-    /// events with machine-global effect. Anchors the keys of what their
-    /// handlers schedule.
-    pub fn target(&self) -> Option<usize> {
-        match self {
-            Event::CpuStep(n) | Event::NpDispatch(n) => Some(*n),
-            Event::NpWork { node, .. } | Event::BulkInject { node, .. } => Some(*node),
-            Event::Deliver(p) => Some(p.dst.index()),
-            Event::BarrierRelease { .. } => None,
-        }
-    }
-}
-
 /// An in-progress outgoing bulk transfer.
 #[derive(Clone, Debug)]
 pub struct BulkState {
@@ -335,8 +321,15 @@ impl Machine for TyphoonMachine {
         self.tie_shuffle
     }
 
+    /// The node whose state handling an event touches (`None` =
+    /// machine-global). Anchors the keys of what its handler schedules.
     fn target(&self, event: &Event) -> Option<usize> {
-        event.target()
+        match event {
+            Event::CpuStep(n) | Event::NpDispatch(n) => Some(*n),
+            Event::NpWork { node, .. } | Event::BulkInject { node, .. } => Some(*node),
+            Event::Deliver(p) => Some(p.dst.index()),
+            Event::BarrierRelease { .. } => None,
+        }
     }
 
     /// Initializes every node's protocol at time zero and seeds the

@@ -340,12 +340,12 @@ fn layout_is_visible_to_protocol_factory() {
     let mut factory_pages = std::sync::atomic::AtomicUsize::new(0);
     let mut m = TyphoonMachine::new(cfg(2), Box::new(script), &|_, layout, _| {
         factory_pages.store(
-            layout.total_pages(),
+            layout.pages(2).count(),
             std::sync::atomic::Ordering::Relaxed,
         );
         Box::new(LocalAlloc)
     });
-    let saw_pages = m.layout().total_pages();
+    let saw_pages = m.layout().pages(2).count();
     let _ = m.run();
     assert_eq!(saw_pages, 4);
     assert_eq!(*factory_pages.get_mut(), 4);

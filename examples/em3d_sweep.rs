@@ -12,8 +12,8 @@ use tt_bench_shim::*;
 // crate re-implements the few lines needed here so the example depends
 // only on the published library surface.
 mod tt_bench_shim {
-    pub use tempest_typhoon::apps::em3d::{Em3d, Em3dParams, SyncMode};
-    pub use tempest_typhoon::apps::PhasedWorkload;
+    pub use tempest_typhoon::apps::em3d::{Em3d, Em3dParams};
+    pub use tempest_typhoon::apps::{PhasedWorkload, SyncMode};
     pub use tempest_typhoon::base::config::DirPlacement;
     pub use tempest_typhoon::base::SystemConfig;
     pub use tempest_typhoon::dirnnb::DirnnbMachine;

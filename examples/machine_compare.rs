@@ -10,10 +10,10 @@
 
 use tempest_typhoon::apps::appbt::{Appbt, AppbtParams};
 use tempest_typhoon::apps::barnes::{Barnes, BarnesParams};
-use tempest_typhoon::apps::em3d::{Em3d, Em3dParams, SyncMode};
+use tempest_typhoon::apps::em3d::{Em3d, Em3dParams};
 use tempest_typhoon::apps::mp3d::{Mp3d, Mp3dParams};
 use tempest_typhoon::apps::ocean::{Ocean, OceanParams};
-use tempest_typhoon::apps::PhasedWorkload;
+use tempest_typhoon::apps::{PhasedWorkload, SyncMode};
 use tempest_typhoon::base::stats::Report;
 use tempest_typhoon::base::workload::Workload;
 use tempest_typhoon::base::SystemConfig;
@@ -47,7 +47,7 @@ fn build(app: &str, procs: usize) -> Box<dyn Workload> {
             n: 66,
             iterations: 3,
             procs,
-            sync: tempest_typhoon::apps::ocean::OceanSync::Barrier,
+            sync: SyncMode::Barrier,
         }))),
         "em3d" => Box::new(PhasedWorkload::new(Em3d::new(Em3dParams {
             graph_nodes: 8_000,

@@ -5,8 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use tempest_typhoon::apps::em3d::{Em3d, Em3dParams, SyncMode};
-use tempest_typhoon::apps::PhasedWorkload;
+use tempest_typhoon::apps::em3d::{Em3d, Em3dParams};
+use tempest_typhoon::apps::{PhasedWorkload, SyncMode};
 use tempest_typhoon::base::SystemConfig;
 use tempest_typhoon::stache::StacheProtocol;
 use tempest_typhoon::typhoon::TyphoonMachine;

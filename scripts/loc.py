@@ -73,19 +73,23 @@ def braces(line, state):
     return net, state
 
 
-def count_file(path):
-    """(total, code) line counts of `path` without its cfg(test) items."""
-    total = code = 0
-    state = None
-    skipping = False  # inside a cfg(test) item
-    depth = 0  # brace depth of the skipped item
-    opened = False
-    in_block_comment = False
+def read_lines(path):
+    """The lines of `path`, without their newlines."""
     with open(path, encoding="utf-8") as f:
         lines = f.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    for line in lines:
+    return lines
+
+
+def non_test_lines(lines):
+    """Yields `(number, line)` for the lines of a Rust file outside its
+    `#[cfg(test)]` items, numbered from 1 as in the file."""
+    state = None
+    skipping = False  # inside a cfg(test) item
+    depth = 0  # brace depth of the skipped item
+    opened = False
+    for number, line in enumerate(lines, 1):
         stripped = line.strip()
         net, state_after = braces(line, state)
         if not skipping and state is None and stripped.startswith("#[cfg(test)]"):
@@ -101,6 +105,16 @@ def count_file(path):
             if (opened and depth <= 0) or (not opened and stripped.endswith(";")):
                 skipping = False
             continue
+        state = state_after
+        yield number, line
+
+
+def count_file(path):
+    """(total, code) line counts of `path` without its cfg(test) items."""
+    total = code = 0
+    in_block_comment = False
+    for _, line in non_test_lines(read_lines(path)):
+        stripped = line.strip()
         total += 1
         if in_block_comment:
             if "*/" in stripped:
@@ -110,7 +124,6 @@ def count_file(path):
                 in_block_comment = "*/" not in stripped
             else:
                 code += 1
-        state = state_after
     return total, code
 
 

@@ -21,6 +21,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps --lib (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
+# Public surface: every pub fn, type, const or static needs a caller in
+# non-test code (benches, examples and perfbench/src count); the script
+# allowlists the test fixtures. It prints each unused item and fails.
+echo "==> unused pub items (scripts/unused_pub.py)"
+python3 scripts/unused_pub.py
+
 echo "==> figure3 smoke (--scale 64 --nodes 8 --jobs 2)"
 cargo run --release -p tt-bench --bin figure3 -- \
     --scale 64 --nodes 8 --jobs 2 >/dev/null

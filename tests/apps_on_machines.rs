@@ -6,10 +6,10 @@
 
 use tempest_typhoon::apps::appbt::{Appbt, AppbtParams};
 use tempest_typhoon::apps::barnes::{Barnes, BarnesParams};
-use tempest_typhoon::apps::em3d::{Em3d, Em3dParams, SyncMode};
+use tempest_typhoon::apps::em3d::{Em3d, Em3dParams};
 use tempest_typhoon::apps::mp3d::{Mp3d, Mp3dParams};
 use tempest_typhoon::apps::ocean::{Ocean, OceanParams};
-use tempest_typhoon::apps::PhasedWorkload;
+use tempest_typhoon::apps::{PhasedWorkload, SyncMode};
 use tempest_typhoon::base::workload::Workload;
 use tempest_typhoon::base::{Cycles, SystemConfig};
 use tempest_typhoon::dirnnb::DirnnbMachine;
@@ -102,7 +102,7 @@ fn ocean_runs_on_both_machines() {
         n: 34,
         iterations: 2,
         procs: PROCS,
-        sync: tempest_typhoon::apps::ocean::OceanSync::Barrier,
+        sync: SyncMode::Barrier,
     };
     run_typhoon_stache(Box::new(PhasedWorkload::new(Ocean::new(params.clone()))));
     run_dirnnb(Box::new(PhasedWorkload::new(Ocean::new(params))));
@@ -166,8 +166,6 @@ fn protocol_mode_constants_stay_in_sync() {
 
 #[test]
 fn ocean_boundary_push_beats_transparent_stache() {
-    use tempest_typhoon::apps::ocean::{Ocean, OceanParams, OceanSync};
-    use tempest_typhoon::stache::DelayedUpdateProtocol;
     let mk = |sync| OceanParams {
         n: 40,
         iterations: 6,
@@ -177,7 +175,7 @@ fn ocean_boundary_push_beats_transparent_stache() {
     // Transparent shared memory: every boundary row is invalidated and
     // re-fetched each sweep.
     let stache = {
-        let w = Box::new(PhasedWorkload::new(Ocean::new(mk(OceanSync::Barrier))));
+        let w = Box::new(PhasedWorkload::new(Ocean::new(mk(SyncMode::Barrier))));
         let mut m = TyphoonMachine::new(cfg(), w, &|id, layout, cfg| {
             Box::new(StacheProtocol::new(id, layout, cfg))
         });
@@ -185,9 +183,9 @@ fn ocean_boundary_push_beats_transparent_stache() {
     };
     // Custom protocol: boundary rows are pushed once per sweep.
     let push = {
-        let w = Box::new(PhasedWorkload::new(Ocean::new(mk(OceanSync::Push))));
+        let w = Box::new(PhasedWorkload::new(Ocean::new(mk(SyncMode::Flush))));
         let mut m = TyphoonMachine::new(cfg(), w, &|id, layout, cfg| {
-            Box::new(DelayedUpdateProtocol::new(id, layout, cfg))
+            Box::new(Em3dUpdateProtocol::new(id, layout, cfg))
         });
         m.run()
     };

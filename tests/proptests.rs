@@ -290,8 +290,8 @@ fn race_free_generator_produces_reads_and_writes() {
 
 // --- Protocol-level property tests --------------------------------------
 
-use tempest_typhoon::apps::em3d::{Em3d, Em3dParams, SyncMode};
-use tempest_typhoon::apps::PhasedWorkload;
+use tempest_typhoon::apps::em3d::{Em3d, Em3dParams};
+use tempest_typhoon::apps::{PhasedWorkload, SyncMode};
 use tempest_typhoon::stache::sync::{ACQUIRE_OP, RELEASE_OP};
 use tempest_typhoon::stache::{Em3dUpdateProtocol, LockLayer};
 
