@@ -132,7 +132,8 @@ impl Region {
 /// The shared-segment layout a workload declares.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Layout {
-    /// The regions, in increasing address order, non-overlapping.
+    /// The regions, in increasing address order, non-overlapping
+    /// ([`Layout::add`] enforces both).
     pub regions: Vec<Region>,
 }
 
@@ -142,20 +143,38 @@ impl Layout {
         Layout::default()
     }
 
-    /// Adds a region.
+    /// Adds a region above every region already present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` starts below the end of the last region (out
+    /// of address order, or overlapping it): [`Layout::home_of`]'s
+    /// binary search relies on that order.
     pub fn add(&mut self, region: Region) -> &mut Self {
+        if let Some(last) = self.regions.last() {
+            let end = last.base.page().0 + last.pages() as u64;
+            assert!(
+                region.base.page().0 >= end,
+                "layout regions must be added in increasing address order without \
+                 overlap: region at {:#x} starts below the end of the region at {:#x}",
+                region.base.raw(),
+                last.base.raw(),
+            );
+        }
         self.regions.push(region);
         self
     }
 
-    /// The home node and page mode for `vpn`, if any region covers it.
+    /// The home node and page mode for `vpn`, if any region covers it:
+    /// a binary search over the ordered regions.
     pub fn home_of(&self, vpn: Vpn, nodes: usize) -> Option<(NodeId, u8)> {
-        self.regions
-            .iter()
-            .find_map(|r| r.home_of(vpn, nodes).map(|h| (h, r.mode)))
+        let above = self.regions.partition_point(|r| r.base.page() <= vpn);
+        let r = &self.regions[above.checked_sub(1)?];
+        r.home_of(vpn, nodes).map(|h| (h, r.mode))
     }
 
-    /// Iterates over every `(vpn, home, mode)` of the layout.
+    /// Iterates over every `(vpn, home, mode)` of the layout, in
+    /// ascending page order.
     pub fn pages(&self, nodes: usize) -> impl Iterator<Item = (Vpn, NodeId, u8)> + '_ {
         self.regions.iter().flat_map(move |r| {
             let first = r.base.page().0;
@@ -390,10 +409,40 @@ mod tests {
     }
 
     #[test]
-    fn first_region_wins_overlap_lookup() {
-        // Layout is declared non-overlapping; lookup is first-match.
+    fn one_page_region_lookup() {
         let mut l = Layout::new();
         l.add(region(0x1000, 1, Placement::PerPage(vec![NodeId::new(7)])));
         assert_eq!(l.home_of(Vpn(0x1000), 32), Some((NodeId::new(7), 0)));
+    }
+
+    #[test]
+    fn lookup_finds_every_region_and_no_gap() {
+        let mut l = Layout::new();
+        l.add(region(0x10, 2, Placement::Cyclic));
+        l.add(region(0x20, 0, Placement::Cyclic));
+        l.add(region(0x20, 3, Placement::PerPage(vec![NodeId::new(5); 3])));
+        l.add(region(0x23, 1, Placement::Cyclic));
+        for (vpn, home, mode) in l.pages(4) {
+            assert_eq!(l.home_of(vpn, 4), Some((home, mode)));
+        }
+        for gap in [0x0, 0xF, 0x12, 0x1F, 0x24, 0x1000] {
+            assert_eq!(l.home_of(Vpn(gap), 4), None, "page {gap:#x}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "increasing address order")]
+    fn add_rejects_an_out_of_order_region() {
+        let mut l = Layout::new();
+        l.add(region(0x20, 1, Placement::Cyclic));
+        l.add(region(0x10, 1, Placement::Cyclic));
+    }
+
+    #[test]
+    #[should_panic(expected = "without overlap")]
+    fn add_rejects_an_overlapping_region() {
+        let mut l = Layout::new();
+        l.add(region(0x10, 4, Placement::Cyclic));
+        l.add(region(0x13, 1, Placement::Cyclic));
     }
 }

@@ -238,13 +238,8 @@ pub(crate) fn typhoon_word(m: &TyphoonMachine, addr: VAddr) -> u64 {
     if let Some(n) = readable {
         return m.node_word(n, addr).expect("readable copy mapped");
     }
-    let home = m
-        .layout()
-        .pages(nodes)
-        .find(|(vpn, _, _)| *vpn == addr.page())
-        .map(|(_, h, _)| h.index())
-        .expect("address in layout");
-    m.node_word(home, addr).expect("home page mapped")
+    let (home, _) = m.layout().home_of(addr.page(), nodes).expect("address in layout");
+    m.node_word(home.index(), addr).expect("home page mapped")
 }
 
 /// Runs one Typhoon leg of a case: the machine built from `cfg` with

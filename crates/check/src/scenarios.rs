@@ -32,7 +32,8 @@ const STACHE_ACK: HandlerId = HandlerId(0x15);
 /// updates.
 pub struct NeverInvalidate {
     node: NodeId,
-    home_map: Vec<(tt_base::addr::Vpn, NodeId)>,
+    layout: Layout,
+    nodes: usize,
     pending: Option<ThreadId>,
 }
 
@@ -41,29 +42,22 @@ impl NeverInvalidate {
     pub fn new(node: NodeId, layout: &Layout, cfg: &SystemConfig) -> Self {
         NeverInvalidate {
             node,
-            home_map: layout.pages(cfg.nodes).map(|(v, h, _)| (v, h)).collect(),
+            layout: layout.clone(),
+            nodes: cfg.nodes,
             pending: None,
         }
     }
 
     fn home_of(&self, vpn: tt_base::addr::Vpn) -> NodeId {
-        self.home_map
-            .iter()
-            .find(|(v, _)| *v == vpn)
-            .map(|(_, h)| *h)
-            .expect("page in layout")
+        self.layout.home_of(vpn, self.nodes).expect("page in layout").0
     }
 }
 
 impl Protocol for NeverInvalidate {
     fn init(&mut self, ctx: &mut dyn TempestCtx) {
-        let mine: Vec<_> = self
-            .home_map
-            .iter()
-            .filter(|(_, h)| *h == self.node)
-            .map(|(v, _)| *v)
-            .collect();
-        for vpn in mine {
+        let node = self.node;
+        let mine = self.layout.pages(self.nodes).filter(|&(_, h, _)| h == node);
+        for (vpn, _, _) in mine {
             let ppn = ctx.alloc_page();
             ctx.map_page(vpn, ppn).unwrap();
             ctx.set_page_tags(vpn, Tag::ReadWrite);

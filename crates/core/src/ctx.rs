@@ -149,10 +149,6 @@ pub trait TempestCtx {
     /// Panics if `vpn` is not mapped.
     fn set_page_meta(&mut self, vpn: Vpn, meta: PageMeta);
 
-    /// Bytes of local physical memory currently allocated (for protocols
-    /// that manage a replacement budget).
-    fn allocated_bytes(&self) -> usize;
-
     // --- Fine-grain access control (Section 2.4, Table 1) ---
 
     /// `read-tag`: the tag of the block containing `addr`.

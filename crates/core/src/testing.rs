@@ -218,10 +218,6 @@ impl TempestCtx for MockCtx {
         self.mem.frame_mut(ppn).meta = meta;
     }
 
-    fn allocated_bytes(&self) -> usize {
-        self.mem.allocated_bytes()
-    }
-
     fn read_tag(&self, addr: VAddr) -> Tag {
         self.mem.tag(self.paddr(addr))
     }

@@ -9,7 +9,7 @@ use tt_base::config::{
     REPLACE_EXCLUSIVE, REPLACE_SHARED, TLB_ENTRIES, TLB_MISS,
 };
 use tt_base::stats::{Counter, Report};
-use tt_base::workload::Workload;
+use tt_base::workload::{Layout, Workload};
 use tt_base::{Cycles, DetRng, FxHashMap, NodeId};
 use tt_mem::cache::Probe;
 use tt_mem::{AccessKind, CacheModel, FifoTlb};
@@ -77,7 +77,9 @@ pub struct DirnnbMachine {
     cfg: SystemConfig,
     cpus: Vec<Cpu>,
     dirs: Directory,
-    home_map: FxHashMap<Vpn, NodeId>,
+    /// The workload's shared-segment layout; [`DirnnbMachine::home_of`]
+    /// applies `cfg.placement` to it.
+    layout: Layout,
     /// The coherent value image; a page is allocated on its first store.
     store: FxHashMap<Vpn, StorePage>,
     network: Network,
@@ -92,14 +94,6 @@ impl DirnnbMachine {
     /// Builds the machine for a workload.
     pub fn new(cfg: SystemConfig, workload: Box<dyn Workload>) -> Self {
         let layout = workload.layout();
-        let mut home_map = FxHashMap::default();
-        for (vpn, owner, _mode) in layout.pages(cfg.nodes) {
-            let home = match cfg.placement {
-                DirPlacement::RoundRobin => NodeId::new((vpn.0 % cfg.nodes as u64) as u16),
-                DirPlacement::Owner => owner,
-            };
-            home_map.insert(vpn, home);
-        }
         let mut rng = DetRng::new(cfg.seed);
         let cpus = (0..cfg.nodes)
             .map(|i| Cpu {
@@ -121,7 +115,7 @@ impl DirnnbMachine {
             dirs: Directory::new(cfg.nodes),
             cfg,
             cpus,
-            home_map,
+            layout,
             store: FxHashMap::default(),
             network,
             workload,
@@ -283,10 +277,14 @@ fn word_index(addr: VAddr) -> usize {
 impl DirnnbMachine {
     fn home_of(&self, addr: u64) -> NodeId {
         let vpn = VAddr::new(addr).page();
-        *self
-            .home_map
-            .get(&vpn)
-            .unwrap_or_else(|| panic!("access to {addr:#x} outside the shared segment layout"))
+        let (owner, _mode) = self
+            .layout
+            .home_of(vpn, self.cfg.nodes)
+            .unwrap_or_else(|| panic!("access to {addr:#x} outside the shared segment layout"));
+        match self.cfg.placement {
+            DirPlacement::RoundRobin => NodeId::new((vpn.0 % self.cfg.nodes as u64) as u16),
+            DirPlacement::Owner => owner,
+        }
     }
 
     /// Injects a protocol message at `inject` and returns its arrival

@@ -213,11 +213,6 @@ impl NodeMemory {
     pub fn stats(&self) -> MemoryStats {
         self.stats
     }
-
-    /// Bytes currently allocated (frames × page size).
-    pub fn allocated_bytes(&self) -> usize {
-        self.stats.allocated * PAGE_BYTES
-    }
 }
 
 #[cfg(test)]

@@ -7,6 +7,10 @@
 //! ablation benchmark reads), and [`BlockDir`] holds the per-block state
 //! machine: stable states `Idle`/`Shared`/`Exclusive` plus a busy
 //! transaction with a FIFO queue of deferred requests.
+//!
+//! A sharer set never shrinks one sharer at a time: a shared copy is
+//! dropped silently on replacement, and the home empties the whole set
+//! when it invalidates the copies or hands out an exclusive one.
 
 use std::collections::VecDeque;
 
@@ -16,19 +20,16 @@ use tt_tempest::ThreadId;
 /// Number of explicit sharer pointers before overflowing to a bit vector.
 pub const POINTER_SLOTS: usize = 6;
 
-/// Sharer count at which an overflowed set collapses back to pointers.
-///
-/// Deliberately below [`POINTER_SLOTS`] (hysteresis): a set oscillating
-/// around the boundary does not thrash between representations.
-pub const SHRINK_SLOTS: usize = 3;
-
 /// The sharer set of one block: six pointers, or a heap bit vector after
 /// overflow — the LimitLESS-style chained structure the paper sketches
 /// for machines wider than the inline pointers cover. The vector is
 /// sized to the highest node inserted, so a 1024-node machine pays the
-/// heap allocation only on blocks that actually overflow, and
-/// [`SharerSet::remove`] collapses back to pointers once the population
-/// drops to [`SHRINK_SLOTS`].
+/// heap allocation only on blocks that actually overflow.
+///
+/// A set only grows or is emptied whole: Stache drops a shared copy
+/// silently on replacement, so no single sharer is ever removed, and
+/// [`SharerSet::clear`] (after invalidating every sharer) is the one way
+/// back to the pointer form.
 ///
 /// # Example
 ///
@@ -42,7 +43,7 @@ pub const SHRINK_SLOTS: usize = 3;
 /// }
 /// assert!(sharers.insert(NodeId::new(999)), "seventh sharer overflows");
 /// assert!(matches!(sharers, SharerSet::Bits(_)));
-/// assert_eq!(sharers.len(), 7);
+/// assert_eq!(sharers.iter().len(), 7);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SharerSet {
@@ -107,61 +108,12 @@ impl SharerSet {
         }
     }
 
-    /// Removes a sharer; returns whether it was present. An overflowed
-    /// set collapses back to the pointer form (ascending node order)
-    /// once the population drops to [`SHRINK_SLOTS`], returning the
-    /// heap vector of a formerly wide set.
-    pub fn remove(&mut self, node: NodeId) -> bool {
-        match self {
-            SharerSet::Pointers(slots) => {
-                for s in slots.iter_mut() {
-                    if *s == Some(node) {
-                        *s = None;
-                        return true;
-                    }
-                }
-                false
-            }
-            SharerSet::Bits(bits) => {
-                let word = node.index() / 64;
-                if word >= bits.len() {
-                    return false;
-                }
-                let had = bits[word] & (1 << (node.index() % 64)) != 0;
-                bits[word] &= !(1 << (node.index() % 64));
-                if had && self.len() <= SHRINK_SLOTS {
-                    let mut slots = [None; POINTER_SLOTS];
-                    for (slot, sharer) in slots.iter_mut().zip(self.iter()) {
-                        *slot = Some(sharer);
-                    }
-                    *self = SharerSet::Pointers(slots);
-                }
-                had
-            }
-        }
-    }
-
-    /// Whether `node` is in the set.
-    pub fn contains(&self, node: NodeId) -> bool {
-        match self {
-            SharerSet::Pointers(slots) => slots.contains(&Some(node)),
-            SharerSet::Bits(bits) => bits
-                .get(node.index() / 64)
-                .is_some_and(|w| w & (1 << (node.index() % 64)) != 0),
-        }
-    }
-
     /// Number of sharers.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         match self {
             SharerSet::Pointers(slots) => slots.iter().flatten().count(),
             SharerSet::Bits(bits) => bits.iter().map(|w| w.count_ones() as usize).sum(),
         }
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Iterates over the sharers in ascending node order for the bit
@@ -328,10 +280,11 @@ mod tests {
         assert!(s.insert(n(10)), "seventh insert reports overflow");
         assert!(is_wide(&s));
         assert_eq!(s.len(), 7);
-        for i in 0..6 {
-            assert!(s.contains(n(i)));
-        }
-        assert!(s.contains(n(10)));
+        assert_eq!(
+            s.iter(),
+            vec![n(0), n(1), n(2), n(3), n(4), n(5), n(10)],
+            "every sharer carried into the bit vector"
+        );
     }
 
     #[test]
@@ -347,21 +300,6 @@ mod tests {
         let len = s.len();
         s.insert(n(3));
         assert_eq!(s.len(), len);
-    }
-
-    #[test]
-    fn remove_in_both_forms() {
-        let mut s = SharerSet::new();
-        s.insert(n(1));
-        s.insert(n(2));
-        assert!(s.remove(n(1)));
-        assert!(!s.remove(n(1)));
-        assert!(!s.contains(n(1)));
-        for i in 0..8 {
-            s.insert(n(i));
-        }
-        assert!(s.remove(n(7)));
-        assert!(!s.contains(n(7)));
     }
 
     #[test]
@@ -382,7 +320,7 @@ mod tests {
             s.insert(n(i));
         }
         s.clear();
-        assert!(s.is_empty());
+        assert!(s.iter().is_empty());
         assert!(!is_wide(&s));
     }
 
@@ -395,28 +333,8 @@ mod tests {
         assert!(is_wide(&s));
         // Node 1000 lands beyond the current one-word vector.
         s.insert(n(1000));
-        assert!(s.contains(n(1000)));
         assert_eq!(s.len(), 8);
         assert_eq!(s.iter().last().copied(), Some(n(1000)));
-    }
-
-    #[test]
-    fn removal_shrinks_back_to_pointers_ascending() {
-        let mut s = SharerSet::new();
-        for i in [9u16, 1, 5, 30, 2, 70, 44] {
-            s.insert(n(i));
-        }
-        assert!(is_wide(&s));
-        for i in [9u16, 30, 70, 44] {
-            assert!(s.remove(n(i)));
-        }
-        assert!(!is_wide(&s), "three sharers fit the pointers again");
-        assert_eq!(s.iter(), vec![n(1), n(2), n(5)], "refilled ascending");
-        // And it can overflow again afterwards.
-        for i in 10..14 {
-            s.insert(n(i));
-        }
-        assert!(is_wide(&s));
     }
 
     #[test]

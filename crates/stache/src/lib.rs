@@ -33,10 +33,8 @@
 pub mod custom;
 pub mod dir;
 pub mod stache;
-pub mod sync;
 pub mod transport;
 
 pub use custom::Em3dUpdateProtocol;
 pub use stache::{vn_policy, StacheProtocol};
-pub use sync::LockLayer;
 pub use transport::{reliable_vn_policy, Reliable, ReliableConfig, RelStats, REL_ACK};

@@ -127,11 +127,11 @@ struct PendingFault {
 /// The Stache protocol for one node (see module docs).
 pub struct StacheProtocol {
     node: NodeId,
-    /// The distributed mapping table: every shared page's home and mode.
-    /// `init` iterates it, so that path sorts by [`Vpn`] first — bucket
-    /// order must never leak into frame-allocation order (with the std
-    /// hasher's per-process random seed it made runs irreproducible).
-    home_map: FxHashMap<Vpn, (NodeId, u8)>,
+    /// The distributed mapping table: the workload's layout answers
+    /// every shared page's home and mode.
+    layout: Layout,
+    /// Machine size (cyclic regions home page `i` on node `i mod nodes`).
+    nodes: usize,
     /// Directories for pages homed on this node (lookup-only: safe to
     /// key with the fast hasher).
     dirs: FxHashMap<Vpn, PageDirectory>,
@@ -147,10 +147,6 @@ pub struct StacheProtocol {
 impl StacheProtocol {
     /// Builds the node's Stache instance from the workload layout.
     pub fn new(node: NodeId, layout: &Layout, cfg: &SystemConfig) -> Self {
-        let mut home_map = FxHashMap::default();
-        for (vpn, home, mode) in layout.pages(cfg.nodes) {
-            home_map.insert(vpn, (home, mode));
-        }
         let capacity_pages = if cfg.stache_capacity_bytes == usize::MAX {
             usize::MAX
         } else {
@@ -158,7 +154,8 @@ impl StacheProtocol {
         };
         StacheProtocol {
             node,
-            home_map,
+            layout: layout.clone(),
+            nodes: cfg.nodes,
             dirs: FxHashMap::default(),
             pending: None,
             stache_fifo: Vec::new(),
@@ -179,7 +176,7 @@ impl StacheProtocol {
     /// Panics if the page is outside the declared shared segment — the
     /// moral equivalent of a wild pointer in the application.
     fn home_of(&self, vpn: Vpn) -> (NodeId, u8) {
-        *self.home_map.get(&vpn).unwrap_or_else(|| {
+        self.layout.home_of(vpn, self.nodes).unwrap_or_else(|| {
             panic!(
                 "node {}: access to page {vpn:?} outside the shared segment layout",
                 self.node
@@ -588,19 +585,13 @@ impl StacheProtocol {
 impl Protocol for StacheProtocol {
     fn init(&mut self, ctx: &mut dyn TempestCtx) {
         // Create home pages: map them writable and allocate directories
-        // (the paper's shared-memory allocation functions). Sorted by
-        // virtual page so physical frames are handed out in a canonical
-        // order: frame numbers feed the NP data-cache set mapping, and
-        // allocating in hash-bucket order made cycle counts vary from
-        // run to run.
-        let mut mine: Vec<(Vpn, u8)> = self
-            .home_map
-            .iter()
-            .filter(|(_, (h, _))| *h == self.node)
-            .map(|(vpn, (_, mode))| (*vpn, *mode))
-            .collect();
-        mine.sort_unstable_by_key(|&(vpn, _)| vpn);
-        for (vpn, mode) in mine {
+        // (the paper's shared-memory allocation functions). The layout
+        // yields pages in ascending order, so physical frames are handed
+        // out in a canonical order: frame numbers feed the NP data-cache
+        // set mapping.
+        let node = self.node;
+        let mine = self.layout.pages(self.nodes).filter(|&(_, h, _)| h == node);
+        for (vpn, _, mode) in mine {
             let ppn = ctx.alloc_page();
             ctx.map_page(vpn, ppn).expect("fresh mapping");
             ctx.set_page_tags(vpn, Tag::ReadWrite);

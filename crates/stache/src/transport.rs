@@ -256,9 +256,6 @@ impl TempestCtx for RelCtx<'_> {
     fn set_page_meta(&mut self, vpn: tt_base::addr::Vpn, meta: tt_mem::PageMeta) {
         self.ctx.set_page_meta(vpn, meta);
     }
-    fn allocated_bytes(&self) -> usize {
-        self.ctx.allocated_bytes()
-    }
     fn read_tag(&self, addr: tt_base::VAddr) -> tt_mem::Tag {
         self.ctx.read_tag(addr)
     }

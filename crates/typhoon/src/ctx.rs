@@ -223,10 +223,6 @@ impl TempestCtx for NodeCtx<'_> {
         self.node.mem.frame_mut(ppn).meta = meta;
     }
 
-    fn allocated_bytes(&self) -> usize {
-        self.node.mem.allocated_bytes()
-    }
-
     fn read_tag(&self, addr: VAddr) -> Tag {
         let paddr = self.translate_or_die(addr);
         self.node.mem.tag(paddr)

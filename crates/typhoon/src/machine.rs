@@ -106,9 +106,10 @@ impl TyphoonMachine {
     /// Builds a machine: one CPU/NP pair per node, a fresh protocol
     /// instance per node from `protocol`, and the given workload.
     ///
-    /// The factory receives the node id and the workload's layout — the
-    /// moral equivalent of the paper's "distributed mapping table" being
-    /// known to the run-time library on every node.
+    /// The factory receives the node id and the workload's layout. The
+    /// layout is the paper's "distributed mapping table": a protocol
+    /// keeps a copy and asks [`Layout::home_of`] for a page's home and
+    /// mode rather than building a per-page map of its own.
     pub fn new(
         cfg: SystemConfig,
         workload: Box<dyn Workload>,

@@ -31,6 +31,18 @@ echo "==> figure3 smoke (--scale 64 --nodes 8 --jobs 2)"
 cargo run --release -p tt-bench --bin figure3 -- \
     --scale 64 --nodes 8 --jobs 2 >/dev/null
 
+# Golden check at paper scale (~30 s on 2 vCPUs): the committed Figure 3
+# table must be exactly what the code at this commit prints.
+echo "==> figure3 --full golden (stdout == results/figure3_full.txt)"
+cargo run --release -p tt-bench --bin figure3 -- \
+    --full --jobs 2 >/tmp/fig3_full.txt
+if ! cmp -s /tmp/fig3_full.txt results/figure3_full.txt; then
+    echo "FAIL: figure3 --full no longer matches results/figure3_full.txt:"
+    diff results/figure3_full.txt /tmp/fig3_full.txt || true
+    exit 1
+fi
+rm -f /tmp/fig3_full.txt
+
 # Bounded model-checking sweep (fixed seeds, well under a minute): 500
 # litmus cases under schedule perturbation must run clean on both
 # machines, and a planted protocol bug must be caught. On failure
