@@ -181,9 +181,9 @@ pub enum WindowPolicy {
 /// Interconnect topology of the simulated machine (DESIGN.md §11).
 ///
 /// The paper models an ideal constant-latency network; big-machine mode
-/// replaces it with routed topologies whose links have occupancy queues,
+/// replaces it with a routed 2-D mesh whose links have occupancy queues,
 /// so hot-home saturation is priced per link. Routes and queuing are pure
-/// functions of `(topology, src, dst, per-source send history, inject
+/// functions of `(width, src, dst, per-source send history, inject
 /// time)`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Topology {
@@ -197,37 +197,6 @@ pub enum Topology {
         /// Nodes per row; node `i` sits at `(i % width, i / width)`.
         width: usize,
     },
-    /// Fat tree over the node leaves: route climbs to the lowest common
-    /// ancestor and back down (`2h` hops for radix-`arity` subtrees).
-    /// `arity` 0 derives 4.
-    FatTree {
-        /// Branching factor of the tree (≥ 2 after derivation).
-        arity: usize,
-    },
-}
-
-impl Topology {
-    /// CLI / provenance spelling: `ideal`, `mesh[:width]`, `fat-tree[:arity]`.
-    pub fn as_string(self) -> String {
-        match self {
-            Topology::Ideal => "ideal".to_string(),
-            Topology::Mesh2D { width: 0 } => "mesh".to_string(),
-            Topology::Mesh2D { width } => format!("mesh:{width}"),
-            Topology::FatTree { arity: 0 } => "fat-tree".to_string(),
-            Topology::FatTree { arity } => format!("fat-tree:{arity}"),
-        }
-    }
-
-    /// Checks the shape can be built: a fat tree needs arity 0
-    /// (derived) or at least 2.
-    pub fn validate(self) -> Result<(), String> {
-        match self {
-            Topology::FatTree { arity: 1 } => {
-                Err("fat-tree arity must be 0 (derived) or at least 2, got 1".to_string())
-            }
-            _ => Ok(()),
-        }
-    }
 }
 
 impl std::str::FromStr for Topology {
@@ -248,17 +217,19 @@ impl std::str::FromStr for Topology {
         match name {
             "ideal" if param.is_none() => Ok(Topology::Ideal),
             "mesh" => Ok(Topology::Mesh2D { width: param.unwrap_or(0) }),
-            "fat-tree" | "fattree" => Ok(Topology::FatTree { arity: param.unwrap_or(0) }),
-            _ => Err(format!(
-                "unknown topology {s:?} (ideal|mesh[:width]|fat-tree[:arity])"
-            )),
+            _ => Err(format!("unknown topology {s:?} (ideal|mesh[:width])")),
         }
     }
 }
 
+/// CLI / provenance spelling: `ideal`, `mesh[:width]`.
 impl std::fmt::Display for Topology {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.as_string())
+        match self {
+            Topology::Ideal => f.write_str("ideal"),
+            Topology::Mesh2D { width: 0 } => f.write_str("mesh"),
+            Topology::Mesh2D { width } => write!(f, "mesh:{width}"),
+        }
     }
 }
 
@@ -403,7 +374,7 @@ pub struct SystemConfig {
     /// [`WindowPolicy`]); no simulator code reads this field.
     pub window_policy: WindowPolicy,
     /// Interconnect topology. [`Topology::Ideal`] (the default) is the
-    /// paper's constant-latency pipe; mesh / fat-tree route packets over
+    /// paper's constant-latency pipe; a mesh routes packets over
     /// per-link occupancy queues (DESIGN.md §11). Unlike the simulator
     /// knob above this changes reported cycles — by design.
     pub topology: Topology,
@@ -474,14 +445,13 @@ impl SystemConfig {
 
     /// Checks the settings no simulation can run with: `nodes` must lie
     /// in `1..=65_535`, since node ids are 16-bit and the event-key
-    /// scheme reserves origin id 0 for machine-global events, and the
-    /// topology must be buildable ([`Topology::validate`]).
+    /// scheme reserves origin id 0 for machine-global events.
     pub fn validate(&self) -> Result<(), String> {
         let max = usize::from(u16::MAX);
         if !(1..=max).contains(&self.nodes) {
             return Err(format!("nodes must be between 1 and {max}, got {}", self.nodes));
         }
-        self.topology.validate()
+        Ok(())
     }
 }
 
@@ -541,34 +511,17 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_a_unary_fat_tree() {
-        let mut c = SystemConfig::default();
-        for (arity, ok) in [(0, true), (1, false), (2, true), (4, true)] {
-            c.topology = Topology::FatTree { arity };
-            assert_eq!(c.validate().is_ok(), ok, "fat-tree arity {arity}");
-        }
-        c.topology = Topology::FatTree { arity: 1 };
-        assert_eq!(
-            c.validate(),
-            Err("fat-tree arity must be 0 (derived) or at least 2, got 1".to_string())
-        );
-        c.topology = Topology::Mesh2D { width: 1 };
-        assert_eq!(c.validate(), Ok(()));
-    }
-
-    #[test]
     fn topology_parses_round_trip() {
         for t in [
             Topology::Ideal,
             Topology::Mesh2D { width: 0 },
             Topology::Mesh2D { width: 8 },
-            Topology::FatTree { arity: 0 },
-            Topology::FatTree { arity: 4 },
         ] {
-            assert_eq!(t.as_string().parse::<Topology>(), Ok(t));
+            assert_eq!(t.to_string().parse::<Topology>(), Ok(t));
         }
         assert_eq!("mesh".parse::<Topology>(), Ok(Topology::Mesh2D { width: 0 }));
-        assert_eq!("fattree:2".parse::<Topology>(), Ok(Topology::FatTree { arity: 2 }));
+        assert!("fat-tree".parse::<Topology>().is_err());
+        assert!("fattree:2".parse::<Topology>().is_err());
         assert!("torus".parse::<Topology>().is_err());
         assert!("mesh:x".parse::<Topology>().is_err());
         assert!("ideal:3".parse::<Topology>().is_err());

@@ -6,7 +6,7 @@
 //! 1.0 when the working set exceeds the hardware cache.
 //!
 //! Usage: `figure3 [--scale N] [--nodes N] [--jobs N] [--repeat N]
-//! [--topology ideal|mesh[:W]|fat-tree[:A]] [--apps a,b,...]
+//! [--topology ideal|mesh[:W]] [--apps a,b,...]
 //! [--json PATH] [--full]` (default scale 4; `--full` runs the paper's
 //! exact sizes). The table is byte-identical for any `--jobs` or
 //! `--repeat` value; `--repeat N` reruns each point N times and reports

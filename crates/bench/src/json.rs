@@ -157,7 +157,7 @@ pub fn write_report(path: &Path, meta: &SweepMeta, points: &[PointRecord]) -> st
     writeln!(f, "  \"scale\": {},", meta.scale)?;
     writeln!(f, "  \"jobs\": {},", meta.jobs)?;
     writeln!(f, "  \"repeat\": {},", meta.repeat)?;
-    writeln!(f, "  \"topology\": {},", escape(&meta.topology.as_string()))?;
+    writeln!(f, "  \"topology\": {},", escape(&meta.topology.to_string()))?;
     writeln!(f, "  \"total_wall_secs\": {:.6},", meta.total_wall_secs)?;
     writeln!(f, "  \"points\": [")?;
     for (i, p) in points.iter().enumerate() {

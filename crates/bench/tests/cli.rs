@@ -61,8 +61,8 @@ fn bad_arguments_print_one_error_line_and_exit_two() {
         // The parallel simulator's flags are gone.
         &["--sim-threads", "2"],
         &["--topology", "ring"],
-        // A unary fat tree cannot be built (SystemConfig::validate).
-        &["--topology", "fat-tree:1"],
+        // The mesh is the only routed shape: a fat tree is unknown.
+        &["--topology", "fat-tree"],
         // Node ids are 16-bit: zero nodes and more than 65,535 are
         // impossible machines, rejected before anything is built.
         &["--nodes", "0"],
@@ -146,7 +146,7 @@ fn tt_check_bad_arguments_print_one_error_line_and_exit_two() {
         (&["run", "--bogus"], "--bogus"),
         (&["run", "--seeds", "abc"], "--seeds"),
         (&["kv", "--sim-threads", "2"], "--sim-threads"),
-        (&["run", "--topology", "fat-tree:1"], "--topology"),
+        (&["run", "--topology", "fat-tree"], "--topology: unknown topology"),
         (&["replay"], "--seed"),
         (&["replay", "--seed"], "--seed"),
         // `--out` belongs to `run` alone.

@@ -17,7 +17,7 @@
 //!    ([`litmus`]) run under perturbations of the machine's *legal*
 //!    nondeterminism (same-cycle tie-breaking, network latency jitter,
 //!    compute coalescing, direct execution on/off, lossy networks,
-//!    routed topologies).
+//!    the routed mesh).
 //!    Everything derives from one `u64` seed through
 //!    [`tt_base::DetRng`], so `tt-check replay --seed S` reproduces a
 //!    failure bit-exactly, and a greedy shrinker reduces a failing case

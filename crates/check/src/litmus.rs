@@ -436,8 +436,7 @@ mod tests {
     }
 
     /// The interconnects the classic suite must hold on.
-    const TOPOLOGIES: [Topology; 3] =
-        [Topology::Ideal, Topology::Mesh2D { width: 0 }, Topology::FatTree { arity: 0 }];
+    const TOPOLOGIES: [Topology; 2] = [Topology::Ideal, Topology::Mesh2D { width: 0 }];
 
     #[test]
     fn classic_suite_holds_on_both_machines() {
@@ -482,7 +481,7 @@ mod tests {
                 run_classic(sb, 0, &perturb).expect("SB clean").0.raw()
             })
             .collect();
-        assert_eq!(cycles, [608, 592, 598]);
+        assert_eq!(cycles, [608, 592]);
     }
 
     #[test]

@@ -62,9 +62,6 @@ pub trait TempestCtx {
     /// This node's id.
     fn node(&self) -> NodeId;
 
-    /// Total nodes in the machine.
-    fn nodes(&self) -> usize;
-
     /// Current simulated time.
     fn now(&self) -> Cycles;
 

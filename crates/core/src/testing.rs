@@ -14,7 +14,7 @@
 //! use tt_base::addr::Vpn;
 //! use tt_mem::Tag;
 //!
-//! let mut ctx = MockCtx::new(0, 4);
+//! let mut ctx = MockCtx::new(0);
 //! let ppn = ctx.alloc_page();
 //! ctx.map_page(Vpn(0x10000), ppn).unwrap();
 //! ctx.set_page_tags(Vpn(0x10000), Tag::ReadWrite);
@@ -51,7 +51,6 @@ pub struct SentMessage {
 #[derive(Debug)]
 pub struct MockCtx {
     node: NodeId,
-    nodes: usize,
     now: Cycles,
     /// Functional memory (data + tags).
     pub mem: NodeMemory,
@@ -79,11 +78,10 @@ pub struct MockCtx {
 }
 
 impl MockCtx {
-    /// A context for node `node` of an `nodes`-node machine.
-    pub fn new(node: u16, nodes: usize) -> Self {
+    /// A context for node `node`.
+    pub fn new(node: u16) -> Self {
         MockCtx {
             node: NodeId::new(node),
-            nodes,
             now: Cycles::ZERO,
             mem: NodeMemory::new(),
             ptable: PageTable::new(),
@@ -143,10 +141,6 @@ impl MockCtx {
 impl TempestCtx for MockCtx {
     fn node(&self) -> NodeId {
         self.node
-    }
-
-    fn nodes(&self) -> usize {
-        self.nodes
     }
 
     fn now(&self) -> Cycles {
@@ -263,7 +257,7 @@ mod tests {
 
     #[test]
     fn records_sends_and_resumes() {
-        let mut ctx = MockCtx::new(1, 4);
+        let mut ctx = MockCtx::new(1);
         ctx.send(
             NodeId::new(2),
             VirtualNet::Request,
@@ -283,7 +277,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "virtual-net violation")]
     fn send_enforces_the_declared_vn_policy() {
-        let mut ctx = MockCtx::new(0, 4);
+        let mut ctx = MockCtx::new(0);
         ctx.set_vn_policy(VnPolicy::new().expect(HandlerId(9), VirtualNet::Response));
         // A "response" handler sent on the request net is exactly the
         // waits-for bug the two-network design exists to exclude.
@@ -297,7 +291,7 @@ mod tests {
 
     #[test]
     fn install_page_round_trips() {
-        let mut ctx = MockCtx::new(0, 2);
+        let mut ctx = MockCtx::new(0);
         let meta = PageMeta {
             vpn: None,
             mode: 3,

@@ -291,7 +291,7 @@ impl DirnnbMachine {
     /// time at `dst`: the traffic accounting plus the network's latency
     /// model — a self-send arrives at `inject` (local hand-off is in the
     /// Table 2 costs), `Topology::Ideal` charges the constant latency,
-    /// and routed topologies charge hop counts plus per-link queuing.
+    /// and the mesh charges hop counts plus per-link queuing.
     /// Wire size matches the one-argument packet `send` would have been
     /// handed: handler word + one argument word, plus a coherence block
     /// when `data` is set.

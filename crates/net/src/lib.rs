@@ -10,11 +10,11 @@
 //! Following the paper's methodology, the default model charges a constant
 //! network latency (Table 2: 11 cycles) and does not model contention.
 //! Big-machine mode (DESIGN.md §11) replaces the constant pipe with a
-//! routed [`Topology`]: each packet traverses a deterministic
-//! dimension-order (mesh) or up-down (fat tree) route, and every link
-//! keeps a `next_free` occupancy cycle that serializes packets by wire
-//! size — so hot-home saturation shows up as queuing delay. Routes and
-//! queuing depend only on the sending node's own traffic (see
+//! routed 2-D mesh ([`Topology::Mesh2D`]): each packet traverses a
+//! deterministic dimension-order route, and every link keeps a
+//! `next_free` occupancy cycle that serializes packets by wire size —
+//! so hot-home saturation shows up as queuing delay. Routes and queuing
+//! depend only on the sending node's own traffic (see
 //! `Network::link_free`).
 //!
 //! The network is a *passive* component: [`Network::send`] validates the
@@ -260,74 +260,34 @@ impl NetStats {
     }
 }
 
-/// Cycles one hop takes through a routed topology: a switch traversal
+/// Cycles one hop takes through the mesh: a switch traversal
 /// plus the wire. The minimum cross-node delivery is one hop.
 pub const HOP_LATENCY: u64 = 3;
 
-/// Normalized routing parameters (derived defaults resolved).
-#[derive(Clone, Copy, Debug)]
-enum Route {
-    Mesh { width: usize },
-    Tree { arity: usize },
-}
-
-/// Link-id tag bits for fat-tree edges (mesh links use the low id space:
-/// `node * 4 + direction`).
-const TREE_UP: u64 = 1 << 40;
-const TREE_DOWN: u64 = 2 << 40;
-
-/// Visits every directed link of the deterministic route `src -> dst` in
-/// traversal order, passing `(link id, capacity divisor)`. Mesh routes are
-/// dimension-order (X then Y); fat-tree routes climb to the lowest common
-/// ancestor and descend. The capacity divisor models the fat tree's
-/// fattening: a level-`l` edge aggregates `arity^l` leaf links, so
-/// serialization shrinks by that factor (mesh links are always 1).
-fn for_each_hop(route: Route, src: usize, dst: usize, mut f: impl FnMut(u64, u64)) {
-    match route {
-        Route::Mesh { width } => {
-            let (mut x, mut y) = (src % width, src / width);
-            let (tx, ty) = (dst % width, dst / width);
-            while x != tx {
-                let node = y * width + x;
-                let dir = if tx > x { 0 } else { 1 };
-                f((node * 4 + dir) as u64, 1);
-                if tx > x {
-                    x += 1;
-                } else {
-                    x -= 1;
-                }
-            }
-            while y != ty {
-                let node = y * width + x;
-                let dir = if ty > y { 2 } else { 3 };
-                f((node * 4 + dir) as u64, 1);
-                if ty > y {
-                    y += 1;
-                } else {
-                    y -= 1;
-                }
-            }
+/// Visits every directed link of the dimension-order (X then Y) route
+/// `src -> dst` on a `width`-column mesh, in traversal order. Link ids
+/// are `node * 4 + direction`.
+fn for_each_hop(width: usize, src: usize, dst: usize, mut f: impl FnMut(u64)) {
+    let (mut x, mut y) = (src % width, src / width);
+    let (tx, ty) = (dst % width, dst / width);
+    while x != tx {
+        let node = y * width + x;
+        let dir = if tx > x { 0 } else { 1 };
+        f((node * 4 + dir) as u64);
+        if tx > x {
+            x += 1;
+        } else {
+            x -= 1;
         }
-        Route::Tree { arity } => {
-            let mut h = 0u32;
-            let (mut a, mut b) = (src, dst);
-            while a != b {
-                a /= arity;
-                b /= arity;
-                h += 1;
-            }
-            let mut up = src;
-            let mut fat = 1u64;
-            for level in 0..h as u64 {
-                f(TREE_UP | (level << 24) | up as u64, fat);
-                up /= arity;
-                fat *= arity as u64;
-            }
-            for level in (0..h as u64).rev() {
-                fat /= arity as u64;
-                let child = dst / arity.pow(level as u32);
-                f(TREE_DOWN | (level << 24) | child as u64, fat);
-            }
+    }
+    while y != ty {
+        let node = y * width + x;
+        let dir = if ty > y { 2 } else { 3 };
+        f((node * 4 + dir) as u64);
+        if ty > y {
+            y += 1;
+        } else {
+            y -= 1;
         }
     }
 }
@@ -355,8 +315,9 @@ pub struct Network {
     latency: Cycles,
     /// Machine size (sizes the per-pair jitter and fault state).
     nodes: usize,
-    /// Routed topology (`None` = the ideal constant-latency pipe).
-    route: Option<Route>,
+    /// Columns of the routed mesh (`None` = the ideal constant-latency
+    /// pipe).
+    mesh_width: Option<usize>,
     /// Earliest free cycle of each `(source node, link)` this instance
     /// has routed over, keyed `src << 42 | link id`. The queue state is
     /// per *source*: a source's packets queue behind its own earlier
@@ -447,11 +408,6 @@ impl Deliveries {
         }
     }
 
-    /// Number of copies that will arrive.
-    pub fn count(&self) -> usize {
-        self.times.iter().filter(|t| t.is_some()).count()
-    }
-
     /// Iterates the arrival times in send order.
     pub fn iter(&self) -> impl Iterator<Item = Cycles> + '_ {
         self.times.iter().filter_map(|t| *t)
@@ -526,7 +482,7 @@ impl Network {
         Network {
             latency,
             nodes,
-            route: None,
+            mesh_width: None,
             link_free: FxHashMap::default(),
             stats: NetStats::default(),
             jitter: None,
@@ -534,31 +490,18 @@ impl Network {
         }
     }
 
-    /// Installs a routed topology (DESIGN.md §11). [`Topology::Ideal`]
-    /// keeps the constant-latency pipe; mesh / fat-tree route every
-    /// cross-node packet over per-link occupancy queues. Derived
-    /// parameters (`width`/`arity` of 0) are resolved here against the
-    /// node count: a mesh defaults to `ceil(sqrt(nodes))` columns, a fat
-    /// tree to arity 4.
+    /// Installs the interconnect topology (DESIGN.md §11).
+    /// [`Topology::Ideal`] keeps the constant-latency pipe;
+    /// [`Topology::Mesh2D`] routes every cross-node packet over per-link
+    /// occupancy queues. A mesh width of 0 is resolved here against the
+    /// node count to `ceil(sqrt(nodes))` columns.
     pub fn set_topology(&mut self, topology: Topology) {
-        let nodes = self.nodes;
-        self.route = match topology {
+        self.mesh_width = match topology {
             Topology::Ideal => None,
-            Topology::Mesh2D { width } => {
-                let width = if width == 0 {
-                    (nodes as f64).sqrt().ceil() as usize
-                } else {
-                    width
-                };
-                assert!(width >= 1, "mesh width must be at least 1");
-                Some(Route::Mesh { width })
-            }
-            Topology::FatTree { arity } => {
-                let arity = if arity == 0 { 4 } else { arity };
-                assert!(arity >= 2, "fat-tree arity must be at least 2");
-                Some(Route::Tree { arity })
-            }
+            Topology::Mesh2D { width: 0 } => Some((self.nodes as f64).sqrt().ceil() as usize),
+            Topology::Mesh2D { width } => Some(width),
         };
+        assert!(self.mesh_width != Some(0), "mesh width must be at least 1");
     }
 
     /// Turns on seeded latency jitter: every wire packet is delayed by a
@@ -587,34 +530,66 @@ impl Network {
         self.faults = Some(FaultPlan::new(spec, self.nodes));
     }
 
-    /// The configured one-way latency (the ideal pipe's constant).
-    pub fn latency(&self) -> Cycles {
-        self.latency
-    }
-
-    /// Routes one wire packet and returns its arrival time: each link of
-    /// the deterministic route delays the head by [`HOP_LATENCY`] and is
-    /// then busy for the packet's serialization time (`wire bytes / 8`,
-    /// scaled down on fattened tree links), so later packets from the
-    /// same source queue behind it.
-    fn route_deliver(&mut self, now: Cycles, src: NodeId, dst: NodeId, wire: usize) -> Cycles {
-        let route = self.route.expect("route_deliver requires a routed topology");
-        let ser = wire.div_ceil(ARG_WORD_BYTES).max(1) as u64;
+    /// Routes one wire packet over a `width`-column mesh and returns its
+    /// arrival time: each link of the route delays the head by
+    /// [`HOP_LATENCY`] and is then busy for the packet's serialization
+    /// time (`wire bytes / 8`), so later packets from the same source
+    /// queue behind it.
+    fn route_deliver(
+        &mut self,
+        width: usize,
+        now: Cycles,
+        src: NodeId,
+        dst: NodeId,
+        wire: usize,
+    ) -> Cycles {
+        let ser = Cycles::new(wire.div_ceil(ARG_WORD_BYTES).max(1) as u64);
         let src_key = (src.index() as u64) << 42;
         let mut cursor = now;
-        for_each_hop(route, src.index(), dst.index(), |link, fat| {
+        for_each_hop(width, src.index(), dst.index(), |link| {
             let free = self.link_free.entry(src_key | link).or_insert(Cycles::ZERO);
             let start = cursor.max(*free);
-            *free = start + Cycles::new((ser / fat.max(1)).max(1));
+            *free = start + ser;
             cursor = start + Cycles::new(HOP_LATENCY);
         });
         cursor
     }
 
+    /// The one injection path for a cross-node wire packet: counts it,
+    /// charges the ideal pipe's constant latency or the mesh route, and
+    /// applies jitter if installed. Returns the arrival time.
+    fn inject_wire(
+        &mut self,
+        now: Cycles,
+        src: NodeId,
+        dst: NodeId,
+        vn: VirtualNet,
+        wire_bytes: usize,
+    ) -> Cycles {
+        self.stats.packets[vn.index()].inc();
+        self.stats.bytes[vn.index()].add(wire_bytes as u64);
+        let base = match self.mesh_width {
+            Some(width) => self.route_deliver(width, now, src, dst, wire_bytes),
+            None => now + self.latency,
+        };
+        let Some(j) = &mut self.jitter else {
+            return base;
+        };
+        let pair = src.index() * j.nodes + dst.index();
+        let draw = mix64(mix64(j.seed ^ pair as u64) ^ j.pair_sent[pair]);
+        j.pair_sent[pair] += 1;
+        let bound = j.max_extra.raw() + 1;
+        let extra = Cycles::new(((draw as u128 * bound as u128) >> 64) as u64);
+        let floor = j.pair_last[pair] + Cycles::new(1);
+        let t = (base + extra).max(floor);
+        j.pair_last[pair] = t;
+        t
+    }
+
     /// Accepts a packet at time `now` and returns its delivery time at the
     /// destination. Under the ideal topology, packets between distinct
-    /// nodes are charged the constant network latency; routed topologies
-    /// charge the route's hop count plus any per-link queuing. A node
+    /// nodes are charged the constant network latency; the mesh charges
+    /// the route's hop count plus any per-link queuing. A node
     /// messaging itself short-circuits the network and is delivered after
     /// one cycle (Section 5.1).
     ///
@@ -633,28 +608,7 @@ impl Network {
             self.stats.local_packets.inc();
             return now + Cycles::new(1);
         }
-        let vn = packet.vn.index();
-        self.stats.packets[vn].inc();
-        self.stats.bytes[vn].add(packet.wire_bytes() as u64);
-        let base = if self.route.is_some() {
-            self.route_deliver(now, packet.src, packet.dst, packet.wire_bytes())
-        } else {
-            now + self.latency
-        };
-        match &mut self.jitter {
-            None => base,
-            Some(j) => {
-                let pair = packet.src.index() * j.nodes + packet.dst.index();
-                let draw = mix64(mix64(j.seed ^ pair as u64) ^ j.pair_sent[pair]);
-                j.pair_sent[pair] += 1;
-                let bound = j.max_extra.raw() + 1;
-                let extra = Cycles::new(((draw as u128 * bound as u128) >> 64) as u64);
-                let floor = j.pair_last[pair] + Cycles::new(1);
-                let t = (base + extra).max(floor);
-                j.pair_last[pair] = t;
-                t
-            }
-        }
+        self.inject_wire(now, packet.src, packet.dst, packet.vn, packet.wire_bytes())
     }
 
     /// Accepts a packet at time `now` and returns the delivery times of
@@ -742,13 +696,11 @@ impl Network {
     }
 
     /// Accounts for a packet the caller does not build and returns its
-    /// arrival time for an injection at `inject`: the packet, byte and
-    /// local counters and the latency model of [`Network::send`], without
-    /// constructing a [`Payload`] per message. A self-send arrives at `inject` (the caller's
-    /// cost model already covers local hand-off); the ideal pipe charges
-    /// the constant latency; routed topologies charge the route. Used by
-    /// the DirNNB machine, whose protocol messages carry no payload the
-    /// simulator needs.
+    /// arrival time for an injection at `inject`: the same injection path
+    /// as [`Network::send`], without constructing a [`Payload`] per
+    /// message. A self-send arrives at `inject` (the caller's cost model
+    /// already covers local hand-off). Used by the DirNNB machine, whose
+    /// protocol messages carry no payload the simulator needs.
     pub fn deliver_at(
         &mut self,
         inject: Cycles,
@@ -761,14 +713,7 @@ impl Network {
             self.stats.local_packets.inc();
             return inject;
         }
-        let i = vn.index();
-        self.stats.packets[i].inc();
-        self.stats.bytes[i].add(wire_bytes as u64);
-        if self.route.is_some() {
-            self.route_deliver(inject, src, dst, wire_bytes)
-        } else {
-            inject + self.latency
-        }
+        self.inject_wire(inject, src, dst, vn, wire_bytes)
     }
 
     /// Traffic statistics so far.
@@ -949,36 +894,6 @@ mod tests {
             .map(|i| b.send(Cycles::new(i * 3), &mk((i % 8) as u16, (i % 63) as u16)).raw())
             .collect();
         assert_eq!(ta, tb, "clones replay identically");
-    }
-
-    #[test]
-    fn fat_tree_routes_climb_and_descend() {
-        let mut net = Network::new(16, Cycles::new(11));
-        net.set_topology(Topology::FatTree { arity: 4 });
-        // Same leaf group (0 and 1 share a parent): up + down = 2 hops.
-        let near = packet(0, 1, VirtualNet::Request, Payload::new());
-        assert_eq!(net.send(Cycles::new(0), &near), Cycles::new(2 * HOP_LATENCY));
-        // Across groups (0 and 15): via the root, 4 hops.
-        let far = packet(0, 15, VirtualNet::Request, Payload::new());
-        assert_eq!(net.send(Cycles::new(100), &far), Cycles::new(100 + 4 * HOP_LATENCY));
-    }
-
-    #[test]
-    fn fat_tree_upper_links_are_fattened() {
-        let mut net = Network::new(16, Cycles::new(11));
-        net.set_topology(Topology::FatTree { arity: 4 });
-        // Two far sends from node 0 at the same instant: the leaf up-link
-        // serializes the 76-byte packet for 10 cycles, but the level-1
-        // links only for ceil(10/4) -> 2. The second packet queues 10
-        // behind the first on the leaf link only.
-        let far = packet(
-            0,
-            15,
-            VirtualNet::Response,
-            Payload::with_block(&[0; 5], [0u8; BLOCK_BYTES]),
-        );
-        assert_eq!(net.send(Cycles::new(0), &far), Cycles::new(4 * HOP_LATENCY));
-        assert_eq!(net.send(Cycles::new(0), &far), Cycles::new(10 + 4 * HOP_LATENCY));
     }
 
     #[test]
@@ -1182,10 +1097,10 @@ mod tests {
         for run in 0..20u64 {
             // The last epoch of every run must be clear.
             let t_last = Cycles::new((run * 4 + 3) * 100 + 50);
-            assert_eq!(net.transmit(t_last, &p).count(), 1, "run {run} last epoch not clear");
+            assert_eq!(net.transmit(t_last, &p).iter().count(), 1, "run {run} last epoch not clear");
             // The first epoch of a partitioned run is blacked out.
             let t_first = Cycles::new(run * 4 * 100 + 50);
-            if net.transmit(t_first, &p).count() == 0 {
+            if net.transmit(t_first, &p).iter().count() == 0 {
                 lost_some = true;
             }
         }
@@ -1228,21 +1143,21 @@ mod tests {
                 let mut net = Network::new(2, Cycles::new(11));
                 spec.seed = s;
                 net.set_fault_plan(spec);
-                let first = net.transmit(Cycles::new(0), &p).count();
-                let second = net.transmit(Cycles::new(1000), &p).count();
+                let first = net.transmit(Cycles::new(0), &p).iter().count();
+                let second = net.transmit(Cycles::new(1000), &p).iter().count();
                 first == 1 && second == 0
             })
             .expect("some seed corrupts exactly the retransmission");
         let mut net = Network::new(2, Cycles::new(11));
         spec.seed = seed;
         net.set_fault_plan(spec);
-        assert_eq!(net.transmit(Cycles::new(0), &p).count(), 1);
-        assert_eq!(net.transmit(Cycles::new(1000), &p).count(), 0);
+        assert_eq!(net.transmit(Cycles::new(0), &p).iter().count(), 1);
+        assert_eq!(net.transmit(Cycles::new(1000), &p).iter().count(), 0);
         assert_eq!(net.stats().corrupt_dropped.get(), 1);
         // The third attempt (a fresh decision index) can still get through
         // eventually; scan a few more attempts.
         let delivered = (2..30u64)
-            .any(|i| net.transmit(Cycles::new(1000 + i * 500), &p).count() > 0);
+            .any(|i| net.transmit(Cycles::new(1000 + i * 500), &p).iter().count() > 0);
         assert!(delivered, "corruption at 30% cannot black out the link forever");
     }
 

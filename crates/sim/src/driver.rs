@@ -248,16 +248,6 @@ mod tests {
         run(&mut Ring::new(0));
     }
 
-    #[test]
-    #[should_panic(
-        expected = "invalid configuration: fat-tree arity must be 0 (derived) or at least 2"
-    )]
-    fn unary_fat_trees_are_rejected() {
-        let mut ring = Ring::new(8);
-        ring.cfg.topology = tt_base::Topology::FatTree { arity: 1 };
-        run(&mut ring);
-    }
-
     /// A barrier-phase toy: node `n` performs `5 + 25 * n` unit-latency
     /// local steps, parks at the barrier, and resumes on the release —
     /// for `PHASES` generations.

@@ -18,7 +18,7 @@
 //! - the sender retransmits unacknowledged messages on a cycle-domain
 //!   **timeout with exponential backoff**, using the machine's protocol
 //!   timer ([`tt_tempest::TempestCtx::set_timer`]);
-//! - a message still unacknowledged after [`ReliableConfig::max_retries`]
+//! - a message still unacknowledged after `MAX_RETRIES` (24)
 //!   retransmissions raises a Tempest-visible [`NetFault`] — graceful
 //!   degradation with a deterministic diagnostic instead of a hang
 //!   behind a permanently dead link.
@@ -55,19 +55,20 @@ const REL_BOOKKEEP_INSTR: u64 = 2;
 /// Instruction cost charged per retransmission.
 const REL_RETRANSMIT_INSTR: u64 = 6;
 
-/// Tuning knobs for [`Reliable`].
+/// Initial retransmission timeout (cycles after the send).
+const TIMEOUT: Cycles = Cycles::new(128);
+/// Backoff ceiling: a message's timeout doubles on every retransmission
+/// up to this cap.
+const BACKOFF_CAP: Cycles = Cycles::new(4096);
+/// Retransmissions of one message before the transport gives up and
+/// raises a [`NetFault`]. With [`TIMEOUT`] and [`BACKOFF_CAP`] the retry
+/// horizon (~80k cycles) comfortably outlasts the longest transient
+/// partition `FaultSpec::from_seed` can schedule (~9k cycles).
+const MAX_RETRIES: u32 = 24;
+
+/// Receiver behavior of a [`Reliable`] transport.
 #[derive(Clone, Copy, Debug)]
 pub struct ReliableConfig {
-    /// Initial retransmission timeout (cycles after the send).
-    pub timeout: Cycles,
-    /// Backoff ceiling: per-message timeout doubles on every
-    /// retransmission up to this cap.
-    pub backoff_cap: Cycles,
-    /// Retransmissions of one message before the transport gives up and
-    /// raises a [`NetFault`]. With the default timeout/cap the retry
-    /// horizon (~80k cycles) comfortably outlasts the longest transient
-    /// partition `FaultSpec::from_seed` can schedule (~9k cycles).
-    pub max_retries: u32,
     /// Suppress stale duplicates at the receiver. `false` plants the
     /// classic retransmission bug — a retried message is re-executed on
     /// redelivery — which the tt-check fault fuzzer must catch.
@@ -76,12 +77,7 @@ pub struct ReliableConfig {
 
 impl Default for ReliableConfig {
     fn default() -> Self {
-        ReliableConfig {
-            timeout: Cycles::new(128),
-            backoff_cap: Cycles::new(4096),
-            max_retries: 24,
-            dedupe: true,
-        }
+        ReliableConfig { dedupe: true }
     }
 }
 
@@ -164,16 +160,12 @@ impl RelState {
 /// services pass straight through.
 struct RelCtx<'a> {
     ctx: &'a mut dyn TempestCtx,
-    cfg: ReliableConfig,
     state: &'a mut RelState,
 }
 
 impl TempestCtx for RelCtx<'_> {
     fn node(&self) -> NodeId {
         self.ctx.node()
-    }
-    fn nodes(&self) -> usize {
-        self.ctx.nodes()
     }
     fn now(&self) -> Cycles {
         self.ctx.now()
@@ -201,7 +193,7 @@ impl TempestCtx for RelCtx<'_> {
         let seq = link.next_seq;
         link.next_seq += 1;
         payload.push_word(seq);
-        let deadline = self.ctx.now() + self.cfg.timeout;
+        let deadline = self.ctx.now() + TIMEOUT;
         link.inflight.insert(
             seq,
             Inflight {
@@ -209,7 +201,7 @@ impl TempestCtx for RelCtx<'_> {
                 handler,
                 payload: payload.clone(),
                 deadline,
-                backoff: self.cfg.timeout,
+                backoff: TIMEOUT,
                 retries: 0,
             },
         );
@@ -319,11 +311,7 @@ impl Reliable {
     /// Delivers a message to the wrapped protocol, with its sends
     /// sequenced through this transport.
     fn deliver(&mut self, ctx: &mut dyn TempestCtx, msg: Message) {
-        let mut rctx = RelCtx {
-            ctx,
-            cfg: self.cfg,
-            state: &mut self.state,
-        };
+        let mut rctx = RelCtx { ctx, state: &mut self.state };
         self.inner.on_message(&mut rctx, msg);
     }
 
@@ -352,38 +340,22 @@ impl Reliable {
 
 impl Protocol for Reliable {
     fn init(&mut self, ctx: &mut dyn TempestCtx) {
-        let mut rctx = RelCtx {
-            ctx,
-            cfg: self.cfg,
-            state: &mut self.state,
-        };
+        let mut rctx = RelCtx { ctx, state: &mut self.state };
         self.inner.init(&mut rctx);
     }
 
     fn on_page_fault(&mut self, ctx: &mut dyn TempestCtx, fault: PageFault) {
-        let mut rctx = RelCtx {
-            ctx,
-            cfg: self.cfg,
-            state: &mut self.state,
-        };
+        let mut rctx = RelCtx { ctx, state: &mut self.state };
         self.inner.on_page_fault(&mut rctx, fault);
     }
 
     fn on_block_fault(&mut self, ctx: &mut dyn TempestCtx, fault: BlockFault) {
-        let mut rctx = RelCtx {
-            ctx,
-            cfg: self.cfg,
-            state: &mut self.state,
-        };
+        let mut rctx = RelCtx { ctx, state: &mut self.state };
         self.inner.on_block_fault(&mut rctx, fault);
     }
 
     fn on_user_call(&mut self, ctx: &mut dyn TempestCtx, thread: ThreadId, call: UserCall) {
-        let mut rctx = RelCtx {
-            ctx,
-            cfg: self.cfg,
-            state: &mut self.state,
-        };
+        let mut rctx = RelCtx { ctx, state: &mut self.state };
         self.inner.on_user_call(&mut rctx, thread, call);
     }
 
@@ -466,7 +438,7 @@ impl Protocol for Reliable {
                 .collect();
             for s in due {
                 let m = link.inflight.get_mut(&s).expect("due seq is inflight");
-                if m.retries >= self.cfg.max_retries {
+                if m.retries >= MAX_RETRIES {
                     let m = link.inflight.remove(&s).expect("due seq is inflight");
                     faults.push(NetFault {
                         node: ctx.node(),
@@ -479,8 +451,7 @@ impl Protocol for Reliable {
                 }
                 m.retries += 1;
                 m.deadline = now + m.backoff;
-                m.backoff =
-                    Cycles::new((m.backoff.raw() * 2).min(self.cfg.backoff_cap.raw()));
+                m.backoff = Cycles::new((m.backoff.raw() * 2).min(BACKOFF_CAP.raw()));
                 self.state.stats.retransmits += 1;
                 ctx.charge(REL_RETRANSMIT_INSTR);
                 ctx.send(NodeId::new(dst), m.vn, m.handler, m.payload.clone());
@@ -571,7 +542,7 @@ mod tests {
         let log: Log = Arc::default();
         (
             Reliable::with_config(Box::new(Recorder { log: log.clone() }), cfg),
-            MockCtx::new(0, 4),
+            MockCtx::new(0),
             log,
         )
     }
@@ -677,11 +648,7 @@ mod tests {
 
     #[test]
     fn dedupe_off_replays_the_duplicate_into_the_protocol() {
-        let cfg = ReliableConfig {
-            dedupe: false,
-            ..ReliableConfig::default()
-        };
-        let (mut r, mut ctx, log) = rig(cfg);
+        let (mut r, mut ctx, log) = rig(ReliableConfig { dedupe: false });
         r.on_message(&mut ctx, wire(2, 0, vec![40]));
         r.on_message(&mut ctx, wire(2, 0, vec![40]));
         assert_eq!(delivered(&log).len(), 2, "planted bug: re-execution");
@@ -735,52 +702,48 @@ mod tests {
         assert_eq!(ctx.timers.len(), timers_before, "clock stopped");
     }
 
+    /// Advances the mock clock to the transport's armed timer and fires it.
+    fn fire_next_timer(r: &mut Reliable, ctx: &mut MockCtx) {
+        let deadline = ctx.timers.last().unwrap().0;
+        ctx.advance(deadline - ctx.now());
+        r.on_timer(ctx, 0);
+    }
+
     #[test]
     fn backoff_doubles_up_to_the_cap() {
-        let cfg = ReliableConfig {
-            timeout: Cycles::new(100),
-            backoff_cap: Cycles::new(400),
-            max_retries: 10,
-            dedupe: true,
-        };
-        let (mut r, mut ctx, _log) = rig(cfg);
+        let (mut r, mut ctx, _log) = rig(ReliableConfig::default());
         r.on_user_call(&mut ctx, ThreadId(NodeId::new(0)), UserCall { op: 1, arg: 9 });
         let mut gaps = Vec::new();
-        let mut last_deadline = Cycles::new(100);
-        for _ in 0..4 {
-            ctx.advance(last_deadline - ctx.now());
-            r.on_timer(&mut ctx, 0);
+        for _ in 0..7 {
+            fire_next_timer(&mut r, &mut ctx);
             let next = ctx.timers.last().unwrap().0;
             gaps.push((next - ctx.now()).raw());
-            last_deadline = next;
         }
-        assert_eq!(gaps, vec![100, 200, 400, 400], "doubling, then capped");
+        let doubling: Vec<u64> = (0..6).map(|i| TIMEOUT.raw() << i).collect();
+        assert_eq!(gaps[..6], doubling, "doubling");
+        assert_eq!(gaps[6], BACKOFF_CAP.raw(), "then capped");
     }
 
     #[test]
     fn exhausted_retries_raise_a_net_fault() {
-        let cfg = ReliableConfig {
-            timeout: Cycles::new(10),
-            backoff_cap: Cycles::new(10),
-            max_retries: 2,
-            dedupe: true,
-        };
-        let (mut r, mut ctx, _log) = rig(cfg);
+        let (mut r, mut ctx, _log) = rig(ReliableConfig::default());
         r.on_user_call(&mut ctx, ThreadId(NodeId::new(0)), UserCall { op: 3, arg: 9 });
-        for _ in 0..4 {
-            ctx.advance(Cycles::new(10));
-            r.on_timer(&mut ctx, 0);
+        for _ in 0..MAX_RETRIES {
+            fire_next_timer(&mut r, &mut ctx);
         }
-        assert_eq!(r.stats().retransmits, 2, "the budget");
+        assert_eq!(r.stats().retransmits, u64::from(MAX_RETRIES), "the budget");
+        assert!(ctx.net_faults.is_empty(), "still within the budget");
+        fire_next_timer(&mut r, &mut ctx);
+        assert_eq!(r.stats().retransmits, u64::from(MAX_RETRIES), "no retry past it");
         assert_eq!(ctx.net_faults.len(), 1, "then the transport gives up");
         let f = ctx.net_faults[0];
         assert_eq!(f.dst, NodeId::new(3));
         assert_eq!(f.handler, PING);
-        assert_eq!(f.retries, 2);
+        assert_eq!(f.retries, MAX_RETRIES);
         // Giving up is terminal for that message: no further retries.
-        ctx.advance(Cycles::new(1000));
+        ctx.advance(Cycles::new(100_000));
         r.on_timer(&mut ctx, 0);
-        assert_eq!(r.stats().retransmits, 2);
+        assert_eq!(r.stats().retransmits, u64::from(MAX_RETRIES));
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn layout() -> Layout {
 /// handler send in these tests is checked against the same discipline
 /// the `tt-check` invariant engine enforces at machine level.
 fn checked_ctx(node: u16) -> MockCtx {
-    let mut ctx = MockCtx::new(node, 4);
+    let mut ctx = MockCtx::new(node);
     ctx.set_vn_policy(tt_stache::vn_policy());
     ctx
 }

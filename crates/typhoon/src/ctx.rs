@@ -24,7 +24,6 @@ use crate::machine::{issue_access, BulkState, Event, NodeState};
 /// The per-handler Tempest context (see module docs).
 pub struct NodeCtx<'a> {
     pub(crate) id: NodeId,
-    pub(crate) nodes: usize,
     pub(crate) cfg: &'a SystemConfig,
     /// Time the handler began executing (after dispatch overhead).
     pub(crate) start: Cycles,
@@ -97,9 +96,6 @@ impl TempestCtx for NodeCtx<'_> {
         self.id
     }
 
-    fn nodes(&self) -> usize {
-        self.nodes
-    }
 
     fn now(&self) -> Cycles {
         self.start + self.cost

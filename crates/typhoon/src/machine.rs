@@ -404,7 +404,6 @@ impl TyphoonMachine {
     ) -> NodeCtx<'a> {
         NodeCtx {
             id: NodeId::new(n as u16),
-            nodes: self.cfg.nodes,
             cfg: &self.cfg,
             start,
             cost: Cycles::ZERO,
@@ -436,16 +435,7 @@ impl TyphoonMachine {
             return;
         };
         let start = now + self.cfg.np_mode.dispatch();
-        {
-            let stats = &mut self.nodes[n].np.stats;
-            stats.handlers.inc();
-            match &work {
-                NpWork::Message(_) | NpWork::Timer(_) => {}
-                NpWork::BlockFault(_) => stats.block_faults.inc(),
-                NpWork::PageFault(_) => stats.page_faults.inc(),
-                NpWork::UserCall(..) => stats.user_calls.inc(),
-            }
-        }
+        self.nodes[n].np.stats.handlers.inc();
         let mut proto = self.protocols[n].take().expect("protocol present");
         let cost = {
             let mut ctx = self.ctx(n, start, queue);

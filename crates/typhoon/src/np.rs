@@ -46,12 +46,6 @@ pub struct NpStats {
     pub instructions: Counter,
     /// Messages received (both nets).
     pub messages: Counter,
-    /// Block faults serviced.
-    pub block_faults: Counter,
-    /// Page faults serviced.
-    pub page_faults: Counter,
-    /// User calls serviced.
-    pub user_calls: Counter,
     /// Cycles the NP spent executing handlers.
     pub busy_cycles: Counter,
     /// Bulk-transfer packets injected.

@@ -43,6 +43,18 @@ if ! cmp -s /tmp/fig3_full.txt results/figure3_full.txt; then
 fi
 rm -f /tmp/fig3_full.txt
 
+# Golden check for the ablation sweep (~3 s): every section, including
+# ablation 7's ideal-vs-mesh rows, must print exactly the committed
+# results/ablations.txt.
+echo "==> ablations golden (stdout == results/ablations.txt)"
+cargo run --release -p tt-bench --bin ablations -- --jobs 2 >/tmp/ablations.txt
+if ! cmp -s /tmp/ablations.txt results/ablations.txt; then
+    echo "FAIL: ablations no longer matches results/ablations.txt:"
+    diff results/ablations.txt /tmp/ablations.txt || true
+    exit 1
+fi
+rm -f /tmp/ablations.txt
+
 # Bounded model-checking sweep (fixed seeds, well under a minute): 500
 # litmus cases under schedule perturbation must run clean on both
 # machines, and a planted protocol bug must be caught. On failure
@@ -105,11 +117,12 @@ echo "==> tt-check kv (200 seeds + 100 lossy seeds)"
 cargo run --release -p tt-bench --bin tt-check -- kv --seeds 200
 cargo run --release -p tt-bench --bin tt-check -- kv --seeds 100 --faults
 
-# Big-machine smoke: a 256-node mesh figure-3 point. The heap
-# high-water mark per node must stay within 2x of the committed
-# results/BENCH_figure3_256_mesh.json snapshot — the guard that keeps
-# the compact directory state compact.
-echo "==> figure3 big-machine smoke (256-node mesh + memory guard)"
+# Big-machine smoke: the 256-node mesh EM3D points. Every point's
+# simulated cycles must equal the committed
+# results/BENCH_figure3_256_mesh.json snapshot (the routed-network
+# golden check), and the heap high-water mark per node must stay within
+# 2x of it — the guard that keeps the compact directory state compact.
+echo "==> figure3 big-machine smoke (256-node mesh: cycles golden + memory guard)"
 cargo run --release -p tt-bench --bin figure3 -- \
     --nodes 256 --topology mesh --apps em3d --scale 64 --jobs 1 \
     --json /tmp/fig3_mesh256.json >/dev/null
@@ -122,6 +135,21 @@ if [ "$new_bpn" -gt $((old_bpn * 2)) ]; then
     exit 1
 fi
 echo "    bytes/node $new_bpn (snapshot $old_bpn, guard 2x)"
+python3 - /tmp/fig3_mesh256.json results/BENCH_figure3_256_mesh.json <<'PY'
+import json
+import sys
+
+def cycles(path):
+    return {(p["point"], p["system"]): p["cycles"] for p in json.load(open(path))["points"]}
+
+new, old = cycles(sys.argv[1]), cycles(sys.argv[2])
+if new != old:
+    for key in sorted(set(new) | set(old)):
+        if new.get(key) != old.get(key):
+            print(f"FAIL: 256-node mesh {key}: cycles {new.get(key)} vs snapshot {old.get(key)}")
+    sys.exit(1)
+print(f"    cycles match the snapshot on all {len(new)} points")
+PY
 rm -f /tmp/fig3_mesh256.json
 
 echo "==> examples build"
