@@ -433,10 +433,6 @@ impl Appbt {
 }
 
 impl PhasedApp for Appbt {
-    fn name(&self) -> &'static str {
-        "appbt"
-    }
-
     fn layout(&self) -> Layout {
         self.layout.clone()
     }

@@ -505,10 +505,6 @@ fn add_gravity(acc: &mut [f64; 3], at: &[f64; 3], from: &[f64; 3], mass: f64) {
 }
 
 impl PhasedApp for Barnes {
-    fn name(&self) -> &'static str {
-        "barnes"
-    }
-
     fn layout(&self) -> Layout {
         let mut l = Layout::new();
         l.add(self.body_arr.region());

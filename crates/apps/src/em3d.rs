@@ -287,10 +287,6 @@ impl Em3d {
 }
 
 impl PhasedApp for Em3d {
-    fn name(&self) -> &'static str {
-        "em3d"
-    }
-
     fn layout(&self) -> Layout {
         self.layout.clone()
     }
@@ -425,7 +421,6 @@ mod tests {
     #[test]
     fn workload_wrapper_round_trips() {
         let mut w = PhasedWorkload::new(Em3d::new(small()));
-        assert_eq!(w.name(), "em3d");
         assert_eq!(w.layout().regions.len(), 2);
         let mut total_ops = 0;
         for cpu in 0..4 {

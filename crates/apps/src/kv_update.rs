@@ -426,10 +426,6 @@ impl Protocol for KvUpdateProtocol {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "kv-update"
-    }
-
     fn report(&self, report: &mut Report) {
         self.stache.report(report);
         report.push_count("kv.gets", self.sink.local.get.total());

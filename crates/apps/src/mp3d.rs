@@ -221,10 +221,6 @@ impl Mp3d {
 }
 
 impl PhasedApp for Mp3d {
-    fn name(&self) -> &'static str {
-        "mp3d"
-    }
-
     fn layout(&self) -> Layout {
         let mut l = Layout::new();
         l.add(self.mols.region());

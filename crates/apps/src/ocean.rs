@@ -305,10 +305,6 @@ impl Ocean {
 }
 
 impl PhasedApp for Ocean {
-    fn name(&self) -> &'static str {
-        "ocean"
-    }
-
     fn layout(&self) -> Layout {
         self.layout.clone()
     }

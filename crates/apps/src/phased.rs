@@ -20,9 +20,6 @@ use tt_base::NodeId;
 
 /// A barrier-phase SPMD application.
 pub trait PhasedApp: Send {
-    /// Short name ("em3d", "ocean", ...).
-    fn name(&self) -> &'static str;
-
     /// The shared-segment layout.
     fn layout(&self) -> Layout;
 
@@ -53,11 +50,6 @@ impl<A: PhasedApp> PhasedWorkload<A> {
         }
     }
 
-    /// The wrapped application.
-    pub fn app(&self) -> &A {
-        &self.app
-    }
-
     fn pull(&mut self, cpu: NodeId) -> Option<Vec<Op>> {
         let q = &mut self.buffered[cpu.index()];
         if let Some(chunk) = q.pop_front() {
@@ -83,10 +75,6 @@ impl<A: PhasedApp> PhasedWorkload<A> {
 }
 
 impl<A: PhasedApp> Workload for PhasedWorkload<A> {
-    fn name(&self) -> &'static str {
-        self.app.name()
-    }
-
     fn layout(&self) -> Layout {
         self.app.layout()
     }
@@ -106,9 +94,6 @@ mod tests {
     }
 
     impl PhasedApp for Toy {
-        fn name(&self) -> &'static str {
-            "toy"
-        }
         fn layout(&self) -> Layout {
             Layout::new()
         }

@@ -106,10 +106,6 @@ pub const NP_FAULT_DETECT: Cycles = Cycles::new(5);
 /// transfer buffer overlaps the MBus transfer with execution (Section 5.1).
 pub const NP_BLOCK_XFER: Cycles = Cycles::new(12);
 
-/// Cycles the NP spends injecting or receiving one bulk-transfer packet
-/// (Section 5.2's data-transfer thread).
-pub const BULK_PACKET_CYCLES: Cycles = Cycles::new(8);
-
 /// Instructions of the Stache miss handler that sends a block request
 /// (Section 6: 14 in the best case).
 pub const STACHE_REQUEST_INSTR: u64 = 14;

@@ -143,11 +143,6 @@ impl Zipf {
         Zipf { n, s, h_n, h_x1, cut }
     }
 
-    /// The configured skew.
-    pub fn skew(&self) -> f64 {
-        self.s
-    }
-
     /// Draws a rank in `0..n` (0 = hottest).
     pub fn sample(&self, rng: &mut DetRng) -> u64 {
         if self.n == 1 {

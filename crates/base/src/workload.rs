@@ -195,9 +195,6 @@ impl Layout {
 /// `Send` so a workload can be built on one thread and simulated on
 /// another; the machine is its only puller, so no `Sync` bound.
 pub trait Workload: Send {
-    /// A short name ("em3d", "ocean", ...).
-    fn name(&self) -> &'static str;
-
     /// The shared-segment layout. Called once before the run.
     fn layout(&self) -> Layout;
 
@@ -279,10 +276,6 @@ impl ScriptWorkload {
 }
 
 impl Workload for ScriptWorkload {
-    fn name(&self) -> &'static str {
-        "script"
-    }
-
     fn layout(&self) -> Layout {
         self.layout.clone()
     }

@@ -82,15 +82,15 @@ Stache-served and write-update-served caches (default --nodes 32).
   --keys N                 keys in the cache (default 2048)
   --requests N             requests per node (default 256)
   --value-words N          words per value, 1 to 255 (default 4)
-  --interarrival CYCLES    mean open-loop interarrival (default 500)
-  --fault-rate PERMILLE    lossy network: drop/duplicate rate (default 0)
+  --interarrival CYCLES    mean open-loop interarrival, at least 1 (default 500)
+  --fault-rate PERMILLE    lossy network: drop/duplicate rate, 0 to 500 (default 0)
 ";
 
-/// [`cli::number`] for a flag that must lie in `1..=max`.
-fn bounded(args: &[String], i: usize, flag: &str, max: usize) -> Result<usize, String> {
+/// [`cli::number`] for a flag that must lie in `min..=max`.
+fn bounded(args: &[String], i: usize, flag: &str, min: usize, max: usize) -> Result<usize, String> {
     match cli::number(args, i, flag)? {
-        n if (1..=max).contains(&n) => Ok(n),
-        _ => Err(format!("{flag}: must be 1 to {max}")),
+        n if (min..=max).contains(&n) => Ok(n),
+        _ => Err(format!("{flag}: must be {min} to {max}")),
     }
 }
 
@@ -105,16 +105,17 @@ fn main() {
     };
     let shared = cli::parse_cli_with(&args, 1, USAGE, &mut |flag, args, i| {
         match flag {
-            "--keys" => kv.keys = bounded(args, *i, "--keys", u32::MAX as usize)? as u64,
+            "--keys" => kv.keys = bounded(args, *i, "--keys", 1, u32::MAX as usize)? as u64,
             "--requests" => kv.requests_per_node = cli::number(args, *i, "--requests")? as u64,
             "--value-words" => {
-                kv.value_words = bounded(args, *i, "--value-words", MAX_VALUE_WORDS)?;
+                kv.value_words = bounded(args, *i, "--value-words", 1, MAX_VALUE_WORDS)?;
             }
             "--interarrival" => {
-                kv.mean_interarrival = cli::number(args, *i, "--interarrival")?.max(1) as f64;
+                let max = u32::MAX as usize;
+                kv.mean_interarrival = bounded(args, *i, "--interarrival", 1, max)? as f64;
             }
             "--fault-rate" => {
-                kv.fault_permille = cli::number(args, *i, "--fault-rate")?.min(500) as u32;
+                kv.fault_permille = bounded(args, *i, "--fault-rate", 0, 500)? as u32;
             }
             _ => return Ok(false),
         }

@@ -458,8 +458,7 @@ mod tests {
     #[test]
     fn all_apps_build_at_smoke_scale() {
         for app in AppId::ALL {
-            let w = build_app(app, DataSet::Small, smoke::SCALE, 4, SyncMode::Barrier);
-            assert_eq!(w.name(), app.name());
+            build_app(app, DataSet::Small, smoke::SCALE, 4, SyncMode::Barrier);
         }
     }
 

@@ -94,14 +94,17 @@ fn bad_arguments_print_one_error_line_and_exit_two() {
             check(name, exe, args);
         }
     }
-    // kv_bench's own flags: an empty key space and a value length the
-    // slot header cannot record (it packs the length into 8 bits) are
-    // usage errors, not a panic or a silent clamp.
+    // kv_bench's own flags: an empty key space, a value length the
+    // slot header cannot record (it packs the length into 8 bits), a
+    // zero interarrival and a loss rate above 500 permille are usage
+    // errors, not a panic or a silent clamp.
     let (name, kv_bench) = BINARIES[3];
     for args in [
         &["--keys", "0"][..],
         &["--value-words", "0"],
         &["--value-words", "256"],
+        &["--interarrival", "0"],
+        &["--fault-rate", "2000"],
     ] {
         check(name, kv_bench, args);
     }
@@ -118,6 +121,11 @@ fn binary_specific_flags_report_bad_values() {
     let out = run(kv_bench, &["--keys", "many"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(text(&out.stderr).starts_with("error: --keys N: \"many\""));
+    // The range errors name the range.
+    let out = run(kv_bench, &["--fault-rate", "501"]);
+    assert!(text(&out.stderr).starts_with("error: --fault-rate: must be 0 to 500\n"));
+    let out = run(kv_bench, &["--interarrival", "0"]);
+    assert!(text(&out.stderr).starts_with("error: --interarrival: must be 1 to 4294967295\n"));
 }
 
 /// `tt-check` takes subcommands and its own checker flags, but follows

@@ -36,7 +36,6 @@ use tt_base::addr::{BLOCK_BYTES, WORD_BYTES};
 use tt_base::{Cycles, VAddr};
 use tt_mem::Tag;
 use tt_tempest::{DirSnapshotState, HandlerId, VnPolicy};
-use tt_typhoon::machine::MACHINE_HANDLER_BASE;
 use tt_typhoon::{Event, TyphoonMachine};
 
 /// Default event budget: far above anything a litmus-sized run needs,
@@ -99,9 +98,7 @@ impl InvariantChecker {
             self.events
         );
         if let Event::Deliver(p) = event {
-            if p.handler < MACHINE_HANDLER_BASE {
-                self.policy.assert_send(HandlerId(p.handler), p.vn);
-            }
+            self.policy.assert_send(HandlerId(p.handler), p.vn);
         }
         self.check_tags(now, m);
         self.check_directories(now, m);

@@ -184,9 +184,6 @@ impl Protocol for SkipInvalidate {
     fn inspect_directory(&self, out: &mut Vec<tt_tempest::BlockDirSnapshot>) {
         self.inner.inspect_directory(out);
     }
-    fn name(&self) -> &'static str {
-        "stache-skip-invalidate"
-    }
 }
 
 /// One shared page homed on node 0.

@@ -7,12 +7,12 @@
 //! |---------------|--------------------------|----------------------|
 //! | `read`        | CPU loads                | issued by workloads, checked by the machine |
 //! | `write`       | CPU stores               | issued by workloads, checked by the machine |
-//! | `force-read`  | protocol handlers        | [`TempestCtx::force_read_block`] / `force_read_word` |
-//! | `force-write` | protocol handlers        | [`TempestCtx::force_write_block`] / `force_write_word` |
+//! | `force-read`  | protocol handlers        | [`TempestCtx::force_read_block`] |
+//! | `force-write` | protocol handlers        | [`TempestCtx::force_write_block`] |
 //! | `read-tag`    | protocol handlers        | [`TempestCtx::read_tag`] |
 //! | `set-RW`      | protocol handlers        | [`TempestCtx::set_tag`] with [`Tag::ReadWrite`] |
 //! | `set-RO`      | protocol handlers        | [`TempestCtx::set_tag`] with [`Tag::ReadOnly`] |
-//! | `invalidate`  | protocol handlers        | [`TempestCtx::invalidate_block`] (also purges CPU-cached copies) |
+//! | `invalidate`  | protocol handlers        | [`TempestCtx::set_tag`] with [`Tag::Invalid`] (also purges CPU-cached copies) |
 //! | `resume`      | protocol handlers        | [`TempestCtx::resume`] |
 //!
 //! [`TagOp`] names the operations; `tables` prints Table 1 from it.
@@ -21,10 +21,10 @@
 //! [`TempestCtx::force_write_block`]: crate::TempestCtx::force_write_block
 //! [`TempestCtx::read_tag`]: crate::TempestCtx::read_tag
 //! [`TempestCtx::set_tag`]: crate::TempestCtx::set_tag
-//! [`TempestCtx::invalidate_block`]: crate::TempestCtx::invalidate_block
 //! [`TempestCtx::resume`]: crate::TempestCtx::resume
 //! [`Tag::ReadWrite`]: tt_mem::Tag::ReadWrite
 //! [`Tag::ReadOnly`]: tt_mem::Tag::ReadOnly
+//! [`Tag::Invalid`]: tt_mem::Tag::Invalid
 
 /// The nine Tempest operations on tagged memory blocks (Table 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -16,35 +16,8 @@ use tt_mem::ptable::MapError;
 use tt_mem::{PageMeta, Tag};
 use tt_net::{Payload, VirtualNet};
 
-use crate::bulk::BulkRequest;
 use crate::fault::{NetFault, ThreadId};
 use crate::msg::HandlerId;
-
-/// Errors surfaced to protocol handlers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TempestError {
-    /// A page-table operation failed.
-    Map(MapError),
-    /// The virtual address is not mapped on this node.
-    NotMapped(VAddr),
-}
-
-impl std::fmt::Display for TempestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TempestError::Map(e) => write!(f, "{e}"),
-            TempestError::NotMapped(a) => write!(f, "address {a} is not mapped"),
-        }
-    }
-}
-
-impl std::error::Error for TempestError {}
-
-impl From<MapError> for TempestError {
-    fn from(e: MapError) -> Self {
-        TempestError::Map(e)
-    }
-}
 
 /// Machine services available to user-level protocol handlers.
 ///
@@ -80,12 +53,6 @@ pub trait TempestCtx {
     /// [`VirtualNet::Request`] and responses on [`VirtualNet::Response`]
     /// for the protocol to be deadlock-free (Section 5.1).
     fn send(&mut self, dst: NodeId, vn: VirtualNet, handler: HandlerId, payload: Payload);
-
-    // --- Bulk transfer (Section 2.2) ---
-
-    /// Starts an asynchronous bulk transfer; the machine packetizes it and
-    /// invokes the requested completion handlers when it finishes.
-    fn bulk_transfer(&mut self, request: BulkRequest);
 
     // --- Protocol timers (retransmission support) ---
 
@@ -124,20 +91,17 @@ pub trait TempestCtx {
     /// # Errors
     ///
     /// Fails if `vpn` is already mapped.
-    fn map_page(&mut self, vpn: Vpn, ppn: Ppn) -> Result<(), TempestError>;
+    fn map_page(&mut self, vpn: Vpn, ppn: Ppn) -> Result<(), MapError>;
 
     /// Unmaps `vpn`, returning the frame it mapped. Flushes the TLBs.
     ///
     /// # Errors
     ///
     /// Fails if `vpn` is not mapped.
-    fn unmap_page(&mut self, vpn: Vpn) -> Result<Ppn, TempestError>;
+    fn unmap_page(&mut self, vpn: Vpn) -> Result<Ppn, MapError>;
 
     /// The frame `vpn` maps to, if any.
     fn translate(&self, vpn: Vpn) -> Option<Ppn>;
-
-    /// Reads the RTLB-visible metadata of the frame mapping `vpn`.
-    fn page_meta(&self, vpn: Vpn) -> Option<PageMeta>;
 
     /// Writes the RTLB-visible metadata of the frame mapping `vpn`.
     ///
@@ -165,18 +129,6 @@ pub trait TempestCtx {
 
     /// Sets every block tag on the page at `vpn` (page initialization).
     fn set_page_tags(&mut self, vpn: Vpn, tag: Tag);
-
-    /// Table 1 `invalidate`: tag := `Invalid` and purge local cached
-    /// copies. Equivalent to `set_tag(addr, Tag::Invalid)`.
-    fn invalidate_block(&mut self, addr: VAddr) {
-        self.set_tag(addr, Tag::Invalid);
-    }
-
-    /// `force-read` of one word (no tag check).
-    fn force_read_word(&mut self, addr: VAddr) -> u64;
-
-    /// `force-write` of one word (no tag check).
-    fn force_write_word(&mut self, addr: VAddr, value: u64);
 
     /// `force-read` of the whole block containing `addr`.
     fn force_read_block(&mut self, addr: VAddr) -> [u8; BLOCK_BYTES];

@@ -1,21 +1,24 @@
 //! **Tempest** — the user-level shared-memory interface (paper Section 2).
 //!
 //! Tempest is the paper's primary contribution: a parallel-machine
-//! interface that exposes four families of *mechanisms* so that user-level
+//! interface that exposes families of *mechanisms* so that user-level
 //! code — compilers, run-time libraries, or application programmers — can
-//! implement shared-memory *policies* themselves:
+//! implement shared-memory *policies* themselves. This crate models the
+//! three that the protocols the paper evaluates use:
 //!
 //! 1. **Low-overhead messages** ([`msg`]): active messages whose arrival
 //!    spawns a handler thread that runs atomically to completion,
 //!    logically concurrent with the computation thread.
-//! 2. **Bulk data transfer** ([`bulk`]): asynchronous node-to-node copies
-//!    with user-customizable send/receive handlers.
-//! 3. **Virtual memory management** ([`TempestCtx`] map/unmap/alloc):
+//! 2. **Virtual memory management** ([`TempestCtx`] map/unmap/alloc):
 //!    user-level allocation of physical pages at chosen virtual addresses
 //!    in the shared segment, with user-level page-fault handlers.
-//! 4. **Fine-grain access control** ([`access`]): ReadWrite / ReadOnly /
+//! 3. **Fine-grain access control** ([`access`]): ReadWrite / ReadOnly /
 //!    Invalid tags on aligned 32-byte blocks, checked on every processor
 //!    load and store, with the nine operations of Table 1.
+//!
+//! The fourth family, bulk data transfer (Section 2.2), is not modelled:
+//! Stache and the custom protocols move data one 32-byte block per
+//! message, so no evaluated result depends on it (DESIGN.md §2).
 //!
 //! A shared-memory protocol is a type implementing [`Protocol`]; one
 //! instance runs on each node's network interface processor and reacts to
@@ -61,7 +64,6 @@
 //! ```
 
 pub mod access;
-pub mod bulk;
 pub mod ctx;
 pub mod fault;
 pub mod inspect;
@@ -70,8 +72,7 @@ pub mod protocol;
 pub mod testing;
 
 pub use access::TagOp;
-pub use bulk::BulkRequest;
-pub use ctx::{TempestCtx, TempestError};
+pub use ctx::TempestCtx;
 pub use fault::{BlockFault, NetFault, PageFault, ThreadId};
 pub use inspect::{BlockDirSnapshot, DirSnapshotState, VnPolicy};
 pub use msg::{HandlerId, Message};

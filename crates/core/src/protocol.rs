@@ -68,11 +68,6 @@ pub trait Protocol: Send {
         ctx.resume(thread);
     }
 
-    /// A short name for reports ("stache", "em3d-update", ...).
-    fn name(&self) -> &'static str {
-        "protocol"
-    }
-
     /// Appends protocol-specific statistics to a report.
     fn report(&self, _report: &mut Report) {}
 

@@ -3,8 +3,10 @@
 //! Machine-level tests (see `tt-typhoon`) exercise protocols end to end,
 //! but state-machine bugs are easier to pin down against a context that
 //! simply records what the handler did. [`MockCtx`] provides real memory,
-//! tags, and page tables, and logs every message sent, every resume, and
-//! every bulk request; timing charges accumulate into a plain counter.
+//! tags, and page tables, and logs every message sent and every resume;
+//! timing charges accumulate into a plain counter. Tests inspect memory
+//! through [`MockCtx::read_word`], [`MockCtx::write_word`] and
+//! [`MockCtx::page_meta`], which bypass the protocol interface.
 //!
 //! # Example
 //!
@@ -18,17 +20,17 @@
 //! let ppn = ctx.alloc_page();
 //! ctx.map_page(Vpn(0x10000), ppn).unwrap();
 //! ctx.set_page_tags(Vpn(0x10000), Tag::ReadWrite);
-//! ctx.force_write_word(Vpn(0x10000).base(), 7);
-//! assert_eq!(ctx.force_read_word(Vpn(0x10000).base()), 7);
+//! ctx.write_word(Vpn(0x10000).base(), 7);
+//! assert_eq!(ctx.read_word(Vpn(0x10000).base()), 7);
 //! ```
 
 use tt_base::addr::{Ppn, VAddr, Vpn, BLOCK_BYTES};
 use tt_base::{Cycles, NodeId};
+use tt_mem::ptable::MapError;
 use tt_mem::{NodeMemory, PageMeta, PageTable, Tag};
 use tt_net::{Payload, VirtualNet};
 
-use crate::bulk::BulkRequest;
-use crate::ctx::{TempestCtx, TempestError};
+use crate::ctx::TempestCtx;
 use crate::fault::{NetFault, ThreadId};
 use crate::inspect::VnPolicy;
 use crate::msg::HandlerId;
@@ -60,8 +62,6 @@ pub struct MockCtx {
     pub sent: Vec<SentMessage>,
     /// Every thread resumed, in order.
     pub resumed: Vec<ThreadId>,
-    /// Every bulk transfer requested, in order.
-    pub bulk: Vec<BulkRequest>,
     /// Instructions charged.
     pub charged: u64,
     /// Protocol-data accesses recorded (keys, in order).
@@ -87,7 +87,6 @@ impl MockCtx {
             ptable: PageTable::new(),
             sent: Vec::new(),
             resumed: Vec::new(),
-            bulk: Vec::new(),
             charged: 0,
             data_accesses: Vec::new(),
             timers: Vec::new(),
@@ -119,11 +118,26 @@ impl MockCtx {
     pub fn clear_effects(&mut self) {
         self.sent.clear();
         self.resumed.clear();
-        self.bulk.clear();
         self.charged = 0;
         self.data_accesses.clear();
         self.timers.clear();
         self.net_faults.clear();
+    }
+
+    /// The word at `addr` (no tag check).
+    pub fn read_word(&self, addr: VAddr) -> u64 {
+        self.mem.read_word(self.paddr(addr))
+    }
+
+    /// Writes the word at `addr` (no tag check).
+    pub fn write_word(&mut self, addr: VAddr, value: u64) {
+        let paddr = self.paddr(addr);
+        self.mem.write_word(paddr, value);
+    }
+
+    /// The metadata of the frame mapping `vpn`, if it is mapped.
+    pub fn page_meta(&self, vpn: Vpn) -> Option<PageMeta> {
+        self.ptable.translate(vpn).map(|p| self.mem.frame(p).meta)
     }
 
     /// Advances the mock clock.
@@ -165,10 +179,6 @@ impl TempestCtx for MockCtx {
         });
     }
 
-    fn bulk_transfer(&mut self, request: BulkRequest) {
-        self.bulk.push(request);
-    }
-
     fn set_timer(&mut self, at: Cycles, token: u64) {
         self.timers.push((at, token));
     }
@@ -185,13 +195,13 @@ impl TempestCtx for MockCtx {
         self.mem.free(ppn);
     }
 
-    fn map_page(&mut self, vpn: Vpn, ppn: Ppn) -> Result<(), TempestError> {
+    fn map_page(&mut self, vpn: Vpn, ppn: Ppn) -> Result<(), MapError> {
         self.ptable.map(vpn, ppn)?;
         self.mem.frame_mut(ppn).meta.vpn = Some(vpn);
         Ok(())
     }
 
-    fn unmap_page(&mut self, vpn: Vpn) -> Result<Ppn, TempestError> {
+    fn unmap_page(&mut self, vpn: Vpn) -> Result<Ppn, MapError> {
         let ppn = self.ptable.unmap(vpn)?;
         self.mem.frame_mut(ppn).meta.vpn = None;
         Ok(ppn)
@@ -199,10 +209,6 @@ impl TempestCtx for MockCtx {
 
     fn translate(&self, vpn: Vpn) -> Option<Ppn> {
         self.ptable.translate(vpn)
-    }
-
-    fn page_meta(&self, vpn: Vpn) -> Option<PageMeta> {
-        self.ptable.translate(vpn).map(|p| self.mem.frame(p).meta)
     }
 
     fn set_page_meta(&mut self, vpn: Vpn, meta: PageMeta) {
@@ -224,16 +230,6 @@ impl TempestCtx for MockCtx {
     fn set_page_tags(&mut self, vpn: Vpn, tag: Tag) {
         let ppn = self.ptable.translate(vpn).expect("mapped page");
         self.mem.frame_mut(ppn).set_all_tags(tag);
-    }
-
-    fn force_read_word(&mut self, addr: VAddr) -> u64 {
-        let paddr = self.paddr(addr);
-        self.mem.read_word(paddr)
-    }
-
-    fn force_write_word(&mut self, addr: VAddr, value: u64) {
-        let paddr = self.paddr(addr);
-        self.mem.write_word(paddr, value);
     }
 
     fn force_read_block(&mut self, addr: VAddr) -> [u8; BLOCK_BYTES] {

@@ -68,11 +68,6 @@ impl PageFrame {
     pub fn set_all_tags(&mut self, tag: Tag) {
         self.tags.set_all(tag);
     }
-
-    /// Iterates over `(block_index, tag)` pairs.
-    pub fn tags(&self) -> impl Iterator<Item = (usize, Tag)> + '_ {
-        self.tags.iter()
-    }
 }
 
 /// Statistics for a node's memory.
@@ -281,7 +276,7 @@ mod tests {
     fn set_all_tags() {
         let mut f = PageFrame::default();
         f.set_all_tags(Tag::ReadWrite);
-        assert!(f.tags().all(|(_, t)| t == Tag::ReadWrite));
+        assert!(f.tags.iter().all(|(_, t)| t == Tag::ReadWrite));
     }
 
     #[test]

@@ -59,46 +59,29 @@ pub const HANDLER_WORD_BYTES: usize = 4;
 pub const ARG_WORD_BYTES: usize = 8;
 
 /// Maximum argument words a payload can carry inline. Nine words plus the
-/// handler word fills the 80-byte packet; every protocol message in the
-/// workspace uses at most six (bulk-done plus the transport's sequence
-/// word).
+/// handler word fills the 80-byte packet; a payload that also carries a
+/// coherence block fits the packet with at most five.
 pub const MAX_ARG_WORDS: usize = 9;
 
-/// Maximum data-carrier bytes (the paper's per-packet maximum: one bulk
-/// chunk or two coherence blocks' worth).
-pub const MAX_DATA_BYTES: usize = 64;
-
-/// A message payload: argument words plus an optional data carrier.
+/// A message payload: argument words plus at most one coherence block.
 ///
 /// By Active Messages convention the *receiver's handler* is named
 /// separately (see `tt-tempest`); the payload here is everything after the
-/// handler word. The data carrier holds coherence-block or bulk-transfer
-/// bytes (at most [`MAX_DATA_BYTES`], the paper's maximum per packet).
+/// handler word. Protocols move data one 32-byte block per message, so
+/// the data carrier is either empty or exactly one block.
 ///
-/// The representation is fully inline — fixed arrays plus two length
-/// bytes — so constructing, cloning, and queuing a payload never touches
-/// the heap. Protocol hot paths (one payload per message, retransmit
-/// buffers, reorder queues) used to pay two `Vec` allocations per
-/// message; the microbench in `tt-bench` pins the drop. Inactive array
-/// tail bytes are always zero, so the derived `Eq`/`Ord`/`Hash` agree
-/// with logical equality of the active slices.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// The representation is fully inline — fixed arrays, a word count and
+/// a block flag — so constructing, cloning, and queuing a payload never
+/// touches the heap (the microbench in `tt-bench` counts allocations per
+/// message). Inactive words and an absent block are always zero, so the
+/// derived `Eq`/`Ord`/`Hash` agree with logical equality of the active
+/// parts.
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Payload {
     nwords: u8,
-    ndata: u8,
+    has_block: bool,
     words: [u64; MAX_ARG_WORDS],
-    data: [u8; MAX_DATA_BYTES],
-}
-
-impl Default for Payload {
-    fn default() -> Self {
-        Payload {
-            nwords: 0,
-            ndata: 0,
-            words: [0; MAX_ARG_WORDS],
-            data: [0; MAX_DATA_BYTES],
-        }
-    }
+    block: [u8; BLOCK_BYTES],
 }
 
 impl Payload {
@@ -113,43 +96,28 @@ impl Payload {
     ///
     /// Panics if `words` exceeds [`MAX_ARG_WORDS`].
     pub fn args(words: &[u64]) -> Self {
-        Payload::with_data(words, &[])
-    }
-
-    /// A payload of argument words plus raw data bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` exceeds [`MAX_ARG_WORDS`] or `data` exceeds
-    /// [`MAX_DATA_BYTES`].
-    pub fn with_data(words: &[u64], data: &[u8]) -> Self {
         assert!(
             words.len() <= MAX_ARG_WORDS,
             "payload of {} argument words exceeds the {}-word maximum",
             words.len(),
             MAX_ARG_WORDS
         );
-        assert!(
-            data.len() <= MAX_DATA_BYTES,
-            "payload of {} data bytes exceeds the {}-byte maximum",
-            data.len(),
-            MAX_DATA_BYTES
-        );
-        let mut w = [0u64; MAX_ARG_WORDS];
-        w[..words.len()].copy_from_slice(words);
-        let mut d = [0u8; MAX_DATA_BYTES];
-        d[..data.len()].copy_from_slice(data);
-        Payload {
-            nwords: words.len() as u8,
-            ndata: data.len() as u8,
-            words: w,
-            data: d,
-        }
+        let mut p = Payload::default();
+        p.words[..words.len()].copy_from_slice(words);
+        p.nwords = words.len() as u8;
+        p
     }
 
     /// A payload of argument words plus one coherence block of data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` exceeds [`MAX_ARG_WORDS`].
     pub fn with_block(words: &[u64], block: [u8; BLOCK_BYTES]) -> Self {
-        Payload::with_data(words, &block)
+        let mut p = Payload::args(words);
+        p.has_block = true;
+        p.block = block;
+        p
     }
 
     /// The active argument words.
@@ -157,9 +125,13 @@ impl Payload {
         &self.words[..self.nwords as usize]
     }
 
-    /// The active data-carrier bytes.
+    /// The data carrier's bytes: the block, or nothing.
     pub fn data(&self) -> &[u8] {
-        &self.data[..self.ndata as usize]
+        if self.has_block {
+            &self.block
+        } else {
+            &[]
+        }
     }
 
     /// Appends one argument word (the reliable transport's sequence word).
@@ -191,18 +163,17 @@ impl Payload {
 
     /// Total wire size in bytes, including the handler word.
     pub fn wire_bytes(&self) -> usize {
-        HANDLER_WORD_BYTES + ARG_WORD_BYTES * self.nwords as usize + self.ndata as usize
+        HANDLER_WORD_BYTES + ARG_WORD_BYTES * self.nwords as usize + self.data().len()
     }
 
-    /// Interprets the data carrier as one coherence block.
+    /// The coherence block the payload carries.
     ///
     /// # Panics
     ///
-    /// Panics if the payload does not carry exactly one block.
+    /// Panics if the payload carries no block.
     pub fn block(&self) -> [u8; BLOCK_BYTES] {
-        self.data()
-            .try_into()
-            .expect("payload does not carry exactly one block")
+        assert!(self.has_block, "payload does not carry a block");
+        self.block
     }
 }
 
@@ -522,10 +493,9 @@ impl Network {
     }
 
     /// Installs a deterministic lossy-network fault schedule. Faults
-    /// apply only to packets sent through [`Network::transmit`];
-    /// [`Network::send`] (used for the machine's own control traffic —
-    /// bulk data and barriers ride the CM-5's dedicated networks, which
-    /// this model keeps reliable) is unaffected.
+    /// apply only to packets sent through [`Network::transmit`], the
+    /// path every protocol message takes; a direct [`Network::send`] is
+    /// unaffected.
     pub fn set_fault_plan(&mut self, spec: FaultSpec) {
         self.faults = Some(FaultPlan::new(spec, self.nodes));
     }
@@ -595,12 +565,12 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if the packet exceeds [`MAX_PACKET_BYTES`] — the sender must
-    /// packetize larger transfers (see `tt-tempest::bulk`).
+    /// Panics if the packet exceeds [`MAX_PACKET_BYTES`] (too many
+    /// argument words alongside a block).
     pub fn send(&mut self, now: Cycles, packet: &Packet) -> Cycles {
         assert!(
             packet.wire_bytes() <= MAX_PACKET_BYTES,
-            "packet of {} bytes exceeds the {}-byte maximum; packetize bulk data",
+            "packet of {} bytes exceeds the {}-byte maximum",
             packet.wire_bytes(),
             MAX_PACKET_BYTES
         );
@@ -788,12 +758,12 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn oversized_packet_panics() {
         let mut net = Network::new(2, Cycles::new(11));
-        // Constructible (2 words + 64 data) but 4 + 16 + 64 = 84B > 80B.
+        // Constructible (6 words + a block) but 4 + 48 + 32 = 84B > 80B.
         let p = packet(
             0,
             1,
             VirtualNet::Request,
-            Payload::with_data(&[0, 0], &[0u8; MAX_DATA_BYTES]),
+            Payload::with_block(&[0; 6], [0u8; BLOCK_BYTES]),
         );
         net.send(Cycles::ZERO, &p);
     }
@@ -820,11 +790,16 @@ mod tests {
         p.push_word(7);
         assert_eq!(p.words(), &[9, 8, 7]);
         assert_eq!(p.wire_bytes(), HANDLER_WORD_BYTES + 3 * ARG_WORD_BYTES);
-        let d = Payload::with_data(&[1], &[2, 3]);
-        assert_eq!(d.data(), &[2, 3]);
-        // Equality ignores inactive tail bytes by construction.
-        assert_eq!(Payload::args(&[5]), Payload::with_data(&[5], &[]));
+        let d = Payload::with_block(&[1], [3u8; BLOCK_BYTES]);
+        assert_eq!(d.data(), &[3u8; BLOCK_BYTES]);
+        assert_eq!(d.wire_bytes(), HANDLER_WORD_BYTES + ARG_WORD_BYTES + BLOCK_BYTES);
+        // Equality ignores inactive tail words by construction.
+        let mut popped = Payload::args(&[5, 6]);
+        assert_eq!(popped.pop_word(), Some(6));
+        assert_eq!(popped, Payload::args(&[5]));
         assert_ne!(Payload::args(&[5]), Payload::args(&[5, 0]));
+        // An all-zero block is still a block.
+        assert_ne!(Payload::args(&[5]), Payload::with_block(&[5], [0u8; BLOCK_BYTES]));
     }
 
     #[test]

@@ -73,10 +73,6 @@ impl Protocol for KvStacheProtocol {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "kv-stache"
-    }
-
     fn report(&self, report: &mut Report) {
         self.stache.report(report);
         report.push_count("kv.gets", self.sink.local.get.total());

@@ -188,10 +188,6 @@ impl KvWorkload {
 }
 
 impl Workload for KvWorkload {
-    fn name(&self) -> &'static str {
-        "kv-serve"
-    }
-
     fn layout(&self) -> Layout {
         self.kv.layout()
     }

@@ -424,9 +424,6 @@ mod tests {
     struct Script(Vec<Option<Vec<Op>>>);
 
     impl Workload for Script {
-        fn name(&self) -> &'static str {
-            "script"
-        }
         fn layout(&self) -> Layout {
             Layout::new()
         }

@@ -304,10 +304,6 @@ impl Protocol for Em3dUpdateProtocol {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "em3d-update"
-    }
-
     fn report(&self, report: &mut Report) {
         self.stache.report(report);
         let s = &self.stats;

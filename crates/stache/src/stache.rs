@@ -697,10 +697,6 @@ impl Protocol for StacheProtocol {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "stache"
-    }
-
     fn report(&self, report: &mut Report) {
         let s = &self.stats;
         report.push_count("stache.block_faults", s.block_faults.get());

@@ -211,9 +211,6 @@ impl TempestCtx for RelCtx<'_> {
         self.state.arm(self.ctx, deadline);
     }
 
-    fn bulk_transfer(&mut self, request: tt_tempest::BulkRequest) {
-        self.ctx.bulk_transfer(request);
-    }
     fn set_timer(&mut self, at: Cycles, token: u64) {
         self.ctx.set_timer(at, token);
     }
@@ -230,20 +227,17 @@ impl TempestCtx for RelCtx<'_> {
         &mut self,
         vpn: tt_base::addr::Vpn,
         ppn: tt_base::addr::Ppn,
-    ) -> Result<(), tt_tempest::TempestError> {
+    ) -> Result<(), tt_mem::ptable::MapError> {
         self.ctx.map_page(vpn, ppn)
     }
     fn unmap_page(
         &mut self,
         vpn: tt_base::addr::Vpn,
-    ) -> Result<tt_base::addr::Ppn, tt_tempest::TempestError> {
+    ) -> Result<tt_base::addr::Ppn, tt_mem::ptable::MapError> {
         self.ctx.unmap_page(vpn)
     }
     fn translate(&self, vpn: tt_base::addr::Vpn) -> Option<tt_base::addr::Ppn> {
         self.ctx.translate(vpn)
-    }
-    fn page_meta(&self, vpn: tt_base::addr::Vpn) -> Option<tt_mem::PageMeta> {
-        self.ctx.page_meta(vpn)
     }
     fn set_page_meta(&mut self, vpn: tt_base::addr::Vpn, meta: tt_mem::PageMeta) {
         self.ctx.set_page_meta(vpn, meta);
@@ -256,15 +250,6 @@ impl TempestCtx for RelCtx<'_> {
     }
     fn set_page_tags(&mut self, vpn: tt_base::addr::Vpn, tag: tt_mem::Tag) {
         self.ctx.set_page_tags(vpn, tag);
-    }
-    fn invalidate_block(&mut self, addr: tt_base::VAddr) {
-        self.ctx.invalidate_block(addr);
-    }
-    fn force_read_word(&mut self, addr: tt_base::VAddr) -> u64 {
-        self.ctx.force_read_word(addr)
-    }
-    fn force_write_word(&mut self, addr: tt_base::VAddr, value: u64) {
-        self.ctx.force_write_word(addr, value);
     }
     fn force_read_block(&mut self, addr: tt_base::VAddr) -> [u8; tt_base::addr::BLOCK_BYTES] {
         self.ctx.force_read_block(addr)
@@ -471,10 +456,6 @@ impl Protocol for Reliable {
             // terminates the run with the fault's diagnostic.
             ctx.raise_net_fault(f);
         }
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
     }
 
     fn report(&self, report: &mut Report) {

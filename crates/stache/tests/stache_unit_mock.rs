@@ -64,7 +64,7 @@ fn get(src: u16, handler: HandlerId, addr: VAddr) -> Message {
 fn get_ro_on_idle_shares_and_responds_with_data() {
     let (mut p, mut ctx) = home();
     let addr = VPN.base().offset(64);
-    ctx.force_write_word(addr, 0xAB);
+    ctx.write_word(addr, 0xAB);
     p.on_message(&mut ctx, get(2, GET_RO, addr));
 
     let sent = ctx.last_sent().expect("a response was sent");
@@ -170,7 +170,7 @@ fn recall_data_completes_a_read_and_shares_both_nodes() {
         },
     );
     // Home memory updated, tag readable again, grant sent to node 3.
-    assert_eq!(ctx.force_read_word(addr), 77);
+    assert_eq!(ctx.read_word(addr), 77);
     assert_eq!(ctx.read_tag(addr), Tag::ReadOnly);
     let grant = ctx.sent.iter().find(|s| s.handler == PUT_RO).expect("grant");
     assert_eq!(grant.dst, NodeId::new(3));
@@ -194,7 +194,7 @@ fn writeback_restores_home_ownership() {
         },
     );
     assert_eq!(ctx.read_tag(addr), Tag::ReadWrite, "home owns the block again");
-    assert_eq!(ctx.force_read_word(addr.offset(8)), 1234);
+    assert_eq!(ctx.read_word(addr.offset(8)), 1234);
     assert!(ctx.sent.is_empty(), "writebacks need no reply");
 }
 
@@ -266,7 +266,7 @@ fn put_installs_data_upgrades_tag_and_resumes() {
             payload: Payload::with_block(&[addr.raw()], block),
         },
     );
-    assert_eq!(ctx.force_read_word(addr), 555, "data installed");
+    assert_eq!(ctx.read_word(addr), 555, "data installed");
     assert_eq!(ctx.read_tag(addr), Tag::ReadOnly);
     assert_eq!(ctx.resumed, vec![thread]);
 }
@@ -337,7 +337,7 @@ fn page_replacement_writes_back_only_modified_blocks() {
     // Fault in page 0 and make one block writable (as if granted).
     p.on_page_fault(&mut ctx, PageFault { thread, addr: VPN.base(), kind: AccessKind::Store });
     ctx.set_tag(VPN.base(), Tag::ReadWrite);
-    ctx.force_write_word(VPN.base(), 42);
+    ctx.write_word(VPN.base(), 42);
     ctx.set_tag(VPN.base().offset(32), Tag::ReadOnly); // clean copy
     ctx.clear_effects();
 

@@ -13,13 +13,14 @@ use tt_base::addr::{Ppn, VAddr, Vpn, BLOCK_BYTES};
 use tt_base::config::{SystemConfig, LOCAL_MISS, NP_BLOCK_XFER, NP_TLB_MISS};
 use tt_base::{Cycles, NodeId};
 use tt_mem::cache::Probe;
+use tt_mem::ptable::MapError;
 use tt_mem::{PageMeta, Tag};
 use tt_net::{Network, Packet, Payload, VirtualNet};
-use tt_tempest::{BulkRequest, HandlerId, TempestCtx, TempestError, ThreadId};
+use tt_tempest::{HandlerId, TempestCtx, ThreadId};
 use tt_sim::cpu::Stall;
 use tt_sim::EventQueue;
 
-use crate::machine::{issue_access, BulkState, Event, NodeState};
+use crate::machine::{issue_access, Event, NodeState};
 
 /// The per-handler Tempest context (see module docs).
 pub struct NodeCtx<'a> {
@@ -29,8 +30,7 @@ pub struct NodeCtx<'a> {
     pub(crate) start: Cycles,
     /// Cost accumulated so far by this handler.
     pub(crate) cost: Cycles,
-    /// The node the handler runs on: its CPU, NP, memory, page table
-    /// and bulk transfers.
+    /// The node the handler runs on: its CPU, NP, memory and page table.
     pub(crate) node: &'a mut NodeState,
     pub(crate) network: &'a mut Network,
     pub(crate) queue: &'a mut EventQueue<Event>,
@@ -148,24 +148,6 @@ impl TempestCtx for NodeCtx<'_> {
         );
     }
 
-    fn bulk_transfer(&mut self, request: BulkRequest) {
-        assert_eq!(request.bytes % 8, 0, "bulk transfers must be word-aligned");
-        self.node.bulk_seq += 1;
-        let id = self.node.bulk_seq;
-        self.node.bulk.push(BulkState {
-            id,
-            request,
-            offset: 0,
-        });
-        self.queue.schedule(
-            self.now(),
-            Event::BulkInject {
-                node: self.id.index(),
-                id,
-            },
-        );
-    }
-
     fn alloc_page(&mut self) -> Ppn {
         self.node.mem.alloc()
     }
@@ -174,13 +156,13 @@ impl TempestCtx for NodeCtx<'_> {
         self.node.mem.free(ppn);
     }
 
-    fn map_page(&mut self, vpn: Vpn, ppn: Ppn) -> Result<(), TempestError> {
+    fn map_page(&mut self, vpn: Vpn, ppn: Ppn) -> Result<(), MapError> {
         self.node.ptable.map(vpn, ppn)?;
         self.node.mem.frame_mut(ppn).meta.vpn = Some(vpn);
         Ok(())
     }
 
-    fn unmap_page(&mut self, vpn: Vpn) -> Result<Ppn, TempestError> {
+    fn unmap_page(&mut self, vpn: Vpn) -> Result<Ppn, MapError> {
         let ppn = self.node.ptable.unmap(vpn)?;
         // Stale translations and tag residency must be flushed, and any
         // CPU-cached blocks of the frame purged (the frame is about to be
@@ -199,13 +181,6 @@ impl TempestCtx for NodeCtx<'_> {
 
     fn translate(&self, vpn: Vpn) -> Option<Ppn> {
         self.node.ptable.translate(vpn)
-    }
-
-    fn page_meta(&self, vpn: Vpn) -> Option<PageMeta> {
-        self.node
-            .ptable
-            .translate(vpn)
-            .map(|p| self.node.mem.frame(p).meta)
     }
 
     fn set_page_meta(&mut self, vpn: Vpn, meta: PageMeta) {
@@ -247,26 +222,6 @@ impl TempestCtx for NodeCtx<'_> {
         }
     }
 
-    fn force_read_word(&mut self, addr: VAddr) -> u64 {
-        self.charge_np_tlb(addr.page());
-        self.cost += Cycles::new(1);
-        let paddr = self.translate_or_die(addr);
-        self.node.mem.read_word(paddr)
-    }
-
-    fn force_write_word(&mut self, addr: VAddr, value: u64) {
-        self.charge_np_tlb(addr.page());
-        self.cost += Cycles::new(1);
-        let paddr = self.translate_or_die(addr);
-        self.node.mem.write_word(paddr, value);
-        // The block-transfer path is coherent with the CPU cache: purge
-        // any (now stale) CPU copy.
-        self.node
-            .cpu
-            .cache
-            .invalidate(paddr.raw() / BLOCK_BYTES as u64);
-    }
-
     fn force_read_block(&mut self, addr: VAddr) -> [u8; BLOCK_BYTES] {
         self.charge_np_tlb(addr.page());
         self.cost += NP_BLOCK_XFER;
@@ -279,6 +234,8 @@ impl TempestCtx for NodeCtx<'_> {
         self.cost += NP_BLOCK_XFER;
         let paddr = self.translate_or_die(addr);
         self.node.mem.write_block(paddr, block);
+        // The block-transfer path is coherent with the CPU cache: purge
+        // any (now stale) CPU copy.
         self.node
             .cpu
             .cache

@@ -13,7 +13,7 @@
 //! - runs user-level protocol handlers via a hardware-assisted,
 //!   non-preemptive dispatch loop (priority: response network, then
 //!   faults, then request network, then application calls);
-//! - sends and receives active messages and packetizes bulk transfers.
+//! - sends and receives active messages.
 //!
 //! This crate models all of that with the event-driven engine from
 //! `tt-sim`, executing a machine-independent workload op stream

@@ -9,30 +9,21 @@
 
 use std::collections::HashMap;
 
-use tt_base::addr::{VAddr, WORD_BYTES};
-use tt_base::config::{NpMode, SystemConfig, BULK_PACKET_CYCLES};
+use tt_base::addr::VAddr;
+use tt_base::config::{NpMode, SystemConfig};
 use tt_base::stats::Report;
 use tt_base::workload::{Layout, Workload};
 use tt_base::{Cycles, DetRng, NodeId};
 use tt_mem::{NodeMemory, PageTable, Tag};
-use tt_net::{Network, Packet, Payload, VirtualNet};
+use tt_net::{Network, Packet};
 use tt_sim::cpu::{self, Access, CpuHost, Flow, Stall, Status, Stream};
 use tt_sim::driver::{self, Machine};
 use tt_sim::EventQueue;
-use tt_tempest::{BlockDirSnapshot, BulkRequest, HandlerId, Message, Protocol, UserCall};
+use tt_tempest::{BlockDirSnapshot, Message, Protocol, UserCall};
 
 use crate::cpu::{exec_access, AccessOutcome, CpuState};
 use crate::ctx::NodeCtx;
 use crate::np::{NpState, NpWork};
-
-/// Handler-id space reserved for machine-internal packets (bulk data);
-/// protocol handler ids must stay below this.
-pub const MACHINE_HANDLER_BASE: u32 = 0xFFFF_FF00;
-const BULK_DATA: u32 = MACHINE_HANDLER_BASE;
-const BULK_DONE: u32 = MACHINE_HANDLER_BASE + 1;
-const BULK_ACK: u32 = MACHINE_HANDLER_BASE + 2;
-/// Sentinel for "no notify handler" in bulk-done packets.
-const NO_HANDLER: u64 = u64::MAX;
 
 /// A simulation event.
 #[derive(Clone, Debug)]
@@ -55,36 +46,18 @@ pub enum Event {
         /// Barrier generation (for sanity checking).
         generation: u64,
     },
-    /// Inject the next packet of an active bulk transfer.
-    BulkInject {
-        /// Source node index.
-        node: usize,
-        /// Transfer id.
-        id: u64,
-    },
+    /// Never scheduled: bulk transfer (paper Section 2.2) is not
+    /// modelled. The variant stays only because the `perfbench` event
+    /// profiler still names it; it goes with that profiler's bulk row.
+    BulkInject,
 }
 
-/// An in-progress outgoing bulk transfer.
-#[derive(Clone, Debug)]
-pub struct BulkState {
-    /// Transfer id (unique per source node).
-    pub id: u64,
-    /// The original request.
-    pub request: BulkRequest,
-    /// Bytes injected so far.
-    pub offset: usize,
-}
-
-/// One node: CPU + NP + memory + page table + active bulk transfers.
+/// One node: CPU + NP + memory + page table.
 pub(crate) struct NodeState {
     pub(crate) cpu: CpuState,
     pub(crate) np: NpState,
     pub(crate) mem: NodeMemory,
     pub(crate) ptable: PageTable,
-    pub(crate) bulk: Vec<BulkState>,
-    /// Ids for this node's bulk transfers (bulk ids are matched only
-    /// against the owning node's `bulk` list).
-    pub(crate) bulk_seq: u64,
 }
 
 pub use tt_sim::RunResult;
@@ -123,8 +96,6 @@ impl TyphoonMachine {
                 np: NpState::new(rng.fork(i as u64 * 2 + 1)),
                 mem: NodeMemory::new(),
                 ptable: PageTable::new(),
-                bulk: Vec::new(),
-                bulk_seq: 0,
             })
             .collect();
         let protocols = (0..cfg.nodes)
@@ -279,9 +250,11 @@ impl TyphoonMachine {
                 ("np.instructions", |n| n.np.stats.instructions.get()),
                 ("np.messages", |n| n.np.stats.messages.get()),
                 ("np.busy_cycles", |n| n.np.stats.busy_cycles.get()),
-                ("np.bulk_packets", |n| n.np.stats.bulk_packets.get()),
             ],
         );
+        // Always 0 (bulk transfer is not modelled); the row keeps its
+        // place because `perfbench` digests every report row.
+        r.push_count("np.bulk_packets", 0);
 
         let net = self.network.stats();
         r.push_count("net.packets", net.total_packets());
@@ -327,9 +300,10 @@ impl Machine for TyphoonMachine {
     fn target(&self, event: &Event) -> Option<usize> {
         match event {
             Event::CpuStep(n) | Event::NpDispatch(n) => Some(*n),
-            Event::NpWork { node, .. } | Event::BulkInject { node, .. } => Some(*node),
+            Event::NpWork { node, .. } => Some(*node),
             Event::Deliver(p) => Some(p.dst.index()),
             Event::BarrierRelease { .. } => None,
+            Event::BulkInject => unreachable!("BulkInject is never scheduled"),
         }
     }
 
@@ -369,7 +343,7 @@ impl Machine for TyphoonMachine {
             }
             Event::Deliver(packet) => self.deliver(packet, now, queue),
             Event::BarrierRelease { generation } => cpu::release(self, now, generation, queue),
-            Event::BulkInject { node, id } => self.bulk_inject(node, id, now, queue),
+            Event::BulkInject => unreachable!("BulkInject is never scheduled"),
         }
     }
 
@@ -479,140 +453,10 @@ impl TyphoonMachine {
 
     fn deliver(&mut self, packet: Packet, now: Cycles, queue: &mut EventQueue<Event>) {
         let n = packet.dst.index();
-        if packet.handler >= MACHINE_HANDLER_BASE {
-            self.deliver_machine_packet(packet, now, queue);
-            return;
-        }
         self.nodes[n]
             .np
             .enqueue(NpWork::Message(Message::from_packet(packet)));
         self.try_dispatch(n, now, queue);
-    }
-
-    fn deliver_machine_packet(
-        &mut self,
-        packet: Packet,
-        now: Cycles,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let n = packet.dst.index();
-        match packet.handler {
-            BULK_DATA => {
-                let dst_addr = VAddr::new(packet.payload.words()[0]);
-                let node = &mut self.nodes[n];
-                write_virtual_bytes(&mut node.mem, &node.ptable, dst_addr, packet.payload.data());
-                let np = &mut node.np;
-                let busy = if np.busy_until > now { np.busy_until } else { now };
-                np.busy_until = busy + BULK_PACKET_CYCLES;
-            }
-            BULK_DONE => {
-                let words = packet.payload.words();
-                let (src_base, dst_base, bytes) = (words[0], words[1], words[2]);
-                let (notify_src, notify_dst) = (words[3], words[4]);
-                if notify_dst != NO_HANDLER {
-                    self.nodes[n].np.enqueue(NpWork::Message(Message {
-                        src: packet.src,
-                        vn: VirtualNet::Response,
-                        handler: HandlerId(notify_dst as u32),
-                        payload: Payload::args(&[src_base, dst_base, bytes]),
-                    }));
-                    self.try_dispatch(n, now, queue);
-                }
-                if notify_src != NO_HANDLER {
-                    let ack = Packet {
-                        src: packet.dst,
-                        dst: packet.src,
-                        vn: VirtualNet::Response,
-                        handler: BULK_ACK,
-                        payload: Payload::args(&[src_base, dst_base, bytes, notify_src]),
-                    };
-                    let at = self.network.send(now, &ack);
-                    queue.schedule(at, Event::Deliver(ack));
-                }
-            }
-            BULK_ACK => {
-                let words = packet.payload.words();
-                self.nodes[n].np.enqueue(NpWork::Message(Message {
-                    src: packet.src,
-                    vn: VirtualNet::Response,
-                    handler: HandlerId(words[3] as u32),
-                    payload: Payload::args(&[words[0], words[1], words[2]]),
-                }));
-                self.try_dispatch(n, now, queue);
-            }
-            other => panic!("unknown machine handler id {other:#x}"),
-        }
-    }
-
-    fn bulk_inject(&mut self, n: usize, id: u64, now: Cycles, queue: &mut EventQueue<Event>) {
-        let Some(pos) = self.nodes[n].bulk.iter().position(|b| b.id == id) else {
-            return;
-        };
-        let busy_until = self.nodes[n].np.busy_until;
-        if busy_until > now {
-            queue.schedule(busy_until, Event::BulkInject { node: n, id });
-            return;
-        }
-        let (packet, done_packet) = {
-            let node = &mut self.nodes[n];
-            let b = &mut node.bulk[pos];
-            let req = b.request;
-            let remaining = req.bytes - b.offset;
-            let chunk = remaining.min(tt_tempest::bulk::BULK_PACKET_DATA_BYTES);
-            let data = read_virtual_bytes(
-                &node.mem,
-                &node.ptable,
-                req.src_addr.offset(b.offset as u64),
-                chunk,
-            );
-            let packet = Packet {
-                src: NodeId::new(n as u16),
-                dst: req.dst,
-                vn: VirtualNet::Request,
-                handler: BULK_DATA,
-                payload: Payload::with_data(&[req.dst_addr.raw() + b.offset as u64], &data),
-            };
-            b.offset += chunk;
-            node.np.stats.bulk_packets.inc();
-            let done = if b.offset == req.bytes {
-                let notify_src = req
-                    .notify_src
-                    .map(|h| h.raw() as u64)
-                    .unwrap_or(NO_HANDLER);
-                let notify_dst = req
-                    .notify_dst
-                    .map(|h| h.raw() as u64)
-                    .unwrap_or(NO_HANDLER);
-                Some(Packet {
-                    src: NodeId::new(n as u16),
-                    dst: req.dst,
-                    vn: VirtualNet::Request,
-                    handler: BULK_DONE,
-                    payload: Payload::args(&[
-                        req.src_addr.raw(),
-                        req.dst_addr.raw(),
-                        req.bytes as u64,
-                        notify_src,
-                        notify_dst,
-                    ]),
-                })
-            } else {
-                None
-            };
-            (packet, done)
-        };
-        let at = self.network.send(now, &packet);
-        queue.schedule(at, Event::Deliver(packet));
-        let np = &mut self.nodes[n].np;
-        np.busy_until = now + BULK_PACKET_CYCLES;
-        if let Some(done) = done_packet {
-            let at = self.network.send(np.busy_until, &done);
-            queue.schedule(at, Event::Deliver(done));
-            self.nodes[n].bulk.remove(pos);
-        } else {
-            let at = np.busy_until;
-            queue.schedule(at, Event::BulkInject { node: n, id });
-        }
     }
 }
 
@@ -702,34 +546,4 @@ pub(crate) fn issue_access(
     let node = cpu.id.index();
     queue.schedule(at, Event::NpWork { node, work });
     Flow::Blocked
-}
-
-/// Reads `len` bytes starting at virtual `addr` (word-aligned) through the
-/// node's page table.
-fn read_virtual_bytes(mem: &NodeMemory, pt: &PageTable, addr: VAddr, len: usize) -> Vec<u8> {
-    assert_eq!(addr.raw() % WORD_BYTES as u64, 0, "bulk source unaligned");
-    assert_eq!(len % WORD_BYTES, 0, "bulk length unaligned");
-    let mut out = Vec::with_capacity(len);
-    for w in 0..len / WORD_BYTES {
-        let va = addr.offset((w * WORD_BYTES) as u64);
-        let pa = pt
-            .translate_addr(va)
-            .unwrap_or_else(|| panic!("bulk read from unmapped address {va}"));
-        out.extend_from_slice(&mem.read_word(pa).to_le_bytes());
-    }
-    out
-}
-
-/// Writes bytes starting at virtual `addr` (word-aligned) through the
-/// node's page table.
-fn write_virtual_bytes(mem: &mut NodeMemory, pt: &PageTable, addr: VAddr, data: &[u8]) {
-    assert_eq!(addr.raw() % WORD_BYTES as u64, 0, "bulk destination unaligned");
-    assert_eq!(data.len() % WORD_BYTES, 0, "bulk length unaligned");
-    for (w, chunk) in data.chunks_exact(WORD_BYTES).enumerate() {
-        let va = addr.offset((w * WORD_BYTES) as u64);
-        let pa = pt
-            .translate_addr(va)
-            .unwrap_or_else(|| panic!("bulk write to unmapped address {va}"));
-        mem.write_word(pa, u64::from_le_bytes(chunk.try_into().unwrap()));
-    }
 }

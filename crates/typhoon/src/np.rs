@@ -48,8 +48,6 @@ pub struct NpStats {
     pub messages: Counter,
     /// Cycles the NP spent executing handlers.
     pub busy_cycles: Counter,
-    /// Bulk-transfer packets injected.
-    pub bulk_packets: Counter,
 }
 
 /// The state of one node's network interface processor.

@@ -1,6 +1,6 @@
 //! Machine-level tests of Typhoon with minimal protocols: page-fault
-//! mapping, barrier synchronization, active-message round trips, bulk
-//! transfer, and determinism.
+//! mapping, barrier synchronization, active-message round trips, and
+//! determinism.
 
 use tt_base::addr::PAGE_BYTES;
 use tt_base::workload::{Layout, Op, Placement, Region, Workload, SHARED_SEGMENT_BASE};
@@ -9,8 +9,7 @@ use tt_base::{Cycles, NodeId, SystemConfig, VAddr};
 use tt_mem::Tag;
 use tt_net::{Payload, VirtualNet};
 use tt_tempest::{
-    BlockFault, BulkRequest, HandlerId, Message, PageFault, Protocol, TempestCtx, ThreadId,
-    UserCall,
+    BlockFault, HandlerId, Message, PageFault, Protocol, TempestCtx, ThreadId, UserCall,
 };
 use tt_typhoon::TyphoonMachine;
 
@@ -34,9 +33,6 @@ impl Script {
 }
 
 impl Workload for Script {
-    fn name(&self) -> &'static str {
-        "script"
-    }
     fn layout(&self) -> Layout {
         self.layout.clone()
     }
@@ -203,100 +199,6 @@ fn user_call_message_round_trip() {
     assert!(result.report.get("cpu.call_stall_cycles").unwrap() >= 22.0);
 }
 
-/// Exercises the bulk-transfer engine: node 0 pushes a buffer to node 1
-/// and both sides get completion notifications.
-#[derive(Default)]
-struct Bulk {
-    node: u16,
-    waiting: Option<ThreadId>,
-    done_notifications: u64,
-}
-
-const SRC_DONE: HandlerId = HandlerId(3);
-const DST_DONE: HandlerId = HandlerId(4);
-
-impl Protocol for Bulk {
-    fn on_page_fault(&mut self, ctx: &mut dyn TempestCtx, fault: PageFault) {
-        let ppn = ctx.alloc_page();
-        ctx.map_page(fault.addr.page(), ppn).unwrap();
-        ctx.set_page_tags(fault.addr.page(), Tag::ReadWrite);
-        ctx.resume(fault.thread);
-    }
-    fn on_block_fault(&mut self, _ctx: &mut dyn TempestCtx, _f: BlockFault) {
-        unreachable!()
-    }
-    fn on_message(&mut self, ctx: &mut dyn TempestCtx, msg: Message) {
-        match msg.handler {
-            SRC_DONE => {
-                assert_eq!(self.node, 0);
-                self.done_notifications += 1;
-                let t = self.waiting.take().expect("caller waiting");
-                ctx.resume(t);
-            }
-            DST_DONE => {
-                assert_eq!(self.node, 1);
-                self.done_notifications += 1;
-                assert_eq!(msg.arg(2), 256, "transfer length");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-    fn on_user_call(&mut self, ctx: &mut dyn TempestCtx, thread: ThreadId, _call: UserCall) {
-        self.waiting = Some(thread);
-        ctx.bulk_transfer(BulkRequest {
-            dst: NodeId::new(1),
-            src_addr: VAddr::new(SHARED_SEGMENT_BASE),
-            dst_addr: VAddr::new(SHARED_SEGMENT_BASE + PAGE_BYTES as u64),
-            bytes: 256,
-            notify_src: Some(SRC_DONE),
-            notify_dst: Some(DST_DONE),
-        });
-    }
-    fn report(&self, report: &mut tt_base::stats::Report) {
-        report.push_count("bulk.done_notifications", self.done_notifications);
-    }
-}
-
-#[test]
-fn bulk_transfer_moves_data_and_notifies() {
-    let nodes = 2;
-    let mut script = Script::new(nodes, empty_layout());
-    // Node 0 writes a pattern, transfers it, then node 1 reads it after a
-    // barrier. Node 1 pre-touches its destination page so it is mapped.
-    let mut ops0 = Vec::new();
-    for w in 0..32u64 {
-        ops0.push(Op::Write {
-            addr: VAddr::new(SHARED_SEGMENT_BASE + 8 * w),
-            value: 0x100 + w,
-        });
-    }
-    ops0.push(Op::UserCall { op: 1, arg: 0 });
-    ops0.push(Op::Barrier);
-    script.set(0, ops0);
-    let mut ops1 = vec![Op::Write {
-        addr: VAddr::new(SHARED_SEGMENT_BASE + PAGE_BYTES as u64 + 8 * 63),
-        value: 0,
-    }];
-    ops1.push(Op::Barrier);
-    for w in 0..32u64 {
-        ops1.push(Op::Read {
-            addr: VAddr::new(SHARED_SEGMENT_BASE + PAGE_BYTES as u64 + 8 * w),
-            expect: Some(0x100 + w),
-        });
-    }
-    script.set(1, ops1);
-
-    let mut m = TyphoonMachine::new(cfg(nodes), Box::new(script), &|id, _, _| {
-        Box::new(Bulk {
-            node: id.raw(),
-            ..Bulk::default()
-        })
-    });
-    let result = m.run();
-    assert_eq!(result.report.get("bulk.done_notifications"), Some(2.0));
-    // 256 bytes = 4 packets of 64.
-    assert_eq!(result.report.get("np.bulk_packets"), Some(4.0));
-}
 
 #[test]
 fn same_seed_is_bit_deterministic() {

@@ -30,9 +30,8 @@ use tempest_typhoon::typhoon::TyphoonMachine;
 
 /// "Give me page V": args `[vpn]`.
 const GRAB: HandlerId = HandlerId(0x40);
-/// "Here is page V": args `[vpn]`, repeated per-block data pushes follow
-/// via bulk-free force-writes on the owner side — for simplicity the
-/// whole page rides in 128 block messages.
+/// "Here is one block of page V": args `[block address]` plus the block;
+/// the owner force-reads the page and sends it as 128 block messages.
 const PAGE_BLOCK: HandlerId = HandlerId(0x41);
 /// "Page transfer complete": args `[vpn]`.
 const PAGE_DONE: HandlerId = HandlerId(0x42);
@@ -126,9 +125,7 @@ impl Protocol for Migratory {
             GRAB => {
                 let vpn = Vpn(msg.arg(0));
                 // Hand the whole page over: push every block, then mark
-                // our copy Invalid and record the new owner. (A real
-                // implementation would use the bulk-transfer engine; the
-                // message loop keeps the example self-contained.)
+                // our copy Invalid and record the new owner.
                 self.handoffs += 1;
                 ctx.charge(40);
                 let base = vpn.base();
@@ -169,10 +166,6 @@ impl Protocol for Migratory {
             }
             other => panic!("migratory: unknown handler {other:?}"),
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "migratory"
     }
 
     fn report(&self, report: &mut tempest_typhoon::base::stats::Report) {
