@@ -19,7 +19,10 @@
 //! and both server variants run behind the reliable transport. The
 //! table gains a retransmission column; at the default rate 0 nothing
 //! is wrapped and the output is byte-identical to a fault-free build.
+//! If the transport exhausts its retry budget on some point, the sweep
+//! prints that point's network fault as an `error:` line and exits 1.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
 use tt_apps::run_kv_update;
@@ -28,6 +31,7 @@ use tt_base::{FaultSpec, SystemConfig};
 use tt_bench::json::PointRecord;
 use tt_bench::{cli, par};
 use tt_serve::{run_kv_stache, KvOutcome, KvParams, KvVariant, MAX_VALUE_WORDS};
+use tt_tempest::NetFault;
 
 /// Request mixes swept: percent of requests that are puts.
 const MIXES: [u32; 2] = [5, 50];
@@ -57,11 +61,18 @@ fn params(kv: &KvCli, nodes: usize, mix: u32, skew: f64, variant: KvVariant) -> 
     p
 }
 
-fn run_variant(cfg: &SystemConfig, p: &KvParams) -> KvOutcome {
-    match p.variant {
+/// Runs one point. A reliable transport that gives up unwinds with its
+/// [`NetFault`] as the payload; that comes back as `Err`, any other
+/// panic keeps unwinding.
+fn run_variant(cfg: &SystemConfig, p: &KvParams) -> Result<KvOutcome, NetFault> {
+    let run = || match p.variant {
         KvVariant::Stache => run_kv_stache(cfg, p),
         KvVariant::Update => run_kv_update(cfg, p),
-    }
+    };
+    panic::catch_unwind(AssertUnwindSafe(run)).map_err(|payload| match payload.downcast() {
+        Ok(fault) => *fault,
+        Err(other) => panic::resume_unwind(other),
+    })
 }
 
 /// One completed sweep point.
@@ -127,6 +138,52 @@ fn main() {
     if faulty {
         cfg.fault = Some(FaultSpec::uniform(cfg.seed, kv.fault_permille));
     }
+    // A network fault is reported once, as an error, not as a panic.
+    let default_hook = panic::take_hook();
+    panic::set_hook(Box::new(move |info| {
+        if !info.payload().is::<NetFault>() {
+            default_hook(info);
+        }
+    }));
+
+    let mut grid = Vec::new();
+    for mix in MIXES {
+        for skew in SKEWS {
+            for variant in VARIANTS {
+                grid.push((mix, skew, variant));
+            }
+        }
+    }
+    let start = Instant::now();
+    let points = par::run_indexed(shared.jobs, grid.len(), |i| -> Result<Point, NetFault> {
+        let (mix, skew, variant) = grid[i];
+        let p = params(&kv, shared.nodes, mix, skew, variant);
+        let run = || {
+            let t = Instant::now();
+            let out = run_variant(&cfg, &p)?;
+            Ok((out, t.elapsed().as_secs_f64()))
+        };
+        let (mut out, mut wall_secs) = run()?;
+        for _ in 1..shared.repeat.max(1) {
+            let (again, wall) = run()?;
+            assert_eq!(out.cycles, again.cycles, "repeated KV run diverged");
+            assert_eq!(out.lat, again.lat, "repeated KV latencies diverged");
+            if wall < wall_secs {
+                out = again;
+                wall_secs = wall;
+            }
+        }
+        Ok(Point { mix, skew, variant, out, wall_secs })
+    });
+    let total_wall_secs = start.elapsed().as_secs_f64();
+    let points: Vec<Point> = match points.into_iter().collect() {
+        Ok(points) => points,
+        Err(fault) => {
+            eprintln!("error: {fault}");
+            std::process::exit(1);
+        }
+    };
+
     println!(
         "KV SERVING. {nodes}-node tt-serve under open-loop Zipfian load \
          ({keys} keys, {req} requests/node, {vw}-word values, mean \
@@ -147,37 +204,6 @@ fn main() {
             String::new()
         },
     );
-
-    let mut grid = Vec::new();
-    for mix in MIXES {
-        for skew in SKEWS {
-            for variant in VARIANTS {
-                grid.push((mix, skew, variant));
-            }
-        }
-    }
-    let start = Instant::now();
-    let points: Vec<Point> = par::run_indexed(shared.jobs, grid.len(), |i| {
-        let (mix, skew, variant) = grid[i];
-        let p = params(&kv, shared.nodes, mix, skew, variant);
-        let run = || {
-            let t = Instant::now();
-            let out = run_variant(&cfg, &p);
-            (out, t.elapsed().as_secs_f64())
-        };
-        let (mut out, mut wall_secs) = run();
-        for _ in 1..shared.repeat.max(1) {
-            let (again, wall) = run();
-            assert_eq!(out.cycles, again.cycles, "repeated KV run diverged");
-            assert_eq!(out.lat, again.lat, "repeated KV latencies diverged");
-            if wall < wall_secs {
-                out = again;
-                wall_secs = wall;
-            }
-        }
-        Point { mix, skew, variant, out, wall_secs }
-    });
-    let total_wall_secs = start.elapsed().as_secs_f64();
 
     // The retransmission column exists only on lossy sweeps: at
     // --fault-rate 0 the table (and JSON `extra`) must stay

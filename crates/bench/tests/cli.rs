@@ -128,6 +128,26 @@ fn binary_specific_flags_report_bad_values() {
     assert!(text(&out.stderr).starts_with("error: --interarrival: must be 1 to 4294967295\n"));
 }
 
+/// At the highest accepted loss rate the reliable transport runs out of
+/// retries; `kv_bench` reports that network fault as one error line and
+/// exits 1, with no panic message or backtrace and no partial table.
+#[test]
+fn kv_bench_reports_a_transport_give_up_as_an_error() {
+    let kv_bench = BINARIES[3].1;
+    let args = ["--nodes", "8", "--requests", "10", "--keys", "64", "--fault-rate", "500"];
+    for jobs in ["1", "2"] {
+        let out = run(kv_bench, &[&args[..], &["--jobs", jobs]].concat());
+        assert_eq!(out.status.code(), Some(1), "--jobs {jobs}: {out:?}");
+        assert!(out.stdout.is_empty(), "--jobs {jobs}: {}", text(&out.stdout));
+        assert_eq!(
+            text(&out.stderr),
+            "error: network fault: node 0 gave up on Request message h67 to node 5 \
+             after 24 retries\n",
+            "--jobs {jobs}"
+        );
+    }
+}
+
 /// `tt-check` takes subcommands and its own checker flags, but follows
 /// the same conventions.
 const TT_CHECK: &str = env!("CARGO_BIN_EXE_tt-check");

@@ -215,6 +215,8 @@ pub(crate) fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
             (*s).to_string()
         } else if let Some(s) = e.downcast_ref::<String>() {
             s.clone()
+        } else if let Some(f) = e.downcast_ref::<tt_tempest::NetFault>() {
+            f.to_string()
         } else {
             "non-string panic payload".to_string()
         }

@@ -71,11 +71,13 @@ pub trait TempestCtx {
     }
 
     /// Reports an unrecoverable network fault (a reliable transport
-    /// exhausted its retry budget). The default terminates the run with
-    /// the fault's diagnostic — deterministic graceful degradation
-    /// rather than a silent hang behind a dead link.
+    /// exhausted its retry budget). The default terminates the run by
+    /// unwinding with the [`NetFault`] itself as the panic payload —
+    /// deterministic graceful degradation rather than a silent hang
+    /// behind a dead link — so a caller can catch it and report it as an
+    /// error rather than a crash.
     fn raise_net_fault(&mut self, fault: NetFault) {
-        panic!("{fault}");
+        std::panic::panic_any(fault);
     }
 
     // --- Virtual memory management (Section 2.3) ---

@@ -27,7 +27,6 @@
 //! word, and the directory machinery contributes timing (and the cache
 //! models decide hit/miss).
 
-pub mod dir;
 pub mod machine;
 
 pub use machine::{DirnnbMachine, RunResult};

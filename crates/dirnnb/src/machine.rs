@@ -18,7 +18,48 @@ use tt_sim::cpu::{self, Access, CpuHost, Flow, Stall, Status, Stream};
 use tt_sim::driver::{self, Machine};
 use tt_sim::EventQueue;
 
-use crate::dir::{DirBusy, DirReq, DirView, Directory};
+use tt_mem::dir::{DirView, Directory};
+
+/// What a requester asked the directory for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DirReq {
+    /// Read (shared) copy.
+    Read,
+    /// Write (exclusive) copy, data needed.
+    Write,
+    /// Write permission for a block the requester already holds shared.
+    Upgrade,
+}
+
+impl DirReq {
+    /// Whether the grant must carry the data block.
+    fn needs_data(self) -> bool {
+        !matches!(self, DirReq::Upgrade)
+    }
+}
+
+/// Why a directory entry is busy (a request is in flight on its behalf).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum DirBusy {
+    /// Invalidations are out; the entry unblocks when all are acked.
+    Invalidating {
+        /// Acks still outstanding.
+        acks_left: usize,
+        /// The requester to grant once acks drain.
+        to: NodeId,
+        /// The request being satisfied.
+        req: DirReq,
+    },
+    /// A recall (flush/downgrade) is out to the exclusive owner.
+    Recalling {
+        /// The current exclusive owner.
+        owner: NodeId,
+        /// The requester to grant once the data returns.
+        to: NodeId,
+        /// The request being satisfied.
+        req: DirReq,
+    },
+}
 
 /// DirNNB's per-CPU statistics; the counters every machine keeps live
 /// on the shared [`Stream`].
@@ -76,7 +117,9 @@ pub use tt_sim::RunResult;
 pub struct DirnnbMachine {
     cfg: SystemConfig,
     cpus: Vec<Cpu>,
-    dirs: Directory,
+    /// The homes' directory: busy transactions and deferred
+    /// `(requester, request)` pairs ride in its side maps.
+    dirs: Directory<DirBusy, (NodeId, DirReq)>,
     /// The workload's shared-segment layout; [`DirnnbMachine::home_of`]
     /// applies `cfg.placement` to it.
     layout: Layout,
@@ -477,7 +520,7 @@ impl DirnnbMachine {
     ) {
         if self.dirs.is_busy(addr) {
             self.dir_stats.deferred.inc();
-            self.dirs.push_deferred(addr, from, req);
+            self.dirs.push_deferred(addr, (from, req));
             return;
         }
         self.dir_stats.dir_ops.inc();
@@ -493,7 +536,10 @@ impl DirnnbMachine {
                 self.grant(addr, from, req, now + base, queue);
             }
             (DirView::Shared, DirReq::Write | DirReq::Upgrade) => {
-                let targets = self.dirs.sharers_except(addr, from);
+                // Invalidations fan out in ascending node order.
+                let mut targets = self.dirs.sharers(addr);
+                targets.retain(|&s| s != from);
+                targets.sort_unstable();
                 if targets.is_empty() {
                     self.dirs.set_exclusive(addr, from);
                     self.grant(addr, from, req, now + base, queue);
@@ -757,5 +803,17 @@ impl CpuHost for DirnnbMachine {
 
     fn wakeup(n: usize) -> Event {
         Event::CpuStep(n)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn upgrade_needs_no_data() {
+        assert!(DirReq::Read.needs_data());
+        assert!(DirReq::Write.needs_data());
+        assert!(!DirReq::Upgrade.needs_data());
     }
 }

@@ -15,9 +15,12 @@
 //! - [`memory`] — a node's paged physical memory carrying real data bytes,
 //!   per-block tags, and the per-page metadata Typhoon's RTLB exposes to
 //!   handlers (page mode + 48 bits of uninterpreted state);
-//! - [`ptable`] — a per-node virtual-to-physical page table.
+//! - [`ptable`] — a per-node virtual-to-physical page table;
+//! - [`dir`] — the compact per-block coherence directory every home node
+//!   keeps, Stache's and DirNNB's alike.
 
 pub mod cache;
+pub mod dir;
 pub mod memory;
 pub mod ptable;
 pub mod tags;

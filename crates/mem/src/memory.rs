@@ -276,7 +276,7 @@ mod tests {
     fn set_all_tags() {
         let mut f = PageFrame::default();
         f.set_all_tags(Tag::ReadWrite);
-        assert!(f.tags.iter().all(|(_, t)| t == Tag::ReadWrite));
+        assert!((0..tt_base::addr::BLOCKS_PER_PAGE).all(|i| f.tags.get(i) == Tag::ReadWrite));
     }
 
     #[test]

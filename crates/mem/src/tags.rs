@@ -171,11 +171,6 @@ impl PackedTags {
     pub fn uniform(&self) -> Option<Tag> {
         self.uniform
     }
-
-    /// Iterates over `(block_index, tag)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, Tag)> + '_ {
-        (0..TAG_WORDS * BLOCKS_PER_WORD).map(|i| (i, self.get(i)))
-    }
 }
 
 /// The kind of a tag-checked memory access.
@@ -247,8 +242,8 @@ mod tests {
             model[idx] = tag;
             assert_eq!(packed.get(idx), tag);
         }
-        for (i, t) in packed.iter() {
-            assert_eq!(t, model[i], "block {i}");
+        for (i, &t) in model.iter().enumerate() {
+            assert_eq!(packed.get(i), t, "block {i}");
         }
     }
 
@@ -279,7 +274,8 @@ mod tests {
         // The top word's high lanes hold it; its neighbors are untouched.
         assert_eq!(p.get(last - 1), Tag::Invalid);
         assert_eq!(p.uniform(), None);
-        assert_eq!(p.iter().filter(|&(_, t)| t == Tag::ReadWrite).count(), 1);
+        let writable = (0..=last).filter(|&i| p.get(i) == Tag::ReadWrite).count();
+        assert_eq!(writable, 1);
         p.set(last, Tag::Invalid);
         assert_eq!(p.uniform(), Some(Tag::Invalid));
     }
@@ -294,10 +290,8 @@ mod tests {
             assert_eq!(p.uniform(), None, "victim {victim}");
             assert_eq!(p.get(victim), Tag::ReadOnly);
             // Every other block still reads back ReadWrite.
-            for (i, t) in p.iter() {
-                if i != victim {
-                    assert_eq!(t, Tag::ReadWrite, "block {i} after downgrading {victim}");
-                }
+            for i in (0..tt_base::addr::BLOCKS_PER_PAGE).filter(|&i| i != victim) {
+                assert_eq!(p.get(i), Tag::ReadWrite, "block {i} after downgrading {victim}");
             }
             // Restoring the victim restores the summary.
             p.set(victim, Tag::ReadWrite);

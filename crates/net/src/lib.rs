@@ -17,9 +17,9 @@
 //! depend only on the sending node's own traffic (see
 //! `Network::link_free`).
 //!
-//! The network is a *passive* component: [`Network::send`] validates the
-//! packet, records statistics, and returns the delivery time; the owning
-//! machine schedules its own delivery event.
+//! The network is a *passive* component: [`Network::transmit`] validates
+//! the packet, records statistics, and returns the delivery times; the
+//! owning machine schedules its own delivery events.
 
 use tt_base::addr::BLOCK_BYTES;
 use tt_base::stats::Counter;
@@ -279,7 +279,8 @@ fn for_each_hop(width: usize, src: usize, dst: usize, mut f: impl FnMut(u64)) {
 ///     handler: 7,
 ///     payload: Payload::args(&[0x1000]),
 /// };
-/// assert_eq!(net.send(Cycles::new(100), &packet), Cycles::new(111));
+/// let arrivals: Vec<Cycles> = net.transmit(Cycles::new(100), &packet).iter().collect();
+/// assert_eq!(arrivals, [Cycles::new(111)]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Network {
@@ -494,7 +495,7 @@ impl Network {
 
     /// Installs a deterministic lossy-network fault schedule. Faults
     /// apply only to packets sent through [`Network::transmit`], the
-    /// path every protocol message takes; a direct [`Network::send`] is
+    /// path every protocol message takes; [`Network::deliver_at`] is
     /// unaffected.
     pub fn set_fault_plan(&mut self, spec: FaultSpec) {
         self.faults = Some(FaultPlan::new(spec, self.nodes));
@@ -567,7 +568,7 @@ impl Network {
     ///
     /// Panics if the packet exceeds [`MAX_PACKET_BYTES`] (too many
     /// argument words alongside a block).
-    pub fn send(&mut self, now: Cycles, packet: &Packet) -> Cycles {
+    fn send(&mut self, now: Cycles, packet: &Packet) -> Cycles {
         assert!(
             packet.wire_bytes() <= MAX_PACKET_BYTES,
             "packet of {} bytes exceeds the {}-byte maximum",
@@ -586,9 +587,9 @@ impl Network {
     /// schedule (if one is installed): a transient partition or a drop
     /// yields no copies, corruption of a copy is detected by the wire
     /// checksum and discards that copy, and duplication yields a second
-    /// copy. With no fault plan this is exactly [`Network::send`] —
-    /// same accounting, same jitter draws, same delivery time — so the
-    /// fault plumbing is cycle-neutral when unused. Self-sends never
+    /// copy. With no fault plan this is exactly one injection — same
+    /// accounting, same jitter draws, same delivery time — so the fault
+    /// plumbing is cycle-neutral when unused. Self-sends never
     /// traverse the wire and are never faulted.
     ///
     /// Faulted copies are injected (and counted) like any other wire
@@ -667,7 +668,7 @@ impl Network {
 
     /// Accounts for a packet the caller does not build and returns its
     /// arrival time for an injection at `inject`: the same injection path
-    /// as [`Network::send`], without constructing a [`Payload`] per
+    /// as [`Network::transmit`], without constructing a [`Payload`] per
     /// message. A self-send arrives at `inject` (the caller's cost model
     /// already covers local hand-off). Used by the DirNNB machine, whose
     /// protocol messages carry no payload the simulator needs.

@@ -19,9 +19,10 @@
 //!   thread. Subsequent accesses run at full hardware speed.
 //!
 //! Coherence is a software LimitLESS-style invalidation protocol
-//! ([`dir`]): each home block has 64 bits of directory state — two bytes
-//! of state plus six one-byte sharer pointers, falling back to a bit
-//! vector on overflow. Page replacement is FIFO ([`stache`]).
+//! ([`stache`]): each home block has a compact directory entry — its
+//! state plus six sharer pointers, falling back to a bit vector on
+//! overflow ([`tt_mem::dir`], the directory DirNNB's homes keep too).
+//! Page replacement is FIFO.
 //!
 //! The [`custom`] module shows the paper's real payoff: a protocol whose
 //! *semantics* are customized per application. For EM3D's static
@@ -31,7 +32,6 @@
 //! and a fuzzy barrier implemented by counting expected updates.
 
 pub mod custom;
-pub mod dir;
 pub mod stache;
 pub mod transport;
 

@@ -18,22 +18,21 @@
 //! Tempest context and are the `STACHE_*_INSTR` constants of
 //! `tt_base::config`.
 
-use tt_base::addr::{VAddr, Vpn, BLOCK_BYTES, PAGE_BYTES};
+use tt_base::addr::{VAddr, Vpn, BLOCKS_PER_PAGE, BLOCK_BYTES, PAGE_BYTES};
 use tt_base::config::{
     SystemConfig, STACHE_HOME_INSTR, STACHE_PAGE_FAULT_INSTR, STACHE_REPLY_INSTR,
     STACHE_REQUEST_INSTR,
 };
 use tt_base::stats::{Counter, Report};
 use tt_base::workload::Layout;
-use tt_base::{FxHashMap, NodeId};
+use tt_base::NodeId;
+use tt_mem::dir::{DirView, Directory};
 use tt_mem::{AccessKind, PageMeta, Tag};
 use tt_net::{Payload, VirtualNet};
 use tt_tempest::{
     BlockDirSnapshot, BlockFault, DirSnapshotState, HandlerId, Message, PageFault, Protocol,
     TempestCtx, ThreadId, VnPolicy,
 };
-
-use crate::dir::{BlockDir, Busy, DirState, PageDirectory, PendingReq, ReqKind, Requester};
 
 // Handler ids (the "handler PCs" of the paper's active messages).
 /// Request a read-only copy. Args: `[block_addr]`.
@@ -117,6 +116,46 @@ pub struct StacheStats {
     pub deferred_requests: Counter,
 }
 
+/// Who issued a (possibly deferred) request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Requester {
+    /// A remote node, to be answered with a data message.
+    Remote(NodeId),
+    /// The home node's own suspended computation thread.
+    Local(ThreadId),
+}
+
+/// The kind of copy requested.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum ReqKind {
+    /// Read-only copy.
+    Ro,
+    /// Exclusive (writable) copy.
+    Rw,
+}
+
+/// A request waiting for the block to leave its busy state.
+#[derive(Clone, Copy, Debug)]
+struct PendingReq {
+    who: Requester,
+    kind: ReqKind,
+}
+
+/// An in-flight home transaction on a block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Busy {
+    /// Invalidations sent; waiting for `acks_left` acknowledgments, then
+    /// grant `to` an exclusive copy.
+    Invalidating { acks_left: usize, to: Requester },
+    /// A recall was sent to the exclusive owner; on data arrival grant
+    /// `to` a copy of kind `kind`.
+    Recalling {
+        owner: NodeId,
+        to: Requester,
+        kind: ReqKind,
+    },
+}
+
 /// A fault by this node's CPU awaiting a data reply.
 #[derive(Clone, Copy, Debug)]
 struct PendingFault {
@@ -132,9 +171,9 @@ pub struct StacheProtocol {
     layout: Layout,
     /// Machine size (cyclic regions home page `i` on node `i mod nodes`).
     nodes: usize,
-    /// Directories for pages homed on this node (lookup-only: safe to
-    /// key with the fast hasher).
-    dirs: FxHashMap<Vpn, PageDirectory>,
+    /// The directory of the blocks homed on this node. A block nobody
+    /// has recorded reads as uncached (`Idle`: only the home's copy).
+    dir: Directory<Busy, PendingReq>,
     /// Outstanding fault of the local computation thread.
     pending: Option<PendingFault>,
     /// Stache pages in allocation order (FIFO replacement).
@@ -156,7 +195,7 @@ impl StacheProtocol {
             node,
             layout: layout.clone(),
             nodes: cfg.nodes,
-            dirs: FxHashMap::default(),
+            dir: Directory::new(cfg.nodes),
             pending: None,
             stache_fifo: Vec::new(),
             capacity_pages,
@@ -184,10 +223,19 @@ impl StacheProtocol {
         })
     }
 
-    /// Synthetic NP-data-cache key for a directory entry (the paper packs
-    /// four 64-bit entries per 32-byte cache line).
-    fn dir_key(vpn: Vpn, block: usize) -> u64 {
-        (vpn.0 * tt_base::addr::BLOCKS_PER_PAGE as u64 + block as u64) / 4
+    /// The pages homed on this node with their modes, in ascending order.
+    fn home_pages(&self) -> impl Iterator<Item = (Vpn, u8)> + '_ {
+        let node = self.node;
+        self.layout
+            .pages(self.nodes)
+            .filter(move |&(_, h, _)| h == node)
+            .map(|(vpn, _, mode)| (vpn, mode))
+    }
+
+    /// Synthetic NP-data-cache key for a block's directory entry (the
+    /// paper packs four 64-bit entries per 32-byte cache line).
+    fn dir_key(addr: VAddr) -> u64 {
+        addr.raw() / (4 * BLOCK_BYTES) as u64
     }
 
     fn send_data(
@@ -204,6 +252,28 @@ impl StacheProtocol {
 
     // --- Home-side protocol engine --------------------------------------
 
+    /// Services a request at the home, or queues it behind the block's
+    /// in-flight transaction.
+    fn home_request(
+        &mut self,
+        ctx: &mut dyn TempestCtx,
+        addr: VAddr,
+        who: Requester,
+        kind: ReqKind,
+    ) {
+        ctx.protocol_data_access(Self::dir_key(addr));
+        if !self.dir.is_busy(addr.raw()) {
+            self.process_request(ctx, addr, who, kind);
+            return;
+        }
+        self.stats.deferred_requests.inc();
+        if let Requester::Remote(_) = who {
+            // The message handler still runs to queue the request.
+            ctx.charge(ACK_HANDLER_INSTR);
+        }
+        self.dir.push_deferred(addr.raw(), PendingReq { who, kind });
+    }
+
     /// Services one request against a non-busy directory entry, possibly
     /// starting a transaction (invalidation round or recall).
     fn process_request(
@@ -213,27 +283,16 @@ impl StacheProtocol {
         who: Requester,
         kind: ReqKind,
     ) {
-        let vpn = addr.page();
-        let block = addr.block_in_page();
-        ctx.protocol_data_access(Self::dir_key(vpn, block));
+        let a = addr.raw();
+        ctx.protocol_data_access(Self::dir_key(addr));
         ctx.charge(STACHE_HOME_INSTR);
         self.stats.home_requests.inc();
+        debug_assert!(!self.dir.is_busy(a));
 
-        let entry = self
-            .dirs
-            .get_mut(&vpn)
-            .expect("request for a page not homed here")
-            .blocks[block]
-            .clone();
-        debug_assert!(!entry.is_busy());
-
-        match (entry.state, kind) {
-            (DirState::Idle, ReqKind::Ro) => match who {
+        match (self.dir.view(a), kind) {
+            (DirView::Uncached, ReqKind::Ro) => match who {
                 Requester::Remote(r) => {
-                    let e = self.entry_mut(vpn, block);
-                    e.state = DirState::Shared;
-                    e.sharers.clear();
-                    e.sharers.insert(r);
+                    self.dir.add_sharer(a, r);
                     ctx.set_tag(addr, Tag::ReadOnly);
                     self.send_data(ctx, r, VirtualNet::Response, PUT_RO, addr);
                 }
@@ -243,10 +302,9 @@ impl StacheProtocol {
                     ctx.resume(t);
                 }
             },
-            (DirState::Shared, ReqKind::Ro) => match who {
+            (DirView::Shared, ReqKind::Ro) => match who {
                 Requester::Remote(r) => {
-                    let e = self.entry_mut(vpn, block);
-                    if e.sharers.insert(r) {
+                    if self.dir.add_sharer(a, r) {
                         self.stats.sharer_overflows.inc();
                     }
                     self.send_data(ctx, r, VirtualNet::Response, PUT_RO, addr);
@@ -256,103 +314,53 @@ impl StacheProtocol {
                     ctx.resume(t);
                 }
             },
-            (DirState::Exclusive(owner), ReqKind::Ro) => {
-                self.stats.recalls_sent.inc();
-                self.entry_mut(vpn, block).busy = Some(Busy::Recalling {
-                    owner,
-                    to: who,
-                    kind: ReqKind::Ro,
-                });
-                ctx.send(
-                    owner,
-                    VirtualNet::Request,
-                    RECALL_RO,
-                    Payload::args(&[addr.raw()]),
-                );
-            }
-            (DirState::Idle, ReqKind::Rw) => match who {
-                Requester::Remote(r) => {
-                    self.entry_mut(vpn, block).state = DirState::Exclusive(r);
-                    ctx.set_tag(addr, Tag::Invalid);
-                    self.send_data(ctx, r, VirtualNet::Response, PUT_RW, addr);
+            (DirView::Uncached, ReqKind::Rw) => self.grant_exclusive(ctx, addr, who),
+            (DirView::Shared, ReqKind::Rw) => {
+                let mut targets = self.dir.sharers(a);
+                if let Requester::Remote(r) = who {
+                    targets.retain(|&s| s != r);
                 }
-                Requester::Local(t) => {
-                    ctx.set_tag(addr, Tag::ReadWrite);
-                    ctx.resume(t);
-                }
-            },
-            (DirState::Shared, ReqKind::Rw) => {
-                let requester_node = match who {
-                    Requester::Remote(r) => Some(r),
-                    Requester::Local(_) => None,
-                };
-                let targets: Vec<NodeId> = self
-                    .entry_mut(vpn, block)
-                    .sharers
-                    .iter()
-                    .into_iter()
-                    .filter(|s| Some(*s) != requester_node)
-                    .collect();
                 if targets.is_empty() {
                     // The requester is the only sharer (an upgrade), or
                     // the sharer set was stale.
                     self.grant_exclusive(ctx, addr, who);
                 } else {
                     self.stats.invals_sent.add(targets.len() as u64);
-                    for s in &targets {
-                        ctx.send(
-                            *s,
-                            VirtualNet::Request,
-                            INV,
-                            Payload::args(&[addr.raw()]),
-                        );
+                    for &s in &targets {
+                        ctx.send(s, VirtualNet::Request, INV, Payload::args(&[a]));
                     }
-                    self.entry_mut(vpn, block).busy = Some(Busy::Invalidating {
-                        acks_left: targets.len(),
-                        to: who,
-                    });
+                    self.dir.set_busy(
+                        a,
+                        Busy::Invalidating {
+                            acks_left: targets.len(),
+                            to: who,
+                        },
+                    );
                 }
             }
-            (DirState::Exclusive(owner), ReqKind::Rw) => {
+            (DirView::Exclusive(owner), kind) => {
                 self.stats.recalls_sent.inc();
-                self.entry_mut(vpn, block).busy = Some(Busy::Recalling {
-                    owner,
-                    to: who,
-                    kind: ReqKind::Rw,
-                });
-                ctx.send(
-                    owner,
-                    VirtualNet::Request,
-                    RECALL_RW,
-                    Payload::args(&[addr.raw()]),
-                );
+                self.dir.set_busy(a, Busy::Recalling { owner, to: who, kind });
+                let handler = match kind {
+                    ReqKind::Ro => RECALL_RO,
+                    ReqKind::Rw => RECALL_RW,
+                };
+                ctx.send(owner, VirtualNet::Request, handler, Payload::args(&[a]));
             }
         }
-    }
-
-    fn entry_mut(&mut self, vpn: Vpn, block: usize) -> &mut BlockDir {
-        &mut self
-            .dirs
-            .get_mut(&vpn)
-            .expect("directory present")
-            .blocks[block]
     }
 
     /// Completes an exclusive grant: directory update, home tag, message
     /// or local resume.
     fn grant_exclusive(&mut self, ctx: &mut dyn TempestCtx, addr: VAddr, who: Requester) {
-        let vpn = addr.page();
-        let block = addr.block_in_page();
-        let e = self.entry_mut(vpn, block);
-        e.sharers.clear();
         match who {
             Requester::Remote(r) => {
-                e.state = DirState::Exclusive(r);
+                self.dir.set_exclusive(addr.raw(), r);
                 ctx.set_tag(addr, Tag::Invalid);
                 self.send_data(ctx, r, VirtualNet::Response, PUT_RW, addr);
             }
             Requester::Local(t) => {
-                e.state = DirState::Idle;
+                self.dir.set_uncached(addr.raw());
                 ctx.set_tag(addr, Tag::ReadWrite);
                 ctx.resume(t);
             }
@@ -362,14 +370,8 @@ impl StacheProtocol {
     /// Finishes a transaction and services deferred requests in FIFO
     /// order until one of them starts a new transaction.
     fn finish_transaction(&mut self, ctx: &mut dyn TempestCtx, addr: VAddr) {
-        let vpn = addr.page();
-        let block = addr.block_in_page();
-        loop {
-            let e = self.entry_mut(vpn, block);
-            if e.is_busy() {
-                return;
-            }
-            let Some(PendingReq { who, kind }) = e.queue.pop_front() else {
+        while !self.dir.is_busy(addr.raw()) {
+            let Some(PendingReq { who, kind }) = self.dir.pop_deferred(addr.raw()) else {
                 return;
             };
             self.process_request(ctx, addr, who, kind);
@@ -380,19 +382,7 @@ impl StacheProtocol {
 
     fn on_get(&mut self, ctx: &mut dyn TempestCtx, msg: &Message, kind: ReqKind) {
         let addr = VAddr::new(msg.arg(0));
-        let vpn = addr.page();
-        let block = addr.block_in_page();
-        ctx.protocol_data_access(Self::dir_key(vpn, block));
-        if self.entry_mut(vpn, block).is_busy() {
-            self.stats.deferred_requests.inc();
-            ctx.charge(ACK_HANDLER_INSTR);
-            self.entry_mut(vpn, block).queue.push_back(PendingReq {
-                who: Requester::Remote(msg.src),
-                kind,
-            });
-            return;
-        }
-        self.process_request(ctx, addr, Requester::Remote(msg.src), kind);
+        self.home_request(ctx, addr, Requester::Remote(msg.src), kind);
     }
 
     fn on_put(&mut self, ctx: &mut dyn TempestCtx, msg: &Message, tag: Tag) {
@@ -428,23 +418,24 @@ impl StacheProtocol {
 
     fn on_ack(&mut self, ctx: &mut dyn TempestCtx, msg: &Message) {
         let addr = VAddr::new(msg.arg(0));
-        let vpn = addr.page();
-        let block = addr.block_in_page();
+        let a = addr.raw();
         ctx.charge(ACK_HANDLER_INSTR);
-        ctx.protocol_data_access(Self::dir_key(vpn, block));
-        let e = self.entry_mut(vpn, block);
-        let Some(Busy::Invalidating { acks_left, to }) = e.busy.clone() else {
+        ctx.protocol_data_access(Self::dir_key(addr));
+        let Some(Busy::Invalidating { acks_left, to }) = self.dir.busy(a) else {
             panic!("ACK for a block that is not invalidating");
         };
         if acks_left > 1 {
-            e.busy = Some(Busy::Invalidating {
-                acks_left: acks_left - 1,
-                to,
-            });
+            self.dir.set_busy(
+                a,
+                Busy::Invalidating {
+                    acks_left: acks_left - 1,
+                    to,
+                },
+            );
             return;
         }
         // Final acknowledgment: this handler sends the data (paper §3).
-        e.busy = None;
+        self.dir.clear_busy(a);
         ctx.charge(STACHE_HOME_INSTR);
         self.grant_exclusive(ctx, addr, to);
         self.finish_transaction(ctx, addr);
@@ -487,33 +478,30 @@ impl StacheProtocol {
         from: NodeId,
         data: &[u8; BLOCK_BYTES],
     ) {
-        let vpn = addr.page();
-        let block = addr.block_in_page();
+        let a = addr.raw();
         ctx.charge(STACHE_HOME_INSTR);
-        ctx.protocol_data_access(Self::dir_key(vpn, block));
+        ctx.protocol_data_access(Self::dir_key(addr));
         ctx.force_write_block(addr, data);
-        let e = self.entry_mut(vpn, block);
-        let Some(Busy::Recalling { owner, to, kind }) = e.busy.clone() else {
+        let Some(Busy::Recalling { owner, to, kind }) = self.dir.busy(a) else {
             panic!("recall data for a block that is not recalling");
         };
         debug_assert_eq!(owner, from);
-        e.busy = None;
+        self.dir.clear_busy(a);
         match kind {
             ReqKind::Ro => {
-                let e = self.entry_mut(vpn, block);
-                e.state = DirState::Shared;
-                e.sharers.clear();
-                e.sharers.insert(owner);
+                // The old owner keeps a read-only copy; a remote reader
+                // joins it.
+                let reader = match to {
+                    Requester::Remote(r) => r,
+                    Requester::Local(_) => owner,
+                };
+                self.dir.set_shared_pair(a, owner, reader);
+                ctx.set_tag(addr, Tag::ReadOnly);
                 match to {
                     Requester::Remote(r) => {
-                        e.sharers.insert(r);
-                        ctx.set_tag(addr, Tag::ReadOnly);
-                        self.send_data(ctx, r, VirtualNet::Response, PUT_RO, addr);
+                        self.send_data(ctx, r, VirtualNet::Response, PUT_RO, addr)
                     }
-                    Requester::Local(t) => {
-                        ctx.set_tag(addr, Tag::ReadOnly);
-                        ctx.resume(t);
-                    }
+                    Requester::Local(t) => ctx.resume(t),
                 }
             }
             ReqKind::Rw => {
@@ -525,12 +513,10 @@ impl StacheProtocol {
 
     fn on_writeback(&mut self, ctx: &mut dyn TempestCtx, msg: &Message) {
         let addr = VAddr::new(msg.arg(0));
-        let vpn = addr.page();
-        let block = addr.block_in_page();
+        let a = addr.raw();
         let data = msg.payload.block();
-        ctx.protocol_data_access(Self::dir_key(vpn, block));
-        let e = self.entry_mut(vpn, block);
-        match e.busy.clone() {
+        ctx.protocol_data_access(Self::dir_key(addr));
+        match self.dir.busy(a) {
             Some(Busy::Recalling { owner, .. }) if owner == msg.src => {
                 // The owner replaced the page while our recall was in
                 // flight; its writeback carries the data we wanted.
@@ -539,9 +525,8 @@ impl StacheProtocol {
             Some(other) => panic!("writeback raced an unexpected transaction {other:?}"),
             None => {
                 ctx.charge(ACK_HANDLER_INSTR);
-                debug_assert_eq!(e.state, DirState::Exclusive(msg.src));
-                e.state = DirState::Idle;
-                e.sharers.clear();
+                debug_assert_eq!(self.dir.view(a), DirView::Exclusive(msg.src));
+                self.dir.set_uncached(a);
                 ctx.force_write_block(addr, &data);
                 ctx.set_tag(addr, Tag::ReadWrite);
             }
@@ -559,7 +544,7 @@ impl StacheProtocol {
         let (home, _) = self.home_of(victim);
         self.stats.replacements.inc();
         let base = victim.base();
-        for b in 0..tt_base::addr::BLOCKS_PER_PAGE {
+        for b in 0..BLOCKS_PER_PAGE {
             ctx.charge(REPLACE_PER_BLOCK_INSTR);
             let addr = base.offset((b * BLOCK_BYTES) as u64);
             match ctx.read_tag(addr) {
@@ -584,14 +569,12 @@ impl StacheProtocol {
 
 impl Protocol for StacheProtocol {
     fn init(&mut self, ctx: &mut dyn TempestCtx) {
-        // Create home pages: map them writable and allocate directories
-        // (the paper's shared-memory allocation functions). The layout
-        // yields pages in ascending order, so physical frames are handed
-        // out in a canonical order: frame numbers feed the NP data-cache
-        // set mapping.
-        let node = self.node;
-        let mine = self.layout.pages(self.nodes).filter(|&(_, h, _)| h == node);
-        for (vpn, _, mode) in mine {
+        // Create home pages: map them writable (the paper's shared-memory
+        // allocation functions). The layout yields pages in ascending
+        // order, so physical frames are handed out in a canonical order:
+        // frame numbers feed the NP data-cache set mapping. Directory
+        // entries are allocated when a block is first recorded.
+        for (vpn, mode) in self.home_pages() {
             let ppn = ctx.alloc_page();
             ctx.map_page(vpn, ppn).expect("fresh mapping");
             ctx.set_page_tags(vpn, Tag::ReadWrite);
@@ -603,7 +586,6 @@ impl Protocol for StacheProtocol {
                     user: [self.node.raw() as u64, 0],
                 },
             );
-            self.dirs.insert(vpn, PageDirectory::new());
         }
     }
 
@@ -644,18 +626,7 @@ impl Protocol for StacheProtocol {
         if home == self.node {
             // Home faults access the directory directly (paper §3).
             self.stats.home_faults.inc();
-            let vpn = addr.page();
-            let block = addr.block_in_page();
-            ctx.protocol_data_access(Self::dir_key(vpn, block));
-            if self.entry_mut(vpn, block).is_busy() {
-                self.stats.deferred_requests.inc();
-                self.entry_mut(vpn, block).queue.push_back(PendingReq {
-                    who: Requester::Local(fault.thread),
-                    kind,
-                });
-                return;
-            }
-            self.process_request(ctx, addr, Requester::Local(fault.thread), kind);
+            self.home_request(ctx, addr, Requester::Local(fault.thread), kind);
             return;
         }
         ctx.charge(STACHE_REQUEST_INSTR);
@@ -714,20 +685,20 @@ impl Protocol for StacheProtocol {
     }
 
     fn inspect_directory(&self, out: &mut Vec<BlockDirSnapshot>) {
-        let mut pages: Vec<(&Vpn, &PageDirectory)> = self.dirs.iter().collect();
-        pages.sort_unstable_by_key(|&(vpn, _)| vpn);
-        for (vpn, dir) in pages {
-            for (i, entry) in dir.blocks.iter().enumerate() {
-                let state = match entry.state {
-                    DirState::Idle => DirSnapshotState::Idle,
-                    DirState::Shared => DirSnapshotState::Shared(entry.sharers.iter()),
-                    DirState::Exclusive(owner) => DirSnapshotState::Exclusive(owner),
+        for (vpn, _) in self.home_pages() {
+            for i in 0..BLOCKS_PER_PAGE {
+                let addr = vpn.base().offset((i * BLOCK_BYTES) as u64);
+                let a = addr.raw();
+                let state = match self.dir.view(a) {
+                    DirView::Uncached => DirSnapshotState::Idle,
+                    DirView::Shared => DirSnapshotState::Shared(self.dir.sharers(a)),
+                    DirView::Exclusive(owner) => DirSnapshotState::Exclusive(owner),
                 };
                 out.push(BlockDirSnapshot {
-                    addr: VAddr::new(vpn.base().raw() + (i * BLOCK_BYTES) as u64),
+                    addr,
                     home: self.node,
                     state,
-                    busy: entry.is_busy(),
+                    busy: self.dir.is_busy(a),
                 });
             }
         }

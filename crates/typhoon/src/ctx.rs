@@ -127,7 +127,7 @@ impl TempestCtx for NodeCtx<'_> {
         };
         // `transmit` applies the installed fault schedule (if any) and
         // yields zero, one, or two delivery times; with no fault plan it
-        // is exactly `Network::send`.
+        // is exactly one delivery.
         let deliveries = self.network.transmit(self.now(), &packet);
         for deliver_at in deliveries.iter() {
             self.queue
