@@ -69,7 +69,8 @@ pub fn peak_bytes() -> u64 {
     PEAK.load(Ordering::Relaxed)
 }
 
-/// Cumulative number of allocation events (allocs + growing reallocs).
+/// Cumulative number of allocation events: every successful alloc and
+/// every successful realloc, growing or shrinking.
 pub fn alloc_count() -> u64 {
     COUNT.load(Ordering::Relaxed)
 }

@@ -14,7 +14,9 @@
 //!   NP TLB, and the reverse TLB (all 64-entry in Table 2);
 //! - [`memory`] — a node's paged physical memory carrying real data bytes,
 //!   per-block tags, and the per-page metadata Typhoon's RTLB exposes to
-//!   handlers (page mode + 48 bits of uninterpreted state);
+//!   handlers (page mode + 48 bits of uninterpreted state). Frames are
+//!   sparse: each stores only the blocks written with data, and an absent
+//!   block reads as zero;
 //! - [`ptable`] — a per-node virtual-to-physical page table;
 //! - [`dir`] — the compact per-block coherence directory every home node
 //!   keeps, Stache's and DirNNB's alike.

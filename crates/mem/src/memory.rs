@@ -7,6 +7,11 @@
 //! sequentially consistent execution would produce. `NodeMemory` is the
 //! backing store for one node.
 //!
+//! Frames are sparse: a frame stores only the blocks that have been
+//! written with data, and an absent block reads as zero, exactly as a
+//! freshly zeroed page would. Stache allocates whole pages but fetches
+//! single blocks, so most blocks of a stached page are never stored.
+//!
 //! Each frame also holds the metadata a Typhoon RTLB entry exposes to
 //! block-access-fault handlers (Section 5.4): the mapped virtual page, a
 //! 4-bit *page mode* used to select fault handlers, and uninterpreted
@@ -14,7 +19,7 @@
 //! ID and a 32-bit pointer to an arbitrary user data structure"; we
 //! generalize to two 64-bit words so protocol state needn't be packed).
 
-use tt_base::addr::{PAddr, Ppn, Vpn, BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
+use tt_base::addr::{PAddr, Ppn, Vpn, BLOCKS_PER_PAGE, BLOCK_BYTES, WORD_BYTES};
 
 use crate::tags::{PackedTags, Tag};
 
@@ -32,21 +37,33 @@ pub struct PageMeta {
 
 /// One 4 KB physical page frame: data, tags, and metadata.
 ///
+/// Data is stored per block, and only for blocks that have been written
+/// with data: `slots[b]` is 1 + the index of block `b` in `blocks`, or 0
+/// while the block is absent (it then reads as zero). Blocks are
+/// appended in first-write order, so storing one never moves another.
+/// Writing zeros to an absent block stores nothing; writing to a stored
+/// block always overwrites it.
+///
 /// Block tags are stored packed (2 bits per block plus a uniform-tag
 /// summary, see [`crate::tags::PackedTags`]) so `set_all_tags` is O(1)
 /// and "is this whole page tagged T?" is one comparison.
 #[derive(Clone, Debug)]
 pub struct PageFrame {
-    data: Box<[u8; PAGE_BYTES]>,
+    slots: [u8; BLOCKS_PER_PAGE],
+    blocks: Vec<[u8; BLOCK_BYTES]>,
     tags: PackedTags,
     /// Protocol-visible metadata.
     pub meta: PageMeta,
 }
 
+// `slots` holds 1 + an index below `BLOCKS_PER_PAGE` in a `u8`.
+const _: () = assert!(BLOCKS_PER_PAGE < u8::MAX as usize);
+
 impl Default for PageFrame {
     fn default() -> Self {
         PageFrame {
-            data: Box::new([0; PAGE_BYTES]),
+            slots: [0; BLOCKS_PER_PAGE],
+            blocks: Vec::new(),
             tags: PackedTags::default(),
             meta: PageMeta::default(),
         }
@@ -68,15 +85,23 @@ impl PageFrame {
     pub fn set_all_tags(&mut self, tag: Tag) {
         self.tags.set_all(tag);
     }
-}
 
-/// Statistics for a node's memory.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemoryStats {
-    /// Frames currently allocated.
-    pub allocated: usize,
-    /// High-water mark of allocated frames.
-    pub peak_allocated: usize,
+    /// Block `idx`'s bytes, or `None` while it is absent (all zero).
+    fn block(&self, idx: usize) -> Option<&[u8; BLOCK_BYTES]> {
+        match self.slots[idx] {
+            0 => None,
+            s => Some(&self.blocks[s as usize - 1]),
+        }
+    }
+
+    /// Block `idx`'s bytes for writing, stored (zeroed) first if absent.
+    fn block_mut(&mut self, idx: usize) -> &mut [u8; BLOCK_BYTES] {
+        if self.slots[idx] == 0 {
+            self.blocks.push([0; BLOCK_BYTES]);
+            self.slots[idx] = self.blocks.len() as u8;
+        }
+        &mut self.blocks[self.slots[idx] as usize - 1]
+    }
 }
 
 /// A node's physical memory.
@@ -97,7 +122,6 @@ pub struct MemoryStats {
 pub struct NodeMemory {
     frames: Vec<Option<PageFrame>>,
     free: Vec<Ppn>,
-    stats: MemoryStats,
 }
 
 impl NodeMemory {
@@ -107,9 +131,10 @@ impl NodeMemory {
     }
 
     /// Allocates a zeroed frame (tags all `Invalid`) and returns its
-    /// physical page number.
+    /// physical page number. The frame stores no block until one is
+    /// written with data.
     pub fn alloc(&mut self) -> Ppn {
-        let ppn = match self.free.pop() {
+        match self.free.pop() {
             Some(ppn) => {
                 self.frames[ppn.0 as usize] = Some(PageFrame::default());
                 ppn
@@ -118,10 +143,7 @@ impl NodeMemory {
                 self.frames.push(Some(PageFrame::default()));
                 Ppn(self.frames.len() as u64 - 1)
             }
-        };
-        self.stats.allocated += 1;
-        self.stats.peak_allocated = self.stats.peak_allocated.max(self.stats.allocated);
-        ppn
+        }
     }
 
     /// Frees a frame.
@@ -137,7 +159,6 @@ impl NodeMemory {
         assert!(slot.is_some(), "double free of {ppn:?}");
         *slot = None;
         self.free.push(ppn);
-        self.stats.allocated -= 1;
     }
 
     /// The frame at `ppn`.
@@ -166,32 +187,42 @@ impl NodeMemory {
 
     /// Reads the 64-bit word at a word-aligned physical address.
     pub fn read_word(&self, addr: PAddr) -> u64 {
-        let frame = self.frame(addr.page());
         let off = addr.page_offset() as usize;
         debug_assert_eq!(off % WORD_BYTES, 0, "unaligned word read at {addr}");
-        u64::from_le_bytes(frame.data[off..off + WORD_BYTES].try_into().unwrap())
+        let block = self.frame(addr.page()).block(addr.block_in_page());
+        let w = off % BLOCK_BYTES;
+        block.map_or(0, |b| {
+            u64::from_le_bytes(b[w..w + WORD_BYTES].try_into().unwrap())
+        })
     }
 
     /// Writes the 64-bit word at a word-aligned physical address.
     pub fn write_word(&mut self, addr: PAddr, value: u64) {
-        let frame = self.frame_mut(addr.page());
         let off = addr.page_offset() as usize;
         debug_assert_eq!(off % WORD_BYTES, 0, "unaligned word write at {addr}");
-        frame.data[off..off + WORD_BYTES].copy_from_slice(&value.to_le_bytes());
+        let frame = self.frame_mut(addr.page());
+        let idx = addr.block_in_page();
+        if value == 0 && frame.block(idx).is_none() {
+            return;
+        }
+        let w = off % BLOCK_BYTES;
+        frame.block_mut(idx)[w..w + WORD_BYTES].copy_from_slice(&value.to_le_bytes());
     }
 
     /// Copies out the 32-byte block containing `addr`.
     pub fn read_block(&self, addr: PAddr) -> [u8; BLOCK_BYTES] {
-        let frame = self.frame(addr.page());
-        let off = addr.block_base().page_offset() as usize;
-        frame.data[off..off + BLOCK_BYTES].try_into().unwrap()
+        let block = self.frame(addr.page()).block(addr.block_in_page());
+        block.copied().unwrap_or([0; BLOCK_BYTES])
     }
 
     /// Overwrites the 32-byte block containing `addr`.
     pub fn write_block(&mut self, addr: PAddr, block: &[u8; BLOCK_BYTES]) {
         let frame = self.frame_mut(addr.page());
-        let off = addr.block_base().page_offset() as usize;
-        frame.data[off..off + BLOCK_BYTES].copy_from_slice(block);
+        let idx = addr.block_in_page();
+        if frame.block(idx).is_none() && block.iter().all(|&b| b == 0) {
+            return;
+        }
+        *frame.block_mut(idx) = *block;
     }
 
     /// The tag of the block containing `addr`.
@@ -202,11 +233,6 @@ impl NodeMemory {
     /// Sets the tag of the block containing `addr`.
     pub fn set_tag(&mut self, addr: PAddr, tag: Tag) {
         self.frame_mut(addr.page()).set_tag(addr.block_in_page(), tag);
-    }
-
-    /// Current allocation statistics.
-    pub fn stats(&self) -> MemoryStats {
-        self.stats
     }
 }
 
@@ -223,8 +249,8 @@ mod tests {
         m.free(a);
         let c = m.alloc();
         assert_eq!(a, c, "freed frame is reused");
-        assert_eq!(m.stats().allocated, 2);
-        assert_eq!(m.stats().peak_allocated, 2);
+        assert_eq!(m.frames.len(), 2, "reuse grows no new frame");
+        assert!(m.free.is_empty());
     }
 
     #[test]
@@ -290,6 +316,57 @@ mod tests {
         assert_eq!(q, p);
         assert_eq!(m.read_word(q.base()), 0);
         assert_eq!(m.tag(q.base()), Tag::Invalid);
+    }
+
+    #[test]
+    fn zero_writes_to_a_fresh_frame_store_nothing() {
+        let mut m = NodeMemory::new();
+        let p = m.alloc();
+        m.write_word(p.base().offset(8), 0);
+        m.write_block(p.base().offset(64), &[0; BLOCK_BYTES]);
+        assert!(m.frame(p).blocks.is_empty());
+        assert_eq!(m.read_word(p.base().offset(8)), 0);
+        assert_eq!(m.read_block(p.base().offset(64)), [0; BLOCK_BYTES]);
+    }
+
+    #[test]
+    fn frames_store_only_blocks_given_data() {
+        let mut m = NodeMemory::new();
+        let p = m.alloc();
+        let mut given = std::collections::BTreeSet::new();
+        // Words and blocks, zero and nonzero, several per block, in a
+        // scrambled block order; then overwrite every one back to zero.
+        for i in 0..600u64 {
+            let block = (i * 37 % BLOCKS_PER_PAGE as u64) as usize;
+            let addr = p
+                .base()
+                .offset(block as u64 * BLOCK_BYTES as u64 + (i % 4) * 8);
+            let value = if i % 3 == 0 { 0 } else { i % 251 };
+            if i % 5 == 0 {
+                m.write_block(addr, &[value as u8; BLOCK_BYTES]);
+            } else {
+                m.write_word(addr, value);
+            }
+            if value != 0 {
+                given.insert(block);
+            }
+            assert!(m.frame(p).blocks.len() <= given.len());
+        }
+        let stored = m.frame(p).blocks.len();
+        for &block in &given {
+            m.write_block(
+                p.base().offset(block as u64 * BLOCK_BYTES as u64),
+                &[0; BLOCK_BYTES],
+            );
+        }
+        assert_eq!(
+            m.frame(p).blocks.len(),
+            stored,
+            "zeroing a stored block keeps it"
+        );
+        let zero =
+            |b: usize| m.read_block(p.base().offset((b * BLOCK_BYTES) as u64)) == [0; BLOCK_BYTES];
+        assert!((0..BLOCKS_PER_PAGE).all(zero));
     }
 
     #[test]

@@ -100,23 +100,33 @@ echo "==> tt-check kv (200 seeds + 100 lossy seeds)"
 cargo run --release -p tt-bench --bin tt-check -- kv --seeds 200
 cargo run --release -p tt-bench --bin tt-check -- kv --seeds 100 --faults
 
-# Big-machine memory guard: the heap high-water mark per node of the
-# 256-node mesh EM3D points must stay within 2x of the committed
-# results/BENCH_figure3_256_mesh.json snapshot — the guard that keeps
-# the compact directory state compact. (results.py checks its cycles.)
-echo "==> figure3 big-machine memory guard (256-node mesh, 2x bytes/node)"
+# Big-machine memory guard: the heap high-water mark per node of every
+# 256-node mesh EM3D point, matched by (point, system), must stay within
+# 2x of the committed results/BENCH_figure3_256_mesh.json snapshot — the
+# guard that keeps directories and page frames compact. (results.py
+# checks its cycles.)
+echo "==> figure3 big-machine memory guard (256-node mesh, 2x bytes/node, every point)"
 cargo run --release -p tt-bench --bin figure3 -- \
     --nodes 256 --topology mesh --apps em3d --scale 64 --jobs 1 \
     --json /tmp/fig3_mesh256.json >/dev/null
-new_bpn=$(grep -o '"bytes_per_node": [0-9]*' /tmp/fig3_mesh256.json \
-    | head -1 | tr -dc 0-9)
-old_bpn=$(grep -o '"bytes_per_node": [0-9]*' results/BENCH_figure3_256_mesh.json \
-    | head -1 | tr -dc 0-9)
-if [ "$new_bpn" -gt $((old_bpn * 2)) ]; then
-    echo "FAIL: 256-node mesh bytes/node regressed >2x: $new_bpn vs snapshot $old_bpn"
-    exit 1
-fi
-echo "    bytes/node $new_bpn (snapshot $old_bpn, guard 2x)"
+python3 - /tmp/fig3_mesh256.json results/BENCH_figure3_256_mesh.json <<'PY'
+import json, sys
+
+def bytes_per_node(path):
+    points = json.load(open(path))["points"]
+    return {(p["point"], p["system"]): p["cost"]["bytes_per_node"] for p in points}
+
+new, old = (bytes_per_node(path) for path in sys.argv[1:])
+if new.keys() != old.keys():
+    sys.exit(f"FAIL: 256-node mesh points differ from the snapshot: {sorted(new.keys() ^ old.keys())}")
+failed = False
+for key in old:
+    verdict = "ok" if new[key] <= 2 * old[key] else "FAIL (>2x)"
+    failed |= verdict != "ok"
+    print(f"    {key[0]} {key[1]}: bytes/node {new[key]} (snapshot {old[key]}) {verdict}")
+if failed:
+    sys.exit("FAIL: 256-node mesh bytes/node regressed >2x")
+PY
 rm -f /tmp/fig3_mesh256.json
 
 echo "==> examples build"

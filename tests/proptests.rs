@@ -8,7 +8,7 @@
 //! dependency was replaced with explicit deterministic case loops —
 //! same properties, reproducible by construction).
 
-use tempest_typhoon::base::addr::{PAGE_BYTES, VAddr};
+use tempest_typhoon::base::addr::{BLOCK_BYTES, PAGE_BYTES, Ppn, VAddr, WORD_BYTES};
 use tempest_typhoon::base::workload::{
     Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE,
 };
@@ -16,7 +16,7 @@ use tempest_typhoon::base::{DetRng, NodeId, SystemConfig};
 use tempest_typhoon::dirnnb::DirnnbMachine;
 use tempest_typhoon::mem::cache::Probe;
 use tempest_typhoon::mem::dir::Directory;
-use tempest_typhoon::mem::{CacheModel, FifoTlb};
+use tempest_typhoon::mem::{CacheModel, FifoTlb, NodeMemory};
 use tempest_typhoon::stache::StacheProtocol;
 use tempest_typhoon::typhoon::TyphoonMachine;
 
@@ -130,6 +130,76 @@ fn sharer_set_matches_reference() {
                 expect.sort();
             }
             assert_eq!(dir.sharers(addr), expect);
+        }
+    }
+}
+
+/// Sparse page frames read exactly like dense zeroed pages: random
+/// word and block writes (zero values, all-zero blocks and overwrites
+/// back to zero among them), reads, and free-then-alloc reuse agree
+/// byte for byte with a dense `[u8; PAGE_BYTES]` model per frame.
+#[test]
+fn sparse_frames_match_dense_model() {
+    for case in 0..64u64 {
+        let mut rng = DetRng::new(0x5FA4E ^ (case << 8));
+        let mut mem = NodeMemory::new();
+        let mut model: Vec<(Ppn, Box<[u8; PAGE_BYTES]>)> = (0..3)
+            .map(|_| (mem.alloc(), Box::new([0; PAGE_BYTES])))
+            .collect();
+        let n_ops = 1 + rng.below_usize(599);
+        for _ in 0..n_ops {
+            let f = rng.below_usize(model.len());
+            let (ppn, dense) = &mut model[f];
+            // Few blocks, so writes often land on stored blocks.
+            let block = rng.below_usize(8) * 16 + rng.below_usize(2);
+            let off = block * BLOCK_BYTES + rng.below_usize(BLOCK_BYTES / WORD_BYTES) * WORD_BYTES;
+            let addr = ppn.base().offset(off as u64);
+            let value = match rng.below(3) {
+                0 => 0,
+                1 => rng.below(4),
+                _ => rng.next_u64(),
+            };
+            match rng.below(6) {
+                0 => {
+                    mem.write_word(addr, value);
+                    dense[off..off + WORD_BYTES].copy_from_slice(&value.to_le_bytes());
+                }
+                1 => {
+                    let mut data = [0u8; BLOCK_BYTES];
+                    if rng.chance(0.5) {
+                        data[rng.below_usize(BLOCK_BYTES)] = value as u8;
+                    }
+                    mem.write_block(addr, &data);
+                    let base = block * BLOCK_BYTES;
+                    dense[base..base + BLOCK_BYTES].copy_from_slice(&data);
+                }
+                2 => {
+                    let want = u64::from_le_bytes(dense[off..off + WORD_BYTES].try_into().unwrap());
+                    assert_eq!(mem.read_word(addr), want, "case {case} word {off:#x}");
+                }
+                3 => {
+                    let base = block * BLOCK_BYTES;
+                    assert_eq!(
+                        mem.read_block(addr),
+                        dense[base..base + BLOCK_BYTES],
+                        "case {case}"
+                    );
+                }
+                4 if rng.chance(0.1) => {
+                    mem.free(*ppn);
+                    *ppn = mem.alloc();
+                    **dense = [0; PAGE_BYTES];
+                }
+                _ => {}
+            }
+        }
+        for (ppn, dense) in &model {
+            for (b, want) in dense.chunks_exact(BLOCK_BYTES).enumerate() {
+                assert_eq!(
+                    mem.read_block(ppn.base().offset((b * BLOCK_BYTES) as u64)),
+                    want
+                );
+            }
         }
     }
 }
