@@ -213,6 +213,45 @@ fn bench_payload_inline(r: &Runner) {
     });
 }
 
+/// The routing layer alone: a fixed, seeded mix of cross-node packets
+/// (uniform random pairs, header-only to full-block wire sizes, one
+/// injection per cycle) routed over a 256-node mesh through
+/// `Network::deliver_at`, the path DirNNB sends on. The network is warmed
+/// with one pass of the mix, so the timed passes route over link queues
+/// that already exist, as a long run does. Prints ns per packet beside
+/// the harness's ns per pass of the mix.
+fn bench_mesh_route(r: &Runner) {
+    use tt_base::Topology;
+    use tt_net::{Network, VirtualNet};
+    const NODES: usize = 256;
+    const PACKETS: usize = 16_384;
+    let mut rng = DetRng::new(0x3E5);
+    let mix: Vec<(NodeId, NodeId, usize)> = (0..PACKETS)
+        .map(|_| {
+            let src = rng.below_usize(NODES);
+            let dst = (src + 1 + rng.below_usize(NODES - 1)) % NODES;
+            let wire = [12, 20, 44, 76][rng.below_usize(4)];
+            (NodeId::new(src as u16), NodeId::new(dst as u16), wire)
+        })
+        .collect();
+    let mut net = Network::new(NODES, Cycles::new(11));
+    net.set_topology(Topology::Mesh2D { width: 0 });
+    let mut now = 0u64;
+    let mut pass = move || {
+        let mut acc = 0u64;
+        for &(src, dst, wire) in &mix {
+            now += 1;
+            let t = net.deliver_at(Cycles::new(now), src, dst, VirtualNet::Request, wire);
+            acc = acc.wrapping_add(t.raw());
+        }
+        acc
+    };
+    black_box(pass());
+    if let Some(ns) = r.bench("net/mesh_route_256_16k_packets", pass) {
+        println!("  net/mesh_route_256: {:.1} ns/packet", ns / PACKETS as f64);
+    }
+}
+
 /// One remote Stache miss, end to end: page fault, block fault, request,
 /// home handler, reply handler, resume, retry — the §5.1 critical path.
 fn bench_stache_miss_path(r: &Runner) {
@@ -254,5 +293,6 @@ fn main() {
     bench_hit_run_direct_vs_scheduled(&r);
     bench_tag_check_packed_vs_byte(&r);
     bench_payload_inline(&r);
+    bench_mesh_route(&r);
     bench_stache_miss_path(&r);
 }

@@ -31,11 +31,12 @@ impl Runner {
 
     /// Times `f` and prints `name: <mean> ns/iter (min <min>, N iters)`.
     /// The closure returns a value that is black-boxed so the work is
-    /// not optimized away.
-    pub fn bench<F: FnMut() -> u64>(&self, name: &str, mut f: F) {
+    /// not optimized away. Returns the mean ns/iter, or `None` if the
+    /// filter skipped the benchmark.
+    pub fn bench<F: FnMut() -> u64>(&self, name: &str, mut f: F) -> Option<f64> {
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
-                return;
+                return None;
             }
         }
         // Warmup: one untimed call (fills caches, faults pages).
@@ -64,6 +65,7 @@ impl Runner {
             format_ns(mean_ns),
             format_ns(min.as_nanos() as f64),
         );
+        Some(mean_ns)
     }
 }
 

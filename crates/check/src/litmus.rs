@@ -12,7 +12,7 @@
 //! once and the expected final memory image is known statically; the
 //! case ends with every node reading the whole image back.
 
-use tt_base::addr::{BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
+use tt_base::addr::{BLOCK_BYTES, PAGE_BYTES, WORDS_PER_BLOCK, WORD_BYTES};
 use tt_base::workload::{
     coalesce_computes, Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE,
 };
@@ -20,9 +20,6 @@ use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
 use tt_stache::ReliableConfig;
 
 use crate::fuzz::{dirnnb_leg, stache_factory, typhoon_leg, PerturbConfig};
-
-/// The words in a coherence block.
-pub const WORDS_PER_BLOCK: usize = BLOCK_BYTES / WORD_BYTES;
 
 /// The shape of a litmus case. Usually derived from a seed with
 /// [`LitmusConfig::from_seed`]; the shrinker mutates the fields

@@ -14,8 +14,9 @@
 //! deterministic dimension-order route, and every link keeps a
 //! `next_free` occupancy cycle that serializes packets by wire size —
 //! so hot-home saturation shows up as queuing delay. Routes and queuing
-//! depend only on the sending node's own traffic (see
-//! `Network::link_free`).
+//! depend only on the sending node's own traffic: each source keeps its
+//! own link queues, in dense slabs indexed by the node each hop enters
+//! (see `MeshLinks`).
 //!
 //! The network is a *passive* component: [`Network::transmit`] validates
 //! the packet, records statistics, and returns the delivery times; the
@@ -23,7 +24,7 @@
 
 use tt_base::addr::BLOCK_BYTES;
 use tt_base::stats::Counter;
-use tt_base::{mix64, Cycles, FaultSpec, FxHashMap, NodeId, Topology};
+use tt_base::{mix64, Cycles, FaultSpec, NodeId, Topology};
 
 /// The two independent virtual networks (Section 5.1).
 ///
@@ -235,31 +236,83 @@ impl NetStats {
 /// plus the wire. The minimum cross-node delivery is one hop.
 pub const HOP_LATENCY: u64 = 3;
 
-/// Visits every directed link of the dimension-order (X then Y) route
-/// `src -> dst` on a `width`-column mesh, in traversal order. Link ids
-/// are `node * 4 + direction`.
-fn for_each_hop(width: usize, src: usize, dst: usize, mut f: impl FnMut(u64)) {
-    let (mut x, mut y) = (src % width, src / width);
-    let (tx, ty) = (dst % width, dst / width);
-    while x != tx {
-        let node = y * width + x;
-        let dir = if tx > x { 0 } else { 1 };
-        f((node * 4 + dir) as u64);
-        if tx > x {
-            x += 1;
-        } else {
-            x -= 1;
+/// Per-source link occupancy of a routed mesh (DESIGN.md §11): the
+/// earliest free cycle of every `(source node, link)` pair.
+///
+/// The X-then-Y routes from one source form a spanning tree of the
+/// mesh, so the node a hop enters names that hop's link for that
+/// source. The queues are therefore stored by downstream node: a
+/// source's X hops all run along its own row, in one *row slab* indexed
+/// by the downstream column, and its Y hops run down the destination's
+/// column, in one *column slab* per destination column indexed by the
+/// downstream row. A slab is allocated the first time its source routes
+/// over it, so a source pays only for the columns it sends down.
+#[derive(Clone, Debug)]
+struct MeshLinks {
+    width: usize,
+    /// Rows, counting a partial last row.
+    height: usize,
+    /// Source `s`'s slabs at `s * (1 + width) ..`: its row slab, then
+    /// one column slab per destination column; `None` until first use.
+    slabs: Vec<Option<Box<[Cycles]>>>,
+}
+
+impl MeshLinks {
+    fn new(nodes: usize, width: usize) -> Self {
+        MeshLinks {
+            width,
+            height: nodes.div_ceil(width),
+            slabs: vec![None; nodes * (1 + width)],
         }
     }
-    while y != ty {
-        let node = y * width + x;
-        let dir = if ty > y { 2 } else { 3 };
-        f((node * 4 + dir) as u64);
-        if ty > y {
-            y += 1;
-        } else {
-            y -= 1;
+
+    /// Source `src`'s slab `k` (0 = its row, `1 + c` = column `c`),
+    /// allocated zeroed with `len` slots on first use.
+    fn slab(&mut self, src: usize, k: usize, len: usize) -> &mut [Cycles] {
+        self.slabs[src * (1 + self.width) + k]
+            .get_or_insert_with(|| vec![Cycles::ZERO; len].into_boxed_slice())
+    }
+
+    /// Routes one wire packet and returns its arrival time: each link of
+    /// the route delays the head by [`HOP_LATENCY`] and is then busy for
+    /// the packet's serialization time (`wire bytes / 8`), so later
+    /// packets from the same source queue behind it.
+    fn route_deliver(&mut self, now: Cycles, src: usize, dst: usize, wire: usize) -> Cycles {
+        let ser = Cycles::new(wire.div_ceil(ARG_WORD_BYTES).max(1) as u64);
+        let mut cursor = now;
+        self.for_each_hop(src, dst, |free| {
+            let start = cursor.max(*free);
+            *free = start + ser;
+            cursor = start + Cycles::new(HOP_LATENCY);
+        });
+        cursor
+    }
+
+    /// Visits the occupancy slot of every directed link of the
+    /// dimension-order (X then Y) route `src -> dst`, in traversal
+    /// order.
+    fn for_each_hop(&mut self, src: usize, dst: usize, mut f: impl FnMut(&mut Cycles)) {
+        let (width, height) = (self.width, self.height);
+        let (sx, sy) = (src % width, src / width);
+        let (tx, ty) = (dst % width, dst / width);
+        if sx != tx {
+            let row = self.slab(src, 0, width);
+            downstream(sx, tx, |x| f(&mut row[x]));
         }
+        if sy != ty {
+            let column = self.slab(src, 1 + tx, height);
+            downstream(sy, ty, |y| f(&mut column[y]));
+        }
+    }
+}
+
+/// Visits the coordinates a straight route from `from` to `to` enters,
+/// in order: every one strictly after `from`, up to and including `to`.
+fn downstream(from: usize, to: usize, mut f: impl FnMut(usize)) {
+    if to > from {
+        (from + 1..=to).for_each(&mut f);
+    } else {
+        (to..from).rev().for_each(&mut f);
     }
 }
 
@@ -287,16 +340,13 @@ pub struct Network {
     latency: Cycles,
     /// Machine size (sizes the per-pair jitter and fault state).
     nodes: usize,
-    /// Columns of the routed mesh (`None` = the ideal constant-latency
-    /// pipe).
-    mesh_width: Option<usize>,
-    /// Earliest free cycle of each `(source node, link)` this instance
-    /// has routed over, keyed `src << 42 | link id`. The queue state is
-    /// per *source*: a source's packets queue behind its own earlier
-    /// traffic on every link of their route, never behind another
-    /// source's (cross-source contention is approximated away —
-    /// DESIGN.md §11 discusses the trade).
-    link_free: FxHashMap<u64, Cycles>,
+    /// Link queues of the routed mesh (`None` = the ideal
+    /// constant-latency pipe). The queue state is per *source*: a
+    /// source's packets queue behind its own earlier traffic on every
+    /// link of their route, never behind another source's (cross-source
+    /// contention is approximated away — DESIGN.md §11 discusses the
+    /// trade).
+    link_free: Option<MeshLinks>,
     stats: NetStats,
     /// Seeded per-packet latency jitter (`None` = the paper's constant
     /// latency). A legal-nondeterminism knob for the `tt-check` fuzzer.
@@ -454,8 +504,7 @@ impl Network {
         Network {
             latency,
             nodes,
-            mesh_width: None,
-            link_free: FxHashMap::default(),
+            link_free: None,
             stats: NetStats::default(),
             jitter: None,
             faults: None,
@@ -466,14 +515,21 @@ impl Network {
     /// [`Topology::Ideal`] keeps the constant-latency pipe;
     /// [`Topology::Mesh2D`] routes every cross-node packet over per-link
     /// occupancy queues. A mesh width of 0 is resolved here against the
-    /// node count to `ceil(sqrt(nodes))` columns.
+    /// node count to `ceil(sqrt(nodes))` columns; a width above the node
+    /// count routes exactly like one row of `nodes` columns (the columns
+    /// past the last node are never entered), so it is clamped to that
+    /// and sizes no queue state for them.
     pub fn set_topology(&mut self, topology: Topology) {
-        self.mesh_width = match topology {
-            Topology::Ideal => None,
-            Topology::Mesh2D { width: 0 } => Some((self.nodes as f64).sqrt().ceil() as usize),
-            Topology::Mesh2D { width } => Some(width),
+        let width = match topology {
+            Topology::Ideal => {
+                self.link_free = None;
+                return;
+            }
+            Topology::Mesh2D { width: 0 } => (self.nodes as f64).sqrt().ceil() as usize,
+            Topology::Mesh2D { width } => width.min(self.nodes),
         };
-        assert!(self.mesh_width != Some(0), "mesh width must be at least 1");
+        assert!(width != 0, "mesh width must be at least 1");
+        self.link_free = Some(MeshLinks::new(self.nodes, width));
     }
 
     /// Turns on seeded latency jitter: every wire packet is delayed by a
@@ -501,31 +557,6 @@ impl Network {
         self.faults = Some(FaultPlan::new(spec, self.nodes));
     }
 
-    /// Routes one wire packet over a `width`-column mesh and returns its
-    /// arrival time: each link of the route delays the head by
-    /// [`HOP_LATENCY`] and is then busy for the packet's serialization
-    /// time (`wire bytes / 8`), so later packets from the same source
-    /// queue behind it.
-    fn route_deliver(
-        &mut self,
-        width: usize,
-        now: Cycles,
-        src: NodeId,
-        dst: NodeId,
-        wire: usize,
-    ) -> Cycles {
-        let ser = Cycles::new(wire.div_ceil(ARG_WORD_BYTES).max(1) as u64);
-        let src_key = (src.index() as u64) << 42;
-        let mut cursor = now;
-        for_each_hop(width, src.index(), dst.index(), |link| {
-            let free = self.link_free.entry(src_key | link).or_insert(Cycles::ZERO);
-            let start = cursor.max(*free);
-            *free = start + ser;
-            cursor = start + Cycles::new(HOP_LATENCY);
-        });
-        cursor
-    }
-
     /// The one injection path for a cross-node wire packet: counts it,
     /// charges the ideal pipe's constant latency or the mesh route, and
     /// applies jitter if installed. Returns the arrival time.
@@ -539,8 +570,8 @@ impl Network {
     ) -> Cycles {
         self.stats.packets[vn.index()].inc();
         self.stats.bytes[vn.index()].add(wire_bytes as u64);
-        let base = match self.mesh_width {
-            Some(width) => self.route_deliver(width, now, src, dst, wire_bytes),
+        let base = match &mut self.link_free {
+            Some(links) => links.route_deliver(now, src.index(), dst.index(), wire_bytes),
             None => now + self.latency,
         };
         let Some(j) = &mut self.jitter else {

@@ -101,33 +101,36 @@ cargo run --release -p tt-bench --bin tt-check -- kv --seeds 200
 cargo run --release -p tt-bench --bin tt-check -- kv --seeds 100 --faults
 
 # Big-machine memory guard: the heap high-water mark per node of every
-# 256-node mesh EM3D point, matched by (point, system), must stay within
-# 2x of the committed results/BENCH_figure3_256_mesh.json snapshot — the
-# guard that keeps directories and page frames compact. (results.py
-# checks its cycles.)
-echo "==> figure3 big-machine memory guard (256-node mesh, 2x bytes/node, every point)"
-cargo run --release -p tt-bench --bin figure3 -- \
-    --nodes 256 --topology mesh --apps em3d --scale 64 --jobs 1 \
-    --json /tmp/fig3_mesh256.json >/dev/null
-python3 - /tmp/fig3_mesh256.json results/BENCH_figure3_256_mesh.json <<'PY'
+# 256- and 1024-node mesh EM3D point, matched by (point, system), must
+# stay within 2x of the committed results/BENCH_figure3_{256,1024}_mesh.json
+# snapshots — the guard that keeps directories, page frames and the
+# mesh's per-source link slabs compact. (results.py checks their cycles.)
+for nodes in 256 1024; do
+    echo "==> figure3 big-machine memory guard (${nodes}-node mesh, 2x bytes/node, every point)"
+    cargo run --release -p tt-bench --bin figure3 -- \
+        --nodes "$nodes" --topology mesh --apps em3d --scale 64 --jobs 1 \
+        --json "/tmp/fig3_mesh${nodes}.json" >/dev/null
+    python3 - "/tmp/fig3_mesh${nodes}.json" "results/BENCH_figure3_${nodes}_mesh.json" "$nodes" <<'PY'
 import json, sys
 
 def bytes_per_node(path):
     points = json.load(open(path))["points"]
     return {(p["point"], p["system"]): p["cost"]["bytes_per_node"] for p in points}
 
-new, old = (bytes_per_node(path) for path in sys.argv[1:])
+new, old = (bytes_per_node(path) for path in sys.argv[1:3])
+nodes = sys.argv[3]
 if new.keys() != old.keys():
-    sys.exit(f"FAIL: 256-node mesh points differ from the snapshot: {sorted(new.keys() ^ old.keys())}")
+    sys.exit(f"FAIL: {nodes}-node mesh points differ from the snapshot: {sorted(new.keys() ^ old.keys())}")
 failed = False
 for key in old:
     verdict = "ok" if new[key] <= 2 * old[key] else "FAIL (>2x)"
     failed |= verdict != "ok"
     print(f"    {key[0]} {key[1]}: bytes/node {new[key]} (snapshot {old[key]}) {verdict}")
 if failed:
-    sys.exit("FAIL: 256-node mesh bytes/node regressed >2x")
+    sys.exit(f"FAIL: {nodes}-node mesh bytes/node regressed >2x")
 PY
-rm -f /tmp/fig3_mesh256.json
+    rm -f "/tmp/fig3_mesh${nodes}.json"
+done
 
 echo "==> examples build"
 cargo build --release --examples

@@ -12,11 +12,12 @@ use tempest_typhoon::base::addr::{BLOCK_BYTES, PAGE_BYTES, Ppn, VAddr, WORD_BYTE
 use tempest_typhoon::base::workload::{
     Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE,
 };
-use tempest_typhoon::base::{DetRng, NodeId, SystemConfig};
+use tempest_typhoon::base::{Cycles, DetRng, FxHashMap, NodeId, SystemConfig, Topology};
 use tempest_typhoon::dirnnb::DirnnbMachine;
 use tempest_typhoon::mem::cache::Probe;
 use tempest_typhoon::mem::dir::Directory;
 use tempest_typhoon::mem::{CacheModel, FifoTlb, NodeMemory};
+use tempest_typhoon::net::{Network, VirtualNet, ARG_WORD_BYTES, HOP_LATENCY};
 use tempest_typhoon::stache::StacheProtocol;
 use tempest_typhoon::typhoon::TyphoonMachine;
 
@@ -198,6 +199,100 @@ fn sparse_frames_match_dense_model() {
                 assert_eq!(
                     mem.read_block(ppn.base().offset((b * BLOCK_BYTES) as u64)),
                     want
+                );
+            }
+        }
+    }
+}
+
+/// The routed mesh's link queues as a hash map keyed `(source, link id)`,
+/// link ids `node * 4 + direction` along the dimension-order (X then Y)
+/// route: the reference the network's downstream-indexed slabs must
+/// reproduce arrival for arrival.
+struct MeshReference {
+    width: usize,
+    link_free: FxHashMap<(usize, usize), u64>,
+}
+
+impl MeshReference {
+    fn route_links(&self, src: usize, dst: usize) -> Vec<usize> {
+        let width = self.width;
+        let (mut x, mut y) = (src % width, src / width);
+        let (tx, ty) = (dst % width, dst / width);
+        let mut links = Vec::new();
+        while x != tx {
+            links.push((y * width + x) * 4 + if tx > x { 0 } else { 1 });
+            x = if tx > x { x + 1 } else { x - 1 };
+        }
+        while y != ty {
+            links.push((y * width + x) * 4 + if ty > y { 2 } else { 3 });
+            y = if ty > y { y + 1 } else { y - 1 };
+        }
+        links
+    }
+
+    fn deliver(&mut self, now: u64, src: usize, dst: usize, wire: usize) -> u64 {
+        if src == dst {
+            return now;
+        }
+        let ser = wire.div_ceil(ARG_WORD_BYTES).max(1) as u64;
+        let mut cursor = now;
+        for link in self.route_links(src, dst) {
+            let free = self.link_free.entry((src, link)).or_insert(0);
+            let start = cursor.max(*free);
+            *free = start + ser;
+            cursor = start + HOP_LATENCY;
+        }
+        cursor
+    }
+}
+
+/// Routed delivery matches the keyed reference on square, derived-width
+/// meshes with a partial last row (7, 30 nodes), a single column
+/// (width 1) and a single partial row (width above the node count).
+/// Sends come in bursts at random times, some going back in time, from
+/// a few hot sources, so queues build on shared route prefixes in both
+/// directions of every axis.
+#[test]
+fn mesh_link_slabs_match_keyed_reference() {
+    let meshes = [(1, 0), (2, 0), (7, 0), (16, 0), (30, 0), (9, 1), (7, 10)];
+    for (nodes, width) in meshes {
+        let resolved = match width {
+            0 => (nodes as f64).sqrt().ceil() as usize,
+            w => w,
+        };
+        for case in 0..16u64 {
+            let seed = ((nodes as u64) << 20) ^ ((width as u64) << 12) ^ case;
+            let mut rng = DetRng::new(0x3E5 ^ seed);
+            let mut net = Network::new(nodes, Cycles::new(11));
+            net.set_topology(Topology::Mesh2D { width });
+            let mut reference = MeshReference {
+                width: resolved,
+                link_free: FxHashMap::default(),
+            };
+            let hot: Vec<usize> = (0..3).map(|_| rng.below_usize(nodes)).collect();
+            let mut base = 0u64;
+            for i in 0..400 {
+                base += rng.below(4);
+                let now = base.saturating_sub(rng.below(8));
+                let src = if rng.chance(0.6) {
+                    hot[rng.below_usize(3)]
+                } else {
+                    rng.below_usize(nodes)
+                };
+                let dst = rng.below_usize(nodes);
+                let wire = 4 + rng.below_usize(77);
+                let got = net.deliver_at(
+                    Cycles::new(now),
+                    NodeId::new(src as u16),
+                    NodeId::new(dst as u16),
+                    VirtualNet::Request,
+                    wire,
+                );
+                assert_eq!(
+                    got.raw(),
+                    reference.deliver(now, src, dst, wire),
+                    "{nodes} nodes, width {width}, case {case}, send {i}: {src} -> {dst} at {now}"
                 );
             }
         }
