@@ -21,9 +21,7 @@ pub struct ArenaPlanner {
 impl ArenaPlanner {
     /// A planner starting at the shared segment base.
     pub fn new() -> Self {
-        ArenaPlanner {
-            cursor: SHARED_SEGMENT_BASE,
-        }
+        ArenaPlanner { cursor: SHARED_SEGMENT_BASE }
     }
 
     /// Reserves `bytes` (rounded up to whole pages) and returns the base.
@@ -81,14 +79,7 @@ impl OwnedArray {
             page += pages;
         }
         let base = planner.reserve(page * PAGE_BYTES);
-        OwnedArray {
-            base,
-            counts: counts.to_vec(),
-            owner_page,
-            owner_pages,
-            words_per_elem,
-            mode,
-        }
+        OwnedArray { base, counts: counts.to_vec(), owner_page, owner_pages, words_per_elem, mode }
     }
 
     /// The layout region declaring every page's home.
@@ -113,8 +104,8 @@ impl OwnedArray {
     pub fn addr(&self, owner: usize, idx: usize, word: usize) -> VAddr {
         assert!(idx < self.counts[owner], "element index out of range");
         assert!(word < self.words_per_elem);
-        let off = self.owner_page[owner] * PAGE_BYTES
-            + (idx * self.words_per_elem + word) * WORD_BYTES;
+        let off =
+            self.owner_page[owner] * PAGE_BYTES + (idx * self.words_per_elem + word) * WORD_BYTES;
         self.base.offset(off as u64)
     }
 
@@ -135,19 +126,9 @@ pub struct CyclicArray {
 
 impl CyclicArray {
     /// Plans a flat array of `elems` elements of `words_per_elem` words.
-    pub fn plan(
-        planner: &mut ArenaPlanner,
-        elems: usize,
-        words_per_elem: usize,
-        mode: u8,
-    ) -> Self {
+    pub fn plan(planner: &mut ArenaPlanner, elems: usize, words_per_elem: usize, mode: u8) -> Self {
         let base = planner.reserve(elems.max(1) * words_per_elem * WORD_BYTES);
-        CyclicArray {
-            base,
-            elems,
-            words_per_elem,
-            mode,
-        }
+        CyclicArray { base, elems, words_per_elem, mode }
     }
 
     /// The layout region (cyclic placement).
@@ -168,8 +149,7 @@ impl CyclicArray {
     pub fn addr(&self, idx: usize, word: usize) -> VAddr {
         assert!(idx < self.elems, "element index out of range");
         assert!(word < self.words_per_elem);
-        self.base
-            .offset(((idx * self.words_per_elem + word) * WORD_BYTES) as u64)
+        self.base.offset(((idx * self.words_per_elem + word) * WORD_BYTES) as u64)
     }
 
     /// Number of elements.
@@ -187,9 +167,7 @@ impl CyclicArray {
 pub fn even_split(total: usize, procs: usize) -> Vec<usize> {
     let base = total / procs;
     let extra = total % procs;
-    (0..procs)
-        .map(|p| base + usize::from(p < extra))
-        .collect()
+    (0..procs).map(|p| base + usize::from(p < extra)).collect()
 }
 
 #[cfg(test)]
@@ -232,10 +210,7 @@ mod tests {
     fn owned_array_addressing_is_dense_within_owner() {
         let mut p = ArenaPlanner::new();
         let a = OwnedArray::plan(&mut p, &[10, 10], 3, 0);
-        assert_eq!(
-            a.addr(0, 1, 0).raw() - a.addr(0, 0, 0).raw(),
-            3 * WORD_BYTES as u64
-        );
+        assert_eq!(a.addr(0, 1, 0).raw() - a.addr(0, 0, 0).raw(), 3 * WORD_BYTES as u64);
         assert_eq!(a.addr(0, 0, 2).raw() - a.addr(0, 0, 0).raw(), 16);
         assert_eq!(a.count(1), 10);
     }

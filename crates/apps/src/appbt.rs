@@ -47,11 +47,7 @@ impl AppbtParams {
             crate::DataSet::Small => 12,
             crate::DataSet::Large => 24,
         };
-        AppbtParams {
-            n,
-            iterations: 3,
-            procs,
-        }
+        AppbtParams { n, iterations: 3, procs }
     }
 }
 
@@ -224,10 +220,7 @@ impl Appbt {
         z: usize,
     ) {
         for w in 0..VEC {
-            ops.push(Op::Write {
-                addr: self.addr(arr, x, y, z, w),
-                value: value[w].to_bits(),
-            });
+            ops.push(Op::Write { addr: self.addr(arr, x, y, z, w), value: value[w].to_bits() });
         }
     }
 
@@ -468,11 +461,7 @@ mod tests {
     use super::*;
 
     fn small() -> AppbtParams {
-        AppbtParams {
-            n: 8,
-            iterations: 2,
-            procs: 8,
-        }
+        AppbtParams { n: 8, iterations: 2, procs: 8 }
     }
 
     #[test]
@@ -487,11 +476,7 @@ mod tests {
     #[test]
     fn every_processor_owns_cells_on_the_small_set() {
         // 12^3 over 32 processors: the 2-D partition keeps everyone busy.
-        let a = Appbt::new(AppbtParams {
-            n: 12,
-            iterations: 1,
-            procs: 32,
-        });
+        let a = Appbt::new(AppbtParams { n: 12, iterations: 1, procs: 32 });
         for p in 0..32 {
             let (ys, zs) = a.bands_of(p);
             assert!(!ys.is_empty() && !zs.is_empty(), "processor {p} idle");

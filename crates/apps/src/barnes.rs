@@ -52,14 +52,7 @@ impl BarnesParams {
             crate::DataSet::Small => 2_048,
             crate::DataSet::Large => 8_192,
         };
-        BarnesParams {
-            bodies,
-            iterations: 3,
-            theta: 0.8,
-            dt: 0.05,
-            procs,
-            seed: 0xBA51,
-        }
+        BarnesParams { bodies, iterations: 3, theta: 0.8, dt: 0.05, procs, seed: 0xBA51 }
     }
 }
 
@@ -78,13 +71,7 @@ const SOFTENING: f64 = 1e-3;
 #[derive(Clone, Debug)]
 enum BhNode {
     /// An internal cell: geometric box + aggregated mass.
-    Cell {
-        center: [f64; 3],
-        half: f64,
-        children: [i32; 8],
-        com: [f64; 3],
-        mass: f64,
-    },
+    Cell { center: [f64; 3], half: f64, children: [i32; 8], com: [f64; 3], mass: f64 },
     /// A single body (global index).
     Leaf(u32),
 }
@@ -112,13 +99,7 @@ impl BhTree {
             half = half.max(0.5 * (hi[d] - lo[d]) + 1e-9);
         }
         let mut tree = BhTree {
-            nodes: vec![BhNode::Cell {
-                center,
-                half,
-                children: [-1; 8],
-                com: [0.0; 3],
-                mass: 0.0,
-            }],
+            nodes: vec![BhNode::Cell { center, half, children: [-1; 8], com: [0.0; 3], mass: 0.0 }],
         };
         for (i, _) in pos.iter().enumerate() {
             tree.insert(0, i as u32, pos);
@@ -269,9 +250,8 @@ impl Barnes {
         // reserve 4N slots.
         let cell_arr = CyclicArray::plan(&mut planner, params.bodies * 4, 4, 0);
         let mut rng = DetRng::new(params.seed);
-        let pos: Vec<[f64; 3]> = (0..params.bodies)
-            .map(|_| [rng.unit_f64(), rng.unit_f64(), rng.unit_f64()])
-            .collect();
+        let pos: Vec<[f64; 3]> =
+            (0..params.bodies).map(|_| [rng.unit_f64(), rng.unit_f64(), rng.unit_f64()]).collect();
         let vel = (0..params.bodies)
             .map(|_| {
                 [
@@ -362,10 +342,7 @@ impl Barnes {
                 let ops = &mut chunks[writer];
                 ops.push(Op::Compute(BUILD_COMPUTE));
                 for (w, v) in [com[0], com[1], com[2], *mass].into_iter().enumerate() {
-                    ops.push(Op::Write {
-                        addr: self.cell_arr.addr(slot, w),
-                        value: v.to_bits(),
-                    });
+                    ops.push(Op::Write { addr: self.cell_arr.addr(slot, w), value: v.to_bits() });
                 }
             }
         }
@@ -415,13 +392,7 @@ impl Barnes {
                             ops.push(Op::Compute(BODY_COMPUTE));
                             add_gravity(&mut acc, &bp, &self.pos[ob], self.mass[ob]);
                         }
-                        BhNode::Cell {
-                            half,
-                            children,
-                            com,
-                            mass,
-                            ..
-                        } => {
+                        BhNode::Cell { half, children, com, mass, .. } => {
                             if *mass <= 0.0 {
                                 continue;
                             }
@@ -549,14 +520,7 @@ mod tests {
     use super::*;
 
     fn small() -> BarnesParams {
-        BarnesParams {
-            bodies: 64,
-            iterations: 2,
-            theta: 0.8,
-            dt: 0.05,
-            procs: 4,
-            seed: 5,
-        }
+        BarnesParams { bodies: 64, iterations: 2, theta: 0.8, dt: 0.05, procs: 4, seed: 5 }
     }
 
     #[test]

@@ -27,13 +27,8 @@ pub enum AppId {
 
 impl AppId {
     /// All five, in the paper's Figure 3 order.
-    pub const ALL: [AppId; 5] = [
-        AppId::Appbt,
-        AppId::Barnes,
-        AppId::Mp3d,
-        AppId::Ocean,
-        AppId::Em3d,
-    ];
+    pub const ALL: [AppId; 5] =
+        [AppId::Appbt, AppId::Barnes, AppId::Mp3d, AppId::Ocean, AppId::Em3d];
 
     /// Lower-case name.
     pub fn name(self) -> &'static str {
@@ -101,10 +96,7 @@ mod tests {
     #[test]
     fn table_3_descriptions() {
         assert_eq!(DataSet::Small.describe(AppId::Ocean), "98x98 grid");
-        assert_eq!(
-            DataSet::Large.describe(AppId::Em3d),
-            "192,000 nodes, degree 15"
-        );
+        assert_eq!(DataSet::Large.describe(AppId::Em3d), "192,000 nodes, degree 15");
         assert_eq!(AppId::ALL.len(), 5);
     }
 

@@ -126,16 +126,9 @@ impl Em3d {
         let mut planner = ArenaPlanner::new();
         let build_side = |planner: &mut ArenaPlanner, rng: &mut DetRng, mode: u8| {
             let vals = OwnedArray::plan(planner, &counts, 1, mode);
-            let native: Vec<Vec<f64>> = counts
-                .iter()
-                .map(|&c| (0..c).map(|_| rng.unit_f64()).collect())
-                .collect();
-            Side {
-                vals,
-                native,
-                edges: Vec::new(),
-                mode,
-            }
+            let native: Vec<Vec<f64>> =
+                counts.iter().map(|&c| (0..c).map(|_| rng.unit_f64()).collect()).collect();
+            Side { vals, native, edges: Vec::new(), mode }
         };
         let mut e = build_side(&mut planner, &mut rng, E_MODE);
         let mut h = build_side(&mut planner, &mut rng, H_MODE);
@@ -151,23 +144,21 @@ impl Em3d {
                         .map(|_| {
                             (0..params.degree)
                                 .map(|_| {
-                                    let src_owner = if params.procs > 1
-                                        && rng.chance(params.pct_remote)
-                                    {
-                                        // A uniformly random *other* processor.
-                                        let mut o = rng.below_usize(params.procs - 1);
-                                        if o >= owner {
-                                            o += 1;
-                                        }
-                                        o
-                                    } else {
-                                        owner
-                                    };
+                                    let src_owner =
+                                        if params.procs > 1 && rng.chance(params.pct_remote) {
+                                            // A uniformly random *other* processor.
+                                            let mut o = rng.below_usize(params.procs - 1);
+                                            if o >= owner {
+                                                o += 1;
+                                            }
+                                            o
+                                        } else {
+                                            owner
+                                        };
                                     total_edges += 1;
                                     Edge {
                                         src_owner: src_owner as u16,
-                                        src_idx: rng
-                                            .below_usize(src_counts[src_owner].max(1))
+                                        src_idx: rng.below_usize(src_counts[src_owner].max(1))
                                             as u32,
                                         weight: 0.5 + rng.unit_f64(),
                                     }
@@ -184,14 +175,7 @@ impl Em3d {
         let mut layout = Layout::new();
         layout.add(e.vals.region());
         layout.add(h.vals.region());
-        Em3d {
-            params,
-            e,
-            h,
-            layout,
-            phase: 0,
-            total_edges,
-        }
+        Em3d { params, e, h, layout, phase: 0, total_edges }
     }
 
     /// Total directed edges in the graph (both kinds).
@@ -228,11 +212,7 @@ impl Em3d {
     /// barrier in flush mode.
     fn compute_phase(&mut self, kind_e: bool, first_iteration: bool) -> Vec<Vec<Op>> {
         let procs = self.params.procs;
-        let (dst, src) = if kind_e {
-            (&self.e, &self.h)
-        } else {
-            (&self.h, &self.e)
-        };
+        let (dst, src) = if kind_e { (&self.e, &self.h) } else { (&self.h, &self.e) };
         let mut chunks: Vec<Vec<Op>> = Vec::with_capacity(procs);
         let mut new_vals: Vec<Vec<f64>> = Vec::with_capacity(procs);
         for p in 0..procs {
@@ -242,10 +222,7 @@ impl Em3d {
                 let old = dst.native[p][i];
                 // n->value -= n->h_nodes[k]->value * n->weights[k]
                 let mut acc = old;
-                ops.push(Op::Read {
-                    addr: dst.vals.addr(p, i, 0),
-                    expect: Some(old.to_bits()),
-                });
+                ops.push(Op::Read { addr: dst.vals.addr(p, i, 0), expect: Some(old.to_bits()) });
                 for edge in &dst.edges[p][i] {
                     let sv = src.native[edge.src_owner as usize][edge.src_idx as usize];
                     acc -= sv * edge.weight;
@@ -256,22 +233,14 @@ impl Em3d {
                 }
                 // Keep values bounded so long runs stay finite.
                 let newv = acc * 0.25;
-                ops.push(Op::Compute(
-                    NODE_COMPUTE + EDGE_COMPUTE * dst.edges[p][i].len() as u32,
-                ));
-                ops.push(Op::Write {
-                    addr: dst.vals.addr(p, i, 0),
-                    value: newv.to_bits(),
-                });
+                ops.push(Op::Compute(NODE_COMPUTE + EDGE_COMPUTE * dst.edges[p][i].len() as u32));
+                ops.push(Op::Write { addr: dst.vals.addr(p, i, 0), value: newv.to_bits() });
                 news.push(newv);
             }
             match self.params.sync {
                 SyncMode::Barrier => ops.push(Op::Barrier),
                 SyncMode::Flush => {
-                    ops.push(Op::UserCall {
-                        op: FLUSH_OP,
-                        arg: dst.mode as u64,
-                    });
+                    ops.push(Op::UserCall { op: FLUSH_OP, arg: dst.mode as u64 });
                     if first_iteration {
                         ops.push(Op::Barrier);
                     }
@@ -314,8 +283,8 @@ impl PhasedApp for Em3d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tt_base::workload::Workload;
     use crate::phased::PhasedWorkload;
+    use tt_base::workload::Workload;
 
     fn small() -> Em3dParams {
         Em3dParams {
@@ -393,9 +362,7 @@ mod tests {
         let h0: Vec<u64> = init[0]
             .iter()
             .filter_map(|op| match op {
-                Op::Write { addr, value }
-                    if addr.raw() >= app.h.vals.addr(0, 0, 0).raw() =>
-                {
+                Op::Write { addr, value } if addr.raw() >= app.h.vals.addr(0, 0, 0).raw() => {
                     Some(*value)
                 }
                 _ => None,

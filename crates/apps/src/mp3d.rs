@@ -50,13 +50,7 @@ impl Mp3dParams {
         };
         // SPLASH sizes the space array to a few molecules per cell.
         let cells_per_side = ((molecules as f64 / 4.0).cbrt().ceil() as usize).max(4);
-        Mp3dParams {
-            molecules,
-            cells_per_side,
-            steps: 4,
-            procs,
-            seed: 0x3D,
-        }
+        Mp3dParams { molecules, cells_per_side, steps: 4, procs, seed: 0x3D }
     }
 }
 
@@ -116,14 +110,7 @@ impl Mp3d {
                     .collect()
             })
             .collect();
-        Mp3d {
-            params,
-            mols,
-            cells,
-            native,
-            rng,
-            phase: 0,
-        }
+        Mp3d { params, mols, cells, native, rng, phase: 0 }
     }
 
     /// The parameters this instance was built with.
@@ -203,10 +190,7 @@ impl Mp3d {
                 // processors hit the same cell concurrently, so the read
                 // is unverified and the written token is arbitrary.
                 let cell = self.cell_of(&nm.pos);
-                ops.push(Op::Read {
-                    addr: self.cells.addr(cell, 0),
-                    expect: None,
-                });
+                ops.push(Op::Read { addr: self.cells.addr(cell, 0), expect: None });
                 ops.push(Op::Write {
                     addr: self.cells.addr(cell, 0),
                     value: ((step as u64) << 32) | (p as u64) << 20 | i as u64,
@@ -250,13 +234,7 @@ mod tests {
     use super::*;
 
     fn small() -> Mp3dParams {
-        Mp3dParams {
-            molecules: 100,
-            cells_per_side: 4,
-            steps: 3,
-            procs: 4,
-            seed: 7,
-        }
+        Mp3dParams { molecules: 100, cells_per_side: 4, steps: 3, procs: 4, seed: 7 }
     }
 
     #[test]

@@ -59,12 +59,7 @@ impl OceanParams {
             crate::DataSet::Small => 98,
             crate::DataSet::Large => 386,
         };
-        OceanParams {
-            n,
-            iterations: 4,
-            procs,
-            sync: SyncMode::Barrier,
-        }
+        OceanParams { n, iterations: 4, procs, sync: SyncMode::Barrier }
     }
 }
 
@@ -117,16 +112,8 @@ impl Ocean {
             for (owner, &r) in band.iter().enumerate() {
                 for k in 0..r {
                     let boundary = k == 0 || k == r - 1;
-                    let counts = if boundary {
-                        &mut boundary_counts
-                    } else {
-                        &mut interior_counts
-                    };
-                    rows.push(RowSlot {
-                        owner,
-                        boundary,
-                        local_row: counts[owner],
-                    });
+                    let counts = if boundary { &mut boundary_counts } else { &mut interior_counts };
+                    rows.push(RowSlot { owner, boundary, local_row: counts[owner] });
                     counts[owner] += 1;
                     row += 1;
                 }
@@ -163,16 +150,7 @@ impl Ocean {
         layout.add(bounds[0].region());
         layout.add(bounds[1].region());
         layout.add(partials.region());
-        Ocean {
-            params,
-            grids,
-            bounds,
-            partials,
-            native,
-            rows,
-            layout,
-            phase: 0,
-        }
+        Ocean { params, grids, bounds, partials, native, rows, layout, phase: 0 }
     }
 
     /// The parameters this instance was built with.
@@ -182,11 +160,7 @@ impl Ocean {
 
     fn addr(&self, g: usize, row: usize, col: usize) -> tt_base::VAddr {
         let slot = self.rows[row];
-        let arr = if slot.boundary {
-            &self.bounds[g]
-        } else {
-            &self.grids[g]
-        };
+        let arr = if slot.boundary { &self.bounds[g] } else { &self.grids[g] };
         arr.addr(slot.owner, slot.local_row * self.params.n + col, 0)
     }
 
@@ -209,10 +183,7 @@ impl Ocean {
                         }
                     }
                 }
-                ops.push(Op::Write {
-                    addr: self.partials.addr(p, 0, 0),
-                    value: 0,
-                });
+                ops.push(Op::Write { addr: self.partials.addr(p, 0, 0), value: 0 });
                 ops.push(Op::Barrier);
                 ops
             })
@@ -256,31 +227,18 @@ impl Ocean {
                     let newv = 0.2 * (center + north + south + west + east);
                     partial += (newv - center).abs();
                     ops.push(Op::Compute(POINT_COMPUTE));
-                    ops.push(Op::Write {
-                        addr: self.addr(dst, row, col),
-                        value: newv.to_bits(),
-                    });
+                    ops.push(Op::Write { addr: self.addr(dst, row, col), value: newv.to_bits() });
                     new_grid[row * n + col] = newv;
                 }
             }
             ops.push(Op::Compute(REDUCE_COMPUTE));
-            ops.push(Op::Write {
-                addr: self.partials.addr(p, 0, 0),
-                value: partial.to_bits(),
-            });
+            ops.push(Op::Write { addr: self.partials.addr(p, 0, 0), value: partial.to_bits() });
             if self.params.sync == SyncMode::Flush {
                 // Push the dst grid's freshly written boundary rows to
                 // whoever holds copies, and wait for the updates of the
                 // boundary blocks we hold.
-                let mode = if dst == 0 {
-                    BOUNDARY_MODE_G0
-                } else {
-                    BOUNDARY_MODE_G1
-                };
-                ops.push(Op::UserCall {
-                    op: crate::em3d::FLUSH_OP,
-                    arg: mode as u64,
-                });
+                let mode = if dst == 0 { BOUNDARY_MODE_G0 } else { BOUNDARY_MODE_G1 };
+                ops.push(Op::UserCall { op: crate::em3d::FLUSH_OP, arg: mode as u64 });
             }
             ops.push(Op::Barrier);
             chunks.push(ops);
@@ -291,10 +249,7 @@ impl Ocean {
         for (p, chunk) in chunks.iter_mut().enumerate() {
             if p == 0 {
                 for (q, &bits) in partial_bits.iter().enumerate() {
-                    chunk.push(Op::Read {
-                        addr: self.partials.addr(q, 0, 0),
-                        expect: Some(bits),
-                    });
+                    chunk.push(Op::Read { addr: self.partials.addr(q, 0, 0), expect: Some(bits) });
                 }
                 chunk.push(Op::Compute(REDUCE_COMPUTE * self.params.procs as u32));
             }
@@ -333,12 +288,7 @@ mod tests {
     use super::*;
 
     fn small() -> OceanParams {
-        OceanParams {
-            n: 16,
-            iterations: 2,
-            procs: 4,
-            sync: SyncMode::Barrier,
-        }
+        OceanParams { n: 16, iterations: 2, procs: 4, sync: SyncMode::Barrier }
     }
 
     #[test]

@@ -43,11 +43,7 @@ impl<A: PhasedApp> PhasedWorkload<A> {
     /// Wraps `app`.
     pub fn new(app: A) -> Self {
         let procs = app.procs();
-        PhasedWorkload {
-            app,
-            buffered: vec![VecDeque::new(); procs],
-            done: false,
-        }
+        PhasedWorkload { app, buffered: vec![VecDeque::new(); procs], done: false }
     }
 
     fn pull(&mut self, cpu: NodeId) -> Option<Vec<Op>> {

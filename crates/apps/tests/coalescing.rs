@@ -54,20 +54,14 @@ fn assert_equivalent<A: PhasedApp>(app: A) {
     for cpu in 0..PROCS {
         let p = drain(&mut w, cpu);
         let m = coalesced(&p);
-        assert!(
-            m.len() <= p.len(),
-            "cpu {cpu}: coalescing must never grow the op stream"
-        );
+        assert!(m.len() <= p.len(), "cpu {cpu}: coalescing must never grow the op stream");
         let (p_syncs, p_sums) = skeleton(&p);
         let (m_syncs, m_sums) = skeleton(&m);
         assert_eq!(
             p_syncs, m_syncs,
             "cpu {cpu}: non-compute op sequence changed (barrier misalignment)"
         );
-        assert_eq!(
-            p_sums, m_sums,
-            "cpu {cpu}: compute cycles between sync ops changed"
-        );
+        assert_eq!(p_sums, m_sums, "cpu {cpu}: compute cycles between sync ops changed");
     }
 }
 
@@ -113,8 +107,5 @@ fn coalescing_shrinks_compute_runs() {
     let streams: Vec<Vec<Op>> = (0..PROCS).map(|c| drain(&mut w, c)).collect();
     let plain: usize = streams.iter().map(Vec::len).sum();
     let merged: usize = streams.iter().map(|s| coalesced(s).len()).sum();
-    assert!(
-        merged < plain,
-        "expected coalescing to drop ops ({merged} vs {plain})"
-    );
+    assert!(merged < plain, "expected coalescing to drop ops ({merged} vs {plain})");
 }

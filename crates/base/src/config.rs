@@ -140,9 +140,7 @@ pub struct CpuConfig {
 
 impl Default for CpuConfig {
     fn default() -> Self {
-        CpuConfig {
-            cache_bytes: 64 * 1024,
-        }
+        CpuConfig { cache_bytes: 64 * 1024 }
     }
 }
 
@@ -205,8 +203,7 @@ impl std::str::FromStr for Topology {
         };
         let param = match param {
             Some(p) => Some(
-                p.parse::<usize>()
-                    .map_err(|_| format!("bad topology parameter {p:?} in {s:?}"))?,
+                p.parse::<usize>().map_err(|_| format!("bad topology parameter {p:?} in {s:?}"))?,
             ),
             None => None,
         };
@@ -508,11 +505,7 @@ mod tests {
 
     #[test]
     fn topology_parses_round_trip() {
-        for t in [
-            Topology::Ideal,
-            Topology::Mesh2D { width: 0 },
-            Topology::Mesh2D { width: 8 },
-        ] {
+        for t in [Topology::Ideal, Topology::Mesh2D { width: 0 }, Topology::Mesh2D { width: 8 }] {
             assert_eq!(t.to_string().parse::<Topology>(), Ok(t));
         }
         assert_eq!("mesh".parse::<Topology>(), Ok(Topology::Mesh2D { width: 0 }));

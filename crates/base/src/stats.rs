@@ -88,12 +88,7 @@ impl Default for LatHistogram {
 impl LatHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        LatHistogram {
-            counts: vec![0; LAT_BUCKETS],
-            total: 0,
-            sum: 0,
-            max: 0,
-        }
+        LatHistogram { counts: vec![0; LAT_BUCKETS], total: 0, sum: 0, max: 0 }
     }
 
     fn bucket_of(v: u64) -> usize {
@@ -206,10 +201,7 @@ impl Report {
 
     /// Appends a metric.
     pub fn push(&mut self, name: impl Into<String>, value: f64) {
-        self.rows.push(ReportRow {
-            name: name.into(),
-            value,
-        });
+        self.rows.push(ReportRow { name: name.into(), value });
     }
 
     /// Appends an integer metric.
@@ -310,10 +302,7 @@ mod tests {
         let p999 = h.quantile(0.999);
         assert!((96..=100).contains(&p999), "p999 {p999} should be fast");
         let p100 = h.quantile(1.0);
-        assert!(
-            (96_000..=100_000).contains(&p100),
-            "p100 {p100} outside the slow op's bucket"
-        );
+        assert!((96_000..=100_000).contains(&p100), "p100 {p100} outside the slow op's bucket");
         // Relative error of the bucketing stays ~3%.
         let v = 123_456u64;
         let low = LatHistogram::bucket_low(LatHistogram::bucket_of(v));

@@ -26,10 +26,7 @@ pub struct Table {
 impl Table {
     /// Creates a table with the given column headers.
     pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
-        Table {
-            headers: headers.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
-        }
+        Table { headers: headers.into_iter().map(Into::into).collect(), rows: Vec::new() }
     }
 
     /// Appends a row. Short rows are padded with empty cells; long rows

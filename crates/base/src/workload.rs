@@ -257,10 +257,7 @@ pub struct ScriptWorkload {
 impl ScriptWorkload {
     /// A script workload for `nodes` processors with an empty layout.
     pub fn new(nodes: usize) -> Self {
-        ScriptWorkload {
-            layout: Layout::new(),
-            per_cpu: vec![Some(Vec::new()); nodes],
-        }
+        ScriptWorkload { layout: Layout::new(), per_cpu: vec![Some(Vec::new()); nodes] }
     }
 
     /// Sets the layout.
@@ -382,11 +379,7 @@ mod tests {
 
     #[test]
     fn coalesce_splits_on_u32_overflow() {
-        let mut ops = vec![
-            Op::Compute(u32::MAX - 1),
-            Op::Compute(10),
-            Op::Compute(5),
-        ];
+        let mut ops = vec![Op::Compute(u32::MAX - 1), Op::Compute(10), Op::Compute(5)];
         coalesce_computes(&mut ops);
         assert_eq!(ops, vec![Op::Compute(u32::MAX - 1), Op::Compute(15)]);
     }

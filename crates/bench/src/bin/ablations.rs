@@ -33,12 +33,12 @@
 
 use std::time::Instant;
 
+use tt_apps::ocean::{Ocean, OceanParams};
+use tt_apps::{AppId, DataSet, PhasedWorkload, SyncMode};
 use tt_base::table::Table;
 use tt_base::Topology;
 use tt_bench::json::PointRecord;
 use tt_bench::{build_app, par, run_system, sync_for, RunOutcome, System};
-use tt_apps::ocean::{Ocean, OceanParams};
-use tt_apps::{AppId, DataSet, PhasedWorkload, SyncMode};
 
 /// A throughput record for one completed run.
 fn record(point: String, system: &str, out: &RunOutcome) -> PointRecord {
@@ -112,11 +112,7 @@ fn main() {
     let outs = par::run_indexed(jobs, latencies.len() * 2, |i| {
         let mut cfg = base_cfg.clone();
         cfg.network_latency = tt_base::Cycles::new(latencies[i / 2]);
-        let system = if i % 2 == 0 {
-            System::TyphoonStache
-        } else {
-            System::Dirnnb
-        };
+        let system = if i % 2 == 0 { System::TyphoonStache } else { System::Dirnnb };
         run_system(system, &cfg, repeat, || {
             build_app(app, set, scale, nodes, sync_for(app, system))
         })
@@ -136,30 +132,18 @@ fn main() {
     println!("(paper: a slower network shrinks Typhoon's relative overhead)\n");
 
     println!("ABLATION 3. Stache page budget (EM3D small): replacement cost.\n");
-    let mut t = Table::new(vec![
-        "budget (pages)",
-        "cycles",
-        "replacements",
-        "writebacks",
-    ]);
+    let mut t = Table::new(vec!["budget (pages)", "cycles", "replacements", "writebacks"]);
     let budgets = [usize::MAX, 64, 32, 16];
     let outs = par::run_indexed(jobs, budgets.len(), |i| {
         let mut cfg = base_cfg.clone();
-        cfg.stache_capacity_bytes = if budgets[i] == usize::MAX {
-            usize::MAX
-        } else {
-            budgets[i] * 4096
-        };
+        cfg.stache_capacity_bytes =
+            if budgets[i] == usize::MAX { usize::MAX } else { budgets[i] * 4096 };
         run_system(System::TyphoonStache, &cfg, repeat, || {
             build_app(app, set, scale, nodes, sync_for(app, System::TyphoonStache))
         })
     });
     for (pages, out) in budgets.into_iter().zip(&outs) {
-        let label = if pages == usize::MAX {
-            "unbounded".to_string()
-        } else {
-            pages.to_string()
-        };
+        let label = if pages == usize::MAX { "unbounded".to_string() } else { pages.to_string() };
         t.row(vec![
             label.clone(),
             out.cycles.to_string(),
@@ -202,10 +186,8 @@ fn main() {
     // Scale capped at 4 so each owner spans several pages (at deeper
     // scales every owner fits one page and the two policies coincide).
     let ocean_scale = scale.min(4);
-    let placements = [
-        tt_base::config::DirPlacement::RoundRobin,
-        tt_base::config::DirPlacement::Owner,
-    ];
+    let placements =
+        [tt_base::config::DirPlacement::RoundRobin, tt_base::config::DirPlacement::Owner];
     // Task 0 is the shared Typhoon/Stache run; tasks 1.. sweep placement.
     let outs = par::run_indexed(jobs, placements.len() + 1, |i| {
         if i == 0 {
@@ -247,10 +229,7 @@ fn main() {
     let outs = par::run_indexed(jobs, legs.len(), |i| {
         let (_, system, sync) = legs[i];
         run_system(system, &base_cfg, repeat, || {
-            Box::new(PhasedWorkload::new(Ocean::new(OceanParams {
-                sync,
-                ..p.clone()
-            })))
+            Box::new(PhasedWorkload::new(Ocean::new(OceanParams { sync, ..p.clone() })))
         })
     });
     for ((name, _, _), r) in legs.into_iter().zip(&outs) {
@@ -277,11 +256,7 @@ fn main() {
     let outs = par::run_indexed(jobs, topologies.len() * 2, |i| {
         let mut cfg = base_cfg.clone();
         cfg.topology = topologies[i / 2];
-        let system = if i % 2 == 0 {
-            System::TyphoonStache
-        } else {
-            System::Dirnnb
-        };
+        let system = if i % 2 == 0 { System::TyphoonStache } else { System::Dirnnb };
         run_system(system, &cfg, repeat, || {
             build_app(app, set, em3d_scale, nodes, sync_for(app, system))
         })
@@ -301,9 +276,6 @@ fn main() {
     println!("(the paper's zero-contention network is the ideal row; on the mesh\nboth systems pay hop latency and link queuing)");
 
     let total_wall_secs = sweep_start.elapsed().as_secs_f64();
-    eprintln!(
-        "  sweep: {n} runs in {total_wall_secs:.2}s wall ({jobs} jobs)",
-        n = records.len(),
-    );
+    eprintln!("  sweep: {n} runs in {total_wall_secs:.2}s wall ({jobs} jobs)", n = records.len(),);
     cli.write_json("ablations", total_wall_secs, &records);
 }

@@ -16,21 +16,18 @@
 
 use std::time::Instant;
 
+use tt_apps::AppId;
 use tt_base::table::Table;
 use tt_bench::json::PointRecord;
 use tt_bench::{RunStats, FIGURE3_POINTS};
-use tt_apps::AppId;
 
 /// Big-machine cost-per-node metrics as a JSON fragment: host
 /// microseconds per simulated node per kilocycle, and the heap
 /// high-water mark over the run (attributable per-run only at
 /// `--jobs 1`; see EXPERIMENTS.md).
 fn cost_fragment(nodes: usize, cycles: u64, s: &RunStats) -> Option<String> {
-    let us_per_node_kcycle = if cycles > 0 {
-        s.wall_secs * 1e6 / nodes as f64 / (cycles as f64 / 1000.0)
-    } else {
-        0.0
-    };
+    let us_per_node_kcycle =
+        if cycles > 0 { s.wall_secs * 1e6 / nodes as f64 / (cycles as f64 / 1000.0) } else { 0.0 };
     Some(format!(
         "\"cost\": {{\"us_per_node_kilocycle\": {:.4}, \"peak_bytes\": {}, \
          \"bytes_per_node\": {}, \"allocs\": {}}}",

@@ -209,8 +209,8 @@ fn main() {
     // --fault-rate 0 the table (and JSON `extra`) must stay
     // byte-identical to a fault-free build.
     let mut columns = vec![
-        "mix", "skew", "server", "cycles", "req/kcyc", "get p50", "get p99",
-        "get p999", "put p50", "put p99", "put p999",
+        "mix", "skew", "server", "cycles", "req/kcyc", "get p50", "get p99", "get p999", "put p50",
+        "put p99", "put p999",
     ];
     if faulty {
         columns.push("retx");

@@ -33,10 +33,7 @@ fn main() {
             ),
         ),
         ("Block size", "32 bytes".into()),
-        (
-            "CPU TLB",
-            format!("{TLB_ENTRIES} ent., fully assoc., FIFO repl."),
-        ),
+        ("CPU TLB", format!("{TLB_ENTRIES} ent., fully assoc., FIFO repl.")),
         ("Page size", "4 Kbytes".into()),
         ("Local cache miss", format!("{LOCAL_MISS} cycles")),
         ("Local writeback", "0 (perfect write buffer)".into()),
@@ -67,10 +64,7 @@ fn main() {
         ),
         (
             "Typhoon NP D-cache",
-            format!(
-                "{} KB, {NP_DCACHE_ASSOC}-way assoc.",
-                NP_DCACHE_BYTES / 1024
-            ),
+            format!("{} KB, {NP_DCACHE_ASSOC}-way assoc.", NP_DCACHE_BYTES / 1024),
         ),
         (
             "Stache handler path lengths",

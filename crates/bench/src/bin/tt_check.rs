@@ -47,7 +47,9 @@ use tt_base::{FaultSpec, NodeId, Topology};
 use tt_bench::cli::{number, value, CliError};
 use tt_bench::json::{escape, git_rev, hostname};
 use tt_check::scenarios::SkipInvalidate;
-use tt_check::{fuzz, fuzz_kv, run_kv_seed, run_seed, shrink, stache_factory, Failure, FuzzOptions};
+use tt_check::{
+    fuzz, fuzz_kv, run_kv_seed, run_seed, shrink, stache_factory, Failure, FuzzOptions,
+};
 use tt_stache::ReliableConfig;
 
 const USAGE: &str = "\

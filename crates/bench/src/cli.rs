@@ -196,9 +196,7 @@ pub fn try_parse_cli_with(
 
 /// The value following flag position `i`.
 pub fn value<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a str, String> {
-    args.get(i + 1)
-        .map(String::as_str)
-        .ok_or_else(|| format!("{flag} requires a value"))
+    args.get(i + 1).map(String::as_str).ok_or_else(|| format!("{flag} requires a value"))
 }
 
 /// The numeric value following flag position `i`.
@@ -276,19 +274,13 @@ mod tests {
         assert!(bad(&["--jobs", "abc"]).starts_with("--jobs N: \"abc\""));
         assert_eq!(bad(&["--jobs", "0"]), "--jobs: must be at least 1");
         assert_eq!(bad(&["--scale", "0"]), "--scale: must be at least 1");
-        assert_eq!(
-            bad(&["--sim-threads", "2"]),
-            "unknown argument --sim-threads"
-        );
+        assert_eq!(bad(&["--sim-threads", "2"]), "unknown argument --sim-threads");
         assert!(bad(&["--topology", "ring"]).starts_with("--topology: "));
         assert_eq!(
             bad(&["--topology", "fat-tree"]),
             "--topology: unknown topology \"fat-tree\" (ideal|mesh[:width])"
         );
-        assert_eq!(
-            bad(&["--nodes", "0"]),
-            "--nodes: nodes must be between 1 and 65535, got 0"
-        );
+        assert_eq!(bad(&["--nodes", "0"]), "--nodes: nodes must be between 1 and 65535, got 0");
         assert!(bad(&["--nodes", "65536"]).starts_with("--nodes: "));
         assert!(parse(&["--nodes", "65535"]).is_ok());
         let hook_err = try_parse_cli_with(&strs(&["--keys", "x"]), 1, &mut |_, args, i| {

@@ -23,9 +23,7 @@ impl Runner {
     /// style flags and taking the first bare argument as a substring
     /// filter on benchmark names.
     pub fn from_args() -> Self {
-        let filter = std::env::args()
-            .skip(1)
-            .find(|a| !a.starts_with('-'));
+        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
         Runner { filter }
     }
 

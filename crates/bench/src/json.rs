@@ -95,9 +95,7 @@ pub fn hostname() -> String {
     std::env::var("HOSTNAME")
         .ok()
         .or_else(|| {
-            std::fs::read_to_string("/proc/sys/kernel/hostname")
-                .ok()
-                .map(|s| s.trim().to_string())
+            std::fs::read_to_string("/proc/sys/kernel/hostname").ok().map(|s| s.trim().to_string())
         })
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".into())

@@ -36,15 +36,15 @@ use std::time::Instant;
 #[global_allocator]
 static ALLOC: tt_base::alloc_stats::CountingAlloc = tt_base::alloc_stats::CountingAlloc;
 
-use tt_base::stats::Report;
-use tt_base::workload::Workload;
-use tt_base::{Cycles, SystemConfig};
 use tt_apps::appbt::{Appbt, AppbtParams};
 use tt_apps::barnes::{Barnes, BarnesParams};
 use tt_apps::em3d::{Em3d, Em3dParams};
 use tt_apps::mp3d::{Mp3d, Mp3dParams};
 use tt_apps::ocean::{Ocean, OceanParams};
 use tt_apps::{AppId, DataSet, PhasedWorkload, SyncMode};
+use tt_base::stats::Report;
+use tt_base::workload::Workload;
+use tt_base::{Cycles, SystemConfig};
 use tt_dirnnb::DirnnbMachine;
 use tt_stache::{Em3dUpdateProtocol, StacheProtocol};
 use tt_typhoon::TyphoonMachine;
@@ -183,18 +183,14 @@ fn run_once(system: System, cfg: &SystemConfig, workload: Box<dyn Workload>) -> 
     let start = Instant::now();
     let r = match system {
         System::Dirnnb => DirnnbMachine::new(cfg.clone(), workload).run(),
-        System::TyphoonStache => {
-            TyphoonMachine::new(cfg.clone(), workload, &|id, layout, cfg| {
-                Box::new(StacheProtocol::new(id, layout, cfg))
-            })
-            .run()
-        }
-        System::TyphoonUpdate => {
-            TyphoonMachine::new(cfg.clone(), workload, &|id, layout, cfg| {
-                Box::new(Em3dUpdateProtocol::new(id, layout, cfg))
-            })
-            .run()
-        }
+        System::TyphoonStache => TyphoonMachine::new(cfg.clone(), workload, &|id, layout, cfg| {
+            Box::new(StacheProtocol::new(id, layout, cfg))
+        })
+        .run(),
+        System::TyphoonUpdate => TyphoonMachine::new(cfg.clone(), workload, &|id, layout, cfg| {
+            Box::new(Em3dUpdateProtocol::new(id, layout, cfg))
+        })
+        .run(),
     };
     let (cycles, report) = (r.cycles, r.report);
     let wall_secs = start.elapsed().as_secs_f64();
@@ -373,11 +369,8 @@ pub fn figure4_point(
     let mut cycles = [Cycles::ZERO; 3];
     let mut stats = [RunStats::default(); 3];
     for (i, system) in FIGURE4_SYSTEMS.into_iter().enumerate() {
-        let sync = if system == System::TyphoonUpdate {
-            SyncMode::Flush
-        } else {
-            SyncMode::Barrier
-        };
+        let sync =
+            if system == System::TyphoonUpdate { SyncMode::Flush } else { SyncMode::Barrier };
         // Figure 4 isolates the protocol effect: the DirNNB comparator
         // gets ideal (owner) placement so all three systems coincide at
         // 0% non-local edges, and the CPU cache is large enough (256 KB)
@@ -391,12 +384,7 @@ pub fn figure4_point(
         cycles[i] = out.cycles;
         stats[i] = RunStats::of(&out);
     }
-    Figure4Point {
-        pct_remote,
-        cycles_per_edge: cpe,
-        cycles,
-        stats,
-    }
+    Figure4Point { pct_remote, cycles_per_edge: cpe, cycles, stats }
 }
 
 /// The remote-edge fractions of the Figure 4 x-axis.
@@ -510,10 +498,8 @@ mod tests {
 
     #[test]
     fn arg_parsing() {
-        let args: Vec<String> = ["--scale", "8", "--nodes", "16"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let args: Vec<String> =
+            ["--scale", "8", "--nodes", "16"].iter().map(|s| s.to_string()).collect();
         let scale_nodes = |args: &[String], scale| {
             let cli = parse_cli(args, scale, "usage");
             (cli.scale, cli.nodes)

@@ -19,9 +19,7 @@ use std::sync::Mutex;
 
 /// The default worker count: the machine's available parallelism.
 pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
 }
 
 /// Evaluates `f(0), f(1), ..., f(count - 1)` on up to `jobs` OS threads

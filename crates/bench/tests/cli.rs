@@ -14,10 +14,7 @@ const BINARIES: [(&str, &str); 4] = [
 ];
 
 fn run(exe: &str, args: &[&str]) -> Output {
-    Command::new(exe)
-        .args(args)
-        .output()
-        .expect("spawn harness binary")
+    Command::new(exe).args(args).output().expect("spawn harness binary")
 }
 
 fn text(bytes: &[u8]) -> String {
@@ -31,19 +28,9 @@ fn help_prints_usage_and_exits_zero() {
             let out = run(exe, &["--nodes", "8", flag]);
             let stdout = text(&out.stdout);
             assert_eq!(out.status.code(), Some(0), "{name} {flag}: {out:?}");
-            assert!(
-                stdout.starts_with(&format!("Usage: {name} ")),
-                "{name}: {stdout}"
-            );
-            assert!(
-                stdout.contains("--topology T"),
-                "{name}: shared flags listed"
-            );
-            assert!(
-                out.stderr.is_empty(),
-                "{name} {flag}: {}",
-                text(&out.stderr)
-            );
+            assert!(stdout.starts_with(&format!("Usage: {name} ")), "{name}: {stdout}");
+            assert!(stdout.contains("--topology T"), "{name}: shared flags listed");
+            assert!(out.stderr.is_empty(), "{name} {flag}: {}", text(&out.stderr));
         }
     }
 }
@@ -83,10 +70,7 @@ fn bad_arguments_print_one_error_line_and_exit_two() {
             1,
             "{name} {args:?}: one error line"
         );
-        assert!(
-            stderr.contains(&format!("Usage: {name} ")),
-            "{name}: usage follows"
-        );
+        assert!(stderr.contains(&format!("Usage: {name} ")), "{name}: usage follows");
         assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
     };
     for (name, exe) in BINARIES {

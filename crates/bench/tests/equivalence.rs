@@ -41,7 +41,8 @@ fn figure4_sweep_is_identical_with_direct_execution_off() {
     assert_eq!(fast.len(), slow.len());
     for (f, s) in fast.iter().zip(&slow) {
         assert_eq!(
-            f.cycles, s.cycles,
+            f.cycles,
+            s.cycles,
             "cycles diverged at {}% remote (DirNNB, Typhoon/Stache, Typhoon/Update)",
             f.pct_remote * 100.0
         );

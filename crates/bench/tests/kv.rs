@@ -55,14 +55,10 @@ fn write_update_flattens_the_hot_write_tail() {
 #[test]
 fn both_variants_serve_every_request_at_every_mix() {
     for write_pct in [5, 50] {
-        let stache = run(
-            &SystemConfig::test_config(4),
-            &point(KvVariant::Stache, 4, 0.9, write_pct),
-        );
-        let update = run(
-            &SystemConfig::test_config(4),
-            &point(KvVariant::Update, 4, 0.9, write_pct),
-        );
+        let stache =
+            run(&SystemConfig::test_config(4), &point(KvVariant::Stache, 4, 0.9, write_pct));
+        let update =
+            run(&SystemConfig::test_config(4), &point(KvVariant::Update, 4, 0.9, write_pct));
         let expect = 4 * 120;
         assert_eq!(stache.lat.requests(), expect);
         assert_eq!(update.lat.requests(), expect);

@@ -17,14 +17,16 @@ fn figure3_sweep_is_identical_for_any_job_count() {
         assert_eq!(a.set, b.set);
         assert_eq!(a.cache_bytes, b.cache_bytes);
         assert_eq!(
-            a.typhoon, b.typhoon,
+            a.typhoon,
+            b.typhoon,
             "typhoon cycles differ at {} {}/{}K",
             a.app,
             a.set,
             a.cache_bytes / 1024
         );
         assert_eq!(
-            a.dirnnb, b.dirnnb,
+            a.dirnnb,
+            b.dirnnb,
             "dirnnb cycles differ at {} {}/{}K",
             a.app,
             a.set,
@@ -41,11 +43,7 @@ fn figure4_sweep_is_identical_for_any_job_count() {
     assert_eq!(seq.len(), par.len());
     for (a, b) in seq.iter().zip(&par) {
         assert_eq!(a.pct_remote, b.pct_remote);
-        assert_eq!(
-            a.cycles, b.cycles,
-            "cycles differ at {}% remote",
-            a.pct_remote * 100.0
-        );
+        assert_eq!(a.cycles, b.cycles, "cycles differ at {}% remote", a.pct_remote * 100.0);
     }
 }
 

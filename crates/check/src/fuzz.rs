@@ -335,15 +335,17 @@ pub fn run_case(
     transport: &ReliableConfig,
 ) -> Result<CaseResult, Box<Failure>> {
     let litmus = Litmus::generate(cfg);
-    let fail = |stage: &'static str, message: String| Box::new(Failure {
-        seed: cfg.seed,
-        cfg: cfg.clone(),
-        perturb: perturb.clone(),
-        stage,
-        message,
-        shrunk: None,
-        shrunk_perturb: None,
-    });
+    let fail = |stage: &'static str, message: String| {
+        Box::new(Failure {
+            seed: cfg.seed,
+            cfg: cfg.clone(),
+            perturb: perturb.clone(),
+            stage,
+            message,
+            shrunk: None,
+            shrunk_perturb: None,
+        })
+    };
     let mut syscfg = SystemConfig::test_config(cfg.nodes);
     syscfg.seed = cfg.seed;
     let typhoon_image = |m: &TyphoonMachine| -> Vec<u64> {
@@ -409,9 +411,7 @@ impl FuzzOptions {
     pub fn perturb_for(&self, seed: u64) -> PerturbConfig {
         let mut p = PerturbConfig::from_seed(seed);
         if self.faults || self.fault_seed.is_some() {
-            let fs = self
-                .fault_seed
-                .unwrap_or_else(|| DetRng::new(seed).fork(12).next_u64());
+            let fs = self.fault_seed.unwrap_or_else(|| DetRng::new(seed).fork(12).next_u64());
             p.fault = Some(FaultSpec::from_seed(fs));
         }
         if let Some(t) = self.topology {
@@ -496,8 +496,11 @@ pub fn shrink(failure: &Failure, factory: ProtocolFactory, transport: &ReliableC
             }
             if cur.blocks > 1 {
                 let blocks = cur.blocks - 1;
-                candidates
-                    .push(LitmusConfig { blocks, pages: cur.pages.min(blocks), ..cur.clone() });
+                candidates.push(LitmusConfig {
+                    blocks,
+                    pages: cur.pages.min(blocks),
+                    ..cur.clone()
+                });
             }
             if cur.pages > 1 {
                 candidates.push(LitmusConfig { pages: cur.pages - 1, ..cur.clone() });
@@ -659,11 +662,8 @@ mod tests {
         // hands stale deliveries to Stache, which the harness must
         // catch. The shrinker then delta-debugs the fault schedule.
         let broken = ReliableConfig { dedupe: false };
-        let options = FuzzOptions {
-            faults: true,
-            transport: Some(broken),
-            ..FuzzOptions::default()
-        };
+        let options =
+            FuzzOptions { faults: true, transport: Some(broken), ..FuzzOptions::default() };
         let report = fuzz(0, 30, &options, &stache_factory);
         let failure = report.failure.expect("dedupe-off transport must be caught");
         let shrunk = shrink(&failure, &stache_factory, &broken);

@@ -35,10 +35,10 @@
 //! both protocols and exercises the update protocol's stale-copy path
 //! (updates arriving for pages the sharer has dropped).
 
+use tt_apps::kv_update::KvUpdateProtocol;
 use tt_base::addr::{BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
 use tt_base::workload::{coalesce_computes, Layout, Op, ScriptWorkload};
 use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
-use tt_apps::kv_update::KvUpdateProtocol;
 use tt_serve::{header_word, value_word, KvLayout, SharedKvLatency, KV_PUT_OP};
 use tt_stache::ReliableConfig;
 use tt_tempest::Protocol;
@@ -223,10 +223,8 @@ impl KvLitmus {
         }
 
         // Final readback: every node checks every hot key's full slot.
-        let finals: Vec<(VAddr, u64)> = committed
-            .iter()
-            .flat_map(|w| w.as_ref().expect("every key written").clone())
-            .collect();
+        let finals: Vec<(VAddr, u64)> =
+            committed.iter().flat_map(|w| w.as_ref().expect("every key written").clone()).collect();
         for node in 0..cfg.nodes {
             for &(addr, v) in &finals {
                 stache[node].push(Op::Read { addr, expect: Some(v) });
@@ -366,8 +364,7 @@ pub fn run_kv_case(
     // Leg 2: Typhoon + the write-update protocol on staged puts. No
     // invariant engine: home-ReadWrite + sharer-ReadOnly is this
     // protocol's intended tag state and violates SWMR by design.
-    let (update_cycles, update_image, _) =
-        typhoon(true, None).map_err(|m| fail("kv-update", m))?;
+    let (update_cycles, update_image, _) = typhoon(true, None).map_err(|m| fail("kv-update", m))?;
 
     // Leg 3: DirNNB on raw stores — the pristine reference the lossy or
     // mesh-routed legs' final images are held against.
@@ -462,11 +459,7 @@ mod tests {
     #[test]
     fn first_seeds_pass_the_differential() {
         let report = fuzz_kv(0, 25, &FuzzOptions::default());
-        assert!(
-            report.failure.is_none(),
-            "seed failed: {}",
-            report.failure.unwrap()
-        );
+        assert!(report.failure.is_none(), "seed failed: {}", report.failure.unwrap());
         assert_eq!(report.seeds_run, 25);
     }
 
@@ -474,11 +467,7 @@ mod tests {
     fn faulty_kv_seeds_pass_the_differential() {
         let options = FuzzOptions { faults: true, ..FuzzOptions::default() };
         let report = fuzz_kv(0, 8, &options);
-        assert!(
-            report.failure.is_none(),
-            "faulty kv seed failed: {}",
-            report.failure.unwrap()
-        );
+        assert!(report.failure.is_none(), "faulty kv seed failed: {}", report.failure.unwrap());
         assert_eq!(report.seeds_run, 8);
     }
 
@@ -486,11 +475,8 @@ mod tests {
     fn same_fault_seed_replays_bit_exactly() {
         // One forced fault schedule, run twice: identical cycles on
         // every leg.
-        let options = FuzzOptions {
-            faults: true,
-            fault_seed: Some(0xFA17_5EED),
-            ..FuzzOptions::default()
-        };
+        let options =
+            FuzzOptions { faults: true, fault_seed: Some(0xFA17_5EED), ..FuzzOptions::default() };
         let a = run_kv_seed(5, &options).expect("faulty kv run clean");
         let b = run_kv_seed(5, &options).expect("faulty kv replay clean");
         assert_eq!(a, b, "kv fault schedule did not replay bit-exactly");

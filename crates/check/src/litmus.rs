@@ -284,12 +284,7 @@ pub fn classic_suite() -> Vec<ClassicLitmus> {
         ClassicLitmus {
             name: "IRIW",
             nodes: 4,
-            scripts: vec![
-                vec![w(x)],
-                vec![w(y)],
-                vec![r(x), r(y)],
-                vec![r(y), r(x)],
-            ],
+            scripts: vec![vec![w(x)], vec![w(y)], vec![r(x), r(y)], vec![r(y), r(x)]],
             forbidden: |recs| {
                 recs[2][0] == 1 && recs[2][1] == 0 && recs[3][0] == 1 && recs[3][1] == 0
             },
@@ -324,10 +319,7 @@ pub fn run_classic(
                 ));
             }
             if let Some(v) = got.iter().find(|v| **v > 1) {
-                return Err(format!(
-                    "{}: {machine} node {n} read corrupt value {v:#x}",
-                    case.name
-                ));
+                return Err(format!("{}: {machine} node {n} read corrupt value {v:#x}", case.name));
             }
         }
         if (case.forbidden)(recs) {

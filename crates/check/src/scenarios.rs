@@ -40,12 +40,7 @@ pub struct NeverInvalidate {
 impl NeverInvalidate {
     /// Builds the protocol for one node.
     pub fn new(node: NodeId, layout: &Layout, cfg: &SystemConfig) -> Self {
-        NeverInvalidate {
-            node,
-            layout: layout.clone(),
-            nodes: cfg.nodes,
-            pending: None,
-        }
+        NeverInvalidate { node, layout: layout.clone(), nodes: cfg.nodes, pending: None }
     }
 
     fn home_of(&self, vpn: tt_base::addr::Vpn) -> NodeId {
@@ -63,11 +58,7 @@ impl Protocol for NeverInvalidate {
             ctx.set_page_tags(vpn, Tag::ReadWrite);
             ctx.set_page_meta(
                 vpn,
-                PageMeta {
-                    vpn: Some(vpn),
-                    mode: 0,
-                    user: [self.node.raw() as u64, 0],
-                },
+                PageMeta { vpn: Some(vpn), mode: 0, user: [self.node.raw() as u64, 0] },
             );
         }
     }
@@ -79,11 +70,7 @@ impl Protocol for NeverInvalidate {
         ctx.set_page_tags(vpn, Tag::Invalid);
         ctx.set_page_meta(
             vpn,
-            PageMeta {
-                vpn: Some(vpn),
-                mode: 0,
-                user: [self.home_of(vpn).raw() as u64, 0],
-            },
+            PageMeta { vpn: Some(vpn), mode: 0, user: [self.home_of(vpn).raw() as u64, 0] },
         );
         ctx.resume(fault.thread);
     }
@@ -91,12 +78,7 @@ impl Protocol for NeverInvalidate {
     fn on_block_fault(&mut self, ctx: &mut dyn TempestCtx, fault: BlockFault) {
         let home = NodeId::new(fault.meta.user[0] as u16);
         self.pending = Some(fault.thread);
-        ctx.send(
-            home,
-            VirtualNet::Request,
-            GET,
-            Payload::args(&[fault.addr.block_base().raw()]),
-        );
+        ctx.send(home, VirtualNet::Request, GET, Payload::args(&[fault.addr.block_base().raw()]));
     }
 
     fn on_message(&mut self, ctx: &mut dyn TempestCtx, msg: Message) {
@@ -171,12 +153,7 @@ impl Protocol for SkipInvalidate {
         if msg.handler == STACHE_INV {
             // BUG: acknowledge the invalidation without performing it.
             let addr = VAddr::new(msg.arg(0));
-            ctx.send(
-                msg.src,
-                VirtualNet::Response,
-                STACHE_ACK,
-                Payload::args(&[addr.raw()]),
-            );
+            ctx.send(msg.src, VirtualNet::Response, STACHE_ACK, Payload::args(&[addr.raw()]));
             return;
         }
         self.inner.on_message(ctx, msg);

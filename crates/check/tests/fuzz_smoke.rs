@@ -16,11 +16,7 @@ const SMOKE_SEEDS: u64 = 60;
 fn clean_fuzz_sweep_finds_nothing() {
     let report = fuzz(0, SMOKE_SEEDS, &FuzzOptions::default(), &stache_factory);
     assert_eq!(report.seeds_run, SMOKE_SEEDS);
-    assert!(
-        report.failure.is_none(),
-        "stock Stache failed fuzzing: {}",
-        report.failure.unwrap()
-    );
+    assert!(report.failure.is_none(), "stock Stache failed fuzzing: {}", report.failure.unwrap());
 }
 
 #[test]

@@ -64,9 +64,7 @@ fn typhoon_detects_mismatched_barrier_counts() {
 #[test]
 #[should_panic(expected = "deadlocked")]
 fn dirnnb_detects_mismatched_barrier_counts() {
-    let mut m = DirnnbMachine::new(
-        SystemConfig::test_config(2),
-        Box::new(mismatched_barrier_workload()),
-    );
+    let mut m =
+        DirnnbMachine::new(SystemConfig::test_config(2), Box::new(mismatched_barrier_workload()));
     let _ = m.run();
 }

@@ -81,8 +81,12 @@ impl TagOp {
     /// The Table 1 description of the operation.
     pub fn description(self) -> &'static str {
         match self {
-            TagOp::Read => "Load with tag check; if access fault, suspend thread and invoke handler",
-            TagOp::Write => "Store with tag check; if access fault, suspend thread and invoke handler",
+            TagOp::Read => {
+                "Load with tag check; if access fault, suspend thread and invoke handler"
+            }
+            TagOp::Write => {
+                "Store with tag check; if access fault, suspend thread and invoke handler"
+            }
             TagOp::ForceRead => "Load without tag check",
             TagOp::ForceWrite => "Store without tag check",
             TagOp::ReadTag => "Return value of tag",

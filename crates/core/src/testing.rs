@@ -171,12 +171,7 @@ impl TempestCtx for MockCtx {
 
     fn send(&mut self, dst: NodeId, vn: VirtualNet, handler: HandlerId, payload: Payload) {
         self.vn_policy.assert_send(handler, vn);
-        self.sent.push(SentMessage {
-            dst,
-            vn,
-            handler,
-            payload,
-        });
+        self.sent.push(SentMessage { dst, vn, handler, payload });
     }
 
     fn set_timer(&mut self, at: Cycles, token: u64) {
@@ -254,12 +249,7 @@ mod tests {
     #[test]
     fn records_sends_and_resumes() {
         let mut ctx = MockCtx::new(1);
-        ctx.send(
-            NodeId::new(2),
-            VirtualNet::Request,
-            HandlerId(9),
-            Payload::args(&[1]),
-        );
+        ctx.send(NodeId::new(2), VirtualNet::Request, HandlerId(9), Payload::args(&[1]));
         ctx.resume(ThreadId(NodeId::new(1)));
         ctx.charge(14);
         assert_eq!(ctx.sent.len(), 1);
@@ -277,22 +267,13 @@ mod tests {
         ctx.set_vn_policy(VnPolicy::new().expect(HandlerId(9), VirtualNet::Response));
         // A "response" handler sent on the request net is exactly the
         // waits-for bug the two-network design exists to exclude.
-        ctx.send(
-            NodeId::new(2),
-            VirtualNet::Request,
-            HandlerId(9),
-            Payload::new(),
-        );
+        ctx.send(NodeId::new(2), VirtualNet::Request, HandlerId(9), Payload::new());
     }
 
     #[test]
     fn install_page_round_trips() {
         let mut ctx = MockCtx::new(0);
-        let meta = PageMeta {
-            vpn: None,
-            mode: 3,
-            user: [5, 6],
-        };
+        let meta = PageMeta { vpn: None, mode: 3, user: [5, 6] };
         ctx.install_page(Vpn(7), Tag::ReadOnly, meta);
         assert_eq!(ctx.read_tag(Vpn(7).base()), Tag::ReadOnly);
         let m = ctx.page_meta(Vpn(7)).unwrap();

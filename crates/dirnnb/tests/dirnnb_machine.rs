@@ -1,7 +1,7 @@
 //! End-to-end tests of the DirNNB baseline machine: Table 2 cost
 //! composition, invalidation rounds, ownership recall, and determinism.
 
-use tt_base::addr::{PAGE_BYTES, VAddr};
+use tt_base::addr::{VAddr, PAGE_BYTES};
 use tt_base::workload::{Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE};
 use tt_base::{Cycles, NodeId, SystemConfig};
 use tt_dirnnb::DirnnbMachine;
@@ -61,13 +61,7 @@ fn remote_clean_read_costs_compose() {
 fn producer_consumer_values_flow() {
     let layout = layout_pages(1, Placement::PerPage(vec![NodeId::new(0)]));
     let mut w = ScriptWorkload::new(2).with_layout(layout);
-    w.set(
-        0,
-        vec![
-            Op::Write { addr: va(0), value: 42 },
-            Op::Barrier,
-        ],
-    );
+    w.set(0, vec![Op::Write { addr: va(0), value: 42 }, Op::Barrier]);
     w.set(
         1,
         vec![
@@ -86,14 +80,7 @@ fn write_invalidates_sharers_and_collects_acks() {
     let nodes = 5;
     let layout = layout_pages(1, Placement::PerPage(vec![NodeId::new(0)]));
     let mut w = ScriptWorkload::new(nodes).with_layout(layout);
-    w.set(
-        0,
-        vec![
-            Op::Barrier,
-            Op::Write { addr: va(0), value: 9 },
-            Op::Barrier,
-        ],
-    );
+    w.set(0, vec![Op::Barrier, Op::Write { addr: va(0), value: 9 }, Op::Barrier]);
     for n in 1..nodes {
         w.set(
             n,

@@ -119,11 +119,7 @@ impl CacheModel {
         for line in &self.sets[set] {
             if line.block == block {
                 self.stats.hits.inc();
-                return if line.owned {
-                    Probe::HitOwned
-                } else {
-                    Probe::HitShared
-                };
+                return if line.owned { Probe::HitOwned } else { Probe::HitShared };
             }
         }
         self.stats.misses.inc();
@@ -135,11 +131,7 @@ impl CacheModel {
         let set = self.set_of(block);
         for line in &self.sets[set] {
             if line.block == block {
-                return if line.owned {
-                    Probe::HitOwned
-                } else {
-                    Probe::HitShared
-                };
+                return if line.owned { Probe::HitOwned } else { Probe::HitShared };
             }
         }
         Probe::Miss
@@ -164,10 +156,7 @@ impl CacheModel {
             if old.owned {
                 self.stats.writebacks.inc();
             }
-            Some(Evicted {
-                block: old.block,
-                owned: old.owned,
-            })
+            Some(Evicted { block: old.block, owned: old.owned })
         } else {
             None
         };
@@ -305,7 +294,7 @@ mod tests {
     #[test]
     fn different_sets_do_not_conflict() {
         let mut c = cache(256, 4); // 2 sets
-        // Blocks 0,2,4,6 -> set 0; 1,3,5,7 -> set 1.
+                                   // Blocks 0,2,4,6 -> set 0; 1,3,5,7 -> set 1.
         for b in [0u64, 2, 4, 6, 1, 3, 5, 7] {
             assert!(c.fill(b, false).is_none());
         }

@@ -152,10 +152,7 @@ impl NodeMemory {
     ///
     /// Panics if the frame is not allocated.
     pub fn free(&mut self, ppn: Ppn) {
-        let slot = self
-            .frames
-            .get_mut(ppn.0 as usize)
-            .expect("free of out-of-range frame");
+        let slot = self.frames.get_mut(ppn.0 as usize).expect("free of out-of-range frame");
         assert!(slot.is_some(), "double free of {ppn:?}");
         *slot = None;
         self.free.push(ppn);
@@ -191,9 +188,7 @@ impl NodeMemory {
         debug_assert_eq!(off % WORD_BYTES, 0, "unaligned word read at {addr}");
         let block = self.frame(addr.page()).block(addr.block_in_page());
         let w = off % BLOCK_BYTES;
-        block.map_or(0, |b| {
-            u64::from_le_bytes(b[w..w + WORD_BYTES].try_into().unwrap())
-        })
+        block.map_or(0, |b| u64::from_le_bytes(b[w..w + WORD_BYTES].try_into().unwrap()))
     }
 
     /// Writes the 64-bit word at a word-aligned physical address.
@@ -338,9 +333,7 @@ mod tests {
         // scrambled block order; then overwrite every one back to zero.
         for i in 0..600u64 {
             let block = (i * 37 % BLOCKS_PER_PAGE as u64) as usize;
-            let addr = p
-                .base()
-                .offset(block as u64 * BLOCK_BYTES as u64 + (i % 4) * 8);
+            let addr = p.base().offset(block as u64 * BLOCK_BYTES as u64 + (i % 4) * 8);
             let value = if i % 3 == 0 { 0 } else { i % 251 };
             if i % 5 == 0 {
                 m.write_block(addr, &[value as u8; BLOCK_BYTES]);
@@ -354,16 +347,9 @@ mod tests {
         }
         let stored = m.frame(p).blocks.len();
         for &block in &given {
-            m.write_block(
-                p.base().offset(block as u64 * BLOCK_BYTES as u64),
-                &[0; BLOCK_BYTES],
-            );
+            m.write_block(p.base().offset(block as u64 * BLOCK_BYTES as u64), &[0; BLOCK_BYTES]);
         }
-        assert_eq!(
-            m.frame(p).blocks.len(),
-            stored,
-            "zeroing a stored block keeps it"
-        );
+        assert_eq!(m.frame(p).blocks.len(), stored, "zeroing a stored block keeps it");
         let zero =
             |b: usize| m.read_block(p.base().offset((b * BLOCK_BYTES) as u64)) == [0; BLOCK_BYTES];
         assert!((0..BLOCKS_PER_PAGE).all(zero));
@@ -373,11 +359,7 @@ mod tests {
     fn meta_is_mutable() {
         let mut m = NodeMemory::new();
         let p = m.alloc();
-        m.frame_mut(p).meta = PageMeta {
-            vpn: Some(Vpn(5)),
-            mode: 3,
-            user: [11, 22],
-        };
+        m.frame_mut(p).meta = PageMeta { vpn: Some(Vpn(5)), mode: 3, user: [11, 22] };
         assert_eq!(m.frame(p).meta.vpn, Some(Vpn(5)));
         assert_eq!(m.frame(p).meta.user[1], 22);
     }

@@ -68,9 +68,7 @@ impl PageTable {
     /// the paper's explicit remap operation.
     pub fn map(&mut self, vpn: Vpn, ppn: Ppn) -> Result<(), MapError> {
         match self.map.entry(vpn) {
-            std::collections::hash_map::Entry::Occupied(_) => {
-                Err(MapError::AlreadyMapped(vpn))
-            }
+            std::collections::hash_map::Entry::Occupied(_) => Err(MapError::AlreadyMapped(vpn)),
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(ppn);
                 Ok(())
@@ -106,8 +104,7 @@ impl PageTable {
 
     /// Translates a full virtual address to a physical address.
     pub fn translate_addr(&self, addr: VAddr) -> Option<PAddr> {
-        self.translate(addr.page())
-            .map(|ppn| ppn.base().offset(addr.page_offset()))
+        self.translate(addr.page()).map(|ppn| ppn.base().offset(addr.page_offset()))
     }
 
     /// Number of live mappings.

@@ -57,10 +57,7 @@ impl Tag {
     /// Whether an access of the given kind completes without a fault.
     #[inline]
     pub fn permits(self, kind: AccessKind) -> bool {
-        matches!(
-            (self, kind),
-            (Tag::ReadWrite, _) | (Tag::ReadOnly, AccessKind::Load)
-        )
+        matches!((self, kind), (Tag::ReadWrite, _) | (Tag::ReadOnly, AccessKind::Load))
     }
 }
 
@@ -123,10 +120,7 @@ pub struct PackedTags {
 impl Default for PackedTags {
     /// All blocks `Invalid` (the all-zero bit pattern).
     fn default() -> Self {
-        PackedTags {
-            words: [0; TAG_WORDS],
-            uniform: Some(Tag::Invalid),
-        }
+        PackedTags { words: [0; TAG_WORDS], uniform: Some(Tag::Invalid) }
     }
 }
 
@@ -152,11 +146,7 @@ impl PackedTags {
         let shift = 2 * (idx % BLOCKS_PER_WORD);
         let word = &mut self.words[idx / BLOCKS_PER_WORD];
         *word = (*word & !(0b11 << shift)) | (tag.code() << shift);
-        self.uniform = if self.words == [splat(tag); TAG_WORDS] {
-            Some(tag)
-        } else {
-            None
-        };
+        self.uniform = if self.words == [splat(tag); TAG_WORDS] { Some(tag) } else { None };
     }
 
     /// Sets every block's tag in O(1) word stores.

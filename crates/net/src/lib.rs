@@ -259,11 +259,7 @@ struct MeshLinks {
 
 impl MeshLinks {
     fn new(nodes: usize, width: usize) -> Self {
-        MeshLinks {
-            width,
-            height: nodes.div_ceil(width),
-            slabs: vec![None; nodes * (1 + width)],
-        }
+        MeshLinks { width, height: nodes.div_ceil(width), slabs: vec![None; nodes * (1 + width)] }
     }
 
     /// Source `src`'s slab `k` (0 = its row, `1 + c` = column `c`),
@@ -729,13 +725,7 @@ mod tests {
     use super::*;
 
     fn packet(src: u16, dst: u16, vn: VirtualNet, payload: Payload) -> Packet {
-        Packet {
-            src: NodeId::new(src),
-            dst: NodeId::new(dst),
-            vn,
-            handler: 1,
-            payload,
-        }
+        Packet { src: NodeId::new(src), dst: NodeId::new(dst), vn, handler: 1, payload }
     }
 
     #[test]
@@ -758,12 +748,7 @@ mod tests {
     fn stats_split_by_virtual_net() {
         let mut net = Network::new(4, Cycles::new(11));
         let req = packet(0, 1, VirtualNet::Request, Payload::args(&[1, 2]));
-        let rsp = packet(
-            1,
-            0,
-            VirtualNet::Response,
-            Payload::with_block(&[1], [0u8; BLOCK_BYTES]),
-        );
+        let rsp = packet(1, 0, VirtualNet::Response, Payload::with_block(&[1], [0u8; BLOCK_BYTES]));
         net.send(Cycles::ZERO, &req);
         net.send(Cycles::ZERO, &rsp);
         let s = net.stats();
@@ -791,12 +776,7 @@ mod tests {
     fn oversized_packet_panics() {
         let mut net = Network::new(2, Cycles::new(11));
         // Constructible (6 words + a block) but 4 + 48 + 32 = 84B > 80B.
-        let p = packet(
-            0,
-            1,
-            VirtualNet::Request,
-            Payload::with_block(&[0; 6], [0u8; BLOCK_BYTES]),
-        );
+        let p = packet(0, 1, VirtualNet::Request, Payload::with_block(&[0; 6], [0u8; BLOCK_BYTES]));
         net.send(Cycles::ZERO, &p);
     }
 
@@ -804,12 +784,8 @@ mod tests {
     fn max_size_packet_is_accepted() {
         let mut net = Network::new(2, Cycles::new(11));
         // 4 + 5*8 + 32 = 76 <= 80
-        let p = packet(
-            0,
-            1,
-            VirtualNet::Response,
-            Payload::with_block(&[0; 5], [7u8; BLOCK_BYTES]),
-        );
+        let p =
+            packet(0, 1, VirtualNet::Response, Payload::with_block(&[0; 5], [7u8; BLOCK_BYTES]));
         net.send(Cycles::ZERO, &p);
         assert_eq!(net.stats().total_bytes(), 76);
     }
@@ -854,12 +830,8 @@ mod tests {
         let mut net = Network::new(4, Cycles::new(11));
         net.set_topology(Topology::Mesh2D { width: 2 });
         // A block packet serializes for ceil(76 / 8) = 10 cycles per link.
-        let big = packet(
-            0,
-            1,
-            VirtualNet::Response,
-            Payload::with_block(&[0; 5], [0u8; BLOCK_BYTES]),
-        );
+        let big =
+            packet(0, 1, VirtualNet::Response, Payload::with_block(&[0; 5], [0u8; BLOCK_BYTES]));
         assert_eq!(net.send(Cycles::new(0), &big), Cycles::new(HOP_LATENCY));
         // Same source, same instant: the shared first link is busy.
         assert_eq!(net.send(Cycles::new(0), &big), Cycles::new(10 + HOP_LATENCY));
@@ -874,12 +846,7 @@ mod tests {
     fn routed_delivery_is_monotonic_per_pair() {
         let mut net = Network::new(16, Cycles::new(11));
         net.set_topology(Topology::Mesh2D { width: 4 });
-        let p = packet(
-            3,
-            12,
-            VirtualNet::Request,
-            Payload::with_block(&[1], [0u8; BLOCK_BYTES]),
-        );
+        let p = packet(3, 12, VirtualNet::Request, Payload::with_block(&[1], [0u8; BLOCK_BYTES]));
         let mut last = Cycles::ZERO;
         for i in 0..200u64 {
             let t = net.send(Cycles::new(i), &p);
@@ -908,17 +875,11 @@ mod tests {
         let mut net = Network::new(16, Cycles::new(11));
         let a = NodeId::new(0);
         let b = NodeId::new(5);
-        assert_eq!(
-            net.deliver_at(Cycles::new(50), a, b, VirtualNet::Request, 12),
-            Cycles::new(61)
-        );
+        assert_eq!(net.deliver_at(Cycles::new(50), a, b, VirtualNet::Request, 12), Cycles::new(61));
         assert_eq!(net.stats().packets[0].get(), 1);
         assert_eq!(net.stats().bytes[0].get(), 12);
         // Self-delivery: no wire, arrival at the injection time.
-        assert_eq!(
-            net.deliver_at(Cycles::new(70), a, a, VirtualNet::Request, 12),
-            Cycles::new(70)
-        );
+        assert_eq!(net.deliver_at(Cycles::new(70), a, a, VirtualNet::Request, 12), Cycles::new(70));
         assert_eq!(net.stats().local_packets.get(), 1);
         // Routed: 2 hops for (0,0) -> (1,1) on a width-4 mesh.
         net.set_topology(Topology::Mesh2D { width: 4 });
@@ -934,9 +895,7 @@ mod tests {
             let mut net = Network::new(4, Cycles::new(11));
             net.set_jitter(seed, Cycles::new(3));
             let p = packet(0, 1, VirtualNet::Request, Payload::new());
-            (0..100)
-                .map(|i| net.send(Cycles::new(i * 50), &p).raw())
-                .collect::<Vec<_>>()
+            (0..100).map(|i| net.send(Cycles::new(i * 50), &p).raw()).collect::<Vec<_>>()
         };
         let a = deliveries(42);
         assert_eq!(a, deliveries(42), "same seed, same deliveries");
@@ -1104,7 +1063,11 @@ mod tests {
         for run in 0..20u64 {
             // The last epoch of every run must be clear.
             let t_last = Cycles::new((run * 4 + 3) * 100 + 50);
-            assert_eq!(net.transmit(t_last, &p).iter().count(), 1, "run {run} last epoch not clear");
+            assert_eq!(
+                net.transmit(t_last, &p).iter().count(),
+                1,
+                "run {run} last epoch not clear"
+            );
             // The first epoch of a partitioned run is blacked out.
             let t_first = Cycles::new(run * 4 * 100 + 50);
             if net.transmit(t_first, &p).iter().count() == 0 {
@@ -1163,8 +1126,8 @@ mod tests {
         assert_eq!(net.stats().corrupt_dropped.get(), 1);
         // The third attempt (a fresh decision index) can still get through
         // eventually; scan a few more attempts.
-        let delivered = (2..30u64)
-            .any(|i| net.transmit(Cycles::new(1000 + i * 500), &p).iter().count() > 0);
+        let delivered =
+            (2..30u64).any(|i| net.transmit(Cycles::new(1000 + i * 500), &p).iter().count() > 0);
         assert!(delivered, "corruption at 30% cannot black out the link forever");
     }
 

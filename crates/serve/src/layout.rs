@@ -78,9 +78,7 @@ impl KvLayout {
             "a value has 1 to {MAX_VALUE_WORDS} words"
         );
         let slot_words = 1 + value_words;
-        let slot_bytes = (slot_words * WORD_BYTES)
-            .max(BLOCK_BYTES)
-            .next_power_of_two() as u64;
+        let slot_bytes = (slot_words * WORD_BYTES).max(BLOCK_BYTES).next_power_of_two() as u64;
         // Scatter: order keys by a seed-independent hash of the key.
         // Sorting on (hash, key) keeps the permutation total even if two
         // hashes collide.

@@ -28,12 +28,7 @@ pub struct KvStacheProtocol {
 
 impl KvStacheProtocol {
     /// One node's protocol; latencies fold into `shared` at teardown.
-    pub fn new(
-        node: NodeId,
-        layout: &Layout,
-        cfg: &SystemConfig,
-        shared: SharedKvLatency,
-    ) -> Self {
+    pub fn new(node: NodeId, layout: &Layout, cfg: &SystemConfig, shared: SharedKvLatency) -> Self {
         KvStacheProtocol {
             stache: StacheProtocol::new(node, layout, cfg),
             sink: LatSink::new(shared),

@@ -26,13 +26,8 @@ use crate::protocol::KvStacheProtocol;
 use crate::workload::{KvParams, KvWorkload};
 
 /// A protocol factory that also receives the KV layout and collector.
-pub type KvProtocolFactory<'a> = &'a dyn Fn(
-    NodeId,
-    &Layout,
-    &SystemConfig,
-    &KvLayout,
-    SharedKvLatency,
-) -> Box<dyn Protocol>;
+pub type KvProtocolFactory<'a> =
+    &'a dyn Fn(NodeId, &Layout, &SystemConfig, &KvLayout, SharedKvLatency) -> Box<dyn Protocol>;
 
 /// What one KV run produced.
 #[derive(Clone, Debug)]

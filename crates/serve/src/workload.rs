@@ -274,9 +274,7 @@ mod tests {
         assert_eq!(waits(&sv), waits(&uv));
         // The update variant publishes each put with a KV_PUT_OP call.
         let puts = |ops: &[Op]| {
-            ops.iter()
-                .filter(|o| matches!(o, Op::UserCall { op, .. } if *op == KV_PUT_OP))
-                .count()
+            ops.iter().filter(|o| matches!(o, Op::UserCall { op, .. } if *op == KV_PUT_OP)).count()
         };
         assert_eq!(puts(&sv), 0);
         assert!(puts(&uv) > 0);

@@ -75,10 +75,7 @@ fn eviction_under_churn_refetches_correct_values() {
     assert!(writebacks > 0.0, "dirty evictions must write back");
     let tight_pf = tight.report.get("stache.page_faults").unwrap();
     let roomy_pf = roomy.report.get("stache.page_faults").unwrap();
-    assert!(
-        tight_pf > roomy_pf,
-        "churn must refetch pages: {tight_pf} vs {roomy_pf} faults"
-    );
+    assert!(tight_pf > roomy_pf, "churn must refetch pages: {tight_pf} vs {roomy_pf} faults");
 
     // An unbounded budget faults each remote page exactly once and
     // never replaces anything.

@@ -95,13 +95,7 @@ impl Access {
             Op::Write { addr, value } => (addr, AccessKind::Store, value, None, false),
             other => unreachable!("not a memory op: {other:?}"),
         };
-        Access {
-            addr,
-            kind,
-            value,
-            expect,
-            record,
-        }
+        Access { addr, kind, value, expect, record }
     }
 }
 
@@ -199,10 +193,7 @@ impl Stream {
     #[inline]
     pub fn resume(&mut self, at: Cycles) -> Stall {
         let Status::Blocked(reason) = self.status else {
-            panic!(
-                "resume of a thread that is not suspended (status {:?})",
-                self.status
-            );
+            panic!("resume of a thread that is not suspended (status {:?})", self.status);
         };
         self.stall_cycles[reason as usize].add((at - self.suspended_at).raw());
         self.status = Status::Ready;
@@ -598,30 +589,19 @@ mod tests {
                 let mut ops = Vec::new();
                 for r in 0..6u64 {
                     ops.push(Op::Compute(((r * (n + 1)) % 7 + 1) as u32));
-                    ops.push(Op::Read {
-                        addr: hit(n),
-                        expect: None,
-                    });
-                    ops.push(Op::Write {
-                        addr: miss(n + r),
-                        value: r,
-                    });
+                    ops.push(Op::Read { addr: hit(n), expect: None });
+                    ops.push(Op::Write { addr: miss(n + r), value: r });
                     ops.push(Op::Compute(3));
                     if (r + n) % 2 == 0 {
                         ops.push(Op::UserCall { op: 0, arg: r });
                     }
                     ops.push(Op::ReadRecord { addr: miss(n) });
                     ops.push(Op::Compute(40));
-                    ops.push(Op::WaitUntil {
-                        until: 150 * (r + 1),
-                    });
+                    ops.push(Op::WaitUntil { until: 150 * (r + 1) });
                     // Skewed hit runs: the last node to the barrier runs
                     // alone, where direct execution elides its wakeups.
                     for _ in 0..4 * n + 2 {
-                        ops.push(Op::Read {
-                            addr: hit(n),
-                            expect: None,
-                        });
+                        ops.push(Op::Read { addr: hit(n), expect: None });
                     }
                     ops.push(Op::Barrier);
                 }
@@ -643,18 +623,9 @@ mod tests {
         // every other event keeps its key and its (shuffled) place.
         let others = |t: &Toy| -> Vec<Vec<(u64, &str)>> {
             let keep = |e: &&(u64, &'static str)| e.1 != "step";
-            t.logs
-                .iter()
-                .map(|l| l.iter().filter(keep).copied().collect())
-                .collect()
+            t.logs.iter().map(|l| l.iter().filter(keep).copied().collect()).collect()
         };
-        let steps = |t: &Toy| {
-            t.logs
-                .iter()
-                .flatten()
-                .filter(|(_, w)| *w == "step")
-                .count()
-        };
+        let steps = |t: &Toy| t.logs.iter().flatten().filter(|(_, w)| *w == "step").count();
         for shuffle in [None, Some(1), Some(2)] {
             let (on, on_toy) = run_toy(config(4, true), shuffle, busy_programs(4));
             let (off, off_toy) = run_toy(config(4, false), shuffle, busy_programs(4));
@@ -675,11 +646,7 @@ mod tests {
         let (cycles, toy) = run_toy(config(2, true), None, programs);
         // Release at the last arrival (50) plus the barrier latency.
         let release = 50 + LATENCY;
-        let waits: Vec<u64> = toy
-            .streams
-            .iter()
-            .map(|s| s.barrier_wait_cycles.get())
-            .collect();
+        let waits: Vec<u64> = toy.streams.iter().map(|s| s.barrier_wait_cycles.get()).collect();
         assert_eq!(waits, vec![release - 10, release - 50]);
         assert_eq!(cycles, Cycles::new(release + 1));
     }
@@ -690,24 +657,13 @@ mod tests {
             Op::Compute(4),
             Op::UserCall { op: 7, arg: 0 },
             Op::Compute(5),
-            Op::Read {
-                addr: miss(0),
-                expect: None,
-            },
+            Op::Read { addr: miss(0), expect: None },
             Op::Compute(1),
         ];
         let (cycles, toy) = run_toy(config(1, true), None, vec![program]);
         let s = &toy.streams[0];
-        assert_eq!(
-            s.stall_cycles(Stall::Call),
-            CALL,
-            "call blocked at 4, resumed at 24"
-        );
-        assert_eq!(
-            s.stall_cycles(Stall::Miss),
-            MISS,
-            "miss blocked at 30, filled at 60"
-        );
+        assert_eq!(s.stall_cycles(Stall::Call), CALL, "call blocked at 4, resumed at 24");
+        assert_eq!(s.stall_cycles(Stall::Miss), MISS, "miss blocked at 30, filled at 60");
         assert_eq!(s.stall_cycles(Stall::Fault), 0);
         assert_eq!(s.ops.get(), 5);
         assert_eq!(s.compute_cycles.get(), 10);
@@ -722,10 +678,7 @@ mod tests {
         let program = vec![
             Op::Compute(4),
             Op::UserCall { op: 0, arg: CALL },
-            Op::UserCall {
-                op: 0,
-                arg: CALL + LATENCY,
-            },
+            Op::UserCall { op: 0, arg: CALL + LATENCY },
             Op::Barrier,
             Op::Compute(1),
         ];
@@ -760,10 +713,7 @@ mod tests {
         for seed in 1..=4 {
             let shuffled = logs(Some(seed));
             assert_eq!(logs(Some(seed)), shuffled, "seed {seed}");
-            assert_eq!(
-                shuffled.0, unshuffled.0,
-                "tie order never changes the finish time here"
-            );
+            assert_eq!(shuffled.0, unshuffled.0, "tie order never changes the finish time here");
             permuted |= shuffled.2 != unshuffled.2;
         }
         assert!(permuted, "some seed must reorder same-cycle events");

@@ -135,11 +135,7 @@ fn dispatch<M: Machine>(
 
 fn finish<M: Machine>(machine: &mut M, queue: &EventQueue<M::Event>) -> RunResult {
     let (cycles, report) = machine.finish(queue.releases());
-    RunResult {
-        cycles,
-        report,
-        pdes: None,
-    }
+    RunResult { cycles, report, pdes: None }
 }
 
 #[cfg(test)]
@@ -166,10 +162,7 @@ mod tests {
     impl Ring {
         fn new(nodes: usize) -> Self {
             Ring {
-                cfg: SystemConfig {
-                    nodes,
-                    ..SystemConfig::default()
-                },
+                cfg: SystemConfig { nodes, ..SystemConfig::default() },
                 counts: vec![0; nodes],
                 last: vec![Cycles::ZERO; nodes],
             }
@@ -191,23 +184,14 @@ mod tests {
         fn init(&mut self, q: &mut EventQueue<Token>) {
             for n in 0..self.cfg.nodes {
                 q.set_origin(n);
-                q.schedule(
-                    Cycles::ZERO,
-                    Token {
-                        to: n,
-                        hops_left: 40,
-                    },
-                );
+                q.schedule(Cycles::ZERO, Token { to: n, hops_left: 40 });
             }
         }
         fn handle(&mut self, now: Cycles, ev: Token, q: &mut EventQueue<Token>) {
             self.counts[ev.to] += 1;
             self.last[ev.to] = now;
             if ev.hops_left > 0 {
-                let token = Token {
-                    to: (ev.to + 1) % self.cfg.nodes,
-                    hops_left: ev.hops_left - 1,
-                };
+                let token = Token { to: (ev.to + 1) % self.cfg.nodes, hops_left: ev.hops_left - 1 };
                 q.schedule(now + Cycles::new(LATENCY), token);
             }
         }
@@ -298,10 +282,7 @@ mod tests {
                     self.steps[node] += 1;
                     self.last[node] = now;
                     if left > 0 {
-                        let step = PhaseEv::Step {
-                            node,
-                            left: left - 1,
-                        };
+                        let step = PhaseEv::Step { node, left: left - 1 };
                         q.schedule(now + Cycles::new(1), step);
                     } else {
                         q.note_barrier_arrival(now);
@@ -333,10 +314,7 @@ mod tests {
     #[test]
     fn barrier_phases_release_after_the_last_arrival() {
         let mut m = Phased {
-            cfg: SystemConfig {
-                nodes: PHASE_NODES,
-                ..SystemConfig::default()
-            },
+            cfg: SystemConfig { nodes: PHASE_NODES, ..SystemConfig::default() },
             steps: vec![0; PHASE_NODES],
             last: vec![Cycles::ZERO; PHASE_NODES],
         };

@@ -178,10 +178,7 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if events are already pending (their keys are unsalted).
     pub fn enable_tie_shuffle(&mut self, seed: u64) {
-        assert!(
-            self.is_empty(),
-            "enable tie-shuffle on an empty queue, before scheduling"
-        );
+        assert!(self.is_empty(), "enable tie-shuffle on an empty queue, before scheduling");
         self.shuffle = Some(seed);
     }
 
@@ -257,10 +254,7 @@ impl<E> EventQueue<E> {
     /// most one such wakeup per node is ever pending (the machines'
     /// `step_pending` flag).
     pub fn schedule_wakeup(&mut self, t: Cycles, node: usize, event: E) {
-        debug_assert!(
-            node < self.counters.len(),
-            "wakeup for node {node} out of range"
-        );
+        debug_assert!(node < self.counters.len(), "wakeup for node {node} out of range");
         self.insert(t, pack_key(node as u64 + 1, 0), event);
     }
 
@@ -268,21 +262,13 @@ impl<E> EventQueue<E> {
     /// delivered in key order (after tie-shuffle salting, if enabled),
     /// regardless of insertion order.
     fn insert(&mut self, t: Cycles, key: u64, event: E) {
-        assert!(
-            t >= self.now,
-            "scheduling into the past: {t:?} < {:?}",
-            self.now
-        );
+        assert!(t >= self.now, "scheduling into the past: {t:?} < {:?}", self.now);
         debug_assert!(key < 1 << KEY_BITS, "event key overflows 48 bits");
         let key = match self.shuffle {
             Some(seed) => (mix64(seed ^ key) << KEY_BITS) | key,
             None => key,
         };
-        let entry = Entry {
-            time: t,
-            key,
-            event,
-        };
+        let entry = Entry { time: t, key, event };
         match &self.front {
             Some(f) if entry < *f => {
                 let old = std::mem::replace(self.front.as_mut().expect("front present"), entry);
@@ -320,11 +306,7 @@ impl<E> EventQueue<E> {
             b.max_arrival = Cycles::ZERO;
             let event = (b.release)(self.global_counter);
             self.global_counter += 1;
-            self.insert(
-                release_at,
-                pack_key(GLOBAL_ORIGIN, self.global_counter),
-                event,
-            );
+            self.insert(release_at, pack_key(GLOBAL_ORIGIN, self.global_counter), event);
         }
     }
 
@@ -345,9 +327,7 @@ mod tests {
 
     /// Pops everything, returning `(time, event)` pairs in delivery order.
     fn drain(q: &mut EventQueue<u32>) -> Vec<(u64, u32)> {
-        std::iter::from_fn(|| q.pop())
-            .map(|(t, e)| (t.raw(), e))
-            .collect()
+        std::iter::from_fn(|| q.pop()).map(|(t, e)| (t.raw(), e)).collect()
     }
 
     #[test]
@@ -434,10 +414,7 @@ mod tests {
                 q.set_origin(i as usize);
                 q.schedule(Cycles::new(5), i);
             }
-            drain(&mut q)
-                .into_iter()
-                .map(|(_, e)| e)
-                .collect::<Vec<_>>()
+            drain(&mut q).into_iter().map(|(_, e)| e).collect::<Vec<_>>()
         };
         let unsalted = order_with_seed(None);
         assert_eq!(unsalted, (0..50).collect::<Vec<_>>());

@@ -177,13 +177,7 @@ impl TempestCtx for RelCtx<'_> {
         self.ctx.protocol_data_access(key);
     }
 
-    fn send(
-        &mut self,
-        dst: NodeId,
-        vn: VirtualNet,
-        handler: HandlerId,
-        mut payload: Payload,
-    ) {
+    fn send(&mut self, dst: NodeId, vn: VirtualNet, handler: HandlerId, mut payload: Payload) {
         if dst == self.ctx.node() {
             // Self-sends never touch the wire and are never faulted.
             self.ctx.send(dst, vn, handler, payload);
@@ -281,11 +275,7 @@ impl Reliable {
 
     /// Wraps `inner` with an explicit configuration.
     pub fn with_config(inner: Box<dyn Protocol>, cfg: ReliableConfig) -> Self {
-        Reliable {
-            inner,
-            cfg,
-            state: RelState::default(),
-        }
+        Reliable { inner, cfg, state: RelState::default() }
     }
 
     /// Transport counters.
@@ -355,10 +345,8 @@ impl Protocol for Reliable {
             return;
         }
         let mut msg = msg;
-        let seq = msg
-            .payload
-            .pop_word()
-            .expect("sequenced message carries a trailing sequence word");
+        let seq =
+            msg.payload.pop_word().expect("sequenced message carries a trailing sequence word");
         ctx.charge(REL_BOOKKEEP_INSTR);
         let src = msg.src;
         let next = self.state.rx.entry(src.raw()).or_default().next_expected;
@@ -381,9 +369,7 @@ impl Protocol for Reliable {
             // are ignored.
             self.state.stats.reordered += 1;
             let rxl = self.state.rx.get_mut(&src.raw()).expect("entry created above");
-            rxl.reorder
-                .entry(seq)
-                .or_insert((msg.vn, msg.handler, msg.payload));
+            rxl.reorder.entry(seq).or_insert((msg.vn, msg.handler, msg.payload));
             self.send_ack(ctx, src);
             return;
         }
@@ -394,15 +380,9 @@ impl Protocol for Reliable {
             rxl.next_expected += 1;
             let n = rxl.next_expected;
             match rxl.reorder.remove(&n) {
-                Some((vn, handler, payload)) => self.deliver(
-                    ctx,
-                    Message {
-                        src,
-                        vn,
-                        handler,
-                        payload,
-                    },
-                ),
+                Some((vn, handler, payload)) => {
+                    self.deliver(ctx, Message { src, vn, handler, payload })
+                }
                 None => break,
             }
         }
@@ -415,12 +395,8 @@ impl Protocol for Reliable {
         ctx.charge(REL_BOOKKEEP_INSTR);
         let mut faults = Vec::new();
         for (&dst, link) in self.state.tx.iter_mut() {
-            let due: Vec<u64> = link
-                .inflight
-                .iter()
-                .filter(|(_, m)| m.deadline <= now)
-                .map(|(&s, _)| s)
-                .collect();
+            let due: Vec<u64> =
+                link.inflight.iter().filter(|(_, m)| m.deadline <= now).map(|(&s, _)| s).collect();
             for s in due {
                 let m = link.inflight.get_mut(&s).expect("due seq is inflight");
                 if m.retries >= MAX_RETRIES {
@@ -442,12 +418,8 @@ impl Protocol for Reliable {
                 ctx.send(NodeId::new(dst), m.vn, m.handler, m.payload.clone());
             }
         }
-        let earliest = self
-            .state
-            .tx
-            .values()
-            .flat_map(|l| l.inflight.values().map(|m| m.deadline))
-            .min();
+        let earliest =
+            self.state.tx.values().flat_map(|l| l.inflight.values().map(|m| m.deadline)).min();
         if let Some(d) = earliest {
             self.state.arm(ctx, d);
         }
@@ -521,11 +493,7 @@ mod tests {
 
     fn rig(cfg: ReliableConfig) -> (Reliable, MockCtx, Log) {
         let log: Log = Arc::default();
-        (
-            Reliable::with_config(Box::new(Recorder { log: log.clone() }), cfg),
-            MockCtx::new(0),
-            log,
-        )
+        (Reliable::with_config(Box::new(Recorder { log: log.clone() }), cfg), MockCtx::new(0), log)
     }
 
     fn delivered(log: &Log) -> Vec<(HandlerId, Vec<u64>)> {
@@ -603,10 +571,7 @@ mod tests {
         assert!(delivered(&log).is_empty(), "nothing until seq 0 arrives");
         assert_eq!(r.stats().reordered, 2);
         r.on_message(&mut ctx, wire(2, 0, vec![40]));
-        assert_eq!(
-            delivered(&log),
-            vec![(PING, vec![40]), (PING, vec![41]), (PING, vec![42])]
-        );
+        assert_eq!(delivered(&log), vec![(PING, vec![40]), (PING, vec![41]), (PING, vec![42])]);
         let last_ack = ctx.sent.iter().rev().find(|s| s.handler == REL_ACK).unwrap();
         assert_eq!(last_ack.payload.words()[0], 3, "cumulative ack covers the drain");
     }
@@ -760,9 +725,6 @@ mod tests {
     fn vn_policy_extension_covers_the_ack() {
         let policy = reliable_vn_policy(crate::vn_policy());
         assert_eq!(policy.expected(REL_ACK), Some(VirtualNet::Response));
-        assert_eq!(
-            policy.expected(crate::stache::GET_RO),
-            Some(VirtualNet::Request)
-        );
+        assert_eq!(policy.expected(crate::stache::GET_RO), Some(VirtualNet::Request));
     }
 }

@@ -3,7 +3,7 @@
 //! values, the fuzzy barrier counts updates, and — the whole point — the
 //! steady state needs no request/response/invalidate/ack round trips.
 
-use tt_base::addr::{PAGE_BYTES, VAddr};
+use tt_base::addr::{VAddr, PAGE_BYTES};
 use tt_base::workload::{Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE};
 use tt_base::{NodeId, SystemConfig};
 use tt_stache::custom::{EM3D_E_MODE, EM3D_H_MODE, FLUSH_OP};
@@ -32,18 +32,14 @@ fn em3d_layout() -> Layout {
 }
 
 fn flush(mode: u8) -> Op {
-    Op::UserCall {
-        op: FLUSH_OP,
-        arg: mode as u64,
-    }
+    Op::UserCall { op: FLUSH_OP, arg: mode as u64 }
 }
 
 fn run(w: ScriptWorkload, nodes: usize) -> tt_typhoon::RunResult {
-    let mut m = TyphoonMachine::new(
-        SystemConfig::test_config(nodes),
-        Box::new(w),
-        &|id, layout, cfg| Box::new(Em3dUpdateProtocol::new(id, layout, cfg)),
-    );
+    let mut m =
+        TyphoonMachine::new(SystemConfig::test_config(nodes), Box::new(w), &|id, layout, cfg| {
+            Box::new(Em3dUpdateProtocol::new(id, layout, cfg))
+        });
     m.run()
 }
 
@@ -109,10 +105,7 @@ fn delayed_updates_propagate_without_refetch() {
     // Updates flowed: e updates in iter-2 E flush; h updates in both
     // H flushes after the copy existed.
     assert!(r.report.get("em3d.updates_sent").unwrap() >= 3.0);
-    assert_eq!(
-        r.report.get("em3d.updates_sent"),
-        r.report.get("em3d.updates_received")
-    );
+    assert_eq!(r.report.get("em3d.updates_sent"), r.report.get("em3d.updates_received"));
     // The custom protocol never invalidates and never acknowledges.
     assert_eq!(r.report.get("stache.invals_sent"), Some(0.0));
     assert_eq!(r.report.get("stache.recalls_sent"), Some(0.0));

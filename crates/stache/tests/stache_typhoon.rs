@@ -2,7 +2,7 @@
 //! paper stack — CPU bus model, NP dispatch, user-level handlers,
 //! software directory, and real data moving in messages.
 
-use tt_base::addr::{PAGE_BYTES, VAddr};
+use tt_base::addr::{VAddr, PAGE_BYTES};
 use tt_base::workload::{Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE};
 use tt_base::{NodeId, SystemConfig};
 use tt_stache::StacheProtocol;
@@ -103,20 +103,8 @@ fn remote_writer_gets_exclusive_and_home_recalls() {
     // Then node 0 reads it back: home fault -> recall from node 1.
     let layout = layout_pages(1, Placement::PerPage(vec![NodeId::new(0)]));
     let mut w = ScriptWorkload::new(2).with_layout(layout);
-    w.set(
-        0,
-        vec![
-            Op::Barrier,
-            Op::Read { addr: va(64), expect: Some(77) },
-        ],
-    );
-    w.set(
-        1,
-        vec![
-            Op::Write { addr: va(64), value: 77 },
-            Op::Barrier,
-        ],
-    );
+    w.set(0, vec![Op::Barrier, Op::Read { addr: va(64), expect: Some(77) }]);
+    w.set(1, vec![Op::Write { addr: va(64), value: 77 }, Op::Barrier]);
     let r = run_stache(SystemConfig::test_config(2), w);
     assert_eq!(r.report.get("stache.rw_requests"), Some(1.0));
     assert_eq!(r.report.get("stache.recalls_sent"), Some(1.0));
@@ -233,10 +221,7 @@ fn cyclic_placement_spreads_homes() {
             vec![
                 Op::Write { addr: va(n * PAGE_BYTES as u64), value: n },
                 Op::Barrier,
-                Op::Read {
-                    addr: va(((n + 1) % 4) * PAGE_BYTES as u64),
-                    expect: Some((n + 1) % 4),
-                },
+                Op::Read { addr: va(((n + 1) % 4) * PAGE_BYTES as u64), expect: Some((n + 1) % 4) },
             ],
         );
     }
@@ -293,10 +278,7 @@ fn stache_run_is_deterministic() {
         for n in 0..2u64 {
             let mut ops = Vec::new();
             for i in 0..50 {
-                ops.push(Op::Write {
-                    addr: va(n * PAGE_BYTES as u64 + i * 8),
-                    value: i,
-                });
+                ops.push(Op::Write { addr: va(n * PAGE_BYTES as u64 + i * 8), value: i });
             }
             ops.push(Op::Barrier);
             for i in 0..50 {
@@ -319,13 +301,7 @@ fn remote_miss_latency_is_in_the_expected_band() {
     let layout = layout_pages(1, Placement::PerPage(vec![NodeId::new(0)]));
     let mut w = ScriptWorkload::new(2).with_layout(layout);
     w.set(0, vec![Op::Barrier]);
-    w.set(
-        1,
-        vec![
-            Op::Barrier,
-            Op::Read { addr: va(0), expect: Some(0) },
-        ],
-    );
+    w.set(1, vec![Op::Barrier, Op::Read { addr: va(0), expect: Some(0) }]);
     let r = run_stache(SystemConfig::test_config(2), w);
     let stall = r.report.get("cpu.fault_stall_cycles").unwrap();
     // Page fault + block fault + full protocol round trip.

@@ -8,7 +8,9 @@ use tt_base::workload::{Layout, Placement, Region};
 use tt_base::{NodeId, SystemConfig};
 use tt_mem::{AccessKind, Tag};
 use tt_net::{Payload, VirtualNet};
-use tt_stache::stache::{ACK, GET_RO, GET_RW, INV, PUT_RO, PUT_RW, RECALL_DATA, RECALL_RW, WRITEBACK};
+use tt_stache::stache::{
+    ACK, GET_RO, GET_RW, INV, PUT_RO, PUT_RW, RECALL_DATA, RECALL_RW, WRITEBACK,
+};
 use tt_stache::StacheProtocol;
 use tt_tempest::testing::MockCtx;
 use tt_tempest::{BlockFault, HandlerId, Message, PageFault, Protocol, TempestCtx, ThreadId};
@@ -48,12 +50,7 @@ fn home() -> (StacheProtocol, MockCtx) {
 }
 
 fn msg(src: u16, vn: VirtualNet, handler: HandlerId, payload: Payload) -> Message {
-    Message {
-        src: NodeId::new(src),
-        vn,
-        handler,
-        payload,
-    }
+    Message { src: NodeId::new(src), vn, handler, payload }
 }
 
 fn get(src: u16, handler: HandlerId, addr: VAddr) -> Message {
@@ -100,10 +97,7 @@ fn get_rw_on_shared_runs_an_invalidation_round() {
     let invs: Vec<_> = ctx.sent.iter().filter(|s| s.handler == INV).collect();
     assert_eq!(invs.len(), 2, "both sharers are invalidated");
     assert!(invs.iter().all(|s| s.vn == VirtualNet::Request));
-    assert!(
-        !ctx.sent.iter().any(|s| s.handler == PUT_RW),
-        "no grant before acknowledgments"
-    );
+    assert!(!ctx.sent.iter().any(|s| s.handler == PUT_RW), "no grant before acknowledgments");
 
     // First ack: still waiting.
     p.on_message(&mut ctx, msg(1, VirtualNet::Response, ACK, Payload::args(&[addr.raw()])));
@@ -205,17 +199,10 @@ fn remote_block_fault_marks_busy_and_requests() {
     let mut p = StacheProtocol::new(NodeId::new(2), &layout(), &cfg);
     let mut ctx = checked_ctx(2);
     p.init(&mut ctx); // not home: installs nothing
-    // Simulate the page fault first (creates the stache page).
+                      // Simulate the page fault first (creates the stache page).
     let thread = ThreadId(NodeId::new(2));
     let addr = VPN.base().offset(192);
-    p.on_page_fault(
-        &mut ctx,
-        PageFault {
-            thread,
-            addr,
-            kind: AccessKind::Load,
-        },
-    );
+    p.on_page_fault(&mut ctx, PageFault { thread, addr, kind: AccessKind::Load });
     assert_eq!(ctx.resumed, vec![thread], "page fault handler restarts the access");
     assert_eq!(ctx.read_tag(addr), Tag::Invalid, "fresh stache page faults per block");
     ctx.clear_effects();
@@ -225,13 +212,7 @@ fn remote_block_fault_marks_busy_and_requests() {
     assert_eq!(meta.user[0], HOME as u64, "home id cached in page metadata");
     p.on_block_fault(
         &mut ctx,
-        BlockFault {
-            thread,
-            addr,
-            kind: AccessKind::Store,
-            tag: Tag::Invalid,
-            meta,
-        },
+        BlockFault { thread, addr, kind: AccessKind::Store, tag: Tag::Invalid, meta },
     );
     assert_eq!(ctx.read_tag(addr), Tag::Busy, "request outstanding");
     let sent = ctx.last_sent().unwrap();
@@ -322,7 +303,7 @@ fn owner_recall_returns_data_and_invalidates_its_copy() {
 fn page_replacement_writes_back_only_modified_blocks() {
     let mut cfg = SystemConfig::test_config(4);
     cfg.stache_capacity_bytes = PAGE_BYTES; // budget: one stache page
-    // Two remote pages homed on node 0.
+                                            // Two remote pages homed on node 0.
     let mut l = Layout::new();
     l.add(Region {
         base: VPN.base(),

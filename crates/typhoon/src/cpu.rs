@@ -122,11 +122,7 @@ pub fn exec_access(
     }
     let Some(ppn) = ptable.translate(addr.page()) else {
         cpu.stats.page_faults.inc();
-        let fault = PageFault {
-            thread: cpu.thread(),
-            addr,
-            kind,
-        };
+        let fault = PageFault { thread: cpu.thread(), addr, kind };
         return AccessOutcome::PageFault(fault, cost);
     };
     let paddr = PAddr::new(ppn.base().raw() + addr.page_offset());
@@ -150,13 +146,7 @@ pub fn exec_access(
         if !permitted {
             cpu.stats.block_faults.inc();
             let frame = mem.frame(ppn);
-            let fault = BlockFault {
-                thread: cpu.thread(),
-                addr,
-                kind,
-                tag,
-                meta: frame.meta,
-            };
+            let fault = BlockFault { thread: cpu.thread(), addr, kind, tag, meta: frame.meta };
             return AccessOutcome::BlockFault(fault, cost + cfg.np_mode.fault_detect());
         }
         match probe {
@@ -213,11 +203,7 @@ mod tests {
         let ppn = mem.alloc();
         pt.map(Vpn(0x10000), ppn).unwrap();
         mem.frame_mut(ppn).set_all_tags(Tag::ReadWrite);
-        mem.frame_mut(ppn).meta = PageMeta {
-            vpn: Some(Vpn(0x10000)),
-            mode: 0,
-            user: [0, 0],
-        };
+        mem.frame_mut(ppn).meta = PageMeta { vpn: Some(Vpn(0x10000)), mode: 0, user: [0, 0] };
         (cfg, cpu, np, mem, pt)
     }
 
@@ -253,13 +239,7 @@ mod tests {
         let a = VAddr::new(VA);
         exec_access(&cfg, &mut cpu, &mut np, &mut mem, &pt, a, AccessKind::Load, 0);
         let out = exec_access(&cfg, &mut cpu, &mut np, &mut mem, &pt, a, AccessKind::Load, 0);
-        assert_eq!(
-            out,
-            AccessOutcome::Done {
-                cost: Cycles::new(1),
-                value: Some(0),
-            }
-        );
+        assert_eq!(out, AccessOutcome::Done { cost: Cycles::new(1), value: Some(0) });
     }
 
     #[test]

@@ -16,9 +16,9 @@ use tt_mem::cache::Probe;
 use tt_mem::ptable::MapError;
 use tt_mem::{PageMeta, Tag};
 use tt_net::{Network, Packet, Payload, VirtualNet};
-use tt_tempest::{HandlerId, TempestCtx, ThreadId};
 use tt_sim::cpu::Stall;
 use tt_sim::EventQueue;
+use tt_tempest::{HandlerId, TempestCtx, ThreadId};
 
 use crate::machine::{issue_access, Event, NodeState};
 
@@ -96,7 +96,6 @@ impl TempestCtx for NodeCtx<'_> {
         self.id
     }
 
-
     fn now(&self) -> Cycles {
         self.start + self.cost
     }
@@ -118,20 +117,13 @@ impl TempestCtx for NodeCtx<'_> {
     }
 
     fn send(&mut self, dst: NodeId, vn: VirtualNet, handler: HandlerId, payload: Payload) {
-        let packet = Packet {
-            src: self.id,
-            dst,
-            vn,
-            handler: handler.raw(),
-            payload,
-        };
+        let packet = Packet { src: self.id, dst, vn, handler: handler.raw(), payload };
         // `transmit` applies the installed fault schedule (if any) and
         // yields zero, one, or two delivery times; with no fault plan it
         // is exactly one delivery.
         let deliveries = self.network.transmit(self.now(), &packet);
         for deliver_at in deliveries.iter() {
-            self.queue
-                .schedule(deliver_at, Event::Deliver(packet.clone()));
+            self.queue.schedule(deliver_at, Event::Deliver(packet.clone()));
         }
     }
 
@@ -141,10 +133,7 @@ impl TempestCtx for NodeCtx<'_> {
         let at = at.max(self.now());
         self.queue.schedule(
             at,
-            Event::NpWork {
-                node: self.id.index(),
-                work: crate::np::NpWork::Timer(token),
-            },
+            Event::NpWork { node: self.id.index(), work: crate::np::NpWork::Timer(token) },
         );
     }
 
@@ -236,10 +225,7 @@ impl TempestCtx for NodeCtx<'_> {
         self.node.mem.write_block(paddr, block);
         // The block-transfer path is coherent with the CPU cache: purge
         // any (now stale) CPU copy.
-        self.node
-            .cpu
-            .cache
-            .invalidate(paddr.raw() / BLOCK_BYTES as u64);
+        self.node.cpu.cache.invalidate(paddr.raw() / BLOCK_BYTES as u64);
     }
 
     fn resume(&mut self, thread: ThreadId) {

@@ -98,23 +98,14 @@ impl TyphoonMachine {
                 ptable: PageTable::new(),
             })
             .collect();
-        let protocols = (0..cfg.nodes)
-            .map(|i| Some(protocol(NodeId::new(i as u16), &layout, &cfg)))
-            .collect();
+        let protocols =
+            (0..cfg.nodes).map(|i| Some(protocol(NodeId::new(i as u16), &layout, &cfg))).collect();
         let mut network = Network::new(cfg.nodes, cfg.network_latency);
         network.set_topology(cfg.topology);
         if let Some(spec) = cfg.fault {
             network.set_fault_plan(spec);
         }
-        TyphoonMachine {
-            cfg,
-            nodes,
-            protocols,
-            network,
-            workload,
-            layout,
-            tie_shuffle: None,
-        }
+        TyphoonMachine { cfg, nodes, protocols, network, workload, layout, tie_shuffle: None }
     }
 
     /// Delivers same-cycle events in a seed-dependent permutation instead
@@ -232,15 +223,9 @@ impl TyphoonMachine {
                 ("cpu.upgrades", |n| n.cpu.stats.upgrades.get()),
                 ("cpu.block_faults", |n| n.cpu.stats.block_faults.get()),
                 ("cpu.page_faults", |n| n.cpu.stats.page_faults.get()),
-                ("cpu.fault_stall_cycles", |n| {
-                    n.cpu.stream.stall_cycles(Stall::Fault)
-                }),
-                ("cpu.barrier_wait_cycles", |n| {
-                    n.cpu.stream.barrier_wait_cycles.get()
-                }),
-                ("cpu.call_stall_cycles", |n| {
-                    n.cpu.stream.stall_cycles(Stall::Call)
-                }),
+                ("cpu.fault_stall_cycles", |n| n.cpu.stream.stall_cycles(Stall::Fault)),
+                ("cpu.barrier_wait_cycles", |n| n.cpu.stream.barrier_wait_cycles.get()),
+                ("cpu.call_stall_cycles", |n| n.cpu.stream.stall_cycles(Stall::Call)),
                 ("cpu.cache_hits", |n| n.cpu.cache.stats().hits.get()),
                 ("cpu.cache_misses", |n| n.cpu.cache.stats().misses.get()),
                 ("cpu.tlb_misses", |n| n.cpu.tlb.stats().misses.get()),
@@ -358,10 +343,7 @@ impl Machine for TyphoonMachine {
                 panic!(
                     "machine deadlocked with processors still blocked: {stuck:?} \
                      (np work pending={:?})",
-                    self.nodes
-                        .iter()
-                        .map(|n| n.np.has_work())
-                        .collect::<Vec<_>>()
+                    self.nodes.iter().map(|n| n.np.has_work()).collect::<Vec<_>>()
                 )
             });
         (cycles, self.build_report(cycles, releases))
@@ -431,9 +413,7 @@ impl TyphoonMachine {
         let node = &mut self.nodes[n];
         let np = &mut node.np;
         np.busy_until = start + cost;
-        np.stats
-            .busy_cycles
-            .add((self.cfg.np_mode.dispatch() + cost).raw());
+        np.stats.busy_cycles.add((self.cfg.np_mode.dispatch() + cost).raw());
         // Software Tempest: the handler ran on the primary CPU, stealing
         // its cycles if it was computing.
         if self.cfg.np_mode == NpMode::OnCpu
@@ -453,9 +433,7 @@ impl TyphoonMachine {
 
     fn deliver(&mut self, packet: Packet, now: Cycles, queue: &mut EventQueue<Event>) {
         let n = packet.dst.index();
-        self.nodes[n]
-            .np
-            .enqueue(NpWork::Message(Message::from_packet(packet)));
+        self.nodes[n].np.enqueue(NpWork::Message(Message::from_packet(packet)));
         self.try_dispatch(n, now, queue);
     }
 }
@@ -502,20 +480,11 @@ pub(crate) fn issue_access(
     queue: &mut EventQueue<Event>,
     access: Access,
 ) -> Flow {
-    let Access {
-        addr,
-        kind,
-        value,
-        expect,
-        record,
-    } = access;
+    let Access { addr, kind, value, expect, record } = access;
     let cpu = &mut node.cpu;
     let (np, mem, ptable) = (&mut node.np, &mut node.mem, &node.ptable);
     let (work, cost) = match exec_access(cfg, cpu, np, mem, ptable, addr, kind, value) {
-        AccessOutcome::Done {
-            cost,
-            value: loaded,
-        } => {
+        AccessOutcome::Done { cost, value: loaded } => {
             if cfg.verify_values {
                 if let (Some(expect), Some(got)) = (expect, loaded) {
                     assert_eq!(

@@ -163,12 +163,7 @@ mod tests {
     }
 
     fn msg(vn: VirtualNet) -> Message {
-        Message {
-            src: NodeId::new(1),
-            vn,
-            handler: HandlerId(0),
-            payload: Payload::new(),
-        }
+        Message { src: NodeId::new(1), vn, handler: HandlerId(0), payload: Payload::new() }
     }
 
     fn fault() -> NpWork {
@@ -182,10 +177,7 @@ mod tests {
     #[test]
     fn dispatch_priority_order() {
         let mut np = np();
-        np.enqueue(NpWork::UserCall(
-            ThreadId(NodeId::new(0)),
-            UserCall { op: 1, arg: 0 },
-        ));
+        np.enqueue(NpWork::UserCall(ThreadId(NodeId::new(0)), UserCall { op: 1, arg: 0 }));
         np.enqueue(NpWork::Message(msg(VirtualNet::Request)));
         np.enqueue(fault());
         np.enqueue(NpWork::Message(msg(VirtualNet::Response)));

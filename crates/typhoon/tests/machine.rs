@@ -3,8 +3,8 @@
 //! determinism.
 
 use tt_base::addr::PAGE_BYTES;
-use tt_base::workload::{Layout, Op, Placement, Region, Workload, SHARED_SEGMENT_BASE};
 use tt_base::config::NpMode;
+use tt_base::workload::{Layout, Op, Placement, Region, Workload, SHARED_SEGMENT_BASE};
 use tt_base::{Cycles, NodeId, SystemConfig, VAddr};
 use tt_mem::Tag;
 use tt_net::{Payload, VirtualNet};
@@ -21,10 +21,7 @@ struct Script {
 
 impl Script {
     fn new(nodes: usize, layout: Layout) -> Self {
-        Script {
-            layout,
-            per_cpu: vec![Some(Vec::new()); nodes],
-        }
+        Script { layout, per_cpu: vec![Some(Vec::new()); nodes] }
     }
 
     fn set(&mut self, cpu: usize, ops: Vec<Op>) {
@@ -82,20 +79,12 @@ fn single_node_write_then_read_round_trips() {
     script.set(
         0,
         vec![
-            Op::Write {
-                addr: shared(0),
-                value: 0xABCD,
-            },
-            Op::Read {
-                addr: shared(0),
-                expect: Some(0xABCD),
-            },
+            Op::Write { addr: shared(0), value: 0xABCD },
+            Op::Read { addr: shared(0), expect: Some(0xABCD) },
             Op::Compute(10),
         ],
     );
-    let mut m = TyphoonMachine::new(cfg(1), Box::new(script), &|_, _, _| {
-        Box::new(LocalAlloc)
-    });
+    let mut m = TyphoonMachine::new(cfg(1), Box::new(script), &|_, _, _| Box::new(LocalAlloc));
     let result = m.run();
     assert!(result.cycles > Cycles::new(10));
     assert_eq!(result.report.get("cpu.page_faults"), Some(1.0));
@@ -111,14 +100,9 @@ fn barrier_synchronizes_all_nodes() {
     // immediately. Everyone then computes 5 more cycles.
     for n in 0..nodes {
         let pre = if n == 0 { 10_000 } else { 1 };
-        script.set(
-            n,
-            vec![Op::Compute(pre), Op::Barrier, Op::Compute(5)],
-        );
+        script.set(n, vec![Op::Compute(pre), Op::Barrier, Op::Compute(5)]);
     }
-    let mut m = TyphoonMachine::new(cfg(nodes), Box::new(script), &|_, _, _| {
-        Box::new(LocalAlloc)
-    });
+    let mut m = TyphoonMachine::new(cfg(nodes), Box::new(script), &|_, _, _| Box::new(LocalAlloc));
     let result = m.run();
     // All nodes finish just after the slowest + barrier latency.
     assert!(result.cycles >= Cycles::new(10_000 + 11 + 5));
@@ -171,12 +155,7 @@ impl Protocol for Ping {
         assert_eq!(call.op, 42);
         self.waiting = Some(thread);
         ctx.charge(8);
-        ctx.send(
-            NodeId::new(1),
-            VirtualNet::Request,
-            PING,
-            Payload::args(&[call.arg]),
-        );
+        ctx.send(NodeId::new(1), VirtualNet::Request, PING, Payload::args(&[call.arg]));
     }
 }
 
@@ -187,10 +166,7 @@ fn user_call_message_round_trip() {
     script.set(0, vec![Op::UserCall { op: 42, arg: 7 }, Op::Compute(1)]);
     script.set(1, vec![Op::Compute(1)]);
     let mut m = TyphoonMachine::new(cfg(nodes), Box::new(script), &|id, _, _| {
-        Box::new(Ping {
-            node: id.raw(),
-            ..Ping::default()
-        })
+        Box::new(Ping { node: id.raw(), ..Ping::default() })
     });
     let result = m.run();
     // Round trip: >= 2 network latencies plus handler costs.
@@ -198,7 +174,6 @@ fn user_call_message_round_trip() {
     assert_eq!(result.report.get("net.packets"), Some(2.0));
     assert!(result.report.get("cpu.call_stall_cycles").unwrap() >= 22.0);
 }
-
 
 #[test]
 fn same_seed_is_bit_deterministic() {
@@ -208,18 +183,14 @@ fn same_seed_is_bit_deterministic() {
         for n in 0..nodes {
             let mut ops = Vec::new();
             for i in 0..200u64 {
-                ops.push(Op::Write {
-                    addr: shared((n as u64) * 65536 + 8 * i),
-                    value: i,
-                });
+                ops.push(Op::Write { addr: shared((n as u64) * 65536 + 8 * i), value: i });
                 ops.push(Op::Compute(3));
             }
             ops.push(Op::Barrier);
             script.set(n, ops);
         }
-        let mut m = TyphoonMachine::new(cfg(nodes), Box::new(script), &|_, _, _| {
-            Box::new(LocalAlloc)
-        });
+        let mut m =
+            TyphoonMachine::new(cfg(nodes), Box::new(script), &|_, _, _| Box::new(LocalAlloc));
         m.run().cycles
     };
     assert_eq!(run(), run());
@@ -241,10 +212,7 @@ fn layout_is_visible_to_protocol_factory() {
     // distributed home map).
     let mut factory_pages = std::sync::atomic::AtomicUsize::new(0);
     let mut m = TyphoonMachine::new(cfg(2), Box::new(script), &|_, layout, _| {
-        factory_pages.store(
-            layout.pages(2).count(),
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        factory_pages.store(layout.pages(2).count(), std::sync::atomic::Ordering::Relaxed);
         Box::new(LocalAlloc)
     });
     let saw_pages = m.layout().pages(2).count();
@@ -263,25 +231,20 @@ fn software_tempest_is_correct_but_slower() {
         let mut ops = Vec::new();
         for i in 0..100u64 {
             ops.push(Op::Write { addr: shared(8 * i), value: i });
-            ops.push(Op::Compute(10),);
+            ops.push(Op::Compute(10));
         }
         ops.push(Op::Barrier);
         script.set(0, ops);
         script.set(1, vec![Op::Compute(1), Op::Barrier]);
         let mut cfg = cfg(2);
         cfg.np_mode = mode;
-        let mut m = TyphoonMachine::new(cfg, Box::new(script), &|_, _, _| {
-            Box::new(LocalAlloc)
-        });
+        let mut m = TyphoonMachine::new(cfg, Box::new(script), &|_, _, _| Box::new(LocalAlloc));
         m.run()
     };
     let dedicated = build(NpMode::Dedicated);
     let software = build(NpMode::OnCpu);
     // Same work performed...
-    assert_eq!(
-        dedicated.report.get("cpu.writes"),
-        software.report.get("cpu.writes")
-    );
+    assert_eq!(dedicated.report.get("cpu.writes"), software.report.get("cpu.writes"));
     // ...but the software version pays the trap costs.
     assert!(
         software.cycles > dedicated.cycles,
@@ -297,23 +260,11 @@ fn page_fault_reaches_the_np_and_its_handler_runs() {
     use tt_typhoon::Event;
 
     let mut script = Script::new(1, empty_layout());
-    script.set(
-        0,
-        vec![Op::Write {
-            addr: shared(0),
-            value: 1,
-        }],
-    );
-    let mut m = TyphoonMachine::new(cfg(1), Box::new(script), &|_, _, _| {
-        Box::new(LocalAlloc)
-    });
+    script.set(0, vec![Op::Write { addr: shared(0), value: 1 }]);
+    let mut m = TyphoonMachine::new(cfg(1), Box::new(script), &|_, _, _| Box::new(LocalAlloc));
     let (mut fault_at, mut mapped_at) = (None, None);
     m.run_observed(&mut |at, event, m| {
-        if let Event::NpWork {
-            work: NpWork::PageFault(f),
-            ..
-        } = event
-        {
+        if let Event::NpWork { work: NpWork::PageFault(f), .. } = event {
             assert_eq!(f.addr, shared(0));
             fault_at.get_or_insert(at);
         }

@@ -18,7 +18,9 @@
 use std::collections::HashMap;
 
 use tempest_typhoon::base::addr::{VAddr, Vpn, PAGE_BYTES};
-use tempest_typhoon::base::workload::{Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE};
+use tempest_typhoon::base::workload::{
+    Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE,
+};
 use tempest_typhoon::base::{NodeId, SystemConfig};
 use tempest_typhoon::mem::{PageMeta, Tag};
 use tempest_typhoon::net::{Payload, VirtualNet};
@@ -54,34 +56,21 @@ impl Migratory {
         for (vpn, home, _mode) in layout.pages(cfg.nodes) {
             owner.insert(vpn, home);
         }
-        Migratory {
-            node,
-            owner,
-            waiting: None,
-            handoffs: 0,
-        }
+        Migratory { node, owner, waiting: None, handoffs: 0 }
     }
 }
 
 impl Protocol for Migratory {
     fn init(&mut self, ctx: &mut dyn TempestCtx) {
-        let mine: Vec<Vpn> = self
-            .owner
-            .iter()
-            .filter(|(_, o)| **o == self.node)
-            .map(|(v, _)| *v)
-            .collect();
+        let mine: Vec<Vpn> =
+            self.owner.iter().filter(|(_, o)| **o == self.node).map(|(v, _)| *v).collect();
         for vpn in mine {
             let ppn = ctx.alloc_page();
             ctx.map_page(vpn, ppn).unwrap();
             ctx.set_page_tags(vpn, Tag::ReadWrite);
             ctx.set_page_meta(
                 vpn,
-                PageMeta {
-                    vpn: Some(vpn),
-                    mode: 0,
-                    user: [self.node.raw() as u64, 0],
-                },
+                PageMeta { vpn: Some(vpn), mode: 0, user: [self.node.raw() as u64, 0] },
             );
         }
     }
@@ -97,12 +86,7 @@ impl Protocol for Migratory {
         ctx.map_page(vpn, ppn).unwrap();
         ctx.set_page_tags(vpn, Tag::Invalid);
         self.waiting = Some((fault.thread, vpn));
-        ctx.send(
-            owner,
-            VirtualNet::Request,
-            GRAB,
-            Payload::args(&[vpn.0]),
-        );
+        ctx.send(owner, VirtualNet::Request, GRAB, Payload::args(&[vpn.0]));
     }
 
     fn on_block_fault(&mut self, ctx: &mut dyn TempestCtx, fault: BlockFault) {
@@ -112,12 +96,7 @@ impl Protocol for Migratory {
         assert_ne!(owner, self.node, "owner never faults on its own page");
         ctx.charge(14);
         self.waiting = Some((fault.thread, vpn));
-        ctx.send(
-            owner,
-            VirtualNet::Request,
-            GRAB,
-            Payload::args(&[vpn.0]),
-        );
+        ctx.send(owner, VirtualNet::Request, GRAB, Payload::args(&[vpn.0]));
     }
 
     fn on_message(&mut self, ctx: &mut dyn TempestCtx, msg: Message) {
@@ -141,12 +120,7 @@ impl Protocol for Migratory {
                     ctx.set_tag(addr, Tag::Invalid);
                 }
                 self.owner.insert(vpn, msg.src);
-                ctx.send(
-                    msg.src,
-                    VirtualNet::Response,
-                    PAGE_DONE,
-                    Payload::args(&[vpn.0]),
-                );
+                ctx.send(msg.src, VirtualNet::Response, PAGE_DONE, Payload::args(&[vpn.0]));
             }
             PAGE_BLOCK => {
                 let addr = VAddr::new(msg.arg(0));
@@ -159,8 +133,7 @@ impl Protocol for Migratory {
                 let vpn = Vpn(msg.arg(0));
                 ctx.charge(10);
                 self.owner.insert(vpn, self.node);
-                let (thread, waiting_vpn) =
-                    self.waiting.take().expect("a thread is waiting");
+                let (thread, waiting_vpn) = self.waiting.take().expect("a thread is waiting");
                 assert_eq!(waiting_vpn, vpn);
                 ctx.resume(thread);
             }
@@ -225,11 +198,10 @@ fn main() {
     );
     let custom = migratory.run();
 
-    let mut stache = TyphoonMachine::new(
-        cfg,
-        Box::new(pipeline_workload(nodes, stages)),
-        &|id, layout, cfg| Box::new(StacheProtocol::new(id, layout, cfg)),
-    );
+    let mut stache =
+        TyphoonMachine::new(cfg, Box::new(pipeline_workload(nodes, stages)), &|id, layout, cfg| {
+            Box::new(StacheProtocol::new(id, layout, cfg))
+        });
     let transparent = stache.run();
 
     println!("pipeline over one shared page, {stages} stages on {nodes} nodes:");
@@ -245,8 +217,5 @@ fn main() {
     );
     let speedup = transparent.cycles.as_f64() / custom.cycles.as_f64();
     println!("  custom-protocol speedup   : {speedup:.2}x");
-    assert!(
-        speedup > 1.0,
-        "whole-page migration should beat per-block faults on a pipeline"
-    );
+    assert!(speedup > 1.0, "whole-page migration should beat per-block faults on a pipeline");
 }

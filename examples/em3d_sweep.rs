@@ -41,23 +41,14 @@ fn main() {
     cfg.cpu.cache_bytes = 16 * 1024;
     cfg.placement = DirPlacement::Owner;
 
-    let mut table = Table::new(vec![
-        "% non-local",
-        "DirNNB",
-        "Typhoon/Stache",
-        "Typhoon/Update",
-    ]);
+    let mut table = Table::new(vec!["% non-local", "DirNNB", "Typhoon/Stache", "Typhoon/Update"]);
     for pct in [0.0, 0.25, 0.5] {
         let app = Em3d::new(params(pct, procs, SyncMode::Barrier));
         let denom = (app.total_edges() * 4) as f64;
 
         let dirnnb = DirnnbMachine::new(
             cfg.clone(),
-            Box::new(PhasedWorkload::new(Em3d::new(params(
-                pct,
-                procs,
-                SyncMode::Barrier,
-            )))),
+            Box::new(PhasedWorkload::new(Em3d::new(params(pct, procs, SyncMode::Barrier)))),
         )
         .run()
         .cycles;
@@ -70,11 +61,7 @@ fn main() {
         .cycles;
         let update = TyphoonMachine::new(
             cfg.clone(),
-            Box::new(PhasedWorkload::new(Em3d::new(params(
-                pct,
-                procs,
-                SyncMode::Flush,
-            )))),
+            Box::new(PhasedWorkload::new(Em3d::new(params(pct, procs, SyncMode::Flush)))),
             &|id, layout, cfg| Box::new(Em3dUpdateProtocol::new(id, layout, cfg)),
         )
         .run()

@@ -23,11 +23,9 @@ use tempest_typhoon::typhoon::TyphoonMachine;
 
 fn build(app: &str, procs: usize) -> Box<dyn Workload> {
     match app {
-        "appbt" => Box::new(PhasedWorkload::new(Appbt::new(AppbtParams {
-            n: 12,
-            iterations: 2,
-            procs,
-        }))),
+        "appbt" => {
+            Box::new(PhasedWorkload::new(Appbt::new(AppbtParams { n: 12, iterations: 2, procs })))
+        }
         "barnes" => Box::new(PhasedWorkload::new(Barnes::new(BarnesParams {
             bodies: 1024,
             iterations: 2,

@@ -54,12 +54,8 @@ fn em3d(sync: SyncMode) -> Em3dParams {
 
 #[test]
 fn em3d_runs_on_both_machines() {
-    let t = run_typhoon_stache(Box::new(PhasedWorkload::new(Em3d::new(em3d(
-        SyncMode::Barrier,
-    )))));
-    let d = run_dirnnb(Box::new(PhasedWorkload::new(Em3d::new(em3d(
-        SyncMode::Barrier,
-    )))));
+    let t = run_typhoon_stache(Box::new(PhasedWorkload::new(Em3d::new(em3d(SyncMode::Barrier)))));
+    let d = run_dirnnb(Box::new(PhasedWorkload::new(Em3d::new(em3d(SyncMode::Barrier)))));
     // Same workload, different machines: times differ but stay within an
     // order of magnitude of each other.
     let ratio = t.as_f64() / d.as_f64();
@@ -98,59 +94,36 @@ fn em3d_update_beats_stache_at_high_remote_fraction() {
 
 #[test]
 fn ocean_runs_on_both_machines() {
-    let params = OceanParams {
-        n: 34,
-        iterations: 2,
-        procs: PROCS,
-        sync: SyncMode::Barrier,
-    };
+    let params = OceanParams { n: 34, iterations: 2, procs: PROCS, sync: SyncMode::Barrier };
     run_typhoon_stache(Box::new(PhasedWorkload::new(Ocean::new(params.clone()))));
     run_dirnnb(Box::new(PhasedWorkload::new(Ocean::new(params))));
 }
 
 #[test]
 fn mp3d_runs_on_both_machines() {
-    let params = Mp3dParams {
-        molecules: 400,
-        cells_per_side: 5,
-        steps: 3,
-        procs: PROCS,
-        seed: 3,
-    };
+    let params = Mp3dParams { molecules: 400, cells_per_side: 5, steps: 3, procs: PROCS, seed: 3 };
     run_typhoon_stache(Box::new(PhasedWorkload::new(Mp3d::new(params.clone()))));
     run_dirnnb(Box::new(PhasedWorkload::new(Mp3d::new(params))));
 }
 
 #[test]
 fn barnes_runs_on_both_machines() {
-    let params = BarnesParams {
-        bodies: 128,
-        iterations: 2,
-        theta: 0.8,
-        dt: 0.05,
-        procs: PROCS,
-        seed: 9,
-    };
+    let params =
+        BarnesParams { bodies: 128, iterations: 2, theta: 0.8, dt: 0.05, procs: PROCS, seed: 9 };
     run_typhoon_stache(Box::new(PhasedWorkload::new(Barnes::new(params.clone()))));
     run_dirnnb(Box::new(PhasedWorkload::new(Barnes::new(params))));
 }
 
 #[test]
 fn appbt_runs_on_both_machines() {
-    let params = AppbtParams {
-        n: 8,
-        iterations: 2,
-        procs: PROCS,
-    };
+    let params = AppbtParams { n: 8, iterations: 2, procs: PROCS };
     run_typhoon_stache(Box::new(PhasedWorkload::new(Appbt::new(params.clone()))));
     run_dirnnb(Box::new(PhasedWorkload::new(Appbt::new(params))));
 }
 
 #[test]
 fn machines_are_deterministic_on_a_real_app() {
-    let mk = || {
-        Box::new(PhasedWorkload::new(Em3d::new(em3d(SyncMode::Barrier))))
-    };
+    let mk = || Box::new(PhasedWorkload::new(Em3d::new(em3d(SyncMode::Barrier))));
     assert_eq!(run_typhoon_stache(mk()), run_typhoon_stache(mk()));
     assert_eq!(run_dirnnb(mk()), run_dirnnb(mk()));
 }
@@ -166,12 +139,7 @@ fn protocol_mode_constants_stay_in_sync() {
 
 #[test]
 fn ocean_boundary_push_beats_transparent_stache() {
-    let mk = |sync| OceanParams {
-        n: 40,
-        iterations: 6,
-        procs: PROCS,
-        sync,
-    };
+    let mk = |sync| OceanParams { n: 40, iterations: 6, procs: PROCS, sync };
     // Transparent shared memory: every boundary row is invalidated and
     // re-fetched each sweep.
     let stache = {
@@ -196,10 +164,5 @@ fn ocean_boundary_push_beats_transparent_stache() {
         push.report.get("net.packets").unwrap(),
         stache.report.get("net.packets").unwrap()
     );
-    assert!(
-        push.cycles < stache.cycles,
-        "push {} !< stache {}",
-        push.cycles,
-        stache.cycles
-    );
+    assert!(push.cycles < stache.cycles, "push {} !< stache {}", push.cycles, stache.cycles);
 }
