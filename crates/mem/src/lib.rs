@@ -19,7 +19,8 @@
 //!   block reads as zero;
 //! - [`ptable`] — a per-node virtual-to-physical page table;
 //! - [`dir`] — the compact per-block coherence directory every home node
-//!   keeps, Stache's and DirNNB's alike.
+//!   keeps, and the home protocol engine that decides on it, Stache's and
+//!   DirNNB's alike.
 
 pub mod cache;
 pub mod dir;

@@ -7,6 +7,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Formatting: the layout rustfmt.toml pins. perfbench/ is a separate
+# package and is not formatted or checked here.
+echo "==> cargo fmt --all -- --check"
+cargo fmt --all -- --check
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
