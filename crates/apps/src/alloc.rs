@@ -153,13 +153,8 @@ impl CyclicArray {
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.elems
-    }
-
-    /// Whether the array is empty.
-    pub fn is_empty(&self) -> bool {
-        self.elems == 0
     }
 }
 
@@ -229,7 +224,6 @@ mod tests {
         let a = CyclicArray::plan(&mut p, 100, 2, 0);
         assert_eq!(a.addr(1, 0).raw() - a.addr(0, 0).raw(), 16);
         assert_eq!(a.len(), 100);
-        assert!(!a.is_empty());
         assert!(matches!(a.region().placement, Placement::Cyclic));
     }
 

@@ -146,11 +146,6 @@ impl Appbt {
         }
     }
 
-    /// The parameters this instance was built with.
-    pub fn params(&self) -> &AppbtParams {
-        &self.params
-    }
-
     fn band_of(firsts: &[usize], sizes: &[usize], coord: usize) -> usize {
         for (b, &f) in firsts.iter().enumerate() {
             if coord < f + sizes[b] {

@@ -183,11 +183,6 @@ impl Em3d {
         self.total_edges
     }
 
-    /// The parameters this instance was built with.
-    pub fn params(&self) -> &Em3dParams {
-        &self.params
-    }
-
     /// Generates the init phase: owners write their initial values.
     fn init_phase(&self) -> Vec<Vec<Op>> {
         (0..self.params.procs)

@@ -113,11 +113,6 @@ impl Mp3d {
         Mp3d { params, mols, cells, native, rng, phase: 0 }
     }
 
-    /// The parameters this instance was built with.
-    pub fn params(&self) -> &Mp3dParams {
-        &self.params
-    }
-
     fn cell_of(&self, pos: &[f64; 3]) -> usize {
         let s = self.params.cells_per_side;
         let clamp = |x: f64| ((x * s as f64) as usize).min(s - 1);

@@ -153,11 +153,6 @@ impl Ocean {
         Ocean { params, grids, bounds, partials, native, rows, layout, phase: 0 }
     }
 
-    /// The parameters this instance was built with.
-    pub fn params(&self) -> &OceanParams {
-        &self.params
-    }
-
     fn addr(&self, g: usize, row: usize, col: usize) -> tt_base::VAddr {
         let slot = self.rows[row];
         let arr = if slot.boundary { &self.bounds[g] } else { &self.grids[g] };

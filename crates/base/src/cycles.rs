@@ -37,12 +37,6 @@ impl Cycles {
         self.0
     }
 
-    /// Saturating subtraction; useful for "time remaining" computations.
-    #[inline]
-    pub const fn saturating_sub(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.saturating_sub(rhs.0))
-    }
-
     /// `self` as a floating-point number of cycles (for ratio reporting).
     #[inline]
     pub fn as_f64(self) -> f64 {
@@ -115,7 +109,6 @@ mod tests {
         assert_eq!(t, Cycles::new(15));
         t -= Cycles::new(1);
         assert_eq!(t.raw(), 14);
-        assert_eq!(Cycles::new(3).saturating_sub(Cycles::new(9)), Cycles::ZERO);
     }
 
     #[test]

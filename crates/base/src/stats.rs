@@ -226,16 +226,6 @@ impl Report {
     pub fn iter(&self) -> impl Iterator<Item = &ReportRow> {
         self.rows.iter()
     }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the report has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
 }
 
 impl fmt::Display for Report {
@@ -342,7 +332,7 @@ mod tests {
         r.push("c", 1.5);
         assert_eq!(r.get("a.b"), Some(7.0));
         assert_eq!(r.get("missing"), None);
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.iter().count(), 2);
         let text = r.to_string();
         assert!(text.contains("a.b"));
         assert!(text.contains("1.5"));

@@ -35,16 +35,6 @@ impl Table {
         self.rows.push(cells);
         self
     }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
 }
 
 impl fmt::Display for Table {
@@ -105,8 +95,8 @@ mod tests {
     fn ragged_rows_are_padded() {
         let mut t = Table::new(vec!["a"]);
         t.row(vec!["x".into(), "extra".into()]);
-        assert!(t.to_string().contains("extra"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
+        let s = t.to_string();
+        assert!(s.contains("extra"));
+        assert_eq!(s.lines().count(), 3, "header, rule, one data row");
     }
 }

@@ -235,15 +235,10 @@ pub fn sync_for(app: AppId, system: System) -> SyncMode {
     }
 }
 
-/// A Figure 3 measurement point.
+/// A Figure 3 measurement point. Which application, data set and cache
+/// size it measured is its place in the sweep ([`figure3_sweep`]).
 #[derive(Clone, Debug)]
 pub struct Figure3Point {
-    /// Application.
-    pub app: AppId,
-    /// Data set.
-    pub set: DataSet,
-    /// CPU cache bytes.
-    pub cache_bytes: usize,
     /// Typhoon/Stache execution time.
     pub typhoon: Cycles,
     /// DirNNB execution time.
@@ -290,9 +285,6 @@ pub fn figure3_point(
         build_app(app, set, scale, cfg.nodes, sync_for(app, System::Dirnnb))
     });
     Figure3Point {
-        app,
-        set,
-        cache_bytes,
         typhoon: typhoon.cycles,
         dirnnb: dirnnb.cycles,
         typhoon_stats: RunStats::of(&typhoon),

@@ -6,7 +6,7 @@
 //! and flush synchronization).
 
 use tt_apps::AppId;
-use tt_bench::{bench_config, figure3_sweep, figure4_sweep, smoke};
+use tt_bench::{bench_config, figure3_sweep, figure4_sweep, smoke, FIGURE3_POINTS};
 
 #[test]
 fn figure3_sweep_is_identical_with_direct_execution_off() {
@@ -17,17 +17,11 @@ fn figure3_sweep_is_identical_with_direct_execution_off() {
     let fast = figure3_sweep(&AppId::ALL, smoke::SCALE, &on, 4, 1);
     let slow = figure3_sweep(&AppId::ALL, smoke::SCALE, &off, 4, 1);
     assert_eq!(fast.len(), slow.len());
-    for (f, s) in fast.iter().zip(&slow) {
-        assert_eq!(
-            f.typhoon, s.typhoon,
-            "Typhoon/Stache cycles diverged at {} {}/{}",
-            f.app, f.set, f.cache_bytes
-        );
-        assert_eq!(
-            f.dirnnb, s.dirnnb,
-            "DirNNB cycles diverged at {} {}/{}",
-            f.app, f.set, f.cache_bytes
-        );
+    let grid =
+        AppId::ALL.iter().flat_map(|&app| FIGURE3_POINTS.map(|(set, cache)| (app, set, cache)));
+    for ((f, s), (app, set, cache)) in fast.iter().zip(&slow).zip(grid) {
+        assert_eq!(f.typhoon, s.typhoon, "Typhoon/Stache cycles diverged at {app} {set}/{cache}");
+        assert_eq!(f.dirnnb, s.dirnnb, "DirNNB cycles diverged at {app} {set}/{cache}");
     }
 }
 

@@ -4,7 +4,7 @@
 //! affect wall-clock time — these tests pin that guarantee.
 
 use tt_apps::AppId;
-use tt_bench::{bench_config, figure3_sweep, figure4_sweep, smoke};
+use tt_bench::{bench_config, figure3_sweep, figure4_sweep, smoke, FIGURE3_POINTS};
 
 #[test]
 fn figure3_sweep_is_identical_for_any_job_count() {
@@ -12,26 +12,12 @@ fn figure3_sweep_is_identical_for_any_job_count() {
     let seq = figure3_sweep(&AppId::ALL, smoke::SCALE, &cfg, 1, 1);
     let par = figure3_sweep(&AppId::ALL, smoke::SCALE, &cfg, 4, 1);
     assert_eq!(seq.len(), par.len());
-    for (a, b) in seq.iter().zip(&par) {
-        assert_eq!(a.app, b.app, "point order must not depend on jobs");
-        assert_eq!(a.set, b.set);
-        assert_eq!(a.cache_bytes, b.cache_bytes);
-        assert_eq!(
-            a.typhoon,
-            b.typhoon,
-            "typhoon cycles differ at {} {}/{}K",
-            a.app,
-            a.set,
-            a.cache_bytes / 1024
-        );
-        assert_eq!(
-            a.dirnnb,
-            b.dirnnb,
-            "dirnnb cycles differ at {} {}/{}K",
-            a.app,
-            a.set,
-            a.cache_bytes / 1024
-        );
+    let grid =
+        AppId::ALL.iter().flat_map(|&app| FIGURE3_POINTS.map(|(set, cache)| (app, set, cache)));
+    for ((a, b), (app, set, cache)) in seq.iter().zip(&par).zip(grid) {
+        let k = cache / 1024;
+        assert_eq!(a.typhoon, b.typhoon, "typhoon cycles differ at {app} {set}/{k}K");
+        assert_eq!(a.dirnnb, b.dirnnb, "dirnnb cycles differ at {app} {set}/{k}K");
     }
 }
 

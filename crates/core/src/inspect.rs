@@ -74,16 +74,6 @@ impl VnPolicy {
         self.map.get(&handler.raw()).copied()
     }
 
-    /// Number of declared handlers.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no handlers are declared.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Asserts that sending `handler` on `vn` respects the policy.
     /// Handlers the policy does not know are allowed (tests and custom
     /// protocols may use private handler ids).
@@ -140,8 +130,8 @@ mod tests {
         let p = VnPolicy::new().expect(HandlerId(1), VirtualNet::Request);
         p.assert_send(HandlerId(1), VirtualNet::Request);
         p.assert_send(HandlerId(2), VirtualNet::Response); // unregistered: ok
-        assert_eq!(p.len(), 1);
-        assert!(!p.is_empty());
+        assert_eq!(p.expected(HandlerId(1)), Some(VirtualNet::Request));
+        assert_eq!(p.expected(HandlerId(2)), None);
     }
 
     #[test]

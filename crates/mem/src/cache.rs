@@ -53,10 +53,6 @@ pub struct CacheStats {
     pub hits: Counter,
     /// Probes that missed.
     pub misses: Counter,
-    /// Fills that evicted a valid line.
-    pub evictions: Counter,
-    /// Evictions of owned (dirty) lines.
-    pub writebacks: Counter,
 }
 
 /// A set-associative, random-replacement cache keyed by block address.
@@ -152,10 +148,6 @@ impl CacheModel {
             let victim = self.rng.below_usize(assoc);
             let set = &mut self.sets[set_idx];
             let old = set.swap_remove(victim);
-            self.stats.evictions.inc();
-            if old.owned {
-                self.stats.writebacks.inc();
-            }
             Some(Evicted { block: old.block, owned: old.owned })
         } else {
             None
@@ -205,11 +197,6 @@ impl CacheModel {
     pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
-
-    /// Number of resident lines (for tests).
-    pub fn resident(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -242,19 +229,18 @@ mod tests {
         let ev = c.fill(4 * set_stride, true).expect("set full, must evict");
         assert_eq!(ev.block % set_stride, 0);
         assert!(!ev.owned);
-        assert_eq!(c.resident(), 4);
-        assert_eq!(c.stats().evictions.get(), 1);
-        assert_eq!(c.stats().writebacks.get(), 0);
+        assert_eq!(c.peek(ev.block), Probe::Miss);
+        let resident = (0..5).filter(|i| c.peek(i * set_stride).is_hit()).count();
+        assert_eq!(resident, 4);
     }
 
     #[test]
-    fn owned_eviction_counts_writeback() {
+    fn owned_victim_needs_writeback() {
         let mut c = cache(128, 4); // single set of 4
         for i in 0..4 {
             c.fill(i, true);
         }
-        c.fill(9, false);
-        assert_eq!(c.stats().writebacks.get(), 1);
+        assert_eq!(c.fill(9, false).map(|ev| ev.owned), Some(true));
     }
 
     #[test]
@@ -273,7 +259,7 @@ mod tests {
             c.fill(b, false);
         }
         assert_eq!(c.invalidate_range(0..128), 128);
-        assert_eq!(c.resident(), 0);
+        assert!((0..128).all(|b| c.peek(b) == Probe::Miss));
     }
 
     #[test]
@@ -298,7 +284,7 @@ mod tests {
         for b in [0u64, 2, 4, 6, 1, 3, 5, 7] {
             assert!(c.fill(b, false).is_none());
         }
-        assert_eq!(c.resident(), 8);
+        assert!((0..8).all(|b| c.peek(b) == Probe::HitShared));
     }
 
     #[test]

@@ -44,9 +44,8 @@ pub struct PageMeta {
 /// Writing zeros to an absent block stores nothing; writing to a stored
 /// block always overwrites it.
 ///
-/// Block tags are stored packed (2 bits per block plus a uniform-tag
-/// summary, see [`crate::tags::PackedTags`]) so `set_all_tags` is O(1)
-/// and "is this whole page tagged T?" is one comparison.
+/// Block tags are stored packed (2 bits per block, see
+/// [`crate::tags::PackedTags`]) so `set_all_tags` is O(1).
 #[derive(Clone, Debug)]
 pub struct PageFrame {
     slots: [u8; BLOCKS_PER_PAGE],

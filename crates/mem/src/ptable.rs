@@ -106,21 +106,6 @@ impl PageTable {
     pub fn translate_addr(&self, addr: VAddr) -> Option<PAddr> {
         self.translate(addr.page()).map(|ppn| ppn.base().offset(addr.page_offset()))
     }
-
-    /// Number of live mappings.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Iterates over `(vpn, ppn)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (Vpn, Ppn)> + '_ {
-        self.map.iter().map(|(&v, &p)| (v, p))
-    }
 }
 
 #[cfg(test)]
@@ -167,6 +152,5 @@ mod tests {
         pt.map(Vpn(4), Ppn(2)).unwrap();
         assert_eq!(old, Ppn(1));
         assert_eq!(pt.translate(Vpn(4)), Some(Ppn(2)));
-        assert_eq!(pt.len(), 1);
     }
 }

@@ -88,14 +88,9 @@ const fn splat(tag: Tag) -> u64 {
 /// One page's block tags, packed 2 bits per block — the RTLB's tag-array
 /// layout (Section 5.4) rather than one byte-sized enum per block.
 ///
-/// Beyond the 4× space saving, packing buys two O(1) page-granule
-/// operations the direct-execution run loop leans on:
-///
-/// - [`PackedTags::set_all`] stores [`TAG_WORDS`] splatted words instead
-///   of looping over 128 blocks, and
-/// - [`PackedTags::uniform`] answers "does every block on this page carry
-///   tag T?" with one comparison, maintained exactly across single-block
-///   updates by re-checking the words against the splat pattern.
+/// Beyond the 4× space saving, packing makes [`PackedTags::set_all`]
+/// O(1): it stores [`TAG_WORDS`] splatted words instead of looping over
+/// 128 blocks.
 ///
 /// # Example
 ///
@@ -103,24 +98,21 @@ const fn splat(tag: Tag) -> u64 {
 /// use tt_mem::tags::{PackedTags, Tag};
 ///
 /// let mut tags = PackedTags::default();
-/// assert_eq!(tags.uniform(), Some(Tag::Invalid));
+/// assert_eq!(tags.get(5), Tag::Invalid);
 /// tags.set(5, Tag::ReadWrite);
 /// assert_eq!(tags.get(5), Tag::ReadWrite);
-/// assert_eq!(tags.uniform(), None);
 /// tags.set_all(Tag::ReadOnly);
-/// assert_eq!(tags.uniform(), Some(Tag::ReadOnly));
+/// assert_eq!(tags.get(5), Tag::ReadOnly);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PackedTags {
     words: [u64; TAG_WORDS],
-    /// `Some(t)` iff every block currently carries tag `t`.
-    uniform: Option<Tag>,
 }
 
 impl Default for PackedTags {
     /// All blocks `Invalid` (the all-zero bit pattern).
     fn default() -> Self {
-        PackedTags { words: [0; TAG_WORDS], uniform: Some(Tag::Invalid) }
+        PackedTags { words: [0; TAG_WORDS] }
     }
 }
 
@@ -136,7 +128,7 @@ impl PackedTags {
         Tag::from_code(word >> (2 * (idx % BLOCKS_PER_WORD)))
     }
 
-    /// Sets the tag of block `idx`, maintaining the uniform summary.
+    /// Sets the tag of block `idx`.
     ///
     /// # Panics
     ///
@@ -146,20 +138,12 @@ impl PackedTags {
         let shift = 2 * (idx % BLOCKS_PER_WORD);
         let word = &mut self.words[idx / BLOCKS_PER_WORD];
         *word = (*word & !(0b11 << shift)) | (tag.code() << shift);
-        self.uniform = if self.words == [splat(tag); TAG_WORDS] { Some(tag) } else { None };
     }
 
     /// Sets every block's tag in O(1) word stores.
     #[inline]
     pub fn set_all(&mut self, tag: Tag) {
         self.words = [splat(tag); TAG_WORDS];
-        self.uniform = Some(tag);
-    }
-
-    /// The tag carried by *every* block, or `None` if the page is mixed.
-    #[inline]
-    pub fn uniform(&self) -> Option<Tag> {
-        self.uniform
     }
 }
 
@@ -238,24 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_summary_is_exact() {
-        let mut p = PackedTags::default();
-        assert_eq!(p.uniform(), Some(Tag::Invalid));
-        p.set(0, Tag::ReadWrite);
-        assert_eq!(p.uniform(), None);
-        // Returning the block to Invalid restores uniformity.
-        p.set(0, Tag::Invalid);
-        assert_eq!(p.uniform(), Some(Tag::Invalid));
-        p.set_all(Tag::ReadWrite);
-        assert_eq!(p.uniform(), Some(Tag::ReadWrite));
-        // Making every block Busy one at a time ends uniform.
-        for i in 0..tt_base::addr::BLOCKS_PER_PAGE {
-            p.set(i, Tag::Busy);
-        }
-        assert_eq!(p.uniform(), Some(Tag::Busy));
-    }
-
-    #[test]
     fn last_block_in_frame_is_addressable() {
         let last = tt_base::addr::BLOCKS_PER_PAGE - 1;
         let mut p = PackedTags::default();
@@ -263,29 +229,26 @@ mod tests {
         assert_eq!(p.get(last), Tag::ReadWrite);
         // The top word's high lanes hold it; its neighbors are untouched.
         assert_eq!(p.get(last - 1), Tag::Invalid);
-        assert_eq!(p.uniform(), None);
         let writable = (0..=last).filter(|&i| p.get(i) == Tag::ReadWrite).count();
         assert_eq!(writable, 1);
         p.set(last, Tag::Invalid);
-        assert_eq!(p.uniform(), Some(Tag::Invalid));
+        assert_eq!(p, PackedTags::default());
     }
 
     #[test]
-    fn single_block_downgrade_after_set_all_clears_uniform_summary() {
+    fn single_block_downgrade_after_set_all_touches_one_block() {
+        let mut all_rw = PackedTags::default();
+        all_rw.set_all(Tag::ReadWrite);
         for victim in [0, 31, 32, 63, 64, tt_base::addr::BLOCKS_PER_PAGE - 1] {
-            let mut p = PackedTags::default();
-            p.set_all(Tag::ReadWrite);
-            assert_eq!(p.uniform(), Some(Tag::ReadWrite));
+            let mut p = all_rw;
             p.set(victim, Tag::ReadOnly);
-            assert_eq!(p.uniform(), None, "victim {victim}");
             assert_eq!(p.get(victim), Tag::ReadOnly);
             // Every other block still reads back ReadWrite.
             for i in (0..tt_base::addr::BLOCKS_PER_PAGE).filter(|&i| i != victim) {
                 assert_eq!(p.get(i), Tag::ReadWrite, "block {i} after downgrading {victim}");
             }
-            // Restoring the victim restores the summary.
             p.set(victim, Tag::ReadWrite);
-            assert_eq!(p.uniform(), Some(Tag::ReadWrite), "victim {victim}");
+            assert_eq!(p, all_rw, "victim {victim}");
         }
     }
 

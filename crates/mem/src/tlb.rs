@@ -20,8 +20,6 @@ use tt_base::FxHashSet;
 /// TLB statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TlbStats {
-    /// Accesses that hit.
-    pub hits: Counter,
     /// Accesses that missed (and loaded the entry).
     pub misses: Counter,
 }
@@ -75,11 +73,9 @@ impl<K: Eq + Hash + Copy> FifoTlb<K> {
     /// `false` is returned so the caller can charge the miss penalty.
     pub fn access(&mut self, key: K) -> bool {
         if self.last == Some(key) {
-            self.stats.hits.inc();
             return true;
         }
         if self.resident.contains(&key) {
-            self.stats.hits.inc();
             self.last = Some(key);
             true
         } else {
@@ -93,11 +89,6 @@ impl<K: Eq + Hash + Copy> FifoTlb<K> {
             self.last = Some(key);
             false
         }
-    }
-
-    /// Whether `key` is currently resident (no statistics, no fill).
-    pub fn contains(&self, key: K) -> bool {
-        self.resident.contains(&key)
     }
 
     /// Removes `key` (e.g. on unmap/remap). Returns `true` if present.
@@ -122,16 +113,6 @@ impl<K: Eq + Hash + Copy> FifoTlb<K> {
     pub fn stats(&self) -> &TlbStats {
         &self.stats
     }
-
-    /// Current number of resident entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the TLB is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -139,12 +120,16 @@ mod tests {
     use super::*;
     use tt_base::addr::Vpn;
 
+    /// Whether `page` is resident, leaving `t` untouched.
+    fn resident(t: &FifoTlb<Vpn>, page: u64) -> bool {
+        t.clone().flush(Vpn(page))
+    }
+
     #[test]
     fn hit_after_fill() {
         let mut t = FifoTlb::new(4);
         assert!(!t.access(Vpn(1)));
         assert!(t.access(Vpn(1)));
-        assert_eq!(t.stats().hits.get(), 1);
         assert_eq!(t.stats().misses.get(), 1);
     }
 
@@ -157,10 +142,10 @@ mod tests {
         // Re-touching 1 must NOT refresh its FIFO position.
         assert!(t.access(Vpn(1)));
         t.access(Vpn(4)); // evicts 1 (oldest by insertion)
-        assert!(!t.contains(Vpn(1)));
-        assert!(t.contains(Vpn(2)));
-        assert!(t.contains(Vpn(3)));
-        assert!(t.contains(Vpn(4)));
+        assert!(!resident(&t, 1));
+        assert!(resident(&t, 2));
+        assert!(resident(&t, 3));
+        assert!(resident(&t, 4));
     }
 
     #[test]
@@ -169,7 +154,7 @@ mod tests {
         t.access(Vpn(9));
         assert!(t.flush(Vpn(9)));
         assert!(!t.flush(Vpn(9)));
-        assert!(!t.contains(Vpn(9)));
+        assert!(!resident(&t, 9));
     }
 
     #[test]
@@ -178,7 +163,8 @@ mod tests {
         for i in 0..100u64 {
             t.access(Vpn(i));
         }
-        assert_eq!(t.len(), 64);
+        assert!((0..36).all(|i| !resident(&t, i)), "the oldest 36 are gone");
+        assert!((36..100).all(|i| resident(&t, i)), "the newest 64 remain");
     }
 
     #[test]

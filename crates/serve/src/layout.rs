@@ -48,8 +48,6 @@ const SLOT_SALT: u64 = 0x7455_4b56_u64;
 /// Where each key lives: slot addressing, home mapping, staging pages.
 #[derive(Clone, Debug)]
 pub struct KvLayout {
-    /// Number of keys (key identifiers are `0..keys`).
-    pub keys: u64,
     /// Data words per value.
     pub value_words: usize,
     /// Machine size (fixes the cyclic home mapping).
@@ -90,7 +88,6 @@ impl KvLayout {
         }
         let slots_bytes = (keys * slot_bytes).next_multiple_of(PAGE_BYTES as u64);
         KvLayout {
-            keys,
             value_words,
             nodes,
             slot_bytes,

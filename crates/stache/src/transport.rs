@@ -83,21 +83,21 @@ impl Default for ReliableConfig {
 
 /// Transport counters, exposed in reports as `rel.*`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RelStats {
+struct RelStats {
     /// Sequenced messages sent (first transmissions).
-    pub sent: u64,
+    sent: u64,
     /// Retransmissions.
-    pub retransmits: u64,
+    retransmits: u64,
     /// Acks sent.
-    pub acks_sent: u64,
+    acks_sent: u64,
     /// Acks received.
-    pub acks_received: u64,
+    acks_received: u64,
     /// Stale duplicates suppressed at the receiver.
-    pub stale_suppressed: u64,
+    stale_suppressed: u64,
     /// Stale duplicates delivered anyway (`dedupe: false` planted bug).
-    pub stale_delivered: u64,
+    stale_delivered: u64,
     /// Early arrivals parked in the reorder buffer.
-    pub reordered: u64,
+    reordered: u64,
 }
 
 /// One retransmittable in-flight message.
@@ -276,11 +276,6 @@ impl Reliable {
     /// Wraps `inner` with an explicit configuration.
     pub fn with_config(inner: Box<dyn Protocol>, cfg: ReliableConfig) -> Self {
         Reliable { inner, cfg, state: RelState::default() }
-    }
-
-    /// Transport counters.
-    pub fn stats(&self) -> &RelStats {
-        &self.state.stats
     }
 
     /// Delivers a message to the wrapped protocol, with its sends
@@ -519,7 +514,7 @@ mod tests {
         assert_eq!(ctx.sent.len(), 2);
         assert_eq!(ctx.sent[0].payload.words(), &[9, 0], "seq 0 appended");
         assert_eq!(ctx.sent[1].payload.words(), &[10, 1], "seq 1 appended");
-        assert_eq!(r.stats().sent, 2);
+        assert_eq!(r.state.stats.sent, 2);
         assert_eq!(ctx.timers.len(), 1, "one timer for the earliest deadline");
         assert_eq!(ctx.timers[0].0, Cycles::new(128));
     }
@@ -529,7 +524,7 @@ mod tests {
         let (mut r, mut ctx, log) = rig(ReliableConfig::default());
         r.on_user_call(&mut ctx, ThreadId(NodeId::new(0)), UserCall { op: 0, arg: 5 });
         assert_eq!(ctx.sent[0].payload.words(), &[5], "no seq word");
-        assert_eq!(r.stats().sent, 0);
+        assert_eq!(r.state.stats.sent, 0);
         assert!(ctx.timers.is_empty());
         // And a self-delivered message needs no seq word stripped.
         let m = Message {
@@ -569,7 +564,7 @@ mod tests {
         r.on_message(&mut ctx, wire(2, 2, vec![42]));
         r.on_message(&mut ctx, wire(2, 1, vec![41]));
         assert!(delivered(&log).is_empty(), "nothing until seq 0 arrives");
-        assert_eq!(r.stats().reordered, 2);
+        assert_eq!(r.state.stats.reordered, 2);
         r.on_message(&mut ctx, wire(2, 0, vec![40]));
         assert_eq!(delivered(&log), vec![(PING, vec![40]), (PING, vec![41]), (PING, vec![42])]);
         let last_ack = ctx.sent.iter().rev().find(|s| s.handler == REL_ACK).unwrap();
@@ -582,7 +577,7 @@ mod tests {
         r.on_message(&mut ctx, wire(2, 0, vec![40]));
         r.on_message(&mut ctx, wire(2, 0, vec![40])); // retransmitted copy
         assert_eq!(delivered(&log).len(), 1, "idempotent redelivery");
-        assert_eq!(r.stats().stale_suppressed, 1);
+        assert_eq!(r.state.stats.stale_suppressed, 1);
         let acks: Vec<u64> = ctx
             .sent
             .iter()
@@ -598,7 +593,7 @@ mod tests {
         r.on_message(&mut ctx, wire(2, 0, vec![40]));
         r.on_message(&mut ctx, wire(2, 0, vec![40]));
         assert_eq!(delivered(&log).len(), 2, "planted bug: re-execution");
-        assert_eq!(r.stats().stale_delivered, 1);
+        assert_eq!(r.state.stats.stale_delivered, 1);
     }
 
     #[test]
@@ -608,12 +603,12 @@ mod tests {
         // One cycle before the deadline: no retransmission, timer re-armed.
         ctx.advance(Cycles::new(127));
         r.on_timer(&mut ctx, 0);
-        assert_eq!(r.stats().retransmits, 0);
+        assert_eq!(r.state.stats.retransmits, 0);
         assert_eq!(ctx.timers.last().unwrap().0, Cycles::new(128), "re-armed");
         // Exactly at the deadline: the message is retransmitted.
         ctx.advance(Cycles::new(1));
         r.on_timer(&mut ctx, 0);
-        assert_eq!(r.stats().retransmits, 1);
+        assert_eq!(r.state.stats.retransmits, 1);
         let last = ctx.sent.last().unwrap();
         assert_eq!(last.payload.words(), &[9, 0], "same wire payload, same seq");
         // Backoff doubled: next deadline is 128 + 128*2? No — the new
@@ -628,7 +623,7 @@ mod tests {
         r.on_user_call(&mut ctx, ThreadId(NodeId::new(0)), UserCall { op: 1, arg: 9 });
         ctx.advance(Cycles::new(128));
         r.on_timer(&mut ctx, 0);
-        assert_eq!(r.stats().retransmits, 1);
+        assert_eq!(r.state.stats.retransmits, 1);
         // The (late) ack for the original arrives after the retry.
         let ack = Message {
             src: NodeId::new(1),
@@ -639,12 +634,12 @@ mod tests {
         r.on_message(&mut ctx, ack.clone());
         // A duplicate ack (the retry also got acked) is harmless.
         r.on_message(&mut ctx, ack);
-        assert_eq!(r.stats().acks_received, 2);
+        assert_eq!(r.state.stats.acks_received, 2);
         // The next timer firing finds nothing due and arms nothing.
         let timers_before = ctx.timers.len();
         ctx.advance(Cycles::new(10_000));
         r.on_timer(&mut ctx, 0);
-        assert_eq!(r.stats().retransmits, 1, "nothing left to retry");
+        assert_eq!(r.state.stats.retransmits, 1, "nothing left to retry");
         assert_eq!(ctx.timers.len(), timers_before, "clock stopped");
     }
 
@@ -677,10 +672,10 @@ mod tests {
         for _ in 0..MAX_RETRIES {
             fire_next_timer(&mut r, &mut ctx);
         }
-        assert_eq!(r.stats().retransmits, u64::from(MAX_RETRIES), "the budget");
+        assert_eq!(r.state.stats.retransmits, u64::from(MAX_RETRIES), "the budget");
         assert!(ctx.net_faults.is_empty(), "still within the budget");
         fire_next_timer(&mut r, &mut ctx);
-        assert_eq!(r.stats().retransmits, u64::from(MAX_RETRIES), "no retry past it");
+        assert_eq!(r.state.stats.retransmits, u64::from(MAX_RETRIES), "no retry past it");
         assert_eq!(ctx.net_faults.len(), 1, "then the transport gives up");
         let f = ctx.net_faults[0];
         assert_eq!(f.dst, NodeId::new(3));
@@ -689,7 +684,7 @@ mod tests {
         // Giving up is terminal for that message: no further retries.
         ctx.advance(Cycles::new(100_000));
         r.on_timer(&mut ctx, 0);
-        assert_eq!(r.stats().retransmits, u64::from(MAX_RETRIES));
+        assert_eq!(r.state.stats.retransmits, u64::from(MAX_RETRIES));
     }
 
     #[test]
@@ -704,7 +699,7 @@ mod tests {
             ctx.advance(deadline - ctx.now());
             r.on_timer(&mut ctx, 0);
         }
-        assert_eq!(r.stats().retransmits, 3);
+        assert_eq!(r.state.stats.retransmits, 3);
         // Heal: the receiver finally got a copy and acks it.
         r.on_message(
             &mut ctx,
@@ -717,7 +712,7 @@ mod tests {
         );
         ctx.advance(Cycles::new(100_000));
         r.on_timer(&mut ctx, 0);
-        assert_eq!(r.stats().retransmits, 3, "healed link needs no more copies");
+        assert_eq!(r.state.stats.retransmits, 3, "healed link needs no more copies");
         assert!(ctx.net_faults.is_empty());
     }
 

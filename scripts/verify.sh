@@ -7,6 +7,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Scratch files of the comparisons below live in one private directory,
+# removed however the script exits, so a failed step leaves nothing
+# behind and two concurrent runs never compare each other's files.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+trap 'exit 1' HUP INT TERM
+
 # Formatting: the layout rustfmt.toml pins. perfbench/ is a separate
 # package and is not formatted or checked here.
 echo "==> cargo fmt --all -- --check"
@@ -26,10 +33,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps --lib (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
-# Public surface: every pub fn, type, const or static needs a caller in
-# non-test code (benches, examples and perfbench/src count); the script
-# allowlists the test fixtures. It prints each unused item and fails.
-echo "==> unused pub items (scripts/unused_pub.py)"
+# Dead public items, as rustc sees them (about 2 minutes): on a temporary
+# copy, every `pub` item and field under crates/*/src is demoted to
+# `pub(crate)`, grouped `pub use`s are split one name each, and each
+# privacy error of `cargo check` (workspace lib/bins/examples/benches,
+# then perfbench) promotes its definition back until both build; every
+# dead_code warning left is an item only tests reach. The script prints
+# each one and fails. Test fixtures are exempt through its FIXTURE_FILES
+# and FIXTURE_ITEMS; delete a reported item rather than exempting it.
+echo "==> dead pub items (scripts/unused_pub.py, compiler-driven)"
 python3 scripts/unused_pub.py
 
 echo "==> figure3 smoke (--scale 64 --nodes 8 --jobs 2)"
@@ -56,10 +68,10 @@ cargo run --release -p tt-bench --bin tt-check -- run --seeds 500 --planted-bug
 # rates go to stderr), so the two tables must be byte-identical.
 echo "==> kv_bench smoke (--jobs 1 vs --jobs 2, identical stdout)"
 cargo run --release -p tt-bench --bin kv_bench -- \
-    --nodes 8 --keys 512 --requests 100 --jobs 2 >/tmp/kv_a.txt
+    --nodes 8 --keys 512 --requests 100 --jobs 2 >"$tmp/kv_a.txt"
 cargo run --release -p tt-bench --bin kv_bench -- \
-    --nodes 8 --keys 512 --requests 100 --jobs 1 >/tmp/kv_b.txt
-cmp /tmp/kv_a.txt /tmp/kv_b.txt
+    --nodes 8 --keys 512 --requests 100 --jobs 1 >"$tmp/kv_b.txt"
+cmp "$tmp/kv_a.txt" "$tmp/kv_b.txt"
 
 # --fault-rate 0 must be cycle-neutral: with no fault schedule nothing
 # is wrapped in the reliable transport and the table stays byte-
@@ -67,12 +79,11 @@ cmp /tmp/kv_a.txt /tmp/kv_b.txt
 # and must complete every request.
 echo "==> kv_bench fault smoke (--fault-rate 0 byte-identical; lossy sweep completes)"
 cargo run --release -p tt-bench --bin kv_bench -- \
-    --nodes 8 --keys 512 --requests 100 --jobs 2 --fault-rate 0 >/tmp/kv_c.txt
-cmp /tmp/kv_a.txt /tmp/kv_c.txt
+    --nodes 8 --keys 512 --requests 100 --jobs 2 --fault-rate 0 >"$tmp/kv_c.txt"
+cmp "$tmp/kv_a.txt" "$tmp/kv_c.txt"
 cargo run --release -p tt-bench --bin kv_bench -- \
     --nodes 8 --keys 512 --requests 100 --jobs 2 \
     --fault-rate 30 >/dev/null
-rm -f /tmp/kv_a.txt /tmp/kv_b.txt /tmp/kv_c.txt
 
 # Lossy-network fault fuzzing: 200 seeds with a per-seed fault schedule
 # (drops, duplicates, detected corruption, transient partitions) drawn
@@ -92,11 +103,10 @@ cargo run --release -p tt-bench --bin tt-check -- \
 # fault schedule is keyed off deterministic state, not arrival order.
 echo "==> tt-check fault replay determinism (--fault-seed, replayed twice)"
 cargo run --release -p tt-bench --bin tt-check -- \
-    replay --seed 11 --faults --fault-seed 64023 >/tmp/ttfr_a.txt
+    replay --seed 11 --faults --fault-seed 64023 >"$tmp/ttfr_a.txt"
 cargo run --release -p tt-bench --bin tt-check -- \
-    replay --seed 11 --faults --fault-seed 64023 >/tmp/ttfr_b.txt
-cmp /tmp/ttfr_a.txt /tmp/ttfr_b.txt
-rm -f /tmp/ttfr_a.txt /tmp/ttfr_b.txt
+    replay --seed 11 --faults --fault-seed 64023 >"$tmp/ttfr_b.txt"
+cmp "$tmp/ttfr_a.txt" "$tmp/ttfr_b.txt"
 
 # KV litmus family: put/get races over tt-serve key slots, run
 # differentially on three machines (Stache-served, write-update-served,
@@ -114,8 +124,8 @@ for nodes in 256 1024; do
     echo "==> figure3 big-machine memory guard (${nodes}-node mesh, 2x bytes/node, every point)"
     cargo run --release -p tt-bench --bin figure3 -- \
         --nodes "$nodes" --topology mesh --apps em3d --scale 64 --jobs 1 \
-        --json "/tmp/fig3_mesh${nodes}.json" >/dev/null
-    python3 - "/tmp/fig3_mesh${nodes}.json" "results/BENCH_figure3_${nodes}_mesh.json" "$nodes" <<'PY'
+        --json "$tmp/fig3_mesh${nodes}.json" >/dev/null
+    python3 - "$tmp/fig3_mesh${nodes}.json" "results/BENCH_figure3_${nodes}_mesh.json" "$nodes" <<'PY'
 import json, sys
 
 def bytes_per_node(path):
@@ -134,7 +144,6 @@ for key in old:
 if failed:
     sys.exit(f"FAIL: {nodes}-node mesh bytes/node regressed >2x")
 PY
-    rm -f "/tmp/fig3_mesh${nodes}.json"
 done
 
 echo "==> examples build"

@@ -65,7 +65,16 @@ fn cache_model_matches_reference() {
                     }
                 }
             }
-            assert!(cache.resident() <= 32);
+            // The reference holds exactly the resident lines.
+            assert!(reference.len() <= 32, "more lines than capacity");
+            for b in 0..64 {
+                let expect = match reference.get(&b) {
+                    None => Probe::Miss,
+                    Some(true) => Probe::HitOwned,
+                    Some(false) => Probe::HitShared,
+                };
+                assert_eq!(cache.peek(b), expect, "block {b}");
+            }
         }
     }
 }
@@ -93,7 +102,10 @@ fn fifo_tlb_matches_reference() {
                 }
                 fifo.push(k);
             }
-            assert_eq!(tlb.len(), fifo.len());
+            for page in 0..20 {
+                let resident = tlb.clone().flush(Vpn(page));
+                assert_eq!(resident, fifo.contains(&page), "page {page}");
+            }
         }
     }
 }
