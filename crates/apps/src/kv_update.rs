@@ -202,15 +202,14 @@ impl KvUpdateProtocol {
         ctx.charge(WRITE_APPLY_INSTR);
         ctx.protocol_data_access(addr.raw() / BLOCK_BYTES as u64);
         ctx.force_write_block(addr, data);
-        let sharers = self.copies.get(&addr.raw()).cloned().unwrap_or_default();
-        if sharers.is_empty() {
+        let Some(sharers) = self.copies.get(&addr.raw()).filter(|s| !s.is_empty()) else {
             self.release_writer(ctx, addr, writer);
             return;
-        }
-        for dst in &sharers {
+        };
+        for &dst in sharers {
             self.stats.updates_sent.inc();
             ctx.charge(UPD_SEND_INSTR);
-            ctx.send(*dst, VirtualNet::Request, KV_UPD, Payload::with_block(&[addr.raw()], *data));
+            ctx.send(dst, VirtualNet::Request, KV_UPD, Payload::with_block(&[addr.raw()], *data));
         }
         self.inflight.insert(addr.raw(), WriteTxn { acks_left: sharers.len(), writer });
     }

@@ -61,6 +61,31 @@ fn bench_event_queue_churn(r: &Runner) {
     });
 }
 
+/// The Typhoon shape of the same churn: 128-byte events (a `Deliver`
+/// event carries its packet payload inline) with 512 outstanding, eight
+/// per node on 64 nodes. Measures what a sift costs when the heap holds
+/// small records and the events wait in the queue's slab.
+fn bench_event_queue_churn_fat(r: &Runner) {
+    r.bench("sim/event_queue_churn_fat_512", || {
+        let mut q = EventQueue::new(64, Cycles::new(11), |_| [0u64; 16]);
+        let mut rng = DetRng::new(11);
+        for i in 0..512u64 {
+            let node = (i % 64) as usize;
+            q.set_origin(node);
+            q.schedule(Cycles::new(i % 13), [i; 16]);
+        }
+        let mut acc = 0u64;
+        for _ in 0..20_000 {
+            let (now, ev) = q.pop().expect("queue never drains");
+            acc = acc.wrapping_add(ev[15]);
+            q.set_origin((ev[0] % 64) as usize);
+            q.schedule(now + Cycles::new(1 + rng.below(64)), ev);
+        }
+        while q.pop().is_some() {}
+        black_box(acc)
+    });
+}
+
 fn bench_cache_model(r: &Runner) {
     r.bench("mem/cache_probe_fill_sweep", || {
         let mut cache = CacheModel::new(64 * 1024, 4, 32, DetRng::new(1));
@@ -278,6 +303,7 @@ fn main() {
     let r = Runner::from_args();
     bench_event_queue_chain(&r);
     bench_event_queue_churn(&r);
+    bench_event_queue_churn_fat(&r);
     bench_cache_model(&r);
     bench_exec_access_hit(&r);
     bench_hit_run_direct_vs_scheduled(&r);

@@ -52,9 +52,10 @@ const COUNTER_BITS: u32 = 32;
 
 /// Bits of an entry key available to schedulers: a packed `(origin,
 /// per-origin counter)` pair fits comfortably in 48 bits. The top 16
-/// bits are reserved for the tie-shuffle salt so the heap `Entry` never
-/// grows (an earlier draft that widened `Entry` by 16 bytes cost DirNNB
-/// ~25% wall time).
+/// bits are reserved for the tie-shuffle salt, so the salted key still
+/// fits the one `u64` of the 24-byte heap [`Entry`] (an earlier draft
+/// that widened the entry by 16 bytes cost DirNNB about 25 % wall time;
+/// every sift moves whole entries).
 const KEY_BITS: u32 = 48;
 
 /// Packs an origin id and counter into an event key.
@@ -65,34 +66,45 @@ fn pack_key(origin_id: u64, counter: u64) -> u64 {
     (origin_id << COUNTER_BITS) | counter
 }
 
-/// A pending event: ordering key is `(time, key)`, so same-cycle events
-/// fire in a deterministic scheduler-chosen order. The ordering impls
-/// deliberately ignore the event payload so event types need no `Ord`.
-#[derive(Clone, Debug)]
-struct Entry<E> {
+/// A pending event's ordering record: ordering key is `(time, key)`, so
+/// same-cycle events fire in a deterministic scheduler-chosen order.
+/// The event itself waits in the queue's slab at `slot`, so the heap
+/// sifts 24-byte records whatever the event type's size (a Typhoon
+/// `Deliver` event carries a whole packet payload inline).
+#[derive(Clone, Copy, Debug)]
+struct Entry {
     time: Cycles,
     key: u64,
-    event: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.key == other.key
     }
 }
 
-impl<E> Eq for Entry<E> {}
+impl Eq for Entry {}
 
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.key).cmp(&(other.time, other.key))
     }
+}
+
+/// The earliest pending event, with its event inline: it is held outside
+/// the heap and the slab.
+#[derive(Debug)]
+struct Front<E> {
+    time: Cycles,
+    key: u64,
+    event: E,
 }
 
 /// Barrier bookkeeping for the current generation.
@@ -119,13 +131,25 @@ struct Barrier<E> {
 /// that front-runner in a dedicated slot (`front`) so the pattern costs
 /// two comparisons instead of two `O(log n)` heap operations.
 ///
-/// Invariant: whenever `front` is occupied it orders before every entry
-/// in `heap` (entries are totally ordered by `(time, key)`).
+/// The heap holds only 24-byte `Entry` records; their events sit in a
+/// slab (`events`) whose freed slots are reused last-in first-out, so a
+/// steady-state simulation allocates no new slots. The front slot keeps
+/// its event inline: an event enters the slab only when it enters the
+/// heap, and the self-rescheduling pattern never touches the slab.
+///
+/// Invariants: whenever `front` is occupied it orders before every entry
+/// in `heap` (entries are totally ordered by `(time, key)`); every heap
+/// entry's slot holds its event, and every other slot is empty and on
+/// `free`.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     now: Cycles,
-    front: Option<Entry<E>>,
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    front: Option<Front<E>>,
+    heap: BinaryHeap<Reverse<Entry>>,
+    /// Pending events, indexed by their entry's `slot`.
+    events: Vec<Option<E>>,
+    /// Empty slots of `events`, reused last-in first-out.
+    free: Vec<u32>,
     /// When set, same-cycle tie-breaking is deterministically permuted by
     /// salting the high bits of each entry's key with a hash of the seed
     /// and the raw key (see [`EventQueue::enable_tie_shuffle`]). `None`
@@ -150,6 +174,8 @@ impl<E> EventQueue<E> {
             now: Cycles::ZERO,
             front: None,
             heap: BinaryHeap::new(),
+            events: Vec::new(),
+            free: Vec::new(),
             shuffle: None,
             counters: vec![0; nodes],
             global_counter: 0,
@@ -261,6 +287,7 @@ impl<E> EventQueue<E> {
     /// Inserts `event` at `t` under `key`. Same-cycle entries are
     /// delivered in key order (after tie-shuffle salting, if enabled),
     /// regardless of insertion order.
+    #[inline]
     fn insert(&mut self, t: Cycles, key: u64, event: E) {
         assert!(t >= self.now, "scheduling into the past: {t:?} < {:?}", self.now);
         debug_assert!(key < 1 << KEY_BITS, "event key overflows 48 bits");
@@ -268,29 +295,49 @@ impl<E> EventQueue<E> {
             Some(seed) => (mix64(seed ^ key) << KEY_BITS) | key,
             None => key,
         };
-        let entry = Entry { time: t, key, event };
-        match &self.front {
-            Some(f) if entry < *f => {
-                let old = std::mem::replace(self.front.as_mut().expect("front present"), entry);
-                self.heap.push(Reverse(old));
-            }
-            Some(_) => self.heap.push(Reverse(entry)),
-            None => match self.heap.peek() {
-                Some(Reverse(min)) if *min < entry => self.heap.push(Reverse(entry)),
-                _ => self.front = Some(entry),
-            },
+        let goes_front = match &self.front {
+            Some(f) => (t, key) < (f.time, f.key),
+            None => self.heap.peek().is_none_or(|Reverse(min)| (t, key) <= (min.time, min.key)),
+        };
+        if !goes_front {
+            self.push_heap(t, key, event);
+        } else if let Some(old) = self.front.replace(Front { time: t, key, event }) {
+            self.push_heap(old.time, old.key, old.event);
         }
     }
 
-    /// Removes and returns the earliest event, advancing `now` to its time.
-    pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        let e = match self.front.take() {
-            Some(e) => e,
-            None => self.heap.pop()?.0,
+    /// Parks `event` in a free slab slot and pushes its entry.
+    fn push_heap(&mut self, time: Cycles, key: u64, event: E) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.events[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.events.len()).expect("over 2^32 pending events");
+                self.events.push(Some(event));
+                slot
+            }
         };
-        debug_assert!(e.time >= self.now);
-        self.now = e.time;
-        Some((e.time, e.event))
+        self.heap.push(Reverse(Entry { time, key, slot }));
+    }
+
+    /// Removes and returns the earliest event, advancing `now` to its time.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(Cycles, E)> {
+        let (time, event) = match self.front.take() {
+            Some(f) => (f.time, f.event),
+            None => {
+                let Reverse(e) = self.heap.pop()?;
+                let event =
+                    self.events[e.slot as usize].take().expect("a pending entry's slot is full");
+                self.free.push(e.slot);
+                (e.time, event)
+            }
+        };
+        debug_assert!(time >= self.now);
+        self.now = time;
+        Some((time, event))
     }
 
     /// Records a barrier arrival at `at`. The arrival completing the
@@ -463,6 +510,28 @@ mod tests {
         q.set_origin(0);
         q.schedule(Cycles::new(1), 0);
         q.enable_tie_shuffle(1);
+    }
+
+    #[test]
+    fn heap_entries_are_24_bytes_whatever_the_event() {
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
+    }
+
+    #[test]
+    fn freed_slots_are_reused() {
+        let mut q = EventQueue::new(1, Cycles::new(11), |_| [0u8; 128]);
+        q.set_origin(0);
+        let mut slots = Vec::new();
+        for round in 0..3u8 {
+            for i in 0..4u8 {
+                q.schedule(Cycles::new(u64::from(round) * 10 + u64::from(i)), [round * 4 + i; 128]);
+            }
+            for i in 0..4u8 {
+                assert_eq!(q.pop().map(|(_, e)| e[0]), Some(round * 4 + i));
+            }
+            slots.push(q.events.len());
+        }
+        assert_eq!(slots, [3, 3, 3], "the front keeps one event inline; refills reuse slots");
     }
 
     #[test]

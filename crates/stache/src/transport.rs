@@ -31,7 +31,7 @@
 //! Self-sends never traverse the wire (the network delivers them
 //! fault-free), so they bypass sequencing entirely.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use tt_base::stats::Report;
 use tt_base::{Cycles, NodeId};
@@ -108,7 +108,7 @@ struct Inflight {
     /// Wire payload, sequence word already appended.
     payload: Payload,
     /// Cycle at which the retransmission timer considers this message
-    /// lost.
+    /// lost; mirrored by its entry in [`RelState::deadlines`].
     deadline: Cycles,
     /// Current per-message timeout (doubles per retry, capped).
     backoff: Cycles,
@@ -138,6 +138,10 @@ struct RelState {
     tx: BTreeMap<u16, LinkTx>,
     /// Keyed by source node.
     rx: BTreeMap<u16, LinkRx>,
+    /// One `(deadline, dst, seq)` entry per in-flight message, so a
+    /// timer firing finds the due messages and the next deadline without
+    /// walking every link.
+    deadlines: BTreeSet<(Cycles, u16, u64)>,
     /// Deadline the machine timer is currently armed for, if any.
     timer_at: Option<Cycles>,
     stats: RelStats,
@@ -146,7 +150,7 @@ struct RelState {
 impl RelState {
     /// Arms the machine timer for `deadline` if it is not already armed
     /// at or before it. One timer serves all links; spurious firings
-    /// rescan and re-arm.
+    /// find nothing due and re-arm.
     fn arm(&mut self, ctx: &mut dyn TempestCtx, deadline: Cycles) {
         if self.timer_at.is_none_or(|t| deadline < t) {
             ctx.set_timer(deadline, 0);
@@ -199,6 +203,7 @@ impl TempestCtx for RelCtx<'_> {
                 retries: 0,
             },
         );
+        self.state.deadlines.insert((deadline, dst.raw(), seq));
         self.state.stats.sent += 1;
         self.ctx.charge(REL_BOOKKEEP_INSTR);
         self.ctx.send(dst, vn, handler, payload);
@@ -299,11 +304,13 @@ impl Reliable {
     fn on_ack(&mut self, ctx: &mut dyn TempestCtx, src: NodeId, upto: u64) {
         self.state.stats.acks_received += 1;
         ctx.charge(REL_BOOKKEEP_INSTR);
-        if let Some(link) = self.state.tx.get_mut(&src.raw()) {
-            let acked: Vec<u64> = link.inflight.range(..upto).map(|(&s, _)| s).collect();
-            for s in acked {
-                link.inflight.remove(&s);
+        let Some(link) = self.state.tx.get_mut(&src.raw()) else { return };
+        while let Some(entry) = link.inflight.first_entry() {
+            if *entry.key() >= upto {
+                break;
             }
+            let (seq, m) = entry.remove_entry();
+            self.state.deadlines.remove(&(m.deadline, src.raw(), seq));
         }
     }
 }
@@ -388,34 +395,42 @@ impl Protocol for Reliable {
         let now = ctx.now();
         self.state.timer_at = None;
         ctx.charge(REL_BOOKKEEP_INSTR);
-        let mut faults = Vec::new();
-        for (&dst, link) in self.state.tx.iter_mut() {
-            let due: Vec<u64> =
-                link.inflight.iter().filter(|(_, m)| m.deadline <= now).map(|(&s, _)| s).collect();
-            for s in due {
-                let m = link.inflight.get_mut(&s).expect("due seq is inflight");
-                if m.retries >= MAX_RETRIES {
-                    let m = link.inflight.remove(&s).expect("due seq is inflight");
-                    faults.push(NetFault {
-                        node: ctx.node(),
-                        dst: NodeId::new(dst),
-                        vn: m.vn,
-                        handler: m.handler,
-                        retries: m.retries,
-                    });
-                    continue;
-                }
-                m.retries += 1;
-                m.deadline = now + m.backoff;
-                m.backoff = Cycles::new((m.backoff.raw() * 2).min(BACKOFF_CAP.raw()));
-                self.state.stats.retransmits += 1;
-                ctx.charge(REL_RETRANSMIT_INSTR);
-                ctx.send(NodeId::new(dst), m.vn, m.handler, m.payload.clone());
+        // The due messages leave the index first; each retry re-enters
+        // it under its new deadline. They are handled in `(dst, seq)`
+        // order, link by link, whatever their deadlines' order.
+        let mut due = Vec::new();
+        while let Some(&(deadline, dst, seq)) = self.state.deadlines.first() {
+            if deadline > now {
+                break;
             }
+            self.state.deadlines.pop_first();
+            due.push((dst, seq));
         }
-        let earliest =
-            self.state.tx.values().flat_map(|l| l.inflight.values().map(|m| m.deadline)).min();
-        if let Some(d) = earliest {
+        due.sort_unstable();
+        let mut faults = Vec::new();
+        for (dst, seq) in due {
+            let link = self.state.tx.get_mut(&dst).expect("an indexed message's link exists");
+            let m = link.inflight.get_mut(&seq).expect("an indexed message is in flight");
+            if m.retries >= MAX_RETRIES {
+                let m = link.inflight.remove(&seq).expect("checked above");
+                faults.push(NetFault {
+                    node: ctx.node(),
+                    dst: NodeId::new(dst),
+                    vn: m.vn,
+                    handler: m.handler,
+                    retries: m.retries,
+                });
+                continue;
+            }
+            m.retries += 1;
+            m.deadline = now + m.backoff;
+            m.backoff = Cycles::new((m.backoff.raw() * 2).min(BACKOFF_CAP.raw()));
+            self.state.deadlines.insert((m.deadline, dst, seq));
+            self.state.stats.retransmits += 1;
+            ctx.charge(REL_RETRANSMIT_INSTR);
+            ctx.send(NodeId::new(dst), m.vn, m.handler, m.payload.clone());
+        }
+        if let Some(&(d, _, _)) = self.state.deadlines.first() {
             self.state.arm(ctx, d);
         }
         for f in faults {
@@ -714,6 +729,96 @@ mod tests {
         r.on_timer(&mut ctx, 0);
         assert_eq!(r.state.stats.retransmits, 3, "healed link needs no more copies");
         assert!(ctx.net_faults.is_empty());
+    }
+
+    /// Sends one sequenced message to `dst` (a [`Recorder`] user call).
+    fn send_to(r: &mut Reliable, ctx: &mut MockCtx, dst: u16, arg: u64) {
+        r.on_user_call(ctx, ThreadId(NodeId::new(0)), UserCall { op: u32::from(dst), arg });
+    }
+
+    /// A cumulative ack from `src` covering every sequence below `upto`.
+    fn ack(r: &mut Reliable, ctx: &mut MockCtx, src: u16, upto: u64) {
+        let payload = Payload::args(&[upto]);
+        let m =
+            Message { src: NodeId::new(src), vn: VirtualNet::Response, handler: REL_ACK, payload };
+        r.on_message(ctx, m);
+    }
+
+    /// The deadline index holds exactly one entry per in-flight message.
+    fn assert_index_matches_inflight(r: &Reliable) {
+        let inflight: BTreeSet<(Cycles, u16, u64)> = r
+            .state
+            .tx
+            .iter()
+            .flat_map(|(&dst, l)| l.inflight.iter().map(move |(&seq, m)| (m.deadline, dst, seq)))
+            .collect();
+        assert_eq!(r.state.deadlines, inflight);
+    }
+
+    #[test]
+    fn one_firing_retransmits_in_link_order_not_deadline_order() {
+        let (mut r, mut ctx, _log) = rig(ReliableConfig::default());
+        send_to(&mut r, &mut ctx, 2, 20); // (2, 0) due at 128
+        ctx.advance(Cycles::new(3));
+        send_to(&mut r, &mut ctx, 2, 21); // (2, 1) due at 131
+        ctx.advance(Cycles::new(2));
+        send_to(&mut r, &mut ctx, 1, 10); // (1, 0) due at 133
+        ctx.advance(Cycles::new(133 - 5));
+        let before = ctx.sent.len();
+        r.on_timer(&mut ctx, 0);
+        let retried: Vec<(NodeId, &[u64])> =
+            ctx.sent[before..].iter().map(|m| (m.dst, m.payload.words())).collect();
+        assert_eq!(
+            retried,
+            vec![
+                (NodeId::new(1), &[10, 0][..]),
+                (NodeId::new(2), &[20, 0][..]),
+                (NodeId::new(2), &[21, 1][..]),
+            ],
+            "ascending (dst, seq), the latest deadline first"
+        );
+        assert_index_matches_inflight(&r);
+    }
+
+    #[test]
+    fn the_deadline_index_tracks_acks_and_give_ups() {
+        let (mut r, mut ctx, _log) = rig(ReliableConfig::default());
+        for arg in 0..3 {
+            send_to(&mut r, &mut ctx, 1, arg);
+        }
+        send_to(&mut r, &mut ctx, 2, 9);
+        assert_eq!(r.state.deadlines.len(), 4);
+        ack(&mut r, &mut ctx, 1, 2);
+        assert_index_matches_inflight(&r);
+        assert_eq!(r.state.deadlines.len(), 2, "seqs 0 and 1 to node 1 acked");
+        for _ in 0..MAX_RETRIES {
+            fire_next_timer(&mut r, &mut ctx);
+            assert_index_matches_inflight(&r);
+        }
+        fire_next_timer(&mut r, &mut ctx);
+        assert_eq!(ctx.net_faults.len(), 2, "both survivors give up");
+        assert!(r.state.deadlines.is_empty());
+        assert_index_matches_inflight(&r);
+        send_to(&mut r, &mut ctx, 2, 10);
+        assert_eq!(r.state.deadlines.len(), 1, "a later send is indexed afresh");
+        assert_index_matches_inflight(&r);
+    }
+
+    #[test]
+    fn a_firing_with_nothing_due_rearms_at_the_earliest_deadline() {
+        let (mut r, mut ctx, _log) = rig(ReliableConfig::default());
+        send_to(&mut r, &mut ctx, 1, 10); // due at 128; the timer is armed there
+        ctx.advance(Cycles::new(10));
+        send_to(&mut r, &mut ctx, 3, 30); // due at 138
+        ctx.advance(Cycles::new(2));
+        send_to(&mut r, &mut ctx, 2, 20); // due at 140
+        ack(&mut r, &mut ctx, 1, 1);
+        let sent_before = ctx.sent.len();
+        fire_next_timer(&mut r, &mut ctx);
+        assert_eq!(ctx.now(), Cycles::new(128), "the stale timer still fires");
+        assert_eq!(ctx.sent.len(), sent_before, "nothing due, nothing sent");
+        assert_eq!(r.state.stats.retransmits, 0);
+        assert_eq!(ctx.timers.last().unwrap().0, Cycles::new(138), "re-armed at the earliest");
     }
 
     #[test]

@@ -167,4 +167,17 @@ case "$result" in
         ;;
 esac
 
+# kv-mesh-64 is the one workload that runs the reliable transport, the
+# kv_update protocol and the fault plan under pinned digests: a 1-second
+# untraced run must report "correct": true as well.
+echo "==> perfbench kv-mesh-64 smoke (1 s, digests checked)"
+result=$(python3 perfbench/run.py --workload kv-mesh-64 --seconds 1 --trace 0 | tail -n 1)
+case "$result" in
+    *'"correct": true'*) echo "    correct" ;;
+    *)
+        echo "FAIL: perfbench kv-mesh-64: $result"
+        exit 1
+        ;;
+esac
+
 echo "==> verify OK"

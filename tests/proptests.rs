@@ -18,6 +18,7 @@ use tempest_typhoon::mem::cache::Probe;
 use tempest_typhoon::mem::dir::Directory;
 use tempest_typhoon::mem::{CacheModel, FifoTlb, NodeMemory};
 use tempest_typhoon::net::{Network, VirtualNet, ARG_WORD_BYTES, HOP_LATENCY};
+use tempest_typhoon::sim::EventQueue;
 use tempest_typhoon::stache::StacheProtocol;
 use tempest_typhoon::typhoon::TyphoonMachine;
 
@@ -299,6 +300,133 @@ fn mesh_link_slabs_match_keyed_reference() {
             }
         }
     }
+}
+
+/// A 128-byte event, distinct per event id in every word, so an event
+/// read from the wrong slab slot cannot pass for the right one.
+type FatEvent = [u64; 16];
+
+fn fat_event(id: u64) -> FatEvent {
+    std::array::from_fn(|i| id * 16 + i as u64)
+}
+
+/// Barrier releases carry ids from here up, one per generation.
+const RELEASE_IDS: u64 = 1 << 40;
+
+fn fat_release(generation: u64) -> FatEvent {
+    fat_event(RELEASE_IDS + generation)
+}
+
+/// One random queue session: `schedule` from many origins with
+/// same-cycle ties, reserved-key wakeups, barrier arrivals and pops,
+/// with full drains in between so that slab slots are reused. Returns
+/// the pops as `(time, event)`. Unsalted, every pop must equal the first
+/// entry of a reference ordered by `(time, origin id, per-origin
+/// counter)`. The operations never depend on which same-cycle event a
+/// pop returned, so a tie-shuffled session issues exactly the same ones.
+fn event_queue_session(case: u64, shuffle: Option<u64>) -> Vec<(u64, FatEvent)> {
+    const NODES: usize = 6;
+    const DELAY: u64 = 3;
+    let mut rng = DetRng::new(0xE0E7 ^ (case << 8));
+    let mut q = EventQueue::new(NODES, Cycles::new(DELAY), fat_release);
+    if let Some(seed) = shuffle {
+        q.enable_tie_shuffle(seed);
+    }
+    // Pending events by (time, origin id, per-origin counter).
+    let mut reference = std::collections::BTreeMap::new();
+    let mut counters = [0u64; NODES];
+    let (mut releases, mut arrived, mut max_arrival) = (0u64, 0usize, 0u64);
+    // Each node's last wakeup time: a wakeup earlier than `now` has
+    // certainly been popped, so a new one cannot share its key.
+    let mut last_wakeup = [None::<u64>; NODES];
+    let mut next_id = 0u64;
+    let mut pops = Vec::new();
+    let mut pop =
+        |q: &mut EventQueue<FatEvent>,
+         reference: &mut std::collections::BTreeMap<(u64, u64, u64), u64>| {
+            let got = q.pop().map(|(t, e)| (t.raw(), e));
+            let want = reference.pop_first().map(|((t, _, _), id)| (t, id));
+            assert_eq!(got.is_some(), want.is_some(), "case {case}: pending counts differ");
+            if let (Some(got), Some((t, id))) = (got, want) {
+                if shuffle.is_none() {
+                    assert_eq!(got, (t, fat_event(id)), "case {case}: pop {}", pops.len());
+                }
+                pops.push(got);
+            }
+        };
+    for _round in 0..4 {
+        for _ in 0..rng.below_usize(300) {
+            let now = q.now().raw();
+            let at = now + rng.below(4);
+            match rng.below(10) {
+                0..=4 => {
+                    let node = rng.below_usize(NODES);
+                    counters[node] += 1;
+                    q.set_origin(node);
+                    q.schedule(Cycles::new(at), fat_event(next_id));
+                    reference.insert((at, node as u64 + 1, counters[node]), next_id);
+                    next_id += 1;
+                }
+                5 => {
+                    let node = rng.below_usize(NODES);
+                    if last_wakeup[node].is_none_or(|t| t < now) {
+                        last_wakeup[node] = Some(at);
+                        q.schedule_wakeup(Cycles::new(at), node, fat_event(next_id));
+                        reference.insert((at, node as u64 + 1, 0), next_id);
+                        next_id += 1;
+                    }
+                }
+                6 => {
+                    q.note_barrier_arrival(Cycles::new(at));
+                    arrived += 1;
+                    max_arrival = max_arrival.max(at);
+                    if arrived == NODES {
+                        reference
+                            .insert((max_arrival + DELAY, 0, releases + 1), RELEASE_IDS + releases);
+                        releases += 1;
+                        (arrived, max_arrival) = (0, 0);
+                    }
+                }
+                _ => pop(&mut q, &mut reference),
+            }
+            assert_eq!(q.releases(), releases);
+        }
+        while !reference.is_empty() {
+            pop(&mut q, &mut reference);
+        }
+        assert!(q.is_empty(), "case {case}: the queue drains with the reference");
+    }
+    pops
+}
+
+/// The slab-backed event queue delivers exactly the reference order;
+/// with tie-shuffle on, it delivers a same-cycle permutation of it that
+/// the seed alone determines.
+#[test]
+fn event_queue_matches_reference() {
+    let mut permuted = 0;
+    for case in 0..48u64 {
+        let unsalted = event_queue_session(case, None);
+        let shuffled = event_queue_session(case, Some(case ^ 0x5EED));
+        assert_eq!(shuffled, event_queue_session(case, Some(case ^ 0x5EED)), "case {case}");
+        assert_eq!(shuffled.len(), unsalted.len());
+        // Times are popped in order, so each cycle's events form one
+        // contiguous run in both sequences; compare the runs as sets.
+        let mut start = 0;
+        while start < unsalted.len() {
+            let t = unsalted[start].0;
+            let end = start + unsalted[start..].iter().take_while(|(u, _)| *u == t).count();
+            let mut a: Vec<FatEvent> = unsalted[start..end].iter().map(|p| p.1).collect();
+            let mut b: Vec<FatEvent> = shuffled[start..end].iter().map(|p| p.1).collect();
+            assert!(shuffled[start..end].iter().all(|p| p.0 == t), "case {case}: cycle {t}");
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "case {case}: cycle {t} is not a permutation");
+            start = end;
+        }
+        permuted += usize::from(shuffled != unsalted);
+    }
+    assert!(permuted > 40, "tie-shuffle permuted only {permuted} of 48 sessions");
 }
 
 // --- End-to-end coherence oracle ---------------------------------------
