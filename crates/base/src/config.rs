@@ -272,8 +272,8 @@ impl NpMode {
 /// network jitter.
 ///
 /// Partitions are bounded by construction: time is cut into
-/// `partition_epoch`-cycle epochs grouped into runs of `partition_run`
-/// epochs, and a partitioned run blacks out at most `partition_run - 1`
+/// `partition_epoch`-cycle epochs grouped into runs of [`PARTITION_RUN`]
+/// epochs, and a partitioned run blacks out at most `PARTITION_RUN - 1`
 /// epochs from its start. The last epoch of every run is always clear,
 /// so a bounded retry/backoff schedule is guaranteed to get a packet
 /// through eventually (unless `drop_permille` is 1000, the
@@ -294,10 +294,12 @@ pub struct FaultSpec {
     pub partition_permille: u32,
     /// Cycles per partition epoch (0 disables partitions entirely).
     pub partition_epoch: u64,
-    /// Epochs per partition decision run (must be ≥ 2 when partitions
-    /// are enabled; a partition lasts at most `partition_run - 1` epochs).
-    pub partition_run: u64,
 }
+
+/// Epochs per partition decision run of every [`FaultSpec`]: a partition
+/// lasts at most `PARTITION_RUN - 1` epochs, so the run's last epoch is
+/// always clear.
+pub const PARTITION_RUN: u64 = 4;
 
 impl FaultSpec {
     /// Derives a randomized-but-bounded fault mix from one seed: the
@@ -313,7 +315,6 @@ impl FaultSpec {
             corrupt_permille: rng.below(81) as u32,
             partition_permille: if rng.chance(0.5) { 100 + rng.below(201) as u32 } else { 0 },
             partition_epoch: 1024 + rng.below(2048),
-            partition_run: 4,
         }
     }
 
@@ -327,7 +328,6 @@ impl FaultSpec {
             corrupt_permille: permille / 2,
             partition_permille: 0,
             partition_epoch: 0,
-            partition_run: 4,
         }
     }
 }
@@ -527,7 +527,6 @@ mod tests {
             assert!(a.corrupt_permille <= 80);
             assert!(a.partition_permille <= 300);
             assert!(a.partition_epoch >= 1024);
-            assert!(a.partition_run >= 2);
         }
         assert!(
             (0..50).any(|s| FaultSpec::from_seed(s).partition_permille > 0),

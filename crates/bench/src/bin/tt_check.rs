@@ -31,7 +31,9 @@
 //! put/get races over `tt-serve` key slots, run through a three-machine
 //! differential (Stache-served Typhoon, write-update-served Typhoon,
 //! DirNNB) whose final images must agree word-for-word with each other
-//! and the generator's prediction. `--seed S` replays one seed.
+//! and the generator's prediction. `--seed S` replays one seed. Both
+//! families share one sweep, replay and shrinker: a KV failure is shrunk
+//! too, on its schedule (a KV case keeps its shape).
 //!
 //! The command line follows the bench binaries' conventions: `--help`
 //! prints the usage to stdout and exits 0; a bad or unknown argument
@@ -46,10 +48,9 @@ use std::time::Instant;
 use tt_base::{FaultSpec, NodeId, Topology};
 use tt_bench::cli::{number, value, CliError};
 use tt_bench::json::{escape, git_rev, hostname};
+use tt_check::fuzz::ProtocolFactory;
 use tt_check::scenarios::SkipInvalidate;
-use tt_check::{
-    fuzz, fuzz_kv, run_kv_seed, run_seed, shrink, stache_factory, Failure, FuzzOptions,
-};
+use tt_check::{stache_factory, Failure, Family, FuzzOptions, Shape};
 use tt_stache::ReliableConfig;
 
 const USAGE: &str = "\
@@ -147,12 +148,15 @@ fn fault_json(fault: &Option<FaultSpec>) -> String {
     }
 }
 
+/// A shape's dimensions as JSON members, `sep`-separated.
+fn dims_json(shape: &Shape, sep: &str) -> String {
+    let dims: Vec<String> = shape.dims().iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+    dims.join(sep)
+}
+
 fn failure_json(f: &Failure) -> String {
     let shrunk = match &f.shrunk {
-        Some(s) => format!(
-            "{{\"nodes\": {}, \"pages\": {}, \"blocks\": {}, \"phases\": {}}}",
-            s.nodes, s.pages, s.blocks, s.phases
-        ),
+        Some(s) => format!("{{{}}}", dims_json(s, ", ")),
         None => "null".to_string(),
     };
     let shrunk_fault = match &f.shrunk_perturb {
@@ -160,16 +164,12 @@ fn failure_json(f: &Failure) -> String {
         None => "null".to_string(),
     };
     format!(
-        "{{\n    \"seed\": {},\n    \"stage\": \"{}\",\n    \"nodes\": {},\n    \
-         \"pages\": {},\n    \"blocks\": {},\n    \"phases\": {},\n    \
+        "{{\n    \"seed\": {},\n    \"stage\": \"{}\",\n    {},\n    \
          \"fault\": {},\n    \"message\": {},\n    \"shrunk\": {},\n    \
          \"shrunk_fault\": {}\n  }}",
         f.seed,
         f.stage,
-        f.cfg.nodes,
-        f.cfg.pages,
-        f.cfg.blocks,
-        f.cfg.phases,
+        dims_json(&f.shape, ",\n    "),
         fault_json(&f.perturb.fault),
         escape(&f.message),
         shrunk,
@@ -211,29 +211,47 @@ fn write_fuzz_report(
     out.write_all(s.as_bytes())
 }
 
-fn cmd_run(mut flags: Flags) -> i32 {
-    let seeds = flags.seeds.unwrap_or(500);
-    let base = flags.base;
-    let planted = flags.planted;
+/// How the output names a family: the noun before "seeds", the
+/// machines a clean sweep passed on, and the command that replays a
+/// seed.
+fn words(family: Family) -> (&'static str, &'static str, &'static str) {
+    match family {
+        Family::Random(_) => ("", "both machines", "replay"),
+        Family::Kv => ("kv ", "all three machines", "kv"),
+    }
+}
 
+/// `run`: the random family, under `--planted-bug` with a broken
+/// protocol or transport.
+fn cmd_run(mut flags: Flags) -> i32 {
     // With faults, the planted bug is the transport-level one — the
     // retry path ships without duplicate suppression, so a retransmit
     // whose original arrived replays into the protocol. Without faults
     // it stays the classic Stache skip-invalidate.
-    let plant_transport = planted && flags.options.faults;
+    let plant_transport = flags.planted && flags.options.faults;
     if plant_transport {
         flags.options.transport = Some(ReliableConfig { dedupe: false });
     }
     let planted_factory = |id: NodeId, layout: &_, cfg: &_| {
         Box::new(SkipInvalidate::new(id, layout, cfg)) as Box<dyn tt_tempest::Protocol>
     };
-    let factory: tt_check::fuzz::ProtocolFactory =
-        if planted && !plant_transport { &planted_factory } else { &stache_factory };
+    let factory: ProtocolFactory =
+        if flags.planted && !plant_transport { &planted_factory } else { &stache_factory };
+    cmd_sweep(Family::Random(factory), flags, 500)
+}
+
+/// `run`, and `kv` without `--seed`: fuzzes `--seeds` consecutive seeds
+/// (`default_seeds` without the flag) of `family` from `--base`, shrinks
+/// the first failure and reports it. Under `--planted-bug` the sweep
+/// must fail.
+fn cmd_sweep(family: Family, mut flags: Flags, default_seeds: u64) -> i32 {
+    let (noun, machines, replay) = words(family);
+    let (base, seeds) = (flags.base, flags.seeds.unwrap_or(default_seeds));
     let start = Instant::now();
-    let report = fuzz(base, seeds, &flags.options, factory);
+    let report = family.fuzz(base, seeds, &flags.options);
     let failure = report.failure.map(|f| {
         eprintln!("tt-check: shrinking failing seed {}...", f.seed);
-        shrink(&f, factory, &flags.options.transport_config())
+        family.shrink(&f, &flags.options.transport_config())
     });
     let wall = start.elapsed().as_secs_f64();
 
@@ -246,18 +264,18 @@ fn cmd_run(mut flags: Flags) -> i32 {
         }
         eprintln!("tt-check: report written to {path}");
     }
-    match (planted, failure) {
+    match (flags.planted, failure) {
         (false, None) => {
             println!(
-                "tt-check: {} seeds clean on both machines in {wall:.1}s (base {base})",
+                "tt-check: {} {noun}seeds clean on {machines} in {wall:.1}s (base {base})",
                 report.seeds_run
             );
             0
         }
         (false, Some(f)) => {
-            println!("tt-check: FAILURE after {} seeds in {wall:.1}s", report.seeds_run);
+            println!("tt-check: {noun}FAILURE after {} seeds in {wall:.1}s", report.seeds_run);
             println!("  {f}");
-            println!("  reproduce with: tt-check replay --seed {}", f.seed);
+            println!("  reproduce with: tt-check {replay} --seed {}", f.seed);
             1
         }
         (true, Some(f)) => {
@@ -278,64 +296,23 @@ fn cmd_run(mut flags: Flags) -> i32 {
     }
 }
 
-fn cmd_replay(seed: u64, options: &FuzzOptions) -> i32 {
-    match run_seed(seed, options) {
+/// `replay`, and `kv --seed`: reruns one seed of `family` bit-exactly.
+fn cmd_replay(family: Family, seed: u64, options: &FuzzOptions) -> i32 {
+    let (noun, _, _) = words(family);
+    match family.run_seed(seed, options) {
         Ok(r) => {
+            let legs: Vec<String> =
+                r.legs.iter().map(|(name, cycles)| format!("{name} {cycles} cycles")).collect();
             println!(
-                "tt-check: seed {seed} clean — typhoon {} cycles, dirnnb {} cycles, \
-                 {} events observed",
-                r.typhoon_cycles, r.dirnnb_cycles, r.events
+                "tt-check: {noun}seed {seed} clean — {}, {} events observed",
+                legs.join(", "),
+                r.events
             );
             0
         }
         Err(f) => {
-            println!("tt-check: seed {seed} FAILS");
+            println!("tt-check: {noun}seed {seed} FAILS");
             println!("  {f}");
-            1
-        }
-    }
-}
-
-/// `tt-check kv`: the KV-serving litmus family. Fuzzes `--seeds`
-/// consecutive seeds through the three-machine differential
-/// (Stache-served, write-update-served, DirNNB); `--seed S` replays one
-/// seed instead.
-fn cmd_kv(flags: &Flags) -> i32 {
-    let options = &flags.options;
-    if let Some(seed) = flags.seed {
-        return match run_kv_seed(seed, options) {
-            Ok(r) => {
-                println!(
-                    "tt-check: kv seed {seed} clean — stache {} cycles, update {} cycles, \
-                     dirnnb {} cycles, {} events observed",
-                    r.stache_cycles, r.update_cycles, r.dirnnb_cycles, r.events
-                );
-                0
-            }
-            Err(f) => {
-                println!("tt-check: kv seed {seed} FAILS");
-                println!("  {f}");
-                1
-            }
-        };
-    }
-
-    let base = flags.base;
-    let start = Instant::now();
-    let report = fuzz_kv(base, flags.seeds.unwrap_or(200), options);
-    let wall = start.elapsed().as_secs_f64();
-    match report.failure {
-        None => {
-            println!(
-                "tt-check: {} kv seeds clean on all three machines in {wall:.1}s (base {base})",
-                report.seeds_run
-            );
-            0
-        }
-        Some(f) => {
-            println!("tt-check: kv FAILURE after {} seeds in {wall:.1}s", report.seeds_run);
-            println!("  {f}");
-            println!("  reproduce with: tt-check kv --seed {}", f.seed);
             1
         }
     }
@@ -354,9 +331,15 @@ fn run(args: &[String]) -> Result<i32, CliError> {
             let flags = parse(rest, &["--seed"])?;
             let seed =
                 flags.seed.ok_or_else(|| CliError::Bad("--seed: replay needs a seed".into()))?;
-            Ok(cmd_replay(seed, &flags.options))
+            Ok(cmd_replay(Family::Random(&stache_factory), seed, &flags.options))
         }
-        "kv" => Ok(cmd_kv(&parse(rest, &["--seeds", "--base", "--seed"])?)),
+        "kv" => {
+            let flags = parse(rest, &["--seeds", "--base", "--seed"])?;
+            Ok(match flags.seed {
+                Some(seed) => cmd_replay(Family::Kv, seed, &flags.options),
+                None => cmd_sweep(Family::Kv, flags, 200),
+            })
+        }
         other => Err(CliError::Bad(format!("unknown command {other}"))),
     }
 }

@@ -1,15 +1,23 @@
-//! The schedule fuzzer and differential checker.
+//! The seed-family pipeline: schedule fuzzing, differential checking
+//! and shrinking.
 //!
-//! One `u64` seed determines everything: the litmus case shape
-//! ([`LitmusConfig::from_seed`]), the scripts ([`Litmus::generate`]),
-//! and the schedule perturbation ([`PerturbConfig::from_seed`]). A
-//! seed's run is therefore bit-exactly reproducible — `replay` is just
-//! `run_seed` again — and a failure report only needs the seed.
+//! One `u64` seed determines everything: the family's case shape
+//! ([`Shape`]: a random [`LitmusConfig`] or a [`KvLitmusConfig`]), the
+//! scripts generated from it, and the schedule perturbation
+//! ([`PerturbConfig::from_seed`]). A seed's run is therefore bit-exactly
+//! reproducible — replay is just [`Family::run_seed`] again — and a
+//! failure report only needs the seed.
 //!
-//! Each case runs the workload on **both** machines:
+//! Every family runs through one pipeline ([`Family`]): one case runner
+//! whose result names its legs' cycles ([`CaseResult`]) or whose
+//! [`Failure`] names the stage that failed, one sweep
+//! ([`Family::fuzz`]), one replay ([`Family::run_seed`]) and one shrinker
+//! ([`Family::shrink`]). Each case runs its workload on **both**
+//! machines:
 //!
-//! - `tt-typhoon` with the Stache protocol (or an injected broken one),
-//!   under the invariant engine and the chosen perturbations;
+//! - `tt-typhoon` with the family's protocols (Stache, an injected
+//!   broken one, or the KV write-update protocol), the Stache legs under
+//!   the invariant engine, all under the chosen perturbations;
 //! - `tt-dirnnb`, the all-hardware baseline, under the same tie-breaking
 //!   seed.
 //!
@@ -24,7 +32,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use tt_base::workload::{Layout, ScriptWorkload};
-use tt_base::{Cycles, DetRng, FaultSpec, NodeId, SystemConfig, Topology, VAddr};
+use tt_base::{Cycles, DetRng, FaultSpec, NodeId, SystemConfig, Topology, VAddr, PARTITION_RUN};
 use tt_dirnnb::DirnnbMachine;
 use tt_mem::Tag;
 use tt_stache::{reliable_vn_policy, Reliable, ReliableConfig, StacheProtocol};
@@ -32,7 +40,8 @@ use tt_tempest::Protocol;
 use tt_typhoon::TyphoonMachine;
 
 use crate::invariants::{InvariantChecker, DEFAULT_EVENT_BUDGET};
-use crate::litmus::{Litmus, LitmusConfig};
+use crate::kvlitmus::{run_kv_case, KvLitmusConfig};
+use crate::litmus::{run_random_case, LitmusConfig};
 
 /// Builds one node's protocol instance (same shape as
 /// [`TyphoonMachine::new`]'s constructor argument).
@@ -107,62 +116,178 @@ impl PerturbConfig {
             },
         }
     }
+
+    /// The schedule's one-step simplifications toward the production
+    /// schedule, in the order the shrinker tries them: tie-shuffle off,
+    /// jitter 0, no coalescing, direct execution off, the ideal network,
+    /// each fault rate zeroed, then no faults at all.
+    fn simpler(&self) -> Vec<PerturbConfig> {
+        let mut out = Vec::new();
+        if self.tie_shuffle.is_some() {
+            out.push(PerturbConfig { tie_shuffle: None, ..self.clone() });
+        }
+        if self.jitter_max > 0 {
+            out.push(PerturbConfig { jitter_max: 0, jitter_seed: 0, ..self.clone() });
+        }
+        if self.coalesce {
+            out.push(PerturbConfig { coalesce: false, ..self.clone() });
+        }
+        if self.direct_execution {
+            out.push(PerturbConfig { direct_execution: false, ..self.clone() });
+        }
+        if self.topology != Topology::Ideal {
+            out.push(PerturbConfig { topology: Topology::Ideal, ..self.clone() });
+        }
+        if let Some(fs) = self.fault {
+            for zeroed in [
+                FaultSpec { drop_permille: 0, ..fs },
+                FaultSpec { dup_permille: 0, ..fs },
+                FaultSpec { corrupt_permille: 0, ..fs },
+                FaultSpec { partition_permille: 0, ..fs },
+            ] {
+                if zeroed != fs {
+                    out.push(PerturbConfig { fault: Some(zeroed), ..self.clone() });
+                }
+            }
+            out.push(PerturbConfig { fault: None, ..self.clone() });
+        }
+        out
+    }
 }
 
 /// Compact one-line rendering of a fault schedule for failure reports.
-pub(crate) fn fault_summary(f: &FaultSpec) -> String {
+fn fault_summary(f: &FaultSpec) -> String {
     format!(
-        "faults[seed={} drop={}‰ dup={}‰ corrupt={}‰ partition={}‰/{}x{}]",
+        "faults[seed={} drop={}‰ dup={}‰ corrupt={}‰ partition={}‰/{}x{PARTITION_RUN}]",
         f.seed,
         f.drop_permille,
         f.dup_permille,
         f.corrupt_permille,
         f.partition_permille,
         f.partition_epoch,
-        f.partition_run
     )
 }
 
-/// A clean run's vitals.
+/// A seed family: how a seed becomes a case, and which legs run it.
+#[derive(Clone, Copy)]
+pub enum Family<'a> {
+    /// Random litmus shapes ([`LitmusConfig`]): the factory's protocol
+    /// on Typhoon (the stock [`stache_factory`], or an injected broken
+    /// one to prove the harness catches planted bugs) against DirNNB.
+    Random(ProtocolFactory<'a>),
+    /// KV-serving put/get races ([`KvLitmusConfig`]): Stache-served and
+    /// write-update-served Typhoon against DirNNB.
+    Kv,
+}
+
+/// The shape of one family's case.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Shape {
+    /// A random litmus case.
+    Random(LitmusConfig),
+    /// A KV litmus case.
+    Kv(KvLitmusConfig),
+}
+
+impl Shape {
+    fn seed(&self) -> u64 {
+        match self {
+            Shape::Random(c) => c.seed,
+            Shape::Kv(c) => c.seed,
+        }
+    }
+
+    /// The shape's named dimensions, as failure reports print them.
+    pub fn dims(&self) -> Vec<(&'static str, u64)> {
+        match self {
+            Shape::Random(c) => vec![
+                ("nodes", c.nodes as u64),
+                ("pages", c.pages as u64),
+                ("blocks", c.blocks as u64),
+                ("phases", c.phases as u64),
+            ],
+            Shape::Kv(c) => vec![
+                ("nodes", c.nodes as u64),
+                ("keyspace", c.keyspace),
+                ("hot", c.hot_keys as u64),
+                ("rounds", c.rounds as u64),
+                ("words", c.value_words as u64),
+                ("tight", c.tight_stache as u64),
+            ],
+        }
+    }
+
+    /// One-step reductions the shrinker tries, in order: drop a phase,
+    /// a block, a page or a node. Only the random family has shape
+    /// steps; a KV case keeps its shape.
+    fn smaller(&self) -> Vec<Shape> {
+        let Shape::Random(c) = self else { return Vec::new() };
+        let mut out = Vec::new();
+        if c.phases > 1 {
+            out.push(LitmusConfig { phases: c.phases - 1, ..c.clone() });
+        }
+        if c.blocks > 1 {
+            let blocks = c.blocks - 1;
+            out.push(LitmusConfig { blocks, pages: c.pages.min(blocks), ..c.clone() });
+        }
+        if c.pages > 1 {
+            out.push(LitmusConfig { pages: c.pages - 1, ..c.clone() });
+        }
+        if c.nodes > 2 {
+            out.push(LitmusConfig { nodes: c.nodes - 1, ..c.clone() });
+        }
+        out.into_iter().map(Shape::Random).collect()
+    }
+}
+
+impl std::fmt::Display for Shape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let dims: Vec<String> = self.dims().iter().map(|(k, v)| format!("{k}={v}")).collect();
+        f.write_str(&dims.join(" "))
+    }
+}
+
+/// A clean case's vitals.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CaseResult {
-    /// Typhoon completion time under the perturbation.
-    pub typhoon_cycles: Cycles,
-    /// DirNNB completion time.
-    pub dirnnb_cycles: Cycles,
-    /// Events the invariant engine observed on the Typhoon run.
+    /// Each leg's name and completion time, in the order they ran.
+    pub legs: Vec<(&'static str, Cycles)>,
+    /// Events the invariant engine observed on the watched Typhoon leg.
     pub events: u64,
 }
 
+/// What a case runner returns: the clean vitals, or the failing stage
+/// and its panic or mismatch message.
+pub(crate) type CaseOutcome = Result<CaseResult, (&'static str, String)>;
+
 /// A caught failure: which seed, which shape, which stage, and the
-/// panic or mismatch message. `shrunk` is filled in by [`shrink`].
+/// panic or mismatch message. `shrunk` is filled in by
+/// [`Family::shrink`].
 #[derive(Clone, Debug)]
 pub struct Failure {
     /// The seed that produced the case.
     pub seed: u64,
     /// The (possibly hand-built) case shape that failed.
-    pub cfg: LitmusConfig,
+    pub shape: Shape,
     /// The schedule perturbation in force.
     pub perturb: PerturbConfig,
-    /// Which stage failed: `"typhoon"`, `"dirnnb"` or `"differential"`.
+    /// Which stage failed: a leg (`"typhoon"`, `"dirnnb"`,
+    /// `"kv-stache"`, `"kv-update"`, `"kv-dirnnb"`) or the final-image
+    /// comparison (`"differential"`, `"kv-differential"`).
     pub stage: &'static str,
     /// The panic message or mismatch description.
     pub message: String,
-    /// A smaller shape that still fails, if [`shrink`] ran.
-    pub shrunk: Option<LitmusConfig>,
-    /// A simpler perturbation/fault schedule that still fails, if
-    /// [`shrink`] ran: each schedule dimension is delta-debugged toward
+    /// A smaller shape that still fails, if the shrinker ran.
+    pub shrunk: Option<Shape>,
+    /// A simpler perturbation/fault schedule that still fails, if the
+    /// shrinker ran: each schedule dimension is delta-debugged toward
     /// the production schedule one at a time.
     pub shrunk_perturb: Option<PerturbConfig>,
 }
 
 impl std::fmt::Display for Failure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "seed {} [{} stage] nodes={} pages={} blocks={} phases={}",
-            self.seed, self.stage, self.cfg.nodes, self.cfg.pages, self.cfg.blocks, self.cfg.phases,
-        )?;
+        write!(f, "seed {} [{} stage] {}", self.seed, self.stage, self.shape)?;
         if let Some(fs) = &self.perturb.fault {
             write!(f, " {}", fault_summary(fs))?;
         }
@@ -171,11 +296,7 @@ impl std::fmt::Display for Failure {
         }
         write!(f, ": {}", self.message)?;
         if let Some(s) = &self.shrunk {
-            write!(
-                f,
-                " (shrunk to nodes={} pages={} blocks={} phases={})",
-                s.nodes, s.pages, s.blocks, s.phases
-            )?;
+            write!(f, " (shrunk to {s})")?;
         }
         if let Some(p) = &self.shrunk_perturb {
             write!(
@@ -193,6 +314,153 @@ impl std::fmt::Display for Failure {
             )?;
         }
         Ok(())
+    }
+}
+
+/// What a fuzzing sweep found.
+#[derive(Clone, Debug)]
+pub struct FuzzReport {
+    /// Seeds actually run (stops at the first failure).
+    pub seeds_run: u64,
+    /// The first failure, if any.
+    pub failure: Option<Failure>,
+}
+
+impl Family<'_> {
+    /// The case shape `seed` derives in this family.
+    fn shape(&self, seed: u64) -> Shape {
+        match self {
+            Family::Random(_) => Shape::Random(LitmusConfig::from_seed(seed)),
+            Family::Kv => Shape::Kv(KvLitmusConfig::from_seed(seed)),
+        }
+    }
+
+    /// Runs one case of this family under `perturb`. Under a fault
+    /// schedule the Typhoon legs' protocols run behind the [`Reliable`]
+    /// transport configured by `transport`, so the harness can also
+    /// plant the transport-level bug (`dedupe: false`: retransmission
+    /// without duplicate suppression).
+    ///
+    /// # Panics
+    ///
+    /// If `shape` belongs to the other family.
+    pub fn run_case(
+        &self,
+        shape: &Shape,
+        perturb: &PerturbConfig,
+        transport: &ReliableConfig,
+    ) -> Result<CaseResult, Box<Failure>> {
+        let outcome = match (self, shape) {
+            (Family::Random(factory), Shape::Random(c)) => {
+                run_random_case(c, perturb, *factory, transport)
+            }
+            (Family::Kv, Shape::Kv(c)) => run_kv_case(c, perturb, transport),
+            _ => panic!("shape {shape} belongs to another family"),
+        };
+        outcome.map_err(|(stage, message)| {
+            Box::new(Failure {
+                seed: shape.seed(),
+                shape: shape.clone(),
+                perturb: perturb.clone(),
+                stage,
+                message,
+                shrunk: None,
+                shrunk_perturb: None,
+            })
+        })
+    }
+
+    /// Derives the case from `seed` under `options` and runs it. This is
+    /// also replay: the same seed and options always rerun the identical
+    /// case.
+    pub fn run_seed(&self, seed: u64, options: &FuzzOptions) -> Result<CaseResult, Box<Failure>> {
+        self.run_case(&self.shape(seed), &options.perturb_for(seed), &options.transport_config())
+    }
+
+    /// Fuzzes `count` consecutive seeds starting at `base_seed` under
+    /// `options`, stopping at the first failure. The engine behind
+    /// `tt-check run` and `tt-check kv`.
+    pub fn fuzz(&self, base_seed: u64, count: u64, options: &FuzzOptions) -> FuzzReport {
+        for i in 0..count {
+            if let Err(f) = self.run_seed(base_seed + i, options) {
+                return FuzzReport { seeds_run: i + 1, failure: Some(*f) };
+            }
+        }
+        FuzzReport { seeds_run: count, failure: None }
+    }
+
+    /// Greedily shrinks a failing case under the transport that caught
+    /// it. Two interleaved fixpoints, repeated until neither makes
+    /// progress:
+    ///
+    /// - **shape** — the shape's one-step reductions (random family
+    ///   only), keeping the first that still fails;
+    /// - **schedule** — the perturbation's one-step simplifications
+    ///   toward the production schedule, keeping the first that still
+    ///   fails.
+    ///
+    /// Returns the failure with `shrunk` and `shrunk_perturb` filled in.
+    pub fn shrink(&self, failure: &Failure, transport: &ReliableConfig) -> Failure {
+        let fails = |s: &Shape, p: &PerturbConfig| self.run_case(s, p, transport).is_err();
+        let mut shape = failure.shape.clone();
+        let mut per = failure.perturb.clone();
+        loop {
+            let mut progressed = false;
+            while let Some(smaller) = shape.smaller().into_iter().find(|s| fails(s, &per)) {
+                shape = smaller;
+                progressed = true;
+            }
+            while let Some(simpler) = per.simpler().into_iter().find(|p| fails(&shape, p)) {
+                per = simpler;
+                progressed = true;
+            }
+            if !progressed {
+                break;
+            }
+        }
+        Failure { shrunk: Some(shape), shrunk_perturb: Some(per), ..failure.clone() }
+    }
+}
+
+/// Cross-cutting knobs for a fuzzing run or replay — everything the
+/// `tt-check` CLI can force on top of the seed-derived shapes.
+#[derive(Clone, Debug, Default)]
+pub struct FuzzOptions {
+    /// Enable the lossy-network dimension: every case gets a
+    /// seed-derived fault schedule and the protocol runs behind the
+    /// reliable transport.
+    pub faults: bool,
+    /// Force the fault-plan seed instead of deriving it from the case
+    /// seed (`tt-check replay --fault-seed F`). Implies `faults`.
+    pub fault_seed: Option<u64>,
+    /// Reliable-transport configuration for faulty runs; `None` = the
+    /// stock config. `ReliableConfig { dedupe: false }` is the
+    /// transport-level planted bug.
+    pub transport: Option<ReliableConfig>,
+    /// Force the interconnect model of the Typhoon legs
+    /// (`tt-check run --topology mesh`); `None` = each seed's own draw.
+    pub topology: Option<Topology>,
+}
+
+impl FuzzOptions {
+    /// The perturbation this options set produces for one seed. The
+    /// fault-plan seed comes from its own fork, so fault decisions are
+    /// independent of every other drawn dimension.
+    pub fn perturb_for(&self, seed: u64) -> PerturbConfig {
+        let mut p = PerturbConfig::from_seed(seed);
+        if self.faults || self.fault_seed.is_some() {
+            let fs = self.fault_seed.unwrap_or_else(|| DetRng::new(seed).fork(12).next_u64());
+            p.fault = Some(FaultSpec::from_seed(fs));
+        }
+        if let Some(t) = self.topology {
+            p.topology = t;
+        }
+        p
+    }
+
+    /// The transport configuration in force.
+    pub fn transport_config(&self) -> ReliableConfig {
+        self.transport.unwrap_or_default()
     }
 }
 
@@ -226,7 +494,7 @@ pub(crate) fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 /// Reconstructs the word at `addr` from a finished Typhoon machine:
 /// prefer the writable copy (SWMR makes it unique), then any readable
 /// copy, then the home node's memory.
-pub(crate) fn typhoon_word(m: &TyphoonMachine, addr: VAddr) -> u64 {
+fn typhoon_word(m: &TyphoonMachine, addr: VAddr) -> u64 {
     let nodes = m.config().nodes;
     let mut readable = None;
     for n in 0..nodes {
@@ -322,246 +590,41 @@ pub(crate) fn dirnnb_leg<T>(
     })
 }
 
-/// Runs one case with `factory`'s protocol on Typhoon (the stock
-/// [`stache_factory`], or an injected broken one to prove the harness
-/// catches planted bugs). Under a fault schedule the protocol runs
-/// behind the [`Reliable`] transport configured by `transport`, so the
-/// harness can also plant the transport-level bug (`dedupe: false`:
-/// retransmission without duplicate suppression).
-pub fn run_case(
-    cfg: &LitmusConfig,
-    perturb: &PerturbConfig,
-    factory: ProtocolFactory,
-    transport: &ReliableConfig,
-) -> Result<CaseResult, Box<Failure>> {
-    let litmus = Litmus::generate(cfg);
-    let fail = |stage: &'static str, message: String| {
-        Box::new(Failure {
-            seed: cfg.seed,
-            cfg: cfg.clone(),
-            perturb: perturb.clone(),
-            stage,
-            message,
-            shrunk: None,
-            shrunk_perturb: None,
-        })
-    };
-    let mut syscfg = SystemConfig::test_config(cfg.nodes);
-    syscfg.seed = cfg.seed;
-    let typhoon_image = |m: &TyphoonMachine| -> Vec<u64> {
-        litmus.finals.iter().map(|&(a, _)| typhoon_word(m, a)).collect()
-    };
-    let dirnnb_image = |m: &DirnnbMachine| -> Vec<u64> {
-        litmus.finals.iter().map(|&(a, _)| m.shared_word(a)).collect()
-    };
+/// The final image of `finals`' addresses on a finished Typhoon machine.
+pub(crate) fn typhoon_image(m: &TyphoonMachine, finals: &[(VAddr, u64)]) -> Vec<u64> {
+    finals.iter().map(|&(a, _)| typhoon_word(m, a)).collect()
+}
 
-    // Typhoon under the invariant engine and the full perturbation set,
-    // then DirNNB under the same tie-break seed.
-    let workload = litmus.workload(perturb.coalesce);
-    let watch = Some(&litmus.blocks[..]);
-    let (typhoon_cycles, typhoon_words, events) =
-        typhoon_leg(&syscfg, perturb, workload, factory, transport, watch, typhoon_image)
-            .map_err(|msg| fail("typhoon", msg))?;
-    let (dirnnb_cycles, dirnnb_words) =
-        dirnnb_leg(&syscfg, perturb, litmus.workload(perturb.coalesce), dirnnb_image)
-            .map_err(|msg| fail("dirnnb", msg))?;
+/// The final image of `finals`' addresses on a finished DirNNB machine.
+pub(crate) fn dirnnb_image(m: &DirnnbMachine, finals: &[(VAddr, u64)]) -> Vec<u64> {
+    finals.iter().map(|&(a, _)| m.shared_word(a)).collect()
+}
 
-    // Differential: both machines, and the generator's own prediction,
-    // must agree on every written word.
-    for (i, &(addr, expect)) in litmus.finals.iter().enumerate() {
-        let (t, d) = (typhoon_words[i], dirnnb_words[i]);
-        if t != expect || d != expect {
-            return Err(fail(
-                "differential",
-                format!(
-                    "final image mismatch at {addr}: typhoon {t:#x}, dirnnb {d:#x}, \
-                     expected {expect:#x}"
-                ),
+/// The differential every family's case ends with: each leg's final
+/// image (`(name, cycles, words)`, the words parallel to `finals`) must
+/// match the generator's prediction, and so each other, word for word.
+/// A mismatch fails `stage`.
+pub(crate) fn differential(
+    stage: &'static str,
+    finals: &[(VAddr, u64)],
+    legs: Vec<(&'static str, Cycles, Vec<u64>)>,
+    events: u64,
+) -> CaseOutcome {
+    for (i, &(addr, expect)) in finals.iter().enumerate() {
+        if legs.iter().any(|(_, _, image)| image[i] != expect) {
+            let words: Vec<String> =
+                legs.iter().map(|(name, _, image)| format!("{name} {:#x}", image[i])).collect();
+            let words = words.join(", ");
+            return Err((
+                stage,
+                format!("final image mismatch at {addr}: {words}, expected {expect:#x}"),
             ));
         }
     }
-
-    Ok(CaseResult { typhoon_cycles, dirnnb_cycles, events })
-}
-
-/// Cross-cutting knobs for a fuzzing run or replay — everything the
-/// `tt-check` CLI can force on top of the seed-derived shapes.
-#[derive(Clone, Debug, Default)]
-pub struct FuzzOptions {
-    /// Enable the lossy-network dimension: every case gets a
-    /// seed-derived fault schedule and the protocol runs behind the
-    /// reliable transport.
-    pub faults: bool,
-    /// Force the fault-plan seed instead of deriving it from the case
-    /// seed (`tt-check replay --fault-seed F`). Implies `faults`.
-    pub fault_seed: Option<u64>,
-    /// Reliable-transport configuration for faulty runs; `None` = the
-    /// stock config. `ReliableConfig { dedupe: false }` is the
-    /// transport-level planted bug.
-    pub transport: Option<ReliableConfig>,
-    /// Force the interconnect model of the Typhoon legs
-    /// (`tt-check run --topology mesh`); `None` = each seed's own draw.
-    pub topology: Option<Topology>,
-}
-
-impl FuzzOptions {
-    /// The perturbation this options set produces for one seed. The
-    /// fault-plan seed comes from its own fork, so fault decisions are
-    /// independent of every other drawn dimension.
-    pub fn perturb_for(&self, seed: u64) -> PerturbConfig {
-        let mut p = PerturbConfig::from_seed(seed);
-        if self.faults || self.fault_seed.is_some() {
-            let fs = self.fault_seed.unwrap_or_else(|| DetRng::new(seed).fork(12).next_u64());
-            p.fault = Some(FaultSpec::from_seed(fs));
-        }
-        if let Some(t) = self.topology {
-            p.topology = t;
-        }
-        p
-    }
-
-    /// The transport configuration in force.
-    pub fn transport_config(&self) -> ReliableConfig {
-        self.transport.unwrap_or_default()
-    }
-}
-
-/// Derives the case from `seed` under `options` and runs it with the
-/// stock protocol. This is also `replay`: the same seed and options
-/// always rerun the identical case.
-pub fn run_seed(seed: u64, options: &FuzzOptions) -> Result<CaseResult, Box<Failure>> {
-    run_case(
-        &LitmusConfig::from_seed(seed),
-        &options.perturb_for(seed),
-        &stache_factory,
-        &options.transport_config(),
-    )
-}
-
-/// What a fuzzing sweep found.
-#[derive(Clone, Debug)]
-pub struct FuzzReport {
-    /// Seeds actually run (stops at the first failure).
-    pub seeds_run: u64,
-    /// The first failure, if any.
-    pub failure: Option<Failure>,
-}
-
-/// Fuzzes `count` consecutive seeds starting at `base_seed` under
-/// `options` with `factory`'s protocol, stopping at the first failure.
-/// The engine behind `tt-check run` in all its variants.
-pub fn fuzz(
-    base_seed: u64,
-    count: u64,
-    options: &FuzzOptions,
-    factory: ProtocolFactory,
-) -> FuzzReport {
-    let transport = options.transport_config();
-    for i in 0..count {
-        let seed = base_seed + i;
-        let cfg = LitmusConfig::from_seed(seed);
-        let perturb = options.perturb_for(seed);
-        if let Err(f) = run_case(&cfg, &perturb, factory, &transport) {
-            return FuzzReport { seeds_run: i + 1, failure: Some(*f) };
-        }
-    }
-    FuzzReport { seeds_run: count, failure: None }
-}
-
-/// Greedily shrinks a failing case under the protocol and transport
-/// that caught it. Two interleaved dimensions:
-///
-/// - **shape** — repeatedly tries dropping a phase, a block, a page, or
-///   a node (in that order), keeping any reduction that still fails;
-/// - **schedule** — delta-debugs the perturbation and fault dimensions
-///   one at a time toward the production schedule (tie-shuffle off,
-///   jitter 0, no coalescing, direct execution off, ideal network,
-///   each fault rate 0, finally no faults at all), keeping any
-///   simplification that still fails.
-///
-/// Returns the failure with `shrunk` and `shrunk_perturb` filled in.
-pub fn shrink(failure: &Failure, factory: ProtocolFactory, transport: &ReliableConfig) -> Failure {
-    let still_fails =
-        |c: &LitmusConfig, p: &PerturbConfig| run_case(c, p, factory, transport).is_err();
-    let mut cur = failure.cfg.clone();
-    let mut per = failure.perturb.clone();
-    loop {
-        let mut progressed = false;
-
-        // Shape: drop one dimension at a time.
-        loop {
-            let mut candidates = Vec::new();
-            if cur.phases > 1 {
-                candidates.push(LitmusConfig { phases: cur.phases - 1, ..cur.clone() });
-            }
-            if cur.blocks > 1 {
-                let blocks = cur.blocks - 1;
-                candidates.push(LitmusConfig {
-                    blocks,
-                    pages: cur.pages.min(blocks),
-                    ..cur.clone()
-                });
-            }
-            if cur.pages > 1 {
-                candidates.push(LitmusConfig { pages: cur.pages - 1, ..cur.clone() });
-            }
-            if cur.nodes > 2 {
-                candidates.push(LitmusConfig { nodes: cur.nodes - 1, ..cur.clone() });
-            }
-            match candidates.into_iter().find(|c| still_fails(c, &per)) {
-                Some(smaller) => {
-                    cur = smaller;
-                    progressed = true;
-                }
-                None => break,
-            }
-        }
-
-        // Schedule: simplify one dimension at a time.
-        loop {
-            let mut candidates: Vec<PerturbConfig> = Vec::new();
-            if per.tie_shuffle.is_some() {
-                candidates.push(PerturbConfig { tie_shuffle: None, ..per.clone() });
-            }
-            if per.jitter_max > 0 {
-                candidates.push(PerturbConfig { jitter_max: 0, jitter_seed: 0, ..per.clone() });
-            }
-            if per.coalesce {
-                candidates.push(PerturbConfig { coalesce: false, ..per.clone() });
-            }
-            if per.direct_execution {
-                candidates.push(PerturbConfig { direct_execution: false, ..per.clone() });
-            }
-            if per.topology != Topology::Ideal {
-                candidates.push(PerturbConfig { topology: Topology::Ideal, ..per.clone() });
-            }
-            if let Some(fs) = per.fault {
-                for zeroed in [
-                    FaultSpec { drop_permille: 0, ..fs },
-                    FaultSpec { dup_permille: 0, ..fs },
-                    FaultSpec { corrupt_permille: 0, ..fs },
-                    FaultSpec { partition_permille: 0, ..fs },
-                ] {
-                    if zeroed != fs {
-                        candidates.push(PerturbConfig { fault: Some(zeroed), ..per.clone() });
-                    }
-                }
-                candidates.push(PerturbConfig { fault: None, ..per.clone() });
-            }
-            match candidates.into_iter().find(|p| still_fails(&cur, p)) {
-                Some(simpler) => {
-                    per = simpler;
-                    progressed = true;
-                }
-                None => break,
-            }
-        }
-
-        if !progressed {
-            break;
-        }
-    }
-    Failure { shrunk: Some(cur), shrunk_perturb: Some(per), ..failure.clone() }
+    Ok(CaseResult {
+        legs: legs.into_iter().map(|(name, cycles, _)| (name, cycles)).collect(),
+        events,
+    })
 }
 
 #[cfg(test)]
@@ -603,7 +666,6 @@ mod tests {
                 corrupt_permille: 73,
                 partition_permille: 133,
                 partition_epoch: 1061,
-                partition_run: 4,
             })
         );
         assert_eq!(faulty.topology, Topology::Ideal);
@@ -616,10 +678,13 @@ mod tests {
         assert_eq!(catch(|| 42).unwrap(), 42);
     }
 
+    /// The random family with the stock protocol.
+    const STACHE: Family = Family::Random(&stache_factory);
+
     #[test]
     fn a_single_seed_runs_clean_and_replays_identically() {
-        let a = run_seed(7, &FuzzOptions::default()).expect("seed 7 clean");
-        let b = run_seed(7, &FuzzOptions::default()).expect("seed 7 clean on replay");
+        let a = STACHE.run_seed(7, &FuzzOptions::default()).expect("seed 7 clean");
+        let b = STACHE.run_seed(7, &FuzzOptions::default()).expect("seed 7 clean on replay");
         assert_eq!(a, b);
         assert!(a.events > 0);
     }
@@ -649,9 +714,10 @@ mod tests {
     fn faulty_seeds_run_clean_and_replay_identically() {
         let options = FuzzOptions { faults: true, ..FuzzOptions::default() };
         for seed in 0..4 {
-            let a = run_seed(seed, &options)
+            let a = STACHE
+                .run_seed(seed, &options)
                 .unwrap_or_else(|f| panic!("faulty seed {seed} failed: {f}"));
-            let b = run_seed(seed, &options).expect("replay clean");
+            let b = STACHE.run_seed(seed, &options).expect("replay clean");
             assert_eq!(a, b, "faulty seed {seed} did not replay bit-exactly");
         }
     }
@@ -664,9 +730,9 @@ mod tests {
         let broken = ReliableConfig { dedupe: false };
         let options =
             FuzzOptions { faults: true, transport: Some(broken), ..FuzzOptions::default() };
-        let report = fuzz(0, 30, &options, &stache_factory);
+        let report = STACHE.fuzz(0, 30, &options);
         let failure = report.failure.expect("dedupe-off transport must be caught");
-        let shrunk = shrink(&failure, &stache_factory, &broken);
+        let shrunk = STACHE.shrink(&failure, &broken);
         let per = shrunk.shrunk_perturb.expect("schedule shrink ran");
         assert!(
             per.fault.is_some(),

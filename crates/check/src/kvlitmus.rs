@@ -38,22 +38,21 @@
 use tt_apps::kv_update::KvUpdateProtocol;
 use tt_base::addr::{BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
 use tt_base::workload::{coalesce_computes, Layout, Op, ScriptWorkload};
-use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
+use tt_base::{DetRng, NodeId, SystemConfig, VAddr};
 use tt_serve::{header_word, value_word, KvLayout, SharedKvLatency, KV_PUT_OP};
 use tt_stache::ReliableConfig;
 use tt_tempest::Protocol;
-use tt_typhoon::TyphoonMachine;
 
 use crate::fuzz::{
-    dirnnb_leg, fault_summary, stache_factory, typhoon_leg, typhoon_word, FuzzOptions,
-    PerturbConfig, ProtocolFactory,
+    differential, dirnnb_image, dirnnb_leg, stache_factory, typhoon_image, typhoon_leg,
+    CaseOutcome, PerturbConfig, ProtocolFactory,
 };
 
 /// Words written by one put: `(addr, value)` pairs over the slot.
 type SlotWords = Vec<(VAddr, u64)>;
 
 /// The shape of a KV litmus case.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KvLitmusConfig {
     /// Seed that generated the case.
     pub seed: u64,
@@ -257,72 +256,16 @@ impl KvLitmus {
     }
 }
 
-/// A caught KV-differential failure.
-#[derive(Clone, Debug)]
-pub struct KvFailure {
-    /// The seed that produced the case.
-    pub seed: u64,
-    /// The case shape.
-    pub cfg: KvLitmusConfig,
-    /// The schedule perturbation in force.
-    pub perturb: PerturbConfig,
-    /// Which leg failed: `"kv-stache"`, `"kv-update"`, `"kv-dirnnb"`
-    /// or `"kv-differential"`.
-    pub stage: &'static str,
-    /// The panic message or mismatch description.
-    pub message: String,
-}
-
-impl std::fmt::Display for KvFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "seed {} [{} stage] nodes={} keyspace={} hot={} rounds={} words={}{}",
-            self.seed,
-            self.stage,
-            self.cfg.nodes,
-            self.cfg.keyspace,
-            self.cfg.hot_keys,
-            self.cfg.rounds,
-            self.cfg.value_words,
-            if self.cfg.tight_stache { " tight" } else { "" },
-        )?;
-        if let Some(fs) = &self.perturb.fault {
-            write!(f, " {}", fault_summary(fs))?;
-        }
-        write!(f, ": {}", self.message)
-    }
-}
-
-/// A clean KV case's vitals.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KvCaseResult {
-    /// Stache-leg completion time.
-    pub stache_cycles: Cycles,
-    /// Update-leg completion time.
-    pub update_cycles: Cycles,
-    /// DirNNB-leg completion time.
-    pub dirnnb_cycles: Cycles,
-    /// Events the invariant engine observed on the stache leg.
-    pub events: u64,
-}
-
 /// Runs one KV case: three legs and a four-way image differential.
-pub fn run_kv_case(
+/// Under a fault schedule both protocols — Stache *and* the custom
+/// `kv_update` protocol — run behind the reliable transport configured
+/// by `transport`.
+pub(crate) fn run_kv_case(
     cfg: &KvLitmusConfig,
     perturb: &PerturbConfig,
-) -> Result<KvCaseResult, Box<KvFailure>> {
+    transport: &ReliableConfig,
+) -> CaseOutcome {
     let litmus = KvLitmus::generate(cfg);
-    let fail = |stage: &'static str, message: String| {
-        Box::new(KvFailure {
-            seed: cfg.seed,
-            cfg: cfg.clone(),
-            perturb: perturb.clone(),
-            stage,
-            message,
-        })
-    };
-
     let mut syscfg = SystemConfig::test_config(cfg.nodes);
     syscfg.seed = cfg.seed;
     if cfg.tight_stache {
@@ -338,11 +281,7 @@ pub fn run_kv_case(
             SharedKvLatency::default(),
         ))
     };
-    let typhoon_image = |m: &TyphoonMachine| -> Vec<u64> {
-        litmus.finals.iter().map(|&(a, _)| typhoon_word(m, a)).collect()
-    };
-    // Under a fault schedule both protocols — Stache *and* the custom
-    // kv_update protocol — run behind the stock reliable transport.
+    let finals = &litmus.finals[..];
     let typhoon = |update_variant: bool, watch: Option<&[VAddr]>| {
         let factory: ProtocolFactory =
             if update_variant { &update_factory } else { &stache_factory };
@@ -351,79 +290,45 @@ pub fn run_kv_case(
             perturb,
             litmus.workload(update_variant, perturb.coalesce),
             factory,
-            &ReliableConfig::default(),
+            transport,
             watch,
-            typhoon_image,
+            |m| typhoon_image(m, finals),
         )
     };
 
     // Leg 1: Typhoon + Stache on raw stores, invariant engine on.
-    let (stache_cycles, stache_image, events) =
-        typhoon(false, Some(&litmus.blocks)).map_err(|m| fail("kv-stache", m))?;
+    let (stache_cycles, stache_words, events) =
+        typhoon(false, Some(&litmus.blocks)).map_err(|m| ("kv-stache", m))?;
 
     // Leg 2: Typhoon + the write-update protocol on staged puts. No
     // invariant engine: home-ReadWrite + sharer-ReadOnly is this
     // protocol's intended tag state and violates SWMR by design.
-    let (update_cycles, update_image, _) = typhoon(true, None).map_err(|m| fail("kv-update", m))?;
+    let (update_cycles, update_words, _) = typhoon(true, None).map_err(|m| ("kv-update", m))?;
 
     // Leg 3: DirNNB on raw stores — the pristine reference the lossy or
     // mesh-routed legs' final images are held against.
-    let (dirnnb_cycles, dirnnb_image) =
+    let (dirnnb_cycles, dirnnb_words) =
         dirnnb_leg(&syscfg, perturb, litmus.workload(false, perturb.coalesce), |m| {
-            litmus.finals.iter().map(|&(a, _)| m.shared_word(a)).collect::<Vec<u64>>()
+            dirnnb_image(m, finals)
         })
-        .map_err(|m| fail("kv-dirnnb", m))?;
+        .map_err(|m| ("kv-dirnnb", m))?;
 
-    // Differential: all three legs and the generator's prediction must
-    // agree on every written slot word.
-    for (i, &(addr, expect)) in litmus.finals.iter().enumerate() {
-        let (s, u, d) = (stache_image[i], update_image[i], dirnnb_image[i]);
-        if s != expect || u != expect || d != expect {
-            return Err(fail(
-                "kv-differential",
-                format!(
-                    "final image mismatch at {addr}: stache {s:#x}, update {u:#x}, \
-                     dirnnb {d:#x}, expected {expect:#x}"
-                ),
-            ));
-        }
-    }
-
-    Ok(KvCaseResult { stache_cycles, update_cycles, dirnnb_cycles, events })
-}
-
-/// Derives the KV case and perturbation from `seed` under `options`
-/// and runs it — the engine behind `tt-check kv --seed S`. The fault
-/// dimension covers `kv_update` under retransmission, the scariest
-/// corner the harness covers.
-pub fn run_kv_seed(seed: u64, options: &FuzzOptions) -> Result<KvCaseResult, Box<KvFailure>> {
-    run_kv_case(&KvLitmusConfig::from_seed(seed), &options.perturb_for(seed))
-}
-
-/// What a KV fuzzing sweep found.
-#[derive(Clone, Debug)]
-pub struct KvFuzzReport {
-    /// Seeds actually run (stops at the first failure).
-    pub seeds_run: u64,
-    /// The first failure, if any.
-    pub failure: Option<KvFailure>,
-}
-
-/// Fuzzes `count` consecutive KV seeds starting at `base_seed` under
-/// `options`; stops at the first failure.
-pub fn fuzz_kv(base_seed: u64, count: u64, options: &FuzzOptions) -> KvFuzzReport {
-    for i in 0..count {
-        let seed = base_seed + i;
-        if let Err(f) = run_kv_seed(seed, options) {
-            return KvFuzzReport { seeds_run: i + 1, failure: Some(*f) };
-        }
-    }
-    KvFuzzReport { seeds_run: count, failure: None }
+    differential(
+        "kv-differential",
+        finals,
+        vec![
+            ("stache", stache_cycles, stache_words),
+            ("update", update_cycles, update_words),
+            ("dirnnb", dirnnb_cycles, dirnnb_words),
+        ],
+        events,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::{Family, FuzzOptions};
 
     #[test]
     fn config_derivation_is_deterministic_and_in_range() {
@@ -458,7 +363,7 @@ mod tests {
 
     #[test]
     fn first_seeds_pass_the_differential() {
-        let report = fuzz_kv(0, 25, &FuzzOptions::default());
+        let report = Family::Kv.fuzz(0, 25, &FuzzOptions::default());
         assert!(report.failure.is_none(), "seed failed: {}", report.failure.unwrap());
         assert_eq!(report.seeds_run, 25);
     }
@@ -466,9 +371,20 @@ mod tests {
     #[test]
     fn faulty_kv_seeds_pass_the_differential() {
         let options = FuzzOptions { faults: true, ..FuzzOptions::default() };
-        let report = fuzz_kv(0, 8, &options);
+        let report = Family::Kv.fuzz(0, 8, &options);
         assert!(report.failure.is_none(), "faulty kv seed failed: {}", report.failure.unwrap());
         assert_eq!(report.seeds_run, 8);
+    }
+
+    #[test]
+    fn kv_legs_run_behind_the_configured_transport() {
+        // Seed 0 is clean behind the stock transport, and caught behind
+        // one that retransmits without duplicate suppression.
+        let options = FuzzOptions { faults: true, ..FuzzOptions::default() };
+        Family::Kv.run_seed(0, &options).expect("stock transport clean");
+        let broken = FuzzOptions { transport: Some(ReliableConfig { dedupe: false }), ..options };
+        let failure = Family::Kv.fuzz(0, 1, &broken).failure.expect("dedupe-off caught at seed 0");
+        assert_eq!((failure.seed, failure.stage), (0, "kv-stache"), "{failure}");
     }
 
     #[test]
@@ -477,8 +393,8 @@ mod tests {
         // every leg.
         let options =
             FuzzOptions { faults: true, fault_seed: Some(0xFA17_5EED), ..FuzzOptions::default() };
-        let a = run_kv_seed(5, &options).expect("faulty kv run clean");
-        let b = run_kv_seed(5, &options).expect("faulty kv replay clean");
+        let a = Family::Kv.run_seed(5, &options).expect("faulty kv run clean");
+        let b = Family::Kv.run_seed(5, &options).expect("faulty kv replay clean");
         assert_eq!(a, b, "kv fault schedule did not replay bit-exactly");
     }
 }

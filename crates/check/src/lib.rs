@@ -28,11 +28,19 @@
 //!    must match each other *and* the generator's own happens-before
 //!    prediction, word for word.
 //!
-//! Three litmus families share one Typhoon leg and one DirNNB leg
-//! (private to [`fuzz`](mod@fuzz)): the random family ([`run_case`],
-//! [`run_seed`], [`fuzz()`], [`shrink`]), the KV-serving family
-//! ([`run_kv_case`], [`run_kv_seed`], [`fuzz_kv`]) and the classic
-//! SB/MP/LB/IRIW shapes ([`run_classic`]). [`FuzzOptions`] carries
+//! Two seed families run through one pipeline, [`Family`]: the random
+//! litmus family (`Family::Random`, carrying the Typhoon protocol
+//! factory — the stock [`stache_factory`] or a planted bug) and the
+//! KV-serving family (`Family::Kv`: Stache-served and write-update-served
+//! Typhoon against DirNNB, [`KvLitmusConfig`]). Each has one case result
+//! ([`CaseResult`]: the named legs' cycles and the observed events), one
+//! [`Failure`] carrying the family's [`Shape`], one sweep
+//! ([`Family::fuzz`]), one replay ([`Family::run_seed`]) and one shrinker
+//! ([`Family::shrink`]): its schedule half serves both families, and the
+//! random family alone supplies shape steps. The classic SB/MP/LB/IRIW
+//! shapes ([`run_classic`]) are a fixed suite outside the pipeline. All
+//! of them build and run machines through one Typhoon leg and one DirNNB
+//! leg (private to [`fuzz`](mod@fuzz)). [`FuzzOptions`] carries
 //! everything the CLI can force on top of a seed's own draw.
 //!
 //! [`scenarios`] carries known-broken protocols (promoted from the old
@@ -54,12 +62,8 @@ pub mod litmus;
 pub mod scenarios;
 
 pub use fuzz::{
-    fuzz, run_case, run_seed, shrink, stache_factory, CaseResult, Failure, FuzzOptions, FuzzReport,
-    PerturbConfig,
+    stache_factory, CaseResult, Failure, Family, FuzzOptions, FuzzReport, PerturbConfig, Shape,
 };
 pub use invariants::InvariantChecker;
-pub use kvlitmus::{
-    fuzz_kv, run_kv_case, run_kv_seed, KvCaseResult, KvFailure, KvFuzzReport, KvLitmus,
-    KvLitmusConfig,
-};
+pub use kvlitmus::{KvLitmus, KvLitmusConfig};
 pub use litmus::{classic_suite, run_classic, ClassicLitmus, Litmus, LitmusConfig};

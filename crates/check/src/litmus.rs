@@ -19,7 +19,10 @@ use tt_base::workload::{
 use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
 use tt_stache::ReliableConfig;
 
-use crate::fuzz::{dirnnb_leg, stache_factory, typhoon_leg, PerturbConfig};
+use crate::fuzz::{
+    differential, dirnnb_image, dirnnb_leg, stache_factory, typhoon_image, typhoon_leg,
+    CaseOutcome, PerturbConfig, ProtocolFactory,
+};
 
 /// The shape of a litmus case. Usually derived from a seed with
 /// [`LitmusConfig::from_seed`]; the shrinker mutates the fields
@@ -178,6 +181,44 @@ impl Litmus {
         }
         w
     }
+}
+
+/// Runs one random-family case: `factory`'s protocol on Typhoon under
+/// the invariant engine and the full perturbation set (behind the
+/// `transport` under a fault schedule), then DirNNB under the same
+/// tie-break seed. Both machines, and the generator's own prediction,
+/// must agree on every written word.
+pub(crate) fn run_random_case(
+    cfg: &LitmusConfig,
+    perturb: &PerturbConfig,
+    factory: ProtocolFactory,
+    transport: &ReliableConfig,
+) -> CaseOutcome {
+    let litmus = Litmus::generate(cfg);
+    let mut syscfg = SystemConfig::test_config(cfg.nodes);
+    syscfg.seed = cfg.seed;
+    let finals = &litmus.finals[..];
+    let (typhoon_cycles, typhoon_words, events) = typhoon_leg(
+        &syscfg,
+        perturb,
+        litmus.workload(perturb.coalesce),
+        factory,
+        transport,
+        Some(&litmus.blocks),
+        |m| typhoon_image(m, finals),
+    )
+    .map_err(|msg| ("typhoon", msg))?;
+    let (dirnnb_cycles, dirnnb_words) =
+        dirnnb_leg(&syscfg, perturb, litmus.workload(perturb.coalesce), |m| {
+            dirnnb_image(m, finals)
+        })
+        .map_err(|msg| ("dirnnb", msg))?;
+    differential(
+        "differential",
+        finals,
+        vec![("typhoon", typhoon_cycles, typhoon_words), ("dirnnb", dirnnb_cycles, dirnnb_words)],
+        events,
+    )
 }
 
 /// A classic hand-written weak-memory litmus shape — store buffering,

@@ -24,7 +24,7 @@
 
 use tt_base::addr::BLOCK_BYTES;
 use tt_base::stats::Counter;
-use tt_base::{mix64, Cycles, FaultSpec, NodeId, Topology};
+use tt_base::{mix64, Cycles, FaultSpec, NodeId, Topology, PARTITION_RUN};
 
 /// The two independent virtual networks (Section 5.1).
 ///
@@ -446,12 +446,6 @@ const SALT_PARTITION: u64 = 0xBA;
 
 impl FaultPlan {
     fn new(spec: FaultSpec, nodes: usize) -> Self {
-        if spec.partition_permille > 0 && spec.partition_epoch > 0 {
-            assert!(
-                spec.partition_run >= 2,
-                "partition_run must be >= 2 so every run ends with a clear epoch"
-            );
-        }
         FaultPlan { spec, pair_seen: vec![0; nodes * nodes], nodes }
     }
 
@@ -474,14 +468,14 @@ impl FaultPlan {
             return false;
         }
         let epoch = now.raw() / spec.partition_epoch;
-        let run = epoch / spec.partition_run;
+        let run = epoch / PARTITION_RUN;
         let d = self.draw(SALT_PARTITION, pair, run);
         if d % 1000 >= spec.partition_permille as u64 {
             return false;
         }
         // Outage covers the first `len` epochs of the run, 1 ..= run-1.
-        let len = 1 + mix64(d) % (spec.partition_run - 1);
-        epoch % spec.partition_run < len
+        let len = 1 + mix64(d) % (PARTITION_RUN - 1);
+        epoch % PARTITION_RUN < len
     }
 }
 
@@ -941,7 +935,6 @@ mod tests {
             corrupt_permille: 0,
             partition_permille: 0,
             partition_epoch: 0,
-            partition_run: 4,
         }
     }
 
@@ -1035,21 +1028,20 @@ mod tests {
         let mut spec = quiet_spec(99);
         spec.partition_permille = 1000; // every run partitioned
         spec.partition_epoch = 100;
-        spec.partition_run = 4;
         let mut net = Network::new(2, Cycles::new(11));
         net.set_fault_plan(spec);
         let p = packet(0, 1, VirtualNet::Request, Payload::new());
         let mut lost_some = false;
         for run in 0..20u64 {
             // The last epoch of every run must be clear.
-            let t_last = Cycles::new((run * 4 + 3) * 100 + 50);
+            let t_last = Cycles::new(((run + 1) * PARTITION_RUN - 1) * 100 + 50);
             assert_eq!(
                 net.transmit(t_last, &p).iter().count(),
                 1,
                 "run {run} last epoch not clear"
             );
             // The first epoch of a partitioned run is blacked out.
-            let t_first = Cycles::new(run * 4 * 100 + 50);
+            let t_first = Cycles::new(run * PARTITION_RUN * 100 + 50);
             if net.transmit(t_first, &p).iter().count() == 0 {
                 lost_some = true;
             }

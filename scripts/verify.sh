@@ -59,9 +59,24 @@ python3 scripts/results.py --check
 # litmus cases under schedule perturbation must run clean on both
 # machines, and a planted protocol bug must be caught. On failure
 # tt-check prints the seed; reproduce with `tt-check replay --seed S`.
-echo "==> tt-check smoke (500 seeds clean + planted bug caught)"
+# The planted run also writes the --out JSON report, which must parse
+# and record the caught, shrunk failure.
+echo "==> tt-check smoke (500 seeds clean + planted bug caught, --out report)"
 cargo run --release -p tt-bench --bin tt-check -- run --seeds 500
-cargo run --release -p tt-bench --bin tt-check -- run --seeds 500 --planted-bug
+cargo run --release -p tt-bench --bin tt-check -- \
+    run --seeds 500 --planted-bug --out "$tmp/ttcheck.json"
+python3 - "$tmp/ttcheck.json" <<'PY'
+import json, sys
+
+report = json.load(open(sys.argv[1]))
+if report["clean"] is not False:
+    sys.exit(f"FAIL: tt-check --out: a planted run must not be clean: {report['clean']!r}")
+if report["seeds_run"] < 1:
+    sys.exit(f"FAIL: tt-check --out: seeds_run {report['seeds_run']!r}")
+if report["failure"]["shrunk"] is None:
+    sys.exit("FAIL: tt-check --out: the caught failure carries no shrunk shape")
+print(f"    report ok: caught after {report['seeds_run']} seed(s), shrunk to {report['failure']['shrunk']}")
+PY
 
 # KV-serving smoke (tt-serve): the same sweep twice, on one sweep worker
 # and on two. Latency percentiles and cycle counts print to stdout (wall
