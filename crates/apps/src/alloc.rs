@@ -2,10 +2,10 @@
 //!
 //! The paper's run-time library lets programs allocate shared pages on
 //! chosen home nodes (owners-compute allocation) or round-robin. These
-//! helpers compute the address arithmetic: an [`ArenaPlanner`] hands out
-//! page-aligned regions of the shared segment, an [`OwnedArray`] places
+//! helpers compute the address arithmetic: an `ArenaPlanner` hands out
+//! page-aligned regions of the shared segment, an `OwnedArray` places
 //! each owner's elements on pages homed at that owner, and a
-//! [`CyclicArray`] spreads pages round-robin (the default for data with
+//! `CyclicArray` spreads pages round-robin (the default for data with
 //! no natural owner, e.g. MP3D's space cells).
 
 use tt_base::addr::{VAddr, PAGE_BYTES, WORD_BYTES};
@@ -14,18 +14,18 @@ use tt_base::NodeId;
 
 /// Hands out page-aligned shared-segment ranges.
 #[derive(Clone, Debug)]
-pub struct ArenaPlanner {
+pub(crate) struct ArenaPlanner {
     cursor: u64,
 }
 
 impl ArenaPlanner {
     /// A planner starting at the shared segment base.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ArenaPlanner { cursor: SHARED_SEGMENT_BASE }
     }
 
     /// Reserves `bytes` (rounded up to whole pages) and returns the base.
-    pub fn reserve(&mut self, bytes: usize) -> VAddr {
+    pub(crate) fn reserve(&mut self, bytes: usize) -> VAddr {
         let base = self.cursor;
         let pages = bytes.div_ceil(PAGE_BYTES) as u64;
         self.cursor += pages * PAGE_BYTES as u64;
@@ -45,7 +45,7 @@ impl Default for ArenaPlanner {
 /// Each owner's span starts on a fresh page, so pages never straddle
 /// owners and the [`Region`] can name a home per page.
 #[derive(Clone, Debug)]
-pub struct OwnedArray {
+pub(crate) struct OwnedArray {
     base: VAddr,
     /// Per-owner element counts.
     counts: Vec<usize>,
@@ -61,7 +61,7 @@ impl OwnedArray {
     /// Plans an array of `counts[o]` elements per owner, each
     /// `words_per_elem` 64-bit words, homed per the owners-compute rule,
     /// with protocol page mode `mode`.
-    pub fn plan(
+    pub(crate) fn plan(
         planner: &mut ArenaPlanner,
         counts: &[usize],
         words_per_elem: usize,
@@ -83,7 +83,7 @@ impl OwnedArray {
     }
 
     /// The layout region declaring every page's home.
-    pub fn region(&self) -> Region {
+    pub(crate) fn region(&self) -> Region {
         let mut homes = Vec::new();
         for (owner, &pages) in self.owner_pages.iter().enumerate() {
             homes.extend(std::iter::repeat_n(NodeId::new(owner as u16), pages));
@@ -101,7 +101,7 @@ impl OwnedArray {
     /// # Panics
     ///
     /// Panics if the indices are out of range.
-    pub fn addr(&self, owner: usize, idx: usize, word: usize) -> VAddr {
+    pub(crate) fn addr(&self, owner: usize, idx: usize, word: usize) -> VAddr {
         assert!(idx < self.counts[owner], "element index out of range");
         assert!(word < self.words_per_elem);
         let off =
@@ -110,14 +110,14 @@ impl OwnedArray {
     }
 
     /// Number of elements owned by `owner`.
-    pub fn count(&self, owner: usize) -> usize {
+    pub(crate) fn count(&self, owner: usize) -> usize {
         self.counts[owner]
     }
 }
 
 /// A flat shared array whose pages are homed round-robin across nodes.
 #[derive(Clone, Debug)]
-pub struct CyclicArray {
+pub(crate) struct CyclicArray {
     base: VAddr,
     elems: usize,
     words_per_elem: usize,
@@ -126,13 +126,18 @@ pub struct CyclicArray {
 
 impl CyclicArray {
     /// Plans a flat array of `elems` elements of `words_per_elem` words.
-    pub fn plan(planner: &mut ArenaPlanner, elems: usize, words_per_elem: usize, mode: u8) -> Self {
+    pub(crate) fn plan(
+        planner: &mut ArenaPlanner,
+        elems: usize,
+        words_per_elem: usize,
+        mode: u8,
+    ) -> Self {
         let base = planner.reserve(elems.max(1) * words_per_elem * WORD_BYTES);
         CyclicArray { base, elems, words_per_elem, mode }
     }
 
     /// The layout region (cyclic placement).
-    pub fn region(&self) -> Region {
+    pub(crate) fn region(&self) -> Region {
         Region {
             base: self.base,
             bytes: self.elems.max(1) * self.words_per_elem * WORD_BYTES,
@@ -146,7 +151,7 @@ impl CyclicArray {
     /// # Panics
     ///
     /// Panics if the indices are out of range.
-    pub fn addr(&self, idx: usize, word: usize) -> VAddr {
+    pub(crate) fn addr(&self, idx: usize, word: usize) -> VAddr {
         assert!(idx < self.elems, "element index out of range");
         assert!(word < self.words_per_elem);
         self.base.offset(((idx * self.words_per_elem + word) * WORD_BYTES) as u64)
@@ -159,7 +164,7 @@ impl CyclicArray {
 }
 
 /// Splits `total` elements evenly over `procs` owners (owners-compute).
-pub fn even_split(total: usize, procs: usize) -> Vec<usize> {
+pub(crate) fn even_split(total: usize, procs: usize) -> Vec<usize> {
     let base = total / procs;
     let extra = total % procs;
     (0..procs).map(|p| base + usize::from(p < extra)).collect()

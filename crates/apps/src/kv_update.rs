@@ -16,15 +16,15 @@
 //!    (ordinary local stores — never a fault), then calls
 //!    [`KV_PUT_OP`] with the key;
 //! 2. the protocol ships each slot block to the key's home
-//!    ([`KV_WRITE`]);
-//! 3. the home applies it and broadcasts [`KV_UPD`] to every node on
+//!    (`KV_WRITE`);
+//! 3. the home applies it and broadcasts `KV_UPD` to every node on
 //!    the block's copy list — including the writer, if it holds a copy;
-//! 4. sharers apply the update in place and acknowledge ([`KV_UACK`]);
+//! 4. sharers apply the update in place and acknowledge (`KV_UACK`);
 //! 5. when the last ack is in, the home releases the writer
-//!    ([`KV_WACK`]) and the put completes.
+//!    (`KV_WACK`) and the put completes.
 //!
 //! Writes to the *same block* are serialized at the home: while a
-//! broadcast is in flight the block's requests — reads ([`KV_GET`]) and
+//! broadcast is in flight the block's requests — reads (`KV_GET`) and
 //! colliding writes alike — park in a FIFO and drain when the last ack
 //! lands. That makes each block's value sequence a single total order
 //! chosen at the home, and because the network preserves FIFO per
@@ -32,7 +32,7 @@
 //! reorder — no version arbitration is needed at the edges.
 //!
 //! Gets are unchanged from Stache in *shape* — miss, fetch, cache
-//! ReadOnly — but use the protocol's own [`KV_GET`]/[`KV_PUT_MSG`] pair
+//! ReadOnly — but use the protocol's own `KV_GET`/`KV_PUT_MSG` pair
 //! because the home's directory never downgrades its own tag. Non-KV
 //! pages (the staging pages, anything else) fall through to the
 //! embedded [`StacheProtocol`].
@@ -57,18 +57,18 @@ use tt_tempest::{
 };
 
 /// Request a copy of a KV slot block. Args: `[block_addr]`.
-pub const KV_GET: HandlerId = HandlerId(0x40);
+pub(crate) const KV_GET: HandlerId = HandlerId(0x40);
 /// Grant a copy of a KV slot block. Args: `[block_addr]` + data.
-pub const KV_PUT_MSG: HandlerId = HandlerId(0x41);
+pub(crate) const KV_PUT_MSG: HandlerId = HandlerId(0x41);
 /// Ship one written slot block to its home. Args: `[block_addr]` + data.
-pub const KV_WRITE: HandlerId = HandlerId(0x42);
+pub(crate) const KV_WRITE: HandlerId = HandlerId(0x42);
 /// Push an updated slot block to a sharer. Args: `[block_addr]` + data.
-pub const KV_UPD: HandlerId = HandlerId(0x43);
+pub(crate) const KV_UPD: HandlerId = HandlerId(0x43);
 /// Sharer's acknowledgment of an update. Args: `[block_addr]`.
-pub const KV_UACK: HandlerId = HandlerId(0x44);
+pub(crate) const KV_UACK: HandlerId = HandlerId(0x44);
 /// Home's release of the writer once a block's broadcast is acked.
 /// Args: `[block_addr]`.
-pub const KV_WACK: HandlerId = HandlerId(0x45);
+pub(crate) const KV_WACK: HandlerId = HandlerId(0x45);
 
 /// Sharer-side cost of a slot miss (tag flip + send).
 const GET_FAULT_INSTR: u64 = 14;

@@ -33,9 +33,9 @@ use crate::SyncMode;
 
 /// Mode of grid 0's boundary pages (= the delayed-update protocol's
 /// first custom mode).
-pub const BOUNDARY_MODE_G0: u8 = crate::em3d::E_MODE;
+pub(crate) const BOUNDARY_MODE_G0: u8 = crate::em3d::E_MODE;
 /// Mode of grid 1's boundary pages.
-pub const BOUNDARY_MODE_G1: u8 = crate::em3d::H_MODE;
+pub(crate) const BOUNDARY_MODE_G1: u8 = crate::em3d::H_MODE;
 
 /// Ocean parameters.
 #[derive(Clone, Debug)]

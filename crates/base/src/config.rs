@@ -96,11 +96,11 @@ pub const NP_DCACHE_ASSOC: usize = 2;
 
 /// Cycles for the NP's hardware-assisted dispatch to start a handler
 /// (Section 5.1's dispatch loop).
-pub const NP_DISPATCH: Cycles = Cycles::new(4);
+pub(crate) const NP_DISPATCH: Cycles = Cycles::new(4);
 
 /// Cycles for the bus monitor to detect a block access fault, nack the
 /// transaction and deposit a BAF-buffer entry (Section 5.1).
-pub const NP_FAULT_DETECT: Cycles = Cycles::new(5);
+pub(crate) const NP_FAULT_DETECT: Cycles = Cycles::new(5);
 
 /// Cycles a handler's 32-byte block transfer occupies the NP; the block
 /// transfer buffer overlaps the MBus transfer with execution (Section 5.1).
@@ -124,12 +124,12 @@ pub const STACHE_PAGE_FAULT_INSTR: u64 = 250;
 
 /// In [`NpMode::OnCpu`], cycles to enter and exit the handler interrupt
 /// (Section 2's software Tempest has no hardware-assisted dispatch).
-pub const SOFTWARE_DISPATCH: Cycles = Cycles::new(100);
+pub(crate) const SOFTWARE_DISPATCH: Cycles = Cycles::new(100);
 
 /// In [`NpMode::OnCpu`], cycles to detect a block access fault in
 /// software (synthesized from ECC tricks or page protection, as a CM-5
 /// port would; far costlier than the bus monitor).
-pub const SOFTWARE_FAULT_DETECT: Cycles = Cycles::new(250);
+pub(crate) const SOFTWARE_FAULT_DETECT: Cycles = Cycles::new(250);
 
 /// The primary CPU's cache capacity: the one cache setting a run varies.
 #[derive(Clone, Debug, PartialEq, Eq)]

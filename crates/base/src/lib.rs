@@ -36,7 +36,7 @@ pub mod stats;
 pub mod table;
 pub mod workload;
 
-pub use addr::{PAddr, Ppn, VAddr, Vpn};
+pub use addr::VAddr;
 pub use config::{FaultSpec, SystemConfig, Topology, WindowPolicy, PARTITION_RUN};
 pub use cycles::Cycles;
 pub use fxhash::{FxHashMap, FxHashSet};

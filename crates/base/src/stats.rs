@@ -87,7 +87,7 @@ impl Default for LatHistogram {
 
 impl LatHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatHistogram { counts: vec![0; LAT_BUCKETS], total: 0, sum: 0, max: 0 }
     }
 
@@ -176,7 +176,7 @@ impl LatHistogram {
 }
 
 /// A named per-item count for [`Report::push_sums`].
-pub type SumRow<T> = (&'static str, fn(&T) -> u64);
+pub(crate) type SumRow<T> = (&'static str, fn(&T) -> u64);
 
 /// One named value in a statistics report.
 #[derive(Clone, Debug, PartialEq)]

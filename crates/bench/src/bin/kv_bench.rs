@@ -40,7 +40,7 @@ const SKEWS: [f64; 3] = [0.5, 0.9, 1.2];
 /// Server variants swept.
 const VARIANTS: [KvVariant; 2] = [KvVariant::Stache, KvVariant::Update];
 
-/// KV-specific sweep knobs layered on the shared [`tt_bench::Cli`].
+/// KV-specific sweep knobs layered on the shared [`tt_bench::cli::Cli`].
 struct KvCli {
     keys: u64,
     requests_per_node: u64,

@@ -4,7 +4,7 @@
 //! simulator knobs (`--jobs`, `--repeat`, `--topology`, `--json`, ...);
 //! this module parses
 //! them once into a [`Cli`] and owns the equally repetitive tail — the
-//! [`SweepMeta`] header and `--json` report write. Binaries with extra
+//! `SweepMeta` header and `--json` report write. Binaries with extra
 //! flags hook them in through [`parse_cli_with`] instead of forking the
 //! parser.
 
@@ -29,9 +29,9 @@ pub struct Cli {
     /// Interconnect model (`ideal` keeps the paper's constant-latency
     /// pipe and its byte-identical tables; `mesh[:width]` adds per-link
     /// occupancy).
-    pub topology: Topology,
+    pub(crate) topology: Topology,
     /// Where to write the machine-readable run report, if anywhere.
-    pub json: Option<std::path::PathBuf>,
+    pub(crate) json: Option<std::path::PathBuf>,
 }
 
 impl Cli {
@@ -44,7 +44,7 @@ impl Cli {
     }
 
     /// The [`SweepMeta`] header for this invocation's report.
-    pub fn sweep_meta(&self, figure: &str, total_wall_secs: f64) -> SweepMeta {
+    pub(crate) fn sweep_meta(&self, figure: &str, total_wall_secs: f64) -> SweepMeta {
         SweepMeta {
             figure: figure.into(),
             nodes: self.nodes,
@@ -69,7 +69,7 @@ impl Cli {
 
 /// Help text for the flags every harness binary shares, printed after
 /// the binary's own usage block.
-pub const SHARED_FLAGS: &str = "\
+pub(crate) const SHARED_FLAGS: &str = "\
 Shared flags:
   --scale N                data-set divisor (1 = the paper's sizes)
   --full                   the paper's exact sizes (--scale 1)
@@ -100,11 +100,11 @@ impl CliError {
     /// Ends the process the conventional way: `Help` prints `usage` and
     /// the shared flags to stdout and exits 0; `Bad` prints the reason,
     /// then the usage, to stderr and exits 2.
-    pub fn exit(self, usage: &str) -> ! {
+    pub(crate) fn exit(self, usage: &str) -> ! {
         self.exit_with_help(&format!("{usage}\n{SHARED_FLAGS}"))
     }
 
-    /// [`CliError::exit`] for a binary whose help text is all its own
+    /// `CliError::exit` for a binary whose help text is all its own
     /// (`tt-check` takes none of the shared flags).
     pub fn exit_with_help(self, help: &str) -> ! {
         match self {
@@ -121,12 +121,13 @@ impl CliError {
 }
 
 /// A binary's hook for its own flags; see [`parse_cli_with`].
-pub type ExtraFlags<'a> = dyn FnMut(&str, &[String], &mut usize) -> Result<bool, String> + 'a;
+pub(crate) type ExtraFlags<'a> =
+    dyn FnMut(&str, &[String], &mut usize) -> Result<bool, String> + 'a;
 
 /// Parses `--scale N`, `--nodes N`, `--full`, `--jobs N`, `--repeat N`,
 /// `--topology ideal|mesh[:W]`, and `--json PATH` arguments
 /// shared by the harness binaries. On `--help` or a bad argument, prints
-/// `usage` (plus [`SHARED_FLAGS`]) and exits; see [`CliError::exit`].
+/// `usage` (plus `SHARED_FLAGS`) and exits; see `CliError::exit`.
 pub fn parse_cli(args: &[String], default_scale: usize, usage: &str) -> Cli {
     parse_cli_with(args, default_scale, usage, &mut |_, _, _| Ok(false))
 }
@@ -146,7 +147,7 @@ pub fn parse_cli_with(
 }
 
 /// The parser behind [`parse_cli_with`], returning instead of exiting.
-pub fn try_parse_cli_with(
+pub(crate) fn try_parse_cli_with(
     args: &[String],
     default_scale: usize,
     extra: &mut ExtraFlags,

@@ -36,7 +36,7 @@ pub struct PointRecord {
 
 impl PointRecord {
     /// Simulated cycles advanced per host second.
-    pub fn sim_cycles_per_sec(&self) -> f64 {
+    pub(crate) fn sim_cycles_per_sec(&self) -> f64 {
         if self.wall_secs > 0.0 {
             self.cycles as f64 / self.wall_secs
         } else {
@@ -45,7 +45,7 @@ impl PointRecord {
     }
 
     /// Workload ops simulated per host second.
-    pub fn ops_per_sec(&self) -> f64 {
+    pub(crate) fn ops_per_sec(&self) -> f64 {
         if self.wall_secs > 0.0 {
             self.ops as f64 / self.wall_secs
         } else {
@@ -119,28 +119,32 @@ pub fn escape(s: &str) -> String {
 
 /// Sweep shape + provenance for a report header.
 #[derive(Clone, Debug)]
-pub struct SweepMeta {
+pub(crate) struct SweepMeta {
     /// Which figure/sweep the report covers, e.g. `"figure3"`.
-    pub figure: String,
+    pub(crate) figure: String,
     /// Simulated machine size.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Data-set divisor.
-    pub scale: usize,
+    pub(crate) scale: usize,
     /// Sweep worker threads.
-    pub jobs: usize,
+    pub(crate) jobs: usize,
     /// Wall-timing repeats per point (min-of-N).
-    pub repeat: usize,
+    pub(crate) repeat: usize,
     /// Interconnect model the sweep ran under.
-    pub topology: Topology,
+    pub(crate) topology: Topology,
     /// Wall seconds for the whole sweep.
-    pub total_wall_secs: f64,
+    pub(crate) total_wall_secs: f64,
 }
 
 /// Writes a sweep report to `path`, creating parent directories. The
 /// header records the sweep shape plus provenance (`git_rev`, `host`,
 /// and every [`SweepMeta`] field) so snapshots are attributable and
 /// wall-clock rates can be compared like-for-like across PRs.
-pub fn write_report(path: &Path, meta: &SweepMeta, points: &[PointRecord]) -> std::io::Result<()> {
+pub(crate) fn write_report(
+    path: &Path,
+    meta: &SweepMeta,
+    points: &[PointRecord],
+) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;

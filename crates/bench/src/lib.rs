@@ -26,7 +26,7 @@ pub mod harness;
 pub mod json;
 pub mod par;
 
-pub use cli::{parse_cli, parse_cli_with, Cli};
+pub use cli::{parse_cli, parse_cli_with};
 
 use std::time::Instant;
 
@@ -85,9 +85,9 @@ pub struct RunOutcome {
     pub ops: u64,
     /// Heap high-water mark over the run (process-global; attributable
     /// to this run only at `--jobs 1`).
-    pub peak_bytes: u64,
+    pub(crate) peak_bytes: u64,
     /// Heap allocation events during the run (same caveat).
-    pub allocs: u64,
+    pub(crate) allocs: u64,
 }
 
 /// Simulator throughput of one run: the host-side cost of a simulation,
@@ -98,7 +98,7 @@ pub struct RunStats {
     pub wall_secs: f64,
     /// Workload ops executed by the simulated CPUs.
     pub ops: u64,
-    /// Heap high-water mark over the run (see [`RunOutcome::peak_bytes`]).
+    /// Heap high-water mark over the run (see `RunOutcome::peak_bytes`).
     pub peak_bytes: u64,
     /// Heap allocation events during the run.
     pub allocs: u64,
@@ -106,7 +106,7 @@ pub struct RunStats {
 
 impl RunStats {
     /// Condenses a [`RunOutcome`]'s host-side throughput fields.
-    pub fn of(out: &RunOutcome) -> RunStats {
+    pub(crate) fn of(out: &RunOutcome) -> RunStats {
         RunStats {
             wall_secs: out.wall_secs,
             ops: out.ops,
@@ -380,7 +380,7 @@ pub fn figure4_point(
 }
 
 /// The remote-edge fractions of the Figure 4 x-axis.
-pub const FIGURE4_PCTS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
+pub(crate) const FIGURE4_PCTS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
 
 /// Runs the whole Figure 4 sweep across `jobs` threads, min-of-`repeat`
 /// wall timings per point (results are identical for any `jobs`; see

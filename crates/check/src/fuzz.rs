@@ -4,7 +4,7 @@
 //! One `u64` seed determines everything: the family's case shape
 //! ([`Shape`]: a random [`LitmusConfig`] or a [`KvLitmusConfig`]), the
 //! scripts generated from it, and the schedule perturbation
-//! ([`PerturbConfig::from_seed`]). A seed's run is therefore bit-exactly
+//! (`PerturbConfig::from_seed`). A seed's run is therefore bit-exactly
 //! reproducible — replay is just [`Family::run_seed`] again — and a
 //! failure report only needs the seed.
 //!
@@ -87,7 +87,7 @@ impl PerturbConfig {
     /// Derives the perturbation from a seed. New dimensions are drawn
     /// *after* the existing ones so old seeds keep their historical
     /// shapes.
-    pub fn from_seed(seed: u64) -> Self {
+    pub(crate) fn from_seed(seed: u64) -> Self {
         let mut rng = DetRng::new(seed).fork(3);
         let tie_shuffle = if rng.chance(0.75) { Some(rng.next_u64()) } else { None };
         let jitter_max = rng.below(4);
@@ -446,7 +446,7 @@ impl FuzzOptions {
     /// The perturbation this options set produces for one seed. The
     /// fault-plan seed comes from its own fork, so fault decisions are
     /// independent of every other drawn dimension.
-    pub fn perturb_for(&self, seed: u64) -> PerturbConfig {
+    pub(crate) fn perturb_for(&self, seed: u64) -> PerturbConfig {
         let mut p = PerturbConfig::from_seed(seed);
         if self.faults || self.fault_seed.is_some() {
             let fs = self.fault_seed.unwrap_or_else(|| DetRng::new(seed).fork(12).next_u64());

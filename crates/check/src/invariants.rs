@@ -40,16 +40,16 @@ use tt_typhoon::{Event, TyphoonMachine};
 
 /// Default event budget: far above anything a litmus-sized run needs,
 /// low enough that a livelock fails in well under a second.
-pub const DEFAULT_EVENT_BUDGET: u64 = 2_000_000;
+pub(crate) const DEFAULT_EVENT_BUDGET: u64 = 2_000_000;
 
 /// Event-boundary invariant checker. Construct one per run and feed it
 /// to [`TyphoonMachine::run_observed`]:
 ///
-/// ```ignore
+/// ```text
 /// let mut checker = InvariantChecker::new(litmus.blocks.clone());
 /// machine.run_observed(&mut |now, ev, m| checker.check(now, ev, m));
 /// ```
-pub struct InvariantChecker {
+pub(crate) struct InvariantChecker {
     policy: VnPolicy,
     tracked: Vec<VAddr>,
     budget: u64,
@@ -59,7 +59,7 @@ pub struct InvariantChecker {
 impl InvariantChecker {
     /// A checker watching the given block base addresses, enforcing the
     /// Stache virtual-network policy and the default event budget.
-    pub fn new(tracked: Vec<VAddr>) -> Self {
+    pub(crate) fn new(tracked: Vec<VAddr>) -> Self {
         InvariantChecker {
             policy: tt_stache::vn_policy(),
             tracked,
@@ -69,19 +69,19 @@ impl InvariantChecker {
     }
 
     /// Replaces the virtual-network policy (for non-Stache protocols).
-    pub fn with_policy(mut self, policy: VnPolicy) -> Self {
+    pub(crate) fn with_policy(mut self, policy: VnPolicy) -> Self {
         self.policy = policy;
         self
     }
 
     /// Replaces the event budget.
-    pub fn with_budget(mut self, budget: u64) -> Self {
+    pub(crate) fn with_budget(mut self, budget: u64) -> Self {
         self.budget = budget;
         self
     }
 
     /// Events observed so far.
-    pub fn events(&self) -> u64 {
+    pub(crate) fn events(&self) -> u64 {
         self.events
     }
 
@@ -90,7 +90,7 @@ impl InvariantChecker {
     /// # Panics
     ///
     /// Panics with a message naming the violated invariant.
-    pub fn check(&mut self, now: Cycles, event: &Event, m: &TyphoonMachine) {
+    pub(crate) fn check(&mut self, now: Cycles, event: &Event, m: &TyphoonMachine) {
         self.events += 1;
         assert!(
             self.events <= self.budget,

@@ -55,25 +55,25 @@ type SlotWords = Vec<(VAddr, u64)>;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KvLitmusConfig {
     /// Seed that generated the case.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Processors (2–4).
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Key-space size the hot keys are sampled from (64–512).
-    pub keyspace: u64,
+    pub(crate) keyspace: u64,
     /// Contended keys (2–5).
-    pub hot_keys: usize,
+    pub(crate) hot_keys: usize,
     /// Put rounds (1–3).
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// Value words per slot (1–6; 4+ makes slots span two blocks).
-    pub value_words: usize,
+    pub(crate) value_words: usize,
     /// Cap the stache frame budget at two pages, forcing replacement
     /// and stale-update handling.
-    pub tight_stache: bool,
+    pub(crate) tight_stache: bool,
 }
 
 impl KvLitmusConfig {
     /// Derives a case shape from a seed.
-    pub fn from_seed(seed: u64) -> Self {
+    pub(crate) fn from_seed(seed: u64) -> Self {
         let mut rng = DetRng::new(seed).fork(7);
         KvLitmusConfig {
             seed,
@@ -89,24 +89,24 @@ impl KvLitmusConfig {
 
 /// A generated KV litmus case: both script variants, the contended
 /// blocks, and the predicted final slot image.
-pub struct KvLitmus {
+pub(crate) struct KvLitmus {
     /// The shape this case was generated from.
-    pub cfg: KvLitmusConfig,
+    pub(crate) cfg: KvLitmusConfig,
     /// Key layout (identical for both variants).
-    pub kv: KvLayout,
+    pub(crate) kv: KvLayout,
     /// Raw-store scripts (Stache and DirNNB legs).
-    pub stache_scripts: Vec<Vec<Op>>,
+    pub(crate) stache_scripts: Vec<Vec<Op>>,
     /// Staged-put scripts (update-protocol leg).
-    pub update_scripts: Vec<Vec<Op>>,
+    pub(crate) update_scripts: Vec<Vec<Op>>,
     /// Slot blocks of the hot keys (invariant-engine watch list).
-    pub blocks: Vec<VAddr>,
+    pub(crate) blocks: Vec<VAddr>,
     /// Expected final value of every written slot word.
-    pub finals: Vec<(VAddr, u64)>,
+    pub(crate) finals: Vec<(VAddr, u64)>,
 }
 
 impl KvLitmus {
     /// Generates the case for `cfg`. Deterministic.
-    pub fn generate(cfg: &KvLitmusConfig) -> KvLitmus {
+    pub(crate) fn generate(cfg: &KvLitmusConfig) -> KvLitmus {
         let mut rng = DetRng::new(cfg.seed).fork(8);
         let kv = KvLayout::new(cfg.keyspace, cfg.value_words, cfg.nodes);
 
@@ -242,7 +242,7 @@ impl KvLitmus {
     }
 
     /// Builds a fresh workload for one run of one variant.
-    pub fn workload(&self, update_variant: bool, coalesce: bool) -> ScriptWorkload {
+    pub(crate) fn workload(&self, update_variant: bool, coalesce: bool) -> ScriptWorkload {
         let scripts = if update_variant { &self.update_scripts } else { &self.stache_scripts };
         let mut w = ScriptWorkload::new(self.cfg.nodes).with_layout(self.kv.layout());
         for (n, script) in scripts.iter().enumerate() {

@@ -32,15 +32,14 @@
 //! litmus family (`Family::Random`, carrying the Typhoon protocol
 //! factory — the stock [`stache_factory`] or a planted bug) and the
 //! KV-serving family (`Family::Kv`: Stache-served and write-update-served
-//! Typhoon against DirNNB, [`KvLitmusConfig`]). Each has one case result
-//! ([`CaseResult`]: the named legs' cycles and the observed events), one
-//! [`Failure`] carrying the family's [`Shape`], one sweep
-//! ([`Family::fuzz`]), one replay ([`Family::run_seed`]) and one shrinker
-//! ([`Family::shrink`]): its schedule half serves both families, and the
-//! random family alone supplies shape steps. The classic SB/MP/LB/IRIW
-//! shapes ([`run_classic`]) are a fixed suite outside the pipeline. All
-//! of them build and run machines through one Typhoon leg and one DirNNB
-//! leg (private to [`fuzz`](mod@fuzz)). [`FuzzOptions`] carries
+//! Typhoon against DirNNB, [`kvlitmus::KvLitmusConfig`]). Each has one
+//! case result ([`fuzz::CaseResult`]: the named legs' cycles and the
+//! observed events), one [`Failure`] carrying the family's [`Shape`], one
+//! sweep ([`Family::fuzz`]), one replay ([`Family::run_seed`]) and one
+//! shrinker ([`Family::shrink`]): its schedule half serves both families,
+//! and the random family alone supplies shape steps. Both build and run
+//! machines through one Typhoon leg and one DirNNB leg (private to
+//! [`fuzz`](mod@fuzz)). [`FuzzOptions`] carries
 //! everything the CLI can force on top of a seed's own draw.
 //!
 //! [`scenarios`] carries known-broken protocols (promoted from the old
@@ -61,9 +60,4 @@ pub mod kvlitmus;
 pub mod litmus;
 pub mod scenarios;
 
-pub use fuzz::{
-    stache_factory, CaseResult, Failure, Family, FuzzOptions, FuzzReport, PerturbConfig, Shape,
-};
-pub use invariants::InvariantChecker;
-pub use kvlitmus::{KvLitmus, KvLitmusConfig};
-pub use litmus::{classic_suite, run_classic, ClassicLitmus, Litmus, LitmusConfig};
+pub use fuzz::{stache_factory, Failure, Family, FuzzOptions, PerturbConfig, Shape};

@@ -16,21 +16,21 @@ use tt_base::addr::{BLOCK_BYTES, PAGE_BYTES, WORDS_PER_BLOCK, WORD_BYTES};
 use tt_base::workload::{
     coalesce_computes, Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE,
 };
-use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
+use tt_base::{DetRng, NodeId, SystemConfig, VAddr};
 use tt_stache::ReliableConfig;
 
 use crate::fuzz::{
-    differential, dirnnb_image, dirnnb_leg, stache_factory, typhoon_image, typhoon_leg,
-    CaseOutcome, PerturbConfig, ProtocolFactory,
+    differential, dirnnb_image, dirnnb_leg, typhoon_image, typhoon_leg, CaseOutcome, PerturbConfig,
+    ProtocolFactory,
 };
 
 /// The shape of a litmus case. Usually derived from a seed with
-/// [`LitmusConfig::from_seed`]; the shrinker mutates the fields
+/// `LitmusConfig::from_seed`; the shrinker mutates the fields
 /// directly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LitmusConfig {
     /// Seed that generated (or, after shrinking, accompanies) the case.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Processors (2–4).
     pub nodes: usize,
     /// Shared pages (1–2), round-robin homed.
@@ -43,7 +43,7 @@ pub struct LitmusConfig {
 
 impl LitmusConfig {
     /// Derives a case shape from a seed.
-    pub fn from_seed(seed: u64) -> Self {
+    pub(crate) fn from_seed(seed: u64) -> Self {
         let mut rng = DetRng::new(seed).fork(1);
         let nodes = 2 + rng.below_usize(3);
         let blocks = 1 + rng.below_usize(4);
@@ -56,23 +56,23 @@ impl LitmusConfig {
 /// A generated litmus case: layout, per-node op scripts, the block
 /// addresses the invariant engine should watch, and the expected final
 /// value of every written word.
-pub struct Litmus {
+pub(crate) struct Litmus {
     /// The shape this case was generated from.
-    pub cfg: LitmusConfig,
+    pub(crate) cfg: LitmusConfig,
     /// Shared-segment layout (one region per page).
-    pub layout: Layout,
+    pub(crate) layout: Layout,
     /// Per-node op scripts (index = node).
-    pub scripts: Vec<Vec<Op>>,
+    pub(crate) scripts: Vec<Vec<Op>>,
     /// Base address of every contended block.
-    pub blocks: Vec<VAddr>,
+    pub(crate) blocks: Vec<VAddr>,
     /// Expected final value of every word any phase wrote.
-    pub finals: Vec<(VAddr, u64)>,
+    pub(crate) finals: Vec<(VAddr, u64)>,
 }
 
 impl Litmus {
     /// Generates the case for `cfg`. Deterministic: the same config
     /// always yields the same scripts.
-    pub fn generate(cfg: &LitmusConfig) -> Litmus {
+    pub(crate) fn generate(cfg: &LitmusConfig) -> Litmus {
         let mut rng = DetRng::new(cfg.seed).fork(2);
 
         let mut layout = Layout::new();
@@ -170,7 +170,7 @@ impl Litmus {
     /// Builds a fresh workload for one machine run, optionally
     /// coalescing adjacent compute ops (a legal perturbation: it only
     /// merges think-time).
-    pub fn workload(&self, coalesce: bool) -> ScriptWorkload {
+    pub(crate) fn workload(&self, coalesce: bool) -> ScriptWorkload {
         let mut w = ScriptWorkload::new(self.cfg.nodes).with_layout(self.layout.clone());
         for (n, script) in self.scripts.iter().enumerate() {
             let mut ops = script.clone();
@@ -221,183 +221,188 @@ pub(crate) fn run_random_case(
     )
 }
 
-/// A classic hand-written weak-memory litmus shape — store buffering,
-/// message passing, load buffering, IRIW — expressed over two shared
-/// variables homed at *different* nodes (so every access crosses the
-/// network) and value-recording reads ([`Op::ReadRecord`]).
-///
-/// Both machines implement sequential consistency: a CPU blocks on its
-/// single outstanding access and the coherence protocol serializes
-/// conflicting writes. The `forbidden` predicate names the outcome a
-/// weaker memory model would admit but SC forbids; the harness asserts
-/// it never appears — on either machine, under any legal schedule
-/// perturbation, and (for Typhoon) under lossy-network fault schedules
-/// with the reliable transport underneath.
-pub struct ClassicLitmus {
-    /// Litmus-tradition name: `"SB"`, `"MP"`, `"LB"`, `"IRIW"`.
-    pub name: &'static str,
-    /// Processors the shape needs (2, or 4 for IRIW).
-    pub nodes: usize,
-    /// Per-node op scripts over variables `x` and `y`.
-    pub scripts: Vec<Vec<Op>>,
-    /// Returns true if the per-node recorded-read vectors form the
-    /// SC-forbidden outcome.
-    pub forbidden: fn(&[Vec<u64>]) -> bool,
-}
-
-/// Variable `x`: first word of a page homed at node 0.
-fn var_x() -> VAddr {
-    VAddr::new(SHARED_SEGMENT_BASE)
-}
-
-/// Variable `y`: first word of a page homed at node 1.
-fn var_y() -> VAddr {
-    VAddr::new(SHARED_SEGMENT_BASE + PAGE_BYTES as u64)
-}
-
-impl ClassicLitmus {
-    /// Two one-page regions, homed at nodes 0 and 1 — the homes are
-    /// always distinct from each other, and for IRIW distinct from the
-    /// readers too.
-    pub fn layout(&self) -> Layout {
-        let mut l = Layout::new();
-        for (p, home) in [(0usize, 0u16), (1, 1)] {
-            l.add(Region {
-                base: VAddr::new(SHARED_SEGMENT_BASE + (p * PAGE_BYTES) as u64),
-                bytes: PAGE_BYTES,
-                placement: Placement::PerPage(vec![NodeId::new(home)]),
-                mode: 0,
-            });
-        }
-        l
-    }
-
-    /// A fresh workload for one machine run.
-    pub fn workload(&self) -> ScriptWorkload {
-        let mut w = ScriptWorkload::new(self.nodes).with_layout(self.layout());
-        for (n, script) in self.scripts.iter().enumerate() {
-            w.set(n, script.clone());
-        }
-        w
-    }
-
-    /// Recorded reads each node's script will produce.
-    pub fn reads_per_node(&self) -> Vec<usize> {
-        self.scripts
-            .iter()
-            .map(|s| s.iter().filter(|o| matches!(o, Op::ReadRecord { .. })).count())
-            .collect()
-    }
-}
-
-/// The classic suite. Initial state is all-zero; writes store 1.
-pub fn classic_suite() -> Vec<ClassicLitmus> {
-    let (x, y) = (var_x(), var_y());
-    let w = |addr| Op::Write { addr, value: 1 };
-    let r = |addr| Op::ReadRecord { addr };
-    vec![
-        // Store buffering: both writes buffered past the reads would
-        // let both nodes read 0.
-        ClassicLitmus {
-            name: "SB",
-            nodes: 2,
-            scripts: vec![vec![w(x), r(y)], vec![w(y), r(x)]],
-            forbidden: |recs| recs[0][0] == 0 && recs[1][0] == 0,
-        },
-        // Message passing: the flag (y) visible without the data (x)
-        // means the writes were reordered.
-        ClassicLitmus {
-            name: "MP",
-            nodes: 2,
-            scripts: vec![vec![w(x), w(y)], vec![r(y), r(x)]],
-            forbidden: |recs| recs[1][0] == 1 && recs[1][1] == 0,
-        },
-        // Load buffering: each load observing the *other* node's later
-        // store requires loads hoisted above program order.
-        ClassicLitmus {
-            name: "LB",
-            nodes: 2,
-            scripts: vec![vec![r(x), w(y)], vec![r(y), w(x)]],
-            forbidden: |recs| recs[0][0] == 1 && recs[1][0] == 1,
-        },
-        // Independent reads of independent writes: the two readers
-        // disagreeing on the write order breaks write atomicity.
-        ClassicLitmus {
-            name: "IRIW",
-            nodes: 4,
-            scripts: vec![vec![w(x)], vec![w(y)], vec![r(x), r(y)], vec![r(y), r(x)]],
-            forbidden: |recs| {
-                recs[2][0] == 1 && recs[2][1] == 0 && recs[3][0] == 1 && recs[3][1] == 0
-            },
-        },
-    ]
-}
-
-/// Runs one classic shape on both machines under `perturb` (`seed`
-/// feeds the machines' internal RNG streams) and checks the forbidden
-/// outcome never appears. The Typhoon leg runs under the invariant
-/// engine watching the x and y blocks, on the perturbation's topology
-/// and, under a fault schedule, behind the reliable transport; DirNNB
-/// is the fault-free ideal-network reference.
-///
-/// Returns the Typhoon leg's cycles and per-node recorded reads, or an
-/// error naming the machine and the outcome (or panic).
-pub fn run_classic(
-    case: &ClassicLitmus,
-    seed: u64,
-    perturb: &PerturbConfig,
-) -> Result<(Cycles, Vec<Vec<u64>>), String> {
-    let mut syscfg = SystemConfig::test_config(case.nodes);
-    syscfg.seed = seed;
-
-    let check = |machine: &str, recs: &[Vec<u64>]| -> Result<(), String> {
-        for (n, (got, want)) in recs.iter().zip(case.reads_per_node()).enumerate() {
-            if got.len() != want {
-                return Err(format!(
-                    "{}: {machine} node {n} recorded {} reads, script has {want}",
-                    case.name,
-                    got.len()
-                ));
-            }
-            if let Some(v) = got.iter().find(|v| **v > 1) {
-                return Err(format!("{}: {machine} node {n} read corrupt value {v:#x}", case.name));
-            }
-        }
-        if (case.forbidden)(recs) {
-            return Err(format!(
-                "{}: {machine} produced the SC-forbidden outcome {recs:?}",
-                case.name
-            ));
-        }
-        Ok(())
-    };
-    let panicked = |machine: &str, msg: String| format!("{}: {machine} panicked: {msg}", case.name);
-
-    let (cycles, typhoon_recs, _) = typhoon_leg(
-        &syscfg,
-        perturb,
-        case.workload(),
-        &stache_factory,
-        &ReliableConfig::default(),
-        Some(&[var_x(), var_y()]),
-        |m| (0..case.nodes).map(|n| m.recorded_reads(n).to_vec()).collect::<Vec<_>>(),
-    )
-    .map_err(|msg| panicked("typhoon+stache", msg))?;
-    check("typhoon+stache", &typhoon_recs)?;
-
-    let (_, dirnnb_recs) = dirnnb_leg(&syscfg, perturb, case.workload(), |m| {
-        (0..case.nodes).map(|n| m.recorded_reads(n).to_vec()).collect::<Vec<_>>()
-    })
-    .map_err(|msg| panicked("dirnnb", msg))?;
-    check("dirnnb", &dirnnb_recs)?;
-
-    Ok((cycles, typhoon_recs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tt_base::{FaultSpec, Topology};
+    use crate::fuzz::stache_factory;
+    use tt_base::{Cycles, FaultSpec, Topology};
+
+    /// A classic hand-written weak-memory litmus shape — store buffering,
+    /// message passing, load buffering, IRIW — expressed over two shared
+    /// variables homed at *different* nodes (so every access crosses the
+    /// network) and value-recording reads ([`Op::ReadRecord`]).
+    ///
+    /// Both machines implement sequential consistency: a CPU blocks on its
+    /// single outstanding access and the coherence protocol serializes
+    /// conflicting writes. The `forbidden` predicate names the outcome a
+    /// weaker memory model would admit but SC forbids; the harness asserts
+    /// it never appears — on either machine, under any legal schedule
+    /// perturbation, and (for Typhoon) under lossy-network fault schedules
+    /// with the reliable transport underneath.
+    struct ClassicLitmus {
+        /// Litmus-tradition name: `"SB"`, `"MP"`, `"LB"`, `"IRIW"`.
+        name: &'static str,
+        /// Processors the shape needs (2, or 4 for IRIW).
+        nodes: usize,
+        /// Per-node op scripts over variables `x` and `y`.
+        scripts: Vec<Vec<Op>>,
+        /// Returns true if the per-node recorded-read vectors form the
+        /// SC-forbidden outcome.
+        forbidden: fn(&[Vec<u64>]) -> bool,
+    }
+
+    /// Variable `x`: first word of a page homed at node 0.
+    fn var_x() -> VAddr {
+        VAddr::new(SHARED_SEGMENT_BASE)
+    }
+
+    /// Variable `y`: first word of a page homed at node 1.
+    fn var_y() -> VAddr {
+        VAddr::new(SHARED_SEGMENT_BASE + PAGE_BYTES as u64)
+    }
+
+    impl ClassicLitmus {
+        /// Two one-page regions, homed at nodes 0 and 1 — the homes are
+        /// always distinct from each other, and for IRIW distinct from the
+        /// readers too.
+        fn layout(&self) -> Layout {
+            let mut l = Layout::new();
+            for (p, home) in [(0usize, 0u16), (1, 1)] {
+                l.add(Region {
+                    base: VAddr::new(SHARED_SEGMENT_BASE + (p * PAGE_BYTES) as u64),
+                    bytes: PAGE_BYTES,
+                    placement: Placement::PerPage(vec![NodeId::new(home)]),
+                    mode: 0,
+                });
+            }
+            l
+        }
+
+        /// A fresh workload for one machine run.
+        fn workload(&self) -> ScriptWorkload {
+            let mut w = ScriptWorkload::new(self.nodes).with_layout(self.layout());
+            for (n, script) in self.scripts.iter().enumerate() {
+                w.set(n, script.clone());
+            }
+            w
+        }
+
+        /// Recorded reads each node's script will produce.
+        fn reads_per_node(&self) -> Vec<usize> {
+            self.scripts
+                .iter()
+                .map(|s| s.iter().filter(|o| matches!(o, Op::ReadRecord { .. })).count())
+                .collect()
+        }
+    }
+
+    /// The classic suite. Initial state is all-zero; writes store 1.
+    fn classic_suite() -> Vec<ClassicLitmus> {
+        let (x, y) = (var_x(), var_y());
+        let w = |addr| Op::Write { addr, value: 1 };
+        let r = |addr| Op::ReadRecord { addr };
+        vec![
+            // Store buffering: both writes buffered past the reads would
+            // let both nodes read 0.
+            ClassicLitmus {
+                name: "SB",
+                nodes: 2,
+                scripts: vec![vec![w(x), r(y)], vec![w(y), r(x)]],
+                forbidden: |recs| recs[0][0] == 0 && recs[1][0] == 0,
+            },
+            // Message passing: the flag (y) visible without the data (x)
+            // means the writes were reordered.
+            ClassicLitmus {
+                name: "MP",
+                nodes: 2,
+                scripts: vec![vec![w(x), w(y)], vec![r(y), r(x)]],
+                forbidden: |recs| recs[1][0] == 1 && recs[1][1] == 0,
+            },
+            // Load buffering: each load observing the *other* node's later
+            // store requires loads hoisted above program order.
+            ClassicLitmus {
+                name: "LB",
+                nodes: 2,
+                scripts: vec![vec![r(x), w(y)], vec![r(y), w(x)]],
+                forbidden: |recs| recs[0][0] == 1 && recs[1][0] == 1,
+            },
+            // Independent reads of independent writes: the two readers
+            // disagreeing on the write order breaks write atomicity.
+            ClassicLitmus {
+                name: "IRIW",
+                nodes: 4,
+                scripts: vec![vec![w(x)], vec![w(y)], vec![r(x), r(y)], vec![r(y), r(x)]],
+                forbidden: |recs| {
+                    recs[2][0] == 1 && recs[2][1] == 0 && recs[3][0] == 1 && recs[3][1] == 0
+                },
+            },
+        ]
+    }
+
+    /// Runs one classic shape on both machines under `perturb` (`seed`
+    /// feeds the machines' internal RNG streams) and checks the forbidden
+    /// outcome never appears. The Typhoon leg runs under the invariant
+    /// engine watching the x and y blocks, on the perturbation's topology
+    /// and, under a fault schedule, behind the reliable transport; DirNNB
+    /// is the fault-free ideal-network reference.
+    ///
+    /// Returns the Typhoon leg's cycles and per-node recorded reads, or an
+    /// error naming the machine and the outcome (or panic).
+    fn run_classic(
+        case: &ClassicLitmus,
+        seed: u64,
+        perturb: &PerturbConfig,
+    ) -> Result<(Cycles, Vec<Vec<u64>>), String> {
+        let mut syscfg = SystemConfig::test_config(case.nodes);
+        syscfg.seed = seed;
+
+        let check = |machine: &str, recs: &[Vec<u64>]| -> Result<(), String> {
+            for (n, (got, want)) in recs.iter().zip(case.reads_per_node()).enumerate() {
+                if got.len() != want {
+                    return Err(format!(
+                        "{}: {machine} node {n} recorded {} reads, script has {want}",
+                        case.name,
+                        got.len()
+                    ));
+                }
+                if let Some(v) = got.iter().find(|v| **v > 1) {
+                    return Err(format!(
+                        "{}: {machine} node {n} read corrupt value {v:#x}",
+                        case.name
+                    ));
+                }
+            }
+            if (case.forbidden)(recs) {
+                return Err(format!(
+                    "{}: {machine} produced the SC-forbidden outcome {recs:?}",
+                    case.name
+                ));
+            }
+            Ok(())
+        };
+        let panicked =
+            |machine: &str, msg: String| format!("{}: {machine} panicked: {msg}", case.name);
+
+        let (cycles, typhoon_recs, _) = typhoon_leg(
+            &syscfg,
+            perturb,
+            case.workload(),
+            &stache_factory,
+            &ReliableConfig::default(),
+            Some(&[var_x(), var_y()]),
+            |m| (0..case.nodes).map(|n| m.recorded_reads(n).to_vec()).collect::<Vec<_>>(),
+        )
+        .map_err(|msg| panicked("typhoon+stache", msg))?;
+        check("typhoon+stache", &typhoon_recs)?;
+
+        let (_, dirnnb_recs) = dirnnb_leg(&syscfg, perturb, case.workload(), |m| {
+            (0..case.nodes).map(|n| m.recorded_reads(n).to_vec()).collect::<Vec<_>>()
+        })
+        .map_err(|msg| panicked("dirnnb", msg))?;
+        check("dirnnb", &dirnnb_recs)?;
+
+        Ok((cycles, typhoon_recs))
+    }
 
     #[test]
     fn config_derivation_is_deterministic_and_in_range() {

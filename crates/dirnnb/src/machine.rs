@@ -565,8 +565,9 @@ impl DirnnbMachine {
         if !present {
             if self.cpus[node].pending_block == Some(addr) {
                 // The recall overtook this node's own grant for the same
-                // block (grants and recalls travel on different virtual
-                // networks). Nack-and-retry, as a busy hardware owner
+                // block: both travel on the one request network, but the
+                // home spends at least 32 cycles on a data grant and 21 on
+                // a recall. Nack-and-retry, as a busy hardware owner
                 // would: try again after the grant has landed.
                 queue.schedule(
                     now + self.cfg.network_latency,

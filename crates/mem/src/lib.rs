@@ -29,8 +29,8 @@ pub mod ptable;
 pub mod tags;
 pub mod tlb;
 
-pub use cache::{CacheModel, Evicted, Probe};
-pub use memory::{NodeMemory, PageFrame, PageMeta};
+pub use cache::CacheModel;
+pub use memory::{NodeMemory, PageMeta};
 pub use ptable::PageTable;
 pub use tags::{AccessKind, Tag};
 pub use tlb::FifoTlb;

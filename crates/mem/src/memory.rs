@@ -71,12 +71,12 @@ impl Default for PageFrame {
 
 impl PageFrame {
     /// The tag of block `idx` (0..[`tt_base::addr::BLOCKS_PER_PAGE`]).
-    pub fn tag(&self, idx: usize) -> Tag {
+    pub(crate) fn tag(&self, idx: usize) -> Tag {
         self.tags.get(idx)
     }
 
     /// Sets the tag of block `idx`.
-    pub fn set_tag(&mut self, idx: usize, tag: Tag) {
+    pub(crate) fn set_tag(&mut self, idx: usize, tag: Tag) {
         self.tags.set(idx, tag);
     }
 

@@ -34,7 +34,7 @@ impl Tag {
     /// freshly zeroed tag word means "everything faults", matching the
     /// hardware's power-on state and [`PackedTags::default`].
     #[inline]
-    pub const fn code(self) -> u64 {
+    pub(crate) const fn code(self) -> u64 {
         match self {
             Tag::Invalid => 0,
             Tag::ReadOnly => 1,
@@ -45,7 +45,7 @@ impl Tag {
 
     /// Decodes a 2-bit RTLB encoding (inverse of [`Tag::code`]).
     #[inline]
-    pub const fn from_code(code: u64) -> Tag {
+    pub(crate) const fn from_code(code: u64) -> Tag {
         match code & 0b11 {
             0 => Tag::Invalid,
             1 => Tag::ReadOnly,
@@ -74,7 +74,7 @@ impl fmt::Display for Tag {
 }
 
 /// Number of `u64` words holding one page's worth of 2-bit block tags.
-pub const TAG_WORDS: usize = tt_base::addr::BLOCKS_PER_PAGE / BLOCKS_PER_WORD;
+pub(crate) const TAG_WORDS: usize = tt_base::addr::BLOCKS_PER_PAGE / BLOCKS_PER_WORD;
 
 /// Blocks whose tags fit in one `u64` (2 bits each).
 const BLOCKS_PER_WORD: usize = 32;
@@ -89,7 +89,7 @@ const fn splat(tag: Tag) -> u64 {
 /// layout (Section 5.4) rather than one byte-sized enum per block.
 ///
 /// Beyond the 4× space saving, packing makes [`PackedTags::set_all`]
-/// O(1): it stores [`TAG_WORDS`] splatted words instead of looping over
+/// O(1): it stores `TAG_WORDS` splatted words instead of looping over
 /// 128 blocks.
 ///
 /// # Example

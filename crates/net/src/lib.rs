@@ -41,7 +41,7 @@ pub enum VirtualNet {
 impl VirtualNet {
     /// Index for per-net statistics arrays.
     #[inline]
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         match self {
             VirtualNet::Request => 0,
             VirtualNet::Response => 1,
@@ -51,7 +51,7 @@ impl VirtualNet {
 
 /// Maximum packet payload in bytes: twenty 32-bit words (Section 5),
 /// vs. the CM-5's five.
-pub const MAX_PACKET_BYTES: usize = 80;
+pub(crate) const MAX_PACKET_BYTES: usize = 80;
 
 /// Bytes charged for the handler word at the head of every message.
 pub const HANDLER_WORD_BYTES: usize = 4;
@@ -62,7 +62,7 @@ pub const ARG_WORD_BYTES: usize = 8;
 /// Maximum argument words a payload can carry inline. Nine words plus the
 /// handler word fills the 80-byte packet; a payload that also carries a
 /// coherence block fits the packet with at most five.
-pub const MAX_ARG_WORDS: usize = 9;
+pub(crate) const MAX_ARG_WORDS: usize = 9;
 
 /// A message payload: argument words plus at most one coherence block.
 ///
@@ -95,7 +95,7 @@ impl Payload {
     ///
     /// # Panics
     ///
-    /// Panics if `words` exceeds [`MAX_ARG_WORDS`].
+    /// Panics if `words` exceeds `MAX_ARG_WORDS`.
     pub fn args(words: &[u64]) -> Self {
         assert!(
             words.len() <= MAX_ARG_WORDS,
@@ -113,7 +113,7 @@ impl Payload {
     ///
     /// # Panics
     ///
-    /// Panics if `words` exceeds [`MAX_ARG_WORDS`].
+    /// Panics if `words` exceeds `MAX_ARG_WORDS`.
     pub fn with_block(words: &[u64], block: [u8; BLOCK_BYTES]) -> Self {
         let mut p = Payload::args(words);
         p.has_block = true;
@@ -139,7 +139,7 @@ impl Payload {
     ///
     /// # Panics
     ///
-    /// Panics if the payload already carries [`MAX_ARG_WORDS`] words.
+    /// Panics if the payload already carries `MAX_ARG_WORDS` words.
     pub fn push_word(&mut self, w: u64) {
         assert!(
             (self.nwords as usize) < MAX_ARG_WORDS,
@@ -163,7 +163,7 @@ impl Payload {
     }
 
     /// Total wire size in bytes, including the handler word.
-    pub fn wire_bytes(&self) -> usize {
+    pub(crate) fn wire_bytes(&self) -> usize {
         HANDLER_WORD_BYTES + ARG_WORD_BYTES * self.nwords as usize + self.data().len()
     }
 
@@ -195,7 +195,7 @@ pub struct Packet {
 
 impl Packet {
     /// Total wire size in bytes.
-    pub fn wire_bytes(&self) -> usize {
+    pub(crate) fn wire_bytes(&self) -> usize {
         self.payload.wire_bytes()
     }
 }
@@ -204,9 +204,9 @@ impl Packet {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Packets sent on each virtual network.
-    pub packets: [Counter; 2],
+    pub(crate) packets: [Counter; 2],
     /// Payload bytes sent on each virtual network.
-    pub bytes: [Counter; 2],
+    pub(crate) bytes: [Counter; 2],
     /// Packets a node sent to itself (short-circuited, never on the wire).
     pub local_packets: Counter,
 }
@@ -383,7 +383,7 @@ fn wire_image(p: &Packet) -> Vec<u8> {
 /// single-bit flip in the image changes it, which is what makes the
 /// fault model's corruption *detectable* — a receiver verifying this
 /// word discards the copy, so corruption degrades to a drop.
-pub fn packet_checksum(routing: u64, image: &[u8]) -> u64 {
+pub(crate) fn packet_checksum(routing: u64, image: &[u8]) -> u64 {
     let mut h = mix64(0x74_74_63_6B ^ routing); // "ttck"
     for (i, &b) in image.iter().enumerate() {
         h = mix64(h ^ ((b as u64) << 8) ^ i as u64);

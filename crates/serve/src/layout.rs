@@ -49,9 +49,9 @@ const SLOT_SALT: u64 = 0x7455_4b56_u64;
 #[derive(Clone, Debug)]
 pub struct KvLayout {
     /// Data words per value.
-    pub value_words: usize,
+    pub(crate) value_words: usize,
     /// Machine size (fixes the cyclic home mapping).
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Bytes per slot (header + value, rounded up to a power of two of
     /// at least one block).
     slot_bytes: u64,

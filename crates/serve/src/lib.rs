@@ -40,5 +40,5 @@ pub use layout::{
     header_word, value_word, KvLayout, KV_MODE, KV_PUT_OP, KV_STAMP_OP, MAX_VALUE_WORDS,
 };
 pub use protocol::KvStacheProtocol;
-pub use run::{run_kv, run_kv_stache, KvOutcome, KvProtocolFactory};
+pub use run::{run_kv, run_kv_stache, KvOutcome};
 pub use workload::{KvParams, KvVariant, KvWorkload};

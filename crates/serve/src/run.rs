@@ -26,7 +26,7 @@ use crate::protocol::KvStacheProtocol;
 use crate::workload::{KvParams, KvWorkload};
 
 /// A protocol factory that also receives the KV layout and collector.
-pub type KvProtocolFactory<'a> =
+pub(crate) type KvProtocolFactory<'a> =
     &'a dyn Fn(NodeId, &Layout, &SystemConfig, &KvLayout, SharedKvLatency) -> Box<dyn Protocol>;
 
 /// What one KV run produced.

@@ -72,7 +72,7 @@ pub struct KvParams {
     /// Value size in 64-bit words.
     pub value_words: usize,
     /// Per-request compute cycles (parse + hash).
-    pub think: u32,
+    pub(crate) think: u32,
     /// Workload seed (independent of the machine seed).
     pub seed: u64,
     /// Which server variant the programs drive.

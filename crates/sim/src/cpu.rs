@@ -112,7 +112,7 @@ pub enum Flow {
 #[derive(Debug)]
 pub struct Stream {
     /// Current op chunk.
-    pub chunk: Vec<Op>,
+    pub(crate) chunk: Vec<Op>,
     /// Index of the next op in `chunk`.
     pub pc: usize,
     /// Local time through which this CPU has executed.
@@ -120,9 +120,9 @@ pub struct Stream {
     /// Execution status.
     pub status: Status,
     /// Whether a `CpuStep` event is already scheduled (de-duplication).
-    pub step_pending: bool,
+    pub(crate) step_pending: bool,
     /// Time at which the current suspension began.
-    pub suspended_at: Cycles,
+    pub(crate) suspended_at: Cycles,
     /// Values observed by `Op::ReadRecord` loads, in program order
     /// (litmus harnesses read these back after the run).
     pub recorded: Vec<u64>,

@@ -12,7 +12,7 @@
 //! Events scheduled for the same cycle are delivered in the order of
 //! their keys, which makes every simulation bit-reproducible. A key is
 //! packed from the event's *origin* — the node whose handler scheduled
-//! it, or [`GLOBAL_ORIGIN`] for machine-global bookkeeping such as
+//! it, or `GLOBAL_ORIGIN` for machine-global bookkeeping such as
 //! barrier releases — and a per-origin counter:
 //!
 //! ```text
@@ -41,11 +41,11 @@ use tt_base::{mix64, Cycles};
 pub mod cpu;
 pub mod driver;
 
-pub use driver::{Machine, RunResult};
+pub use driver::RunResult;
 
 /// Origin id of machine-global scheduling (barrier bookkeeping). Sorts
 /// ahead of every node origin at the same cycle.
-pub const GLOBAL_ORIGIN: u64 = 0;
+pub(crate) const GLOBAL_ORIGIN: u64 = 0;
 
 /// Bits of the key holding the per-origin counter.
 const COUNTER_BITS: u32 = 32;
@@ -216,7 +216,7 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the earliest pending event, if any.
     #[inline]
-    pub fn peek_time(&self) -> Option<Cycles> {
+    pub(crate) fn peek_time(&self) -> Option<Cycles> {
         match &self.front {
             Some(e) => Some(e.time),
             None => self.heap.peek().map(|Reverse(e)| e.time),

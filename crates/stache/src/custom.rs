@@ -57,11 +57,11 @@ pub const EM3D_H_MODE: u8 = 3;
 pub const FLUSH_OP: u32 = 1;
 
 /// Request a copy of a custom block. Args: `[block_addr, mode]`.
-pub const CGET: HandlerId = HandlerId(0x30);
+pub(crate) const CGET: HandlerId = HandlerId(0x30);
 /// Grant a copy of a custom block. Args: `[block_addr, mode]` + data.
-pub const CPUT: HandlerId = HandlerId(0x31);
+pub(crate) const CPUT: HandlerId = HandlerId(0x31);
 /// Push updated values. Args: `[block_addr, mode, phase]` + data.
-pub const UPDATE: HandlerId = HandlerId(0x32);
+pub(crate) const UPDATE: HandlerId = HandlerId(0x32);
 
 /// Base instruction cost of the home's copy-list bookkeeping per request.
 const CGET_INSTR: u64 = 18;

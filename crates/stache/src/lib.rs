@@ -38,4 +38,4 @@ pub mod transport;
 
 pub use custom::Em3dUpdateProtocol;
 pub use stache::{vn_policy, StacheProtocol};
-pub use transport::{reliable_vn_policy, Reliable, ReliableConfig, REL_ACK};
+pub use transport::{reliable_vn_policy, Reliable, ReliableConfig};

@@ -46,7 +46,7 @@ use tt_tempest::{
 /// everything below this". Acks are unsequenced (an ack loss is repaired
 /// by the next ack or a retransmission) and travel on the response
 /// network so they can never be blocked behind requests.
-pub const REL_ACK: HandlerId = HandlerId(0xF0);
+pub(crate) const REL_ACK: HandlerId = HandlerId(0xF0);
 
 /// Instruction cost charged per transport bookkeeping step (sequence
 /// strip, ack processing) — the retry machinery is protocol code and

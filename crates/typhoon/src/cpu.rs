@@ -24,21 +24,21 @@ use crate::np::NpState;
 /// (ops, compute, idle, barrier wait, stalls) live on the shared
 /// [`Stream`].
 #[derive(Clone, Debug, Default)]
-pub struct CpuStats {
+pub(crate) struct CpuStats {
     /// Tag-checked loads executed to completion.
-    pub reads: Counter,
+    pub(crate) reads: Counter,
     /// Tag-checked stores executed to completion.
-    pub writes: Counter,
+    pub(crate) writes: Counter,
     /// Cache misses satisfied locally without protocol involvement.
-    pub local_misses: Counter,
+    pub(crate) local_misses: Counter,
     /// Write-upgrades on locally writable blocks.
-    pub upgrades: Counter,
+    pub(crate) upgrades: Counter,
     /// Block access faults taken.
-    pub block_faults: Counter,
+    pub(crate) block_faults: Counter,
     /// Page faults taken.
-    pub page_faults: Counter,
+    pub(crate) page_faults: Counter,
     /// RTLB misses observed on this CPU's bus transactions.
-    pub rtlb_misses: Counter,
+    pub(crate) rtlb_misses: Counter,
 }
 
 /// One node's primary processor: the shared op-stream state plus the
@@ -46,15 +46,15 @@ pub struct CpuStats {
 #[derive(Debug)]
 pub struct CpuState {
     /// This node's id.
-    pub id: NodeId,
+    pub(crate) id: NodeId,
     /// The data cache (Table 2: 4-way, random replacement).
-    pub cache: CacheModel,
+    pub(crate) cache: CacheModel,
     /// The CPU TLB (Table 2: 64-entry fully associative FIFO).
-    pub tlb: FifoTlb<tt_base::addr::Vpn>,
+    pub(crate) tlb: FifoTlb<tt_base::addr::Vpn>,
     /// The op stream this CPU executes (see [`tt_sim::cpu`]).
-    pub stream: Stream,
+    pub(crate) stream: Stream,
     /// Statistics.
-    pub stats: CpuStats,
+    pub(crate) stats: CpuStats,
 }
 
 impl CpuState {
@@ -75,7 +75,7 @@ impl CpuState {
     }
 
     /// The thread handle of this CPU's computation thread.
-    pub fn thread(&self) -> ThreadId {
+    pub(crate) fn thread(&self) -> ThreadId {
         ThreadId(self.id)
     }
 }

@@ -1,6 +1,6 @@
 //! Typhoon's implementation of the Tempest context.
 //!
-//! A [`NodeCtx`] is constructed for the duration of one protocol handler
+//! A `NodeCtx` is constructed for the duration of one protocol handler
 //! invocation. It accumulates the handler's cost (charged instructions,
 //! NP cache and TLB delays, block transfers) so that messages sent and
 //! threads resumed *during* the handler carry the correct timestamps —
@@ -23,7 +23,7 @@ use tt_tempest::{HandlerId, TempestCtx, ThreadId};
 use crate::machine::{issue_access, Event, NodeState};
 
 /// The per-handler Tempest context (see module docs).
-pub struct NodeCtx<'a> {
+pub(crate) struct NodeCtx<'a> {
     pub(crate) id: NodeId,
     pub(crate) cfg: &'a SystemConfig,
     /// Time the handler began executing (after dispatch overhead).

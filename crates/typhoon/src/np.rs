@@ -39,15 +39,15 @@ pub enum NpWork {
 
 /// NP statistics.
 #[derive(Clone, Debug, Default)]
-pub struct NpStats {
+pub(crate) struct NpStats {
     /// Handlers dispatched.
-    pub handlers: Counter,
+    pub(crate) handlers: Counter,
     /// NP instructions charged by handlers.
-    pub instructions: Counter,
+    pub(crate) instructions: Counter,
     /// Messages received (both nets).
-    pub messages: Counter,
+    pub(crate) messages: Counter,
     /// Cycles the NP spent executing handlers.
-    pub busy_cycles: Counter,
+    pub(crate) busy_cycles: Counter,
 }
 
 /// The state of one node's network interface processor.
@@ -56,29 +56,29 @@ pub struct NpState {
     /// NP data cache (Table 2: 16 KB, 2-way), used for protocol data
     /// structures; block data moves through the separate block-transfer
     /// buffer and does not pollute it.
-    pub dcache: CacheModel,
+    pub(crate) dcache: CacheModel,
     /// NP forward TLB for handler accesses by virtual address.
-    pub tlb: FifoTlb<Vpn>,
+    pub(crate) tlb: FifoTlb<Vpn>,
     /// Reverse TLB: physical page -> tag/metadata residence, consulted by
     /// the bus monitor on every CPU bus transaction.
-    pub rtlb: FifoTlb<Ppn>,
+    pub(crate) rtlb: FifoTlb<Ppn>,
     /// High-priority queue: messages from the response network.
-    pub response_q: VecDeque<Message>,
+    pub(crate) response_q: VecDeque<Message>,
     /// Fault records (the BAF buffer plus page faults).
-    pub fault_q: VecDeque<NpWork>,
+    pub(crate) fault_q: VecDeque<NpWork>,
     /// Low-priority queue: messages from the request network.
-    pub request_q: VecDeque<Message>,
+    pub(crate) request_q: VecDeque<Message>,
     /// Protocol timer firings; serviced after faults but before fresh
     /// requests, so retransmission never starves behind request traffic.
-    pub timer_q: VecDeque<u64>,
+    pub(crate) timer_q: VecDeque<u64>,
     /// Application calls.
-    pub call_q: VecDeque<(ThreadId, UserCall)>,
+    pub(crate) call_q: VecDeque<(ThreadId, UserCall)>,
     /// The NP is executing a handler until this time.
-    pub busy_until: Cycles,
+    pub(crate) busy_until: Cycles,
     /// Whether a dispatch event is already scheduled (de-duplication).
-    pub dispatch_pending: bool,
+    pub(crate) dispatch_pending: bool,
     /// Statistics.
-    pub stats: NpStats,
+    pub(crate) stats: NpStats,
 }
 
 impl NpState {
@@ -105,7 +105,7 @@ impl NpState {
     }
 
     /// Enqueues a unit of work.
-    pub fn enqueue(&mut self, work: NpWork) {
+    pub(crate) fn enqueue(&mut self, work: NpWork) {
         match work {
             NpWork::Message(m) => {
                 self.stats.messages.inc();
@@ -121,7 +121,7 @@ impl NpState {
     }
 
     /// Removes the highest-priority pending work item.
-    pub fn next_work(&mut self) -> Option<NpWork> {
+    pub(crate) fn next_work(&mut self) -> Option<NpWork> {
         if let Some(m) = self.response_q.pop_front() {
             return Some(NpWork::Message(m));
         }
@@ -141,7 +141,7 @@ impl NpState {
     }
 
     /// Whether any work is pending.
-    pub fn has_work(&self) -> bool {
+    pub(crate) fn has_work(&self) -> bool {
         !self.response_q.is_empty()
             || !self.fault_q.is_empty()
             || !self.timer_q.is_empty()

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Lists public items that no non-test code uses, as rustc sees it.
+"""Lists public items that no non-test code uses, and public items no
+other crate needs, as rustc sees it.
 
-The compiler decides what is dead. On a temporary copy of the tree, with
-its own CARGO_TARGET_DIR (the checkout is never touched), the pass:
+The compiler decides. On a temporary copy of the tree, with its own
+CARGO_TARGET_DIR (the checkout is never touched), the pass:
 
 1. splits every grouped `pub use a::{x, y};` under `crates/*/src` into
    one `pub use` per name, so a live name cannot keep a dead neighbour
@@ -12,21 +13,27 @@ its own CARGO_TARGET_DIR (the checkout is never touched), the pass:
 3. runs `cargo check` on the workspace's lib, bins, examples and benches,
    then on the benchmark package `perfbench/`'s lib and bins;
 4. promotes back to `pub` the definition each privacy error names (from
-   the error's "defined here" spans, else by name) and repeats step 3
-   until both builds succeed;
+   the error's "defined here" spans, else by name), and each type a
+   `private_interfaces` or `private_bounds` warning shows in a public
+   item, and repeats step 3 until both builds succeed;
 5. reports rustc's `dead_code` warnings: public items only tests reach
-   (integration tests and `#[cfg(test)]` code are not built).
+   (integration tests and `#[cfg(test)]` code are not built);
+6. repeats steps 3 and 4 over every target scripts/verify.sh builds,
+   tests included (the workspace's `--all-targets`, and perfbench's lib,
+   bins and tests), and reports each `pub` still demoted as over-wide:
+   nothing outside its crate needs it, so it should be `pub(crate)`.
 
 Test fixtures are public on purpose so integration tests can reach them:
-every item in `FIXTURE_FILES`, and every item named in `FIXTURE_ITEMS`
-(with its fields), stays `pub`. To exempt another fixture, add it there.
+every item in `FIXTURE_FILES` stays `pub`. To exempt another fixture
+file, add it there.
 
-A run takes about two minutes on two cores (a cold target directory
-every time). If an error names no definition the pass can promote, the
-script prints it and exits 2.
+A run takes about a minute and a quarter on two cores (a cold target
+directory every time). If an error names no definition the pass can
+promote, the script prints it and exits 2.
 
 Usage: python3 scripts/unused_pub.py [ROOT]   (ROOT defaults to the repo
-root). Prints one `path:line: name` per unused item and exits 1 if there
+root). Prints one `path:line: name` per unused item, then one
+`path:line: name (over-wide)` per over-wide one, and exits 1 if there
 are any, 0 otherwise.
 """
 
@@ -45,13 +52,17 @@ FIXTURE_FILES = {
     "crates/check/src/scenarios.rs",  # hand-written checker scenarios
 }
 
-# Test fixtures by name: the classic litmus suite (crates/check/src/litmus.rs).
-FIXTURE_ITEMS = {"ClassicLitmus", "classic_suite", "run_classic"}
-
 # The builds whose code counts as callers: (directory, `cargo check` args).
 BUILDS = (
     (".", ["--workspace", "--lib", "--bins", "--examples", "--benches"]),
     ("perfbench", ["--lib", "--bins"]),
+)
+
+# Every target scripts/verify.sh builds, tests included: a `pub` that none
+# of them needs outside its crate is wider than its callers.
+TEST_BUILDS = (
+    (".", ["--workspace", "--all-targets"]),
+    ("perfbench", ["--lib", "--bins", "--tests"]),
 )
 
 GROUPED_USE = re.compile(r"^([ \t]*)pub use ([^;]*\{[^;]*);", re.M)
@@ -67,6 +78,8 @@ OWNER = re.compile(r"\b(?:struct|enum|union)\s+(\w+)")
 TICKED = re.compile(r"`([^`]+)`")
 PRIVATE_FIELDS = re.compile(r"^fields? (.*) of (?:struct|union|enum) `(?:[\w:]+::)?(\w+)")
 NOISE = ("aborting due to", "For more information")
+# Lints that, like a privacy error, name a demoted type a `pub` item shows.
+LEAKS = ("private_interfaces", "private_bounds")
 
 
 def split_use(tree):
@@ -103,9 +116,10 @@ def flatten_uses(text):
 class Demotion:
     """One `pub` made `pub(crate)`: where it is and the name it exports."""
 
-    def __init__(self, path, line, col, name, owner):
+    def __init__(self, path, line, col, name, owner, reexport):
         self.path, self.line, self.col = path, line, col
         self.name, self.owner = name, owner  # owner: a field's type, else None
+        self.reexport = reexport  # a `pub use`
         self.crate = "/".join(path.split("/")[:2])
         self.promoted = 0  # the round that made it `pub` again, 0 if none
         self.cur_col = col  # where it starts in the text rustc last saw
@@ -131,7 +145,7 @@ def pubs(line, owner):
 
 def demote(path, rel, demotions):
     """Reads `path` with its grouped `pub use`s split, records a demotion
-    for each of its `pub`s outside the fixtures and returns its lines."""
+    for each of its `pub`s and returns its lines."""
     with open(path) as f:
         lines = flatten_uses(f.read()).split("\n")
     owner = None
@@ -139,8 +153,7 @@ def demote(path, rel, demotions):
         found = OWNER.search(line)
         owner = found.group(1) if found else owner
         for col, name, own in pubs(line, owner):
-            if name not in FIXTURE_ITEMS and own not in FIXTURE_ITEMS:
-                demotions.append(Demotion(rel, lineno, col, name, own))
+            demotions.append(Demotion(rel, lineno, col, name, own, line.startswith("pub use", col)))
     return lines
 
 
@@ -177,9 +190,10 @@ def check(work, target, build):
         diag = msg["message"]
         for span in all_spans(diag):  # paths relative to the copy
             span["file_name"] = os.path.relpath(os.path.join(cwd, span["file_name"]), work)
-        if diag["level"] == "error" and not diag["message"].startswith(NOISE):
+        code = (diag.get("code") or {}).get("code")
+        if diag["level"] == "error" and not diag["message"].startswith(NOISE) or code in LEAKS:
             errors.append(diag)
-        elif (diag.get("code") or {}).get("code") == "dead_code":
+        elif code == "dead_code":
             dead.append(diag)
     if proc.returncode != 0 and not errors:
         sys.stderr.write(proc.stderr)
@@ -207,7 +221,8 @@ def at_span(span, by_line):
 def named(diag, demotions):
     """The demotions an error names when no span points at one: a private
     field by field and type, anything else by its first quoted name (a
-    re-export error, E0364/E0365, within the re-exporting crate)."""
+    re-export error, E0364/E0365, within the re-exporting crate; a
+    private type of a value, by its definitions alone)."""
     fields = PRIVATE_FIELDS.match(diag["message"])
     if fields:
         names = TICKED.findall(fields.group(1))
@@ -220,6 +235,8 @@ def named(diag, demotions):
     if (diag.get("code") or {}).get("code") in ("E0364", "E0365") and diag["spans"]:
         crate = "/".join(diag["spans"][0]["file_name"].split("/")[:2])
         found = [d for d in found if d.crate == crate]
+    elif diag["message"].startswith("type `"):
+        found = [d for d in found if not d.reexport]
     return found
 
 
@@ -241,6 +258,24 @@ def promote(errors, demotions, by_line, round_no):
         for diag in errors:
             sys.stderr.write(diag.get("rendered") or diag["message"] + "\n")
         sys.exit(2)
+
+
+def converge(work, target, sources, demotions, by_line, builds, rounds):
+    """Builds `builds` in turn, promoting what each privacy error names,
+    until all of them succeed; returns the number of builds run so far
+    and the dead_code warnings of the last round."""
+    while True:
+        render(work, sources, by_line)
+        dead = []
+        for build in builds:
+            rounds += 1
+            errors, warnings = check(work, target, build)
+            if errors:
+                promote(errors, demotions, by_line, rounds)
+                break
+            dead += warnings
+        else:
+            return rounds, dead
 
 
 def report(dead):
@@ -268,25 +303,18 @@ def main():
                 sources[rel] = demote(path, rel, demotions)
         for d in demotions:
             by_line.setdefault((d.path, d.line), []).append(d)
-        rounds = 0
-        while True:
-            render(work, sources, by_line)
-            dead = []
-            for build in BUILDS:
-                rounds += 1
-                errors, warnings = check(work, target, build)
-                if errors:
-                    promote(errors, demotions, by_line, rounds)
-                    break
-                dead += warnings
-            else:
-                break
+        state = (work, target, sources, demotions, by_line)
+        rounds, dead = converge(*state, BUILDS, 0)
+        rounds, _ = converge(*state, TEST_BUILDS, rounds)
     promoted = sum(d.promoted > 0 for d in demotions)
     print(f"unused_pub: {rounds} builds; {promoted} of {len(demotions)} `pub`s needed", file=sys.stderr)
     unused = report(dead)
+    wide = sorted({(d.path, d.line, d.name) for d in demotions if not d.promoted} - set(unused))
     for rel, line, name in unused:
         print(f"{rel}:{line}: {name}")
-    return 1 if unused else 0
+    for rel, line, name in wide:
+        print(f"{rel}:{line}: {name} (over-wide)")
+    return 1 if unused or wide else 0
 
 
 if __name__ == "__main__":

@@ -33,15 +33,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps --lib (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
-# Dead public items, as rustc sees them (about 2 minutes): on a temporary
-# copy, every `pub` item and field under crates/*/src is demoted to
-# `pub(crate)`, grouped `pub use`s are split one name each, and each
-# privacy error of `cargo check` (workspace lib/bins/examples/benches,
-# then perfbench) promotes its definition back until both build; every
-# dead_code warning left is an item only tests reach. The script prints
-# each one and fails. Test fixtures are exempt through its FIXTURE_FILES
-# and FIXTURE_ITEMS; delete a reported item rather than exempting it.
-echo "==> dead pub items (scripts/unused_pub.py, compiler-driven)"
+# Dead and over-wide public items, as rustc sees them (about 75 s): on a
+# temporary copy, every `pub` item and field under crates/*/src is
+# demoted to `pub(crate)`, grouped `pub use`s are split one name each,
+# and each privacy error of `cargo check` (workspace lib/bins/examples/
+# benches, then perfbench) promotes its definition back until both
+# build; every dead_code warning left is an item only tests reach. More
+# rounds then build every target this script builds, tests included
+# (the workspace's --all-targets, perfbench's lib, bins and tests); a
+# `pub` none of them needs outside its crate is over-wide. The script
+# prints each dead and each over-wide item and fails. Test fixtures are
+# exempt through its FIXTURE_FILES; delete a dead item rather than
+# exempting it, and make an over-wide one `pub(crate)`.
+echo "==> dead and over-wide pub items (scripts/unused_pub.py, compiler-driven)"
 python3 scripts/unused_pub.py
 
 echo "==> figure3 smoke (--scale 64 --nodes 8 --jobs 2)"
