@@ -18,25 +18,7 @@ use std::time::Instant;
 
 use tt_apps::AppId;
 use tt_base::table::Table;
-use tt_bench::json::PointRecord;
-use tt_bench::{RunStats, FIGURE3_POINTS};
-
-/// Big-machine cost-per-node metrics as a JSON fragment: host
-/// microseconds per simulated node per kilocycle, and the heap
-/// high-water mark over the run (attributable per-run only at
-/// `--jobs 1`; see EXPERIMENTS.md).
-fn cost_fragment(nodes: usize, cycles: u64, s: &RunStats) -> Option<String> {
-    let us_per_node_kcycle =
-        if cycles > 0 { s.wall_secs * 1e6 / nodes as f64 / (cycles as f64 / 1000.0) } else { 0.0 };
-    Some(format!(
-        "\"cost\": {{\"us_per_node_kilocycle\": {:.4}, \"peak_bytes\": {}, \
-         \"bytes_per_node\": {}, \"allocs\": {}}}",
-        us_per_node_kcycle,
-        s.peak_bytes,
-        s.peak_bytes / nodes as u64,
-        s.allocs,
-    ))
-}
+use tt_bench::{figure3_relative, figure3_runs, sweep, FIGURE3_POINTS};
 
 const USAGE: &str = "\
 Usage: figure3 [--apps a,b,...] [shared flags]
@@ -77,8 +59,9 @@ fn main() {
         nodes = cli.nodes,
         scale = cli.scale,
     );
+    let runs = figure3_runs(&apps, cli.scale, &cfg);
     let start = Instant::now();
-    let points = tt_bench::figure3_sweep(&apps, cli.scale, &cfg, cli.jobs, cli.repeat);
+    let outs = sweep(cli.jobs, cli.repeat, &runs);
     let total_wall_secs = start.elapsed().as_secs_f64();
 
     let mut table = Table::new(vec![
@@ -89,38 +72,20 @@ fn main() {
         "small/256K",
         "large/256K",
     ]);
-    let mut records = Vec::new();
-    for (a, app) in apps.iter().copied().enumerate() {
+    let relative = figure3_relative(&outs);
+    let n = FIGURE3_POINTS.len();
+    for (a, app) in apps.iter().enumerate() {
         let mut row = vec![app.name().to_string()];
-        for (i, (set, cache)) in FIGURE3_POINTS.into_iter().enumerate() {
-            let point = &points[a * FIGURE3_POINTS.len() + i];
-            row.push(format!("{:.3}", point.relative()));
+        for k in a * n..(a + 1) * n {
+            let (typhoon, dirnnb) = (&outs[2 * k], &outs[2 * k + 1]);
+            row.push(format!("{:.3}", relative[k]));
             eprintln!(
-                "  {} {}/{}K: typhoon {} dirnnb {} -> {:.3}",
-                app,
-                set,
-                cache / 1024,
-                point.typhoon,
-                point.dirnnb,
-                point.relative()
+                "  {}: typhoon {} dirnnb {} -> {:.3}",
+                runs[2 * k].point,
+                typhoon.cycles,
+                dirnnb.cycles,
+                relative[k]
             );
-            let name = format!("{} {}/{}K", app, set, cache / 1024);
-            records.push(PointRecord {
-                point: name.clone(),
-                system: "Typhoon/Stache".into(),
-                cycles: point.typhoon.raw(),
-                wall_secs: point.typhoon_stats.wall_secs,
-                ops: point.typhoon_stats.ops,
-                extra: cost_fragment(cli.nodes, point.typhoon.raw(), &point.typhoon_stats),
-            });
-            records.push(PointRecord {
-                point: name,
-                system: "DirNNB".into(),
-                cycles: point.dirnnb.raw(),
-                wall_secs: point.dirnnb_stats.wall_secs,
-                ops: point.dirnnb_stats.ops,
-                extra: cost_fragment(cli.nodes, point.dirnnb.raw(), &point.dirnnb_stats),
-            });
         }
         table.row(row);
     }
@@ -129,10 +94,5 @@ fn main() {
         "(paper: all bars <= ~1.3; Typhoon/Stache wins by up to ~25% when the\n\
          data set exceeds the CPU cache — small/4K and large/256K columns)"
     );
-    eprintln!(
-        "  sweep: {n} runs in {total_wall_secs:.2}s wall ({jobs} jobs)",
-        n = records.len(),
-        jobs = cli.jobs,
-    );
-    cli.write_json("figure3", total_wall_secs, &records);
+    cli.finish("figure3", total_wall_secs, &runs, &outs);
 }

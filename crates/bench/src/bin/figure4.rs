@@ -13,8 +13,7 @@
 use std::time::Instant;
 
 use tt_base::table::Table;
-use tt_bench::json::PointRecord;
-use tt_bench::{figure4_sweep, FIGURE4_SYSTEMS};
+use tt_bench::{figure4_cycles_per_edge, figure4_runs, sweep, FIGURE4_PCTS, FIGURE4_SYSTEMS};
 
 const USAGE: &str = "\
 Usage: figure4 [shared flags]
@@ -33,8 +32,9 @@ fn main() {
         nodes = cli.nodes,
         scale = cli.scale,
     );
+    let runs = figure4_runs(cli.scale, &cfg);
     let start = Instant::now();
-    let points = figure4_sweep(cli.scale, &cfg, cli.jobs, cli.repeat);
+    let outs = sweep(cli.jobs, cli.repeat, &runs);
     let total_wall_secs = start.elapsed().as_secs_f64();
 
     let mut table = Table::new(vec![
@@ -44,27 +44,16 @@ fn main() {
         "Typhoon/Update",
         "Update vs DirNNB",
     ]);
-    let mut records = Vec::new();
-    for p in &points {
-        let [d, s, u] = p.cycles_per_edge;
+    let per_edge = figure4_cycles_per_edge(cli.scale, cli.nodes, &outs);
+    for (pct, cpe) in FIGURE4_PCTS.into_iter().zip(per_edge.chunks(FIGURE4_SYSTEMS.len())) {
+        let [d, s, u] = cpe else { unreachable!("one column per Figure 4 system") };
         table.row(vec![
-            format!("{:.0}%", p.pct_remote * 100.0),
+            format!("{:.0}%", pct * 100.0),
             format!("{d:.2}"),
             format!("{s:.2}"),
             format!("{u:.2}"),
             format!("{:+.1}%", (u / d - 1.0) * 100.0),
         ]);
-        eprintln!("  {pct:.0}% done", pct = p.pct_remote * 100.0);
-        for (i, system) in FIGURE4_SYSTEMS.into_iter().enumerate() {
-            records.push(PointRecord {
-                point: format!("{:.0}% remote", p.pct_remote * 100.0),
-                system: system.name().into(),
-                cycles: p.cycles[i].raw(),
-                wall_secs: p.stats[i].wall_secs,
-                ops: p.stats[i].ops,
-                extra: None,
-            });
-        }
     }
     println!("{table}");
     println!(
@@ -72,10 +61,5 @@ fn main() {
          up to ~35% at 50% non-local edges, and the advantage grows with the\n\
          remote fraction)"
     );
-    eprintln!(
-        "  sweep: {n} runs in {total_wall_secs:.2}s wall ({jobs} jobs)",
-        n = records.len(),
-        jobs = cli.jobs,
-    );
-    cli.write_json("figure4", total_wall_secs, &records);
+    cli.finish("figure4", total_wall_secs, &runs, &outs);
 }

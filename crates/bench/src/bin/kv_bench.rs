@@ -25,12 +25,10 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
-use tt_apps::run_kv_update;
 use tt_base::table::Table;
-use tt_base::{FaultSpec, SystemConfig};
-use tt_bench::json::PointRecord;
-use tt_bench::{cli, par};
-use tt_serve::{run_kv_stache, KvOutcome, KvParams, KvVariant, MAX_VALUE_WORDS};
+use tt_base::FaultSpec;
+use tt_bench::{cli, sweep, Run};
+use tt_serve::{KvParams, KvVariant, MAX_VALUE_WORDS};
 use tt_tempest::NetFault;
 
 /// Request mixes swept: percent of requests that are puts.
@@ -59,29 +57,6 @@ fn params(kv: &KvCli, nodes: usize, mix: u32, skew: f64, variant: KvVariant) -> 
     p.mean_interarrival = kv.mean_interarrival;
     p.value_words = kv.value_words;
     p
-}
-
-/// Runs one point. A reliable transport that gives up unwinds with its
-/// [`NetFault`] as the payload; that comes back as `Err`, any other
-/// panic keeps unwinding.
-fn run_variant(cfg: &SystemConfig, p: &KvParams) -> Result<KvOutcome, NetFault> {
-    let run = || match p.variant {
-        KvVariant::Stache => run_kv_stache(cfg, p),
-        KvVariant::Update => run_kv_update(cfg, p),
-    };
-    panic::catch_unwind(AssertUnwindSafe(run)).map_err(|payload| match payload.downcast() {
-        Ok(fault) => *fault,
-        Err(other) => panic::resume_unwind(other),
-    })
-}
-
-/// One completed sweep point.
-struct Point {
-    mix: u32,
-    skew: f64,
-    variant: KvVariant,
-    out: KvOutcome,
-    wall_secs: f64,
 }
 
 const USAGE: &str = "\
@@ -154,35 +129,26 @@ fn main() {
             }
         }
     }
+    let runs: Vec<Run> = grid
+        .iter()
+        .map(|&(mix, skew, variant)| {
+            let point = format!("{}/{} skew {:.1}", 100 - mix, mix, skew);
+            Run::kv(point, cfg.clone(), params(&kv, shared.nodes, mix, skew, variant))
+        })
+        .collect();
+    // A reliable transport that gives up unwinds with its [`NetFault`]
+    // as the payload, which the sweep re-raises (the lowest-index
+    // point's at any --jobs); any other panic keeps unwinding.
     let start = Instant::now();
-    let points = par::run_indexed(shared.jobs, grid.len(), |i| -> Result<Point, NetFault> {
-        let (mix, skew, variant) = grid[i];
-        let p = params(&kv, shared.nodes, mix, skew, variant);
-        let run = || {
-            let t = Instant::now();
-            let out = run_variant(&cfg, &p)?;
-            Ok((out, t.elapsed().as_secs_f64()))
-        };
-        let (mut out, mut wall_secs) = run()?;
-        for _ in 1..shared.repeat.max(1) {
-            let (again, wall) = run()?;
-            assert_eq!(out.cycles, again.cycles, "repeated KV run diverged");
-            assert_eq!(out.lat, again.lat, "repeated KV latencies diverged");
-            if wall < wall_secs {
-                out = again;
-                wall_secs = wall;
+    let outs = panic::catch_unwind(AssertUnwindSafe(|| sweep(shared.jobs, shared.repeat, &runs)))
+        .unwrap_or_else(|payload| match payload.downcast::<NetFault>() {
+            Ok(fault) => {
+                eprintln!("error: {fault}");
+                std::process::exit(1);
             }
-        }
-        Ok(Point { mix, skew, variant, out, wall_secs })
-    });
+            Err(other) => panic::resume_unwind(other),
+        });
     let total_wall_secs = start.elapsed().as_secs_f64();
-    let points: Vec<Point> = match points.into_iter().collect() {
-        Ok(points) => points,
-        Err(fault) => {
-            eprintln!("error: {fault}");
-            std::process::exit(1);
-        }
-    };
 
     println!(
         "KV SERVING. {nodes}-node tt-serve under open-loop Zipfian load \
@@ -206,7 +172,7 @@ fn main() {
     );
 
     // The retransmission column exists only on lossy sweeps: at
-    // --fault-rate 0 the table (and JSON `extra`) must stay
+    // --fault-rate 0 the table (and the JSON `kv` member) must stay
     // byte-identical to a fault-free build.
     let mut columns = vec![
         "mix", "skew", "server", "cycles", "req/kcyc", "get p50", "get p99", "get p999", "put p50",
@@ -216,15 +182,15 @@ fn main() {
         columns.push("retx");
     }
     let mut table = Table::new(columns);
-    let mut records = Vec::new();
-    for p in &points {
-        let (get, put) = (&p.out.lat.get, &p.out.lat.put);
+    for (&(mix, skew, variant), out) in grid.iter().zip(&outs) {
+        let kv = out.kv.as_ref().expect("a KV run reports latencies");
+        let (get, put) = (&kv.lat.get, &kv.lat.put);
         let mut row = vec![
-            format!("{}/{}", 100 - p.mix, p.mix),
-            format!("{:.1}", p.skew),
-            p.variant.name().into(),
-            format!("{}", p.out.cycles.raw()),
-            format!("{:.3}", p.out.requests_per_kcycle()),
+            format!("{}/{}", 100 - mix, mix),
+            format!("{skew:.1}"),
+            variant.name().into(),
+            format!("{}", out.cycles.raw()),
+            format!("{:.3}", kv.requests_per_kcycle),
             format!("{}", get.quantile(0.50)),
             format!("{}", get.quantile(0.99)),
             format!("{}", get.quantile(0.999)),
@@ -233,49 +199,9 @@ fn main() {
             format!("{}", put.quantile(0.999)),
         ];
         if faulty {
-            row.push(format!("{}", p.out.report.get("rel.retransmits").unwrap_or(0.0) as u64));
+            row.push(format!("{}", out.report.get("rel.retransmits").unwrap_or(0.0) as u64));
         }
         table.row(row);
-        let mut extra = format!(
-            "\"kv\": {{\"mix\": \"{}/{}\", \"skew\": {:.2}, \"keys\": {}, \
-             \"requests\": {}, \"requests_per_kcycle\": {:.4}, \
-             \"get\": {{\"p50\": {}, \"p99\": {}, \"p999\": {}, \"mean\": {:.1}, \"max\": {}}}, \
-             \"put\": {{\"p50\": {}, \"p99\": {}, \"p999\": {}, \"mean\": {:.1}, \"max\": {}}}}}",
-            100 - p.mix,
-            p.mix,
-            p.skew,
-            kv.keys,
-            p.out.lat.requests(),
-            p.out.requests_per_kcycle(),
-            get.quantile(0.50),
-            get.quantile(0.99),
-            get.quantile(0.999),
-            get.mean(),
-            get.max(),
-            put.quantile(0.50),
-            put.quantile(0.99),
-            put.quantile(0.999),
-            put.mean(),
-            put.max(),
-        );
-        if faulty {
-            extra = format!(
-                "{}, \"fault\": {{\"rate_permille\": {}, \"retransmits\": {}, \
-                 \"sent\": {}}}",
-                &extra[..extra.len() - 1],
-                kv.fault_permille,
-                p.out.report.get("rel.retransmits").unwrap_or(0.0) as u64,
-                p.out.report.get("rel.sent").unwrap_or(0.0) as u64,
-            ) + "}";
-        }
-        records.push(PointRecord {
-            point: format!("{}/{} skew {:.1}", 100 - p.mix, p.mix, p.skew),
-            system: p.variant.name().into(),
-            cycles: p.out.cycles.raw(),
-            wall_secs: p.wall_secs,
-            ops: p.out.report.get("cpu.ops").unwrap_or(0.0) as u64,
-            extra: Some(extra),
-        });
     }
     println!("{table}");
     println!(
@@ -285,10 +211,5 @@ fn main() {
          to every sharer, which inverts the verdict for write-heavy mixes on\n\
          large machines)"
     );
-    eprintln!(
-        "  sweep: {n} runs in {total_wall_secs:.2}s wall ({jobs} jobs)",
-        n = points.len(),
-        jobs = shared.jobs,
-    );
-    shared.write_json("kv_bench", total_wall_secs, &records);
+    shared.finish("kv_bench", total_wall_secs, &runs, &outs);
 }

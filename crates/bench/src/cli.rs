@@ -2,16 +2,15 @@
 //!
 //! `figure3`, `figure4`, `ablations`, and `kv_bench` all take the same
 //! simulator knobs (`--jobs`, `--repeat`, `--topology`, `--json`, ...);
-//! this module parses
-//! them once into a [`Cli`] and owns the equally repetitive tail — the
-//! `SweepMeta` header and `--json` report write. Binaries with extra
-//! flags hook them in through [`parse_cli_with`] instead of forking the
-//! parser.
+//! this module parses them once into a [`Cli`] and owns the equally
+//! repetitive tail — the sweep's wall-time line, the `SweepMeta` header
+//! and the `--json` report write. Binaries with extra flags hook them
+//! in through [`parse_cli_with`] instead of forking the parser.
 
 use tt_base::{SystemConfig, Topology};
 
 use crate::json::{write_report, PointRecord, SweepMeta};
-use crate::{bench_config, par};
+use crate::{bench_config, par, Run, RunOutcome};
 
 /// Command-line options shared by the figure/ablation binaries.
 #[derive(Clone, Debug)]
@@ -56,12 +55,20 @@ impl Cli {
         }
     }
 
-    /// Writes the `--json` report if one was requested (the shared tail
-    /// of every harness binary).
-    pub fn write_json(&self, figure: &str, total_wall_secs: f64, records: &[PointRecord]) {
+    /// The shared tail of every sweep binary: prints the sweep's wall
+    /// time to stderr and writes the `--json` report of `runs`, which
+    /// finished as `outs`, if one was requested.
+    pub fn finish(&self, figure: &str, total_wall_secs: f64, runs: &[Run], outs: &[RunOutcome]) {
+        eprintln!(
+            "  sweep: {n} runs in {total_wall_secs:.2}s wall ({jobs} jobs)",
+            n = runs.len(),
+            jobs = self.jobs,
+        );
         if let Some(path) = &self.json {
             let meta = self.sweep_meta(figure, total_wall_secs);
-            write_report(path, &meta, records).expect("write --json report");
+            let records: Vec<PointRecord> =
+                runs.iter().zip(outs).map(|(run, out)| PointRecord::new(run, out)).collect();
+            write_report(path, &meta, &records).expect("write --json report");
             eprintln!("  wrote {}", path.display());
         }
     }

@@ -3,9 +3,11 @@
 //! Simulated results (cycle counts) are deterministic and comparable
 //! across machines; wall-clock throughput is not, but it is exactly what
 //! the hot-path optimization work needs to track. The `--json` flag on
-//! the figure/ablation binaries writes both: one record per (point,
-//! system) simulation run with its cycle count, wall seconds, and the
-//! derived simulated-cycles/sec and ops/sec rates.
+//! every sweep binary writes both: one record per [`Run`] with its cycle
+//! count, wall seconds, the derived simulated-cycles/sec and ops/sec
+//! rates, and a `cost` object (host microseconds per simulated node per
+//! kilocycle, heap high-water mark, bytes per node, allocations). A KV
+//! run adds a `kv` object of latency percentiles.
 //!
 //! The format is deliberately tiny and hand-rolled — the build container
 //! has no crates.io access, so `serde` is not available.
@@ -13,30 +15,56 @@
 use std::io::Write;
 use std::path::Path;
 
+use tt_base::stats::LatHistogram;
 use tt_base::Topology;
 
-/// One simulation run inside a sweep.
+use crate::{Run, RunOutcome, Work};
+
+/// The report record of one [`Run`]; [`PointRecord::new`] builds
+/// every record of every sweep binary.
 #[derive(Clone, Debug)]
-pub struct PointRecord {
+pub(crate) struct PointRecord {
     /// Sweep coordinate, e.g. `"barnes small/64K"` or `"30% remote"`.
-    pub point: String,
+    point: String,
     /// System simulated, e.g. `"Typhoon/Stache"`.
-    pub system: String,
+    system: &'static str,
     /// Simulated execution time in cycles.
-    pub cycles: u64,
+    cycles: u64,
     /// Host wall-clock seconds the simulation took.
-    pub wall_secs: f64,
+    wall_secs: f64,
     /// Workload ops the simulated CPUs executed (`cpu.ops`).
-    pub ops: u64,
-    /// Binary-specific additions, as a raw `"key": value` JSON fragment
-    /// appended to the record object (e.g. `kv_bench` latency
-    /// percentiles). `None` adds nothing.
-    pub extra: Option<String>,
+    ops: u64,
+    /// Simulated machine size, the divisor of the per-node costs.
+    nodes: usize,
+    /// Heap high-water mark over the run (attributable per run only at
+    /// `--jobs 1`; see EXPERIMENTS.md).
+    peak_bytes: u64,
+    /// Heap allocation events during the run.
+    allocs: u64,
+    /// A KV run's `"kv"` member: the point's mix, skew and key count,
+    /// its latency percentiles, and on a lossy network a `"fault"`
+    /// object of transport counters.
+    kv: Option<String>,
 }
 
 impl PointRecord {
+    /// The record of `run`, which finished as `out`.
+    pub(crate) fn new(run: &Run, out: &RunOutcome) -> PointRecord {
+        PointRecord {
+            point: run.point.clone(),
+            system: run.system,
+            cycles: out.cycles.raw(),
+            wall_secs: out.wall_secs,
+            ops: out.ops,
+            nodes: run.cfg.nodes,
+            peak_bytes: out.peak_bytes,
+            allocs: out.allocs,
+            kv: kv_member(run, out),
+        }
+    }
+
     /// Simulated cycles advanced per host second.
-    pub(crate) fn sim_cycles_per_sec(&self) -> f64 {
+    fn sim_cycles_per_sec(&self) -> f64 {
         if self.wall_secs > 0.0 {
             self.cycles as f64 / self.wall_secs
         } else {
@@ -45,7 +73,7 @@ impl PointRecord {
     }
 
     /// Workload ops simulated per host second.
-    pub(crate) fn ops_per_sec(&self) -> f64 {
+    fn ops_per_sec(&self) -> f64 {
         if self.wall_secs > 0.0 {
             self.ops as f64 / self.wall_secs
         } else {
@@ -53,24 +81,79 @@ impl PointRecord {
         }
     }
 
-    fn to_json(&self) -> String {
-        let extra = match &self.extra {
+    /// Host microseconds per simulated node per thousand simulated
+    /// cycles: the simulator's cost density.
+    fn us_per_node_kilocycle(&self) -> f64 {
+        if self.cycles > 0 {
+            self.wall_secs * 1e6 / self.nodes as f64 / (self.cycles as f64 / 1000.0)
+        } else {
+            0.0
+        }
+    }
+
+    pub(crate) fn to_json(&self) -> String {
+        let kv = match &self.kv {
             None => String::new(),
-            Some(frag) => format!(", {frag}"),
+            Some(member) => format!(", {member}"),
         };
         format!(
             "    {{\"point\": {}, \"system\": {}, \"cycles\": {}, \
              \"wall_secs\": {:.6}, \"ops\": {}, \
-             \"sim_cycles_per_sec\": {:.1}, \"ops_per_sec\": {:.1}{extra}}}",
+             \"sim_cycles_per_sec\": {:.1}, \"ops_per_sec\": {:.1}{kv}, \
+             \"cost\": {{\"us_per_node_kilocycle\": {:.4}, \"peak_bytes\": {}, \
+             \"bytes_per_node\": {}, \"allocs\": {}}}}}",
             escape(&self.point),
-            escape(&self.system),
+            escape(self.system),
             self.cycles,
             self.wall_secs,
             self.ops,
             self.sim_cycles_per_sec(),
             self.ops_per_sec(),
+            self.us_per_node_kilocycle(),
+            self.peak_bytes,
+            self.peak_bytes / self.nodes as u64,
+            self.allocs,
         )
     }
+}
+
+/// The `"kv"` member of a KV run's record; `None` for any other run.
+fn kv_member(run: &Run, out: &RunOutcome) -> Option<String> {
+    let (Work::Kv(p), Some(kv)) = (&run.work, &out.kv) else {
+        return None;
+    };
+    let hist = |h: &LatHistogram| {
+        format!(
+            "{{\"p50\": {}, \"p99\": {}, \"p999\": {}, \"mean\": {:.1}, \"max\": {}}}",
+            h.quantile(0.50),
+            h.quantile(0.99),
+            h.quantile(0.999),
+            h.mean(),
+            h.max(),
+        )
+    };
+    let count = |name| out.report.get(name).unwrap_or(0.0) as u64;
+    let fault = match &run.cfg.fault {
+        None => String::new(),
+        Some(f) => format!(
+            ", \"fault\": {{\"rate_permille\": {}, \"retransmits\": {}, \"sent\": {}}}",
+            f.drop_permille,
+            count("rel.retransmits"),
+            count("rel.sent"),
+        ),
+    };
+    Some(format!(
+        "\"kv\": {{\"mix\": \"{}/{}\", \"skew\": {:.2}, \"keys\": {}, \"requests\": {}, \
+         \"requests_per_kcycle\": {:.4}, \"get\": {}, \"put\": {}{fault}}}",
+        100 - p.write_pct,
+        p.write_pct,
+        p.skew,
+        p.keys,
+        kv.lat.requests(),
+        kv.requests_per_kcycle,
+        hist(&kv.lat.get),
+        hist(&kv.lat.put),
+    ))
 }
 
 /// Best-effort short git revision of the working tree, so committed
@@ -175,32 +258,34 @@ pub(crate) fn write_report(
 mod tests {
     use super::*;
 
+    fn record(cycles: u64, wall_secs: f64, kv: Option<&str>) -> PointRecord {
+        PointRecord {
+            point: "em3d small/4K".into(),
+            system: "DirNNB",
+            cycles,
+            wall_secs,
+            ops: 200,
+            nodes: 8,
+            peak_bytes: 8000,
+            allocs: 3,
+            kv: kv.map(String::from),
+        }
+    }
+
     #[test]
     fn rates_are_derived() {
-        let p = PointRecord {
-            point: "x".into(),
-            system: "s".into(),
-            cycles: 1000,
-            wall_secs: 0.5,
-            ops: 200,
-            extra: None,
-        };
+        let p = record(1000, 0.5, None);
         assert_eq!(p.sim_cycles_per_sec(), 2000.0);
         assert_eq!(p.ops_per_sec(), 400.0);
+        assert_eq!(p.us_per_node_kilocycle(), 0.5e6 / 8.0);
     }
 
     #[test]
     fn zero_wall_time_does_not_divide_by_zero() {
-        let p = PointRecord {
-            point: "x".into(),
-            system: "s".into(),
-            cycles: 1000,
-            wall_secs: 0.0,
-            ops: 200,
-            extra: None,
-        };
+        let p = record(1000, 0.0, None);
         assert_eq!(p.sim_cycles_per_sec(), 0.0);
         assert_eq!(p.ops_per_sec(), 0.0);
+        assert_eq!(record(0, 1.0, None).us_per_node_kilocycle(), 0.0);
     }
 
     #[test]
@@ -213,24 +298,8 @@ mod tests {
     fn report_round_trips_through_disk() {
         let dir = std::env::temp_dir().join("tt_bench_json_test");
         let path = dir.join("report.json");
-        let points = vec![
-            PointRecord {
-                point: "em3d small/4K".into(),
-                system: "DirNNB".into(),
-                cycles: 42,
-                wall_secs: 0.001,
-                ops: 7,
-                extra: None,
-            },
-            PointRecord {
-                point: "em3d small/4K".into(),
-                system: "Typhoon/Stache".into(),
-                cycles: 42,
-                wall_secs: 0.001,
-                ops: 7,
-                extra: Some("\"kv\": {\"p99\": 123}".into()),
-            },
-        ];
+        let points =
+            vec![record(42, 0.001, None), record(42, 0.001, Some("\"kv\": {\"p99\": 123}"))];
         let meta = SweepMeta {
             figure: "figure3".into(),
             nodes: 8,
@@ -247,8 +316,9 @@ mod tests {
         assert!(text.contains("\"cycles\": 42"));
         assert!(text.contains("\"jobs\": 2"));
         assert!(text.contains("\"repeat\": 3"));
-        assert!(text.contains("\"ops_per_sec\": 7000.0}"));
-        assert!(text.contains(", \"kv\": {\"p99\": 123}}"));
+        assert!(text.contains("\"ops_per_sec\": 200000.0, \"cost\": {"));
+        assert!(text.contains(", \"kv\": {\"p99\": 123}, \"cost\": {"));
+        assert!(text.contains("\"peak_bytes\": 8000, \"bytes_per_node\": 1000, \"allocs\": 3}}"));
         assert!(text.contains("\"git_rev\": "));
         assert!(text.contains("\"host\": "));
         std::fs::remove_dir_all(&dir).ok();

@@ -9,22 +9,26 @@
 //!   all five applications across data-set/cache-size points;
 //! - `figure4` — EM3D cycles per edge vs. % non-local edges for DirNNB,
 //!   Typhoon/Stache, and Typhoon with the custom update protocol;
-//! - `ablations` — the design-choice sweeps listed in DESIGN.md §5.
+//! - `ablations` — the design-choice sweeps listed in DESIGN.md §5;
+//! - `kv_bench` — tt-serve latency percentiles under Zipfian load.
 //!
 //! Benches (`cargo bench`, on the dependency-free [`harness`]):
 //! `microbench` measures the simulator substrate's hot paths, and
 //! `figures` runs reduced-scale figure points so the paper's comparisons
 //! are exercised under `cargo bench` too.
 //!
-//! Sweeps fan out across OS threads via [`par`] (`--jobs N`); each point
-//! is an independent single-threaded simulation, so tables are
-//! byte-identical whatever `jobs` is. `--json PATH` writes per-run
-//! throughput records (see [`json`]).
+//! Every sweep binary describes its grid as a list of [`Run`]s (point
+//! label, system label, [`SystemConfig`] and workload) and hands it to
+//! [`sweep`] once: one fan-out across OS threads via `par` (`--jobs
+//! N`), min-of-`--repeat` wall time per run. Each run is an independent
+//! single-threaded simulation, so tables are byte-identical whatever
+//! `jobs` is. `--json PATH` writes one record per run, each with its
+//! host cost (see [`json`]).
 
 pub mod cli;
 pub mod harness;
 pub mod json;
-pub mod par;
+mod par;
 
 pub use cli::{parse_cli, parse_cli_with};
 
@@ -41,11 +45,13 @@ use tt_apps::barnes::{Barnes, BarnesParams};
 use tt_apps::em3d::{Em3d, Em3dParams};
 use tt_apps::mp3d::{Mp3d, Mp3dParams};
 use tt_apps::ocean::{Ocean, OceanParams};
-use tt_apps::{AppId, DataSet, PhasedWorkload, SyncMode};
+use tt_apps::{run_kv_update, AppId, DataSet, PhasedWorkload, SyncMode};
+use tt_base::config::DirPlacement;
 use tt_base::stats::Report;
 use tt_base::workload::Workload;
 use tt_base::{Cycles, SystemConfig};
 use tt_dirnnb::DirnnbMachine;
+use tt_serve::{run_kv_stache, KvLatency, KvParams, KvVariant};
 use tt_stache::{Em3dUpdateProtocol, StacheProtocol};
 use tt_typhoon::TyphoonMachine;
 
@@ -72,6 +78,128 @@ impl System {
     }
 }
 
+/// What a [`Run`] simulates.
+enum Work {
+    /// A workload on one of the paper's systems; the closure builds a
+    /// fresh copy for every repeat.
+    Machine(System, Box<dyn Fn() -> Box<dyn Workload> + Sync>),
+    /// One tt-serve point, on the server variant its parameters name.
+    Kv(KvParams),
+}
+
+/// One simulation of a sweep: its labels in the tables and the `--json`
+/// report, the machine it runs on, and what it runs.
+pub struct Run {
+    /// Sweep coordinate, e.g. `"barnes small/64K"` or `"30% remote"`.
+    pub point: String,
+    /// System label, e.g. `"Typhoon/Stache"`.
+    pub system: &'static str,
+    /// The simulated machine.
+    cfg: SystemConfig,
+    work: Work,
+}
+
+impl Run {
+    /// Runs the workloads `build` makes on `system`, labelled with the
+    /// system's name.
+    pub fn new(
+        point: impl Into<String>,
+        system: System,
+        cfg: SystemConfig,
+        build: impl Fn() -> Box<dyn Workload> + Sync + 'static,
+    ) -> Run {
+        let work = Work::Machine(system, Box::new(build));
+        Run { point: point.into(), system: system.name(), cfg, work }
+    }
+
+    /// One of the five applications at a Table 3 data set ([`build_app`]
+    /// on `cfg.nodes` processors, in the sync mode `system` needs).
+    pub fn app(
+        point: impl Into<String>,
+        system: System,
+        cfg: SystemConfig,
+        app: AppId,
+        set: DataSet,
+        scale: usize,
+    ) -> Run {
+        let procs = cfg.nodes;
+        Run::new(point, system, cfg, move || {
+            build_app(app, set, scale, procs, sync_for(app, system))
+        })
+    }
+
+    /// One tt-serve point, labelled with its server variant.
+    pub fn kv(point: impl Into<String>, cfg: SystemConfig, params: KvParams) -> Run {
+        Run { point: point.into(), system: params.variant.name(), cfg, work: Work::Kv(params) }
+    }
+
+    /// One simulation, measuring host wall time and heap traffic. An
+    /// application's workload is built before the clock starts; a KV
+    /// run's is built inside `run_kv` and timed with it.
+    fn once(&self) -> RunOutcome {
+        let cfg = self.cfg.clone();
+        match &self.work {
+            Work::Machine(system, build) => {
+                let workload = build();
+                measure(|| {
+                    let r = match system {
+                        System::Dirnnb => DirnnbMachine::new(cfg, workload).run(),
+                        System::TyphoonStache => {
+                            TyphoonMachine::new(cfg, workload, &|id, layout, cfg| {
+                                Box::new(StacheProtocol::new(id, layout, cfg))
+                            })
+                            .run()
+                        }
+                        System::TyphoonUpdate => {
+                            TyphoonMachine::new(cfg, workload, &|id, layout, cfg| {
+                                Box::new(Em3dUpdateProtocol::new(id, layout, cfg))
+                            })
+                            .run()
+                        }
+                    };
+                    (r.cycles, r.report, None)
+                })
+            }
+            Work::Kv(p) => measure(|| {
+                let out = match p.variant {
+                    KvVariant::Stache => run_kv_stache(&cfg, p),
+                    KvVariant::Update => run_kv_update(&cfg, p),
+                };
+                let requests_per_kcycle = out.requests_per_kcycle();
+                (out.cycles, out.report, Some(KvStats { lat: out.lat, requests_per_kcycle }))
+            }),
+        }
+    }
+}
+
+/// Runs `sim` between a heap-peak reset and a wall-clock reading.
+fn measure(sim: impl FnOnce() -> (Cycles, Report, Option<KvStats>)) -> RunOutcome {
+    tt_base::alloc_stats::reset_peak();
+    let allocs_before = tt_base::alloc_stats::alloc_count();
+    let start = Instant::now();
+    let (cycles, report, kv) = sim();
+    let wall_secs = start.elapsed().as_secs_f64();
+    let ops = report.get("cpu.ops").unwrap_or(0.0) as u64;
+    RunOutcome {
+        cycles,
+        report,
+        kv,
+        wall_secs,
+        ops,
+        peak_bytes: tt_base::alloc_stats::peak_bytes(),
+        allocs: tt_base::alloc_stats::alloc_count() - allocs_before,
+    }
+}
+
+/// A KV run's request latencies.
+#[derive(Clone, Debug, PartialEq)]
+pub struct KvStats {
+    /// Merged get and put latency histograms, in simulated cycles.
+    pub lat: KvLatency,
+    /// Requests served per thousand simulated cycles.
+    pub requests_per_kcycle: f64,
+}
+
 /// Outcome of one simulation run.
 #[derive(Clone, Debug)]
 pub struct RunOutcome {
@@ -79,10 +207,12 @@ pub struct RunOutcome {
     pub cycles: Cycles,
     /// Machine/protocol statistics.
     pub report: Report,
+    /// Request latencies, for a KV run.
+    pub kv: Option<KvStats>,
     /// Host wall-clock seconds the run took.
-    pub wall_secs: f64,
+    pub(crate) wall_secs: f64,
     /// Workload ops the simulated CPUs executed (`cpu.ops`).
-    pub ops: u64,
+    pub(crate) ops: u64,
     /// Heap high-water mark over the run (process-global; attributable
     /// to this run only at `--jobs 1`).
     pub(crate) peak_bytes: u64,
@@ -90,30 +220,35 @@ pub struct RunOutcome {
     pub(crate) allocs: u64,
 }
 
-/// Simulator throughput of one run: the host-side cost of a simulation,
-/// as opposed to the simulated result.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RunStats {
-    /// Host wall-clock seconds.
-    pub wall_secs: f64,
-    /// Workload ops executed by the simulated CPUs.
-    pub ops: u64,
-    /// Heap high-water mark over the run (see `RunOutcome::peak_bytes`).
-    pub peak_bytes: u64,
-    /// Heap allocation events during the run.
-    pub allocs: u64,
+/// Runs every run of a sweep and returns their outcomes in order: one
+/// fan-out across `jobs` threads (`par::run_indexed`; any `jobs`
+/// yields identical results), each run min-of-`repeat` wall time with
+/// its simulated result asserted identical across repeats. A run that
+/// panics re-raises its payload here (the lowest-index one if several
+/// do), so a KV sweep's transport give-up reads the same at any `jobs`.
+pub fn sweep(jobs: usize, repeat: usize, runs: &[Run]) -> Vec<RunOutcome> {
+    par::run_indexed(jobs, runs.len(), |i| min_of_runs(repeat, || runs[i].once()))
 }
 
-impl RunStats {
-    /// Condenses a [`RunOutcome`]'s host-side throughput fields.
-    pub(crate) fn of(out: &RunOutcome) -> RunStats {
-        RunStats {
-            wall_secs: out.wall_secs,
-            ops: out.ops,
-            peak_bytes: out.peak_bytes,
-            allocs: out.allocs,
+/// Runs `run` `repeat` times (at least once), asserting the simulated
+/// result (cycles, and a KV run's latencies) is identical across
+/// repeats — the simulation is deterministic, so any divergence is a
+/// bug — and keeping the outcome with the smallest wall time. Min-of-N
+/// is the standard way to take a wall-clock measurement on a machine
+/// with background noise.
+fn min_of_runs(repeat: usize, run: impl Fn() -> RunOutcome) -> RunOutcome {
+    let mut best = run();
+    for _ in 1..repeat.max(1) {
+        let out = run();
+        assert!(
+            (best.cycles, &best.kv) == (out.cycles, &out.kv),
+            "repeated run diverged: simulation is not deterministic"
+        );
+        if out.wall_secs < best.wall_secs {
+            best = out;
         }
     }
+    best
 }
 
 /// Builds one of the five applications at a Table 3 data set, divided by
@@ -164,67 +299,6 @@ pub fn build_app(
     }
 }
 
-/// Runs a workload on the chosen system `repeat` times (min-of-N wall
-/// time, cycles asserted identical across repeats); `build`
-/// constructs a fresh workload for each run.
-pub fn run_system(
-    system: System,
-    cfg: &SystemConfig,
-    repeat: usize,
-    build: impl Fn() -> Box<dyn Workload>,
-) -> RunOutcome {
-    min_of_runs(repeat, || run_once(system, cfg, build()))
-}
-
-/// One run of [`run_system`], measuring host wall time and heap traffic.
-fn run_once(system: System, cfg: &SystemConfig, workload: Box<dyn Workload>) -> RunOutcome {
-    tt_base::alloc_stats::reset_peak();
-    let allocs_before = tt_base::alloc_stats::alloc_count();
-    let start = Instant::now();
-    let r = match system {
-        System::Dirnnb => DirnnbMachine::new(cfg.clone(), workload).run(),
-        System::TyphoonStache => TyphoonMachine::new(cfg.clone(), workload, &|id, layout, cfg| {
-            Box::new(StacheProtocol::new(id, layout, cfg))
-        })
-        .run(),
-        System::TyphoonUpdate => TyphoonMachine::new(cfg.clone(), workload, &|id, layout, cfg| {
-            Box::new(Em3dUpdateProtocol::new(id, layout, cfg))
-        })
-        .run(),
-    };
-    let (cycles, report) = (r.cycles, r.report);
-    let wall_secs = start.elapsed().as_secs_f64();
-    let ops = report.get("cpu.ops").unwrap_or(0.0) as u64;
-    RunOutcome {
-        cycles,
-        report,
-        wall_secs,
-        ops,
-        peak_bytes: tt_base::alloc_stats::peak_bytes(),
-        allocs: tt_base::alloc_stats::alloc_count() - allocs_before,
-    }
-}
-
-/// Runs `run` `repeat` times (at least once), asserting the simulated
-/// cycle count is identical across repeats — the simulation is
-/// deterministic, so any divergence is a bug — and keeping the outcome
-/// with the smallest wall time. Min-of-N is the standard way to take a
-/// wall-clock measurement on a machine with background noise.
-fn min_of_runs(repeat: usize, run: impl Fn() -> RunOutcome) -> RunOutcome {
-    let mut best = run();
-    for _ in 1..repeat.max(1) {
-        let out = run();
-        assert_eq!(
-            best.cycles, out.cycles,
-            "repeated run diverged: simulation is not deterministic"
-        );
-        if out.wall_secs < best.wall_secs {
-            best = out;
-        }
-    }
-    best
-}
-
 /// The sync mode an app must use on a system (only EM3D on
 /// Typhoon/Update uses flush synchronization).
 pub fn sync_for(app: AppId, system: System) -> SyncMode {
@@ -232,28 +306,6 @@ pub fn sync_for(app: AppId, system: System) -> SyncMode {
         SyncMode::Flush
     } else {
         SyncMode::Barrier
-    }
-}
-
-/// A Figure 3 measurement point. Which application, data set and cache
-/// size it measured is its place in the sweep ([`figure3_sweep`]).
-#[derive(Clone, Debug)]
-pub struct Figure3Point {
-    /// Typhoon/Stache execution time.
-    pub typhoon: Cycles,
-    /// DirNNB execution time.
-    pub dirnnb: Cycles,
-    /// Host-side throughput of the Typhoon/Stache run.
-    pub typhoon_stats: RunStats,
-    /// Host-side throughput of the DirNNB run.
-    pub dirnnb_stats: RunStats,
-}
-
-impl Figure3Point {
-    /// The paper's y-axis: Typhoon/Stache time relative to DirNNB
-    /// (shorter bars = better Typhoon performance).
-    pub fn relative(&self) -> f64 {
-        self.typhoon.as_f64() / self.dirnnb.as_f64()
     }
 }
 
@@ -266,134 +318,84 @@ pub const FIGURE3_POINTS: [(DataSet, usize); 5] = [
     (DataSet::Large, 256 * 1024),
 ];
 
-/// Measures one Figure 3 bar, with min-of-`repeat` wall timings
-/// (cycles are asserted identical across repeats).
-pub fn figure3_point(
-    app: AppId,
-    set: DataSet,
-    cache_bytes: usize,
-    scale: usize,
-    cfg_base: &SystemConfig,
-    repeat: usize,
-) -> Figure3Point {
-    let mut cfg = cfg_base.clone();
-    cfg.cpu.cache_bytes = cache_bytes;
-    let typhoon = run_system(System::TyphoonStache, &cfg, repeat, || {
-        build_app(app, set, scale, cfg.nodes, sync_for(app, System::TyphoonStache))
-    });
-    let dirnnb = run_system(System::Dirnnb, &cfg, repeat, || {
-        build_app(app, set, scale, cfg.nodes, sync_for(app, System::Dirnnb))
-    });
-    Figure3Point {
-        typhoon: typhoon.cycles,
-        dirnnb: dirnnb.cycles,
-        typhoon_stats: RunStats::of(&typhoon),
-        dirnnb_stats: RunStats::of(&dirnnb),
+/// The Figure 3 grid for `apps`: every application at every data-set /
+/// cache-size point, app-major in the order given × [`FIGURE3_POINTS`],
+/// each point a Typhoon/Stache run then a DirNNB run. The big-machine
+/// sweeps (`--nodes 256|1024`) pass a single app.
+pub fn figure3_runs(apps: &[AppId], scale: usize, cfg: &SystemConfig) -> Vec<Run> {
+    let mut runs = Vec::new();
+    for &app in apps {
+        for (set, cache_bytes) in FIGURE3_POINTS {
+            let mut cfg = cfg.clone();
+            cfg.cpu.cache_bytes = cache_bytes;
+            let point = format!("{app} {set}/{}K", cache_bytes / 1024);
+            for system in [System::TyphoonStache, System::Dirnnb] {
+                runs.push(Run::app(point.clone(), system, cfg.clone(), app, set, scale));
+            }
+        }
     }
+    runs
 }
 
-/// Runs the Figure 3 grid for `apps` — every application at every
-/// data-set / cache-size point, min-of-`repeat` wall timings per point —
-/// fanning independent points across `jobs` threads (see
-/// [`par::run_indexed`]; any `jobs` yields identical results). Points
-/// come back app-major in the order given × [`FIGURE3_POINTS`]; the
-/// big-machine sweeps (`--nodes 256|1024`) pass a single app.
-pub fn figure3_sweep(
-    apps: &[AppId],
-    scale: usize,
-    cfg: &SystemConfig,
-    jobs: usize,
-    repeat: usize,
-) -> Vec<Figure3Point> {
-    let grid: Vec<(AppId, DataSet, usize)> = apps
-        .iter()
-        .copied()
-        .flat_map(|app| FIGURE3_POINTS.into_iter().map(move |(set, cache)| (app, set, cache)))
-        .collect();
-    par::run_indexed(jobs, grid.len(), |i| {
-        let (app, set, cache) = grid[i];
-        figure3_point(app, set, cache, scale, cfg, repeat)
-    })
-}
-
-/// A Figure 4 measurement point: EM3D cycles per edge at a remote-edge
-/// fraction.
-#[derive(Clone, Debug)]
-pub struct Figure4Point {
-    /// Percent of edges with a remote source (x-axis).
-    pub pct_remote: f64,
-    /// Cycles per edge per iteration for each system
-    /// (DirNNB, Typhoon/Stache, Typhoon/Update).
-    pub cycles_per_edge: [f64; 3],
-    /// Raw execution time per system (same order).
-    pub cycles: [Cycles; 3],
-    /// Host-side throughput per system (same order).
-    pub stats: [RunStats; 3],
+/// The paper's Figure 3 y-axis over a [`figure3_runs`] grid's outcomes:
+/// per point, Typhoon/Stache time relative to DirNNB (shorter bars =
+/// better Typhoon performance).
+pub fn figure3_relative(outs: &[RunOutcome]) -> Vec<f64> {
+    outs.chunks(2).map(|pair| pair[0].cycles.as_f64() / pair[1].cycles.as_f64()).collect()
 }
 
 /// The three systems of a Figure 4 point, in column order.
 pub const FIGURE4_SYSTEMS: [System; 3] =
     [System::Dirnnb, System::TyphoonStache, System::TyphoonUpdate];
 
-/// Measures one Figure 4 x-axis point (all three curves), with
-/// min-of-`repeat` wall timings (cycles are asserted identical across
-/// repeats).
-pub fn figure4_point(
-    pct_remote: f64,
-    scale: usize,
-    cfg: &SystemConfig,
-    repeat: usize,
-) -> Figure4Point {
-    let mk = |sync: SyncMode| -> (Box<dyn Workload>, f64) {
-        let mut p = Em3dParams::table3(DataSet::Large, cfg.nodes);
-        p.graph_nodes = tt_apps::datasets::scaled(p.graph_nodes, scale, 4 * cfg.nodes);
-        p.pct_remote = pct_remote;
-        p.sync = sync;
-        // Figure 4 measures the steady state: with the static graph, all
-        // stache faults happen in iteration 1, so run enough iterations
-        // that warmup does not dominate (the original EM3D runs hundreds).
-        p.iterations = 8;
-        let app = Em3d::new(p.clone());
-        let denom = (app.total_edges() * p.iterations) as f64;
-        (Box::new(PhasedWorkload::new(app)), denom)
-    };
-    let mut cpe = [0.0f64; 3];
-    let mut cycles = [Cycles::ZERO; 3];
-    let mut stats = [RunStats::default(); 3];
-    for (i, system) in FIGURE4_SYSTEMS.into_iter().enumerate() {
-        let sync =
-            if system == System::TyphoonUpdate { SyncMode::Flush } else { SyncMode::Barrier };
-        // Figure 4 isolates the protocol effect: the DirNNB comparator
-        // gets ideal (owner) placement so all three systems coincide at
-        // 0% non-local edges, and the CPU cache is large enough (256 KB)
-        // that capacity misses do not drown the coherence traffic.
-        let mut cfg = cfg.clone();
-        cfg.placement = tt_base::config::DirPlacement::Owner;
-        cfg.cpu.cache_bytes = 256 * 1024;
-        let (_, denom) = mk(sync);
-        let out = run_system(system, &cfg, repeat, || mk(sync).0);
-        cpe[i] = out.cycles.as_f64() / denom;
-        cycles[i] = out.cycles;
-        stats[i] = RunStats::of(&out);
-    }
-    Figure4Point { pct_remote, cycles_per_edge: cpe, cycles, stats }
+/// The remote-edge fractions of the Figure 4 x-axis.
+pub const FIGURE4_PCTS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
+
+/// EM3D's large data set at one Figure 4 point.
+fn figure4_params(pct_remote: f64, scale: usize, nodes: usize, sync: SyncMode) -> Em3dParams {
+    let mut p = Em3dParams::table3(DataSet::Large, nodes);
+    p.graph_nodes = tt_apps::datasets::scaled(p.graph_nodes, scale, 4 * nodes);
+    p.pct_remote = pct_remote;
+    p.sync = sync;
+    // Figure 4 measures the steady state: with the static graph, all
+    // stache faults happen in iteration 1, so run enough iterations
+    // that warmup does not dominate (the original EM3D runs hundreds).
+    p.iterations = 8;
+    p
 }
 
-/// The remote-edge fractions of the Figure 4 x-axis.
-pub(crate) const FIGURE4_PCTS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
+/// The Figure 4 grid: every [`FIGURE4_PCTS`] point on each of
+/// [`FIGURE4_SYSTEMS`], point-major.
+pub fn figure4_runs(scale: usize, cfg: &SystemConfig) -> Vec<Run> {
+    // Figure 4 isolates the protocol effect: the DirNNB comparator
+    // gets ideal (owner) placement so all three systems coincide at
+    // 0% non-local edges, and the CPU cache is large enough (256 KB)
+    // that capacity misses do not drown the coherence traffic.
+    let mut cfg = cfg.clone();
+    cfg.placement = DirPlacement::Owner;
+    cfg.cpu.cache_bytes = 256 * 1024;
+    let mut runs = Vec::new();
+    for pct in FIGURE4_PCTS {
+        for system in FIGURE4_SYSTEMS {
+            let p = figure4_params(pct, scale, cfg.nodes, sync_for(AppId::Em3d, system));
+            let point = format!("{:.0}% remote", pct * 100.0);
+            runs.push(Run::new(point, system, cfg.clone(), move || {
+                Box::new(PhasedWorkload::new(Em3d::new(p.clone())))
+            }));
+        }
+    }
+    runs
+}
 
-/// Runs the whole Figure 4 sweep across `jobs` threads, min-of-`repeat`
-/// wall timings per point (results are identical for any `jobs`; see
-/// [`par::run_indexed`]).
-pub fn figure4_sweep(
-    scale: usize,
-    cfg: &SystemConfig,
-    jobs: usize,
-    repeat: usize,
-) -> Vec<Figure4Point> {
-    par::run_indexed(jobs, FIGURE4_PCTS.len(), |i| {
-        figure4_point(FIGURE4_PCTS[i], scale, cfg, repeat)
-    })
+/// The paper's Figure 4 y-axis: cycles per edge per iteration of each
+/// outcome of a [`figure4_runs`] grid. Every point's graph has the same
+/// edge count, `2 * (graph_nodes / 2) * degree` (the remote fraction
+/// only moves edge sources; see [`Em3d::new`]), so no graph is built to
+/// count them.
+pub fn figure4_cycles_per_edge(scale: usize, nodes: usize, outs: &[RunOutcome]) -> Vec<f64> {
+    let p = figure4_params(0.0, scale, nodes, SyncMode::Barrier);
+    let edge_visits = (2 * (p.graph_nodes / 2) * p.degree * p.iterations) as f64;
+    outs.iter().map(|out| out.cycles.as_f64() / edge_visits).collect()
 }
 
 /// Standard bench configuration: the paper's 32 nodes, verification off
@@ -418,21 +420,93 @@ pub mod smoke {
 mod tests {
     use super::*;
 
+    fn outcome(cycles: u64, wall_secs: f64) -> RunOutcome {
+        RunOutcome {
+            cycles: Cycles::new(cycles),
+            report: Report::default(),
+            kv: None,
+            wall_secs,
+            ops: 7,
+            peak_bytes: 0,
+            allocs: 0,
+        }
+    }
+
     #[test]
     fn figure3_smoke_point_is_sane() {
         let cfg = bench_config(smoke::NODES);
-        let p = figure3_point(AppId::Em3d, DataSet::Small, 4 * 1024, smoke::SCALE, &cfg, 1);
-        let rel = p.relative();
+        // The first point of the grid: EM3D small/4K on both systems.
+        let runs = figure3_runs(&[AppId::Em3d], smoke::SCALE, &cfg);
+        assert_eq!((runs[0].point.as_str(), runs[0].system), ("em3d small/4K", "Typhoon/Stache"));
+        assert_eq!((runs[1].point.as_str(), runs[1].system), ("em3d small/4K", "DirNNB"));
+        let rel = figure3_relative(&sweep(1, 1, &runs[..2]))[0];
         assert!(rel > 0.2 && rel < 3.0, "relative time {rel}");
     }
 
     #[test]
     fn figure4_smoke_point_orders_systems_at_high_remote() {
         let cfg = bench_config(smoke::NODES);
-        let p = figure4_point(0.5, smoke::SCALE, &cfg, 1);
-        let [dirnnb, stache, update] = p.cycles_per_edge;
+        // The last point of the grid: 50% remote on all three systems.
+        let runs = figure4_runs(smoke::SCALE, &cfg);
+        let last = &runs[runs.len() - 3..];
+        assert!(last.iter().all(|r| r.point == "50% remote"));
+        let outs = sweep(1, 1, last);
+        let [dirnnb, stache, update] = figure4_cycles_per_edge(smoke::SCALE, cfg.nodes, &outs)[..]
+        else {
+            panic!("three systems per point")
+        };
         assert!(update < dirnnb, "update {update} should beat DirNNB {dirnnb}");
         assert!(update < stache, "update {update} should beat Stache {stache}");
+    }
+
+    #[test]
+    fn figure4_edge_count_matches_the_built_graph() {
+        let (scale, nodes) = (smoke::SCALE, smoke::NODES);
+        let p = figure4_params(0.3, scale, nodes, SyncMode::Barrier);
+        let built = (Em3d::new(p.clone()).total_edges() * p.iterations) as f64;
+        let out = outcome(1_000_000, 1.0);
+        let cpe = figure4_cycles_per_edge(scale, nodes, &[out])[0];
+        assert_eq!(cpe, 1_000_000.0 / built);
+    }
+
+    /// One sweep over a mixed run list — an EM3D run on Typhoon/Update,
+    /// an application on DirNNB and a KV point — gives the same cycles,
+    /// reports and latencies at any job count, and every outcome's
+    /// `--json` record carries the cost block.
+    #[test]
+    fn mixed_sweep_is_identical_at_any_job_count_and_records_cost() {
+        let cfg = bench_config(smoke::NODES);
+        let mut kv = KvParams::small(KvVariant::Update);
+        kv.nodes = smoke::NODES;
+        let (small, scale) = (DataSet::Small, smoke::SCALE);
+        let runs = [
+            Run::app("em3d", System::TyphoonUpdate, cfg.clone(), AppId::Em3d, small, scale),
+            Run::app("ocean", System::Dirnnb, cfg.clone(), AppId::Ocean, small, scale),
+            Run::kv("kv", cfg.clone(), kv),
+        ];
+        let seq = sweep(1, 1, &runs);
+        let par = sweep(4, 2, &runs);
+        for ((run, a), b) in runs.iter().zip(&seq).zip(&par) {
+            assert_eq!(a.cycles, b.cycles, "{} {}", run.point, run.system);
+            assert_eq!(a.report, b.report, "{} {}", run.point, run.system);
+            assert_eq!(a.kv, b.kv, "{} {}", run.point, run.system);
+            assert_eq!(a.kv.is_some(), run.point == "kv");
+            let json = json::PointRecord::new(run, a).to_json();
+            let bytes_per_node = a.peak_bytes / smoke::NODES as u64;
+            assert!(
+                json.contains(&format!(
+                    "\"cost\": {{\"us_per_node_kilocycle\": {:.4}, \"peak_bytes\": {}, \
+                     \"bytes_per_node\": {bytes_per_node}, \"allocs\": {}}}",
+                    a.wall_secs * 1e6 / smoke::NODES as f64 / (a.cycles.as_f64() / 1000.0),
+                    a.peak_bytes,
+                    a.allocs,
+                )),
+                "{json}"
+            );
+            assert_eq!(json.contains("\"kv\": {\"mix\": \"95/5\""), run.point == "kv", "{json}");
+        }
+        assert_eq!(runs[0].system, "Typhoon/Update");
+        assert_eq!(runs[2].system, "kv-update");
     }
 
     #[test]
@@ -457,14 +531,7 @@ mod tests {
         let out = min_of_runs(3, || {
             let wall = [0.5, 0.1, 0.3][walls.get()];
             walls.set(walls.get() + 1);
-            RunOutcome {
-                cycles: Cycles::new(42),
-                report: Report::default(),
-                wall_secs: wall,
-                ops: 7,
-                peak_bytes: 0,
-                allocs: 0,
-            }
+            outcome(42, wall)
         });
         assert_eq!(walls.get(), 3);
         assert_eq!(out.wall_secs, 0.1);
@@ -477,14 +544,7 @@ mod tests {
         let calls = std::cell::Cell::new(0u64);
         min_of_runs(2, || {
             calls.set(calls.get() + 1);
-            RunOutcome {
-                cycles: Cycles::new(calls.get()),
-                report: Report::default(),
-                wall_secs: 1.0,
-                ops: 0,
-                peak_bytes: 0,
-                allocs: 0,
-            }
+            outcome(calls.get(), 1.0)
         });
     }
 

@@ -14,6 +14,7 @@
 //! `jobs` is — `--jobs 1` and `--jobs 8` produce byte-identical tables.
 
 use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -31,9 +32,12 @@ pub(crate) fn default_jobs() -> usize {
 ///
 /// # Panics
 ///
-/// Propagates a panic from any worker closure once all threads have
-/// been joined (the panic surfaces at scope exit).
-pub fn run_indexed<T, F>(jobs: usize, count: usize, f: F) -> Vec<T>
+/// If `f` panics, so does this, with the payload of the lowest index
+/// that panicked: sequentially that is the first failure, and in
+/// parallel every worker catches its points' panics and the lowest
+/// is re-raised after all threads have joined. So the payload (a KV
+/// sweep's `NetFault`, say) is the same whatever `jobs` is.
+pub(crate) fn run_indexed<T, F>(jobs: usize, count: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -41,7 +45,8 @@ where
     if jobs <= 1 || count <= 1 {
         return (0..count).map(f).collect();
     }
-    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
+        (0..count).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..jobs.min(count) {
@@ -50,7 +55,7 @@ where
                 if i >= count {
                     break;
                 }
-                let value = f(i);
+                let value = panic::catch_unwind(AssertUnwindSafe(|| f(i)));
                 *slots[i].lock().expect("slot lock poisoned") = Some(value);
             });
         }
@@ -58,9 +63,11 @@ where
     slots
         .into_iter()
         .map(|slot| {
-            slot.into_inner()
+            let value = slot
+                .into_inner()
                 .expect("slot lock poisoned")
-                .expect("every index was claimed by exactly one worker")
+                .expect("every index was claimed by exactly one worker");
+            value.unwrap_or_else(|payload| panic::resume_unwind(payload))
         })
         .collect()
 }
@@ -90,6 +97,22 @@ mod tests {
         run_indexed(4, 50, |i| hits[i].fetch_add(1, Ordering::Relaxed));
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1);
+        }
+    }
+
+    #[test]
+    fn the_lowest_failing_index_panics_at_any_job_count() {
+        for jobs in [1, 4] {
+            let payload = panic::catch_unwind(|| {
+                run_indexed(jobs, 12, |i| {
+                    if i % 5 == 3 {
+                        panic::panic_any(i);
+                    }
+                    i
+                })
+            })
+            .unwrap_err();
+            assert_eq!(payload.downcast_ref::<usize>(), Some(&3), "jobs {jobs}");
         }
     }
 

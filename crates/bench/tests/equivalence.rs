@@ -6,7 +6,7 @@
 //! and flush synchronization).
 
 use tt_apps::AppId;
-use tt_bench::{bench_config, figure3_sweep, figure4_sweep, smoke, FIGURE3_POINTS};
+use tt_bench::{bench_config, figure3_runs, figure4_runs, smoke, sweep};
 
 #[test]
 fn figure3_sweep_is_identical_with_direct_execution_off() {
@@ -14,14 +14,12 @@ fn figure3_sweep_is_identical_with_direct_execution_off() {
     let mut off = bench_config(smoke::NODES);
     off.direct_execution = false;
     assert!(on.direct_execution, "direct execution defaults on");
-    let fast = figure3_sweep(&AppId::ALL, smoke::SCALE, &on, 4, 1);
-    let slow = figure3_sweep(&AppId::ALL, smoke::SCALE, &off, 4, 1);
+    let runs = figure3_runs(&AppId::ALL, smoke::SCALE, &on);
+    let fast = sweep(4, 1, &runs);
+    let slow = sweep(4, 1, &figure3_runs(&AppId::ALL, smoke::SCALE, &off));
     assert_eq!(fast.len(), slow.len());
-    let grid =
-        AppId::ALL.iter().flat_map(|&app| FIGURE3_POINTS.map(|(set, cache)| (app, set, cache)));
-    for ((f, s), (app, set, cache)) in fast.iter().zip(&slow).zip(grid) {
-        assert_eq!(f.typhoon, s.typhoon, "Typhoon/Stache cycles diverged at {app} {set}/{cache}");
-        assert_eq!(f.dirnnb, s.dirnnb, "DirNNB cycles diverged at {app} {set}/{cache}");
+    for ((run, f), s) in runs.iter().zip(&fast).zip(&slow) {
+        assert_eq!(f.cycles, s.cycles, "{} cycles diverged at {}", run.system, run.point);
     }
 }
 
@@ -30,16 +28,12 @@ fn figure4_sweep_is_identical_with_direct_execution_off() {
     let on = bench_config(smoke::NODES);
     let mut off = bench_config(smoke::NODES);
     off.direct_execution = false;
-    let fast = figure4_sweep(smoke::SCALE, &on, 4, 1);
-    let slow = figure4_sweep(smoke::SCALE, &off, 4, 1);
+    let runs = figure4_runs(smoke::SCALE, &on);
+    let fast = sweep(4, 1, &runs);
+    let slow = sweep(4, 1, &figure4_runs(smoke::SCALE, &off));
     assert_eq!(fast.len(), slow.len());
-    for (f, s) in fast.iter().zip(&slow) {
-        assert_eq!(
-            f.cycles,
-            s.cycles,
-            "cycles diverged at {}% remote (DirNNB, Typhoon/Stache, Typhoon/Update)",
-            f.pct_remote * 100.0
-        );
+    for ((run, f), s) in runs.iter().zip(&fast).zip(&slow) {
+        assert_eq!(f.cycles, s.cycles, "{} cycles diverged at {}", run.system, run.point);
     }
 }
 

@@ -4,33 +4,26 @@
 //! affect wall-clock time — these tests pin that guarantee.
 
 use tt_apps::AppId;
-use tt_bench::{bench_config, figure3_sweep, figure4_sweep, smoke, FIGURE3_POINTS};
+use tt_bench::{bench_config, figure3_runs, figure4_runs, smoke, sweep, Run, RunOutcome};
 
-#[test]
-fn figure3_sweep_is_identical_for_any_job_count() {
-    let cfg = bench_config(smoke::NODES);
-    let seq = figure3_sweep(&AppId::ALL, smoke::SCALE, &cfg, 1, 1);
-    let par = figure3_sweep(&AppId::ALL, smoke::SCALE, &cfg, 4, 1);
-    assert_eq!(seq.len(), par.len());
-    let grid =
-        AppId::ALL.iter().flat_map(|&app| FIGURE3_POINTS.map(|(set, cache)| (app, set, cache)));
-    for ((a, b), (app, set, cache)) in seq.iter().zip(&par).zip(grid) {
-        let k = cache / 1024;
-        assert_eq!(a.typhoon, b.typhoon, "typhoon cycles differ at {app} {set}/{k}K");
-        assert_eq!(a.dirnnb, b.dirnnb, "dirnnb cycles differ at {app} {set}/{k}K");
+/// Asserts two sweeps over `runs` simulated the same cycles, run by run.
+fn assert_same_cycles(runs: &[Run], a: &[RunOutcome], b: &[RunOutcome]) {
+    assert_eq!((a.len(), b.len()), (runs.len(), runs.len()));
+    for ((run, a), b) in runs.iter().zip(a).zip(b) {
+        assert_eq!(a.cycles, b.cycles, "cycles differ at {} on {}", run.point, run.system);
     }
 }
 
 #[test]
+fn figure3_sweep_is_identical_for_any_job_count() {
+    let runs = figure3_runs(&AppId::ALL, smoke::SCALE, &bench_config(smoke::NODES));
+    assert_same_cycles(&runs, &sweep(1, 1, &runs), &sweep(4, 1, &runs));
+}
+
+#[test]
 fn figure4_sweep_is_identical_for_any_job_count() {
-    let cfg = bench_config(smoke::NODES);
-    let seq = figure4_sweep(smoke::SCALE, &cfg, 1, 1);
-    let par = figure4_sweep(smoke::SCALE, &cfg, 4, 1);
-    assert_eq!(seq.len(), par.len());
-    for (a, b) in seq.iter().zip(&par) {
-        assert_eq!(a.pct_remote, b.pct_remote);
-        assert_eq!(a.cycles, b.cycles, "cycles differ at {}% remote", a.pct_remote * 100.0);
-    }
+    let runs = figure4_runs(smoke::SCALE, &bench_config(smoke::NODES));
+    assert_same_cycles(&runs, &sweep(1, 1, &runs), &sweep(4, 1, &runs));
 }
 
 #[test]
@@ -39,11 +32,6 @@ fn repeated_sweeps_are_bit_reproducible() {
     // (Cross-process determinism additionally requires that no map with a
     // randomized hasher is iterated on a semantics-bearing path; see
     // tt_base::fxhash and StacheProtocol::init.)
-    let cfg = bench_config(smoke::NODES);
-    let first = figure3_sweep(&AppId::ALL, smoke::SCALE, &cfg, 2, 1);
-    let second = figure3_sweep(&AppId::ALL, smoke::SCALE, &cfg, 2, 1);
-    for (a, b) in first.iter().zip(&second) {
-        assert_eq!(a.typhoon, b.typhoon);
-        assert_eq!(a.dirnnb, b.dirnnb);
-    }
+    let runs = figure3_runs(&AppId::ALL, smoke::SCALE, &bench_config(smoke::NODES));
+    assert_same_cycles(&runs, &sweep(2, 1, &runs), &sweep(2, 1, &runs));
 }

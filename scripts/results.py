@@ -10,7 +10,10 @@ by running its command from the repository root.
             about 4 minutes on 2 vCPUs) and compares each output with the
             committed file: text byte for byte, JSON point by point on
             `(point, system) -> cycles` (wall times, rates, byte counts
-            and provenance are host-dependent and not compared).
+            and provenance are host-dependent and not compared). Every
+            point of a regenerated or committed JSON file must also
+            carry the host-cost block: `cost.us_per_node_kilocycle` and
+            `cost.bytes_per_node`.
   --all     with --check, also reruns the slow generators.
 
 Exits 1 and prints every mismatch if any file differs.
@@ -64,10 +67,22 @@ def command(name, binary, args):
     return cmd
 
 
+# The host-cost members every JSON point must carry.
+COST_KEYS = ("us_per_node_kilocycle", "bytes_per_node")
+
+
 def cycles(path):
     """`(point, system) -> cycles` of a JSON report."""
     with open(path) as f:
         return {(p["point"], p["system"]): p["cycles"] for p in json.load(f)["points"]}
+
+
+def missing_cost(name, path):
+    """One mismatch per point of the report at `path` without a cost key."""
+    with open(path) as f:
+        points = json.load(f)["points"]
+    return [f"{name} ({p['point']}, {p['system']}): no cost.{key}"
+            for p in points for key in COST_KEYS if key not in p.get("cost", {})]
 
 
 def check(name, binary, args, scratch):
@@ -82,7 +97,9 @@ def check(name, binary, args, scratch):
         new, old = cycles(fresh), cycles(committed)
         return [f"{name} {key}: cycles {new.get(key)} vs committed {old.get(key)}"
                 for key in sorted(set(new) | set(old), key=str)
-                if new.get(key) != old.get(key)]
+                if new.get(key) != old.get(key)] + \
+            missing_cost(f"{name} (regenerated)", fresh) + \
+            missing_cost(f"{name} (committed)", committed)
     with open(fresh, "wb") as out:
         subprocess.run(cmd, cwd=ROOT, check=True, stdout=out, stderr=subprocess.DEVNULL)
     with open(fresh, "rb") as f, open(committed, "rb") as g:

@@ -29,9 +29,13 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Rustdoc with warnings denied: intra-doc links to renamed or deleted
-# items fail here instead of rotting silently.
-echo "==> cargo doc --workspace --no-deps --lib (-D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+# items fail here instead of rotting silently. --keep-going reports
+# every crate whose docs fail, not just the first. The bench binaries
+# are documented in a second run: the tt-check binary and the tt-check
+# library would otherwise write the same target/doc/tt_check/index.html.
+echo "==> cargo doc --workspace --no-deps --lib, then tt-bench --bins (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --keep-going
+RUSTDOCFLAGS="-D warnings" cargo doc -p tt-bench --no-deps --bins --keep-going
 
 # Dead and over-wide public items, as rustc sees them (about 75 s): on a
 # temporary copy, every `pub` item and field under crates/*/src is
