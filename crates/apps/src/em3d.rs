@@ -22,21 +22,11 @@
 
 use tt_base::workload::{Layout, Op};
 use tt_base::DetRng;
+use tt_stache::custom::{EM3D_E_MODE, EM3D_H_MODE, FLUSH_OP};
 
 use crate::alloc::{even_split, ArenaPlanner, OwnedArray};
 use crate::phased::PhasedApp;
 use crate::SyncMode;
-
-/// Page modes matching `tt_stache::custom::{EM3D_E_MODE, EM3D_H_MODE}`.
-/// Redeclared here so the apps crate does not depend on the protocol
-/// crate; an integration test asserts they stay equal.
-pub const E_MODE: u8 = 2;
-/// See [`E_MODE`].
-pub const H_MODE: u8 = 3;
-
-/// The protocol-call op code for the phase flush (must equal
-/// `tt_stache::custom::FLUSH_OP`).
-pub const FLUSH_OP: u32 = 1;
 
 /// EM3D parameters.
 #[derive(Clone, Debug)]
@@ -130,8 +120,8 @@ impl Em3d {
                 counts.iter().map(|&c| (0..c).map(|_| rng.unit_f64()).collect()).collect();
             Side { vals, native, edges: Vec::new(), mode }
         };
-        let mut e = build_side(&mut planner, &mut rng, E_MODE);
-        let mut h = build_side(&mut planner, &mut rng, H_MODE);
+        let mut e = build_side(&mut planner, &mut rng, EM3D_E_MODE);
+        let mut h = build_side(&mut planner, &mut rng, EM3D_H_MODE);
 
         // Edges: destinations of one kind draw sources from the other.
         let mut total_edges = 0usize;

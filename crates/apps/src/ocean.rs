@@ -26,6 +26,7 @@
 //! memory. Run it with `tt_stache::Em3dUpdateProtocol`.
 
 use tt_base::workload::{Layout, Op};
+use tt_stache::custom::{EM3D_E_MODE, EM3D_H_MODE, FLUSH_OP};
 
 use crate::alloc::{ArenaPlanner, OwnedArray};
 use crate::phased::PhasedApp;
@@ -33,9 +34,9 @@ use crate::SyncMode;
 
 /// Mode of grid 0's boundary pages (= the delayed-update protocol's
 /// first custom mode).
-pub(crate) const BOUNDARY_MODE_G0: u8 = crate::em3d::E_MODE;
+pub(crate) const BOUNDARY_MODE_G0: u8 = EM3D_E_MODE;
 /// Mode of grid 1's boundary pages.
-pub(crate) const BOUNDARY_MODE_G1: u8 = crate::em3d::H_MODE;
+pub(crate) const BOUNDARY_MODE_G1: u8 = EM3D_H_MODE;
 
 /// Ocean parameters.
 #[derive(Clone, Debug)]
@@ -233,7 +234,7 @@ impl Ocean {
                 // whoever holds copies, and wait for the updates of the
                 // boundary blocks we hold.
                 let mode = if dst == 0 { BOUNDARY_MODE_G0 } else { BOUNDARY_MODE_G1 };
-                ops.push(Op::UserCall { op: crate::em3d::FLUSH_OP, arg: mode as u64 });
+                ops.push(Op::UserCall { op: FLUSH_OP, arg: mode as u64 });
             }
             ops.push(Op::Barrier);
             chunks.push(ops);
@@ -340,7 +341,7 @@ mod tests {
         let sweep = o.next_phase().unwrap();
         assert!(sweep[0]
             .iter()
-            .any(|op| matches!(op, Op::UserCall { op: f, .. } if *f == crate::em3d::FLUSH_OP)));
+            .any(|op| matches!(op, Op::UserCall { op: f, .. } if *f == FLUSH_OP)));
     }
 
     #[test]

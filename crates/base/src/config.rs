@@ -287,8 +287,8 @@ pub struct FaultSpec {
     /// Per-packet duplication probability in permille.
     pub dup_permille: u32,
     /// Per-packet-copy corruption probability in permille. Corruption is
-    /// always detected by the wire checksum, so a corrupted copy behaves
-    /// like a detected drop (and is counted separately).
+    /// always detected by the receiver's checksum, so a corrupted copy
+    /// is discarded before delivery, like a drop of that one copy.
     pub corrupt_permille: u32,
     /// Probability in permille that a given (link, run) is partitioned.
     pub partition_permille: u32,

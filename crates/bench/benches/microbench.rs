@@ -238,13 +238,13 @@ fn bench_payload_inline(r: &Runner) {
 /// The routing layer alone: a fixed, seeded mix of cross-node packets
 /// (uniform random pairs, header-only to full-block wire sizes, one
 /// injection per cycle) routed over a 256-node mesh through
-/// `Network::deliver_at`, the path DirNNB sends on. The network is warmed
+/// `Network::transmit`, the path both machines send on. The network is warmed
 /// with one pass of the mix, so the timed passes route over link queues
 /// that already exist, as a long run does. Prints ns per packet beside
 /// the harness's ns per pass of the mix.
 fn bench_mesh_route(r: &Runner) {
     use tt_base::Topology;
-    use tt_net::{Network, VirtualNet};
+    use tt_net::Network;
     const NODES: usize = 256;
     const PACKETS: usize = 16_384;
     let mut rng = DetRng::new(0x3E5);
@@ -263,8 +263,9 @@ fn bench_mesh_route(r: &Runner) {
         let mut acc = 0u64;
         for &(src, dst, wire) in &mix {
             now += 1;
-            let t = net.deliver_at(Cycles::new(now), src, dst, VirtualNet::Request, wire);
-            acc = acc.wrapping_add(t.raw());
+            for t in net.transmit(Cycles::new(now), src, dst, wire).iter() {
+                acc = acc.wrapping_add(t.raw());
+            }
         }
         acc
     };

@@ -158,17 +158,30 @@ fn kv_member(run: &Run, out: &RunOutcome) -> Option<String> {
 
 /// Best-effort short git revision of the working tree, so committed
 /// `results/BENCH_*.json` snapshots are attributable to the code that
-/// produced them. `"unknown"` outside a git checkout.
+/// produced them: `HEAD`, suffixed `-dirty` when tracked files differ
+/// from it. `"unknown"` outside a git checkout.
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
+    rev_of(Path::new("."))
+}
+
+/// [`git_rev`] of the checkout containing `dir`.
+fn rev_of(dir: &Path) -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git").arg("-C").arg(dir).args(args).output().ok()
+    };
+    let Some(rev) = git(&["rev-parse", "--short=12", "HEAD"])
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
+    else {
+        return "unknown".into();
+    };
+    // `git diff --quiet` exits 1 exactly when the tree differs.
+    match git(&["diff", "--quiet", "HEAD"]).and_then(|o| o.status.code()) {
+        Some(1) => format!("{rev}-dirty"),
+        _ => rev,
+    }
 }
 
 /// Best-effort host name (wall-clock rates are host-specific). Tries the
@@ -321,6 +334,33 @@ mod tests {
         assert!(text.contains("\"peak_bytes\": 8000, \"bytes_per_node\": 1000, \"allocs\": 3}}"));
         assert!(text.contains("\"git_rev\": "));
         assert!(text.contains("\"host\": "));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn git_rev_marks_a_dirty_tree() {
+        let dir = std::env::temp_dir().join(format!("tt_bench_git_rev_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let git = |args: &[&str]| {
+            let status = std::process::Command::new("git")
+                .arg("-C")
+                .arg(&dir)
+                .args(["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"])
+                .args(args)
+                .output()
+                .unwrap()
+                .status;
+            assert!(status.success(), "git {args:?}");
+        };
+        git(&["init", "-q"]);
+        std::fs::write(dir.join("f.txt"), "one\n").unwrap();
+        git(&["add", "f.txt"]);
+        git(&["commit", "-q", "-m", "one"]);
+        let clean = rev_of(&dir);
+        assert_eq!(clean.len(), 12, "{clean}");
+        assert!(clean.chars().all(|c| c.is_ascii_hexdigit()), "{clean}");
+        std::fs::write(dir.join("f.txt"), "two\n").unwrap();
+        assert_eq!(rev_of(&dir), format!("{clean}-dirty"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

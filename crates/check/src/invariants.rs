@@ -35,7 +35,7 @@
 use tt_base::addr::{BLOCK_BYTES, WORD_BYTES};
 use tt_base::{Cycles, VAddr};
 use tt_mem::Tag;
-use tt_tempest::{DirSnapshotState, HandlerId, VnPolicy};
+use tt_tempest::{DirSnapshotState, VnPolicy};
 use tt_typhoon::{Event, TyphoonMachine};
 
 /// Default event budget: far above anything a litmus-sized run needs,
@@ -97,8 +97,8 @@ impl InvariantChecker {
             "event budget exceeded: {} events by cycle {now} without completion (livelock?)",
             self.events
         );
-        if let Event::Deliver(p) = event {
-            self.policy.assert_send(HandlerId(p.handler), p.vn);
+        if let Event::Deliver(m) = event {
+            self.policy.assert_send(m.handler, m.vn);
         }
         self.check_tags(now, m);
         self.check_directories(now, m);

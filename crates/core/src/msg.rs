@@ -16,7 +16,7 @@
 use std::fmt;
 
 use tt_base::NodeId;
-use tt_net::{Packet, Payload, VirtualNet};
+use tt_net::{Payload, VirtualNet};
 
 /// Names the user-level handler a message invokes on arrival.
 ///
@@ -28,7 +28,7 @@ pub struct HandlerId(pub u32);
 impl HandlerId {
     /// The raw id.
     #[inline]
-    pub const fn raw(self) -> u32 {
+    pub(crate) const fn raw(self) -> u32 {
         self.0
     }
 }
@@ -39,12 +39,17 @@ impl fmt::Debug for HandlerId {
     }
 }
 
-/// A message as delivered to a protocol's message handler.
+/// A message in flight and as delivered to a protocol's message
+/// handler. The network times only its header (`src`, `dst` and the
+/// payload's wire size); the machine carries the message itself in its
+/// delivery event.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Message {
     /// The sending node.
     pub src: NodeId,
-    /// The virtual network the message arrived on.
+    /// The destination node.
+    pub dst: NodeId,
+    /// The virtual network the message travels on.
     pub vn: VirtualNet,
     /// The handler the sender named.
     pub handler: HandlerId,
@@ -53,16 +58,6 @@ pub struct Message {
 }
 
 impl Message {
-    /// Reconstructs a message from a delivered packet.
-    pub fn from_packet(packet: Packet) -> Self {
-        Message {
-            src: packet.src,
-            vn: packet.vn,
-            handler: HandlerId(packet.handler),
-            payload: packet.payload,
-        }
-    }
-
     /// Argument word `i`.
     ///
     /// # Panics
@@ -79,30 +74,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_packet_keeps_sender_net_handler_and_payload() {
-        let p = Packet {
-            src: NodeId::new(3),
-            dst: NodeId::new(5),
-            vn: VirtualNet::Response,
-            handler: 7,
-            payload: Payload::args(&[10, 20]),
-        };
-        let m = Message::from_packet(p);
-        assert_eq!(
-            m,
-            Message {
-                src: NodeId::new(3),
-                vn: VirtualNet::Response,
-                handler: HandlerId(7),
-                payload: Payload::args(&[10, 20]),
-            }
-        );
-    }
-
-    #[test]
     fn arg_accessor() {
         let m = Message {
             src: NodeId::new(0),
+            dst: NodeId::new(1),
             vn: VirtualNet::Request,
             handler: HandlerId(1),
             payload: Payload::args(&[42, 43]),
@@ -116,6 +91,7 @@ mod tests {
     fn missing_arg_panics() {
         let m = Message {
             src: NodeId::new(0),
+            dst: NodeId::new(1),
             vn: VirtualNet::Request,
             handler: HandlerId(1),
             payload: Payload::new(),

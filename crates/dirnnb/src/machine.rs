@@ -13,7 +13,7 @@ use tt_base::workload::{Layout, Workload};
 use tt_base::{Cycles, DetRng, FxHashMap, NodeId};
 use tt_mem::cache::Probe;
 use tt_mem::{AccessKind, CacheModel, FifoTlb};
-use tt_net::{Network, VirtualNet, ARG_WORD_BYTES, HANDLER_WORD_BYTES};
+use tt_net::{Network, ARG_WORD_BYTES, HANDLER_WORD_BYTES};
 use tt_sim::cpu::{self, Access, CpuHost, Flow, Stall, Status, Stream};
 use tt_sim::driver::{self, Machine};
 use tt_sim::EventQueue;
@@ -311,16 +311,19 @@ impl DirnnbMachine {
     }
 
     /// Injects a protocol message at `inject` and returns its arrival
-    /// time at `dst`: the traffic accounting plus the network's latency
-    /// model — a self-send arrives at `inject` (local hand-off is in the
-    /// Table 2 costs), `Topology::Ideal` charges the constant latency,
-    /// and the mesh charges hop counts plus per-link queuing.
-    /// Wire size matches the one-argument packet `send` would have been
-    /// handed: handler word + one argument word, plus a coherence block
-    /// when `data` is set.
+    /// time at `dst`. A self-send never enters the network and arrives
+    /// at `inject` (local hand-off is in the Table 2 costs); any other
+    /// takes the network's one delivery — the constant latency under
+    /// `Topology::Ideal`, hop counts plus per-link queuing on the mesh.
+    /// The wire size is a one-argument message's: handler word + one
+    /// argument word, plus a coherence block when `data` is set.
     fn deliver(&mut self, inject: Cycles, src: NodeId, dst: NodeId, data: bool) -> Cycles {
+        if src == dst {
+            return inject;
+        }
         let wire = HANDLER_WORD_BYTES + ARG_WORD_BYTES + if data { BLOCK_BYTES } else { 0 };
-        self.network.deliver_at(inject, src, dst, VirtualNet::Request, wire)
+        let arrival = self.network.transmit(inject, src, dst, wire).iter().next();
+        arrival.expect("DirNNB installs no fault plan, so every send arrives")
     }
 
     // --- CPU memory system ------------------------------------------------

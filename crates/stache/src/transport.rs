@@ -350,7 +350,7 @@ impl Protocol for Reliable {
         let seq =
             msg.payload.pop_word().expect("sequenced message carries a trailing sequence word");
         ctx.charge(REL_BOOKKEEP_INSTR);
-        let src = msg.src;
+        let (src, dst) = (msg.src, msg.dst);
         let next = self.state.rx.entry(src.raw()).or_default().next_expected;
         if seq < next {
             // A stale duplicate: a retransmitted copy of a message this
@@ -383,7 +383,7 @@ impl Protocol for Reliable {
             let n = rxl.next_expected;
             match rxl.reorder.remove(&n) {
                 Some((vn, handler, payload)) => {
-                    self.deliver(ctx, Message { src, vn, handler, payload })
+                    self.deliver(ctx, Message { src, dst, vn, handler, payload })
                 }
                 None => break,
             }
@@ -515,6 +515,7 @@ mod tests {
         words.push(seq);
         Message {
             src: NodeId::new(src),
+            dst: NodeId::new(0),
             vn: VirtualNet::Request,
             handler: PING,
             payload: Payload::args(&words),
@@ -544,6 +545,7 @@ mod tests {
         // And a self-delivered message needs no seq word stripped.
         let m = Message {
             src: NodeId::new(0),
+            dst: NodeId::new(0),
             vn: VirtualNet::Request,
             handler: PING,
             payload: Payload::args(&[5]),
@@ -642,6 +644,7 @@ mod tests {
         // The (late) ack for the original arrives after the retry.
         let ack = Message {
             src: NodeId::new(1),
+            dst: NodeId::new(0),
             vn: VirtualNet::Response,
             handler: REL_ACK,
             payload: Payload::args(&[1]),
@@ -720,6 +723,7 @@ mod tests {
             &mut ctx,
             Message {
                 src: NodeId::new(1),
+                dst: NodeId::new(0),
                 vn: VirtualNet::Response,
                 handler: REL_ACK,
                 payload: Payload::args(&[1]),
@@ -739,8 +743,13 @@ mod tests {
     /// A cumulative ack from `src` covering every sequence below `upto`.
     fn ack(r: &mut Reliable, ctx: &mut MockCtx, src: u16, upto: u64) {
         let payload = Payload::args(&[upto]);
-        let m =
-            Message { src: NodeId::new(src), vn: VirtualNet::Response, handler: REL_ACK, payload };
+        let m = Message {
+            src: NodeId::new(src),
+            dst: NodeId::new(0),
+            vn: VirtualNet::Response,
+            handler: REL_ACK,
+            payload,
+        };
         r.on_message(ctx, m);
     }
 

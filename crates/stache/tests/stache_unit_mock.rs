@@ -49,12 +49,12 @@ fn home() -> (StacheProtocol, MockCtx) {
     (p, ctx)
 }
 
-fn msg(src: u16, vn: VirtualNet, handler: HandlerId, payload: Payload) -> Message {
-    Message { src: NodeId::new(src), vn, handler, payload }
+fn msg(src: u16, dst: u16, vn: VirtualNet, handler: HandlerId, payload: Payload) -> Message {
+    Message { src: NodeId::new(src), dst: NodeId::new(dst), vn, handler, payload }
 }
 
-fn get(src: u16, handler: HandlerId, addr: VAddr) -> Message {
-    msg(src, VirtualNet::Request, handler, Payload::args(&[addr.raw()]))
+fn get(src: u16, dst: u16, handler: HandlerId, addr: VAddr) -> Message {
+    msg(src, dst, VirtualNet::Request, handler, Payload::args(&[addr.raw()]))
 }
 
 #[test]
@@ -62,7 +62,7 @@ fn get_ro_on_idle_shares_and_responds_with_data() {
     let (mut p, mut ctx) = home();
     let addr = VPN.base().offset(64);
     ctx.write_word(addr, 0xAB);
-    p.on_message(&mut ctx, get(2, GET_RO, addr));
+    p.on_message(&mut ctx, get(2, HOME, GET_RO, addr));
 
     let sent = ctx.last_sent().expect("a response was sent");
     assert_eq!(sent.dst, NodeId::new(2));
@@ -78,7 +78,7 @@ fn get_ro_on_idle_shares_and_responds_with_data() {
 fn get_rw_on_idle_grants_exclusive_and_invalidates_home_tag() {
     let (mut p, mut ctx) = home();
     let addr = VPN.base();
-    p.on_message(&mut ctx, get(3, GET_RW, addr));
+    p.on_message(&mut ctx, get(3, HOME, GET_RW, addr));
     assert_eq!(ctx.last_sent().unwrap().handler, PUT_RW);
     assert_eq!(ctx.read_tag(addr), Tag::Invalid);
 }
@@ -88,22 +88,22 @@ fn get_rw_on_shared_runs_an_invalidation_round() {
     let (mut p, mut ctx) = home();
     let addr = VPN.base().offset(128);
     // Two readers first.
-    p.on_message(&mut ctx, get(1, GET_RO, addr));
-    p.on_message(&mut ctx, get(2, GET_RO, addr));
+    p.on_message(&mut ctx, get(1, HOME, GET_RO, addr));
+    p.on_message(&mut ctx, get(2, HOME, GET_RO, addr));
     ctx.clear_effects();
 
     // A third node wants to write.
-    p.on_message(&mut ctx, get(3, GET_RW, addr));
+    p.on_message(&mut ctx, get(3, HOME, GET_RW, addr));
     let invs: Vec<_> = ctx.sent.iter().filter(|s| s.handler == INV).collect();
     assert_eq!(invs.len(), 2, "both sharers are invalidated");
     assert!(invs.iter().all(|s| s.vn == VirtualNet::Request));
     assert!(!ctx.sent.iter().any(|s| s.handler == PUT_RW), "no grant before acknowledgments");
 
     // First ack: still waiting.
-    p.on_message(&mut ctx, msg(1, VirtualNet::Response, ACK, Payload::args(&[addr.raw()])));
+    p.on_message(&mut ctx, msg(1, HOME, VirtualNet::Response, ACK, Payload::args(&[addr.raw()])));
     assert!(!ctx.sent.iter().any(|s| s.handler == PUT_RW));
     // Final ack sends the data (paper §3).
-    p.on_message(&mut ctx, msg(2, VirtualNet::Response, ACK, Payload::args(&[addr.raw()])));
+    p.on_message(&mut ctx, msg(2, HOME, VirtualNet::Response, ACK, Payload::args(&[addr.raw()])));
     let grant = ctx.sent.iter().find(|s| s.handler == PUT_RW).expect("grant");
     assert_eq!(grant.dst, NodeId::new(3));
     assert_eq!(ctx.read_tag(addr), Tag::Invalid);
@@ -113,9 +113,9 @@ fn get_rw_on_shared_runs_an_invalidation_round() {
 fn upgrade_by_the_only_sharer_skips_the_invalidation_round() {
     let (mut p, mut ctx) = home();
     let addr = VPN.base().offset(32);
-    p.on_message(&mut ctx, get(2, GET_RO, addr));
+    p.on_message(&mut ctx, get(2, HOME, GET_RO, addr));
     ctx.clear_effects();
-    p.on_message(&mut ctx, get(2, GET_RW, addr));
+    p.on_message(&mut ctx, get(2, HOME, GET_RW, addr));
     assert!(!ctx.sent.iter().any(|s| s.handler == INV));
     assert_eq!(ctx.last_sent().unwrap().handler, PUT_RW);
 }
@@ -124,17 +124,17 @@ fn upgrade_by_the_only_sharer_skips_the_invalidation_round() {
 fn requests_queue_behind_a_busy_block_and_drain_in_order() {
     let (mut p, mut ctx) = home();
     let addr = VPN.base().offset(256);
-    p.on_message(&mut ctx, get(1, GET_RO, addr));
-    p.on_message(&mut ctx, get(2, GET_RW, addr)); // starts invalidation of 1
+    p.on_message(&mut ctx, get(1, HOME, GET_RO, addr));
+    p.on_message(&mut ctx, get(2, HOME, GET_RW, addr)); // starts invalidation of 1
     ctx.clear_effects();
     // While invalidating, two more requests arrive and must defer.
-    p.on_message(&mut ctx, get(3, GET_RO, addr));
-    p.on_message(&mut ctx, get(1, GET_RO, addr));
+    p.on_message(&mut ctx, get(3, HOME, GET_RO, addr));
+    p.on_message(&mut ctx, get(1, HOME, GET_RO, addr));
     assert!(ctx.sent.is_empty(), "deferred requests produce no messages");
 
     // The ack completes the write grant, then the queue drains: node 3's
     // read recalls the new owner (node 2).
-    p.on_message(&mut ctx, msg(1, VirtualNet::Response, ACK, Payload::args(&[addr.raw()])));
+    p.on_message(&mut ctx, msg(1, HOME, VirtualNet::Response, ACK, Payload::args(&[addr.raw()])));
     let handlers: Vec<_> = ctx.sent.iter().map(|s| (s.dst.raw(), s.handler)).collect();
     assert_eq!(handlers[0], (2, PUT_RW), "grant to the writer first");
     assert_eq!(handlers[1].1, tt_stache::stache::RECALL_RO, "then recall for the queued read");
@@ -145,10 +145,10 @@ fn requests_queue_behind_a_busy_block_and_drain_in_order() {
 fn recall_data_completes_a_read_and_shares_both_nodes() {
     let (mut p, mut ctx) = home();
     let addr = VPN.base().offset(512);
-    p.on_message(&mut ctx, get(2, GET_RW, addr));
+    p.on_message(&mut ctx, get(2, HOME, GET_RW, addr));
     ctx.clear_effects();
     // Node 3 reads: home recalls node 2.
-    p.on_message(&mut ctx, get(3, GET_RO, addr));
+    p.on_message(&mut ctx, get(3, HOME, GET_RO, addr));
     assert_eq!(ctx.last_sent().unwrap().handler, tt_stache::stache::RECALL_RO);
     ctx.clear_effects();
     // Owner returns the (modified) data.
@@ -158,6 +158,7 @@ fn recall_data_completes_a_read_and_shares_both_nodes() {
         &mut ctx,
         Message {
             src: NodeId::new(2),
+            dst: NodeId::new(HOME),
             vn: VirtualNet::Response,
             handler: RECALL_DATA,
             payload: Payload::with_block(&[addr.raw()], block),
@@ -174,7 +175,7 @@ fn recall_data_completes_a_read_and_shares_both_nodes() {
 fn writeback_restores_home_ownership() {
     let (mut p, mut ctx) = home();
     let addr = VPN.base().offset(96);
-    p.on_message(&mut ctx, get(2, GET_RW, addr));
+    p.on_message(&mut ctx, get(2, HOME, GET_RW, addr));
     ctx.clear_effects();
     let mut block = [0u8; BLOCK_BYTES];
     block[8..16].copy_from_slice(&1234u64.to_le_bytes());
@@ -182,6 +183,7 @@ fn writeback_restores_home_ownership() {
         &mut ctx,
         Message {
             src: NodeId::new(2),
+            dst: NodeId::new(HOME),
             vn: VirtualNet::Request,
             handler: WRITEBACK,
             payload: Payload::with_block(&[addr.raw()], block),
@@ -242,6 +244,7 @@ fn put_installs_data_upgrades_tag_and_resumes() {
         &mut ctx,
         Message {
             src: NodeId::new(HOME),
+            dst: NodeId::new(2),
             vn: VirtualNet::Response,
             handler: PUT_RO,
             payload: Payload::with_block(&[addr.raw()], block),
@@ -259,7 +262,7 @@ fn inv_at_sharer_invalidates_and_acks_even_if_unmapped() {
     let mut ctx = checked_ctx(3);
     // No page mapped at all (it was replaced): the handler must still ack.
     let addr = VPN.base().offset(32);
-    p.on_message(&mut ctx, get(HOME, INV, addr));
+    p.on_message(&mut ctx, get(HOME, 3, INV, addr));
     let sent = ctx.last_sent().unwrap();
     assert_eq!(sent.handler, ACK);
     assert_eq!(sent.dst, NodeId::new(HOME));
@@ -285,6 +288,7 @@ fn owner_recall_returns_data_and_invalidates_its_copy() {
         &mut ctx,
         Message {
             src: NodeId::new(HOME),
+            dst: NodeId::new(2),
             vn: VirtualNet::Response,
             handler: PUT_RW,
             payload: Payload::with_block(&[addr.raw()], block),
@@ -292,7 +296,7 @@ fn owner_recall_returns_data_and_invalidates_its_copy() {
     );
     ctx.clear_effects();
 
-    p.on_message(&mut ctx, get(HOME, RECALL_RW, addr));
+    p.on_message(&mut ctx, get(HOME, 2, RECALL_RW, addr));
     assert_eq!(ctx.read_tag(addr), Tag::Invalid, "exclusive copy given up");
     let sent = ctx.last_sent().unwrap();
     assert_eq!(sent.handler, RECALL_DATA);

@@ -15,10 +15,10 @@ use tt_base::{Cycles, NodeId};
 use tt_mem::cache::Probe;
 use tt_mem::ptable::MapError;
 use tt_mem::{PageMeta, Tag};
-use tt_net::{Network, Packet, Payload, VirtualNet};
+use tt_net::{Network, Payload, VirtualNet};
 use tt_sim::cpu::Stall;
 use tt_sim::EventQueue;
-use tt_tempest::{HandlerId, TempestCtx, ThreadId};
+use tt_tempest::{HandlerId, Message, TempestCtx, ThreadId};
 
 use crate::machine::{issue_access, Event, NodeState};
 
@@ -117,13 +117,13 @@ impl TempestCtx for NodeCtx<'_> {
     }
 
     fn send(&mut self, dst: NodeId, vn: VirtualNet, handler: HandlerId, payload: Payload) {
-        let packet = Packet { src: self.id, dst, vn, handler: handler.raw(), payload };
+        let wire = payload.wire_bytes();
+        let msg = Message { src: self.id, dst, vn, handler, payload };
         // `transmit` applies the installed fault schedule (if any) and
         // yields zero, one, or two delivery times; with no fault plan it
         // is exactly one delivery.
-        let deliveries = self.network.transmit(self.now(), &packet);
-        for deliver_at in deliveries.iter() {
-            self.queue.schedule(deliver_at, Event::Deliver(packet.clone()));
+        for at in self.network.transmit(self.now(), self.id, dst, wire).iter() {
+            self.queue.schedule(at, Event::Deliver(msg.clone()));
         }
     }
 

@@ -15,7 +15,7 @@ use tt_base::stats::Report;
 use tt_base::workload::{Layout, Workload};
 use tt_base::{Cycles, DetRng, NodeId};
 use tt_mem::{NodeMemory, PageTable, Tag};
-use tt_net::{Network, Packet};
+use tt_net::Network;
 use tt_sim::cpu::{self, Access, CpuHost, Flow, Stall, Status, Stream};
 use tt_sim::driver::{self, Machine};
 use tt_sim::EventQueue;
@@ -39,8 +39,8 @@ pub enum Event {
         /// The work item.
         work: NpWork,
     },
-    /// A network packet arrives at its destination.
-    Deliver(Packet),
+    /// A message arrives at its destination node.
+    Deliver(Message),
     /// All processors arrived; release the barrier.
     BarrierRelease {
         /// Barrier generation (for sanity checking).
@@ -286,7 +286,7 @@ impl Machine for TyphoonMachine {
         match event {
             Event::CpuStep(n) | Event::NpDispatch(n) => Some(*n),
             Event::NpWork { node, .. } => Some(*node),
-            Event::Deliver(p) => Some(p.dst.index()),
+            Event::Deliver(m) => Some(m.dst.index()),
             Event::BarrierRelease { .. } => None,
             Event::BulkInject => unreachable!("BulkInject is never scheduled"),
         }
@@ -326,7 +326,11 @@ impl Machine for TyphoonMachine {
                 self.nodes[node].np.enqueue(work);
                 self.try_dispatch(node, now, queue);
             }
-            Event::Deliver(packet) => self.deliver(packet, now, queue),
+            Event::Deliver(m) => {
+                let n = m.dst.index();
+                self.nodes[n].np.enqueue(NpWork::Message(m));
+                self.try_dispatch(n, now, queue);
+            }
             Event::BarrierRelease { generation } => cpu::release(self, now, generation, queue),
             Event::BulkInject => unreachable!("BulkInject is never scheduled"),
         }
@@ -427,14 +431,6 @@ impl TyphoonMachine {
             let at = np.busy_until;
             queue.schedule(at, Event::NpDispatch(n));
         }
-    }
-
-    // --- Packets ---------------------------------------------------------
-
-    fn deliver(&mut self, packet: Packet, now: Cycles, queue: &mut EventQueue<Event>) {
-        let n = packet.dst.index();
-        self.nodes[n].np.enqueue(NpWork::Message(Message::from_packet(packet)));
-        self.try_dispatch(n, now, queue);
     }
 }
 

@@ -163,7 +163,13 @@ mod tests {
     }
 
     fn msg(vn: VirtualNet) -> Message {
-        Message { src: NodeId::new(1), vn, handler: HandlerId(0), payload: Payload::new() }
+        Message {
+            src: NodeId::new(1),
+            dst: NodeId::new(0),
+            vn,
+            handler: HandlerId(0),
+            payload: Payload::new(),
+        }
     }
 
     fn fault() -> NpWork {

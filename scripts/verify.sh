@@ -173,34 +173,38 @@ echo "==> examples build"
 cargo build --release --examples
 
 # The benchmark (perfbench/, a package outside the workspace): its own
-# tests, then a 1-second traced run of pdes-256, the 256-node mesh
-# workload (its name predates the parallel simulator's removal). Every
-# simulation must match its pinned digest, so the result line must
-# report "correct": true.
+# tests, then a 1-second run of each workload, starting with a traced
+# pdes-256, the 256-node mesh workload (its name predates the parallel
+# simulator's removal). Every simulation must match its pinned digest,
+# so each result line must report "correct": true.
 echo "==> perfbench tests"
 cargo test --manifest-path perfbench/Cargo.toml
 
+# One perfbench smoke: a 1-second run of workload $1 with tracing $2
+# whose result line must report "correct": true.
+perfbench_smoke() {
+    result=$(python3 perfbench/run.py --workload "$1" --seconds 1 --trace "$2" | tail -n 1)
+    case "$result" in
+        *'"correct": true'*) echo "    correct" ;;
+        *)
+            echo "FAIL: perfbench $1: $result"
+            exit 1
+            ;;
+    esac
+}
+
 echo "==> perfbench pdes-256 smoke (1 s, traced, digests checked)"
-result=$(python3 perfbench/run.py --workload pdes-256 --seconds 1 --trace 1 | tail -n 1)
-case "$result" in
-    *'"correct": true'*) echo "    correct" ;;
-    *)
-        echo "FAIL: perfbench pdes-256: $result"
-        exit 1
-        ;;
-esac
+perfbench_smoke pdes-256 1
 
 # kv-mesh-64 is the one workload that runs the reliable transport, the
 # kv_update protocol and the fault plan under pinned digests: a 1-second
 # untraced run must report "correct": true as well.
 echo "==> perfbench kv-mesh-64 smoke (1 s, digests checked)"
-result=$(python3 perfbench/run.py --workload kv-mesh-64 --seconds 1 --trace 0 | tail -n 1)
-case "$result" in
-    *'"correct": true'*) echo "    correct" ;;
-    *)
-        echo "FAIL: perfbench kv-mesh-64: $result"
-        exit 1
-        ;;
-esac
+perfbench_smoke kv-mesh-64 0
+
+# fig3-32 is the paper's 32-node machine: both systems over the ideal
+# network on every Figure 3 point, so every digest workload is checked.
+echo "==> perfbench fig3-32 smoke (1 s, digests checked)"
+perfbench_smoke fig3-32 0
 
 echo "==> verify OK"

@@ -129,15 +129,6 @@ fn machines_are_deterministic_on_a_real_app() {
 }
 
 #[test]
-fn protocol_mode_constants_stay_in_sync() {
-    use tempest_typhoon::apps::em3d as app;
-    use tempest_typhoon::stache::custom;
-    assert_eq!(app::E_MODE, custom::EM3D_E_MODE);
-    assert_eq!(app::H_MODE, custom::EM3D_H_MODE);
-    assert_eq!(app::FLUSH_OP, custom::FLUSH_OP);
-}
-
-#[test]
 fn ocean_boundary_push_beats_transparent_stache() {
     let mk = |sync| OceanParams { n: 40, iterations: 6, procs: PROCS, sync };
     // Transparent shared memory: every boundary row is invalidated and

@@ -17,7 +17,7 @@ use tempest_typhoon::dirnnb::DirnnbMachine;
 use tempest_typhoon::mem::cache::Probe;
 use tempest_typhoon::mem::dir::Directory;
 use tempest_typhoon::mem::{CacheModel, FifoTlb, NodeMemory};
-use tempest_typhoon::net::{Network, VirtualNet, ARG_WORD_BYTES, HOP_LATENCY};
+use tempest_typhoon::net::{Network, ARG_WORD_BYTES, HOP_LATENCY};
 use tempest_typhoon::sim::EventQueue;
 use tempest_typhoon::stache::StacheProtocol;
 use tempest_typhoon::typhoon::TyphoonMachine;
@@ -242,7 +242,7 @@ impl MeshReference {
 
     fn deliver(&mut self, now: u64, src: usize, dst: usize, wire: usize) -> u64 {
         if src == dst {
-            return now;
+            return now + 1;
         }
         let ser = wire.div_ceil(ARG_WORD_BYTES).max(1) as u64;
         let mut cursor = now;
@@ -285,16 +285,15 @@ fn mesh_link_slabs_match_keyed_reference() {
                     if rng.chance(0.6) { hot[rng.below_usize(3)] } else { rng.below_usize(nodes) };
                 let dst = rng.below_usize(nodes);
                 let wire = 4 + rng.below_usize(77);
-                let got = net.deliver_at(
+                let got = net.transmit(
                     Cycles::new(now),
                     NodeId::new(src as u16),
                     NodeId::new(dst as u16),
-                    VirtualNet::Request,
                     wire,
                 );
                 assert_eq!(
-                    got.raw(),
-                    reference.deliver(now, src, dst, wire),
+                    got.iter().map(Cycles::raw).collect::<Vec<_>>(),
+                    [reference.deliver(now, src, dst, wire)],
                     "{nodes} nodes, width {width}, case {case}, send {i}: {src} -> {dst} at {now}"
                 );
             }
