@@ -8,15 +8,14 @@
 
 use std::hint::black_box;
 
-use tt_base::addr::PAGE_BYTES;
+use tt_base::addr::{BLOCK_BYTES, PAGE_BYTES};
 use tt_base::workload::{Layout, Op, Placement, Region, ScriptWorkload, SHARED_SEGMENT_BASE};
 use tt_base::{Cycles, DetRng, NodeId, SystemConfig, VAddr};
 use tt_bench::harness::Runner;
-use tt_mem::{AccessKind, CacheModel, FifoTlb, NodeMemory, PageTable, Tag};
+use tt_mem::{AccessKind, CacheModel, FifoTlb, Tag};
+use tt_sim::cpu::{Access, Cpu, Lookup};
 use tt_sim::EventQueue;
 use tt_stache::StacheProtocol;
-use tt_typhoon::cpu::{exec_access, AccessOutcome, CpuState};
-use tt_typhoon::np::NpState;
 use tt_typhoon::TyphoonMachine;
 
 /// A single self-rescheduling chain: the event queue's front-slot fast
@@ -112,28 +111,28 @@ fn bench_cache_model(r: &Runner) {
     });
 }
 
-/// The `exec_access` cache-hit path: after one fill, every access hits
-/// the CPU cache and should cost a handful of nanoseconds — this is the
+/// The shared processor's cache-hit path, which every memory op of
+/// both machines takes on a hit: the TLB, the cache lookup and
+/// retirement (with value verification). After one fill every
+/// access hits and should cost a handful of nanoseconds — this is the
 /// per-op floor of the whole simulation.
-fn bench_exec_access_hit(r: &Runner) {
-    r.bench("typhoon/exec_access_cache_hit", || {
+fn bench_cpu_access_hit(r: &Runner) {
+    r.bench("cpu/access_cache_hit", || {
         let cfg = SystemConfig::test_config(2);
-        let mut cpu = CpuState::new(NodeId::new(0), &cfg, DetRng::new(1));
-        let mut np = NpState::new(DetRng::new(2));
-        let mut mem = NodeMemory::new();
-        let mut pt = PageTable::new();
-        let ppn = mem.alloc();
-        pt.map(tt_base::addr::Vpn(0x10000), ppn).unwrap();
-        mem.frame_mut(ppn).set_all_tags(Tag::ReadWrite);
+        let mut cpu = Cpu::new(NodeId::new(0), &cfg, DetRng::new(1));
         let addr = VAddr::new(0x10000 * PAGE_BYTES as u64);
-        // Prime: TLB, RTLB, and cache fill.
-        exec_access(&cfg, &mut cpu, &mut np, &mut mem, &pt, addr, AccessKind::Load, 0);
+        let key = addr.block_base().raw() / BLOCK_BYTES as u64;
+        let kind = AccessKind::Load;
+        let access = Access { addr, kind, value: 0, expect: Some(0), record: false };
+        // Prime: TLB and cache fill.
+        cpu.translate(addr);
+        cpu.cache.fill(key, true);
         let mut acc = 0u64;
         for _ in 0..16_384 {
-            match exec_access(&cfg, &mut cpu, &mut np, &mut mem, &pt, addr, AccessKind::Load, 0) {
-                AccessOutcome::Done { cost, .. } => acc = acc.wrapping_add(cost.raw()),
-                other => panic!("expected hit, got {other:?}"),
-            }
+            let cost = cpu.translate(addr);
+            assert_eq!(cpu.lookup(key, kind), Lookup::Hit);
+            cpu.retire(access, 0, cost);
+            acc = acc.wrapping_add(cost.raw());
         }
         black_box(acc)
     });
@@ -306,7 +305,7 @@ fn main() {
     bench_event_queue_churn(&r);
     bench_event_queue_churn_fat(&r);
     bench_cache_model(&r);
-    bench_exec_access_hit(&r);
+    bench_cpu_access_hit(&r);
     bench_hit_run_direct_vs_scheduled(&r);
     bench_tag_check_packed_vs_byte(&r);
     bench_payload_inline(&r);

@@ -13,6 +13,7 @@ use tt_base::workload::{Layout, Op, Placement, Region, ScriptWorkload, SHARED_SE
 use tt_base::{NodeId, SystemConfig, VAddr};
 use tt_mem::{PageMeta, Tag};
 use tt_net::{Payload, VirtualNet};
+use tt_stache::stache::{ACK, INV};
 use tt_stache::StacheProtocol;
 use tt_tempest::{
     BlockFault, HandlerId, Message, PageFault, Protocol, TempestCtx, ThreadId, UserCall,
@@ -20,11 +21,6 @@ use tt_tempest::{
 
 const GET: HandlerId = HandlerId(0x60);
 const PUT: HandlerId = HandlerId(0x61);
-
-/// Stache's `INV` / `ACK` handler ids (`tt_stache::vn_policy` declares
-/// them; the numeric values are part of the protocol's wire format).
-const STACHE_INV: HandlerId = HandlerId(0x14);
-const STACHE_ACK: HandlerId = HandlerId(0x15);
 
 /// A broken "coherence" protocol: it hands out writable copies of the
 /// same block to everyone and never invalidates anything. Any two nodes
@@ -150,10 +146,10 @@ impl Protocol for SkipInvalidate {
         self.inner.on_user_call(ctx, thread, call);
     }
     fn on_message(&mut self, ctx: &mut dyn TempestCtx, msg: Message) {
-        if msg.handler == STACHE_INV {
+        if msg.handler == INV {
             // BUG: acknowledge the invalidation without performing it.
             let addr = VAddr::new(msg.arg(0));
-            ctx.send(msg.src, VirtualNet::Response, STACHE_ACK, Payload::args(&[addr.raw()]));
+            ctx.send(msg.src, VirtualNet::Response, ACK, Payload::args(&[addr.raw()]));
             return;
         }
         self.inner.on_message(ctx, msg);
@@ -202,6 +198,18 @@ pub fn stale_read_workload() -> ScriptWorkload {
             Op::Read { addr: word, expect: Some(2) },
         ],
     );
+    w
+}
+
+/// Two nodes; node 0 writes 1 to a word, node 1 reads it after a
+/// barrier and expects 3, a value no execution writes. Value
+/// verification must fail on any machine, DirNNB included, which has no
+/// protocol a test could break instead.
+pub fn impossible_read_workload() -> ScriptWorkload {
+    let word = VAddr::new(SHARED_SEGMENT_BASE);
+    let mut w = ScriptWorkload::new(2).with_layout(one_page_layout());
+    w.set(0, vec![Op::Write { addr: word, value: 1 }, Op::Barrier]);
+    w.set(1, vec![Op::Barrier, Op::Read { addr: word, expect: Some(3) }]);
     w
 }
 

@@ -5,8 +5,8 @@
 
 use tt_base::SystemConfig;
 use tt_check::scenarios::{
-    lost_resume_workload, mismatched_barrier_workload, stale_read_workload, LoseResume,
-    NeverInvalidate,
+    impossible_read_workload, lost_resume_workload, mismatched_barrier_workload,
+    stale_read_workload, LoseResume, NeverInvalidate,
 };
 use tt_dirnnb::DirnnbMachine;
 use tt_stache::StacheProtocol;
@@ -20,6 +20,14 @@ fn typhoon_verification_catches_a_protocol_that_never_invalidates() {
         Box::new(stale_read_workload()),
         &|id, layout, cfg| Box::new(NeverInvalidate::new(id, layout, cfg)),
     );
+    let _ = m.run();
+}
+
+#[test]
+#[should_panic(expected = "coherence violation")]
+fn dirnnb_verification_catches_an_impossible_read() {
+    let mut m =
+        DirnnbMachine::new(SystemConfig::test_config(2), Box::new(impossible_read_workload()));
     let _ = m.run();
 }
 

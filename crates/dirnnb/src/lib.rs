@@ -13,10 +13,11 @@
 //! - directory operation: `16 + 11 if block received + 5 per message
 //!   sent + 11 if block sent`.
 //!
-//! This crate reproduces that model: the same CPU cache/TLB substrate and
-//! workload op streams as Typhoon, but coherence handled by a
-//! cost-modeled hardware directory at each page's home node rather than
-//! by user-level software. Dirty ownership migrates through the home
+//! This crate reproduces that model: the same processor as Typhoon
+//! (`tt_sim::cpu::Cpu`: CPU, data cache, TLB, access counters and load
+//! retirement) and the same workload op streams, but coherence handled
+//! by a cost-modeled hardware directory at each page's home node rather
+//! than by user-level software. Dirty ownership migrates through the home
 //! (recall, then grant); invalidations fan out from the home and are
 //! acknowledged; shared victims are dropped silently (no-broadcast
 //! directories tolerate stale presence bits by acknowledging

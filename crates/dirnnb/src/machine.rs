@@ -1,20 +1,19 @@
 //! The DirNNB machine: CPUs + hardware directory, driven by the same
-//! event engine ([`tt_sim::driver`]), CPU front end (`tt_sim::cpu`) and
+//! event engine ([`tt_sim::driver`]), processor (`tt_sim::cpu`) and
 //! workload op streams as Typhoon.
 
 use tt_base::addr::{VAddr, Vpn, BLOCK_BYTES, PAGE_BYTES, WORD_BYTES};
 use tt_base::config::{
-    DirPlacement, SystemConfig, CACHE_ASSOC, DIR_OP_BASE, DIR_OP_BLOCK_RECV, DIR_OP_BLOCK_SEND,
-    DIR_OP_PER_MSG, LOCAL_MISS, REMOTE_INVALIDATE, REMOTE_MISS_FINISH, REMOTE_MISS_REQUEST,
-    REPLACE_EXCLUSIVE, REPLACE_SHARED, TLB_ENTRIES, TLB_MISS,
+    DirPlacement, SystemConfig, DIR_OP_BASE, DIR_OP_BLOCK_RECV, DIR_OP_BLOCK_SEND, DIR_OP_PER_MSG,
+    LOCAL_MISS, REMOTE_INVALIDATE, REMOTE_MISS_FINISH, REMOTE_MISS_REQUEST, REPLACE_EXCLUSIVE,
+    REPLACE_SHARED,
 };
 use tt_base::stats::{Counter, Report};
 use tt_base::workload::{Layout, Workload};
 use tt_base::{Cycles, DetRng, FxHashMap, NodeId};
-use tt_mem::cache::Probe;
-use tt_mem::{AccessKind, CacheModel, FifoTlb};
+use tt_mem::AccessKind;
 use tt_net::{Network, ARG_WORD_BYTES, HANDLER_WORD_BYTES};
-use tt_sim::cpu::{self, Access, CpuHost, Flow, Stall, Status, Stream};
+use tt_sim::cpu::{self, Access, Cpu, CpuHost, Flow, Lookup, Stall, Status};
 use tt_sim::driver::{self, Machine};
 use tt_sim::EventQueue;
 
@@ -43,26 +42,16 @@ impl DirReq {
     }
 }
 
-/// DirNNB's per-CPU statistics; the counters every machine keeps live
-/// on the shared [`Stream`].
-#[derive(Clone, Debug, Default)]
-struct CpuStats {
-    reads: Counter,
-    writes: Counter,
-    local_misses: Counter,
-    remote_misses: Counter,
-    upgrades: Counter,
-}
-
-struct Cpu {
-    cache: CacheModel,
-    tlb: FifoTlb<Vpn>,
-    stream: Stream,
+/// One node: the shared processor plus what DirNNB's cache controller
+/// adds to it.
+struct Node {
+    cpu: Cpu,
     /// Block address of the outstanding miss, if any. Used to defer a
     /// recall that overtakes this CPU's grant (the protocol's
     /// "relinquish and retry" for a busy owner).
     pending_block: Option<u64>,
-    stats: CpuStats,
+    /// Misses sent to a remote home.
+    remote_misses: Counter,
 }
 
 /// Directory statistics.
@@ -98,7 +87,7 @@ pub use tt_sim::RunResult;
 /// The all-hardware DirNNB machine (see crate docs).
 pub struct DirnnbMachine {
     cfg: SystemConfig,
-    cpus: Vec<Cpu>,
+    nodes: Vec<Node>,
     /// The homes' directory and protocol engine.
     dirs: Directory<DirReq>,
     /// The workload's shared-segment layout; [`DirnnbMachine::home_of`]
@@ -119,18 +108,11 @@ impl DirnnbMachine {
     pub fn new(cfg: SystemConfig, workload: Box<dyn Workload>) -> Self {
         let layout = workload.layout();
         let mut rng = DetRng::new(cfg.seed);
-        let cpus = (0..cfg.nodes)
-            .map(|i| Cpu {
-                cache: CacheModel::new(
-                    cfg.cpu.cache_bytes,
-                    CACHE_ASSOC,
-                    BLOCK_BYTES,
-                    rng.fork(i as u64),
-                ),
-                tlb: FifoTlb::new(TLB_ENTRIES),
-                stream: Stream::default(),
+        let nodes = (0..cfg.nodes)
+            .map(|i| Node {
+                cpu: Cpu::new(NodeId::new(i as u16), &cfg, rng.fork(i as u64)),
                 pending_block: None,
-                stats: CpuStats::default(),
+                remote_misses: Counter::new(),
             })
             .collect();
         let mut network = Network::new(cfg.nodes, cfg.network_latency);
@@ -138,7 +120,7 @@ impl DirnnbMachine {
         DirnnbMachine {
             dirs: Directory::new(cfg.nodes),
             cfg,
-            cpus,
+            nodes,
             layout,
             store: FxHashMap::default(),
             network,
@@ -166,7 +148,7 @@ impl DirnnbMachine {
     /// Values `node`'s CPU observed via `Op::ReadRecord` loads, in
     /// program order (litmus harnesses read these back after a run).
     pub fn recorded_reads(&self, node: usize) -> &[u64] {
-        &self.cpus[node].stream.recorded
+        &self.nodes[node].cpu.stream.recorded
     }
 
     /// Runs the simulation to completion.
@@ -185,21 +167,21 @@ impl DirnnbMachine {
         r.push_count("machine.nodes", self.cfg.nodes as u64);
         r.push_count("machine.barriers", releases);
         r.push_sums(
-            &self.cpus,
+            &self.nodes,
             &[
-                ("cpu.ops", |c| c.stream.ops.get()),
-                ("cpu.reads", |c| c.stats.reads.get()),
-                ("cpu.writes", |c| c.stats.writes.get()),
-                ("cpu.compute_cycles", |c| c.stream.compute_cycles.get()),
-                ("cpu.local_misses", |c| c.stats.local_misses.get()),
-                ("cpu.remote_misses", |c| c.stats.remote_misses.get()),
-                ("cpu.upgrades", |c| c.stats.upgrades.get()),
-                ("cpu.miss_stall_cycles", |c| c.stream.stall_cycles(Stall::Miss)),
-                ("cpu.barrier_wait_cycles", |c| c.stream.barrier_wait_cycles.get()),
-                ("cpu.cache_hits", |c| c.cache.stats().hits.get()),
-                ("cpu.cache_misses", |c| c.cache.stats().misses.get()),
-                ("cpu.tlb_misses", |c| c.tlb.stats().misses.get()),
-                ("cpu.idle_cycles", |c| c.stream.idle_cycles.get()),
+                ("cpu.ops", |n| n.cpu.stream.ops.get()),
+                ("cpu.reads", |n| n.cpu.reads.get()),
+                ("cpu.writes", |n| n.cpu.writes.get()),
+                ("cpu.compute_cycles", |n| n.cpu.stream.compute_cycles.get()),
+                ("cpu.local_misses", |n| n.cpu.local_misses.get()),
+                ("cpu.remote_misses", |n| n.remote_misses.get()),
+                ("cpu.upgrades", |n| n.cpu.upgrades.get()),
+                ("cpu.miss_stall_cycles", |n| n.cpu.stream.stall_cycles(Stall::Miss)),
+                ("cpu.barrier_wait_cycles", |n| n.cpu.stream.barrier_wait_cycles.get()),
+                ("cpu.cache_hits", |n| n.cpu.cache.stats().hits.get()),
+                ("cpu.cache_misses", |n| n.cpu.cache.stats().misses.get()),
+                ("cpu.tlb_misses", |n| n.cpu.tlb.stats().misses.get()),
+                ("cpu.idle_cycles", |n| n.cpu.stream.idle_cycles.get()),
             ],
         );
         r.push_count("dir.ops", self.dir_stats.dir_ops.get());
@@ -284,7 +266,7 @@ impl Machine for DirnnbMachine {
     /// Asserts the machine drained cleanly and builds the result.
     fn finish(&mut self, releases: u64) -> (Cycles, Report) {
         let cycles =
-            cpu::finished_at(self.cpus.iter().map(|c| &c.stream)).unwrap_or_else(|stuck| {
+            cpu::finished_at(self.nodes.iter().map(|n| &n.cpu.stream)).unwrap_or_else(|stuck| {
                 let busy = self.dirs.stuck();
                 panic!("DirNNB machine deadlocked: {stuck:?}; stuck directory entries: {busy:?}");
             });
@@ -334,26 +316,21 @@ impl DirnnbMachine {
     #[inline]
     fn issue_access(&mut self, n: usize, access: Access, queue: &mut EventQueue<Event>) -> Flow {
         let me = NodeId::new(n as u16);
-        let (addr, kind) = (access.addr, access.kind);
+        let addr = access.addr;
         let block = addr.block_base().raw();
         let key = block / BLOCK_BYTES as u64;
-        let mut cost = Cycles::new(1);
-        if !self.cpus[n].tlb.access(addr.page()) {
-            cost += TLB_MISS;
-        }
-        let probe = self.cpus[n].cache.probe(key);
-        let req = match (probe, kind) {
-            (Probe::HitOwned, _) | (Probe::HitShared, AccessKind::Load) => None,
-            (Probe::HitShared, AccessKind::Store) => Some(DirReq::Upgrade),
-            (Probe::Miss, AccessKind::Load) => Some(DirReq::Read),
-            (Probe::Miss, AccessKind::Store) => Some(DirReq::Write),
-        };
-        let Some(req) = req else {
-            // Cache hit: no directory involvement, so the home lookup is
-            // not needed — this is the per-op fast path.
-            self.complete_access(n, access);
-            self.cpus[n].stream.complete(cost);
-            return Flow::Completed;
+        let cpu = &mut self.nodes[n].cpu;
+        let mut cost = cpu.translate(addr);
+        let req = match (cpu.lookup(key, access.kind), access.kind) {
+            (Lookup::Hit, _) => {
+                // Cache hit: no directory involvement, so the home lookup
+                // is not needed — this is the per-op fast path.
+                self.retire(n, access, cost);
+                return Flow::Completed;
+            }
+            (Lookup::Upgrade, _) => DirReq::Upgrade,
+            (Lookup::Miss, AccessKind::Load) => DirReq::Read,
+            (Lookup::Miss, AccessKind::Store) => DirReq::Write,
         };
         let home = self.home_of(addr.raw());
 
@@ -361,69 +338,55 @@ impl DirnnbMachine {
         // the spot — a plain 29-cycle local miss.
         if home == me && self.dirs.grant_now(block, req.by(me)).is_some() {
             cost += LOCAL_MISS;
-            self.cpus[n].stats.local_misses.inc();
+            self.nodes[n].cpu.local_misses.inc();
             if req == DirReq::Upgrade {
                 // The line is already resident shared.
-                self.cpus[n].cache.set_owned(key, true);
+                self.nodes[n].cpu.cache.set_owned(key, true);
             } else {
                 self.fill(n, key, req == DirReq::Write, &mut cost, queue);
             }
-            self.complete_access(n, access);
-            self.cpus[n].stream.complete(cost);
+            self.retire(n, access, cost);
             return Flow::Completed;
         }
 
         // Slow path: block and send the request to the home directory.
+        let node = &mut self.nodes[n];
         if home == me {
-            self.cpus[n].stats.local_misses.inc();
+            node.cpu.local_misses.inc();
         } else {
-            self.cpus[n].stats.remote_misses.inc();
+            node.remote_misses.inc();
             cost += REMOTE_MISS_REQUEST;
         }
         if req == DirReq::Upgrade {
-            self.cpus[n].stats.upgrades.inc();
+            node.cpu.upgrades.inc();
         }
-        let inject = {
-            let cpu = &mut self.cpus[n];
-            cpu.stream.clock += cost;
-            cpu.stream.block(Stall::Miss);
-            cpu.pending_block = Some(block);
-            cpu.stream.clock
-        };
+        node.cpu.stream.clock += cost;
+        node.cpu.stream.block(Stall::Miss);
+        node.pending_block = Some(block);
+        let inject = node.cpu.stream.clock;
         let at = self.deliver(inject, me, home, false);
         queue.schedule(at, Event::HomeRequest { addr: block, from: me.raw(), req });
         Flow::Blocked
     }
 
-    /// Functional completion: reads check the global store, writes update
-    /// it (hardware-coherent shared memory has a single value image).
-    fn complete_access(&mut self, n: usize, access: Access) {
-        let Access { addr, kind, value, expect, record } = access;
-        match kind {
-            AccessKind::Load => {
-                self.cpus[n].stats.reads.inc();
-                let got = self.shared_word(addr);
-                if record {
-                    self.cpus[n].stream.recorded.push(got);
-                }
-                if self.cfg.verify_values {
-                    if let Some(expect) = expect {
-                        assert_eq!(
-                            got, expect,
-                            "DirNNB coherence image mismatch: node {n} read {addr}"
-                        );
-                    }
-                }
-            }
+    /// Functional completion: a load reads the global store, a store
+    /// updates it (hardware-coherent shared memory has a single value
+    /// image); then node `n`'s processor retires the op after `cost`
+    /// cycles.
+    fn retire(&mut self, n: usize, access: Access, cost: Cycles) {
+        let Access { addr, kind, value, .. } = access;
+        let loaded = match kind {
+            AccessKind::Load => self.shared_word(addr),
             AccessKind::Store => {
-                self.cpus[n].stats.writes.inc();
                 let page = self
                     .store
                     .entry(addr.page())
                     .or_insert_with(|| Box::new([0u64; PAGE_BYTES / WORD_BYTES]));
                 page[word_index(addr)] = value;
+                0
             }
-        }
+        };
+        self.nodes[n].cpu.retire(access, loaded, cost);
     }
 
     /// Installs a block in a CPU cache; a displaced dirty victim notifies
@@ -436,13 +399,13 @@ impl DirnnbMachine {
         cost: &mut Cycles,
         queue: &mut EventQueue<Event>,
     ) {
-        if let Some(victim) = self.cpus[n].cache.fill(key, owned) {
+        if let Some(victim) = self.nodes[n].cpu.cache.fill(key, owned) {
             *cost += if victim.owned { REPLACE_EXCLUSIVE } else { REPLACE_SHARED };
             if victim.owned {
                 let victim_addr = victim.block * BLOCK_BYTES as u64;
                 let home = self.home_of(victim_addr);
                 let me = NodeId::new(n as u16);
-                let clock = self.cpus[n].stream.clock;
+                let clock = self.nodes[n].cpu.stream.clock;
                 let at = self.deliver(clock.max(queue.now()), me, home, true);
                 queue.schedule(at, Event::Writeback { addr: victim_addr, from: n as u16 });
             }
@@ -543,7 +506,7 @@ impl DirnnbMachine {
         // The remote cache controller invalidates without involving its
         // CPU: 8 cycles plus the shared-replacement charge (Table 2).
         let key = addr / BLOCK_BYTES as u64;
-        self.cpus[node].cache.invalidate(key);
+        self.nodes[node].cpu.cache.invalidate(key);
         let cost = REMOTE_INVALIDATE + REPLACE_SHARED;
         let home = self.home_of(addr);
         let me = NodeId::new(node as u16);
@@ -560,13 +523,10 @@ impl DirnnbMachine {
         queue: &mut EventQueue<Event>,
     ) {
         let key = addr / BLOCK_BYTES as u64;
-        let present = if invalidate {
-            self.cpus[node].cache.invalidate(key)
-        } else {
-            self.cpus[node].cache.set_owned(key, false)
-        };
+        let cache = &mut self.nodes[node].cpu.cache;
+        let present = if invalidate { cache.invalidate(key) } else { cache.set_owned(key, false) };
         if !present {
-            if self.cpus[node].pending_block == Some(addr) {
+            if self.nodes[node].pending_block == Some(addr) {
                 // The recall overtook this node's own grant for the same
                 // block: both travel on the one request network, but the
                 // home spends at least 32 cycles on a data grant and 21 on
@@ -613,7 +573,7 @@ impl DirnnbMachine {
             DirReq::Upgrade => {
                 // The line is still resident unless an intervening
                 // invalidation removed it; then treat as a full fill.
-                if !self.cpus[node].cache.set_owned(key, true) {
+                if !self.nodes[node].cpu.cache.set_owned(key, true) {
                     self.fill(node, key, true, &mut cost, queue);
                 }
             }
@@ -624,15 +584,14 @@ impl DirnnbMachine {
         // grant delivers the data to the stalled load/store, so a recall
         // racing in behind it can never steal an incomplete access (that
         // would livelock two writers hammering one block).
-        let cpu = &mut self.cpus[node];
-        debug_assert_eq!(cpu.stream.status, Status::Blocked(Stall::Miss));
-        cpu.pending_block = None;
-        let access = cpu.stream.pending_access();
-        self.complete_access(node, access);
-        let stream = &mut self.cpus[node].stream;
-        stream.pc += 1;
+        let state = &mut self.nodes[node];
+        debug_assert_eq!(state.cpu.stream.status, Status::Blocked(Stall::Miss));
+        state.pending_block = None;
+        let access = state.cpu.stream.pending_access();
+        self.retire(node, access, Cycles::ZERO);
         // The miss stall runs from the request to the fill's end (the
         // blocked CPU's clock is the request time, before `now`).
+        let stream = &mut self.nodes[node].cpu.stream;
         stream.resume(now + cost);
         stream.wake(queue, Event::CpuStep(node));
     }
@@ -644,8 +603,8 @@ impl CpuHost for DirnnbMachine {
     }
 
     #[inline]
-    fn cpu(&mut self, n: usize) -> &mut Stream {
-        &mut self.cpus[n].stream
+    fn cpu(&mut self, n: usize) -> &mut Cpu {
+        &mut self.nodes[n].cpu
     }
 
     #[inline]
@@ -656,7 +615,7 @@ impl CpuHost for DirnnbMachine {
     /// A hardware shared-memory machine has no user-level protocol:
     /// calls complete in one cycle.
     fn user_call(&mut self, n: usize, _: u32, _: u64, _: &mut EventQueue<Event>) -> Flow {
-        self.cpus[n].stream.clock += Cycles::new(1);
+        self.nodes[n].cpu.stream.clock += Cycles::new(1);
         Flow::Completed
     }
 

@@ -1,4 +1,4 @@
-//! The one op-stream CPU both machines run.
+//! The one processor both machines run.
 //!
 //! The paper compares Typhoon/Stache with DirNNB on one processor model
 //! — the same programs on the same CPU, cache and TLB (Table 2,
@@ -9,9 +9,17 @@
 //!
 //! It owns:
 //!
+//! - the per-node processor ([`Cpu`]): the stream state, the data cache
+//!   (4-way, random replacement), the 64-entry FIFO TLB, and the access
+//!   counters both machines report (reads, writes, local misses,
+//!   upgrades), built by one constructor ([`Cpu::new`]);
+//! - the two steps every access shares: the base cycle plus the TLB
+//!   charge with the cache lookup ([`Cpu::translate`], [`Cpu::lookup`]),
+//!   and retirement ([`Cpu::retire`]): the access count, the
+//!   recorded-read log and the value-verification check;
 //! - the stream state ([`Stream`]): op chunk, pc, local clock, status,
 //!   the step de-duplication flag, suspension time, recorded reads, and
-//!   the counters every machine keeps;
+//!   the cycle counters every machine keeps;
 //! - the op loop ([`step`]): chunk refill, the `Compute`, `WaitUntil`
 //!   and `Barrier` ops, the quantum deadline and the direct-execution
 //!   guard;
@@ -21,9 +29,10 @@
 //! - seeding each node's first step ([`seed`]) and the end-of-run
 //!   queries ([`finished_at`]): a `Done` CPU's clock is its finish time.
 //!
-//! A machine supplies the rest through [`CpuHost`]. The per-op path is
-//! monomorphised: no `dyn` beyond the workload's chunk refills, and no
-//! per-op allocation.
+//! A machine supplies the rest through [`CpuHost`]: what a cache miss,
+//! an upgrade or a protocol call costs, and where a value lives. The
+//! per-op path is monomorphised: no `dyn` beyond the workload's chunk
+//! refills, and no per-op allocation.
 //!
 //! # Scheduling keys
 //!
@@ -33,11 +42,13 @@
 //! elide; release and resume use the node's own origin counter
 //! ([`EventQueue::schedule`]).
 
-use tt_base::addr::VAddr;
+use tt_base::addr::{VAddr, Vpn, BLOCK_BYTES};
+use tt_base::config::{SystemConfig, CACHE_ASSOC, TLB_ENTRIES, TLB_MISS};
 use tt_base::stats::Counter;
 use tt_base::workload::{Op, Workload};
-use tt_base::{Cycles, NodeId};
-use tt_mem::AccessKind;
+use tt_base::{Cycles, DetRng, NodeId};
+use tt_mem::cache::Probe;
+use tt_mem::{AccessKind, CacheModel, FifoTlb};
 
 use crate::driver::Machine;
 use crate::EventQueue;
@@ -114,7 +125,7 @@ pub struct Stream {
     /// Current op chunk.
     pub(crate) chunk: Vec<Op>,
     /// Index of the next op in `chunk`.
-    pub pc: usize,
+    pub(crate) pc: usize,
     /// Local time through which this CPU has executed.
     pub clock: Cycles,
     /// Execution status.
@@ -172,7 +183,7 @@ impl Stream {
 
     /// Completes the op at the pc after `cost` cycles.
     #[inline]
-    pub fn complete(&mut self, cost: Cycles) {
+    pub(crate) fn complete(&mut self, cost: Cycles) {
         self.clock += cost;
         self.pc += 1;
     }
@@ -212,6 +223,122 @@ impl Stream {
     }
 }
 
+/// What a cache lookup leaves for the machine's memory system to do.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lookup {
+    /// An owned line, or a load of a shared one: the cache serves it.
+    Hit,
+    /// A store to a shared line: the line stays, write permission is
+    /// missing.
+    Upgrade,
+    /// The block is not cached.
+    Miss,
+}
+
+/// One node's processor (Table 2, "Common"): the op stream, the data
+/// cache and TLB, and the access counters both machines report.
+#[derive(Debug)]
+pub struct Cpu {
+    /// This node's id.
+    pub id: NodeId,
+    /// The op stream this processor executes.
+    pub stream: Stream,
+    /// The data cache (4-way, random replacement), keyed by block
+    /// number: physical on Typhoon, virtual on DirNNB.
+    pub cache: CacheModel,
+    /// The 64-entry fully associative FIFO TLB.
+    pub tlb: FifoTlb<Vpn>,
+    /// Whether a load checks its `expect` value ([`Cpu::retire`]).
+    verify: bool,
+    /// Loads retired.
+    pub reads: Counter,
+    /// Stores retired.
+    pub writes: Counter,
+    /// Misses served by this node's memory: on Typhoon every permitted
+    /// fill, on DirNNB every miss or upgrade whose home is this node.
+    pub local_misses: Counter,
+    /// Write upgrades of shared lines: on Typhoon every permitted one, on
+    /// DirNNB those the home directory could not grant on the spot.
+    pub upgrades: Counter,
+}
+
+impl Cpu {
+    /// Node `id`'s processor with `cfg`'s cache size; `rng` drives the
+    /// cache's victim choice.
+    pub fn new(id: NodeId, cfg: &SystemConfig, rng: DetRng) -> Cpu {
+        Cpu {
+            id,
+            stream: Stream::default(),
+            cache: CacheModel::new(cfg.cpu.cache_bytes, CACHE_ASSOC, BLOCK_BYTES, rng),
+            tlb: FifoTlb::new(TLB_ENTRIES),
+            verify: cfg.verify_values,
+            reads: Counter::new(),
+            writes: Counter::new(),
+            local_misses: Counter::new(),
+            upgrades: Counter::new(),
+        }
+    }
+
+    /// Starts an access to `addr`: the op's base cycle plus, on a TLB
+    /// miss, the TLB charge — the first two Table 2 charges of every
+    /// access.
+    #[inline]
+    pub fn translate(&mut self, addr: VAddr) -> Cycles {
+        let base = Cycles::new(1);
+        if self.tlb.access(addr.page()) {
+            base
+        } else {
+            base + TLB_MISS
+        }
+    }
+
+    /// Probes the data cache for block `key` on behalf of a `kind`
+    /// access.
+    #[inline]
+    pub fn lookup(&mut self, key: u64, kind: AccessKind) -> Lookup {
+        match (self.cache.probe(key), kind) {
+            (Probe::HitOwned, _) | (Probe::HitShared, AccessKind::Load) => Lookup::Hit,
+            (Probe::HitShared, AccessKind::Store) => Lookup::Upgrade,
+            (Probe::Miss, _) => Lookup::Miss,
+        }
+    }
+
+    /// Retires `access`, the op at the pc, after `cost` cycles; a load of
+    /// it observed `loaded` (ignored for a store). Counts the access,
+    /// checks a load against its `expect` when value verification is on,
+    /// appends a recorded load's value to the log, then completes the op:
+    /// the clock advances by `cost` and the pc moves past it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a load that observed a value other than its `expect`: a
+    /// coherence violation.
+    #[inline]
+    pub fn retire(&mut self, access: Access, loaded: u64, cost: Cycles) {
+        match access.kind {
+            AccessKind::Store => self.writes.inc(),
+            AccessKind::Load => {
+                self.reads.inc();
+                if let (true, Some(expect)) = (self.verify, access.expect) {
+                    assert_eq!(
+                        loaded,
+                        expect,
+                        "coherence violation: node {} read {} at cycle {} and observed \
+                         {loaded:#x}, expected {expect:#x}",
+                        self.id.index(),
+                        access.addr,
+                        self.stream.clock
+                    );
+                }
+                if access.record {
+                    self.stream.recorded.push(loaded);
+                }
+            }
+        }
+        self.stream.complete(cost);
+    }
+}
+
 /// What a machine supplies to the shared CPU besides the [`Machine`]
 /// driver interface (which provides the configuration: node count,
 /// quantum, direct execution).
@@ -219,14 +346,14 @@ pub trait CpuHost: Machine {
     /// The workload feeding every node's op stream.
     fn workload(&mut self) -> &mut dyn Workload;
 
-    /// Node `n`'s stream state.
-    fn cpu(&mut self, n: usize) -> &mut Stream;
+    /// Node `n`'s processor.
+    fn cpu(&mut self, n: usize) -> &mut Cpu;
 
     /// Executes the memory op at node `n`'s pc (already counted in
-    /// `ops`). On [`Flow::Completed`] the machine has advanced the
-    /// stream past it ([`Stream::complete`]); on [`Flow::Blocked`] it has
-    /// blocked the stream ([`Stream::block`]) with the pc left on the op,
-    /// and owes it a [`Stream::resume`].
+    /// `ops`). On [`Flow::Completed`] the machine has retired it
+    /// ([`Cpu::retire`]), which advances the stream past it; on
+    /// [`Flow::Blocked`] it has blocked the stream ([`Stream::block`])
+    /// with the pc left on the op, and owes it a [`Stream::resume`].
     fn access(&mut self, n: usize, access: Access, queue: &mut EventQueue<Self::Event>) -> Flow;
 
     /// Executes `Op::UserCall { op, arg }` (the pc is already past it and
@@ -250,7 +377,7 @@ pub trait CpuHost: Machine {
 pub fn step<H: CpuHost>(host: &mut H, n: usize, now: Cycles, queue: &mut EventQueue<H::Event>) {
     let cfg = host.config();
     let (quantum, direct) = (cfg.network_latency, cfg.direct_execution);
-    let mut cpu = host.cpu(n);
+    let mut cpu = &mut host.cpu(n).stream;
     cpu.step_pending = false;
     if cpu.status != Status::Ready {
         return;
@@ -263,7 +390,7 @@ pub fn step<H: CpuHost>(host: &mut H, n: usize, now: Cycles, queue: &mut EventQu
         // Refill the op chunk if exhausted; a finished program frees it.
         if cpu.pc >= cpu.chunk.len() {
             let next = host.workload().next_chunk(NodeId::new(n as u16));
-            cpu = host.cpu(n);
+            cpu = &mut host.cpu(n).stream;
             let Some(chunk) = next else {
                 cpu.chunk = Vec::new();
                 cpu.status = Status::Done;
@@ -301,13 +428,13 @@ pub fn step<H: CpuHost>(host: &mut H, n: usize, now: Cycles, queue: &mut EventQu
                 if host.user_call(n, op, arg, queue) == Flow::Blocked {
                     return;
                 }
-                cpu = host.cpu(n);
+                cpu = &mut host.cpu(n).stream;
             }
             Op::Read { .. } | Op::ReadRecord { .. } | Op::Write { .. } => {
                 if host.access(n, Access::of(op), queue) == Flow::Blocked {
                     return;
                 }
-                cpu = host.cpu(n);
+                cpu = &mut host.cpu(n).stream;
             }
         }
         if cpu.clock >= deadline {
@@ -335,7 +462,7 @@ pub fn step<H: CpuHost>(host: &mut H, n: usize, now: Cycles, queue: &mut EventQu
 pub fn seed<H: CpuHost>(host: &mut H, queue: &mut EventQueue<H::Event>) {
     for n in 0..host.config().nodes {
         queue.set_origin(n);
-        host.cpu(n).step_pending = true;
+        host.cpu(n).stream.step_pending = true;
         queue.schedule(Cycles::ZERO, H::wakeup(n));
     }
 }
@@ -354,7 +481,7 @@ pub fn release<H: CpuHost>(
 ) {
     assert_eq!(generation + 1, queue.releases(), "stale barrier release");
     for n in 0..host.config().nodes {
-        let cpu = host.cpu(n);
+        let cpu = &mut host.cpu(n).stream;
         assert_eq!(cpu.status, Status::AtBarrier, "node {n} missed the barrier");
         cpu.barrier_wait_cycles.add((at - cpu.suspended_at).raw());
         cpu.status = Status::Ready;
@@ -391,7 +518,6 @@ mod tests {
     use tt_base::config::BARRIER_LATENCY;
     use tt_base::stats::Report;
     use tt_base::workload::Layout;
-    use tt_base::SystemConfig;
 
     /// Cycles a toy hit costs, and how long a toy miss or protocol call
     /// stays blocked.
@@ -444,19 +570,20 @@ mod tests {
     struct Toy {
         cfg: SystemConfig,
         shuffle: Option<u64>,
-        streams: Vec<Stream>,
+        cpus: Vec<Cpu>,
         logs: Vec<Vec<(u64, &'static str)>>,
         workload: Box<dyn Workload>,
     }
 
     impl Toy {
         fn new(cfg: SystemConfig, programs: Vec<Vec<Op>>) -> Self {
-            let n = cfg.nodes;
+            let cpus =
+                (0..cfg.nodes).map(|i| Cpu::new(NodeId::new(i as u16), &cfg, DetRng::new(1)));
             Toy {
+                cpus: cpus.collect(),
+                logs: vec![Vec::new(); cfg.nodes],
                 cfg,
                 shuffle: None,
-                streams: (0..n).map(|_| Stream::default()).collect(),
-                logs: vec![Vec::new(); n],
                 workload: Box::new(Script(programs.into_iter().map(Some).collect())),
             }
         }
@@ -470,12 +597,12 @@ mod tests {
         fn workload(&mut self) -> &mut dyn Workload {
             &mut *self.workload
         }
-        fn cpu(&mut self, n: usize) -> &mut Stream {
-            &mut self.streams[n]
+        fn cpu(&mut self, n: usize) -> &mut Cpu {
+            &mut self.cpus[n]
         }
         fn access(&mut self, n: usize, access: Access, queue: &mut EventQueue<Ev>) -> Flow {
             let nodes = self.cfg.nodes;
-            let cpu = self.cpu(n);
+            let cpu = &mut self.cpu(n).stream;
             if access.addr.raw() < MISS_BASE {
                 cpu.complete(Cycles::new(HIT));
                 return Flow::Completed;
@@ -489,7 +616,7 @@ mod tests {
             Flow::Blocked
         }
         fn user_call(&mut self, n: usize, _: u32, poke: u64, queue: &mut EventQueue<Ev>) -> Flow {
-            let cpu = self.cpu(n);
+            let cpu = &mut self.cpu(n).stream;
             cpu.block(Stall::Call);
             let at = cpu.clock;
             queue.schedule(at + Cycles::new(CALL), Ev::CallDone(n));
@@ -529,14 +656,14 @@ mod tests {
                 }
                 Ev::Fill(n) => {
                     self.log(n, now, "fill");
-                    let cpu = self.cpu(n);
+                    let cpu = &mut self.cpu(n).stream;
                     cpu.pc += 1;
                     cpu.resume(now);
                     cpu.wake(q, Ev::Step(n));
                 }
                 Ev::CallDone(n) => {
                     self.log(n, now, "call");
-                    let cpu = self.cpu(n);
+                    let cpu = &mut self.cpu(n).stream;
                     cpu.resume(now);
                     cpu.wake(q, Ev::Step(n));
                 }
@@ -548,7 +675,8 @@ mod tests {
             Ev::Release(generation)
         }
         fn finish(&mut self, _: u64) -> (Cycles, Report) {
-            let end = finished_at(&self.streams).unwrap_or_else(|stuck| panic!("stuck: {stuck:?}"));
+            let end = finished_at(self.cpus.iter().map(|c| &c.stream))
+                .unwrap_or_else(|stuck| panic!("stuck: {stuck:?}"));
             (end, Report::new())
         }
     }
@@ -557,9 +685,9 @@ mod tests {
     type Counts = (u64, u64, u64, u64, u64, [u64; 3]);
 
     fn counts(toy: &Toy) -> Vec<Counts> {
-        toy.streams
+        toy.cpus
             .iter()
-            .map(|s| {
+            .map(|Cpu { stream: s, .. }| {
                 (
                     s.clock.raw(),
                     s.ops.get(),
@@ -646,7 +774,7 @@ mod tests {
         let (cycles, toy) = run_toy(config(2, true), None, programs);
         // Release at the last arrival (50) plus the barrier latency.
         let release = 50 + LATENCY;
-        let waits: Vec<u64> = toy.streams.iter().map(|s| s.barrier_wait_cycles.get()).collect();
+        let waits: Vec<u64> = toy.cpus.iter().map(|c| c.stream.barrier_wait_cycles.get()).collect();
         assert_eq!(waits, vec![release - 10, release - 50]);
         assert_eq!(cycles, Cycles::new(release + 1));
     }
@@ -661,7 +789,7 @@ mod tests {
             Op::Compute(1),
         ];
         let (cycles, toy) = run_toy(config(1, true), None, vec![program]);
-        let s = &toy.streams[0];
+        let s = &toy.cpus[0].stream;
         assert_eq!(s.stall_cycles(Stall::Call), CALL, "call blocked at 4, resumed at 24");
         assert_eq!(s.stall_cycles(Stall::Miss), MISS, "miss blocked at 30, filled at 60");
         assert_eq!(s.stall_cycles(Stall::Fault), 0);

@@ -20,7 +20,8 @@ use tt_sim::cpu::Stall;
 use tt_sim::EventQueue;
 use tt_tempest::{HandlerId, Message, TempestCtx, ThreadId};
 
-use crate::machine::{issue_access, Event, NodeState};
+use crate::cpu::issue_access;
+use crate::machine::{Event, NodeState};
 
 /// The per-handler Tempest context (see module docs).
 pub(crate) struct NodeCtx<'a> {

@@ -19,7 +19,10 @@
 //! `tt-sim`, executing a machine-independent workload op stream
 //! (`tt_base::workload`) against a user-level [`Protocol`]
 //! (`tt_tempest::Protocol`). Timing follows Table 2 of the paper; see
-//! `tt_base::config`.
+//! `tt_base::config`. The processor — CPU, data cache, TLB, access
+//! counters and load retirement — is the one DirNNB runs too
+//! (`tt_sim::cpu::Cpu`); this crate adds the NP and the bus monitor's
+//! tag checks on the CPU's bus transactions.
 //!
 //! Like the Wisconsin Wind Tunnel the paper used, CPU execution is
 //! *quantum-batched*: a CPU executes up to one network latency of work
@@ -29,7 +32,7 @@
 //!
 //! [`Protocol`]: tt_tempest::Protocol
 
-pub mod cpu;
+mod cpu;
 pub mod ctx;
 pub mod machine;
 pub mod np;

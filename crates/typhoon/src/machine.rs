@@ -1,7 +1,7 @@
 //! The Typhoon machine: nodes, events, and the simulation driver.
 //!
 //! The machine executes a [`Workload`]'s op streams on `nodes` simulated
-//! processors (the shared `tt_sim::cpu` front end, with Typhoon's
+//! processors (the shared `tt_sim::cpu` processor, with Typhoon's
 //! tag-checked bus model behind its memory ops), each paired with a
 //! network interface processor running one instance of a user-level
 //! [`Protocol`]. See the crate docs for the modeling approach. The
@@ -16,12 +16,12 @@ use tt_base::workload::{Layout, Workload};
 use tt_base::{Cycles, DetRng, NodeId};
 use tt_mem::{NodeMemory, PageTable, Tag};
 use tt_net::Network;
-use tt_sim::cpu::{self, Access, CpuHost, Flow, Stall, Status, Stream};
+use tt_sim::cpu::{self, Access, Cpu, CpuHost, Flow, Stall, Status};
 use tt_sim::driver::{self, Machine};
 use tt_sim::EventQueue;
-use tt_tempest::{BlockDirSnapshot, Message, Protocol, UserCall};
+use tt_tempest::{BlockDirSnapshot, Message, Protocol, ThreadId, UserCall};
 
-use crate::cpu::{exec_access, AccessOutcome, CpuState};
+use crate::cpu::{issue_access, BusStats};
 use crate::ctx::NodeCtx;
 use crate::np::{NpState, NpWork};
 
@@ -52,12 +52,14 @@ pub enum Event {
     BulkInject,
 }
 
-/// One node: CPU + NP + memory + page table.
+/// One node: CPU + NP + memory + page table, and the bus monitor's
+/// counters.
 pub(crate) struct NodeState {
-    pub(crate) cpu: CpuState,
+    pub(crate) cpu: Cpu,
     pub(crate) np: NpState,
     pub(crate) mem: NodeMemory,
     pub(crate) ptable: PageTable,
+    pub(crate) bus: BusStats,
 }
 
 pub use tt_sim::RunResult;
@@ -92,10 +94,11 @@ impl TyphoonMachine {
         let mut rng = DetRng::new(cfg.seed);
         let nodes = (0..cfg.nodes)
             .map(|i| NodeState {
-                cpu: CpuState::new(NodeId::new(i as u16), &cfg, rng.fork(i as u64 * 2)),
+                cpu: Cpu::new(NodeId::new(i as u16), &cfg, rng.fork(i as u64 * 2)),
                 np: NpState::new(rng.fork(i as u64 * 2 + 1)),
                 mem: NodeMemory::new(),
                 ptable: PageTable::new(),
+                bus: BusStats::default(),
             })
             .collect();
         let protocols =
@@ -216,20 +219,20 @@ impl TyphoonMachine {
             &self.nodes,
             &[
                 ("cpu.ops", |n| n.cpu.stream.ops.get()),
-                ("cpu.reads", |n| n.cpu.stats.reads.get()),
-                ("cpu.writes", |n| n.cpu.stats.writes.get()),
+                ("cpu.reads", |n| n.cpu.reads.get()),
+                ("cpu.writes", |n| n.cpu.writes.get()),
                 ("cpu.compute_cycles", |n| n.cpu.stream.compute_cycles.get()),
-                ("cpu.local_misses", |n| n.cpu.stats.local_misses.get()),
-                ("cpu.upgrades", |n| n.cpu.stats.upgrades.get()),
-                ("cpu.block_faults", |n| n.cpu.stats.block_faults.get()),
-                ("cpu.page_faults", |n| n.cpu.stats.page_faults.get()),
+                ("cpu.local_misses", |n| n.cpu.local_misses.get()),
+                ("cpu.upgrades", |n| n.cpu.upgrades.get()),
+                ("cpu.block_faults", |n| n.bus.block_faults.get()),
+                ("cpu.page_faults", |n| n.bus.page_faults.get()),
                 ("cpu.fault_stall_cycles", |n| n.cpu.stream.stall_cycles(Stall::Fault)),
                 ("cpu.barrier_wait_cycles", |n| n.cpu.stream.barrier_wait_cycles.get()),
                 ("cpu.call_stall_cycles", |n| n.cpu.stream.stall_cycles(Stall::Call)),
                 ("cpu.cache_hits", |n| n.cpu.cache.stats().hits.get()),
                 ("cpu.cache_misses", |n| n.cpu.cache.stats().misses.get()),
                 ("cpu.tlb_misses", |n| n.cpu.tlb.stats().misses.get()),
-                ("cpu.rtlb_misses", |n| n.cpu.stats.rtlb_misses.get()),
+                ("cpu.rtlb_misses", |n| n.bus.rtlb_misses.get()),
                 ("cpu.idle_cycles", |n| n.cpu.stream.idle_cycles.get()),
                 ("np.handlers", |n| n.np.stats.handlers.get()),
                 ("np.instructions", |n| n.np.stats.instructions.get()),
@@ -440,8 +443,8 @@ impl CpuHost for TyphoonMachine {
     }
 
     #[inline]
-    fn cpu(&mut self, n: usize) -> &mut Stream {
-        &mut self.nodes[n].cpu.stream
+    fn cpu(&mut self, n: usize) -> &mut Cpu {
+        &mut self.nodes[n].cpu
     }
 
     #[inline]
@@ -454,7 +457,7 @@ impl CpuHost for TyphoonMachine {
     fn user_call(&mut self, n: usize, op: u32, arg: u64, queue: &mut EventQueue<Event>) -> Flow {
         let cpu = &mut self.nodes[n].cpu;
         cpu.stream.block(Stall::Call);
-        let work = NpWork::UserCall(cpu.thread(), UserCall { op, arg });
+        let work = NpWork::UserCall(ThreadId(cpu.id), UserCall { op, arg });
         let at = cpu.stream.clock + Cycles::new(1);
         queue.schedule(at, Event::NpWork { node: n, work });
         Flow::Blocked
@@ -463,52 +466,4 @@ impl CpuHost for TyphoonMachine {
     fn wakeup(n: usize) -> Event {
         Event::CpuStep(n)
     }
-}
-
-/// Executes one tag-checked access for the node's CPU: on success it
-/// completes the op; on a page or block fault it suspends the CPU and
-/// hands the fault to the node's NP. The op loop issues accesses
-/// through here, and so does a fault handler's resume, which retries
-/// the faulted access before the NP dispatches again.
-pub(crate) fn issue_access(
-    cfg: &SystemConfig,
-    node: &mut NodeState,
-    queue: &mut EventQueue<Event>,
-    access: Access,
-) -> Flow {
-    let Access { addr, kind, value, expect, record } = access;
-    let cpu = &mut node.cpu;
-    let (np, mem, ptable) = (&mut node.np, &mut node.mem, &node.ptable);
-    let (work, cost) = match exec_access(cfg, cpu, np, mem, ptable, addr, kind, value) {
-        AccessOutcome::Done { cost, value: loaded } => {
-            if cfg.verify_values {
-                if let (Some(expect), Some(got)) = (expect, loaded) {
-                    assert_eq!(
-                        got,
-                        expect,
-                        "coherence violation: node {} read {addr} at cycle {} and \
-                         observed {got:#x}, expected {expect:#x}",
-                        cpu.id.index(),
-                        cpu.stream.clock
-                    );
-                }
-            }
-            if record {
-                let loaded = loaded.expect("a load always produces a value");
-                cpu.stream.recorded.push(loaded);
-            }
-            cpu.stream.complete(cost);
-            return Flow::Completed;
-        }
-        AccessOutcome::PageFault(fault, cost) => {
-            (NpWork::PageFault(fault), cost + cfg.np_mode.fault_detect())
-        }
-        AccessOutcome::BlockFault(fault, cost) => (NpWork::BlockFault(fault), cost),
-    };
-    cpu.stream.clock += cost;
-    cpu.stream.block(Stall::Fault);
-    let at = cpu.stream.clock;
-    let node = cpu.id.index();
-    queue.schedule(at, Event::NpWork { node, work });
-    Flow::Blocked
 }

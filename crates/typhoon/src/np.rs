@@ -10,7 +10,8 @@
 //! Dispatch priority (Section 5.1): the response virtual network is
 //! serviced first (so request handlers cannot starve response handlers,
 //! keeping request/response protocols deadlock-free), then block-access
-//! faults, then the request network, then explicit application calls.
+//! faults, then protocol timers, then the request network, then explicit
+//! application calls: one FIFO per class.
 
 use std::collections::VecDeque;
 
@@ -37,6 +38,25 @@ pub enum NpWork {
     Timer(u64),
 }
 
+/// Dispatch classes: response messages, faults, timers, request
+/// messages, application calls.
+const CLASSES: usize = 5;
+
+impl NpWork {
+    /// The work's dispatch class; a lower class is dispatched first.
+    /// Timer firings come after faults but before fresh requests, so
+    /// retransmission never starves behind request traffic.
+    fn class(&self) -> usize {
+        match self {
+            NpWork::Message(m) if m.vn == VirtualNet::Response => 0,
+            NpWork::BlockFault(_) | NpWork::PageFault(_) => 1,
+            NpWork::Timer(_) => 2,
+            NpWork::Message(_) => 3,
+            NpWork::UserCall(..) => 4,
+        }
+    }
+}
+
 /// NP statistics.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NpStats {
@@ -52,7 +72,7 @@ pub(crate) struct NpStats {
 
 /// The state of one node's network interface processor.
 #[derive(Debug)]
-pub struct NpState {
+pub(crate) struct NpState {
     /// NP data cache (Table 2: 16 KB, 2-way), used for protocol data
     /// structures; block data moves through the separate block-transfer
     /// buffer and does not pollute it.
@@ -62,17 +82,9 @@ pub struct NpState {
     /// Reverse TLB: physical page -> tag/metadata residence, consulted by
     /// the bus monitor on every CPU bus transaction.
     pub(crate) rtlb: FifoTlb<Ppn>,
-    /// High-priority queue: messages from the response network.
-    pub(crate) response_q: VecDeque<Message>,
-    /// Fault records (the BAF buffer plus page faults).
-    pub(crate) fault_q: VecDeque<NpWork>,
-    /// Low-priority queue: messages from the request network.
-    pub(crate) request_q: VecDeque<Message>,
-    /// Protocol timer firings; serviced after faults but before fresh
-    /// requests, so retransmission never starves behind request traffic.
-    pub(crate) timer_q: VecDeque<u64>,
-    /// Application calls.
-    pub(crate) call_q: VecDeque<(ThreadId, UserCall)>,
+    /// Pending work, one FIFO per dispatch class ([`NpWork::class`]);
+    /// the fault class is the BAF buffer plus page faults.
+    queues: [VecDeque<NpWork>; CLASSES],
     /// The NP is executing a handler until this time.
     pub(crate) busy_until: Cycles,
     /// Whether a dispatch event is already scheduled (de-duplication).
@@ -83,7 +95,7 @@ pub struct NpState {
 
 impl NpState {
     /// Creates an NP with Table 2's caches and TLBs.
-    pub fn new(rng: DetRng) -> Self {
+    pub(crate) fn new(rng: DetRng) -> Self {
         NpState {
             dcache: CacheModel::new(
                 NP_DCACHE_BYTES,
@@ -93,11 +105,7 @@ impl NpState {
             ),
             tlb: FifoTlb::new(NP_TLB_ENTRIES),
             rtlb: FifoTlb::new(RTLB_ENTRIES),
-            response_q: VecDeque::new(),
-            fault_q: VecDeque::new(),
-            timer_q: VecDeque::new(),
-            request_q: VecDeque::new(),
-            call_q: VecDeque::new(),
+            queues: Default::default(),
             busy_until: Cycles::ZERO,
             dispatch_pending: false,
             stats: NpStats::default(),
@@ -106,47 +114,20 @@ impl NpState {
 
     /// Enqueues a unit of work.
     pub(crate) fn enqueue(&mut self, work: NpWork) {
-        match work {
-            NpWork::Message(m) => {
-                self.stats.messages.inc();
-                match m.vn {
-                    VirtualNet::Response => self.response_q.push_back(m),
-                    VirtualNet::Request => self.request_q.push_back(m),
-                }
-            }
-            NpWork::BlockFault(_) | NpWork::PageFault(_) => self.fault_q.push_back(work),
-            NpWork::Timer(t) => self.timer_q.push_back(t),
-            NpWork::UserCall(t, c) => self.call_q.push_back((t, c)),
+        if let NpWork::Message(_) = work {
+            self.stats.messages.inc();
         }
+        self.queues[work.class()].push_back(work);
     }
 
-    /// Removes the highest-priority pending work item.
+    /// Removes the oldest work item of the highest-priority class.
     pub(crate) fn next_work(&mut self) -> Option<NpWork> {
-        if let Some(m) = self.response_q.pop_front() {
-            return Some(NpWork::Message(m));
-        }
-        if let Some(w) = self.fault_q.pop_front() {
-            return Some(w);
-        }
-        if let Some(t) = self.timer_q.pop_front() {
-            return Some(NpWork::Timer(t));
-        }
-        if let Some(m) = self.request_q.pop_front() {
-            return Some(NpWork::Message(m));
-        }
-        if let Some((t, c)) = self.call_q.pop_front() {
-            return Some(NpWork::UserCall(t, c));
-        }
-        None
+        self.queues.iter_mut().find_map(VecDeque::pop_front)
     }
 
     /// Whether any work is pending.
     pub(crate) fn has_work(&self) -> bool {
-        !self.response_q.is_empty()
-            || !self.fault_q.is_empty()
-            || !self.timer_q.is_empty()
-            || !self.request_q.is_empty()
-            || !self.call_q.is_empty()
+        self.queues.iter().any(|q| !q.is_empty())
     }
 }
 

@@ -5,7 +5,9 @@ Every `.rs` file outside `tests/`, `benches/`, `target/` and `perfbench/`
 is counted, minus each `#[cfg(test)]` item (an attribute followed by an
 item that ends in `;` or in a brace-matched block). Reports the total
 line count and the code-only count (blank lines and lines holding only
-a comment left out).
+a comment left out), then the code-only count of each crate
+(`crates/NAME`, and `src` for the root package) and of `examples`, so a
+change can say which layer shrank.
 
 Usage: python3 scripts/loc.py [ROOT]   (ROOT defaults to the repo root)
 """
@@ -130,15 +132,23 @@ def count_file(path):
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(__file__), "..")
     total = code = files = 0
+    layers = {}
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = sorted(d for d in dirnames if d not in SKIP_DIRS)
         for name in sorted(filenames):
             if name.endswith(".rs"):
-                t, c = count_file(os.path.join(dirpath, name))
+                path = os.path.join(dirpath, name)
+                t, c = count_file(path)
                 total += t
                 code += c
                 files += 1
+                parts = os.path.relpath(path, root).split(os.sep)
+                layer = "/".join(parts[:2]) if parts[0] == "crates" else parts[0]
+                layers[layer] = layers.get(layer, 0) + c
     print(f"files {files}  total {total}  code {code}")
+    width = max(map(len, layers), default=0)
+    for layer in sorted(layers):
+        print(f"  {layer:<{width}}  code {layers[layer]}")
 
 
 if __name__ == "__main__":
